@@ -194,7 +194,7 @@ def _dual_face(g: GameInstance, budget_cap: int):
 
 
 def _face_extreme(lp: LinearProgram, optimum, names: dict[str, Fraction], maximize: bool):
-    coeffs = tuple(names.get(v, ZERO) for v in lp.variables)
+    coeffs = tuple([names.get(v, ZERO) for v in lp.variables])
     sol = solve_over_optimal_face(lp, optimum, coeffs, maximize)
     if sol.status != "optimal":
         raise RuntimeError(f"face optimization came back {sol.status}")
@@ -346,16 +346,16 @@ def degeneracy_report(
     general games only.
     """
     vlabels, elabels, _, optima = classification_table(g, budget_cap)
-    viable_vertices = tuple(q for q in g.vertices if vlabels[q] == "viable")
-    viable_edges = tuple(k for k in g.edge_keys if elabels[k] == "viable")
+    viable_vertices = tuple([q for q in g.vertices if vlabels[q] == "viable"])
+    viable_edges = tuple([k for k in g.edge_keys if elabels[k] == "viable"])
     never_paid = None
     always_fair = None
     if g.variant in PAYMENT_VARIANTS and not core_is_empty(g, budget_cap):
         pay = payment_report(g, budget_cap)
         never_paid = tuple(
-            q for q in g.vertices if pay.vertices[q].max_profit == 0
+            [q for q in g.vertices if pay.vertices[q].max_profit == 0]
         )
-        always_fair = tuple(k for k in g.edge_keys if pay.edges[k].always_fair)
+        always_fair = tuple([k for k in g.edge_keys if pay.edges[k].always_fair])
     return DegeneracyReport(
         degenerate=len(optima) > 1,
         optima_count=len(optima),

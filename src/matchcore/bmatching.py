@@ -442,13 +442,13 @@ def system_lp(sys: CoalitionSystem, objective: dict[str, Fraction]) -> LinearPro
     """The system as an LP with the given profit objective (maximized)."""
     names = tuple(sys.vertices)
     rows = [
-        (tuple(ONE if q in s else ZERO for q in names), ">=", rhs)
+        (tuple([ONE if q in s else ZERO for q in names]), ">=", rhs)
         for s, rhs in sys.inequalities
     ]
     rows.append(((ONE,) * len(names), "==", sys.grand_worth))
     return LinearProgram(
         variables=names,
-        objective=tuple(objective.get(q, ZERO) for q in names),
+        objective=tuple([objective.get(q, ZERO) for q in names]),
         maximize=True,
         constraints=tuple(rows),
         nonnegative=(True,) * len(names),

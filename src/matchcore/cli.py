@@ -18,6 +18,7 @@ from . import bundled
 from .analysis import Imputation, is_core_imputation
 from .bmatching import (
     B_VARIANTS,
+    ProfitSignError,
     coalition_system,
     core_membership_via_system,
     in_dual_image,
@@ -183,7 +184,13 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (GameFileError, InfeasibleGameError, OSError, ValueError) as exc:
+    except (
+        GameFileError,
+        InfeasibleGameError,
+        ProfitSignError,
+        OSError,
+        ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ def _vertex_rows(g: GameInstance, kind: str) -> list[tuple[tuple[Fraction, ...],
     keys = g.edge_keys
     rows = []
     for q in g.vertices:
-        coeffs = tuple(ONE if q in k else ZERO for k in keys)
+        coeffs = tuple([ONE if q in k else ZERO for k in keys])
         if kind == "upper":
             rows.append((coeffs, "<=", Fraction(g.vertex_upper[q]), q))
         else:
@@ -42,31 +42,31 @@ def _vertex_rows(g: GameInstance, kind: str) -> list[tuple[tuple[Fraction, ...],
 def build_primal_lp(g: GameInstance) -> LinearProgram:
     """Maximum-weight (fractional) matching LP for the variant of ``g``."""
     keys = g.edge_keys
-    names = tuple(f"x[{edge_name(k)}]" for k in keys)
-    objective = tuple(w for _, _, w in g.edges)
+    names = tuple([f"x[{edge_name(k)}]" for k in keys])
+    objective = tuple([w for _, _, w in g.edges])
     rows: list[tuple[tuple[Fraction, ...], str, Fraction, str]] = []
     if g.variant == "b-general":
         for q in g.vertices:
-            coeffs = tuple(ONE if q in k else ZERO for k in keys)
+            coeffs = tuple([ONE if q in k else ZERO for k in keys])
             rows.append((coeffs, ">=", Fraction(g.vertex_lower[q]), f"{q}:lo"))
             rows.append((coeffs, "<=", Fraction(g.vertex_upper[q]), f"{q}:hi"))
         for idx, k in enumerate(keys):
-            unit = tuple(ONE if t == idx else ZERO for t in range(len(keys)))
+            unit = tuple([ONE if t == idx else ZERO for t in range(len(keys))])
             rows.append((unit, ">=", Fraction(g.edge_lower[k]), f"{edge_name(k)}:lo"))
             rows.append((unit, "<=", Fraction(g.edge_upper[k]), f"{edge_name(k)}:hi"))
     else:
         rows.extend(_vertex_rows(g, "upper"))
         if g.variant == "b-constrained":
             for idx, k in enumerate(keys):
-                unit = tuple(ONE if t == idx else ZERO for t in range(len(keys)))
+                unit = tuple([ONE if t == idx else ZERO for t in range(len(keys))])
                 rows.append((unit, "<=", ONE, edge_name(k)))
     return LinearProgram(
         variables=names,
         objective=objective,
         maximize=True,
-        constraints=tuple((c, r, b) for c, r, b, _ in rows),
+        constraints=tuple([(c, r, b) for c, r, b, _ in rows]),
         nonnegative=(True,) * len(names),
-        row_labels=tuple(lbl for _, _, _, lbl in rows),
+        row_labels=tuple([lbl for _, _, _, lbl in rows]),
     )
 
 
@@ -75,8 +75,8 @@ def build_dual_lp(g: GameInstance) -> LinearProgram:
     keys = g.edge_keys
     vs = g.vertices
     if g.variant in ("assignment", "general-matching"):
-        names = tuple(f"y[{q}]" for q in vs)
-        objective = tuple(ONE for _ in vs)
+        names = tuple([f"y[{q}]" for q in vs])
+        objective = tuple([ONE for _ in vs])
         var_of = {q: t for t, q in enumerate(vs)}
         rows = []
         for k, (i, j, w) in zip(keys, g.edges):
@@ -85,8 +85,8 @@ def build_dual_lp(g: GameInstance) -> LinearProgram:
             coeffs[var_of[j]] += ONE
             rows.append((tuple(coeffs), ">=", w, edge_name(k)))
     elif g.variant in ("b-uniform", "b-unconstrained"):
-        names = tuple(f"y[{q}]" for q in vs)
-        objective = tuple(Fraction(g.vertex_upper[q]) for q in vs)
+        names = tuple([f"y[{q}]" for q in vs])
+        objective = tuple([Fraction(g.vertex_upper[q]) for q in vs])
         var_of = {q: t for t, q in enumerate(vs)}
         rows = []
         for k, (i, j, w) in zip(keys, g.edges):
@@ -95,9 +95,9 @@ def build_dual_lp(g: GameInstance) -> LinearProgram:
             coeffs[var_of[j]] += ONE
             rows.append((tuple(coeffs), ">=", w, edge_name(k)))
     elif g.variant == "b-constrained":
-        names = tuple(f"y[{q}]" for q in vs) + tuple(f"z[{edge_name(k)}]" for k in keys)
-        objective = tuple(Fraction(g.vertex_upper[q]) for q in vs) + tuple(
-            ONE for _ in keys
+        names = tuple([f"y[{q}]" for q in vs] + [f"z[{edge_name(k)}]" for k in keys])
+        objective = tuple([Fraction(g.vertex_upper[q]) for q in vs]) + tuple(
+            [ONE for _ in keys]
         )
         rows = []
         for t, (i, j, w) in enumerate(g.edges):
@@ -108,17 +108,17 @@ def build_dual_lp(g: GameInstance) -> LinearProgram:
             rows.append((tuple(coeffs), ">=", w, edge_name(keys[t])))
     elif g.variant == "b-general":
         names = (
-            tuple(f"y[{q}]" for q in vs)
-            + tuple(f"y_lo[{q}]" for q in vs)
-            + tuple(f"z[{edge_name(k)}]" for k in keys)
-            + tuple(f"z_lo[{edge_name(k)}]" for k in keys)
+            tuple([f"y[{q}]" for q in vs])
+            + tuple([f"y_lo[{q}]" for q in vs])
+            + tuple([f"z[{edge_name(k)}]" for k in keys])
+            + tuple([f"z_lo[{edge_name(k)}]" for k in keys])
         )
         nv, ne = len(vs), len(keys)
         objective = (
-            tuple(Fraction(g.vertex_upper[q]) for q in vs)
-            + tuple(Fraction(-g.vertex_lower[q]) for q in vs)
-            + tuple(Fraction(g.edge_upper[k]) for k in keys)
-            + tuple(Fraction(-g.edge_lower[k]) for k in keys)
+            tuple([Fraction(g.vertex_upper[q]) for q in vs])
+            + tuple([Fraction(-g.vertex_lower[q]) for q in vs])
+            + tuple([Fraction(g.edge_upper[k]) for k in keys])
+            + tuple([Fraction(-g.edge_lower[k]) for k in keys])
         )
         rows = []
         for t, (i, j, w) in enumerate(g.edges):
@@ -136,9 +136,9 @@ def build_dual_lp(g: GameInstance) -> LinearProgram:
         variables=names,
         objective=objective,
         maximize=False,
-        constraints=tuple((c, r, b) for c, r, b, _ in rows),
+        constraints=tuple([(c, r, b) for c, r, b, _ in rows]),
         nonnegative=(True,) * len(names),
-        row_labels=tuple(lbl for _, _, _, lbl in rows),
+        row_labels=tuple([lbl for _, _, _, lbl in rows]),
     )
 
 

@@ -35,7 +35,7 @@ VARIANTS = (
     "b-general",
 )
 
-BIPARTITE_VARIANTS = tuple(v for v in VARIANTS if v != "general-matching")
+BIPARTITE_VARIANTS = tuple([v for v in VARIANTS if v != "general-matching"])
 
 # Enumeration guards: coalition enumeration is exponential in the vertex
 # count, matching enumeration in the total multiplicity budget.
@@ -66,7 +66,7 @@ class GameInstance:
 
     @property
     def edge_keys(self) -> tuple[Edge, ...]:
-        return tuple((i, j) for i, j, _ in self.edges)
+        return tuple([(i, j) for i, j, _ in self.edges])
 
     def weight(self, key: Edge) -> Fraction:
         for i, j, w in self.edges:
@@ -75,7 +75,7 @@ class GameInstance:
         raise KeyError(key)
 
     def incident(self, q: str) -> tuple[Edge, ...]:
-        return tuple((i, j) for i, j, _ in self.edges if q in (i, j))
+        return tuple([(i, j) for i, j, _ in self.edges if q in (i, j)])
 
     def adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {q: set() for q in self.vertices}
@@ -105,7 +105,7 @@ def make_game(
     """
     left = tuple(left)
     right = tuple(right)
-    norm_edges = tuple((i, j, Fraction(w)) for i, j, w in edges)
+    norm_edges = tuple([(i, j, Fraction(w)) for i, j, w in edges])
     vertices = left + right
 
     if isinstance(vertex_upper, int):
@@ -226,9 +226,9 @@ def induce_subgame(g: GameInstance, s: Coalition) -> GameInstance:
     unknown = s - set(g.vertices)
     if unknown:
         raise ValueError(f"coalition members not in game: {sorted(unknown)}")
-    left = tuple(q for q in g.left if q in s)
-    right = tuple(q for q in g.right if q in s)
-    edges = tuple((i, j, w) for i, j, w in g.edges if i in s and j in s)
+    left = tuple([q for q in g.left if q in s])
+    right = tuple([q for q in g.right if q in s])
+    edges = tuple([(i, j, w) for i, j, w in g.edges if i in s and j in s])
     keys = [(i, j) for i, j, _ in edges]
     return GameInstance(
         g.variant,

@@ -146,7 +146,10 @@ def brute_force_optima(
                 load[i] -= m
                 load[j] -= m
 
-    visit(0, ZERO)
+    try:
+        visit(0, ZERO)
+    finally:
+        del visit  # it refers to itself through its cell: break the cycle
     if best is None:
         return None, []
     vectors = [
@@ -280,7 +283,10 @@ def _max_matching_covering(
             used.difference_update((i, j))
         rec(t + 1, chosen, used)
 
-    rec(0, [], set())
+    try:
+        rec(0, [], set())
+    finally:
+        del rec  # it refers to itself through its cell: break the cycle
     if best is None:
         return None
     return [support[t] for t in best[1]]

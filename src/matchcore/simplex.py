@@ -1,10 +1,30 @@
 """Exact rational simplex solver.
 
-Dense two-phase tableau method over `fractions.Fraction` with Bland's
-anti-cycling rule for both the entering and the leaving choice.  The
-games in this package produce heavily degenerate programs, so cycling
-protection is not optional, and determinism matters because reports are
-compared byte for byte.
+Dense two-phase tableau method with Bland's anti-cycling rule for both
+the entering and the leaving choice.  The games in this package produce
+heavily degenerate programs, so cycling protection is not optional, and
+determinism matters because reports are compared byte for byte.
+
+The tableau holds Python integers, not fractions (integer-preserving
+pivoting in the sense of Edmonds 1967 and Bareiss 1968):
+
+* Each row is a primitive integer vector whose entry in its basic column
+  is positive; row ``i`` stands for the rational row
+  ``rows[i] / rows[i][basis[i]]``.  A constraint row is scaled by the lcm
+  of its denominators and its slack and artificial cells hold plus or
+  minus that multiplier, so every row starts out meaning exactly its
+  constraint and no column is rescaled.
+* A pivot on entry ``piv`` replaces each row whose entering entry ``f``
+  is nonzero by ``piv*row - f*prow`` divided by its gcd; rows with
+  ``f == 0`` are left alone.  The cost row is a positive multiple of the
+  reduced costs and is updated the same way.
+* The ratio test compares ``rhs/a`` between rows by cross-multiplying,
+  and a basic value is read out as ``Fraction(row[-1], row[basis[i]])``.
+
+Every scaling is by a positive integer, so each reduced cost keeps its
+sign and the ratios keep their order: Bland's rule takes the same
+pivots, and returns the same vertex, as on a tableau of fractions with
+unit basic entries.  Only the final read-out builds fractions.
 
 The solver is meant for desk-scale programs (tens of variables).  Every
 ``optimal`` answer is an exact basic solution: downstream code relies on
@@ -15,9 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 RELATIONS = ("<=", ">=", "==")
 
@@ -57,27 +77,31 @@ class LPSolution:
     is_vertex: bool = False
 
 
-def _pivot(tableau, cost, basis, row, col) -> None:
-    prow = tableau[row]
+def _eliminate(row: list[int], piv: int, f: int, prow: list[int]) -> list[int]:
+    """``piv*row - f*prow`` divided by the gcd of its entries."""
+    new = [piv * a - f * b for a, b in zip(row, prow)]
+    g = gcd(*new)
+    if g > 1:
+        new = [x // g for x in new]
+    return new
+
+
+def _pivot(rows, cost, basis, row, col) -> None:
+    prow = rows[row]
     piv = prow[col]
-    inv = ONE / piv
-    tableau[row] = [x * inv for x in prow]
-    prow = tableau[row]
-    for i, r in enumerate(tableau):
-        if i == row:
-            continue
+    if piv < 0:  # only while driving artificials out of the basis
+        prow = rows[row] = [-x for x in prow]
+        piv = -piv
+    for i, r in enumerate(rows):
         f = r[col]
-        if f:
-            tableau[i] = [a - f * b for a, b in zip(r, prow)]
-    f = cost[col]
-    if f:
-        for j, b in enumerate(prow):
-            if b:
-                cost[j] -= f * b
+        if f and i != row:
+            rows[i] = _eliminate(r, piv, f, prow)
+    if cost is not None and cost[col]:
+        cost[:] = _eliminate(cost, piv, cost[col], prow)
     basis[row] = col
 
 
-def _run(tableau, cost, basis, ncols) -> str:
+def _run(rows, cost, basis, ncols) -> str:
     """Minimize until reduced costs are nonnegative (Bland's rule)."""
     while True:
         enter = -1
@@ -87,18 +111,35 @@ def _run(tableau, cost, basis, ncols) -> str:
                 break
         if enter < 0:
             return "optimal"
-        best_key = None
+        # Smallest ratio rhs/a over the rows with a > 0, ties to the
+        # smallest basic index.
         best_row = -1
-        for i, r in enumerate(tableau):
+        for i, r in enumerate(rows):
             a = r[enter]
             if a > 0:
-                key = (r[-1] / a, basis[i])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_row = i
+                if best_row >= 0:
+                    lhs, rhs = r[-1] * den, num * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[best_row]):
+                        continue
+                best_row, num, den = i, r[-1], a
         if best_row < 0:
             return "unbounded"
-        _pivot(tableau, cost, basis, best_row, enter)
+        _pivot(rows, cost, basis, best_row, enter)
+
+
+def _integer_row(coeffs) -> tuple[list[int], int]:
+    """``coeffs`` times the lcm of their denominators, and that lcm."""
+    dens = [c.denominator for c in coeffs]
+    scale = lcm(*dens)
+    return [c.numerator * (scale // d) for c, d in zip(coeffs, dens)], scale
+
+
+def _reduced(cost: list[int], rows, basis) -> list[int]:
+    """``cost`` with every basic column eliminated (a positive multiple)."""
+    for r, b in zip(rows, basis):
+        if cost[b]:
+            cost = _eliminate(cost, r[b], cost[b], r)
+    return cost
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
@@ -128,59 +169,57 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             cols.append((idx, -1))
     nstruct = len(cols)
 
-    cost_struct = [Fraction(s) * lp.objective[idx] for idx, s in cols]
-    if lp.maximize:
-        cost_struct = [-x for x in cost_struct]
+    sense = -1 if lp.maximize else 1
+    c, _ = _integer_row(lp.objective)
+    cost_struct = [sense * s * c[idx] for idx, s in cols]
 
     rows = []
     for coeffs, rel, rhs in lp.constraints:
-        a = [Fraction(s) * coeffs[idx] for idx, s in cols]
+        sign = 1
         if rhs < 0:
-            a = [-x for x in a]
-            rhs = -rhs
+            sign = -1
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        rows.append((a, rel, rhs))
+        a, scale = _integer_row((*coeffs, rhs))
+        struct = [sign * s * a[idx] for idx, s in cols]
+        rows.append((struct, rel, sign * a[-1], scale))
 
     m = len(rows)
-    nslack = sum(1 for _, rel, _ in rows if rel in ("<=", ">="))
-    nart = sum(1 for _, rel, _ in rows if rel in (">=", "=="))
+    nslack = sum(1 for _, rel, _, _ in rows if rel in ("<=", ">="))
+    nart = sum(1 for _, rel, _, _ in rows if rel in (">=", "=="))
     width = nstruct + nslack + nart
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
     art_cols: list[int] = []
     s_at = nstruct
     a_at = nstruct + nslack
-    for a, rel, rhs in rows:
-        row = a + [ZERO] * (nslack + nart) + [rhs]
+    for struct, rel, rhs, scale in rows:
+        row = struct + [0] * (nslack + nart) + [rhs]
         if rel == "<=":
-            row[s_at] = ONE
+            row[s_at] = scale
             basis.append(s_at)
             s_at += 1
         elif rel == ">=":
-            row[s_at] = -ONE
+            row[s_at] = -scale
             s_at += 1
-            row[a_at] = ONE
+            row[a_at] = scale
             basis.append(a_at)
             art_cols.append(a_at)
             a_at += 1
         else:
-            row[a_at] = ONE
+            row[a_at] = scale
             basis.append(a_at)
             art_cols.append(a_at)
             a_at += 1
         tableau.append(row)
 
     if art_cols:
-        cost = [ZERO] * (width + 1)
+        cost = [0] * (width + 1)
         for j in art_cols:
-            cost[j] = ONE
-        for i, b in enumerate(basis):
-            if cost[b]:
-                f = cost[b]
-                cost = [c - f * t for c, t in zip(cost, tableau[i])]
+            cost[j] = 1
+        cost = _reduced(cost, tableau, basis)
         status = _run(tableau, cost, basis, width)
         assert status == "optimal"  # phase one is always bounded below by 0
-        if -cost[-1] != 0:
+        if cost[-1] != 0:
             return LPSolution("infeasible", {}, None)
         # Drive lingering artificials out of the (degenerate) basis.
         art_set = set(art_cols)
@@ -193,32 +232,26 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
                 if piv < 0:
                     drop.append(i)  # redundant constraint
                 else:
-                    _pivot(tableau, cost, basis, i, piv)
+                    _pivot(tableau, None, basis, i, piv)
         for i in reversed(drop):
             del tableau[i]
             del basis[i]
-        m = len(tableau)
         keep = [j for j in range(width) if j not in art_set]
         remap = {j: k for k, j in enumerate(keep)}
         tableau = [[r[j] for j in keep] + [r[-1]] for r in tableau]
         basis = [remap[b] for b in basis]
         width = len(keep)
 
-    cost = [ZERO] * (width + 1)
-    for j in range(nstruct):
-        cost[j] = cost_struct[j]
-    for i, b in enumerate(basis):
-        if cost[b]:
-            f = cost[b]
-            cost = [c - f * t for c, t in zip(cost, tableau[i])]
+    cost = cost_struct + [0] * (width + 1 - nstruct)
+    cost = _reduced(cost, tableau, basis)
     status = _run(tableau, cost, basis, width)
     if status == "unbounded":
         return LPSolution("unbounded", {}, None)
 
     expanded = [ZERO] * nstruct
-    for i, b in enumerate(basis):
+    for r, b in zip(tableau, basis):
         if b < nstruct:
-            expanded[b] = tableau[i][-1]
+            expanded[b] = Fraction(r[-1], r[b])
     values = {name: ZERO for name in lp.variables}
     for (idx, s), x in zip(cols, expanded):
         values[lp.variables[idx]] += Fraction(s) * x

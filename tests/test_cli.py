@@ -75,6 +75,29 @@ def test_bad_file_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_negative_dual_profit_is_input_error(capsys, tmp_path):
+    # An edge floor can make the dual-derived profit of u3 negative; the
+    # command reports that as an input error instead of a traceback.
+    path = tmp_path / "floor.game"
+    path.write_text(
+        "variant: b-general\n"
+        "left: u1 u2 u3\n"
+        "right: v1\n"
+        "edge: u1 v1 5\n"
+        "edge: u2 v1 8/5\n"
+        "edge: u3 v1 1/2\n"
+        "b: u1 2\n"
+        "b: u3 3\n"
+        "b: v1 2\n"
+        "cap: u3 v1 2\n"
+        "floor: u3 v1 1\n"
+    )
+    code, out, err = run(capsys, "imputation", "--game", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: dual-derived profits are negative at u3\n"
+
+
 def test_cap_exceeded_exit_code(capsys, game_path):
     code, _, err = run(
         capsys, "system", "--game", game_path("path5"), "--cap", "2"

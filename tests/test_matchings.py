@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction as F
 from random import Random
 
@@ -236,3 +237,31 @@ def test_classification_cross_checks():
             without, _ = brute_force_optima(induce_subgame(g, rest))
             forced = g.weight((i, j)) + without
             assert (elabels[(i, j)] == "subpar") == (forced < best)
+
+
+def _cyclic_garbage(call):
+    """Objects that ``call()`` leaves for the cyclic collector."""
+    gc.collect()
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        call()
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    # The recursive search closures refer to themselves; unless that cycle
+    # is broken, every call's state waits for the cyclic collector.
+    g = load_instance("ring7")
+    assert _cyclic_garbage(lambda: brute_force_optima(g)) == []
+    h = load_instance("path5")
+    vec = make_matching_vector(h, {k: H for k in h.edge_keys})
+    assert _cyclic_garbage(lambda: birkhoff_decompose(h, vec)) == []
