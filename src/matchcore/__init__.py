@@ -27,6 +27,7 @@ from .matchings import (
     fractional_optimum,
 )
 from .analysis import (
+    GameAnalysis,
     Imputation,
     antipodal_imputations,
     always_fairly_paid,

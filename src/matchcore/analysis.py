@@ -6,12 +6,19 @@ face, so universally or existentially quantified payment questions
 ("is q ever paid", "is the pair u,v overpaid anywhere") reduce to
 maximizing a secondary linear objective over the face.  One exact LP
 answers each question; no sampling of imputations is involved.
+
+A :class:`GameAnalysis` session computes each fact of one game at most
+once: one enumeration of the optimal matchings, one primal solve, one
+dual solve whose final tableau answers every face question by a warm
+phase 2 (see :class:`~matchcore.simplex.OptimalTableau`).  The public
+functions are thin wrappers over a fresh session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .games import (
     DEFAULT_BUDGET_CAP,
@@ -24,18 +31,24 @@ from .games import (
 )
 from .gamelp import (
     DualSolution,
-    build_dual_lp,
     dual_solution_from_lp,
     edge_name,
+    solve_dual,
 )
 from .matchings import (
-    ESSENTIAL,
     InfeasibleGameError,
+    MatchingVector,
+    SolverInvariantError,
     brute_force_optima,
-    classification_table,
     fractional_optimum,
+    label_optima,
 )
-from .simplex import LinearProgram, solve_lp, solve_over_optimal_face
+from .simplex import (  # solve_lp and solve_over_optimal_face stay importable here
+    LPSolution,
+    OptimalTableau,
+    solve_lp,
+    solve_over_optimal_face,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -108,44 +121,182 @@ def worth(
     return best
 
 
+class GameAnalysis:
+    """Every fact of one game under one enumeration budget, each computed once.
+
+    Facts are computed on first use and kept for the session's lifetime:
+    the enumeration (worth plus all optimal matchings), the fractional
+    optimum, concurrency, the labels, the base dual solve with its final
+    tableau, and the payment report.  A report builds one session and
+    hands it to every section; no cache outlives the session.
+    """
+
+    def __init__(self, g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP):
+        self.g = g
+        self.budget_cap = budget_cap
+
+    @cached_property
+    def optima(self) -> tuple[Fraction | None, list[MatchingVector]]:
+        return brute_force_optima(self.g, self.budget_cap)
+
+    @cached_property
+    def worth(self) -> Fraction:
+        best = self.optima[0]
+        if best is None:
+            raise InfeasibleGameError("the grand coalition admits no feasible matching")
+        return best
+
+    @cached_property
+    def concurrency(self) -> WorthReport:
+        """Exact comparison of the integral and fractional optima."""
+        qi = self.worth
+        qf = fractional_optimum(self.g).weight
+        return WorthReport(integral=qi, fractional=qf, concurrent=(qi == qf))
+
+    @cached_property
+    def labels(self) -> tuple[dict[str, str], dict[Edge, str]]:
+        """essential / viable / subpar for every vertex and edge."""
+        best, optima = self.optima
+        if best is None:
+            raise InfeasibleGameError("no feasible matching to classify against")
+        return label_optima(self.g, optima)
+
+    @cached_property
+    def dual(self) -> tuple[LPSolution, DualSolution]:
+        return solve_dual(self.g)
+
+    @cached_property
+    def face(self) -> OptimalTableau | None:
+        """The core as the optimal face of the dual; None if the core is empty.
+
+        Only meaningful for assignment and general matching games, where
+        the dual optimum must equal the fractional primal optimum exactly.
+        """
+        rep = self.concurrency
+        if self.g.variant == "general-matching" and not rep.concurrent:
+            return None
+        sol, _ = self.dual
+        if sol.objective_value != rep.fractional:
+            raise SolverInvariantError("dual optimum differs from the primal optimum")
+        return sol.tableau
+
+    def _face_extreme(self, goal: dict[str, Fraction], maximize=True) -> LPSolution:
+        lp = self.face.lp
+        coeffs = tuple([goal.get(v, ZERO) for v in lp.variables])
+        sol = self.face.optimize(coeffs, maximize)
+        if sol.status != "optimal":
+            raise RuntimeError(f"face optimization came back {sol.status}")
+        return sol
+
+    def vertex_payment(self, q: str) -> VertexPayment:
+        """Does any core imputation pay ``q``?  Decided by face maximization."""
+        _require_payment_variant(self.g)
+        if q not in self.g.vertices:
+            raise ValueError(f"unknown vertex {q!r}")
+        if self.face is None:
+            return VertexPayment(True, None, None)
+        top = self._face_extreme({f"y[{q}]": ONE}).values[f"y[{q}]"]
+        return VertexPayment(False, top > 0, top)
+
+    def edge_payment(self, key: Edge) -> EdgePayment:
+        """Is the pair's profit sum ever strictly above its own weight?
+
+        The maximum of ``y_u + y_v - w_e`` over the core is zero exactly
+        when the pair is fairly paid in every imputation.
+        """
+        _require_payment_variant(self.g)
+        if key not in self.g.edge_keys:
+            raise ValueError(f"unknown edge {edge_name(key)}")
+        if self.face is None:
+            return EdgePayment(True, None, None)
+        i, j = key
+        sol = self._face_extreme({f"y[{i}]": ONE, f"y[{j}]": ONE})
+        slack = sol.values[f"y[{i}]"] + sol.values[f"y[{j}]"] - self.g.weight(key)
+        return EdgePayment(False, slack == 0, slack)
+
+    def profit_bounds(self, q: str) -> tuple[Fraction, Fraction] | None:
+        """Exact min and max profit of ``q`` over the whole core."""
+        _require_payment_variant(self.g)
+        if self.face is None:
+            return None
+        goal = {f"y[{q}]": ONE}
+        hi = self._face_extreme(goal, True).values[f"y[{q}]"]
+        lo = self._face_extreme(goal, False).values[f"y[{q}]"]
+        return lo, hi
+
+    @cached_property
+    def payments(self) -> PaymentReport:
+        _require_payment_variant(self.g)
+        verts = {q: self.vertex_payment(q) for q in self.g.vertices}
+        edges = {k: self.edge_payment(k) for k in self.g.edge_keys}
+        return PaymentReport(verts, edges)
+
+    def core_imputation(self, y: DualSolution) -> Imputation:
+        """Read an optimal dual of an assignment or concurrent game as profits.
+
+        The map is the identity on the vertex prices; it is an imputation
+        exactly when the dual objective equals the worth of the game, which
+        is verified here.
+        """
+        if self.g.variant not in PAYMENT_VARIANTS:
+            raise ValueError("direct dual imputations exist only for single-use games")
+        profits = {q: y.vertex_upper[q] for q in self.g.vertices}
+        total = sum(profits.values(), start=ZERO)
+        if total != self.worth:
+            raise ValueError(
+                "dual is not optimal for the integral worth; profits do not sum up"
+            )
+        return profits
+
+    @cached_property
+    def antipodal(self) -> tuple[Imputation, Imputation]:
+        g = self.g
+        if g.variant != "assignment":
+            raise ValueError("antipodal imputations are defined for assignment games")
+        left_sol = self._face_extreme({f"y[{q}]": ONE for q in g.left})
+        right_sol = self._face_extreme({f"y[{q}]": ONE for q in g.right})
+        return (
+            self.core_imputation(dual_solution_from_lp(g, left_sol)),
+            self.core_imputation(dual_solution_from_lp(g, right_sol)),
+        )
+
+    @cached_property
+    def degeneracy(self) -> DegeneracyReport:
+        g = self.g
+        vlabels, elabels = self.labels
+        optima = self.optima[1]
+        never_paid = None
+        always_fair = None
+        if g.variant in PAYMENT_VARIANTS and self.face is not None:
+            pay = self.payments
+            never_paid = tuple(
+                [q for q in g.vertices if pay.vertices[q].max_profit == 0]
+            )
+            always_fair = tuple([k for k in g.edge_keys if pay.edges[k].always_fair])
+        return DegeneracyReport(
+            degenerate=len(optima) > 1,
+            optima_count=len(optima),
+            viable_vertices=tuple([q for q in g.vertices if vlabels[q] == "viable"]),
+            viable_edges=tuple([k for k in g.edge_keys if elabels[k] == "viable"]),
+            never_paid_vertices=never_paid,
+            always_fair_edges=always_fair,
+        )
+
+
 def game_worth(g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP) -> Fraction:
-    w = worth(g, None, budget_cap)
-    if w is None:
-        raise InfeasibleGameError("the grand coalition admits no feasible matching")
-    return w
+    return GameAnalysis(g, budget_cap).worth
 
 
 def check_concurrency(
     g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP
 ) -> WorthReport:
     """Exact comparison of the integral and fractional optima."""
-    qi = game_worth(g, budget_cap)
-    qf = fractional_optimum(g).weight
-    return WorthReport(integral=qi, fractional=qf, concurrent=(qi == qf))
-
-
-def core_is_empty(g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP) -> bool:
-    if g.variant != "general-matching":
-        return False
-    return not check_concurrency(g, budget_cap).concurrent
+    return GameAnalysis(g, budget_cap).concurrency
 
 
 def core_imputation_from_dual(g: GameInstance, y: DualSolution) -> Imputation:
-    """Read an optimal dual of an assignment or concurrent game as profits.
-
-    The map is the identity on the vertex prices; it is an imputation
-    exactly when the dual objective equals the worth of the game, which
-    is verified here.
-    """
-    if g.variant not in PAYMENT_VARIANTS:
-        raise ValueError("direct dual imputations exist only for single-use games")
-    profits = {q: y.vertex_upper[q] for q in g.vertices}
-    total = sum(profits.values(), start=ZERO)
-    if total != game_worth(g):
-        raise ValueError(
-            "dual is not optimal for the integral worth; profits do not sum up"
-        )
-    return profits
+    """Profits read off an optimal dual; see :meth:`GameAnalysis.core_imputation`."""
+    return GameAnalysis(g).core_imputation(y)
 
 
 def is_core_imputation(
@@ -180,99 +331,31 @@ def is_core_imputation(
     return CoreMembership(True, None, tuple(skipped))
 
 
-def _dual_face(g: GameInstance, budget_cap: int):
-    """Dual LP of ``g`` plus its optimum, with concurrency enforced.
-
-    Returns ``(lp, optimum)`` or ``None`` when the core is empty (only
-    possible for non-concurrent general-matching games).
-    """
-    report = check_concurrency(g, budget_cap)
-    if g.variant == "general-matching" and not report.concurrent:
-        return None
-    lp = build_dual_lp(g)
-    return lp, report.fractional
-
-
-def _face_extreme(lp: LinearProgram, optimum, names: dict[str, Fraction], maximize: bool):
-    coeffs = tuple([names.get(v, ZERO) for v in lp.variables])
-    sol = solve_over_optimal_face(lp, optimum, coeffs, maximize)
-    if sol.status != "optimal":
-        raise RuntimeError(f"face optimization came back {sol.status}")
-    return sol
-
-
 def paid_sometimes(
     g: GameInstance, q: str, budget_cap: int = DEFAULT_BUDGET_CAP
 ) -> VertexPayment:
-    """Does any core imputation pay ``q``?  Decided by face maximization."""
-    _require_payment_variant(g)
-    if q not in g.vertices:
-        raise ValueError(f"unknown vertex {q!r}")
-    face = _dual_face(g, budget_cap)
-    if face is None:
-        return VertexPayment(True, None, None)
-    lp, opt = face
-    sol = _face_extreme(lp, opt, {f"y[{q}]": ONE}, maximize=True)
-    top = sol.values[f"y[{q}]"]
-    return VertexPayment(False, top > 0, top)
+    """See :meth:`GameAnalysis.vertex_payment`."""
+    return GameAnalysis(g, budget_cap).vertex_payment(q)
 
 
 def profit_bounds(
     g: GameInstance, q: str, budget_cap: int = DEFAULT_BUDGET_CAP
 ) -> tuple[Fraction, Fraction] | None:
-    """Exact min and max profit of ``q`` over the whole core."""
-    _require_payment_variant(g)
-    face = _dual_face(g, budget_cap)
-    if face is None:
-        return None
-    lp, opt = face
-    hi = _face_extreme(lp, opt, {f"y[{q}]": ONE}, True).values[f"y[{q}]"]
-    lo = _face_extreme(lp, opt, {f"y[{q}]": ONE}, False).values[f"y[{q}]"]
-    return lo, hi
+    """See :meth:`GameAnalysis.profit_bounds`."""
+    return GameAnalysis(g, budget_cap).profit_bounds(q)
 
 
 def always_fairly_paid(
     g: GameInstance, key: Edge, budget_cap: int = DEFAULT_BUDGET_CAP
 ) -> EdgePayment:
-    """Is the pair's profit sum ever strictly above its own weight?
-
-    The maximum of ``y_u + y_v - w_e`` over the core is zero exactly
-    when the pair is fairly paid in every imputation.
-    """
-    _require_payment_variant(g)
-    if key not in g.edge_keys:
-        raise ValueError(f"unknown edge {edge_name(key)}")
-    face = _dual_face(g, budget_cap)
-    if face is None:
-        return EdgePayment(True, None, None)
-    lp, opt = face
-    i, j = key
-    sol = _face_extreme(lp, opt, {f"y[{i}]": ONE, f"y[{j}]": ONE}, True)
-    slack = sol.values[f"y[{i}]"] + sol.values[f"y[{j}]"] - g.weight(key)
-    return EdgePayment(False, slack == 0, slack)
+    """See :meth:`GameAnalysis.edge_payment`."""
+    return GameAnalysis(g, budget_cap).edge_payment(key)
 
 
 def payment_report(
     g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP
 ) -> PaymentReport:
-    _require_payment_variant(g)
-    face = _dual_face(g, budget_cap)
-    if face is None:
-        verts = {q: VertexPayment(True, None, None) for q in g.vertices}
-        edges = {k: EdgePayment(True, None, None) for k in g.edge_keys}
-        return PaymentReport(verts, edges)
-    lp, opt = face
-    verts = {}
-    for q in g.vertices:
-        top = _face_extreme(lp, opt, {f"y[{q}]": ONE}, True).values[f"y[{q}]"]
-        verts[q] = VertexPayment(False, top > 0, top)
-    edges = {}
-    for k in g.edge_keys:
-        i, j = k
-        sol = _face_extreme(lp, opt, {f"y[{i}]": ONE, f"y[{j}]": ONE}, True)
-        slack = sol.values[f"y[{i}]"] + sol.values[f"y[{j}]"] - g.weight(k)
-        edges[k] = EdgePayment(False, slack == 0, slack)
-    return PaymentReport(verts, edges)
+    return GameAnalysis(g, budget_cap).payments
 
 
 def _require_payment_variant(g: GameInstance) -> None:
@@ -291,18 +374,7 @@ def antipodal_imputations(
     side over the core (equivalently, minimizes the right side's), and
     vice versa.  Both are exact vertices of the core.
     """
-    if g.variant != "assignment":
-        raise ValueError("antipodal imputations are defined for assignment games")
-    face = _dual_face(g, budget_cap)
-    assert face is not None
-    lp, opt = face
-    left_goal = {f"y[{q}]": ONE for q in g.left}
-    right_goal = {f"y[{q}]": ONE for q in g.right}
-    left_sol = _face_extreme(lp, opt, left_goal, True)
-    right_sol = _face_extreme(lp, opt, right_goal, True)
-    left_best = core_imputation_from_dual(g, dual_solution_from_lp(g, left_sol))
-    right_best = core_imputation_from_dual(g, dual_solution_from_lp(g, right_sol))
-    return left_best, right_best
+    return GameAnalysis(g, budget_cap).antipodal
 
 
 def meet_join(
@@ -345,22 +417,4 @@ def degeneracy_report(
     flags; payment columns are available for assignment and concurrent
     general games only.
     """
-    vlabels, elabels, _, optima = classification_table(g, budget_cap)
-    viable_vertices = tuple([q for q in g.vertices if vlabels[q] == "viable"])
-    viable_edges = tuple([k for k in g.edge_keys if elabels[k] == "viable"])
-    never_paid = None
-    always_fair = None
-    if g.variant in PAYMENT_VARIANTS and not core_is_empty(g, budget_cap):
-        pay = payment_report(g, budget_cap)
-        never_paid = tuple(
-            [q for q in g.vertices if pay.vertices[q].max_profit == 0]
-        )
-        always_fair = tuple([k for k in g.edge_keys if pay.edges[k].always_fair])
-    return DegeneracyReport(
-        degenerate=len(optima) > 1,
-        optima_count=len(optima),
-        viable_vertices=viable_vertices,
-        viable_edges=viable_edges,
-        never_paid_vertices=never_paid,
-        always_fair_edges=always_fair,
-    )
+    return GameAnalysis(g, budget_cap).degeneracy

@@ -14,6 +14,7 @@ already name the edge floor and cap bounds of the general variant.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -22,6 +23,7 @@ from .analysis import Imputation, game_worth
 from .games import (
     DEFAULT_BUDGET_CAP,
     DEFAULT_COALITION_CAP,
+    CapExceeded,
     Coalition,
     Edge,
     GameInstance,
@@ -103,22 +105,32 @@ def _check_split(y: DualSolution, s: SplitScheme) -> None:
             raise ValueError(f"split does not add up on {edge_name(k)}")
 
 
-def _require_optimal(g: GameInstance, y: DualSolution) -> Fraction:
-    w = game_worth(g)
-    if not dual_is_optimal(g, y, w):
+def _worth(g: GameInstance, worth: Fraction | None) -> Fraction:
+    """The grand-coalition worth: ``worth`` when the caller has it already."""
+    return game_worth(g) if worth is None else worth
+
+
+def _require_optimal(g: GameInstance, y: DualSolution, worth: Fraction | None) -> None:
+    if not dual_is_optimal(g, y, _worth(g, worth)):
         raise ValueError("dual solution is not optimal for this game")
-    return w
 
 
 class ProfitSignError(Exception):
     """A dual-derived profit came out negative (possible under floors)."""
 
 
-def uniform_imputation_from_dual(g: GameInstance, y: DualSolution) -> Imputation:
-    """Uniform variant: profit is the common cap times the vertex price."""
+def uniform_imputation_from_dual(
+    g: GameInstance, y: DualSolution, *, worth: Fraction | None = None
+) -> Imputation:
+    """Uniform variant: profit is the common cap times the vertex price.
+
+    Like every function here that needs the worth of the game, it takes
+    ``worth`` from a caller that already has it (an analysis session) and
+    enumerates at the default budget otherwise.
+    """
     if g.variant != "b-uniform":
         raise ValueError("not a uniform game")
-    _require_optimal(g, y)
+    _require_optimal(g, y, worth)
     bc = next(iter(g.vertex_upper.values()))
     return {q: bc * y.vertex_upper[q] for q in g.vertices}
 
@@ -139,15 +151,19 @@ def uniform_dual_from_imputation(g: GameInstance, imp: Imputation) -> DualSoluti
     return y
 
 
-def uncon_imputation_from_dual(g: GameInstance, y: DualSolution) -> Imputation:
+def uncon_imputation_from_dual(
+    g: GameInstance, y: DualSolution, *, worth: Fraction | None = None
+) -> Imputation:
     """Unconstrained variant: profit_q = b_q times the vertex price."""
     if g.variant not in ("b-unconstrained", "b-uniform"):
         raise ValueError("not an unconstrained-edges game")
-    _require_optimal(g, y)
+    _require_optimal(g, y, worth)
     return {q: g.vertex_upper[q] * y.vertex_upper[q] for q in g.vertices}
 
 
-def in_dual_image_uncon(g: GameInstance, imp: Imputation) -> bool:
+def in_dual_image_uncon(
+    g: GameInstance, imp: Imputation, *, worth: Fraction | None = None
+) -> bool:
     """Is ``imp`` the image of some optimal dual under the scaling map?
 
     The map is a bijection, so the test inverts it: divide by the caps
@@ -156,27 +172,28 @@ def in_dual_image_uncon(g: GameInstance, imp: Imputation) -> bool:
     if g.variant not in ("b-unconstrained", "b-uniform"):
         raise ValueError("not an unconstrained-edges game")
     y = DualSolution({q: imp[q] / g.vertex_upper[q] for q in g.vertices})
-    return dual_is_optimal(g, y, game_worth(g))
+    return dual_is_optimal(g, y, _worth(g, worth))
 
 
 def con_imputation_from_dual(
-    g: GameInstance, y: DualSolution, split: SplitScheme
+    g: GameInstance,
+    y: DualSolution,
+    split: SplitScheme,
+    *,
+    worth: Fraction | None = None,
 ) -> Imputation:
     """Constrained variant: scaled vertex prices plus split edge prices."""
     if g.variant != "b-constrained":
         raise ValueError("not a constrained game")
-    _require_optimal(g, y)
-    _check_split(y, split)
-    imp = {q: g.vertex_upper[q] * y.vertex_upper[q] for q in g.vertices}
-    for k in g.edge_keys:
-        i, j = k
-        imp[i] += split.cap_left.get(k, ZERO)
-        imp[j] += split.cap_right.get(k, ZERO)
-    return imp
+    return _split_imputation(g, y, split, worth)
 
 
 def gen_imputation_from_dual(
-    g: GameInstance, y: DualSolution, split: SplitScheme
+    g: GameInstance,
+    y: DualSolution,
+    split: SplitScheme,
+    *,
+    worth: Fraction | None = None,
 ) -> Imputation:
     """General variant: cap and floor prices net out, scaled by the bounds.
 
@@ -189,7 +206,18 @@ def gen_imputation_from_dual(
     """
     if g.variant != "b-general":
         raise ValueError("not a general-bounds game")
-    _require_optimal(g, y)
+    return _split_imputation(g, y, split, worth)
+
+
+def _split_imputation(
+    g: GameInstance, y: DualSolution, split: SplitScheme, worth: Fraction | None
+) -> Imputation:
+    """The formula of :func:`gen_imputation_from_dual`, for both split variants.
+
+    The constrained variant has no floors (a, c and the floor prices are
+    0) and single-use edges (d = 1), so the same sum gives its profits.
+    """
+    _require_optimal(g, y, worth)
     _check_split(y, split)
     imp: Imputation = {}
     for q in g.vertices:
@@ -231,115 +259,80 @@ def _feasibility(
     return solve_lp(lp).status == "optimal"
 
 
-def in_dual_image_con(g: GameInstance, imp: Imputation) -> bool:
-    """Does any optimal dual plus admissible split reproduce ``imp``?
-
-    The split quantifier is linear, so the whole question is one LP
-    feasibility problem over prices and split parts; no search.
-    """
+def in_dual_image_con(
+    g: GameInstance, imp: Imputation, *, worth: Fraction | None = None
+) -> bool:
+    """Does any optimal dual plus admissible split reproduce ``imp``?"""
     if g.variant != "b-constrained":
         raise ValueError("not a constrained game")
-    w = game_worth(g)
-    if sum(imp.values(), start=ZERO) != w:
-        return False
-    names = [f"y[{q}]" for q in g.vertices]
-    for k in g.edge_keys:
-        names += [f"sL[{edge_name(k)}]", f"sR[{edge_name(k)}]"]
-    rows: list[tuple[dict[str, Fraction], str, Fraction]] = []
-    obj: dict[str, Fraction] = {}
-    for i, j, wt in g.edges:
-        k = (i, j)
-        rows.append(
-            (
-                {
-                    f"y[{i}]": ONE,
-                    f"y[{j}]": ONE,
-                    f"sL[{edge_name(k)}]": ONE,
-                    f"sR[{edge_name(k)}]": ONE,
-                },
-                ">=",
-                wt,
-            )
-        )
-        obj[f"sL[{edge_name(k)}]"] = ONE
-        obj[f"sR[{edge_name(k)}]"] = ONE
-    for q in g.vertices:
-        obj[f"y[{q}]"] = Fraction(g.vertex_upper[q])
-    rows.append((obj, "==", w))
-    for q in g.vertices:
-        rec: dict[str, Fraction] = {f"y[{q}]": Fraction(g.vertex_upper[q])}
-        side = "sL" if q in g.left else "sR"
-        for k in g.edge_keys:
-            if q in k:
-                rec[f"{side}[{edge_name(k)}]"] = ONE
-        rows.append((rec, "==", imp[q]))
-    return _feasibility(names, rows)
+    return _split_image(g, imp, worth)
 
 
-def in_dual_image_gen(g: GameInstance, imp: Imputation) -> bool:
+def in_dual_image_gen(
+    g: GameInstance, imp: Imputation, *, worth: Fraction | None = None
+) -> bool:
     """Dual-image membership for the general variant, as one LP."""
     if g.variant != "b-general":
         raise ValueError("not a general-bounds game")
-    w = game_worth(g)
+    return _split_image(g, imp, worth)
+
+
+def _split_image(g: GameInstance, imp: Imputation, worth: Fraction | None) -> bool:
+    """Dual-image membership where edge prices are split, as one LP.
+
+    The split quantifier is linear, so the whole question is one LP
+    feasibility problem over prices and split parts; no search.  Each
+    edge's cap price splits into ``capL``/``capR``; the general variant
+    also has floor credits ``y_lo`` and split floor parts ``floL``/``floR``.
+    """
+    w = _worth(g, worth)
     if sum(imp.values(), start=ZERO) != w:
         return False
+    floors = g.variant == "b-general"
     names = [f"y[{q}]" for q in g.vertices]
-    names += [f"y_lo[{q}]" for q in g.vertices]
+    if floors:
+        names += [f"y_lo[{q}]" for q in g.vertices]
     for k in g.edge_keys:
         e = edge_name(k)
-        names += [f"capL[{e}]", f"capR[{e}]", f"floL[{e}]", f"floR[{e}]"]
+        names += [f"capL[{e}]", f"capR[{e}]"]
+        if floors:
+            names += [f"floL[{e}]", f"floR[{e}]"]
     rows: list[tuple[dict[str, Fraction], str, Fraction]] = []
     obj: dict[str, Fraction] = {}
+    profit: dict[str, dict[str, Fraction]] = {}
     for q in g.vertices:
-        obj[f"y[{q}]"] = Fraction(g.vertex_upper[q])
-        obj[f"y_lo[{q}]"] = Fraction(-g.vertex_lower[q])
-    for i, j, wt in g.edges:
-        e = edge_name((i, j))
-        d, c = Fraction(g.edge_upper[(i, j)]), Fraction(g.edge_lower[(i, j)])
-        rows.append(
-            (
-                {
-                    f"y[{i}]": ONE,
-                    f"y[{j}]": ONE,
-                    f"y_lo[{i}]": -ONE,
-                    f"y_lo[{j}]": -ONE,
-                    f"capL[{e}]": ONE,
-                    f"capR[{e}]": ONE,
-                    f"floL[{e}]": -ONE,
-                    f"floR[{e}]": -ONE,
-                },
-                ">=",
-                wt,
-            )
-        )
-        obj[f"capL[{e}]"] = d
-        obj[f"capR[{e}]"] = d
-        obj[f"floL[{e}]"] = -c
-        obj[f"floR[{e}]"] = -c
-    rows.append((dict(obj), "==", w))
-    for q in g.vertices:
-        rec: dict[str, Fraction] = {
-            f"y[{q}]": Fraction(g.vertex_upper[q]),
-            f"y_lo[{q}]": Fraction(-g.vertex_lower[q]),
-        }
-        side = "L" if q in g.left else "R"
-        for k in g.edge_keys:
-            if q in k:
-                e = edge_name(k)
-                rec[f"cap{side}[{e}]"] = Fraction(g.edge_upper[k])
-                rec[f"flo{side}[{e}]"] = Fraction(-g.edge_lower[k])
-        rows.append((rec, "==", imp[q]))
+        profit[q] = {f"y[{q}]": Fraction(g.vertex_upper[q])}
+        if floors:
+            profit[q][f"y_lo[{q}]"] = Fraction(-g.vertex_lower[q])
+        obj.update(profit[q])
+    for (i, j, wt), k in zip(g.edges, g.edge_keys):
+        e = edge_name(k)
+        cover = {f"y[{i}]": ONE, f"y[{j}]": ONE, f"capL[{e}]": ONE, f"capR[{e}]": ONE}
+        d = Fraction(g.edge_upper[k]) if floors else ONE
+        profit[i][f"capL[{e}]"] = profit[j][f"capR[{e}]"] = d
+        obj[f"capL[{e}]"] = obj[f"capR[{e}]"] = d
+        if floors:
+            cover.update({f"y_lo[{i}]": -ONE, f"y_lo[{j}]": -ONE})
+            cover.update({f"floL[{e}]": -ONE, f"floR[{e}]": -ONE})
+            c = Fraction(-g.edge_lower[k])
+            profit[i][f"floL[{e}]"] = profit[j][f"floR[{e}]"] = c
+            obj[f"floL[{e}]"] = obj[f"floR[{e}]"] = c
+        rows.append((cover, ">=", wt))
+    rows.append((obj, "==", w))
+    rows += [(profit[q], "==", imp[q]) for q in g.vertices]
     return _feasibility(names, rows)
 
 
-def in_dual_image(g: GameInstance, imp: Imputation) -> bool:
+def in_dual_image(
+    g: GameInstance, imp: Imputation, *, worth: Fraction | None = None
+) -> bool:
     """Variant-dispatched dual-image membership."""
     if g.variant in ("b-uniform", "b-unconstrained"):
-        return in_dual_image_uncon(g, imp)
+        return in_dual_image_uncon(g, imp, worth=worth)
     if g.variant == "b-constrained":
-        return in_dual_image_con(g, imp)
+        return in_dual_image_con(g, imp, worth=worth)
     if g.variant == "b-general":
-        return in_dual_image_gen(g, imp)
+        return in_dual_image_gen(g, imp, worth=worth)
     raise ValueError(f"dual image is defined for b-variants, not {g.variant}")
 
 
@@ -362,11 +355,33 @@ def coalition_system(
     g: GameInstance,
     cap: int = DEFAULT_COALITION_CAP,
     budget_cap: int = DEFAULT_BUDGET_CAP,
+    *,
+    worth: Fraction | None = None,
 ) -> CoalitionSystem:
+    return _system(g, connected_coalitions(g, cap), budget_cap, worth)
+
+
+def all_coalition_system(
+    g: GameInstance,
+    cap: int = DEFAULT_COALITION_CAP,
+    budget_cap: int = DEFAULT_BUDGET_CAP,
+) -> CoalitionSystem:
+    """Same, over every nonempty coalition; the redundant cross-check."""
+    n = len(g.vertices)
+    if n > cap:
+        raise CapExceeded(f"{n} vertices exceed coalition enumeration cap {cap}")
+    ids = sorted(g.vertices)
+    every = (
+        frozenset(c) for r in range(1, n + 1) for c in itertools.combinations(ids, r)
+    )
+    return _system(g, every, budget_cap, None)
+
+
+def _system(g: GameInstance, coalitions, budget_cap: int, worth) -> CoalitionSystem:
     grand = frozenset(g.vertices)
     rows: list[tuple[Coalition, Fraction]] = []
     skipped: list[Coalition] = []
-    for s in connected_coalitions(g, cap):
+    for s in coalitions:
         if s == grand:
             continue
         ws = coalition_worth(g, s, budget_cap)
@@ -377,42 +392,7 @@ def coalition_system(
     return CoalitionSystem(
         vertices=tuple(g.vertices),
         inequalities=tuple(rows),
-        grand_worth=game_worth(g, budget_cap),
-        skipped=tuple(skipped),
-    )
-
-
-def all_coalition_system(
-    g: GameInstance,
-    cap: int = DEFAULT_COALITION_CAP,
-    budget_cap: int = DEFAULT_BUDGET_CAP,
-) -> CoalitionSystem:
-    """Same, over every nonempty coalition; the redundant cross-check."""
-    import itertools
-
-    n = len(g.vertices)
-    if n > cap:
-        from .games import CapExceeded
-
-        raise CapExceeded(f"{n} vertices exceed coalition enumeration cap {cap}")
-    grand = frozenset(g.vertices)
-    ids = sorted(g.vertices)
-    rows: list[tuple[Coalition, Fraction]] = []
-    skipped: list[Coalition] = []
-    for r in range(1, n + 1):
-        for combo in itertools.combinations(ids, r):
-            s = frozenset(combo)
-            if s == grand:
-                continue
-            ws = coalition_worth(g, s, budget_cap)
-            if ws is None:
-                skipped.append(s)
-            else:
-                rows.append((s, ws))
-    return CoalitionSystem(
-        vertices=tuple(g.vertices),
-        inequalities=tuple(rows),
-        grand_worth=game_worth(g, budget_cap),
+        grand_worth=game_worth(g, budget_cap) if worth is None else worth,
         skipped=tuple(skipped),
     )
 

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import bundled
-from .analysis import Imputation, is_core_imputation
+from .analysis import GameAnalysis, Imputation, is_core_imputation
 from .bmatching import (
     B_VARIANTS,
     ProfitSignError,
@@ -133,26 +133,27 @@ def _run(args: argparse.Namespace) -> int:
     with open(args.game) as fh:
         g = parse_game(fh.read())
     rep = report_header(g, args.cap, args.budget)
+    a = GameAnalysis(g, args.budget)
 
     finding = False
     if args.command == "worth":
-        rep.add("worth", worth_section(g, args.budget))
+        rep.add("worth", worth_section(a))
     elif args.command == "concurrency":
-        rep.add("concurrency", concurrency_section(g, args.budget))
+        rep.add("concurrency", concurrency_section(a))
     elif args.command == "dual":
-        rep.add("dual", dual_section(g))
+        rep.add("dual", dual_section(a))
     elif args.command == "imputation":
-        rep.add("imputation", imputation_section(g, args.split))
+        rep.add("imputation", imputation_section(a, args.split))
     elif args.command == "classify":
-        rep.add("classification", classify_section(g, args.budget))
+        rep.add("classification", classify_section(a))
     elif args.command == "payments":
-        rep.add("payments", payments_section(g, args.budget))
+        rep.add("payments", payments_section(a))
     elif args.command == "antipodal":
-        rep.add("antipodal", antipodal_section(g))
+        rep.add("antipodal", antipodal_section(a))
     elif args.command == "degeneracy":
-        rep.add("degeneracy", degeneracy_section(g, args.budget))
+        rep.add("degeneracy", degeneracy_section(a))
     elif args.command == "system":
-        rep.add("system", system_section(g, args.cap, args.budget))
+        rep.add("system", system_section(a, args.cap))
     elif args.command == "check":
         imp = _parse_imputation(g, args.imputation)
         if g.variant in B_VARIANTS:
@@ -170,7 +171,7 @@ def _run(args: argparse.Namespace) -> int:
         finding = not in_core
     elif args.command == "dual-image":
         imp = _parse_imputation(g, args.imputation)
-        flag = in_dual_image(g, imp)
+        flag = in_dual_image(g, imp, worth=a.worth)
         rep.add("dual-image", [f"in-dual-image = {'yes' if flag else 'no'}"])
         finding = not flag
     _emit(rep, args.out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .games import Edge, GameInstance
+from .games import VARIANTS, Edge, GameInstance
 from .simplex import LinearProgram, LPSolution, solve_lp
 
 ZERO = Fraction(0)
@@ -71,70 +71,48 @@ def build_primal_lp(g: GameInstance) -> LinearProgram:
 
 
 def build_dual_lp(g: GameInstance) -> LinearProgram:
-    """Dual of :func:`build_primal_lp`: minimum-cost covering prices."""
-    keys = g.edge_keys
-    vs = g.vertices
-    if g.variant in ("assignment", "general-matching"):
-        names = tuple([f"y[{q}]" for q in vs])
-        objective = tuple([ONE for _ in vs])
-        var_of = {q: t for t, q in enumerate(vs)}
-        rows = []
-        for k, (i, j, w) in zip(keys, g.edges):
-            coeffs = [ZERO] * len(names)
-            coeffs[var_of[i]] += ONE
-            coeffs[var_of[j]] += ONE
-            rows.append((tuple(coeffs), ">=", w, edge_name(k)))
-    elif g.variant in ("b-uniform", "b-unconstrained"):
-        names = tuple([f"y[{q}]" for q in vs])
-        objective = tuple([Fraction(g.vertex_upper[q]) for q in vs])
-        var_of = {q: t for t, q in enumerate(vs)}
-        rows = []
-        for k, (i, j, w) in zip(keys, g.edges):
-            coeffs = [ZERO] * len(names)
-            coeffs[var_of[i]] += ONE
-            coeffs[var_of[j]] += ONE
-            rows.append((tuple(coeffs), ">=", w, edge_name(k)))
-    elif g.variant == "b-constrained":
-        names = tuple([f"y[{q}]" for q in vs] + [f"z[{edge_name(k)}]" for k in keys])
-        objective = tuple([Fraction(g.vertex_upper[q]) for q in vs]) + tuple(
-            [ONE for _ in keys]
-        )
-        rows = []
-        for t, (i, j, w) in enumerate(g.edges):
-            coeffs = [ZERO] * len(names)
-            coeffs[vs.index(i)] += ONE
-            coeffs[vs.index(j)] += ONE
-            coeffs[len(vs) + t] += ONE
-            rows.append((tuple(coeffs), ">=", w, edge_name(keys[t])))
-    elif g.variant == "b-general":
-        names = (
-            tuple([f"y[{q}]" for q in vs])
-            + tuple([f"y_lo[{q}]" for q in vs])
-            + tuple([f"z[{edge_name(k)}]" for k in keys])
-            + tuple([f"z_lo[{edge_name(k)}]" for k in keys])
-        )
-        nv, ne = len(vs), len(keys)
-        objective = (
-            tuple([Fraction(g.vertex_upper[q]) for q in vs])
-            + tuple([Fraction(-g.vertex_lower[q]) for q in vs])
-            + tuple([Fraction(g.edge_upper[k]) for k in keys])
-            + tuple([Fraction(-g.edge_lower[k]) for k in keys])
-        )
-        rows = []
-        for t, (i, j, w) in enumerate(g.edges):
-            coeffs = [ZERO] * len(names)
-            coeffs[vs.index(i)] += ONE
-            coeffs[vs.index(j)] += ONE
-            coeffs[nv + vs.index(i)] -= ONE
-            coeffs[nv + vs.index(j)] -= ONE
-            coeffs[2 * nv + t] += ONE
-            coeffs[2 * nv + ne + t] -= ONE
-            rows.append((tuple(coeffs), ">=", w, edge_name(keys[t])))
-    else:
+    """Dual of :func:`build_primal_lp`: minimum-cost covering prices.
+
+    Every variant prices vertex caps (``y``); b-constrained and b-general
+    price edge caps (``z``), and b-general credits vertex and edge floors
+    (``y_lo``, ``z_lo``).  The row of edge e = ij reads
+    ``y_i + y_j - y_lo_i - y_lo_j + z_e - z_lo_e >= w_e`` over the columns
+    the variant has, in the order y, y_lo, z, z_lo.
+    """
+    if g.variant not in VARIANTS:
         raise ValueError(f"unknown variant {g.variant!r}")
+    keys, vs = g.edge_keys, g.vertices
+    floors = g.variant == "b-general"
+    edge_caps = g.variant in ("b-constrained", "b-general")
+    single = g.variant in ("assignment", "general-matching")
+    names = [f"y[{q}]" for q in vs]
+    objective = [ONE if single else Fraction(g.vertex_upper[q]) for q in vs]
+    if floors:
+        names += [f"y_lo[{q}]" for q in vs]
+        objective += [Fraction(-g.vertex_lower[q]) for q in vs]
+    if edge_caps:
+        names += [f"z[{edge_name(k)}]" for k in keys]
+        objective += [Fraction(g.edge_upper[k]) if floors else ONE for k in keys]
+    if floors:
+        names += [f"z_lo[{edge_name(k)}]" for k in keys]
+        objective += [Fraction(-g.edge_lower[k]) for k in keys]
+    col = {n: t for t, n in enumerate(names)}
+    rows = []
+    for k, (i, j, w) in zip(keys, g.edges):
+        coeffs = [ZERO] * len(names)
+        coeffs[col[f"y[{i}]"]] += ONE
+        coeffs[col[f"y[{j}]"]] += ONE
+        if floors:
+            coeffs[col[f"y_lo[{i}]"]] -= ONE
+            coeffs[col[f"y_lo[{j}]"]] -= ONE
+        if edge_caps:
+            coeffs[col[f"z[{edge_name(k)}]"]] += ONE
+        if floors:
+            coeffs[col[f"z_lo[{edge_name(k)}]"]] -= ONE
+        rows.append((tuple(coeffs), ">=", w, edge_name(k)))
     return LinearProgram(
-        variables=names,
-        objective=objective,
+        variables=tuple(names),
+        objective=tuple(objective),
         maximize=False,
         constraints=tuple([(c, r, b) for c, r, b, _ in rows]),
         nonnegative=(True,) * len(names),

@@ -355,13 +355,10 @@ def _label(times_used: int, total: int) -> str:
     return VIABLE
 
 
-def classification_table(
-    g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> tuple[dict[str, str], dict[Edge, str], Fraction, list[MatchingVector]]:
-    """Labels for every vertex and edge from one enumeration pass."""
-    best, optima = brute_force_optima(g, budget_cap)
-    if best is None:
-        raise InfeasibleGameError("no feasible matching to classify against")
+def label_optima(
+    g: GameInstance, optima: list[MatchingVector]
+) -> tuple[dict[str, str], dict[Edge, str]]:
+    """Labels for every vertex and edge against a complete list of optima."""
     total = len(optima)
     vlabels = {
         q: _label(sum(1 for m in optima if m.load(q) > 0), total)
@@ -371,6 +368,17 @@ def classification_table(
         k: _label(sum(1 for m in optima if m.multiplicity(k) > 0), total)
         for k in g.edge_keys
     }
+    return vlabels, elabels
+
+
+def classification_table(
+    g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP
+) -> tuple[dict[str, str], dict[Edge, str], Fraction, list[MatchingVector]]:
+    """Labels for every vertex and edge from one enumeration pass."""
+    best, optima = brute_force_optima(g, budget_cap)
+    if best is None:
+        raise InfeasibleGameError("no feasible matching to classify against")
+    vlabels, elabels = label_optima(g, optima)
     return vlabels, elabels, best, optima
 
 
@@ -380,11 +388,7 @@ def classify_vertex(
     """essential / viable / subpar against all optimal integral matchings."""
     if q not in g.vertices:
         raise ValueError(f"unknown vertex {q!r}")
-    _, optima = brute_force_optima(g, budget_cap)
-    if not optima:
-        raise InfeasibleGameError("no feasible matching to classify against")
-    used = sum(1 for m in optima if m.load(q) > 0)
-    return _label(used, len(optima))
+    return classification_table(g, budget_cap)[0][q]
 
 
 def classify_edge(
@@ -393,8 +397,4 @@ def classify_edge(
     """essential / viable / subpar for an edge, by positive multiplicity."""
     if key not in g.edge_keys:
         raise ValueError(f"unknown edge {edge_name(key)}")
-    _, optima = brute_force_optima(g, budget_cap)
-    if not optima:
-        raise InfeasibleGameError("no feasible matching to classify against")
-    used = sum(1 for m in optima if m.multiplicity(key) > 0)
-    return _label(used, len(optima))
+    return classification_table(g, budget_cap)[1][key]

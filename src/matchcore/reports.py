@@ -4,6 +4,9 @@ A report is a header plus ordered sections of pre-formatted lines.  The
 text rendering and the JSON document are both pure functions of the
 analysis results, with every number in canonical rational form, so two
 runs over the same input are byte-identical.
+
+Every section takes the :class:`~matchcore.analysis.GameAnalysis` session
+of its game, so a full report computes each fact of the game once.
 """
 
 from __future__ import annotations
@@ -12,15 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analysis import (
-    Imputation,
-    check_concurrency,
-    core_imputation_from_dual,
-    degeneracy_report,
-    antipodal_imputations,
-    payment_report,
-    game_worth,
-)
+from .analysis import GameAnalysis, Imputation
 from .bmatching import (
     B_VARIANTS,
     CANONICAL_SPLITS,
@@ -32,8 +27,7 @@ from .bmatching import (
     uniform_imputation_from_dual,
 )
 from .games import GameInstance
-from .gamelp import edge_name, solve_dual
-from .matchings import classification_table
+from .gamelp import edge_name
 from .rationals import format_rational as fr
 
 
@@ -89,24 +83,25 @@ def imputation_lines(g: GameInstance, imp: Imputation) -> list[str]:
     return table(rows)
 
 
-def worth_section(g: GameInstance, budget_cap: int) -> list[str]:
-    return [f"grand-coalition = {fr(game_worth(g, budget_cap))}"]
+def worth_section(a: GameAnalysis) -> list[str]:
+    return [f"grand-coalition = {fr(a.worth)}"]
 
 
-def concurrency_section(g: GameInstance, budget_cap: int) -> list[str]:
-    rep = check_concurrency(g, budget_cap)
+def concurrency_section(a: GameAnalysis) -> list[str]:
+    rep = a.concurrency
     lines = [
         f"integral-optimum = {fr(rep.integral)}",
         f"fractional-optimum = {fr(rep.fractional)}",
         f"concurrent = {'yes' if rep.concurrent else 'no'}",
     ]
-    if g.variant == "general-matching":
+    if a.g.variant == "general-matching":
         lines.append(f"core = {'nonempty' if rep.concurrent else 'empty'}")
     return lines
 
 
-def dual_section(g: GameInstance) -> list[str]:
-    sol, y = solve_dual(g)
+def dual_section(a: GameAnalysis) -> list[str]:
+    g = a.g
+    sol, y = a.dual
     rows = [(q, fr(y.vertex_upper[q])) for q in g.vertices]
     if y.vertex_lower:
         rows += [(f"{q}:lo", fr(y.vertex_lower[q])) for q in g.vertices]
@@ -117,35 +112,38 @@ def dual_section(g: GameInstance) -> list[str]:
     return table(rows) + [f"objective = {fr(sol.objective_value)}"]
 
 
-def dual_imputation(g: GameInstance, split: str = "half") -> Imputation | None:
+def dual_imputation(a: GameAnalysis, split: str = "half") -> Imputation | None:
     """The dual-derived imputation of the variant, or None for empty core."""
-    if g.variant == "general-matching" and not check_concurrency(g).concurrent:
+    g = a.g
+    if g.variant == "general-matching" and not a.concurrency.concurrent:
         return None
-    _, y = solve_dual(g)
+    _, y = a.dual
     if g.variant in ("assignment", "general-matching"):
-        return core_imputation_from_dual(g, y)
+        return a.core_imputation(y)
     if g.variant == "b-uniform":
-        return uniform_imputation_from_dual(g, y)
+        return uniform_imputation_from_dual(g, y, worth=a.worth)
     if g.variant == "b-unconstrained":
-        return uncon_imputation_from_dual(g, y)
+        return uncon_imputation_from_dual(g, y, worth=a.worth)
     maker = dict(CANONICAL_SPLITS)[split]
     if g.variant == "b-constrained":
-        return con_imputation_from_dual(g, y, maker(y))
-    return gen_imputation_from_dual(g, y, maker(y))
+        return con_imputation_from_dual(g, y, maker(y), worth=a.worth)
+    return gen_imputation_from_dual(g, y, maker(y), worth=a.worth)
 
 
-def imputation_section(g: GameInstance, split: str = "half") -> list[str]:
-    imp = dual_imputation(g, split)
+def imputation_section(a: GameAnalysis, split: str = "half") -> list[str]:
+    imp = dual_imputation(a, split)
     if imp is None:
         return ["core = empty"]
     lines = []
-    if g.variant in ("b-constrained", "b-general"):
+    if a.g.variant in ("b-constrained", "b-general"):
         lines.append(f"split = {split}")
-    return lines + imputation_lines(g, imp)
+    return lines + imputation_lines(a.g, imp)
 
 
-def classify_section(g: GameInstance, budget_cap: int) -> list[str]:
-    vlabels, elabels, best, optima = classification_table(g, budget_cap)
+def classify_section(a: GameAnalysis) -> list[str]:
+    g = a.g
+    vlabels, elabels = a.labels
+    best, optima = a.optima
     rows = [("vertex", "label")] + [(q, vlabels[q]) for q in g.vertices]
     rows += [("edge", "label")] + [(edge_name(k), elabels[k]) for k in g.edge_keys]
     return table(rows) + [
@@ -154,8 +152,9 @@ def classify_section(g: GameInstance, budget_cap: int) -> list[str]:
     ]
 
 
-def payments_section(g: GameInstance, budget_cap: int) -> list[str]:
-    rep = payment_report(g, budget_cap)
+def payments_section(a: GameAnalysis) -> list[str]:
+    g = a.g
+    rep = a.payments
     first = next(iter(rep.vertices.values()))
     if first.core_empty:
         return ["core = empty"]
@@ -170,17 +169,17 @@ def payments_section(g: GameInstance, budget_cap: int) -> list[str]:
     return table(rows)
 
 
-def antipodal_section(g: GameInstance) -> list[str]:
-    left_best, right_best = antipodal_imputations(g)
+def antipodal_section(a: GameAnalysis) -> list[str]:
+    left_best, right_best = a.antipodal
     lines = ["left-optimal:"]
-    lines += ["  " + s for s in imputation_lines(g, left_best)]
+    lines += ["  " + s for s in imputation_lines(a.g, left_best)]
     lines.append("right-optimal:")
-    lines += ["  " + s for s in imputation_lines(g, right_best)]
+    lines += ["  " + s for s in imputation_lines(a.g, right_best)]
     return lines
 
 
-def degeneracy_section(g: GameInstance, budget_cap: int) -> list[str]:
-    rep = degeneracy_report(g, budget_cap)
+def degeneracy_section(a: GameAnalysis) -> list[str]:
+    rep = a.degeneracy
     lines = [
         f"degenerate = {'yes' if rep.degenerate else 'no'}",
         f"optimal-matchings = {rep.optima_count}",
@@ -200,8 +199,8 @@ def degeneracy_section(g: GameInstance, budget_cap: int) -> list[str]:
     return lines
 
 
-def system_section(g: GameInstance, cap: int, budget_cap: int) -> list[str]:
-    sys = coalition_system(g, cap, budget_cap)
+def system_section(a: GameAnalysis, cap: int) -> list[str]:
+    sys = coalition_system(a.g, cap, a.budget_cap, worth=a.worth)
     rows = []
     for s, rhs in sys.inequalities:
         rows.append((" + ".join(sorted(s)), ">=", fr(rhs)))
@@ -217,23 +216,24 @@ def system_section(g: GameInstance, cap: int, budget_cap: int) -> list[str]:
 
 def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
     """The standard battery for a bundled instance, variant-aware."""
+    a = GameAnalysis(g, budget_cap)
     rep = report_header(g, cap, budget_cap)
-    rep.add("worth", worth_section(g, budget_cap))
-    rep.add("concurrency", concurrency_section(g, budget_cap))
-    rep.add("dual", dual_section(g))
-    rep.add("imputation", imputation_section(g))
-    rep.add("classification", classify_section(g, budget_cap))
+    rep.add("worth", worth_section(a))
+    rep.add("concurrency", concurrency_section(a))
+    rep.add("dual", dual_section(a))
+    rep.add("imputation", imputation_section(a))
+    rep.add("classification", classify_section(a))
     if g.variant in ("assignment", "general-matching"):
-        rep.add("payments", payments_section(g, budget_cap))
-        rep.add("degeneracy", degeneracy_section(g, budget_cap))
+        rep.add("payments", payments_section(a))
+        rep.add("degeneracy", degeneracy_section(a))
     if g.variant == "assignment":
-        rep.add("antipodal", antipodal_section(g))
+        rep.add("antipodal", antipodal_section(a))
     if g.variant in B_VARIANTS:
-        rep.add("system", system_section(g, cap, budget_cap))
-        imp = dual_imputation(g)
+        rep.add("system", system_section(a, cap))
+        imp = dual_imputation(a)
         rep.add(
             "dual-image",
             [f"dual-derived-imputation-in-image = "
-             f"{'yes' if in_dual_image(g, imp) else 'no'}"],
+             f"{'yes' if in_dual_image(g, imp, worth=a.worth) else 'no'}"],
         )
     return rep

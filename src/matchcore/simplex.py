@@ -26,6 +26,12 @@ sign and the ratios keep their order: Bland's rule takes the same
 pivots, and returns the same vertex, as on a tableau of fractions with
 unit basic entries.  Only the final read-out builds fractions.
 
+An optimal solve keeps its final tableau (:class:`OptimalTableau`) so
+that further objectives can be optimized over its optimal face without
+a new phase 1: every column with a positive reduced cost is pinned to 0
+on that face (complementary slackness), so dropping those columns leaves
+a feasible basis of the face, and phase 2 alone finishes each query.
+
 The solver is meant for desk-scale programs (tens of variables).  Every
 ``optimal`` answer is an exact basic solution: downstream code relies on
 equalities such as "dual objective == worth" holding exactly.
@@ -33,8 +39,9 @@ equalities such as "dual objective == worth" holding exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 ZERO = Fraction(0)
@@ -75,6 +82,9 @@ class LPSolution:
     values: dict[str, Fraction]
     objective_value: Fraction | None
     is_vertex: bool = False
+    # The final tableau of an optimal solve of ``solve_lp``; not part of
+    # the answer, so equality ignores it.
+    tableau: OptimalTableau | None = field(default=None, compare=False, repr=False)
 
 
 def _eliminate(row: list[int], piv: int, f: int, prow: list[int]) -> list[int]:
@@ -147,19 +157,12 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     Returns status ``infeasible`` or ``unbounded`` when no optimum
     exists.  The output is a pure function of the input: Bland's rule
-    with first-index tie-breaking leaves no room for tie ambiguity.
+    with first-index tie-breaking leaves no room for tie ambiguity.  An
+    optimal answer carries its final tableau for face queries.
     """
     lp.check()
     n = len(lp.variables)
     nn = lp.nonnegative or (True,) * n
-    if n == 0:
-        for coeffs, rel, rhs in lp.constraints:
-            ok = (rel == "<=" and rhs >= 0) or (rel == ">=" and rhs <= 0) or (
-                rel == "==" and rhs == 0
-            )
-            if not ok:
-                return LPSolution("infeasible", {}, None)
-        return LPSolution("optimal", {}, ZERO, True)
 
     # Free variables enter as a difference of two nonnegative columns.
     cols: list[tuple[int, int]] = []
@@ -174,12 +177,14 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     cost_struct = [sense * s * c[idx] for idx, s in cols]
 
     rows = []
+    checks = []
     for coeffs, rel, rhs in lp.constraints:
+        a, scale = _integer_row((*coeffs, rhs))
+        checks.append((_sparse(a), rel, a[-1]))
         sign = 1
         if rhs < 0:
             sign = -1
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        a, scale = _integer_row((*coeffs, rhs))
         struct = [sign * s * a[idx] for idx, s in cols]
         rows.append((struct, rel, sign * a[-1], scale))
 
@@ -247,36 +252,130 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     status = _run(tableau, cost, basis, width)
     if status == "unbounded":
         return LPSolution("unbounded", {}, None)
+    values, objective = _read_out(lp, lp.objective, checks, cols, tableau, basis)
+    base = OptimalTableau(lp, objective, tableau, basis, cost, cols)
+    return LPSolution("optimal", values, objective, all(nn), base)
 
+
+def _read_out(lp, objective, checks, cols, rows, basis):
+    """Values and objective of the basic solution, checked against ``checks``.
+
+    ``cols`` maps the leading (structural) tableau columns to variables.
+    """
+    nstruct = len(cols)
     expanded = [ZERO] * nstruct
-    for r, b in zip(tableau, basis):
+    for r, b in zip(rows, basis):
         if b < nstruct:
             expanded[b] = Fraction(r[-1], r[b])
     values = {name: ZERO for name in lp.variables}
     for (idx, s), x in zip(cols, expanded):
         values[lp.variables[idx]] += Fraction(s) * x
-    objective = sum(
-        (c * values[v] for c, v in zip(lp.objective, lp.variables)), start=ZERO
-    )
-    _assert_feasible(lp, values)
-    return LPSolution("optimal", values, objective, all(nn))
+    total = sum((c * values[v] for c, v in zip(objective, lp.variables)), start=ZERO)
+    _check_point(lp, checks, values)
+    return values, total
 
 
-def _assert_feasible(lp: LinearProgram, values: dict[str, Fraction]) -> None:
-    # Cheap exact self-check; a failure here is a solver bug.
+def _sparse(a: list[int]) -> list[tuple[int, int]]:
+    """The nonzero coefficients of an integer row (its last entry excluded)."""
+    return [(t, x) for t, x in enumerate(a[:-1]) if x]
+
+
+def _check_point(lp: LinearProgram, checks, values: dict[str, Fraction]) -> None:
+    """Exact feasibility of ``values``; a failure here is a solver bug.
+
+    ``checks`` holds every row as sparse integer coefficients, relation and
+    integer right-hand side (the row times the lcm of its denominators).
+    The values are scaled to one common denominator D, so each row is
+    compared as ``sum(a_t * D * x_t)`` against ``D * rhs`` in integers.
+    """
     nn = lp.nonnegative or (True,) * len(lp.variables)
-    for flag, name in zip(nn, lp.variables):
-        if flag and values[name] < 0:
+    xs = [values[v] for v in lp.variables]
+    for flag, name, x in zip(nn, lp.variables, xs):
+        if flag and x.numerator < 0:
             raise AssertionError(f"solver produced negative {name}")
-    for coeffs, rel, rhs in lp.constraints:
-        lhs = sum(
-            (c * values[v] for c, v in zip(coeffs, lp.variables)), start=ZERO
-        )
+    den = lcm(*[x.denominator for x in xs])
+    nums = [x.numerator * (den // x.denominator) for x in xs]
+    for coeffs, rel, rhs in checks:
+        lhs = sum([a * nums[t] for t, a in coeffs])
+        rhs *= den
         ok = (rel == "<=" and lhs <= rhs) or (rel == ">=" and lhs >= rhs) or (
             rel == "==" and lhs == rhs
         )
         if not ok:
             raise AssertionError("solver produced an infeasible point")
+
+
+def _check_rows(constraints) -> list[tuple[list[tuple[int, int]], str, int]]:
+    rows = []
+    for coeffs, rel, rhs in constraints:
+        a, _ = _integer_row((*coeffs, rhs))
+        rows.append((_sparse(a), rel, a[-1]))
+    return rows
+
+
+def _assert_feasible(lp: LinearProgram, values: dict[str, Fraction]) -> None:
+    """Raise ``AssertionError`` unless ``values`` is feasible for ``lp``."""
+    _check_point(lp, _check_rows(lp.constraints), values)
+
+
+def _face_columns(cost: list[int]) -> list[int]:
+    """Columns of zero reduced cost: the only ones nonzero on the optimal face."""
+    return [j for j in range(len(cost) - 1) if cost[j] == 0]
+
+
+class OptimalTableau:
+    """The final tableau of an optimal solve, for queries over its optimal face.
+
+    At the optimum every reduced cost is nonnegative, and the objective
+    of any feasible point is the optimum plus the sum of reduced cost
+    times value over the columns.  So the optimal face is the feasible
+    set with every column of positive reduced cost at 0.  Dropping those
+    columns keeps the basis (basic columns have reduced cost 0) and
+    leaves a tableau of the face itself, over which each query runs
+    phase 2 only, with the same Bland rule.  Every answer is checked
+    exactly against the explicit face LP: the constraints plus
+    "objective == optimum".
+    """
+
+    def __init__(self, lp: LinearProgram, optimum: Fraction, rows, basis, cost, cols):
+        self.lp = lp
+        self.optimum = optimum
+        self._base = (rows, basis, cost, cols)
+
+    @cached_property
+    def _face(self):
+        rows, basis, cost, cols = self._base
+        keep = _face_columns(cost)
+        remap = {j: k for k, j in enumerate(keep)}
+        lp = self.lp
+        checks = _check_rows(lp.constraints + ((lp.objective, "==", self.optimum),))
+        return (
+            [[r[j] for j in keep] + [r[-1]] for r in rows],
+            [remap[b] for b in basis],
+            [cols[j] for j in keep if j < len(cols)],
+            len(keep),
+            checks,
+        )
+
+    def optimize(self, objective: tuple[Fraction, ...], maximize: bool) -> LPSolution:
+        """Optimum of ``objective`` over the optimal face of the solved LP.
+
+        An unbounded objective is reported as such, never clamped: on
+        the faces this package builds it signals a modeling bug loudly.
+        """
+        lp = self.lp
+        if len(objective) != len(lp.variables):
+            raise ValueError("objective length does not match variables")
+        rows, basis, cols, width, checks = self._face
+        rows, basis = list(rows), list(basis)  # pivots replace rows, never edit them
+        sense = -1 if maximize else 1
+        c, _ = _integer_row(objective)
+        cost = [sense * s * c[idx] for idx, s in cols] + [0] * (width + 1 - len(cols))
+        cost = _reduced(cost, rows, basis)
+        if _run(rows, cost, basis, width) == "unbounded":
+            return LPSolution("unbounded", {}, None)
+        values, value = _read_out(lp, objective, checks, cols, rows, basis)
+        return LPSolution("optimal", values, value, all(lp.nonnegative or (True,)))
 
 
 def solve_over_optimal_face(
@@ -289,22 +388,13 @@ def solve_over_optimal_face(
 
     The face is the feasible set of ``lp`` intersected with the equality
     "original objective == optimal_value".  The caller supplies the true
-    optimum (from :func:`solve_lp`); an infeasible face means it was
-    wrong and raises.  An unbounded secondary objective is reported as
-    such, never clamped: on the faces this package builds it signals a
-    modeling bug loudly.
+    optimum; ``lp`` is solved once and a different optimum (or none)
+    raises.  The query then runs warm on the final tableau (see
+    :class:`OptimalTableau`).
     """
-    face = LinearProgram(
-        variables=lp.variables,
-        objective=tuple(secondary_objective),
-        maximize=maximize,
-        constraints=lp.constraints + ((lp.objective, "==", optimal_value),),
-        nonnegative=lp.nonnegative,
-        row_labels=(lp.row_labels + ("optimum",)) if lp.row_labels else (),
-    )
-    sol = solve_lp(face)
-    if sol.status == "infeasible":
+    base = solve_lp(lp)
+    if base.status != "optimal" or base.objective_value != optimal_value:
         raise ValueError(
             "optimal face is empty; the supplied optimal_value is not the optimum"
         )
-    return sol
+    return base.tableau.optimize(tuple(secondary_objective), maximize)

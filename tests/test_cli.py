@@ -8,6 +8,7 @@ from matchcore.bundled import INSTANCE_NAMES
 from matchcore.cli import main
 from matchcore.gamefile import render_game
 from matchcore.bundled import load_instance
+from matchcore.games import make_game
 
 
 @pytest.fixture
@@ -96,6 +97,42 @@ def test_negative_dual_profit_is_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: dual-derived profits are negative at u3\n"
+
+
+def _diagonal_game(tmp_path, variant):
+    # 13 disjoint edges: multiplicity budget 26, above the default cap 24.
+    left = [f"u{i}" for i in range(1, 14)]
+    right = [f"v{i}" for i in range(1, 14)]
+    edges = [(u, v, i) for i, (u, v) in enumerate(zip(left, right), start=1)]
+    path = tmp_path / "diag13.game"
+    path.write_text(render_game(make_game(variant, left, right, edges)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["worth", "payments", "imputation", "antipodal"])
+def test_budget_flag_reaches_every_section(capsys, tmp_path, command):
+    path = _diagonal_game(tmp_path, "assignment")
+    code, _, err = run(capsys, command, "--game", path)
+    assert code == 3 and "budget 26 exceeds cap 24" in err
+    code, out, err = run(capsys, command, "--game", path, "--budget", "30")
+    assert code == 0, err
+    if command == "imputation":
+        assert out.endswith("total  91\n")
+    if command == "antipodal":
+        # Left-optimal: each left vertex keeps its own edge's weight.
+        left = out.split("left-optimal:\n")[1].split("right-optimal:")[0]
+        assert "  u13    13\n" in left and "  v13    0\n" in left
+        assert left.endswith("  total  91\n")
+
+
+def test_budget_flag_reaches_dual_image(capsys, tmp_path):
+    path = _diagonal_game(tmp_path, "b-uniform")
+    imp = ",".join([str(i) for i in range(1, 14)] + ["0"] * 13)
+    code, out, err = run(
+        capsys, "dual-image", "--game", path, "--budget", "30", "--imputation", imp
+    )
+    assert code == 0, err
+    assert "in-dual-image = yes" in out
 
 
 def test_cap_exceeded_exit_code(capsys, game_path):

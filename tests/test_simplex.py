@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcore.bundled import load_instance
+from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore.gamelp import build_dual_lp, build_primal_lp
-from matchcore.simplex import LinearProgram, solve_lp, solve_over_optimal_face
+from matchcore.simplex import (
+    LinearProgram,
+    _assert_feasible,
+    solve_lp,
+    solve_over_optimal_face,
+)
 
 Z, O = F(0), F(1)
 
@@ -128,6 +133,64 @@ def test_face_max_edge_price_constrained():
     coeffs = tuple(O if v == "z[u1~v2]" else Z for v in program.variables)
     hi = solve_over_optimal_face(program, base.objective_value, coeffs, True)
     assert hi.values["z[u1~v2]"] == 2
+
+
+def _feasible(program, values):
+    # Plain Fraction evaluation, independent of the solver's integer check.
+    nn = program.nonnegative or (True,) * len(program.variables)
+    if any(f and values[v] < 0 for f, v in zip(nn, program.variables)):
+        return False, "sign"
+    for coeffs, rel, rhs in program.constraints:
+        lhs = sum(c * values[v] for c, v in zip(coeffs, program.variables))
+        if not {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[rel]:
+            return False, "row"
+    return True, None
+
+
+def test_self_check_rejects_a_point_moved_by_one_over_n():
+    # Every coordinate of every optimal point of the bundled primal and
+    # dual LPs, moved by +1/N and by -1/N: the integer check must raise
+    # exactly when the moved point leaves the polytope.
+    n_big = 10**12 + 39
+    rejected = {"sign": 0, "row": 0}
+    accepted = 0
+    for name in INSTANCE_NAMES:
+        g = load_instance(name)
+        for program in (build_primal_lp(g), build_dual_lp(g)):
+            sol = solve_lp(program)
+            _assert_feasible(program, sol.values)
+            for v in program.variables:
+                for step in (F(1, n_big), F(-1, n_big)):
+                    moved = dict(sol.values)
+                    moved[v] += step
+                    ok, why = _feasible(program, moved)
+                    if ok:
+                        _assert_feasible(program, moved)
+                        accepted += 1
+                    else:
+                        with pytest.raises(AssertionError):
+                            _assert_feasible(program, moved)
+                        rejected[why] += 1
+    assert rejected["row"] >= 50 and rejected["sign"] >= 50 and accepted >= 50
+
+
+def test_self_check_rejects_each_relation():
+    program = lp(
+        ["x", "y"],
+        [0, 0],
+        True,
+        [([1, 1], "<=", 1), ([1, -1], "==", 0), ([3, 0], ">=", 1)],
+    )
+    point = {"x": F(1, 2), "y": F(1, 2)}
+    _assert_feasible(program, point)
+    tiny = F(1, 10**15)
+    for moved in (
+        {"x": F(1, 2) + tiny, "y": F(1, 2)},  # breaks <= and ==
+        {"x": F(1, 2), "y": F(1, 2) - tiny},  # breaks == only
+        {"x": F(1, 3) - tiny, "y": F(1, 3) - tiny},  # breaks >= only
+    ):
+        with pytest.raises(AssertionError):
+            _assert_feasible(program, moved)
 
 
 small = st.integers(min_value=-6, max_value=6)
