@@ -15,7 +15,7 @@ from .games import (
     make_game,
     validate_game,
 )
-from .gamelp import DualSolution, build_dual_lp, build_primal_lp, solve_dual, verify_duality
+from .gamelp import DualSolution, build_dual_lp, build_primal_lp, priced, solve_dual, verify_duality
 from .simplex import LinearProgram, LPSolution, solve_lp, solve_over_optimal_face
 from .matchings import (
     MatchingVector,
@@ -43,16 +43,9 @@ from .bmatching import (
     CoalitionSystem,
     SplitScheme,
     coalition_system,
-    con_imputation_from_dual,
     core_membership_via_system,
-    gen_imputation_from_dual,
+    imputation_from_dual,
     in_dual_image,
-    in_dual_image_con,
-    in_dual_image_gen,
-    in_dual_image_uncon,
-    uncon_imputation_from_dual,
-    uniform_dual_from_imputation,
-    uniform_imputation_from_dual,
 )
 from .gamefile import parse_game, render_game
 from .rationals import Rational, compare, format_rational, parse_rational

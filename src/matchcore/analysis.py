@@ -31,6 +31,7 @@ from .games import (
 )
 from .gamelp import (
     DualSolution,
+    dual_is_optimal,
     dual_solution_from_lp,
     edge_name,
     solve_dual,
@@ -295,8 +296,16 @@ def check_concurrency(
 
 
 def core_imputation_from_dual(g: GameInstance, y: DualSolution) -> Imputation:
-    """Profits read off an optimal dual; see :meth:`GameAnalysis.core_imputation`."""
-    return GameAnalysis(g).core_imputation(y)
+    """Profits read off an optimal dual; see :meth:`GameAnalysis.core_imputation`.
+
+    The dual comes from the caller, so it is checked to be optimal (feasible
+    with objective equal to the worth), not only to sum to the worth.
+    """
+    a = GameAnalysis(g)
+    profits = a.core_imputation(y)
+    if not dual_is_optimal(g, y, a.worth):
+        raise ValueError("dual solution is not optimal for this game")
+    return profits
 
 
 def is_core_imputation(

@@ -5,7 +5,10 @@ directly: vertex prices are scaled by the vertex caps, and edge prices
 must be split between the two endpoints.  Every optimal dual (together
 with every admissible split) yields a core imputation; the image of
 that map, the dual image, can be a strict subset of the core, and the
-membership tests here decide both sets exactly.
+membership tests here decide both sets exactly.  One map
+(:func:`imputation_from_dual`) and one LP (:func:`in_dual_image`) serve
+all four b-variants; both read the bound families a variant prices from
+:func:`~matchcore.gamelp.priced`.
 
 Naming note: the per-edge amounts credited to the left or right
 endpoint are called split parts throughout, never c/d, because c and d
@@ -33,6 +36,7 @@ from .gamelp import (
     DualSolution,
     dual_is_optimal,
     edge_name,
+    priced,
 )
 from .analysis import worth as coalition_worth
 from .simplex import LinearProgram, solve_lp
@@ -93,16 +97,15 @@ CANONICAL_SPLITS = (
 
 
 def _check_split(y: DualSolution, s: SplitScheme) -> None:
-    for k, z in y.edge_upper.items():
-        if s.cap_left.get(k, ZERO) < 0 or s.cap_right.get(k, ZERO) < 0:
-            raise ValueError(f"negative split part on {edge_name(k)}")
-        if s.cap_left.get(k, ZERO) + s.cap_right.get(k, ZERO) != z:
-            raise ValueError(f"split does not add up on {edge_name(k)}")
-    for k, z in y.edge_lower.items():
-        if s.floor_left.get(k, ZERO) < 0 or s.floor_right.get(k, ZERO) < 0:
-            raise ValueError(f"negative split part on {edge_name(k)}")
-        if s.floor_left.get(k, ZERO) + s.floor_right.get(k, ZERO) != z:
-            raise ValueError(f"split does not add up on {edge_name(k)}")
+    for prices, left, right in (
+        (y.edge_upper, s.cap_left, s.cap_right),
+        (y.edge_lower, s.floor_left, s.floor_right),
+    ):
+        for k, z in prices.items():
+            if left.get(k, ZERO) < 0 or right.get(k, ZERO) < 0:
+                raise ValueError(f"negative split part on {edge_name(k)}")
+            if left.get(k, ZERO) + right.get(k, ZERO) != z:
+                raise ValueError(f"split does not add up on {edge_name(k)}")
 
 
 def _worth(g: GameInstance, worth: Fraction | None) -> Fraction:
@@ -119,116 +122,42 @@ class ProfitSignError(Exception):
     """A dual-derived profit came out negative (possible under floors)."""
 
 
-def uniform_imputation_from_dual(
-    g: GameInstance, y: DualSolution, *, worth: Fraction | None = None
-) -> Imputation:
-    """Uniform variant: profit is the common cap times the vertex price.
-
-    Like every function here that needs the worth of the game, it takes
-    ``worth`` from a caller that already has it (an analysis session) and
-    enumerates at the default budget otherwise.
-    """
-    if g.variant != "b-uniform":
-        raise ValueError("not a uniform game")
-    _require_optimal(g, y, worth)
-    bc = next(iter(g.vertex_upper.values()))
-    return {q: bc * y.vertex_upper[q] for q in g.vertices}
-
-
-def uniform_dual_from_imputation(g: GameInstance, imp: Imputation) -> DualSolution:
-    """Inverse of the uniform map; the result must be an optimal dual.
-
-    For the uniform variant this succeeds for every core imputation,
-    which is exactly what makes the dual a complete description of the
-    core there.
-    """
-    if g.variant != "b-uniform":
-        raise ValueError("not a uniform game")
-    bc = next(iter(g.vertex_upper.values()))
-    y = DualSolution({q: imp[q] / bc for q in g.vertices})
-    if not dual_is_optimal(g, y, game_worth(g)):
-        raise ValueError("imputation is not in the core: scaled prices not optimal")
-    return y
-
-
-def uncon_imputation_from_dual(
-    g: GameInstance, y: DualSolution, *, worth: Fraction | None = None
-) -> Imputation:
-    """Unconstrained variant: profit_q = b_q times the vertex price."""
-    if g.variant not in ("b-unconstrained", "b-uniform"):
-        raise ValueError("not an unconstrained-edges game")
-    _require_optimal(g, y, worth)
-    return {q: g.vertex_upper[q] * y.vertex_upper[q] for q in g.vertices}
-
-
-def in_dual_image_uncon(
-    g: GameInstance, imp: Imputation, *, worth: Fraction | None = None
-) -> bool:
-    """Is ``imp`` the image of some optimal dual under the scaling map?
-
-    The map is a bijection, so the test inverts it: divide by the caps
-    and check dual feasibility plus optimal objective.
-    """
-    if g.variant not in ("b-unconstrained", "b-uniform"):
-        raise ValueError("not an unconstrained-edges game")
-    y = DualSolution({q: imp[q] / g.vertex_upper[q] for q in g.vertices})
-    return dual_is_optimal(g, y, _worth(g, worth))
-
-
-def con_imputation_from_dual(
+def imputation_from_dual(
     g: GameInstance,
     y: DualSolution,
-    split: SplitScheme,
+    split: SplitScheme = SplitScheme(),
     *,
     worth: Fraction | None = None,
 ) -> Imputation:
-    """Constrained variant: scaled vertex prices plus split edge prices."""
-    if g.variant != "b-constrained":
-        raise ValueError("not a constrained game")
-    return _split_imputation(g, y, split, worth)
-
-
-def gen_imputation_from_dual(
-    g: GameInstance,
-    y: DualSolution,
-    split: SplitScheme,
-    *,
-    worth: Fraction | None = None,
-) -> Imputation:
-    """General variant: cap and floor prices net out, scaled by the bounds.
+    """Profits of an optimal dual under a split of its edge prices.
 
     profit_i = (b_i * cap_price_i - a_i * floor_price_i)
              + sum over incident edges of (d_e * own cap share
                                            - c_e * own floor share).
 
-    With floors present nothing forces the result nonnegative; a
-    negative entry is raised as a finding rather than clamped.
-    """
-    if g.variant != "b-general":
-        raise ValueError("not a general-bounds game")
-    return _split_imputation(g, y, split, worth)
-
-
-def _split_imputation(
-    g: GameInstance, y: DualSolution, split: SplitScheme, worth: Fraction | None
-) -> Imputation:
-    """The formula of :func:`gen_imputation_from_dual`, for both split variants.
-
-    The constrained variant has no floors (a, c and the floor prices are
-    0) and single-use edges (d = 1), so the same sum gives its profits.
+    Only the price families ``y`` carries enter, which are those the
+    variant prices (see :func:`~matchcore.gamelp.priced`); so a split is
+    needed only where edges are priced, and elsewhere the profits are
+    the vertex prices scaled by the caps.  With floors present nothing
+    forces the result nonnegative; a negative entry is raised as a
+    finding rather than clamped.  Like every function here that needs
+    the worth of the game, it takes ``worth`` from a caller that already
+    has it (an analysis session) and enumerates at the default budget
+    otherwise.
     """
     _require_optimal(g, y, worth)
     _check_split(y, split)
-    imp: Imputation = {}
-    for q in g.vertices:
-        imp[q] = g.vertex_upper[q] * y.vertex_upper[q] - g.vertex_lower[
-            q
-        ] * y.vertex_lower.get(q, ZERO)
-    for k in g.edge_keys:
-        i, j = k
-        d, c = g.edge_upper[k], g.edge_lower[k]
-        imp[i] += d * split.cap_left.get(k, ZERO) - c * split.floor_left.get(k, ZERO)
-        imp[j] += d * split.cap_right.get(k, ZERO) - c * split.floor_right.get(k, ZERO)
+    imp: Imputation = {q: g.vertex_upper[q] * y.vertex_upper[q] for q in g.vertices}
+    for q, p in y.vertex_lower.items():
+        imp[q] -= g.vertex_lower[q] * p
+    for k in y.edge_upper:
+        d = g.edge_upper[k]
+        imp[k[0]] += d * split.cap_left.get(k, ZERO)
+        imp[k[1]] += d * split.cap_right.get(k, ZERO)
+    for k in y.edge_lower:
+        c = g.edge_lower[k]
+        imp[k[0]] -= c * split.floor_left.get(k, ZERO)
+        imp[k[1]] -= c * split.floor_right.get(k, ZERO)
     negative = sorted(q for q, v in imp.items() if v < 0)
     if negative:
         raise ProfitSignError(
@@ -259,44 +188,27 @@ def _feasibility(
     return solve_lp(lp).status == "optimal"
 
 
-def in_dual_image_con(
+def in_dual_image(
     g: GameInstance, imp: Imputation, *, worth: Fraction | None = None
 ) -> bool:
-    """Does any optimal dual plus admissible split reproduce ``imp``?"""
-    if g.variant != "b-constrained":
-        raise ValueError("not a constrained game")
-    return _split_image(g, imp, worth)
-
-
-def in_dual_image_gen(
-    g: GameInstance, imp: Imputation, *, worth: Fraction | None = None
-) -> bool:
-    """Dual-image membership for the general variant, as one LP."""
-    if g.variant != "b-general":
-        raise ValueError("not a general-bounds game")
-    return _split_image(g, imp, worth)
-
-
-def _split_image(g: GameInstance, imp: Imputation, worth: Fraction | None) -> bool:
-    """Dual-image membership where edge prices are split, as one LP.
+    """Does any optimal dual plus admissible split reproduce ``imp``?
 
     The split quantifier is linear, so the whole question is one LP
-    feasibility problem over prices and split parts; no search.  Each
-    edge's cap price splits into ``capL``/``capR``; the general variant
-    also has floor credits ``y_lo`` and split floor parts ``floL``/``floR``.
+    feasibility problem over prices and split parts; no search.  Columns
+    exist only for the families the variant prices: each priced edge cap
+    splits into ``capL``/``capR``, and floors add the credits ``y_lo`` and
+    the split floor parts ``floL``/``floR``.  Where edges are not priced
+    the LP is over the vertex prices alone.
     """
+    if g.variant not in B_VARIANTS:
+        raise ValueError(f"dual image is defined for b-variants, not {g.variant}")
     w = _worth(g, worth)
     if sum(imp.values(), start=ZERO) != w:
         return False
-    floors = g.variant == "b-general"
+    floors, edge_caps = priced(g)
     names = [f"y[{q}]" for q in g.vertices]
     if floors:
         names += [f"y_lo[{q}]" for q in g.vertices]
-    for k in g.edge_keys:
-        e = edge_name(k)
-        names += [f"capL[{e}]", f"capR[{e}]"]
-        if floors:
-            names += [f"floL[{e}]", f"floR[{e}]"]
     rows: list[tuple[dict[str, Fraction], str, Fraction]] = []
     obj: dict[str, Fraction] = {}
     profit: dict[str, dict[str, Fraction]] = {}
@@ -307,11 +219,15 @@ def _split_image(g: GameInstance, imp: Imputation, worth: Fraction | None) -> bo
         obj.update(profit[q])
     for (i, j, wt), k in zip(g.edges, g.edge_keys):
         e = edge_name(k)
-        cover = {f"y[{i}]": ONE, f"y[{j}]": ONE, f"capL[{e}]": ONE, f"capR[{e}]": ONE}
-        d = Fraction(g.edge_upper[k]) if floors else ONE
-        profit[i][f"capL[{e}]"] = profit[j][f"capR[{e}]"] = d
-        obj[f"capL[{e}]"] = obj[f"capR[{e}]"] = d
+        cover = {f"y[{i}]": ONE, f"y[{j}]": ONE}
+        if edge_caps:
+            names += [f"capL[{e}]", f"capR[{e}]"]
+            cover.update({f"capL[{e}]": ONE, f"capR[{e}]": ONE})
+            d = Fraction(g.edge_upper[k])
+            profit[i][f"capL[{e}]"] = profit[j][f"capR[{e}]"] = d
+            obj[f"capL[{e}]"] = obj[f"capR[{e}]"] = d
         if floors:
+            names += [f"floL[{e}]", f"floR[{e}]"]
             cover.update({f"y_lo[{i}]": -ONE, f"y_lo[{j}]": -ONE})
             cover.update({f"floL[{e}]": -ONE, f"floR[{e}]": -ONE})
             c = Fraction(-g.edge_lower[k])
@@ -321,19 +237,6 @@ def _split_image(g: GameInstance, imp: Imputation, worth: Fraction | None) -> bo
     rows.append((obj, "==", w))
     rows += [(profit[q], "==", imp[q]) for q in g.vertices]
     return _feasibility(names, rows)
-
-
-def in_dual_image(
-    g: GameInstance, imp: Imputation, *, worth: Fraction | None = None
-) -> bool:
-    """Variant-dispatched dual-image membership."""
-    if g.variant in ("b-uniform", "b-unconstrained"):
-        return in_dual_image_uncon(g, imp, worth=worth)
-    if g.variant == "b-constrained":
-        return in_dual_image_con(g, imp, worth=worth)
-    if g.variant == "b-general":
-        return in_dual_image_gen(g, imp, worth=worth)
-    raise ValueError(f"dual image is defined for b-variants, not {g.variant}")
 
 
 @dataclass(frozen=True)

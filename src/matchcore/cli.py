@@ -1,7 +1,7 @@
 """Command-line analysis driver.
 
 Usage shape: ``matchcore <command> --game <path> [--imputation v1,v2,...]
-[--cap N] [--budget N] [--seed N] [--split half] [--out <path>]``.
+[--cap N] [--budget N] [--split half] [--out <path>]``.
 
 Exit codes: 0 success, 1 analysis finding (a membership check answered
 no, or a bundled example drifted), 2 input error, 3 enumeration cap
@@ -85,7 +85,6 @@ def _parser() -> argparse.ArgumentParser:
             default=DEFAULT_BUDGET_CAP,
             help="matching enumeration multiplicity budget",
         )
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--out", help="also write the report as JSON here")
         if name in ("check", "dual-image"):
             p.add_argument(

@@ -2,9 +2,12 @@
 
 The primal maximizes total matched weight subject to the variant's
 multiplicity bounds; the dual prices vertices (and, where edges carry
-their own caps or floors, edges).  Builders emit rows in a fixed order
-(left vertices, right vertices, edge rows) so solver output and reports
-are deterministic.
+their own caps or floors, edges).  Every variant is a b-general game
+with particular bounds: :func:`priced` declares which bound families a
+variant's LPs carry, and the builders, the dual read-out, the covering
+slack and the dual objective are all emitted from that declaration.
+Builders emit rows in a fixed order (left vertices, right vertices, edge
+rows) so solver output and reports are deterministic.
 
 Variable naming: ``x[i~j]`` primal multiplicities, ``y[q]`` vertex cap
 prices, ``y_lo[q]`` vertex floor credits, ``z[i~j]`` edge cap prices,
@@ -27,39 +30,44 @@ def edge_name(key: Edge) -> str:
     return f"{key[0]}~{key[1]}"
 
 
-def _vertex_rows(g: GameInstance, kind: str) -> list[tuple[tuple[Fraction, ...], str, Fraction, str]]:
-    keys = g.edge_keys
-    rows = []
-    for q in g.vertices:
-        coeffs = tuple([ONE if q in k else ZERO for k in keys])
-        if kind == "upper":
-            rows.append((coeffs, "<=", Fraction(g.vertex_upper[q]), q))
-        else:
-            rows.append((coeffs, ">=", Fraction(g.vertex_lower[q]), f"{q}:lo"))
-    return rows
+def priced(g: GameInstance) -> tuple[bool, bool]:
+    """The bound families the LPs of ``g`` carry besides the vertex caps.
+
+    Returns ``(floors, edge_caps)``.  Every variant is a b-general game
+    with particular bounds: only b-general has floors (vertex and edge),
+    and only b-constrained and b-general cap the edges below what the
+    vertex caps already allow.  Every LP, dual read-out, imputation map
+    and dual-image test is emitted from this one declaration.
+    """
+    if g.variant not in VARIANTS:
+        raise ValueError(f"unknown variant {g.variant!r}")
+    return g.variant == "b-general", g.variant in ("b-constrained", "b-general")
 
 
 def build_primal_lp(g: GameInstance) -> LinearProgram:
-    """Maximum-weight (fractional) matching LP for the variant of ``g``."""
+    """Maximum-weight (fractional) matching LP for the variant of ``g``.
+
+    Per vertex a floor row ``q:lo`` where floors are priced, then the cap
+    row; per edge a floor row, then a cap row where edge caps are priced.
+    Cap rows carry the suffix ``:hi`` only next to a floor row.
+    """
+    floors, edge_caps = priced(g)
+    hi = ":hi" if floors else ""
     keys = g.edge_keys
     names = tuple([f"x[{edge_name(k)}]" for k in keys])
     objective = tuple([w for _, _, w in g.edges])
     rows: list[tuple[tuple[Fraction, ...], str, Fraction, str]] = []
-    if g.variant == "b-general":
-        for q in g.vertices:
-            coeffs = tuple([ONE if q in k else ZERO for k in keys])
+    for q in g.vertices:
+        coeffs = tuple([ONE if q in k else ZERO for k in keys])
+        if floors:
             rows.append((coeffs, ">=", Fraction(g.vertex_lower[q]), f"{q}:lo"))
-            rows.append((coeffs, "<=", Fraction(g.vertex_upper[q]), f"{q}:hi"))
-        for idx, k in enumerate(keys):
-            unit = tuple([ONE if t == idx else ZERO for t in range(len(keys))])
+        rows.append((coeffs, "<=", Fraction(g.vertex_upper[q]), q + hi))
+    for idx, k in enumerate(keys):
+        unit = tuple([ONE if t == idx else ZERO for t in range(len(keys))])
+        if floors:
             rows.append((unit, ">=", Fraction(g.edge_lower[k]), f"{edge_name(k)}:lo"))
-            rows.append((unit, "<=", Fraction(g.edge_upper[k]), f"{edge_name(k)}:hi"))
-    else:
-        rows.extend(_vertex_rows(g, "upper"))
-        if g.variant == "b-constrained":
-            for idx, k in enumerate(keys):
-                unit = tuple([ONE if t == idx else ZERO for t in range(len(keys))])
-                rows.append((unit, "<=", ONE, edge_name(k)))
+        if edge_caps:
+            rows.append((unit, "<=", Fraction(g.edge_upper[k]), edge_name(k) + hi))
     return LinearProgram(
         variables=names,
         objective=objective,
@@ -79,20 +87,16 @@ def build_dual_lp(g: GameInstance) -> LinearProgram:
     ``y_i + y_j - y_lo_i - y_lo_j + z_e - z_lo_e >= w_e`` over the columns
     the variant has, in the order y, y_lo, z, z_lo.
     """
-    if g.variant not in VARIANTS:
-        raise ValueError(f"unknown variant {g.variant!r}")
+    floors, edge_caps = priced(g)
     keys, vs = g.edge_keys, g.vertices
-    floors = g.variant == "b-general"
-    edge_caps = g.variant in ("b-constrained", "b-general")
-    single = g.variant in ("assignment", "general-matching")
     names = [f"y[{q}]" for q in vs]
-    objective = [ONE if single else Fraction(g.vertex_upper[q]) for q in vs]
+    objective = [Fraction(g.vertex_upper[q]) for q in vs]
     if floors:
         names += [f"y_lo[{q}]" for q in vs]
         objective += [Fraction(-g.vertex_lower[q]) for q in vs]
     if edge_caps:
         names += [f"z[{edge_name(k)}]" for k in keys]
-        objective += [Fraction(g.edge_upper[k]) if floors else ONE for k in keys]
+        objective += [Fraction(g.edge_upper[k]) for k in keys]
     if floors:
         names += [f"z_lo[{edge_name(k)}]" for k in keys]
         objective += [Fraction(-g.edge_lower[k]) for k in keys]
@@ -131,20 +135,18 @@ class DualSolution:
 
 
 def dual_solution_from_lp(g: GameInstance, sol: LPSolution) -> DualSolution:
+    """The prices of ``sol``, one family per column family of the dual LP."""
     if sol.status != "optimal":
         raise ValueError(f"dual LP did not produce an optimum: {sol.status}")
+    floors, edge_caps = priced(g)
     v = sol.values
-    vertex_upper = {q: v[f"y[{q}]"] for q in g.vertices}
-    vertex_lower = {}
-    edge_upper = {}
-    edge_lower = {}
-    if g.variant == "b-constrained":
-        edge_upper = {k: v[f"z[{edge_name(k)}]"] for k in g.edge_keys}
-    elif g.variant == "b-general":
-        vertex_lower = {q: v[f"y_lo[{q}]"] for q in g.vertices}
-        edge_upper = {k: v[f"z[{edge_name(k)}]"] for k in g.edge_keys}
-        edge_lower = {k: v[f"z_lo[{edge_name(k)}]"] for k in g.edge_keys}
-    return DualSolution(vertex_upper, vertex_lower, edge_upper, edge_lower)
+    vs, es = g.vertices, [(k, edge_name(k)) for k in g.edge_keys]
+    return DualSolution(
+        {q: v[f"y[{q}]"] for q in vs},
+        {q: v[f"y_lo[{q}]"] for q in vs} if floors else {},
+        {k: v[f"z[{e}]"] for k, e in es} if edge_caps else {},
+        {k: v[f"z_lo[{e}]"] for k, e in es} if floors else {},
+    )
 
 
 def solve_dual(g: GameInstance) -> tuple[LPSolution, DualSolution]:
@@ -153,14 +155,19 @@ def solve_dual(g: GameInstance) -> tuple[LPSolution, DualSolution]:
 
 
 def dual_cover_slack(g: GameInstance, y: DualSolution, key: Edge) -> Fraction:
-    """Left-hand side minus weight of the covering row for one edge."""
+    """Left-hand side minus weight of the covering row for one edge.
+
+    The row of :func:`build_dual_lp`; a price family ``y`` leaves empty
+    (one the variant does not price) contributes nothing.
+    """
     i, j = key
     lhs = y.vertex_upper[i] + y.vertex_upper[j]
-    if g.variant == "b-general":
+    if y.vertex_lower:
         lhs -= y.vertex_lower.get(i, ZERO) + y.vertex_lower.get(j, ZERO)
-        lhs += y.edge_upper.get(key, ZERO) - y.edge_lower.get(key, ZERO)
-    elif g.variant == "b-constrained":
+    if y.edge_upper:
         lhs += y.edge_upper.get(key, ZERO)
+    if y.edge_lower:
+        lhs -= y.edge_lower.get(key, ZERO)
     return lhs - g.weight(key)
 
 
@@ -177,17 +184,17 @@ def dual_is_feasible(g: GameInstance, y: DualSolution) -> bool:
 
 
 def dual_objective(g: GameInstance, y: DualSolution) -> Fraction:
+    """The objective of :func:`build_dual_lp` at ``y``: every price times its
+    bound, floor credits negated; a family ``y`` leaves empty adds nothing."""
     total = ZERO
-    for q in g.vertices:
-        total += g.vertex_upper[q] * y.vertex_upper[q]
-        if g.variant == "b-general":
-            total -= g.vertex_lower[q] * y.vertex_lower.get(q, ZERO)
-    for k in g.edge_keys:
-        if g.variant == "b-constrained":
-            total += y.edge_upper.get(k, ZERO)
-        elif g.variant == "b-general":
-            total += g.edge_upper[k] * y.edge_upper.get(k, ZERO)
-            total -= g.edge_lower[k] * y.edge_lower.get(k, ZERO)
+    for bounds, prices, sign in (
+        (g.vertex_upper, y.vertex_upper, 1),
+        (g.vertex_lower, y.vertex_lower, -1),
+        (g.edge_upper, y.edge_upper, 1),
+        (g.edge_lower, y.edge_lower, -1),
+    ):
+        for key, price in prices.items():
+            total += sign * bounds[key] * price
     return total
 
 

@@ -15,19 +15,16 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analysis import GameAnalysis, Imputation
+from .analysis import PAYMENT_VARIANTS, GameAnalysis, Imputation
 from .bmatching import (
     B_VARIANTS,
     CANONICAL_SPLITS,
     coalition_system,
-    con_imputation_from_dual,
-    gen_imputation_from_dual,
+    imputation_from_dual,
     in_dual_image,
-    uncon_imputation_from_dual,
-    uniform_imputation_from_dual,
 )
 from .games import GameInstance
-from .gamelp import edge_name
+from .gamelp import edge_name, priced
 from .rationals import format_rational as fr
 
 
@@ -103,12 +100,9 @@ def dual_section(a: GameAnalysis) -> list[str]:
     g = a.g
     sol, y = a.dual
     rows = [(q, fr(y.vertex_upper[q])) for q in g.vertices]
-    if y.vertex_lower:
-        rows += [(f"{q}:lo", fr(y.vertex_lower[q])) for q in g.vertices]
-    if y.edge_upper:
-        rows += [(f"z[{edge_name(k)}]", fr(y.edge_upper[k])) for k in g.edge_keys]
-    if y.edge_lower:
-        rows += [(f"z_lo[{edge_name(k)}]", fr(y.edge_lower[k])) for k in g.edge_keys]
+    rows += [(f"{q}:lo", fr(p)) for q, p in y.vertex_lower.items()]
+    rows += [(f"z[{edge_name(k)}]", fr(p)) for k, p in y.edge_upper.items()]
+    rows += [(f"z_lo[{edge_name(k)}]", fr(p)) for k, p in y.edge_lower.items()]
     return table(rows) + [f"objective = {fr(sol.objective_value)}"]
 
 
@@ -118,16 +112,9 @@ def dual_imputation(a: GameAnalysis, split: str = "half") -> Imputation | None:
     if g.variant == "general-matching" and not a.concurrency.concurrent:
         return None
     _, y = a.dual
-    if g.variant in ("assignment", "general-matching"):
+    if g.variant in PAYMENT_VARIANTS:
         return a.core_imputation(y)
-    if g.variant == "b-uniform":
-        return uniform_imputation_from_dual(g, y, worth=a.worth)
-    if g.variant == "b-unconstrained":
-        return uncon_imputation_from_dual(g, y, worth=a.worth)
-    maker = dict(CANONICAL_SPLITS)[split]
-    if g.variant == "b-constrained":
-        return con_imputation_from_dual(g, y, maker(y), worth=a.worth)
-    return gen_imputation_from_dual(g, y, maker(y), worth=a.worth)
+    return imputation_from_dual(g, y, dict(CANONICAL_SPLITS)[split](y), worth=a.worth)
 
 
 def imputation_section(a: GameAnalysis, split: str = "half") -> list[str]:
@@ -135,7 +122,7 @@ def imputation_section(a: GameAnalysis, split: str = "half") -> list[str]:
     if imp is None:
         return ["core = empty"]
     lines = []
-    if a.g.variant in ("b-constrained", "b-general"):
+    if priced(a.g)[1]:
         lines.append(f"split = {split}")
     return lines + imputation_lines(a.g, imp)
 
@@ -223,7 +210,7 @@ def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
     rep.add("dual", dual_section(a))
     rep.add("imputation", imputation_section(a))
     rep.add("classification", classify_section(a))
-    if g.variant in ("assignment", "general-matching"):
+    if g.variant in PAYMENT_VARIANTS:
         rep.add("payments", payments_section(a))
         rep.add("degeneracy", degeneracy_section(a))
     if g.variant == "assignment":

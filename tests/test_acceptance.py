@@ -28,19 +28,13 @@ from matchcore.analysis import (
 from matchcore.bmatching import (
     coalition_system,
     all_coalition_system,
-    con_imputation_from_dual,
     core_membership_via_system,
-    gen_imputation_from_dual,
+    imputation_from_dual,
     in_dual_image,
-    in_dual_image_con,
-    in_dual_image_uncon,
     sample_core_imputations,
     split_all_left,
     split_all_right,
     split_half,
-    uncon_imputation_from_dual,
-    uniform_dual_from_imputation,
-    uniform_imputation_from_dual,
 )
 from matchcore.bundled import instance_report_text, load_instance, run_examples
 from matchcore.gamefile import parse_game
@@ -63,6 +57,7 @@ from matchcore.matchings import (
 from matchcore.simplex import solve_lp, solve_over_optimal_face
 
 from gamegen import random_assignment, random_b_game, random_general
+from scaling_oracle import scaled_dual
 
 Z, H, O = F(0), F(1, 2), F(1)
 
@@ -174,11 +169,11 @@ def test_c07_bpath4_unconstrained():
     for name, value in stated_dual.items():
         assert dual_coordinate_bounds(g, name) == (value, value)
     _, y = solve_dual(g)
-    assert uncon_imputation_from_dual(g, y) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(g, y) == imp(g, 2, 0, 0, 2)
     sys = coalition_system(g)
     inside = imp(g, 3, 0, 0, 1)
     assert core_membership_via_system(sys, inside).in_core
-    assert not in_dual_image_uncon(g, inside)
+    assert not in_dual_image(g, inside)
     outside = imp(g, 1, 0, 0, 3)
     verdict = core_membership_via_system(sys, outside)
     assert not verdict.in_core
@@ -189,7 +184,7 @@ def test_c08_bpath4_constrained():
     g = load_instance("bpath4-con")
     sys = coalition_system(g)
     for b in (Z, H, O):
-        assert in_dual_image_con(g, imp(g, 3 - b, 0, 0, 1 + b))
+        assert in_dual_image(g, imp(g, 3 - b, 0, 0, 1 + b))
     first = imp(g, 1, 0, 0, 3)
     second = imp(g, 0, 0, 1, 3)
     assert core_membership_via_system(sys, first).in_core
@@ -204,8 +199,8 @@ def test_c08_bpath4_constrained():
         edge_upper={k: (O if k == heavy else Z) for k in g.edge_keys},
     )
     assert dual_is_optimal(g, y0, F(4)) and dual_is_optimal(g, y1, F(4))
-    assert con_imputation_from_dual(g, y0, split_all_right(y0)) == imp(g, 2, 0, 0, 2)
-    assert con_imputation_from_dual(g, y1, split_all_right(y1)) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(g, y0, split_all_right(y0)) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(g, y1, split_all_right(y1)) == imp(g, 2, 0, 0, 2)
     # The dual (0,0,0,3) with edge price 1 on u1~v1 is optimal, and its
     # two one-sided splits produce exactly `first` and `second`, so both
     # are in the image.
@@ -214,22 +209,22 @@ def test_c08_bpath4_constrained():
         edge_upper={k: (O if k == ("u1", "v1") else Z) for k in g.edge_keys},
     )
     assert dual_is_optimal(g, cert, F(4))
-    assert con_imputation_from_dual(g, cert, split_all_left(cert)) == first
-    assert con_imputation_from_dual(g, cert, split_all_right(cert)) == second
-    assert in_dual_image_con(g, first)
-    assert in_dual_image_con(g, second)
+    assert imputation_from_dual(g, cert, split_all_left(cert)) == first
+    assert imputation_from_dual(g, cert, split_all_right(cert)) == second
+    assert in_dual_image(g, first)
+    assert in_dual_image(g, second)
     # The core here is the rectangle u2 = 0, 0 <= v1 <= 1, 1 <= v2 <= 3,
     # and the image reaches all four of its vertices, so the image is
     # the whole core: this instance cannot separate core from image.
     for corner in ((3, 0, 0, 1), (2, 0, 1, 1), (1, 0, 0, 3), (0, 0, 1, 3)):
         assert core_membership_via_system(sys, imp(g, *corner)).in_core
-        assert in_dual_image_con(g, imp(g, *corner))
+        assert in_dual_image(g, imp(g, *corner))
     # A "no" answer: the total is the worth 4, but u1+v1+v2 = 3 < 4.
     short = imp(g, 3, 1, 0, 0)
     verdict = core_membership_via_system(sys, short)
     assert not verdict.in_core
     assert verdict.witness == frozenset({"u1", "v1", "v2"})
-    assert not in_dual_image_con(g, short)
+    assert not in_dual_image(g, short)
 
     # The separation itself, on a game where it shows: a core
     # imputation that no optimal dual and split reproduces.
@@ -248,7 +243,7 @@ def test_c08_bpath4_constrained():
     )
     outside = imp(sep, 1, F(23, 5), 0, F(1, 5), 0)
     assert core_membership_via_system(coalition_system(sep), outside).in_core
-    assert not in_dual_image_con(sep, outside)
+    assert not in_dual_image(sep, outside)
 
 
 def _ss_candidates(rng, g, base):
@@ -368,14 +363,10 @@ def test_c10_general_graph_property_suite():
 
 
 def _dual_derived_imputations(g, y):
-    if g.variant == "b-uniform":
-        return [uniform_imputation_from_dual(g, y)]
-    if g.variant == "b-unconstrained":
-        return [uncon_imputation_from_dual(g, y)]
-    maker = con_imputation_from_dual if g.variant == "b-constrained" else (
-        gen_imputation_from_dual
-    )
-    return [maker(g, y, s(y)) for s in (split_all_left, split_all_right, split_half)]
+    return [
+        imputation_from_dual(g, y, s(y))
+        for s in (split_all_left, split_all_right, split_half)
+    ]
 
 
 def test_c11_b_variant_property_suite():
@@ -417,7 +408,7 @@ def test_c11_b_variant_property_suite():
             # uniform variant: the inverse map lands on optimal duals
             if variant == "b-uniform":
                 for probe in sample_core_imputations(sys, seed=7, count=3):
-                    back = uniform_dual_from_imputation(g, probe)
+                    back = scaled_dual(g, probe)
                     assert dual_is_optimal(g, back, sys.grand_worth)
         assert analyzed >= 100
 

@@ -54,6 +54,17 @@ def test_dual_imputation_requires_optimality():
         core_imputation_from_dual(g, y)
 
 
+def test_dual_imputation_rejects_infeasible_dual_with_the_right_total():
+    # (8, 0, 0, 0) sums to the worth 8 but leaves u2~v2 uncovered; read as
+    # profits it is blocked by the coalition {u2, v2}.
+    g = make_game("assignment", ["u1", "u2"], ["v1", "v2"],
+                  [("u1", "v1", 5), ("u2", "v2", 3)])
+    y = DualSolution(imp(g, 8, 0, 0, 0))
+    assert is_core_imputation(g, imp(g, 8, 0, 0, 0)).witness == {"u2", "v2"}
+    with pytest.raises(ValueError, match="not optimal"):
+        core_imputation_from_dual(g, y)
+
+
 def test_is_core_imputation_tiers8():
     g = load_instance("tiers8")
     good = imp(g, 51, 51, 0, 0, 50, 50, 0, 0)

@@ -3,31 +3,26 @@ from random import Random
 
 import pytest
 
-from matchcore.analysis import game_worth, is_core_imputation, meet_join
+from matchcore.analysis import game_worth, is_core_imputation, meet_join, worth
 from matchcore.bmatching import (
+    B_VARIANTS,
     ProfitSignError,
     all_coalition_system,
     coalition_system,
-    con_imputation_from_dual,
     core_membership_via_system,
-    gen_imputation_from_dual,
+    imputation_from_dual,
     in_dual_image,
-    in_dual_image_con,
-    in_dual_image_gen,
-    in_dual_image_uncon,
     sample_core_imputations,
     split_all_left,
     split_all_right,
     split_half,
-    uncon_imputation_from_dual,
-    uniform_dual_from_imputation,
-    uniform_imputation_from_dual,
 )
 from matchcore.bundled import load_instance
 from matchcore.gamelp import DualSolution, dual_is_optimal, solve_dual
 from matchcore.games import make_game
 
 from gamegen import random_b_game
+from scaling_oracle import in_scaled_image, scaled_dual
 
 Z = F(0)
 
@@ -40,9 +35,10 @@ def test_uniform_forward_and_inverse():
     g = load_instance("path5-b2")
     assert game_worth(g) == F(21, 5)
     _, y = solve_dual(g)
-    profits = uniform_imputation_from_dual(g, y)
+    profits = imputation_from_dual(g, y)
     assert profits == imp(g, 2, 2, 0, F(1, 5), 0)
-    back = uniform_dual_from_imputation(g, profits)
+    assert in_dual_image(g, profits) and in_scaled_image(g, profits)
+    back = scaled_dual(g, profits)
     assert back.vertex_upper == {
         "u1": F(1),
         "u2": F(1),
@@ -61,20 +57,20 @@ def test_uniform_cap_one_reduces_to_identity():
         vertex_upper=1,
     )
     _, y = solve_dual(g)
-    assert uniform_imputation_from_dual(g, y) == dict(y.vertex_upper)
+    assert imputation_from_dual(g, y) == dict(y.vertex_upper)
 
 
 def test_uniform_inverse_rejects_non_core():
     g = load_instance("path5-b2")
-    with pytest.raises(ValueError):
-        uniform_dual_from_imputation(g, imp(g, F(21, 5), 0, 0, 0, 0))
+    assert not in_scaled_image(g, imp(g, F(21, 5), 0, 0, 0, 0))
+    assert not in_dual_image(g, imp(g, F(21, 5), 0, 0, 0, 0))
 
 
 def test_uncon_imputation_bpath4():
     g = load_instance("bpath4-uncon")
     _, y = solve_dual(g)
     assert y.vertex_upper == {"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)}
-    assert uncon_imputation_from_dual(g, y) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(g, y) == imp(g, 2, 0, 0, 2)
 
 
 def test_uncon_single_edge_scaling():
@@ -90,14 +86,14 @@ def test_uncon_single_edge_scaling():
     _, y = solve_dual(g)
     # the cheap side carries the price: min 3u + 2v forces (0, w)
     assert y.vertex_upper == {"u": Z, "v": w}
-    assert uncon_imputation_from_dual(g, y) == {"u": Z, "v": 2 * w}
+    assert imputation_from_dual(g, y) == {"u": Z, "v": 2 * w}
 
 
 def test_in_dual_image_uncon_cases():
     g = load_instance("bpath4-uncon")
-    assert in_dual_image_uncon(g, imp(g, 2, 0, 0, 2))
-    assert not in_dual_image_uncon(g, imp(g, 3, 0, 0, 1))
-    assert not in_dual_image_uncon(g, imp(g, 2, 0, 1, 1))
+    assert in_dual_image(g, imp(g, 2, 0, 0, 2))
+    assert not in_dual_image(g, imp(g, 3, 0, 0, 1))
+    assert not in_dual_image(g, imp(g, 2, 0, 1, 1))
 
 
 def test_uncon_core_strictly_exceeds_dual_image():
@@ -105,7 +101,7 @@ def test_uncon_core_strictly_exceeds_dual_image():
     sys = coalition_system(g)
     outside = imp(g, 3, 0, 0, 1)
     assert core_membership_via_system(sys, outside).in_core
-    assert not in_dual_image_uncon(g, outside)
+    assert not in_dual_image(g, outside)
 
 
 def test_con_imputations_from_dual_family():
@@ -116,16 +112,16 @@ def test_con_imputations_from_dual_family():
         edge_upper={k: (F(1) if k == heavy else Z) for k in g.edge_keys},
     )
     assert dual_is_optimal(g, y1, F(4))
-    assert con_imputation_from_dual(g, y1, split_all_left(y1)) == imp(g, 3, 0, 0, 1)
-    assert con_imputation_from_dual(g, y1, split_all_right(y1)) == imp(g, 2, 0, 0, 2)
-    assert con_imputation_from_dual(g, y1, split_half(y1)) == imp(
+    assert imputation_from_dual(g, y1, split_all_left(y1)) == imp(g, 3, 0, 0, 1)
+    assert imputation_from_dual(g, y1, split_all_right(y1)) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(g, y1, split_half(y1)) == imp(
         g, F(5, 2), 0, 0, F(3, 2)
     )
     y0 = DualSolution(
         {"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)},
         edge_upper={k: Z for k in g.edge_keys},
     )
-    assert con_imputation_from_dual(g, y0, split_all_left(y0)) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(g, y0, split_all_left(y0)) == imp(g, 2, 0, 0, 2)
 
 
 def test_con_split_must_match_dual():
@@ -134,13 +130,15 @@ def test_con_split_must_match_dual():
     bad = split_all_left(y)
     bad.cap_left[("u1", "v2")] += 1
     with pytest.raises(ValueError):
-        con_imputation_from_dual(g, y, bad)
+        imputation_from_dual(g, y, bad)
+    with pytest.raises(ValueError):
+        imputation_from_dual(g, y)  # the positive edge price needs a split
 
 
 def test_con_dual_image_family_points():
     g = load_instance("bpath4-con")
     for b in (Z, F(1, 2), F(1)):
-        assert in_dual_image_con(g, imp(g, 3 - b, 0, 0, 1 + b))
+        assert in_dual_image(g, imp(g, 3 - b, 0, 0, 1 + b))
 
 
 def test_con_dual_image_reaches_beyond_listed_family():
@@ -157,16 +155,16 @@ def test_con_dual_image_reaches_beyond_listed_family():
         },
     )
     assert dual_is_optimal(g, y, F(4))
-    assert con_imputation_from_dual(g, y, split_all_left(y)) == imp(g, 1, 0, 0, 3)
-    assert con_imputation_from_dual(g, y, split_all_right(y)) == imp(g, 0, 0, 1, 3)
-    assert in_dual_image_con(g, imp(g, 1, 0, 0, 3))
-    assert in_dual_image_con(g, imp(g, 0, 0, 1, 3))
+    assert imputation_from_dual(g, y, split_all_left(y)) == imp(g, 1, 0, 0, 3)
+    assert imputation_from_dual(g, y, split_all_right(y)) == imp(g, 0, 0, 1, 3)
+    assert in_dual_image(g, imp(g, 1, 0, 0, 3))
+    assert in_dual_image(g, imp(g, 0, 0, 1, 3))
 
 
 def test_con_dual_image_rejects_non_imputations():
     g = load_instance("bpath4-con")
-    assert not in_dual_image_con(g, imp(g, 4, 0, 0, 1))  # wrong total
-    assert not in_dual_image_con(g, imp(g, 4, 0, 0, 0))  # core violation too
+    assert not in_dual_image(g, imp(g, 4, 0, 0, 1))  # wrong total
+    assert not in_dual_image(g, imp(g, 4, 0, 0, 0))  # core violation too
 
 
 def test_coalition_system_rhs_by_variant():
@@ -201,7 +199,7 @@ def test_gen_reduces_to_assignment_on_single_edge():
     w = F(9, 5)
     g = make_game("b-general", ["u"], ["v"], [("u", "v", w)])
     _, y = solve_dual(g)
-    profits = gen_imputation_from_dual(g, y, split_half(y))
+    profits = imputation_from_dual(g, y, split_half(y))
     assert sum(profits.values(), start=Z) == w
     assert all(v >= 0 for v in profits.values())
     sys = coalition_system(g)
@@ -214,11 +212,11 @@ def test_gen_d1_matches_constrained_results():
     _, y = solve_dual(g)
     sys = coalition_system(g)
     for split in (split_all_left, split_all_right, split_half):
-        profits = gen_imputation_from_dual(g, y, split(y))
+        profits = imputation_from_dual(g, y, split(y))
         assert core_membership_via_system(sys, profits).in_core
     # the family reachable in the single-use encoding is reachable here
     for b in (Z, F(1, 2), F(1)):
-        assert in_dual_image_gen(g, imp(g, 3 - b, 0, 0, 1 + b))
+        assert in_dual_image(g, imp(g, 3 - b, 0, 0, 1 + b))
 
 
 def test_gen_cap_matches_unconstrained_results():
@@ -231,9 +229,9 @@ def test_gen_cap_matches_unconstrained_results():
         edge_lower={k: Z for k in g.edge_keys},
     )
     assert dual_is_optimal(g, y, F(4))
-    profits = gen_imputation_from_dual(g, y, split_half(y))
+    profits = imputation_from_dual(g, y, split_half(y))
     assert profits == imp(g, 2, 0, 0, 2)
-    assert in_dual_image_gen(g, profits)
+    assert in_dual_image(g, profits)
     sys = coalition_system(g)
     assert core_membership_via_system(sys, profits).in_core
 
@@ -257,7 +255,7 @@ def test_gen_floor_can_turn_profits_negative():
     )
     assert dual_is_optimal(g, y, F(1))
     with pytest.raises(ProfitSignError):
-        gen_imputation_from_dual(g, y, split_half(y))
+        imputation_from_dual(g, y, split_half(y))
 
 
 def test_gen_floor_infeasible_coalitions_are_skipped():
@@ -297,33 +295,71 @@ def test_connected_system_equals_full_system():
 
 
 def test_dual_derived_imputations_pass_core_check():
+    # Every split of every optimal dual pays out the worth.  Without floors
+    # the result is in the core and in the image; with edge floors a
+    # profit can come out negative (ProfitSignError, a reported finding)
+    # or, more rarely, a nonnegative result can leave the core.
     rng = Random(73)
-    for variant in ("b-uniform", "b-unconstrained", "b-constrained", "b-general"):
+    signs = 0
+    for variant in B_VARIANTS + ("b-general-floors",):
+        floors = variant == "b-general-floors"
         done = 0
-        while done < 8:
+        while done < (24 if floors else 8):
+            kind = "b-general" if floors else variant
+            g = random_b_game(rng, kind, with_floors=floors)
+            if not g.edges or worth(g) is None:
+                continue
+            done += 1
+            _, y = solve_dual(g)
+            total = game_worth(g)
+            sys = coalition_system(g)
+            for s in (split_all_left, split_all_right, split_half):
+                try:
+                    profits = imputation_from_dual(g, y, s(y), worth=total)
+                except ProfitSignError:
+                    assert floors
+                    signs += 1
+                    continue
+                assert sum(profits.values(), start=Z) == total
+                assert in_dual_image(g, profits, worth=total)
+                if not floors:
+                    assert core_membership_via_system(sys, profits).in_core
+    assert signs > 0
+
+
+def test_in_dual_image_agrees_with_the_scaling_oracle():
+    # Where no edge is priced the dual image has a closed form (divide by
+    # the caps, then check optimality); the one-LP test must agree with it
+    # on dual-derived imputations, core points and perturbations of both.
+    rng = Random(97)
+    answers = []
+    for variant in ("b-uniform", "b-unconstrained"):
+        done = 0
+        while done < 20:
             g = random_b_game(rng, variant)
             if not g.edges:
                 continue
             done += 1
             _, y = solve_dual(g)
-            sys = coalition_system(g)
-            if variant == "b-uniform":
-                profile = [uniform_imputation_from_dual(g, y)]
-            elif variant == "b-unconstrained":
-                profile = [uncon_imputation_from_dual(g, y)]
-            elif variant == "b-constrained":
-                profile = [
-                    con_imputation_from_dual(g, y, s(y))
-                    for s in (split_all_left, split_all_right, split_half)
-                ]
-            else:
-                profile = [
-                    gen_imputation_from_dual(g, y, s(y))
-                    for s in (split_all_left, split_all_right, split_half)
-                ]
-            for profits in profile:
-                assert core_membership_via_system(sys, profits).in_core
-                assert in_dual_image(g, profits)
+            base = imputation_from_dual(g, y)
+            sample = sample_core_imputations(coalition_system(g), seed=done, count=1)[0]
+            qs = sorted(g.vertices)
+            candidates = [base, sample]
+            for start, delta in ((base, F(1, 2)), (sample, F(1, 5)), (base, F(1))):
+                moved = dict(start)
+                a, b = rng.choice(qs), rng.choice(qs)
+                moved[a] -= delta
+                moved[b] += delta
+                candidates.append(moved)
+            richer = dict(base)
+            richer[qs[0]] += 1
+            candidates.append(richer)
+            for cand in candidates:
+                got = in_dual_image(g, cand)
+                assert got == in_scaled_image(g, cand)
+                answers.append(got)
+    assert len(answers) == 240
+    assert answers.count(True) >= 40 and answers.count(False) >= 40
 
 
 def test_uniform_core_is_exactly_the_dual_image():
@@ -336,8 +372,7 @@ def test_uniform_core_is_exactly_the_dual_image():
         done += 1
         sys = coalition_system(g)
         for sample in sample_core_imputations(sys, seed=9, count=3):
-            back = uniform_dual_from_imputation(g, sample)
-            assert dual_is_optimal(g, back, game_worth(g))
+            assert dual_is_optimal(g, scaled_dual(g, sample), game_worth(g))
 
 
 def test_meet_join_uniform_lattice():

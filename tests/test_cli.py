@@ -135,6 +135,16 @@ def test_budget_flag_reaches_dual_image(capsys, tmp_path):
     assert "in-dual-image = yes" in out
 
 
+@pytest.mark.parametrize("command", ["worth", "imputation", "examples"])
+def test_seed_option_is_rejected(capsys, game_path, command):
+    # --seed was accepted by every command and read by none.
+    args = [] if command == "examples" else ["--game", game_path("path5")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_cap_exceeded_exit_code(capsys, game_path):
     code, _, err = run(
         capsys, "system", "--game", game_path("path5"), "--cap", "2"

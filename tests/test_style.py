@@ -21,3 +21,25 @@ def test_no_tuple_of_generator():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_variant_compared_only_where_bounds_are_declared():
+    # Every variant is a b-general game with particular bounds, declared
+    # once by gamelp.priced; the LPs, dual read-outs, imputation map and
+    # dual-image test are emitted from that declaration.  A comparison on
+    # ``.variant`` anywhere else in these modules grows a ladder back.
+    allowed = {("gamelp.py", "priced"), ("bmatching.py", "in_dual_image")}
+    found = []
+    for name in ("gamelp.py", "bmatching.py"):
+        for top in ast.parse((SRC / name).read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Compare):
+                    continue
+                sides = [node.left, *node.comparators]
+                if not any(isinstance(s, ast.Attribute) and s.attr == "variant" for s in sides):
+                    continue
+                guard = any(isinstance(s, ast.Name) and s.id == "B_VARIANTS" for s in sides)
+                if (name, owner) not in allowed or (owner == "in_dual_image" and not guard):
+                    found.append(f"{name}:{node.lineno} in {owner}")
+    assert found == []
