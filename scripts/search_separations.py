@@ -16,11 +16,8 @@ from random import Random
 
 sys.path.insert(0, "tests")
 
-from matchcore.bmatching import (
-    coalition_system,
-    in_dual_image,
-    sample_core_imputations,
-)
+from matchcore.analysis import GameAnalysis
+from matchcore.bmatching import in_dual_image, sample_core_imputations
 from matchcore.gamefile import render_game
 from matchcore.rationals import format_rational
 
@@ -45,9 +42,9 @@ def main() -> int:
         g = random_b_game(rng, args.variant)
         if not g.edges:
             continue
-        sys_ = coalition_system(g)
-        for imp in sample_core_imputations(sys_, seed=trial, count=args.samples):
-            if not in_dual_image(g, imp):
+        a = GameAnalysis(g)
+        for imp in sample_core_imputations(a.system, seed=trial, count=args.samples):
+            if not in_dual_image(g, imp, worth=a.worth):
                 found += 1
                 print(f"# separation {found} (trial {trial})")
                 print(render_game(g), end="")

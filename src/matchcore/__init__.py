@@ -22,31 +22,27 @@ from .matchings import (
     birkhoff_decompose,
     brute_force_optima,
     check_half_integral,
-    classify_edge,
-    classify_vertex,
     fractional_optimum,
 )
 from .analysis import (
+    CoalitionSystem,
     GameAnalysis,
     Imputation,
     antipodal_imputations,
     always_fairly_paid,
     check_concurrency,
+    classify_edge,
+    classify_vertex,
+    coalition_system,
     core_imputation_from_dual,
+    core_membership_via_system,
     degeneracy_report,
     is_core_imputation,
     meet_join,
     paid_sometimes,
     worth,
 )
-from .bmatching import (
-    CoalitionSystem,
-    SplitScheme,
-    coalition_system,
-    core_membership_via_system,
-    imputation_from_dual,
-    in_dual_image,
-)
+from .bmatching import SplitScheme, imputation_from_dual, in_dual_image
 from .gamefile import parse_game, render_game
 from .rationals import Rational, compare, format_rational, parse_rational
 

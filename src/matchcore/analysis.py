@@ -10,12 +10,15 @@ answers each question; no sampling of imputations is involved.
 A :class:`GameAnalysis` session computes each fact of one game at most
 once: one enumeration of the optimal matchings, one primal solve, one
 dual solve whose final tableau answers every face question by a warm
-phase 2 (see :class:`~matchcore.simplex.OptimalTableau`).  The public
-functions are thin wrappers over a fresh session.
+phase 2 (see :class:`~matchcore.simplex.OptimalTableau`), and one worth
+per connected coalition, from which come both the core system and the
+one core-membership test.  The public functions are thin wrappers over
+a fresh session.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -92,7 +95,49 @@ class PaymentReport:
 class CoreMembership:
     in_core: bool
     witness: Coalition | None
+
+
+@dataclass(frozen=True)
+class CoalitionSystem:
+    """Linear description of the core over connected coalitions.
+
+    One >= inequality per connected proper coalition (worth on the
+    right), one equality for the grand coalition, nonnegativity on every
+    profit.  Floor-infeasible coalitions are listed in ``skipped``.
+    """
+
+    vertices: tuple[str, ...]
+    inequalities: tuple[tuple[Coalition, Fraction], ...]
+    grand_worth: Fraction
     skipped: tuple[Coalition, ...] = ()
+
+    @classmethod
+    def of(cls, g: GameInstance, worths: Iterable, grand_worth: Fraction):
+        """Rows from (coalition, worth) pairs; a worth of None is skipped."""
+        pairs = list(worths)
+        rows = tuple([(s, w) for s, w in pairs if w is not None])
+        skipped = tuple([s for s, w in pairs if w is None])
+        return cls(tuple(g.vertices), rows, grand_worth, skipped)
+
+
+def _membership(
+    imp: Imputation, vertices, grand_worth: Callable[[], Fraction], worths: Iterable
+) -> CoreMembership:
+    """The one core-membership test: signs, the total, then the rows in order.
+
+    The witness is the first violated row; a worth of None imposes nothing.
+    """
+    if set(imp) != set(vertices):
+        raise ValueError("imputation keys do not match the game's vertices")
+    for q in sorted(vertices):
+        if imp[q] < 0:
+            return CoreMembership(False, frozenset((q,)))
+    if sum(imp.values(), start=ZERO) != grand_worth():
+        return CoreMembership(False, frozenset(vertices))
+    for s, ws in worths:
+        if ws is not None and sum((imp[q] for q in s), start=ZERO) < ws:
+            return CoreMembership(False, s)
+    return CoreMembership(True, None)
 
 
 @dataclass(frozen=True)
@@ -123,18 +168,26 @@ def worth(
 
 
 class GameAnalysis:
-    """Every fact of one game under one enumeration budget, each computed once.
+    """Every fact of one game under one pair of caps, each computed once.
 
     Facts are computed on first use and kept for the session's lifetime:
     the enumeration (worth plus all optimal matchings), the fractional
     optimum, concurrency, the labels, the base dual solve with its final
-    tableau, and the payment report.  A report builds one session and
-    hands it to every section; no cache outlives the session.
+    tableau, the payment report, and the worth of every connected
+    coalition (at most ``cap`` vertices in the game).  A report builds one
+    session and hands it to every section; no cache outlives the session.
     """
 
-    def __init__(self, g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP):
+    def __init__(
+        self,
+        g: GameInstance,
+        budget_cap: int = DEFAULT_BUDGET_CAP,
+        cap: int = DEFAULT_COALITION_CAP,
+    ):
         self.g = g
         self.budget_cap = budget_cap
+        self.cap = cap
+        self._worths: list[Fraction | None] = []
 
     @cached_property
     def optima(self) -> tuple[Fraction | None, list[MatchingVector]]:
@@ -146,6 +199,40 @@ class GameAnalysis:
         if best is None:
             raise InfeasibleGameError("the grand coalition admits no feasible matching")
         return best
+
+    @cached_property
+    def _coalitions(self) -> list[Coalition]:
+        grand = frozenset(self.g.vertices)
+        return [s for s in connected_coalitions(self.g, self.cap) if s != grand]
+
+    def coalition_worths(self) -> Iterator[tuple[Coalition, Fraction | None]]:
+        """Each connected proper coalition with its worth, lexicographically.
+
+        Lazy and memoized: a worth is computed when a scan first reaches
+        its coalition, at most once per session.
+        """
+        worths = self._worths
+        for i, s in enumerate(self._coalitions):
+            if i == len(worths):
+                worths.append(worth(self.g, s, self.budget_cap))
+            yield s, worths[i]
+
+    @cached_property
+    def system(self) -> CoalitionSystem:
+        """The core system: every connected proper coalition's row."""
+        return CoalitionSystem.of(self.g, self.coalition_worths(), self.worth)
+
+    def membership(self, imp: Imputation) -> CoreMembership:
+        """Exact core membership, checked over connected coalitions only.
+
+        A disconnected coalition's worth is the sum of its components'
+        worths, so its inequality is implied by the connected ones.  The
+        witness is the first violated coalition in lexicographic order;
+        the scan enumerates no coalition after it.
+        """
+        return _membership(
+            imp, self.g.vertices, lambda: self.worth, self.coalition_worths()
+        )
 
     @cached_property
     def concurrency(self) -> WorthReport:
@@ -314,30 +401,40 @@ def is_core_imputation(
     cap: int = DEFAULT_COALITION_CAP,
     budget_cap: int = DEFAULT_BUDGET_CAP,
 ) -> CoreMembership:
-    """Exact membership, checked over connected coalitions only.
+    """See :meth:`GameAnalysis.membership`."""
+    return GameAnalysis(g, budget_cap, cap).membership(imp)
 
-    A disconnected coalition's worth is the sum of its components'
-    worths, so its inequality is implied by the connected ones.  The
-    witness is the first violated coalition in lexicographic order;
-    floor-infeasible coalitions are skipped and reported.
-    """
-    if set(imp) != set(g.vertices):
-        raise ValueError("imputation keys do not match the game's vertices")
-    for q in sorted(g.vertices):
-        if imp[q] < 0:
-            return CoreMembership(False, frozenset((q,)))
-    total = sum(imp.values(), start=ZERO)
-    if total != game_worth(g, budget_cap):
-        return CoreMembership(False, frozenset(g.vertices))
-    skipped: list[Coalition] = []
-    for s in connected_coalitions(g, cap):
-        ws = worth(g, s, budget_cap)
-        if ws is None:
-            skipped.append(s)
-            continue
-        if sum((imp[q] for q in s), start=ZERO) < ws:
-            return CoreMembership(False, s, tuple(skipped))
-    return CoreMembership(True, None, tuple(skipped))
+
+def coalition_system(
+    g: GameInstance,
+    cap: int = DEFAULT_COALITION_CAP,
+    budget_cap: int = DEFAULT_BUDGET_CAP,
+) -> CoalitionSystem:
+    """See :attr:`GameAnalysis.system`."""
+    return GameAnalysis(g, budget_cap, cap).system
+
+
+def core_membership_via_system(sys: CoalitionSystem, imp: Imputation) -> CoreMembership:
+    """The membership test of :meth:`GameAnalysis.membership` over a built system."""
+    return _membership(imp, sys.vertices, lambda: sys.grand_worth, sys.inequalities)
+
+
+def classify_vertex(
+    g: GameInstance, q: str, budget_cap: int = DEFAULT_BUDGET_CAP
+) -> str:
+    """essential / viable / subpar against all optimal integral matchings."""
+    if q not in g.vertices:
+        raise ValueError(f"unknown vertex {q!r}")
+    return GameAnalysis(g, budget_cap).labels[0][q]
+
+
+def classify_edge(
+    g: GameInstance, key: Edge, budget_cap: int = DEFAULT_BUDGET_CAP
+) -> str:
+    """essential / viable / subpar for an edge, by positive multiplicity."""
+    if key not in g.edge_keys:
+        raise ValueError(f"unknown edge {edge_name(key)}")
+    return GameAnalysis(g, budget_cap).labels[1][key]
 
 
 def paid_sometimes(
@@ -402,17 +499,16 @@ def meet_join(
     """
     if g.variant == "general-matching":
         raise ValueError("meet/join needs the two-sided structure")
+    a = GameAnalysis(g, budget_cap, cap)
     for imp in (p, q):
-        got = is_core_imputation(g, imp, cap, budget_cap)
-        if not got.in_core:
+        if not a.membership(imp).in_core:
             raise ValueError("meet/join input is not a core imputation")
     meet = {v: min(p[v], q[v]) for v in g.left}
     meet.update({v: max(p[v], q[v]) for v in g.right})
     join = {v: max(p[v], q[v]) for v in g.left}
     join.update({v: min(p[v], q[v]) for v in g.right})
     for out in (meet, join):
-        got = is_core_imputation(g, out, cap, budget_cap)
-        if not got.in_core:
+        if not a.membership(out).in_core:
             raise ValueError("combined imputation left the core")
     return meet, join
 

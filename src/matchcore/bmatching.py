@@ -2,13 +2,18 @@
 
 For repeatable or capped edges the dual no longer reads off as profits
 directly: vertex prices are scaled by the vertex caps, and edge prices
-must be split between the two endpoints.  Every optimal dual (together
-with every admissible split) yields a core imputation; the image of
-that map, the dual image, can be a strict subset of the core, and the
-membership tests here decide both sets exactly.  One map
-(:func:`imputation_from_dual`) and one LP (:func:`in_dual_image`) serve
-all four b-variants; both read the bound families a variant prices from
-:func:`~matchcore.gamelp.priced`.
+must be split between the two endpoints.  Without edge floors, every
+optimal dual with every admissible split yields a core imputation; the
+image of that map, the dual image, can be a strict subset of the core.
+With edge floors the map can fail either way: a profit can come out
+negative (raised as :class:`ProfitSignError`), or a nonnegative result
+can lie outside the core while still in the dual image (see
+``test_bmatching.py::test_edge_floor_image_point_outside_the_core``).
+:func:`in_dual_image` decides image membership exactly, and
+:meth:`~matchcore.analysis.GameAnalysis.membership` core membership.
+One map (:func:`imputation_from_dual`) and one LP
+(:func:`in_dual_image`) serve all four b-variants; both read the bound
+families a variant prices from :func:`~matchcore.gamelp.priced`.
 
 Naming note: the per-edge amounts credited to the left or right
 endpoint are called split parts throughout, never c/d, because c and d
@@ -22,15 +27,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .analysis import Imputation, game_worth
+from .analysis import CoalitionSystem, Imputation, game_worth
 from .games import (
     DEFAULT_BUDGET_CAP,
     DEFAULT_COALITION_CAP,
     CapExceeded,
-    Coalition,
     Edge,
     GameInstance,
-    connected_coalitions,
 )
 from .gamelp import (
     DualSolution,
@@ -239,86 +242,22 @@ def in_dual_image(
     return _feasibility(names, rows)
 
 
-@dataclass(frozen=True)
-class CoalitionSystem:
-    """Linear description of the core over connected coalitions.
-
-    One >= inequality per connected coalition (worth on the right), one
-    equality for the grand coalition, nonnegativity on every profit.
-    Floor-infeasible coalitions are listed in ``skipped``.
-    """
-
-    vertices: tuple[str, ...]
-    inequalities: tuple[tuple[Coalition, Fraction], ...]
-    grand_worth: Fraction
-    skipped: tuple[Coalition, ...] = ()
-
-
-def coalition_system(
-    g: GameInstance,
-    cap: int = DEFAULT_COALITION_CAP,
-    budget_cap: int = DEFAULT_BUDGET_CAP,
-    *,
-    worth: Fraction | None = None,
-) -> CoalitionSystem:
-    return _system(g, connected_coalitions(g, cap), budget_cap, worth)
-
-
 def all_coalition_system(
     g: GameInstance,
     cap: int = DEFAULT_COALITION_CAP,
     budget_cap: int = DEFAULT_BUDGET_CAP,
 ) -> CoalitionSystem:
-    """Same, over every nonempty coalition; the redundant cross-check."""
+    """The core system over every proper coalition; the redundant cross-check."""
     n = len(g.vertices)
     if n > cap:
         raise CapExceeded(f"{n} vertices exceed coalition enumeration cap {cap}")
     ids = sorted(g.vertices)
     every = (
-        frozenset(c) for r in range(1, n + 1) for c in itertools.combinations(ids, r)
+        (s, coalition_worth(g, s, budget_cap))
+        for r in range(1, n)
+        for s in map(frozenset, itertools.combinations(ids, r))
     )
-    return _system(g, every, budget_cap, None)
-
-
-def _system(g: GameInstance, coalitions, budget_cap: int, worth) -> CoalitionSystem:
-    grand = frozenset(g.vertices)
-    rows: list[tuple[Coalition, Fraction]] = []
-    skipped: list[Coalition] = []
-    for s in coalitions:
-        if s == grand:
-            continue
-        ws = coalition_worth(g, s, budget_cap)
-        if ws is None:
-            skipped.append(s)
-        else:
-            rows.append((s, ws))
-    return CoalitionSystem(
-        vertices=tuple(g.vertices),
-        inequalities=tuple(rows),
-        grand_worth=game_worth(g, budget_cap) if worth is None else worth,
-        skipped=tuple(skipped),
-    )
-
-
-@dataclass(frozen=True)
-class SystemVerdict:
-    in_core: bool
-    witness: Coalition | None
-
-
-def core_membership_via_system(sys: CoalitionSystem, imp: Imputation) -> SystemVerdict:
-    """Exact satisfaction check; the witness is the violated coalition."""
-    if set(imp) != set(sys.vertices):
-        raise ValueError("imputation keys do not match the system's vertices")
-    for q in sorted(sys.vertices):
-        if imp[q] < 0:
-            return SystemVerdict(False, frozenset((q,)))
-    if sum(imp.values(), start=ZERO) != sys.grand_worth:
-        return SystemVerdict(False, frozenset(sys.vertices))
-    for s, rhs in sys.inequalities:
-        if sum((imp[q] for q in s), start=ZERO) < rhs:
-            return SystemVerdict(False, s)
-    return SystemVerdict(True, None)
+    return CoalitionSystem.of(g, every, game_worth(g, budget_cap))
 
 
 def system_lp(sys: CoalitionSystem, objective: dict[str, Fraction]) -> LinearProgram:

@@ -15,14 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import bundled
-from .analysis import GameAnalysis, Imputation, is_core_imputation
-from .bmatching import (
-    B_VARIANTS,
-    ProfitSignError,
-    coalition_system,
-    core_membership_via_system,
-    in_dual_image,
-)
+from .analysis import GameAnalysis, Imputation
+from .bmatching import ProfitSignError, in_dual_image
 from .games import (
     DEFAULT_BUDGET_CAP,
     DEFAULT_COALITION_CAP,
@@ -132,7 +126,7 @@ def _run(args: argparse.Namespace) -> int:
     with open(args.game) as fh:
         g = parse_game(fh.read())
     rep = report_header(g, args.cap, args.budget)
-    a = GameAnalysis(g, args.budget)
+    a = GameAnalysis(g, args.budget, args.cap)
 
     finding = False
     if args.command == "worth":
@@ -152,22 +146,14 @@ def _run(args: argparse.Namespace) -> int:
     elif args.command == "degeneracy":
         rep.add("degeneracy", degeneracy_section(a))
     elif args.command == "system":
-        rep.add("system", system_section(a, args.cap))
+        rep.add("system", system_section(a))
     elif args.command == "check":
-        imp = _parse_imputation(g, args.imputation)
-        if g.variant in B_VARIANTS:
-            verdict = core_membership_via_system(
-                coalition_system(g, args.cap, args.budget), imp
-            )
-            in_core, witness = verdict.in_core, verdict.witness
-        else:
-            got = is_core_imputation(g, imp, args.cap, args.budget)
-            in_core, witness = got.in_core, got.witness
-        lines = [f"in-core = {'yes' if in_core else 'no'}"]
-        if witness is not None:
-            lines.append("witness = {" + ",".join(sorted(witness)) + "}")
+        got = a.membership(_parse_imputation(g, args.imputation))
+        lines = [f"in-core = {'yes' if got.in_core else 'no'}"]
+        if got.witness is not None:
+            lines.append("witness = {" + ",".join(sorted(got.witness)) + "}")
         rep.add("check", lines)
-        finding = not in_core
+        finding = not got.in_core
     elif args.command == "dual-image":
         imp = _parse_imputation(g, args.imputation)
         flag = in_dual_image(g, imp, worth=a.worth)

@@ -369,32 +369,3 @@ def label_optima(
         for k in g.edge_keys
     }
     return vlabels, elabels
-
-
-def classification_table(
-    g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> tuple[dict[str, str], dict[Edge, str], Fraction, list[MatchingVector]]:
-    """Labels for every vertex and edge from one enumeration pass."""
-    best, optima = brute_force_optima(g, budget_cap)
-    if best is None:
-        raise InfeasibleGameError("no feasible matching to classify against")
-    vlabels, elabels = label_optima(g, optima)
-    return vlabels, elabels, best, optima
-
-
-def classify_vertex(
-    g: GameInstance, q: str, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> str:
-    """essential / viable / subpar against all optimal integral matchings."""
-    if q not in g.vertices:
-        raise ValueError(f"unknown vertex {q!r}")
-    return classification_table(g, budget_cap)[0][q]
-
-
-def classify_edge(
-    g: GameInstance, key: Edge, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> str:
-    """essential / viable / subpar for an edge, by positive multiplicity."""
-    if key not in g.edge_keys:
-        raise ValueError(f"unknown edge {edge_name(key)}")
-    return classification_table(g, budget_cap)[1][key]

@@ -19,7 +19,6 @@ from .analysis import PAYMENT_VARIANTS, GameAnalysis, Imputation
 from .bmatching import (
     B_VARIANTS,
     CANONICAL_SPLITS,
-    coalition_system,
     imputation_from_dual,
     in_dual_image,
 )
@@ -186,8 +185,8 @@ def degeneracy_section(a: GameAnalysis) -> list[str]:
     return lines
 
 
-def system_section(a: GameAnalysis, cap: int) -> list[str]:
-    sys = coalition_system(a.g, cap, a.budget_cap, worth=a.worth)
+def system_section(a: GameAnalysis) -> list[str]:
+    sys = a.system
     rows = []
     for s, rhs in sys.inequalities:
         rows.append((" + ".join(sorted(s)), ">=", fr(rhs)))
@@ -203,7 +202,7 @@ def system_section(a: GameAnalysis, cap: int) -> list[str]:
 
 def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
     """The standard battery for a bundled instance, variant-aware."""
-    a = GameAnalysis(g, budget_cap)
+    a = GameAnalysis(g, budget_cap, cap)
     rep = report_header(g, cap, budget_cap)
     rep.add("worth", worth_section(a))
     rep.add("concurrency", concurrency_section(a))
@@ -216,7 +215,7 @@ def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
     if g.variant == "assignment":
         rep.add("antipodal", antipodal_section(a))
     if g.variant in B_VARIANTS:
-        rep.add("system", system_section(a, cap))
+        rep.add("system", system_section(a))
         imp = dual_imputation(a)
         rep.add(
             "dual-image",

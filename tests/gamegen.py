@@ -1,4 +1,4 @@
-"""Seeded random instance generators shared by the test modules.
+"""Seeded random instances, and the imputations tests probe them with.
 
 Weights are small rationals (numerators 1..9, denominators 1, 2 or 5)
 so every quantity downstream stays exactly representable and tiny.
@@ -9,6 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
+from matchcore.analysis import worth
+from matchcore.bmatching import imputation_from_dual, split_half
+from matchcore.gamelp import solve_dual
 from matchcore.games import GameInstance, make_game
 
 WEIGHT_DENOMS = (1, 2, 5)
@@ -89,3 +92,32 @@ def random_b_game(
         edge_upper=edge_upper,
         edge_lower=edge_lower,
     )
+
+
+def dual_imputation(g: GameInstance) -> dict[str, Fraction]:
+    """The vertex prices of the optimal dual for single-use games, the
+    half split of the optimal dual for b-variants."""
+    _, y = solve_dual(g)
+    if g.variant in ("assignment", "general-matching"):
+        return dict(y.vertex_upper)
+    return imputation_from_dual(g, y, split_half(y))
+
+
+def shifted_imputation(g: GameInstance, imp: dict[str, Fraction]) -> dict[str, Fraction]:
+    """``imp`` with one vertex k paid more than its marginal worth
+    v(N) - v(N - k), taken from the others: N - k is short, so the
+    result is outside the core whatever else holds."""
+    total = sum(imp.values(), start=Fraction(0))
+    for k in sorted(g.vertices):
+        rest = frozenset(g.vertices) - {k}
+        short = total - worth(g, rest) - imp[k] + Fraction(1, 7)
+        out = dict(imp)
+        out[k] += short
+        need = short
+        for q in sorted(rest, key=lambda q: (-out[q], q)):
+            take = min(out[q], need)
+            out[q] -= take
+            need -= take
+        if need == 0:
+            return out
+    raise AssertionError("no vertex admits a shift out of the core")

@@ -15,9 +15,13 @@ from fractions import Fraction as F
 from random import Random
 
 from matchcore.analysis import (
+    GameAnalysis,
     antipodal_imputations,
     check_concurrency,
+    classify_vertex,
+    coalition_system,
     core_imputation_from_dual,
+    core_membership_via_system,
     degeneracy_report,
     is_core_imputation,
     paid_sometimes,
@@ -26,9 +30,7 @@ from matchcore.analysis import (
     worth,
 )
 from matchcore.bmatching import (
-    coalition_system,
     all_coalition_system,
-    core_membership_via_system,
     imputation_from_dual,
     in_dual_image,
     sample_core_imputations,
@@ -49,8 +51,6 @@ from matchcore.matchings import (
     birkhoff_decompose,
     brute_force_optima,
     check_half_integral,
-    classification_table,
-    classify_vertex,
     fractional_optimum,
     make_matching_vector,
 )
@@ -270,7 +270,8 @@ def test_c09_assignment_property_suite():
         if not g.edges:
             continue
         analyzed += 1
-        vlabels, elabels, best, optima = classification_table(g)
+        a = GameAnalysis(g)
+        (vlabels, elabels), (best, optima) = a.labels, a.optima
         _, y = solve_dual(g)
         base = core_imputation_from_dual(g, y)
 
@@ -336,7 +337,7 @@ def test_c10_general_graph_property_suite():
         if best != frac.weight:
             continue
         concurrent_count += 1
-        vlabels, elabels, _, _ = classification_table(g)
+        vlabels, elabels = GameAnalysis(g).labels
         lp = build_dual_lp(g)
 
         # paid sometimes implies essential: over the optimal dual face the

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from matchcore.analysis import (
+    GameAnalysis,
     always_fairly_paid,
     antipodal_imputations,
     check_concurrency,
@@ -19,7 +20,6 @@ from matchcore.analysis import (
 from matchcore.bundled import load_instance
 from matchcore.gamelp import DualSolution, dual_is_optimal, solve_dual
 from matchcore.games import make_game
-from matchcore.matchings import classification_table
 
 from gamegen import random_assignment, random_general
 
@@ -244,7 +244,7 @@ def test_payment_equivalences_on_random_games():
         if not g.edges:
             continue
         checked += 1
-        vlabels, elabels, _, _ = classification_table(g)
+        vlabels, elabels = GameAnalysis(g).labels
         rep = payment_report(g)
         for q in g.vertices:
             assert rep.vertices[q].paid_sometimes == (vlabels[q] == "essential")
@@ -263,7 +263,7 @@ def test_essential_players_collect_everything():
         if not g.edges:
             continue
         checked += 1
-        vlabels, _, _, _ = classification_table(g)
+        vlabels, _ = GameAnalysis(g).labels
         _, y = solve_dual(g)
         base = core_imputation_from_dual(g, y)
         essential_total = sum(
@@ -280,7 +280,7 @@ def test_gen_insights_one_directional_on_concurrent_games():
         if not g.edges or not check_concurrency(g).concurrent:
             continue
         concurrent_seen += 1
-        vlabels, elabels, _, _ = classification_table(g)
+        vlabels, elabels = GameAnalysis(g).labels
         rep = payment_report(g)
         for q in g.vertices:
             if rep.vertices[q].paid_sometimes:

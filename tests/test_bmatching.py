@@ -3,13 +3,19 @@ from random import Random
 
 import pytest
 
-from matchcore.analysis import game_worth, is_core_imputation, meet_join, worth
+from matchcore.analysis import (
+    GameAnalysis,
+    coalition_system,
+    core_membership_via_system,
+    game_worth,
+    is_core_imputation,
+    meet_join,
+    worth,
+)
 from matchcore.bmatching import (
     B_VARIANTS,
     ProfitSignError,
     all_coalition_system,
-    coalition_system,
-    core_membership_via_system,
     imputation_from_dual,
     in_dual_image,
     sample_core_imputations,
@@ -21,7 +27,7 @@ from matchcore.bundled import load_instance
 from matchcore.gamelp import DualSolution, dual_is_optimal, solve_dual
 from matchcore.games import make_game
 
-from gamegen import random_b_game
+from gamegen import random_assignment, random_b_game, random_general
 from scaling_oracle import in_scaled_image, scaled_dual
 
 Z = F(0)
@@ -274,10 +280,14 @@ def test_gen_floor_infeasible_coalitions_are_skipped():
 
 def test_connected_system_equals_full_system():
     rng = Random(71)
-    for variant in ("b-uniform", "b-unconstrained", "b-constrained", "b-general"):
+    draw = {
+        "assignment": lambda: random_assignment(rng, max_side=4, density=0.7),
+        "general-matching": lambda: random_general(rng, max_n=7, density=0.5),
+    }
+    for variant in (*B_VARIANTS, "assignment", "general-matching"):
         done = 0
         while done < 8:
-            g = random_b_game(rng, variant)
+            g = draw.get(variant, lambda: random_b_game(rng, variant))()
             if not g.edges:
                 continue
             done += 1
@@ -292,6 +302,25 @@ def test_connected_system_equals_full_system():
             a = core_membership_via_system(fast, perturbed).in_core
             b = core_membership_via_system(full, perturbed).in_core
             assert a == b
+
+
+def test_edge_floor_image_point_outside_the_core():
+    # With edge floors a nonnegative dual-derived imputation can leave the
+    # core: here the half split stays in the dual image, but the coalition
+    # {u1,u2,v1,v2,v3} is worth 4 and is paid 15/4.
+    g = random_b_game(Random(20), "b-general", with_floors=True)
+    assert g.vertices == ("u1", "u2", "u3", "v1", "v2", "v3")
+    assert any(g.edge_lower.values())
+    a = GameAnalysis(g)
+    _, y = a.dual
+    profits = imputation_from_dual(g, y, split_half(y), worth=a.worth)
+    assert profits == imp(g, 0, 3, F(15, 4), 0, 0, F(3, 4))
+    assert in_dual_image(g, profits, worth=a.worth)
+    got = a.membership(profits)
+    short = frozenset({"u1", "u2", "v1", "v2", "v3"})
+    assert not got.in_core and got.witness == short
+    assert worth(g, short) == 4
+    assert sum(profits[q] for q in short) == F(15, 4)
 
 
 def test_dual_derived_imputations_pass_core_check():

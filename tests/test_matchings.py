@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from matchcore.analysis import GameAnalysis, classify_edge, classify_vertex
 from matchcore.bundled import load_instance
 from matchcore.games import CapExceeded, induce_subgame, make_game
 from matchcore.matchings import (
@@ -11,9 +12,6 @@ from matchcore.matchings import (
     birkhoff_decompose,
     brute_force_optima,
     check_half_integral,
-    classify_edge,
-    classify_vertex,
-    classification_table,
     fractional_optimum,
     make_matching_vector,
 )
@@ -208,9 +206,10 @@ def test_classify_named_instances():
     assert classify_vertex(load_instance("fork3"), "v1") == "subpar"
 
 
-def test_classification_table_matches_pointwise():
+def test_session_labels_match_pointwise():
     g = load_instance("ring7")
-    vlabels, elabels, best, optima = classification_table(g)
+    a = GameAnalysis(g)
+    (vlabels, elabels), (best, optima) = a.labels, a.optima
     assert best == 4 and len(optima) == 3
     for q in g.vertices:
         assert vlabels[q] == classify_vertex(g, q)
@@ -227,7 +226,7 @@ def test_classification_cross_checks():
         if not g.edges:
             continue
         best, _ = brute_force_optima(g)
-        vlabels, elabels, _, _ = classification_table(g)
+        vlabels, elabels = GameAnalysis(g).labels
         for q in g.vertices:
             rest = frozenset(set(g.vertices) - {q})
             without, _ = brute_force_optima(induce_subgame(g, rest))

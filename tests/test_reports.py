@@ -1,23 +1,36 @@
-"""Work done by one full report: each fact of the game is computed once.
+"""Work done by a full report, a core check and meet/join: each fact of
+the game is computed once, and a "no" stops at its witness.
 
 Calls are counted by rebinding a function under every name the package's
 modules hold it by (``from .x import y`` makes copies), so no call path
 escapes the count.
 """
 
+import re
 import sys
+from collections import Counter
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 import matchcore.cli  # noqa: F401  (loads every module)
-from matchcore import analysis, simplex
+from matchcore import analysis, cli, coalition_system, simplex
+from matchcore.bmatching import sample_core_imputations
 from matchcore.bundled import INSTANCE_NAMES, load_instance
-from matchcore.games import DEFAULT_BUDGET_CAP, DEFAULT_COALITION_CAP
+from matchcore.gamefile import render_game
+from matchcore.games import DEFAULT_BUDGET_CAP, DEFAULT_COALITION_CAP, connected_coalitions
 from matchcore.matchings import brute_force_optima
+from matchcore.rationals import format_rational
 from matchcore.reports import full_report
 
-from gamegen import random_assignment, random_b_game, random_general
+from gamegen import (
+    dual_imputation,
+    random_assignment,
+    random_b_game,
+    random_general,
+    shifted_imputation,
+)
 
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
 
@@ -109,3 +122,87 @@ def test_b_variant_report_enumerates_the_grand_coalition_once(monkeypatch, g):
     _report(g)
     # The others are the coalition worths of the system section.
     assert sum(1 for args in enums if args[0] is g) == 1
+
+
+VARIANTS = ("assignment", "general-matching", *B_VARIANTS)
+# Two edges or more, so that some proper coalition has a positive worth
+# and an imputation can be shifted out of the core below it.
+CHECK_GAMES = [g for g in generated_games(VARIANTS, 24) if len(g.edges) >= 2]
+
+
+def cli_check(monkeypatch, capsys, tmp_path, g, imp):
+    """``matchcore check`` on ``g``: exit code, witness, enumerated vertex sets."""
+    enums = count_calls(monkeypatch, brute_force_optima)
+    path = tmp_path / "game.txt"
+    path.write_text(render_game(g))
+    text = ",".join(format_rational(imp[q]) for q in g.vertices)
+    code = cli.main(["check", "--game", str(path), f"--imputation={text}"])
+    found = re.search(r"witness = \{(.*)\}", capsys.readouterr().out)
+    witness = frozenset(found.group(1).split(",")) if found else None
+    return code, witness, [frozenset(args[0].vertices) for args in enums]
+
+
+@pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
+def test_check_enumerates_the_grand_coalition_once(monkeypatch, capsys, tmp_path, g):
+    code, _, enumerated = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
+    assert code in (0, 1)
+    assert enumerated.count(frozenset(g.vertices)) == 1
+
+
+@pytest.mark.parametrize("how", ["shifted", "negative", "total"])
+@pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
+def test_no_answer_enumerates_nothing_after_its_witness(
+    monkeypatch, capsys, tmp_path, g, how
+):
+    imp = dual_imputation(g)
+    if how == "shifted":
+        imp = shifted_imputation(g, imp)
+    elif how == "negative":
+        imp[g.vertices[0]] = Fraction(-1)
+    else:
+        imp[g.vertices[0]] += 1
+    code, witness, enumerated = cli_check(monkeypatch, capsys, tmp_path, g, imp)
+    assert code == 1
+    grand = frozenset(g.vertices)
+    proper = [s for s in connected_coalitions(g) if s != grand]
+    # Negative entries and a wrong total are answered before any coalition.
+    want = proper[: proper.index(witness) + 1] if how == "shifted" else []
+    assert [s for s in enumerated if s != grand] == want
+
+
+def meet_join_inputs():
+    cases = [(load_instance(n), *analysis.antipodal_imputations(load_instance(n)))
+             for n in ("web5", "tiers8")]
+    rng = Random(83)
+    while len(cases) < 8:
+        g = random_b_game(rng, "b-uniform", max_side=2, max_b=2)
+        if g.edges:
+            samples = sample_core_imputations(coalition_system(g), seed=3, count=2)
+            cases.append((g, samples[0], samples[-1]))
+    return cases
+
+
+MEET_JOIN_INPUTS = meet_join_inputs()
+
+
+@pytest.mark.parametrize(
+    "g,p,q", MEET_JOIN_INPUTS, ids=[g.name or g.variant for g, _, _ in MEET_JOIN_INPUTS]
+)
+def test_meet_join_enumerates_each_coalition_at_most_once(monkeypatch, g, p, q):
+    enums = count_calls(monkeypatch, brute_force_optima)
+    analysis.meet_join(g, p, q)
+    counts = Counter(frozenset(args[0].vertices) for args in enums)
+    assert max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
+def test_membership_after_system_enumerates_nothing(monkeypatch, g):
+    a = analysis.GameAnalysis(g)
+    rows = a.system.inequalities
+    inside = dual_imputation(g)
+    outside = shifted_imputation(g, inside)
+    enums = count_calls(monkeypatch, brute_force_optima)
+    a.membership(inside)
+    verdict = a.membership(outside)
+    assert enums == []
+    assert not verdict.in_core and verdict.witness in [s for s, _ in rows]

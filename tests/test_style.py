@@ -43,3 +43,19 @@ def test_variant_compared_only_where_bounds_are_declared():
                 if (name, owner) not in allowed or (owner == "in_dual_image" and not guard):
                     found.append(f"{name}:{node.lineno} in {owner}")
     assert found == []
+
+
+def test_cli_never_compares_the_variant():
+    # Core membership has one path for all six variants
+    # (GameAnalysis.membership); a ``.variant`` comparison in the CLI
+    # would grow a second one back.
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(side, ast.Attribute) and side.attr == "variant"
+            for side in [node.left, *node.comparators]
+        )
+    ]
+    assert found == []
