@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import bundled
 from .analysis import GameAnalysis, Imputation
@@ -56,7 +57,14 @@ COMMANDS = (
 )
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    A parser is a web of reference cycles that only a full garbage
+    collection frees, so building one per call leaves that much garbage
+    behind each time until the collector gets to it.
+    """
     parser = argparse.ArgumentParser(
         prog="matchcore",
         description="Exact core analysis of assignment, matching and "
@@ -163,8 +171,24 @@ def _run(args: argparse.Namespace) -> int:
     return 1 if finding else 0
 
 
+def _joined_imputation(argv: list[str]) -> list[str]:
+    """``--imputation X`` as ``--imputation=X``.
+
+    argparse takes a separate value that starts with ``-`` for an option,
+    so a profit list with a negative first entry needs the joined form.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--imputation":
+            out[-1] = f"--imputation={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_joined_imputation(argv))
     try:
         return _run(args)
     except CapExceeded as exc:

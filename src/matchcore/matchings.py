@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .games import (
     DEFAULT_BUDGET_CAP,
@@ -80,9 +81,20 @@ def brute_force_optima(
 
     Enumerates every integral multiplicity vector within the variant's
     bounds and returns the optimum plus the complete list of optimal
-    vectors.  Returns ``(None, [])`` when vertex or edge floors make the
-    instance infeasible.  Raises :class:`CapExceeded` when the total
-    multiplicity budget (sum of vertex caps) exceeds ``budget_cap``.
+    vectors, in depth-first order (edges in declared order, each
+    multiplicity ascending).  Returns ``(None, [])`` when vertex or edge
+    floors make the instance infeasible.  Raises :class:`CapExceeded`
+    when the total multiplicity budget (sum of vertex caps) exceeds
+    ``budget_cap``.
+
+    The search runs in integers (weights scaled by the lcm of their
+    denominators).  A node is pruned when even the smaller of two upper
+    bounds on the weight still to come cannot reach the best found so
+    far: the suffix bound (every later edge at its cap), and the
+    residual dual bound, in which each vertex is priced at half the
+    largest weight of a later edge to a vertex with capacity left.  Both
+    prune only on strict ``<``, so every tie is listed.  A vertex below
+    its floor is rejected once its last edge is decided.
     """
     budget = sum(g.vertex_upper.values())
     if budget > budget_cap:
@@ -90,73 +102,110 @@ def brute_force_optima(
             f"total multiplicity budget {budget} exceeds cap {budget_cap}"
         )
     keys = g.edge_keys
-    weights = {k: g.weight(k) for k in keys}
-    caps = {
-        k: min(g.edge_upper[k], g.vertex_upper[k[0]], g.vertex_upper[k[1]])
+    n = len(keys)
+    vertices = g.vertices
+    pos = {q: p for p, q in enumerate(vertices)}
+    ends = [(pos[i], pos[j]) for i, j in keys]
+    scale = lcm(*[w.denominator for _, _, w in g.edges])
+    weights = [int(w * scale) for _, _, w in g.edges]
+    caps = [
+        min(g.edge_upper[k], g.vertex_upper[k[0]], g.vertex_upper[k[1]])
         for k in keys
-    }
-    floors = {k: g.edge_lower[k] for k in keys}
-    if any(floors[k] > caps[k] for k in keys):
+    ]
+    floors = [g.edge_lower[k] for k in keys]
+    lower = [g.vertex_lower[q] for q in vertices]
+    last = [-1] * len(vertices)
+    for t, (i, j) in enumerate(ends):
+        last[i] = last[j] = t
+    if any(floors[t] > caps[t] for t in range(n)) or any(
+        lower[p] > 0 and last[p] < 0 for p in range(len(vertices))
+    ):
         return None, []
+    # Vertices whose floor is decided once edge t is.
+    closes = [[] for _ in range(n)]
+    for p, t in enumerate(last):
+        if t >= 0 and lower[p] > 0:
+            closes[t].append(p)
 
-    # Largest additional weight obtainable from edges k.. onward.
-    suffix = [ZERO] * (len(keys) + 1)
-    for t in range(len(keys) - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + weights[keys[t]] * caps[keys[t]]
+    # Largest additional weight obtainable from edges t.. onward.
+    suffix = [0] * (n + 1)
+    for t in range(n - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + weights[t] * caps[t]
+    # Per vertex, its edges heaviest first as (weight, other end, index);
+    # a node at edge t reads only the entries with index t or later.
+    heavy: list[list[tuple[int, int, int]]] = [[] for _ in vertices]
+    for s, (i, j) in enumerate(ends):
+        heavy[i].append((weights[s], j, s))
+        heavy[j].append((weights[s], i, s))
+    for entries in heavy:
+        entries.sort(key=lambda e: -e[0])
+    # Vertices with an edge, latest last edge first: those with an edge
+    # at t or later are a prefix.
+    by_last = sorted(
+        [p for p in range(len(vertices)) if last[p] >= 0], key=lambda p: -last[p]
+    )
 
-    best: Fraction | None = None
-    optima: list[dict[Edge, int]] = []
-    load = {q: 0 for q in g.vertices}
-    current: dict[Edge, int] = {}
-    lower = g.vertex_lower
+    best: int | None = None
+    optima: list[tuple[int, ...]] = []
+    rem = [g.vertex_upper[q] for q in vertices]
+    # A vertex meets its floor while its remaining capacity is at most this.
+    spare = [g.vertex_upper[q] - lower[p] for p, q in enumerate(vertices)]
+    current = [0] * n
 
-    def leaf_ok() -> bool:
-        return all(load[q] >= lower[q] for q in g.vertices)
-
-    def visit(t: int, weight: Fraction) -> None:
+    def visit(t: int, weight: int) -> None:
         nonlocal best
-        if best is not None and weight + suffix[t] < best:
-            return
-        if t == len(keys):
-            if not leaf_ok():
+        if best is not None:
+            if weight + suffix[t] < best:
                 return
+            twice = 2 * weight
+            for p in by_last:
+                if last[p] < t:
+                    break
+                r = rem[p]
+                if r:
+                    for w, o, s in heavy[p]:
+                        if s >= t and rem[o]:
+                            twice += r * w
+                            break
+            if twice < 2 * best:
+                return
+        if t == n:
             if best is None or weight > best:
                 best = weight
                 optima.clear()
             if weight == best:
-                optima.append(dict(current))
+                optima.append(tuple(current))
             return
-        k = keys[t]
-        i, j = k
-        top = min(
-            caps[k],
-            g.vertex_upper[i] - load[i],
-            g.vertex_upper[j] - load[j],
-        )
-        if floors[k] > top:
+        i, j = ends[t]
+        top = min(caps[t], rem[i], rem[j])
+        if floors[t] > top:
             return
-        for m in range(floors[k], top + 1):
-            if m:
-                current[k] = m
-                load[i] += m
-                load[j] += m
-            visit(t + 1, weight + weights[k] * m)
-            if m:
-                del current[k]
-                load[i] -= m
-                load[j] -= m
+        w = weights[t]
+        shut = closes[t]
+        for m in range(floors[t], top + 1):
+            rem[i] -= m
+            rem[j] -= m
+            if not shut or all(rem[p] <= spare[p] for p in shut):
+                current[t] = m
+                visit(t + 1, weight + w * m)
+            rem[i] += m
+            rem[j] += m
+        current[t] = 0
 
     try:
-        visit(0, ZERO)
+        visit(0, 0)
     finally:
         del visit  # it refers to itself through its cell: break the cycle
     if best is None:
         return None, []
+    total = Fraction(best, scale)
     vectors = [
-        make_matching_vector(g, {k: Fraction(m) for k, m in opt.items()})
+        MatchingVector(
+            tuple([(keys[t], Fraction(m)) for t, m in enumerate(opt) if m]), total
+        )
         for opt in optima
     ]
-    return best, vectors
+    return total, vectors
 
 
 def fractional_optimum(g: GameInstance) -> MatchingVector:

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -202,3 +203,64 @@ def test_splits_change_constrained_imputation(capsys, game_path):
         assert code == 0
         outs[split] = out
     assert len(set(outs.values())) == 3
+
+
+@pytest.mark.parametrize("command", ["check", "dual-image"])
+def test_negative_first_imputation_entry(capsys, game_path, command):
+    # argparse reads "-1,..." after a separate --imputation as an option;
+    # the CLI joins the pair, so both spellings print the same bytes.
+    g = load_instance("bpath4-uncon")
+    imp = ",".join(["-1"] + ["1"] * (len(g.vertices) - 1))
+    path = game_path("bpath4-uncon")
+    spaced = run(capsys, command, "--game", path, "--imputation", imp)
+    joined = run(capsys, command, "--game", path, f"--imputation={imp}")
+    assert spaced == joined
+    assert spaced[0] == 1
+    if command == "check":
+        assert "witness = {" + g.vertices[0] + "}" in spaced[1]
+
+
+INFEASIBLE_FLOOR_GAME = (
+    "variant: b-general\nleft: u\nright: v w\nedge: u v 1\na: w 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("worth", "the grand coalition admits no feasible matching"),
+        ("concurrency", "the grand coalition admits no feasible matching"),
+        ("system", "the grand coalition admits no feasible matching"),
+        ("classify", "no feasible matching to classify against"),
+        ("degeneracy", "no feasible matching to classify against"),
+        ("check", "the grand coalition admits no feasible matching"),
+        ("dual-image", "the grand coalition admits no feasible matching"),
+    ],
+)
+def test_floor_infeasible_game_is_input_error(capsys, tmp_path, command, message):
+    # Vertex w must be matched, but has no edge: no matching satisfies the
+    # floors, and each command that needs the optima says so on stderr.
+    path = tmp_path / "infeasible.game"
+    path.write_text(INFEASIBLE_FLOOR_GAME)
+    extra = ["--imputation", "0,0,0"] if command in ("check", "dual-image") else []
+    code, out, err = run(capsys, command, "--game", str(path), *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["worth", "classify", "system", "check"])
+def test_commands_leave_no_cyclic_garbage(capsys, game_path, command):
+    # A process that serves many commands keeps whatever reference cycles
+    # each call leaves until a full collection, so its memory grows with
+    # the number of calls.
+    path = game_path("bpath4-uncon")
+    extra = ["--imputation", "1,0,0,3"] if command == "check" else []
+    run(capsys, command, "--game", path, *extra)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            run(capsys, command, "--game", path, *extra)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0

@@ -59,7 +59,7 @@ def test_bpath4_uncon_optimum():
 
 def test_budget_cap():
     g = load_instance("tiers8")
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^total multiplicity budget 8 exceeds cap 4$"):
         brute_force_optima(g, budget_cap=4)
 
 
