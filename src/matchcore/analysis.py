@@ -12,8 +12,12 @@ once: one enumeration of the optimal matchings, one primal solve, one
 dual solve whose final tableau answers every face question by a warm
 phase 2 (see :class:`~matchcore.simplex.OptimalTableau`), and one worth
 per connected coalition, from which come both the core system and the
-one core-membership test.  The public functions are thin wrappers over
-a fresh session.
+one core-membership test.  Coalition worths come from one pass per
+session: a subset table for assignment, general and b-uniform games,
+and the worth-only integer search, on arrays built once, for the other
+b-games.  :func:`worth` enumerates one induced subgame instead, and is
+kept as their independent oracle.  The public functions are thin
+wrappers over a fresh session.
 """
 
 from __future__ import annotations
@@ -40,12 +44,16 @@ from .gamelp import (
     solve_dual,
 )
 from .matchings import (
+    IntegerGame,
     InfeasibleGameError,
     MatchingVector,
     SolverInvariantError,
     brute_force_optima,
     fractional_optimum,
+    integer_game,
+    integer_search,
     label_optima,
+    subset_worths,
 )
 from .simplex import (  # solve_lp and solve_over_optimal_face stay importable here
     LPSolution,
@@ -60,6 +68,8 @@ ONE = Fraction(1)
 Imputation = dict[str, Fraction]
 
 PAYMENT_VARIANTS = ("assignment", "general-matching")
+# Variants whose coalition worths are read from one subset table.
+TABLE_VARIANTS = (*PAYMENT_VARIANTS, "b-uniform")
 
 
 @dataclass(frozen=True)
@@ -158,7 +168,9 @@ def worth(
     """Maximum weight obtainable inside coalition ``s`` (whole game if None).
 
     ``None`` marks a coalition whose inherited floors admit no feasible
-    matching at all; such coalitions are skipped by core checks.
+    matching at all; such coalitions are skipped by core checks.  Each
+    call enumerates the induced subgame; a session reads its coalition
+    worths from :meth:`GameAnalysis.coalition_worths` instead.
     """
     sub = g if s is None else induce_subgame(g, s)
     if s is not None and not s:
@@ -174,8 +186,10 @@ class GameAnalysis:
     the enumeration (worth plus all optimal matchings), the fractional
     optimum, concurrency, the labels, the base dual solve with its final
     tableau, the payment report, and the worth of every connected
-    coalition (at most ``cap`` vertices in the game).  A report builds one
-    session and hands it to every section; no cache outlives the session.
+    coalition (at most ``cap`` vertices in the game), read from one
+    subset table or one worth-only search each (see
+    :meth:`coalition_worths`).  A report builds one session and hands it
+    to every section; no cache outlives the session.
     """
 
     def __init__(
@@ -205,17 +219,41 @@ class GameAnalysis:
         grand = frozenset(self.g.vertices)
         return [s for s in connected_coalitions(self.g, self.cap) if s != grand]
 
+    @cached_property
+    def _integer_game(self) -> IntegerGame:
+        return integer_game(self.g)
+
+    @cached_property
+    def _subset_worths(self) -> list[int]:
+        return subset_worths(self._integer_game)
+
     def coalition_worths(self) -> Iterator[tuple[Coalition, Fraction | None]]:
         """Each connected proper coalition with its worth, lexicographically.
 
         Lazy and memoized: a worth is computed when a scan first reaches
-        its coalition, at most once per session.
+        its coalition, at most once per session.  The grand worth comes
+        first: no coalition's multiplicity budget exceeds the game's, so
+        its ``budget_cap`` check covers them all.  Assignment, general
+        and b-uniform games read every worth from one subset table
+        (:func:`~matchcore.matchings.subset_worths`); the other b-games
+        run the worth-only integer search on the coalition's vertices.
         """
+        self.worth
         worths = self._worths
         for i, s in enumerate(self._coalitions):
             if i == len(worths):
-                worths.append(worth(self.g, s, self.budget_cap))
+                worths.append(self._coalition_worth(s))
             yield s, worths[i]
+
+    def _coalition_worth(self, s: Coalition) -> Fraction | None:
+        ig = self._integer_game
+        mask = sum([1 << p for p, q in enumerate(self.g.vertices) if q in s])
+        if self.g.variant in TABLE_VARIANTS:
+            # x -> b x maps the bipartite matching polytope, which is
+            # integral, onto the b-uniform one, so v_b(S) = b v(S).
+            return Fraction(max(ig.upper) * self._subset_worths[mask], ig.scale)
+        best, _ = integer_search(ig, mask, ties=False)
+        return None if best is None else Fraction(best, ig.scale)
 
     @cached_property
     def system(self) -> CoalitionSystem:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .games import VARIANTS, Edge, GameInstance
+from .games import VARIANTS, Edge, GameInstance, InfeasibleGameError
 from .simplex import LinearProgram, LPSolution, solve_lp
 
 ZERO = Fraction(0)
@@ -150,7 +150,14 @@ def dual_solution_from_lp(g: GameInstance, sol: LPSolution) -> DualSolution:
 
 
 def solve_dual(g: GameInstance) -> tuple[LPSolution, DualSolution]:
+    """The dual optimum and its prices.
+
+    Raising the vertex prices covers every edge, so the dual is always
+    feasible: an unbounded dual means that no matching meets the floors.
+    """
     sol = solve_lp(build_dual_lp(g))
+    if sol.status == "unbounded":
+        raise InfeasibleGameError("the grand coalition admits no feasible matching")
     return sol, dual_solution_from_lp(g, sol)
 
 

@@ -47,6 +47,10 @@ class CapExceeded(Exception):
     """An enumeration would exceed its configured cap."""
 
 
+class InfeasibleGameError(Exception):
+    """The instance admits no matching within its bounds."""
+
+
 @dataclass(frozen=True)
 class GameInstance:
     variant: str

@@ -3,7 +3,9 @@
 The exhaustive enumerator here is deliberately independent of the LP
 path: it is the ground truth that duality results are checked against,
 and the source of the full set of optimal integral matchings that the
-essential/viable/subpar classification quantifies over.
+essential/viable/subpar classification quantifies over.  Its integer
+search also runs worth-only on coalitions, and :func:`subset_worths`
+tabulates every coalition worth of a single-use game at once.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .games import (
     CapExceeded,
     Edge,
     GameInstance,
+    InfeasibleGameError,
 )
 from .simplex import solve_lp
 from .gamelp import build_primal_lp, edge_name
@@ -28,10 +31,6 @@ ONE = Fraction(1)
 ESSENTIAL = "essential"
 VIABLE = "viable"
 SUBPAR = "subpar"
-
-
-class InfeasibleGameError(Exception):
-    """The instance admits no matching within its bounds."""
 
 
 class SolverInvariantError(Exception):
@@ -85,40 +84,101 @@ def brute_force_optima(
     multiplicity ascending).  Returns ``(None, [])`` when vertex or edge
     floors make the instance infeasible.  Raises :class:`CapExceeded`
     when the total multiplicity budget (sum of vertex caps) exceeds
-    ``budget_cap``.
-
-    The search runs in integers (weights scaled by the lcm of their
-    denominators).  A node is pruned when even the smaller of two upper
-    bounds on the weight still to come cannot reach the best found so
-    far: the suffix bound (every later edge at its cap), and the
-    residual dual bound, in which each vertex is priced at half the
-    largest weight of a later edge to a vertex with capacity left.  Both
-    prune only on strict ``<``, so every tie is listed.  A vertex below
-    its floor is rejected once its last edge is decided.
+    ``budget_cap``.  The search is :func:`integer_search` with every
+    tie listed.
     """
     budget = sum(g.vertex_upper.values())
     if budget > budget_cap:
         raise CapExceeded(
             f"total multiplicity budget {budget} exceeds cap {budget_cap}"
         )
+    ig = integer_game(g)
+    best, optima = integer_search(ig, (1 << len(g.vertices)) - 1, ties=True)
+    if best is None:
+        return None, []
     keys = g.edge_keys
-    n = len(keys)
-    vertices = g.vertices
-    pos = {q: p for p, q in enumerate(vertices)}
-    ends = [(pos[i], pos[j]) for i, j in keys]
-    scale = lcm(*[w.denominator for _, _, w in g.edges])
-    weights = [int(w * scale) for _, _, w in g.edges]
-    caps = [
-        min(g.edge_upper[k], g.vertex_upper[k[0]], g.vertex_upper[k[1]])
-        for k in keys
+    total = Fraction(best, ig.scale)
+    vectors = [
+        MatchingVector(
+            tuple([(keys[t], Fraction(m)) for t, m in enumerate(opt) if m]), total
+        )
+        for opt in optima
     ]
-    floors = [g.edge_lower[k] for k in keys]
-    lower = [g.vertex_lower[q] for q in vertices]
-    last = [-1] * len(vertices)
+    return total, vectors
+
+
+@dataclass(frozen=True)
+class IntegerGame:
+    """A game's bounds and weights as integer arrays, for the searches below.
+
+    Vertex ``p`` is ``g.vertices[p]`` and edge ``t`` is ``g.edges[t]``;
+    weights are scaled by ``scale``, the lcm of their denominators, and
+    an edge's cap is the least of its own cap and its two vertex caps.
+    """
+
+    ends: tuple[tuple[int, int], ...]
+    weights: tuple[int, ...]
+    caps: tuple[int, ...]
+    floors: tuple[int, ...]
+    upper: tuple[int, ...]
+    lower: tuple[int, ...]
+    scale: int
+
+
+def integer_game(g: GameInstance) -> IntegerGame:
+    pos = {q: p for p, q in enumerate(g.vertices)}
+    keys = g.edge_keys
+    scale = lcm(*[w.denominator for _, _, w in g.edges])
+    return IntegerGame(
+        tuple([(pos[i], pos[j]) for i, j in keys]),
+        tuple([int(w * scale) for _, _, w in g.edges]),
+        tuple([
+            min(g.edge_upper[k], g.vertex_upper[k[0]], g.vertex_upper[k[1]])
+            for k in keys
+        ]),
+        tuple([g.edge_lower[k] for k in keys]),
+        tuple([g.vertex_upper[q] for q in g.vertices]),
+        tuple([g.vertex_lower[q] for q in g.vertices]),
+        scale,
+    )
+
+
+def integer_search(
+    ig: IntegerGame, mask: int, ties: bool
+) -> tuple[int | None, list[tuple[int, ...]]]:
+    """Maximum-weight integral b-matching of the vertices in ``mask``.
+
+    Bit ``p`` of ``mask`` stands for vertex ``p`` of ``ig``; the search
+    runs depth-first over the edges with both ends in ``mask``, in order.
+    Returns the best scaled weight, or None when floors admit no
+    matching, and the optimal multiplicity tuples over those edges.
+
+    A node is pruned when even the smaller of two upper bounds on the
+    weight still to come cannot reach the best found so far: the suffix
+    bound (every later edge at its cap), and the residual dual bound, in
+    which each vertex is priced at half the largest weight of a later
+    edge to a vertex with capacity left.  With ``ties`` both prune only
+    on strict ``<``, so every optimum is listed, in depth-first order
+    (each multiplicity ascending).  Without, they prune on ``<=`` too, so
+    only strictly better matchings are reached and the list holds one
+    optimum: the worth-only search.  A vertex below its floor is
+    rejected once its last edge is decided.
+    """
+    chosen = [
+        t for t, (i, j) in enumerate(ig.ends) if mask >> i & 1 and mask >> j & 1
+    ]
+    n = len(chosen)
+    ends = [ig.ends[t] for t in chosen]
+    weights = [ig.weights[t] for t in chosen]
+    caps = [ig.caps[t] for t in chosen]
+    floors = [ig.floors[t] for t in chosen]
+    upper, lower = ig.upper, ig.lower
+    nv = len(upper)
+    last = [-1] * nv
     for t, (i, j) in enumerate(ends):
         last[i] = last[j] = t
     if any(floors[t] > caps[t] for t in range(n)) or any(
-        lower[p] > 0 and last[p] < 0 for p in range(len(vertices))
+        lower[p] > 0 and last[p] < 0 for p in range(nv) if mask >> p & 1
     ):
         return None, []
     # Vertices whose floor is decided once edge t is.
@@ -133,7 +193,7 @@ def brute_force_optima(
         suffix[t] = suffix[t + 1] + weights[t] * caps[t]
     # Per vertex, its edges heaviest first as (weight, other end, index);
     # a node at edge t reads only the entries with index t or later.
-    heavy: list[list[tuple[int, int, int]]] = [[] for _ in vertices]
+    heavy: list[list[tuple[int, int, int]]] = [[] for _ in range(nv)]
     for s, (i, j) in enumerate(ends):
         heavy[i].append((weights[s], j, s))
         heavy[j].append((weights[s], i, s))
@@ -141,17 +201,22 @@ def brute_force_optima(
         entries.sort(key=lambda e: -e[0])
     # Vertices with an edge, latest last edge first: those with an edge
     # at t or later are a prefix.
-    by_last = sorted(
-        [p for p in range(len(vertices)) if last[p] >= 0], key=lambda p: -last[p]
-    )
+    by_last = sorted([p for p in range(nv) if last[p] >= 0], key=lambda p: -last[p])
 
+    # best holds the best weight found plus slack: a bound below it cannot
+    # tie (slack 0) or beat (slack 1) that weight.  Weights are integers,
+    # so the same holds for a doubled bound below 2 best.
+    slack = 0 if ties else 1
     best: int | None = None
     optima: list[tuple[int, ...]] = []
-    rem = [g.vertex_upper[q] for q in vertices]
+    rem = list(upper)
     # A vertex meets its floor while its remaining capacity is at most this.
-    spare = [g.vertex_upper[q] - lower[p] for p, q in enumerate(vertices)]
+    spare = [upper[p] - lower[p] for p in range(nv)]
     current = [0] * n
 
+    # CPython 3.11 never reuses a freed tuple of exactly 20 items, so visit
+    # must not close over 20 names: each call would leave its closure
+    # tuple behind (tests/test_matchings.py checks the memory).
     def visit(t: int, weight: int) -> None:
         nonlocal best
         if best is not None:
@@ -170,10 +235,10 @@ def brute_force_optima(
             if twice < 2 * best:
                 return
         if t == n:
-            if best is None or weight > best:
-                best = weight
+            if best is None or weight + slack > best:
+                best = weight + slack
                 optima.clear()
-            if weight == best:
+            if weight + slack == best:
                 optima.append(tuple(current))
             return
         i, j = ends[t]
@@ -196,16 +261,36 @@ def brute_force_optima(
         visit(0, 0)
     finally:
         del visit  # it refers to itself through its cell: break the cycle
-    if best is None:
-        return None, []
-    total = Fraction(best, scale)
-    vectors = [
-        MatchingVector(
-            tuple([(keys[t], Fraction(m)) for t, m in enumerate(opt) if m]), total
-        )
-        for opt in optima
-    ]
-    return total, vectors
+    return (None if best is None else best - slack), optima
+
+
+def subset_worths(ig: IntegerGame) -> list[int]:
+    """Scaled single-use worth of every vertex subset, indexed by bitmask.
+
+    Each vertex is matched at most once and each edge used at most once,
+    whatever ``ig``'s caps say.  Built upward over the bitmasks by the
+    recursion on the lowest vertex v of S, which is either unmatched or
+    matched to one neighbour u in S:
+    v(S) = max(v(S - v), max over u of w_uv + v(S - v - u)).
+    It is exact on any simple graph, bipartite or not.
+    """
+    nv = len(ig.upper)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    for (i, j), w in zip(ig.ends, ig.weights):
+        adj[i].append((1 << j, w))
+        adj[j].append((1 << i, w))
+    table = [0] * (1 << nv)
+    for s in range(1, 1 << nv):
+        low = s & -s
+        rest = s ^ low
+        best = table[rest]
+        for bit, w in adj[low.bit_length() - 1]:
+            if rest & bit:
+                got = w + table[rest ^ bit]
+                if got > best:
+                    best = got
+        table[s] = best
+    return table
 
 
 def fractional_optimum(g: GameInstance) -> MatchingVector:

@@ -6,6 +6,7 @@ so every quantity downstream stays exactly representable and tiny.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -92,6 +93,13 @@ def random_b_game(
         edge_upper=edge_upper,
         edge_lower=edge_lower,
     )
+
+
+def with_vertex_floors(rng: Random, g: GameInstance) -> GameInstance:
+    """``g`` (b-general) with random vertex floors, often beyond reach."""
+    lower = {q: rng.randint(0, g.vertex_upper[q]) if rng.random() < 0.4 else 0
+             for q in g.vertices}
+    return replace(g, vertex_lower=lower)
 
 
 def dual_imputation(g: GameInstance) -> dict[str, Fraction]:

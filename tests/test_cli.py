@@ -235,6 +235,8 @@ INFEASIBLE_FLOOR_GAME = (
         ("degeneracy", "no feasible matching to classify against"),
         ("check", "the grand coalition admits no feasible matching"),
         ("dual-image", "the grand coalition admits no feasible matching"),
+        ("dual", "the grand coalition admits no feasible matching"),
+        ("imputation", "the grand coalition admits no feasible matching"),
     ],
 )
 def test_floor_infeasible_game_is_input_error(capsys, tmp_path, command, message):
@@ -247,20 +249,27 @@ def test_floor_infeasible_game_is_input_error(capsys, tmp_path, command, message
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# In-core imputations, so that check scans every coalition: bpath4-uncon's
+# coalition worths come from the worth-only search, web5's from the
+# subset table.
+GARBAGE_GAMES = {"bpath4-uncon": "2,0,0,2", "web5": "1/10,0,0,1,9/10"}
+
+
 @pytest.mark.parametrize("command", ["worth", "classify", "system", "check"])
 def test_commands_leave_no_cyclic_garbage(capsys, game_path, command):
     # A process that serves many commands keeps whatever reference cycles
     # each call leaves until a full collection, so its memory grows with
     # the number of calls.
-    path = game_path("bpath4-uncon")
-    extra = ["--imputation", "1,0,0,3"] if command == "check" else []
-    run(capsys, command, "--game", path, *extra)
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(3):
-            run(capsys, command, "--game", path, *extra)
-        found = gc.collect()
-    finally:
-        gc.enable()
-    assert found == 0
+    for name, imp in GARBAGE_GAMES.items():
+        path = game_path(name)
+        extra = ["--imputation", imp] if command == "check" else []
+        assert run(capsys, command, "--game", path, *extra)[0] == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                run(capsys, command, "--game", path, *extra)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0, name

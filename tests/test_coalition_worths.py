@@ -1,0 +1,133 @@
+"""Coalition worths of a session against independent oracles.
+
+``GameAnalysis.coalition_worths`` reads assignment, general and b-uniform
+worths from one subset table and searches the other b-games worth-only.
+Oracles:
+
+* ``analysis.worth(g, s)``: the full enumeration of the induced subgame;
+* networkx ``max_weight_matching`` on general games of 12-16 vertices and
+  scipy ``linear_sum_assignment`` on assignment games (weights scaled to
+  integers), against the subset table itself;
+* the b-uniform identity v_b(S) = b v(S), where v is the assignment game
+  on the same graph.  Certificate: x -> b x maps the bipartite matching
+  polytope onto {x >= 0, x(delta(q)) <= b, x_e <= b}; the first is
+  integral (Birkhoff-von Neumann), so the LP optimum of the second is
+  b v(S) and is reached at an integer point.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+from matchcore import analysis
+from matchcore.analysis import GameAnalysis
+from matchcore.games import induce_subgame, make_game
+from matchcore.matchings import InfeasibleGameError, integer_game, subset_worths
+
+from gamegen import (
+    rand_weight,
+    random_assignment,
+    random_b_game,
+    random_general,
+    with_vertex_floors,
+)
+from worth_oracles import networkx_worth, scipy_worth
+
+VARIANTS = (
+    "assignment",
+    "general-matching",
+    "b-uniform",
+    "b-unconstrained",
+    "b-constrained",
+    "b-general",
+)
+
+
+def seeded_games():
+    rng = Random(29)
+    games = []
+    for r in range(60):
+        games.append(random_assignment(rng, max_side=4, density=0.6))
+        games.append(random_general(rng, max_n=7, density=0.5))
+        for variant in VARIANTS[2:]:
+            g = random_b_game(rng, variant, with_floors=r % 2 == 1)
+            if variant == "b-general" and r % 2:
+                g = with_vertex_floors(rng, g)
+            games.append(g)
+    return games
+
+
+SEEDED = seeded_games()
+
+
+def test_seeded_games_cover_every_variant():
+    assert len(SEEDED) >= 300
+    assert {g.variant for g in SEEDED} == set(VARIANTS)
+
+
+def test_every_coalition_worth_equals_the_enumerator():
+    skipping = 0
+    for g in SEEDED:
+        a = GameAnalysis(g)
+        if analysis.worth(g) is None:
+            # The scan starts from the grand worth.
+            with pytest.raises(InfeasibleGameError):
+                list(a.coalition_worths())
+            continue
+        got = list(a.coalition_worths())
+        assert got == [(s, analysis.worth(g, s)) for s, _ in got]
+        skipping += any(w is None for _, w in got)
+    assert skipping >= 5
+
+
+def table_against(g, oracle, rng, samples):
+    """The table entry of the whole game and of random subsets against ``oracle``."""
+    ig = integer_game(g)
+    table = subset_worths(ig)
+    full = (1 << len(g.vertices)) - 1
+    for mask in [full] + [rng.randrange(1, full) for _ in range(samples)]:
+        s = frozenset(q for p, q in enumerate(g.vertices) if mask >> p & 1)
+        assert Fraction(table[mask], ig.scale) == oracle(induce_subgame(g, s))
+
+
+def large_general(rng, n):
+    vs = tuple(f"v{i + 1}" for i in range(n))
+    density = rng.choice((0.2, 0.4, 0.7))
+    edges = [(vs[i], vs[j], rand_weight(rng))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    return make_game("general-matching", [], vs, edges)
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_subset_table_matches_networkx_on_general_games(n):
+    rng = Random(n)
+    for _ in range(3):
+        table_against(large_general(rng, n), networkx_worth, rng, 40)
+
+
+def test_subset_table_matches_scipy_on_assignment_games():
+    rng = Random(31)
+    for _ in range(30):
+        g = random_assignment(rng, max_side=7, density=0.6)
+        table_against(g, scipy_worth, rng, 20)
+
+
+def test_b_uniform_worth_is_b_times_the_assignment_worth():
+    rng = Random(37)
+    checked = 0
+    while checked < 40:
+        g = random_b_game(rng, "b-uniform", max_b=3)
+        if not g.edges:
+            continue
+        b = g.vertex_upper[g.vertices[0]]
+        single = replace(
+            g,
+            variant="assignment",
+            vertex_upper={q: 1 for q in g.vertices},
+            edge_upper={k: 1 for k in g.edge_keys},
+        )
+        for s, got in GameAnalysis(g).coalition_worths():
+            assert got == analysis.worth(g, s) == b * analysis.worth(single, s)
+        checked += 1

@@ -7,31 +7,19 @@
   (weights scaled to integers) for worths.
 """
 
-from dataclasses import replace
-from fractions import Fraction
-from math import lcm
 from random import Random
 
-import networkx as nx
-import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from matchcore.analysis import GameAnalysis
 from matchcore.games import make_game
 from matchcore.matchings import brute_force_optima
 
-from gamegen import random_assignment, random_b_game, random_general
+from gamegen import random_assignment, random_b_game, random_general, with_vertex_floors
 from plain_enumerator import plain_optima
+from worth_oracles import networkx_worth, scipy_worth
 
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
-
-
-def with_vertex_floors(rng, g):
-    """``g`` (b-general) with random vertex floors, often beyond reach."""
-    lower = {q: rng.randint(0, g.vertex_upper[q]) if rng.random() < 0.4 else 0
-             for q in g.vertices}
-    return replace(g, vertex_lower=lower)
 
 
 def seeded_games():
@@ -112,29 +100,6 @@ def test_tie_games_include_non_concurrent_general_games():
 @pytest.mark.parametrize("g", TIE_GAMES, ids=lambda g: f"{g.variant}-{len(g.vertices)}")
 def test_session_lists_the_plain_optima_on_tie_games(g):
     assert GameAnalysis(g).optima == plain_optima(g)
-
-
-def scaled(g):
-    scale = lcm(*[w.denominator for _, _, w in g.edges])
-    return scale, {(i, j): int(w * scale) for i, j, w in g.edges}
-
-
-def networkx_worth(g):
-    scale, weights = scaled(g)
-    graph = nx.Graph()
-    graph.add_weighted_edges_from([(i, j, w) for (i, j), w in weights.items()])
-    matching = nx.max_weight_matching(graph)
-    total = sum(weights.get((i, j), weights.get((j, i), 0)) for i, j in matching)
-    return Fraction(total, scale)
-
-
-def scipy_worth(g):
-    scale, weights = scaled(g)
-    matrix = np.zeros((len(g.left), len(g.right)), dtype=np.int64)
-    for (i, j), w in weights.items():
-        matrix[g.left.index(i), g.right.index(j)] = w
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
-    return Fraction(int(matrix[rows, cols].sum()), scale)
 
 
 def test_worths_match_networkx_and_scipy():

@@ -1,4 +1,5 @@
 import gc
+import sys
 from fractions import Fraction as F
 from random import Random
 
@@ -264,3 +265,17 @@ def test_enumeration_leaves_no_cyclic_garbage():
     h = load_instance("path5")
     vec = make_matching_vector(h, {k: H for k in h.edge_keys})
     assert _cyclic_garbage(lambda: birkhoff_decompose(h, vec)) == []
+
+
+
+def test_repeated_searches_hold_no_memory():
+    # A session searches once per coalition.  CPython 3.11 never reuses a
+    # freed tuple of exactly 20 items, so a search closure of 20 cells
+    # grew the tuple free list by one block per call, up to 2,000 blocks
+    # (about 400 kB of resident memory).
+    g = load_instance("bpath4-con")
+    GameAnalysis(g).system
+    before = sys.getallocatedblocks()
+    for _ in range(200):
+        GameAnalysis(g).system
+    assert sys.getallocatedblocks() - before < 100

@@ -1,6 +1,10 @@
 """Work done by a full report, a core check and meet/join: each fact of
 the game is computed once, and a "no" stops at its witness.
 
+Coalition worths come from one subset table (assignment, general and
+b-uniform games) or from one worth-only search per coalition (the other
+b-games); the full enumeration runs on the grand coalition only.
+
 Calls are counted by rebinding a function under every name the package's
 modules hold it by (``from .x import y`` makes copies), so no call path
 escapes the count.
@@ -8,7 +12,7 @@ escapes the count.
 
 import re
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from random import Random
 
@@ -20,7 +24,7 @@ from matchcore.bmatching import sample_core_imputations
 from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore.gamefile import render_game
 from matchcore.games import DEFAULT_BUDGET_CAP, DEFAULT_COALITION_CAP, connected_coalitions
-from matchcore.matchings import brute_force_optima
+from matchcore.matchings import brute_force_optima, integer_search, subset_worths
 from matchcore.rationals import format_rational
 from matchcore.reports import full_report
 
@@ -130,23 +134,44 @@ VARIANTS = ("assignment", "general-matching", *B_VARIANTS)
 CHECK_GAMES = [g for g in generated_games(VARIANTS, 24) if len(g.edges) >= 2]
 
 
-def cli_check(monkeypatch, capsys, tmp_path, g, imp):
-    """``matchcore check`` on ``g``: exit code, witness, enumerated vertex sets."""
+# Vertex sets enumerated in full, vertex sets searched (the grand
+# coalition's enumeration included), and subset tables built.
+Work = namedtuple("Work", "enumerated searched tables")
+
+
+def count_work(monkeypatch, g):
+    """Start counting the work done on ``g``; read it by calling the result."""
     enums = count_calls(monkeypatch, brute_force_optima)
+    searches = count_calls(monkeypatch, integer_search)
+    tables = count_calls(monkeypatch, subset_worths)
+
+    def members(mask):
+        return frozenset(q for p, q in enumerate(g.vertices) if mask >> p & 1)
+
+    return lambda: Work(
+        [frozenset(args[0].vertices) for args in enums],
+        [members(args[1]) for args in searches],
+        len(tables),
+    )
+
+
+def cli_check(monkeypatch, capsys, tmp_path, g, imp):
+    """``matchcore check`` on ``g``: exit code, witness, work done."""
+    work = count_work(monkeypatch, g)
     path = tmp_path / "game.txt"
     path.write_text(render_game(g))
     text = ",".join(format_rational(imp[q]) for q in g.vertices)
     code = cli.main(["check", "--game", str(path), f"--imputation={text}"])
     found = re.search(r"witness = \{(.*)\}", capsys.readouterr().out)
     witness = frozenset(found.group(1).split(",")) if found else None
-    return code, witness, [frozenset(args[0].vertices) for args in enums]
+    return code, witness, work()
 
 
 @pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
 def test_check_enumerates_the_grand_coalition_once(monkeypatch, capsys, tmp_path, g):
-    code, _, enumerated = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
+    code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code in (0, 1)
-    assert enumerated.count(frozenset(g.vertices)) == 1
+    assert work.enumerated == [frozenset(g.vertices)]
 
 
 @pytest.mark.parametrize("how", ["shifted", "negative", "total"])
@@ -161,13 +186,21 @@ def test_no_answer_enumerates_nothing_after_its_witness(
         imp[g.vertices[0]] = Fraction(-1)
     else:
         imp[g.vertices[0]] += 1
-    code, witness, enumerated = cli_check(monkeypatch, capsys, tmp_path, g, imp)
+    code, witness, work = cli_check(monkeypatch, capsys, tmp_path, g, imp)
     assert code == 1
     grand = frozenset(g.vertices)
     proper = [s for s in connected_coalitions(g) if s != grand]
-    # Negative entries and a wrong total are answered before any coalition.
-    want = proper[: proper.index(witness) + 1] if how == "shifted" else []
-    assert [s for s in enumerated if s != grand] == want
+    # A negative entry is answered before the grand worth, a wrong total
+    # before any coalition.
+    prefix = proper[: proper.index(witness) + 1] if how == "shifted" else []
+    searched = [s for s in work.searched if s != grand]
+    assert work.enumerated == ([] if how == "negative" else [grand])
+    if g.variant in analysis.TABLE_VARIANTS:
+        # One table per session holds every worth; nothing is searched.
+        assert (work.tables, searched) == (1 if prefix else 0, [])
+    else:
+        # One worth-only search per coalition, up to the witness.
+        assert (work.tables, searched) == (0, prefix)
 
 
 def meet_join_inputs():
@@ -189,10 +222,11 @@ MEET_JOIN_INPUTS = meet_join_inputs()
     "g,p,q", MEET_JOIN_INPUTS, ids=[g.name or g.variant for g, _, _ in MEET_JOIN_INPUTS]
 )
 def test_meet_join_enumerates_each_coalition_at_most_once(monkeypatch, g, p, q):
-    enums = count_calls(monkeypatch, brute_force_optima)
+    work = count_work(monkeypatch, g)
     analysis.meet_join(g, p, q)
-    counts = Counter(frozenset(args[0].vertices) for args in enums)
-    assert max(counts.values()) == 1
+    done = work()
+    assert done.enumerated == [frozenset(g.vertices)] and done.tables <= 1
+    assert max(Counter(done.searched).values()) == 1
 
 
 @pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
@@ -201,8 +235,8 @@ def test_membership_after_system_enumerates_nothing(monkeypatch, g):
     rows = a.system.inequalities
     inside = dual_imputation(g)
     outside = shifted_imputation(g, inside)
-    enums = count_calls(monkeypatch, brute_force_optima)
+    work = count_work(monkeypatch, g)
     a.membership(inside)
     verdict = a.membership(outside)
-    assert enums == []
+    assert work() == Work([], [], 0)
     assert not verdict.in_core and verdict.witness in [s for s, _ in rows]
