@@ -53,6 +53,7 @@ from .matchings import (
     integer_game,
     integer_search,
     label_optima,
+    restrict,
     subset_worths,
 )
 from .simplex import (  # solve_lp and solve_over_optimal_face stay importable here
@@ -252,7 +253,7 @@ class GameAnalysis:
             # x -> b x maps the bipartite matching polytope, which is
             # integral, onto the b-uniform one, so v_b(S) = b v(S).
             return Fraction(max(ig.upper) * self._subset_worths[mask], ig.scale)
-        best, _ = integer_search(ig, mask, ties=False)
+        best, _ = integer_search(restrict(ig, mask), ties=False)
         return None if best is None else Fraction(best, ig.scale)
 
     @cached_property

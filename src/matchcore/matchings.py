@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .games import (
     DEFAULT_BUDGET_CAP,
@@ -93,7 +94,7 @@ def brute_force_optima(
             f"total multiplicity budget {budget} exceeds cap {budget_cap}"
         )
     ig = integer_game(g)
-    best, optima = integer_search(ig, (1 << len(g.vertices)) - 1, ties=True)
+    best, optima = integer_search(ig, ties=True)
     if best is None:
         return None, []
     keys = g.edge_keys
@@ -107,8 +108,7 @@ def brute_force_optima(
     return total, vectors
 
 
-@dataclass(frozen=True)
-class IntegerGame:
+class IntegerGame(NamedTuple):
     """A game's bounds and weights as integer arrays, for the searches below.
 
     Vertex ``p`` is ``g.vertices[p]`` and edge ``t`` is ``g.edges[t]``;
@@ -116,12 +116,12 @@ class IntegerGame:
     an edge's cap is the least of its own cap and its two vertex caps.
     """
 
-    ends: tuple[tuple[int, int], ...]
-    weights: tuple[int, ...]
-    caps: tuple[int, ...]
-    floors: tuple[int, ...]
-    upper: tuple[int, ...]
-    lower: tuple[int, ...]
+    ends: list[tuple[int, int]]
+    weights: list[int]
+    caps: list[int]
+    floors: list[int]
+    upper: list[int]
+    lower: list[int]
     scale: int
 
 
@@ -130,28 +130,46 @@ def integer_game(g: GameInstance) -> IntegerGame:
     keys = g.edge_keys
     scale = lcm(*[w.denominator for _, _, w in g.edges])
     return IntegerGame(
-        tuple([(pos[i], pos[j]) for i, j in keys]),
-        tuple([int(w * scale) for _, _, w in g.edges]),
-        tuple([
+        [(pos[i], pos[j]) for i, j in keys],
+        [int(w * scale) for _, _, w in g.edges],
+        [
             min(g.edge_upper[k], g.vertex_upper[k[0]], g.vertex_upper[k[1]])
             for k in keys
-        ]),
-        tuple([g.edge_lower[k] for k in keys]),
-        tuple([g.vertex_upper[q] for q in g.vertices]),
-        tuple([g.vertex_lower[q] for q in g.vertices]),
+        ],
+        [g.edge_lower[k] for k in keys],
+        [g.vertex_upper[q] for q in g.vertices],
+        [g.vertex_lower[q] for q in g.vertices],
         scale,
     )
 
 
-def integer_search(
-    ig: IntegerGame, mask: int, ties: bool
-) -> tuple[int | None, list[tuple[int, ...]]]:
-    """Maximum-weight integral b-matching of the vertices in ``mask``.
+def restrict(ig: IntegerGame, mask: int) -> IntegerGame:
+    """The subgame induced by the vertices whose bits are set in ``mask``.
 
-    Bit ``p`` of ``mask`` stands for vertex ``p`` of ``ig``; the search
-    runs depth-first over the edges with both ends in ``mask``, in order.
+    Vertex positions stay those of ``ig``; a vertex outside ``mask``
+    keeps no edge and gets cap and floor 0.
+    """
+    chosen = [
+        t for t, (i, j) in enumerate(ig.ends) if mask >> i & 1 and mask >> j & 1
+    ]
+    return IntegerGame(
+        [ig.ends[t] for t in chosen],
+        [ig.weights[t] for t in chosen],
+        [ig.caps[t] for t in chosen],
+        [ig.floors[t] for t in chosen],
+        [u if mask >> p & 1 else 0 for p, u in enumerate(ig.upper)],
+        [f if mask >> p & 1 else 0 for p, f in enumerate(ig.lower)],
+        ig.scale,
+    )
+
+
+def integer_search(
+    ig: IntegerGame, ties: bool
+) -> tuple[int | None, list[tuple[int, ...]]]:
+    """Maximum-weight integral b-matching of ``ig``, depth-first over its edges.
+
     Returns the best scaled weight, or None when floors admit no
-    matching, and the optimal multiplicity tuples over those edges.
+    matching, and the optimal multiplicity tuples over ``ig``'s edges.
 
     A node is pruned when even the smaller of two upper bounds on the
     weight still to come cannot reach the best found so far: the suffix
@@ -164,21 +182,14 @@ def integer_search(
     optimum: the worth-only search.  A vertex below its floor is
     rejected once its last edge is decided.
     """
-    chosen = [
-        t for t, (i, j) in enumerate(ig.ends) if mask >> i & 1 and mask >> j & 1
-    ]
-    n = len(chosen)
-    ends = [ig.ends[t] for t in chosen]
-    weights = [ig.weights[t] for t in chosen]
-    caps = [ig.caps[t] for t in chosen]
-    floors = [ig.floors[t] for t in chosen]
-    upper, lower = ig.upper, ig.lower
+    ends, weights, caps, floors, upper, lower, _ = ig
+    n = len(ends)
     nv = len(upper)
     last = [-1] * nv
     for t, (i, j) in enumerate(ends):
         last[i] = last[j] = t
     if any(floors[t] > caps[t] for t in range(n)) or any(
-        lower[p] > 0 and last[p] < 0 for p in range(nv) if mask >> p & 1
+        lower[p] > 0 and last[p] < 0 for p in range(nv)
     ):
         return None, []
     # Vertices whose floor is decided once edge t is.

@@ -249,10 +249,19 @@ def test_floor_infeasible_game_is_input_error(capsys, tmp_path, command, message
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-# In-core imputations, so that check scans every coalition: bpath4-uncon's
-# coalition worths come from the worth-only search, web5's from the
-# subset table.
-GARBAGE_GAMES = {"bpath4-uncon": "2,0,0,2", "web5": "1/10,0,0,1,9/10"}
+# Each command runs on a game whose coalition worths come from the
+# worth-only search (bpath4-uncon) and on one whose worths come from the
+# subset table (web5).  check runs on in-core imputations, which scan
+# every coalition, and on out-of-core ones, which stop at the witness and
+# leave the coalition scan unfinished; the exit code tells which ran.
+GARBAGE_RUNS = {
+    "check": [
+        ("bpath4-uncon", ["--imputation", "2,0,0,2"], 0),
+        ("bpath4-uncon", ["--imputation", "1,0,0,3"], 1),
+        ("web5", ["--imputation", "1/10,0,0,1,9/10"], 0),
+        ("web5", ["--imputation", "0,0,0,0,2"], 1),
+    ],
+}
 
 
 @pytest.mark.parametrize("command", ["worth", "classify", "system", "check"])
@@ -260,10 +269,10 @@ def test_commands_leave_no_cyclic_garbage(capsys, game_path, command):
     # A process that serves many commands keeps whatever reference cycles
     # each call leaves until a full collection, so its memory grows with
     # the number of calls.
-    for name, imp in GARBAGE_GAMES.items():
+    runs = GARBAGE_RUNS.get(command, [("bpath4-uncon", [], 0), ("web5", [], 0)])
+    for name, extra, code in runs:
         path = game_path(name)
-        extra = ["--imputation", imp] if command == "check" else []
-        assert run(capsys, command, "--game", path, *extra)[0] == 0
+        assert run(capsys, command, "--game", path, *extra)[0] == code, extra
         gc.collect()
         gc.disable()
         try:
@@ -272,4 +281,4 @@ def test_commands_leave_no_cyclic_garbage(capsys, game_path, command):
             found = gc.collect()
         finally:
             gc.enable()
-        assert found == 0, name
+        assert found == 0, (name, extra)
