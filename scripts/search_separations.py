@@ -44,7 +44,7 @@ def main() -> int:
             continue
         a = GameAnalysis(g)
         for imp in sample_core_imputations(a.system, seed=trial, count=args.samples):
-            if not in_dual_image(g, imp, worth=a.worth):
+            if not in_dual_image(a, imp):
                 found += 1
                 print(f"# separation {found} (trial {trial})")
                 print(render_game(g), end="")

@@ -28,18 +28,8 @@ from .analysis import (
     CoalitionSystem,
     GameAnalysis,
     Imputation,
-    antipodal_imputations,
-    always_fairly_paid,
-    check_concurrency,
-    classify_edge,
-    classify_vertex,
-    coalition_system,
-    core_imputation_from_dual,
     core_membership_via_system,
-    degeneracy_report,
-    is_core_imputation,
     meet_join,
-    paid_sometimes,
     worth,
 )
 from .bmatching import SplitScheme, imputation_from_dual, in_dual_image

@@ -16,8 +16,13 @@ one core-membership test.  Coalition worths come from one pass per
 session: a subset table for assignment, general and b-uniform games,
 and the worth-only integer search, on arrays built once, for the other
 b-games.  :func:`worth` enumerates one induced subgame instead, and is
-kept as their independent oracle.  The public functions are thin
-wrappers over a fresh session.
+kept as their independent oracle.
+
+The session is the one way to ask a game's facts: build
+``GameAnalysis(g, budget_cap, cap)`` and read its attributes.  The
+functions that need a fact of the game (:func:`meet_join` here,
+``imputation_from_dual``, ``in_dual_image`` and ``all_coalition_system``
+in :mod:`~matchcore.bmatching`) take the session, not the game.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .games import (
 )
 from .gamelp import (
     DualSolution,
-    dual_is_optimal,
     dual_solution_from_lp,
     edge_name,
     solve_dual,
@@ -344,6 +348,8 @@ class GameAnalysis:
     def profit_bounds(self, q: str) -> tuple[Fraction, Fraction] | None:
         """Exact min and max profit of ``q`` over the whole core."""
         _require_payment_variant(self.g)
+        if q not in self.g.vertices:
+            raise ValueError(f"unknown vertex {q!r}")
         if self.face is None:
             return None
         goal = {f"y[{q}]": ONE}
@@ -377,6 +383,11 @@ class GameAnalysis:
 
     @cached_property
     def antipodal(self) -> tuple[Imputation, Imputation]:
+        """The two core vertices that favor one side each.
+
+        The left-optimal imputation maximizes the left side's total
+        profit over the core, the right-optimal one the right side's.
+        """
         g = self.g
         if g.variant != "assignment":
             raise ValueError("antipodal imputations are defined for assignment games")
@@ -389,6 +400,10 @@ class GameAnalysis:
 
     @cached_property
     def degeneracy(self) -> DegeneracyReport:
+        """Non-unique optima cross-tabulated with the payment flags.
+
+        Payment columns exist for assignment and concurrent general games.
+        """
         g = self.g
         vlabels, elabels = self.labels
         optima = self.optima[1]
@@ -410,97 +425,9 @@ class GameAnalysis:
         )
 
 
-def game_worth(g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP) -> Fraction:
-    return GameAnalysis(g, budget_cap).worth
-
-
-def check_concurrency(
-    g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> WorthReport:
-    """Exact comparison of the integral and fractional optima."""
-    return GameAnalysis(g, budget_cap).concurrency
-
-
-def core_imputation_from_dual(g: GameInstance, y: DualSolution) -> Imputation:
-    """Profits read off an optimal dual; see :meth:`GameAnalysis.core_imputation`.
-
-    The dual comes from the caller, so it is checked to be optimal (feasible
-    with objective equal to the worth), not only to sum to the worth.
-    """
-    a = GameAnalysis(g)
-    profits = a.core_imputation(y)
-    if not dual_is_optimal(g, y, a.worth):
-        raise ValueError("dual solution is not optimal for this game")
-    return profits
-
-
-def is_core_imputation(
-    g: GameInstance,
-    imp: Imputation,
-    cap: int = DEFAULT_COALITION_CAP,
-    budget_cap: int = DEFAULT_BUDGET_CAP,
-) -> CoreMembership:
-    """See :meth:`GameAnalysis.membership`."""
-    return GameAnalysis(g, budget_cap, cap).membership(imp)
-
-
-def coalition_system(
-    g: GameInstance,
-    cap: int = DEFAULT_COALITION_CAP,
-    budget_cap: int = DEFAULT_BUDGET_CAP,
-) -> CoalitionSystem:
-    """See :attr:`GameAnalysis.system`."""
-    return GameAnalysis(g, budget_cap, cap).system
-
-
 def core_membership_via_system(sys: CoalitionSystem, imp: Imputation) -> CoreMembership:
     """The membership test of :meth:`GameAnalysis.membership` over a built system."""
     return _membership(imp, sys.vertices, lambda: sys.grand_worth, sys.inequalities)
-
-
-def classify_vertex(
-    g: GameInstance, q: str, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> str:
-    """essential / viable / subpar against all optimal integral matchings."""
-    if q not in g.vertices:
-        raise ValueError(f"unknown vertex {q!r}")
-    return GameAnalysis(g, budget_cap).labels[0][q]
-
-
-def classify_edge(
-    g: GameInstance, key: Edge, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> str:
-    """essential / viable / subpar for an edge, by positive multiplicity."""
-    if key not in g.edge_keys:
-        raise ValueError(f"unknown edge {edge_name(key)}")
-    return GameAnalysis(g, budget_cap).labels[1][key]
-
-
-def paid_sometimes(
-    g: GameInstance, q: str, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> VertexPayment:
-    """See :meth:`GameAnalysis.vertex_payment`."""
-    return GameAnalysis(g, budget_cap).vertex_payment(q)
-
-
-def profit_bounds(
-    g: GameInstance, q: str, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> tuple[Fraction, Fraction] | None:
-    """See :meth:`GameAnalysis.profit_bounds`."""
-    return GameAnalysis(g, budget_cap).profit_bounds(q)
-
-
-def always_fairly_paid(
-    g: GameInstance, key: Edge, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> EdgePayment:
-    """See :meth:`GameAnalysis.edge_payment`."""
-    return GameAnalysis(g, budget_cap).edge_payment(key)
-
-
-def payment_report(
-    g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> PaymentReport:
-    return GameAnalysis(g, budget_cap).payments
 
 
 def _require_payment_variant(g: GameInstance) -> None:
@@ -510,35 +437,19 @@ def _require_payment_variant(g: GameInstance) -> None:
         )
 
 
-def antipodal_imputations(
-    g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> tuple[Imputation, Imputation]:
-    """The two core points that maximally favor one side each.
-
-    The left-optimal imputation maximizes the total profit of the left
-    side over the core (equivalently, minimizes the right side's), and
-    vice versa.  Both are exact vertices of the core.
-    """
-    return GameAnalysis(g, budget_cap).antipodal
-
-
 def meet_join(
-    g: GameInstance,
-    p: Imputation,
-    q: Imputation,
-    cap: int = DEFAULT_COALITION_CAP,
-    budget_cap: int = DEFAULT_BUDGET_CAP,
+    a: GameAnalysis, p: Imputation, q: Imputation
 ) -> tuple[Imputation, Imputation]:
-    """Side-wise min/max combination of two core imputations.
+    """Side-wise min/max combination of two core imputations of ``a.g``.
 
     meet takes the left side's minima with the right side's maxima,
-    join the other way around.  Both are verified to lie in the core;
-    the lattice property backing that holds for the single-use and the
-    uniform bipartite variants.
+    join the other way around.  All four are checked for core
+    membership on the one session; the lattice property backing that
+    holds for the single-use and the uniform bipartite variants.
     """
+    g = a.g
     if g.variant == "general-matching":
         raise ValueError("meet/join needs the two-sided structure")
-    a = GameAnalysis(g, budget_cap, cap)
     for imp in (p, q):
         if not a.membership(imp).in_core:
             raise ValueError("meet/join input is not a core imputation")
@@ -550,15 +461,3 @@ def meet_join(
         if not a.membership(out).in_core:
             raise ValueError("combined imputation left the core")
     return meet, join
-
-
-def degeneracy_report(
-    g: GameInstance, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> DegeneracyReport:
-    """Degeneracy (non-unique optimum) and how the core treats it.
-
-    Cross-tabulates the viable vertices and edges with the payment
-    flags; payment columns are available for assignment and concurrent
-    general games only.
-    """
-    return GameAnalysis(g, budget_cap).degeneracy

@@ -14,6 +14,9 @@ can lie outside the core while still in the dual image (see
 One map (:func:`imputation_from_dual`) and one LP
 (:func:`in_dual_image`) serve all four b-variants; both read the bound
 families a variant prices from :func:`~matchcore.gamelp.priced`.
+Every function here that needs a fact of the game (its worth, its
+caps) takes the game's :class:`~matchcore.analysis.GameAnalysis`
+session, so the worth is enumerated once per session.
 
 Naming note: the per-edge amounts credited to the left or right
 endpoint are called split parts throughout, never c/d, because c and d
@@ -27,14 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .analysis import CoalitionSystem, Imputation, game_worth
-from .games import (
-    DEFAULT_BUDGET_CAP,
-    DEFAULT_COALITION_CAP,
-    CapExceeded,
-    Edge,
-    GameInstance,
-)
+from .analysis import CoalitionSystem, GameAnalysis, Imputation
+from .games import CapExceeded, Edge
 from .gamelp import (
     DualSolution,
     dual_is_optimal,
@@ -111,28 +108,14 @@ def _check_split(y: DualSolution, s: SplitScheme) -> None:
                 raise ValueError(f"split does not add up on {edge_name(k)}")
 
 
-def _worth(g: GameInstance, worth: Fraction | None) -> Fraction:
-    """The grand-coalition worth: ``worth`` when the caller has it already."""
-    return game_worth(g) if worth is None else worth
-
-
-def _require_optimal(g: GameInstance, y: DualSolution, worth: Fraction | None) -> None:
-    if not dual_is_optimal(g, y, _worth(g, worth)):
-        raise ValueError("dual solution is not optimal for this game")
-
-
 class ProfitSignError(Exception):
     """A dual-derived profit came out negative (possible under floors)."""
 
 
 def imputation_from_dual(
-    g: GameInstance,
-    y: DualSolution,
-    split: SplitScheme = SplitScheme(),
-    *,
-    worth: Fraction | None = None,
+    a: GameAnalysis, y: DualSolution, split: SplitScheme = SplitScheme()
 ) -> Imputation:
-    """Profits of an optimal dual under a split of its edge prices.
+    """Profits of an optimal dual of ``a.g`` under a split of its edge prices.
 
     profit_i = (b_i * cap_price_i - a_i * floor_price_i)
              + sum over incident edges of (d_e * own cap share
@@ -143,12 +126,12 @@ def imputation_from_dual(
     needed only where edges are priced, and elsewhere the profits are
     the vertex prices scaled by the caps.  With floors present nothing
     forces the result nonnegative; a negative entry is raised as a
-    finding rather than clamped.  Like every function here that needs
-    the worth of the game, it takes ``worth`` from a caller that already
-    has it (an analysis session) and enumerates at the default budget
-    otherwise.
+    finding rather than clamped.  ``y`` must be optimal for the session's
+    worth; on single-use games the result is the vertex prices.
     """
-    _require_optimal(g, y, worth)
+    g = a.g
+    if not dual_is_optimal(g, y, a.worth):
+        raise ValueError("dual solution is not optimal for this game")
     _check_split(y, split)
     imp: Imputation = {q: g.vertex_upper[q] * y.vertex_upper[q] for q in g.vertices}
     for q, p in y.vertex_lower.items():
@@ -191,10 +174,8 @@ def _feasibility(
     return solve_lp(lp).status == "optimal"
 
 
-def in_dual_image(
-    g: GameInstance, imp: Imputation, *, worth: Fraction | None = None
-) -> bool:
-    """Does any optimal dual plus admissible split reproduce ``imp``?
+def in_dual_image(a: GameAnalysis, imp: Imputation) -> bool:
+    """Does any optimal dual of ``a.g`` plus an admissible split reproduce ``imp``?
 
     The split quantifier is linear, so the whole question is one LP
     feasibility problem over prices and split parts; no search.  Columns
@@ -203,9 +184,10 @@ def in_dual_image(
     the split floor parts ``floL``/``floR``.  Where edges are not priced
     the LP is over the vertex prices alone.
     """
+    g = a.g
     if g.variant not in B_VARIANTS:
         raise ValueError(f"dual image is defined for b-variants, not {g.variant}")
-    w = _worth(g, worth)
+    w = a.worth
     if sum(imp.values(), start=ZERO) != w:
         return False
     floors, edge_caps = priced(g)
@@ -242,22 +224,23 @@ def in_dual_image(
     return _feasibility(names, rows)
 
 
-def all_coalition_system(
-    g: GameInstance,
-    cap: int = DEFAULT_COALITION_CAP,
-    budget_cap: int = DEFAULT_BUDGET_CAP,
-) -> CoalitionSystem:
-    """The core system over every proper coalition; the redundant cross-check."""
+def all_coalition_system(a: GameAnalysis) -> CoalitionSystem:
+    """The core system over every proper coalition; the redundant cross-check.
+
+    Each coalition's worth comes from its own enumeration
+    (:func:`~matchcore.analysis.worth`), not from the session's pass.
+    """
+    g = a.g
     n = len(g.vertices)
-    if n > cap:
-        raise CapExceeded(f"{n} vertices exceed coalition enumeration cap {cap}")
+    if n > a.cap:
+        raise CapExceeded(f"{n} vertices exceed coalition enumeration cap {a.cap}")
     ids = sorted(g.vertices)
     every = (
-        (s, coalition_worth(g, s, budget_cap))
+        (s, coalition_worth(g, s, a.budget_cap))
         for r in range(1, n)
         for s in map(frozenset, itertools.combinations(ids, r))
     )
-    return CoalitionSystem.of(g, every, game_worth(g, budget_cap))
+    return CoalitionSystem.of(g, every, a.worth)
 
 
 def system_lp(sys: CoalitionSystem, objective: dict[str, Fraction]) -> LinearProgram:

@@ -164,7 +164,7 @@ def _run(args: argparse.Namespace) -> int:
         finding = not got.in_core
     elif args.command == "dual-image":
         imp = _parse_imputation(g, args.imputation)
-        flag = in_dual_image(g, imp, worth=a.worth)
+        flag = in_dual_image(a, imp)
         rep.add("dual-image", [f"in-dual-image = {'yes' if flag else 'no'}"])
         finding = not flag
     _emit(rep, args.out)

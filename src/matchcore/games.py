@@ -19,7 +19,6 @@ Variants:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -77,9 +76,6 @@ class GameInstance:
             if (i, j) == key:
                 return w
         raise KeyError(key)
-
-    def incident(self, q: str) -> tuple[Edge, ...]:
-        return tuple([(i, j) for i, j, _ in self.edges if q in (i, j)])
 
     def adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {q: set() for q in self.vertices}
@@ -248,19 +244,6 @@ def induce_subgame(g: GameInstance, s: Coalition) -> GameInstance:
     )
 
 
-def _is_connected(members: tuple[str, ...], adj: dict[str, set[str]]) -> bool:
-    inside = set(members)
-    stack = [members[0]]
-    seen = {members[0]}
-    while stack:
-        q = stack.pop()
-        for r in adj[q]:
-            if r in inside and r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return len(seen) == len(inside)
-
-
 def connected_coalitions(
     g: GameInstance, cap: int = DEFAULT_COALITION_CAP
 ) -> list[Coalition]:
@@ -274,11 +257,18 @@ def connected_coalitions(
         raise CapExceeded(f"{n} vertices exceed coalition enumeration cap {cap}")
     ids = sorted(g.vertices)
     adj = g.adjacency()
+    # Neighbours as bitmasks over the sorted ids; flood from the lowest bit.
+    nbr = [sum([1 << ids.index(r) for r in adj[q]]) for q in ids]
     found: list[tuple[str, ...]] = []
-    for r in range(1, n + 1):
-        for combo in itertools.combinations(ids, r):
-            if _is_connected(combo, adj):
-                found.append(combo)
+    for mask in range(1, 1 << n):
+        seen = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            grow = nbr[low.bit_length() - 1] & mask & ~seen
+            seen |= grow
+            frontier = (frontier ^ low) | grow
+        if seen == mask:
+            found.append(tuple([q for p, q in enumerate(ids) if mask >> p & 1]))
     found.sort()
     return [frozenset(t) for t in found]
 

@@ -113,7 +113,7 @@ def dual_imputation(a: GameAnalysis, split: str = "half") -> Imputation | None:
     _, y = a.dual
     if g.variant in PAYMENT_VARIANTS:
         return a.core_imputation(y)
-    return imputation_from_dual(g, y, dict(CANONICAL_SPLITS)[split](y), worth=a.worth)
+    return imputation_from_dual(a, y, dict(CANONICAL_SPLITS)[split](y))
 
 
 def imputation_section(a: GameAnalysis, split: str = "half") -> list[str]:
@@ -220,6 +220,6 @@ def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
         rep.add(
             "dual-image",
             [f"dual-derived-imputation-in-image = "
-             f"{'yes' if in_dual_image(g, imp, worth=a.worth) else 'no'}"],
+             f"{'yes' if in_dual_image(a, imp) else 'no'}"],
         )
     return rep

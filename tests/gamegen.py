@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
-from matchcore.analysis import worth
+from matchcore.analysis import GameAnalysis, worth
 from matchcore.bmatching import imputation_from_dual, split_half
 from matchcore.gamelp import solve_dual
 from matchcore.games import GameInstance, make_game
@@ -108,7 +108,7 @@ def dual_imputation(g: GameInstance) -> dict[str, Fraction]:
     _, y = solve_dual(g)
     if g.variant in ("assignment", "general-matching"):
         return dict(y.vertex_upper)
-    return imputation_from_dual(g, y, split_half(y))
+    return imputation_from_dual(GameAnalysis(g), y, split_half(y))
 
 
 def shifted_imputation(g: GameInstance, imp: dict[str, Fraction]) -> dict[str, Fraction]:

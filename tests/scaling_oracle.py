@@ -10,7 +10,7 @@ serves as its oracle.
 
 from __future__ import annotations
 
-from matchcore.analysis import Imputation, game_worth
+from matchcore.analysis import Imputation, worth
 from matchcore.gamelp import DualSolution, dual_is_optimal
 from matchcore.games import GameInstance
 
@@ -24,4 +24,4 @@ def scaled_dual(g: GameInstance, imp: Imputation) -> DualSolution:
 
 def in_scaled_image(g: GameInstance, imp: Imputation) -> bool:
     """Dual-image membership by the closed-form inverse."""
-    return dual_is_optimal(g, scaled_dual(g, imp), game_worth(g))
+    return dual_is_optimal(g, scaled_dual(g, imp), worth(g))

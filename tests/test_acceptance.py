@@ -14,21 +14,7 @@ backed by an explicit optimal dual or a violated coalition.
 from fractions import Fraction as F
 from random import Random
 
-from matchcore.analysis import (
-    GameAnalysis,
-    antipodal_imputations,
-    check_concurrency,
-    classify_vertex,
-    coalition_system,
-    core_imputation_from_dual,
-    core_membership_via_system,
-    degeneracy_report,
-    is_core_imputation,
-    paid_sometimes,
-    payment_report,
-    profit_bounds,
-    worth,
-)
+from matchcore.analysis import GameAnalysis, core_membership_via_system, worth
 from matchcore.bmatching import (
     all_coalition_system,
     imputation_from_dual,
@@ -80,14 +66,15 @@ def test_c01_path5_reproduction():
     assert worth(g) == F(21, 10)
     _, optima = brute_force_optima(g)
     assert len(optima) == 2
+    a = GameAnalysis(g)
     unique = imp(g, 1, 1, 0, F(1, 10), 0)
     for q in g.vertices:
-        assert profit_bounds(g, q) == (unique[q], unique[q])
+        assert a.profit_bounds(q) == (unique[q], unique[q])
 
 
 def test_c02_web5_antipodals():
     g = load_instance("web5")
-    left_best, right_best = antipodal_imputations(g)
+    left_best, right_best = GameAnalysis(g).antipodal
     assert left_best == imp(g, F(1, 10), F(1, 10), 0, F(9, 10), F(9, 10))
     assert right_best == imp(g, 0, 0, 0, 1, 1)
 
@@ -96,7 +83,8 @@ def test_c03_tiers8_worth_and_antipodals():
     g = load_instance("tiers8")
     assert worth(g) == 202
     assert worth(g, frozenset({"u1", "u2", "v1", "v2"})) == 200
-    left_best, right_best = antipodal_imputations(g)
+    a = GameAnalysis(g)
+    left_best, right_best = a.antipodal
     # The left-optimal point maximizes the left total over the core.
     # (51,51,0,0 | 50,50,0,0) is in the core too, but pays the left
     # side only 102.  The matched pairs u1~v3, u2~v4, u3~v2, u4~v1 are
@@ -106,11 +94,11 @@ def test_c03_tiers8_worth_and_antipodals():
     expected_right = imp(g, 50, 50, 0, 0, 50, 50, 1, 1)
     assert left_best == expected_left
     assert right_best == expected_right
-    assert is_core_imputation(g, left_best).in_core
-    assert is_core_imputation(g, right_best).in_core
+    assert a.membership(left_best).in_core
+    assert a.membership(right_best).in_core
     assert sum(left_best[q] for q in g.left) == 104
     dominated = imp(g, 51, 51, 0, 0, 50, 50, 0, 0)
-    assert is_core_imputation(g, dominated).in_core
+    assert a.membership(dominated).in_core
     assert sum(dominated[q] for q in g.left) == 102
     # Independent oracle (Demange 1982, Leonard 1983): the side-optimal
     # core point pays each vertex of that side its marginal worth
@@ -125,15 +113,16 @@ def test_c03_tiers8_worth_and_antipodals():
 
 def test_c04_ring7_reproduction():
     g = load_instance("ring7")
-    rep = check_concurrency(g)
+    a = GameAnalysis(g)
+    rep = a.concurrency
     assert rep.integral == rep.fractional == 4
     _, optima = brute_force_optima(g)
     assert len(optima) == 3
     assert all(m.multiplicity(("v2", "v7")) == 1 for m in optima)
     unique = imp(g, 0, 1, 0, 1, 0, 1, 1)
     for q in g.vertices:
-        assert profit_bounds(g, q) == (unique[q], unique[q])
-    pay = payment_report(g)
+        assert a.profit_bounds(q) == (unique[q], unique[q])
+    pay = a.payments
     assert pay.edges[("v4", "v7")].max_slack == 1
     for k in (("v1", "v2"), ("v2", "v3"), ("v1", "v7")):
         assert pay.edges[k].max_slack == 0
@@ -141,21 +130,23 @@ def test_c04_ring7_reproduction():
 
 def test_c05_tritail4_essential_but_never_paid():
     g = load_instance("tritail4")
-    rep = check_concurrency(g)
+    a = GameAnalysis(g)
+    rep = a.concurrency
     assert rep.integral == rep.fractional == 2
     unique = imp(g, 1, H, H, 0)
     for q in g.vertices:
-        assert profit_bounds(g, q) == (unique[q], unique[q])
-    assert classify_vertex(g, "v4") == "essential"
-    assert paid_sometimes(g, "v4").paid_sometimes is False
+        assert a.profit_bounds(q) == (unique[q], unique[q])
+    assert a.labels[0]["v4"] == "essential"
+    assert a.vertex_payment("v4").paid_sometimes is False
 
 
 def test_c06_k3_empty_core():
     g = load_instance("k3")
-    rep = check_concurrency(g)
+    a = GameAnalysis(g)
+    rep = a.concurrency
     assert rep.integral == 1 and rep.fractional == F(3, 2)
     assert not rep.concurrent
-    assert paid_sometimes(g, "v1").core_empty
+    assert a.vertex_payment("v1").core_empty
     half = check_half_integral(fractional_optimum(g))
     assert half.is_half_integral
     assert len(half.half_components) == 1
@@ -168,12 +159,13 @@ def test_c07_bpath4_unconstrained():
     stated_dual = {"y[u1]": O, "y[u2]": Z, "y[v1]": Z, "y[v2]": F(2)}
     for name, value in stated_dual.items():
         assert dual_coordinate_bounds(g, name) == (value, value)
+    a = GameAnalysis(g)
     _, y = solve_dual(g)
-    assert imputation_from_dual(g, y) == imp(g, 2, 0, 0, 2)
-    sys = coalition_system(g)
+    assert imputation_from_dual(a, y) == imp(g, 2, 0, 0, 2)
+    sys = a.system
     inside = imp(g, 3, 0, 0, 1)
     assert core_membership_via_system(sys, inside).in_core
-    assert not in_dual_image(g, inside)
+    assert not in_dual_image(a, inside)
     outside = imp(g, 1, 0, 0, 3)
     verdict = core_membership_via_system(sys, outside)
     assert not verdict.in_core
@@ -182,9 +174,10 @@ def test_c07_bpath4_unconstrained():
 
 def test_c08_bpath4_constrained():
     g = load_instance("bpath4-con")
-    sys = coalition_system(g)
+    a = GameAnalysis(g)
+    sys = a.system
     for b in (Z, H, O):
-        assert in_dual_image(g, imp(g, 3 - b, 0, 0, 1 + b))
+        assert in_dual_image(a, imp(g, 3 - b, 0, 0, 1 + b))
     first = imp(g, 1, 0, 0, 3)
     second = imp(g, 0, 0, 1, 3)
     assert core_membership_via_system(sys, first).in_core
@@ -199,8 +192,8 @@ def test_c08_bpath4_constrained():
         edge_upper={k: (O if k == heavy else Z) for k in g.edge_keys},
     )
     assert dual_is_optimal(g, y0, F(4)) and dual_is_optimal(g, y1, F(4))
-    assert imputation_from_dual(g, y0, split_all_right(y0)) == imp(g, 2, 0, 0, 2)
-    assert imputation_from_dual(g, y1, split_all_right(y1)) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(a, y0, split_all_right(y0)) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(a, y1, split_all_right(y1)) == imp(g, 2, 0, 0, 2)
     # The dual (0,0,0,3) with edge price 1 on u1~v1 is optimal, and its
     # two one-sided splits produce exactly `first` and `second`, so both
     # are in the image.
@@ -209,22 +202,22 @@ def test_c08_bpath4_constrained():
         edge_upper={k: (O if k == ("u1", "v1") else Z) for k in g.edge_keys},
     )
     assert dual_is_optimal(g, cert, F(4))
-    assert imputation_from_dual(g, cert, split_all_left(cert)) == first
-    assert imputation_from_dual(g, cert, split_all_right(cert)) == second
-    assert in_dual_image(g, first)
-    assert in_dual_image(g, second)
+    assert imputation_from_dual(a, cert, split_all_left(cert)) == first
+    assert imputation_from_dual(a, cert, split_all_right(cert)) == second
+    assert in_dual_image(a, first)
+    assert in_dual_image(a, second)
     # The core here is the rectangle u2 = 0, 0 <= v1 <= 1, 1 <= v2 <= 3,
     # and the image reaches all four of its vertices, so the image is
     # the whole core: this instance cannot separate core from image.
     for corner in ((3, 0, 0, 1), (2, 0, 1, 1), (1, 0, 0, 3), (0, 0, 1, 3)):
         assert core_membership_via_system(sys, imp(g, *corner)).in_core
-        assert in_dual_image(g, imp(g, *corner))
+        assert in_dual_image(a, imp(g, *corner))
     # A "no" answer: the total is the worth 4, but u1+v1+v2 = 3 < 4.
     short = imp(g, 3, 1, 0, 0)
     verdict = core_membership_via_system(sys, short)
     assert not verdict.in_core
     assert verdict.witness == frozenset({"u1", "v1", "v2"})
-    assert not in_dual_image(g, short)
+    assert not in_dual_image(a, short)
 
     # The separation itself, on a game where it shows: a core
     # imputation that no optimal dual and split reproduces.
@@ -242,8 +235,9 @@ def test_c08_bpath4_constrained():
         "b: v2 2\n"
     )
     outside = imp(sep, 1, F(23, 5), 0, F(1, 5), 0)
-    assert core_membership_via_system(coalition_system(sep), outside).in_core
-    assert not in_dual_image(sep, outside)
+    sep_a = GameAnalysis(sep)
+    assert core_membership_via_system(sep_a.system, outside).in_core
+    assert not in_dual_image(sep_a, outside)
 
 
 def _ss_candidates(rng, g, base):
@@ -273,16 +267,16 @@ def test_c09_assignment_property_suite():
         a = GameAnalysis(g)
         (vlabels, elabels), (best, optima) = a.labels, a.optima
         _, y = solve_dual(g)
-        base = core_imputation_from_dual(g, y)
+        base = imputation_from_dual(a, y)
 
         # core membership coincides with optimal-dual feasibility
         for cand in _ss_candidates(rng, g, base):
-            in_core = is_core_imputation(g, cand).in_core
+            in_core = a.membership(cand).in_core
             dual_side = dual_is_optimal(g, DualSolution(dict(cand)), best)
             assert in_core == dual_side
 
         # payment flags coincide with the classification
-        pay = payment_report(g)
+        pay = a.payments
         for q in g.vertices:
             assert pay.vertices[q].paid_sometimes == (vlabels[q] == "essential")
         for k in g.edge_keys:
@@ -312,7 +306,7 @@ def test_c09_assignment_property_suite():
             assert total <= 1
 
         # degeneracy treats viable like subpar (players) / essential (teams)
-        deg = degeneracy_report(g)
+        deg = a.degeneracy
         assert deg.degenerate == (len(optima) > 1)
         if not deg.degenerate:
             assert not deg.viable_vertices and not deg.viable_edges
@@ -363,9 +357,9 @@ def test_c10_general_graph_property_suite():
     assert concurrent_count >= 40
 
 
-def _dual_derived_imputations(g, y):
+def _dual_derived_imputations(a, y):
     return [
-        imputation_from_dual(g, y, s(y))
+        imputation_from_dual(a, y, s(y))
         for s in (split_all_left, split_all_right, split_half)
     ]
 
@@ -382,17 +376,18 @@ def test_c11_b_variant_property_suite():
             g = random_b_game(rng, variant)
             if not g.edges:
                 continue
-            sys = coalition_system(g)
+            a = GameAnalysis(g)
+            sys = a.system
             analyzed += 1
             _, y = solve_dual(g)
 
             # every dual-derived imputation is in the core
-            for profits in _dual_derived_imputations(g, y):
+            for profits in _dual_derived_imputations(a, y):
                 assert core_membership_via_system(sys, profits).in_core
-                assert in_dual_image(g, profits)
+                assert in_dual_image(a, profits)
 
             # connected-coalition verdicts match all-coalition verdicts
-            full = all_coalition_system(g)
+            full = all_coalition_system(a)
             probes = sample_core_imputations(sys, seed=analyzed, count=2)
             for probe in list(probes):
                 bent = dict(probe)

@@ -3,20 +3,8 @@ from random import Random
 
 import pytest
 
-from matchcore.analysis import (
-    GameAnalysis,
-    always_fairly_paid,
-    antipodal_imputations,
-    check_concurrency,
-    core_imputation_from_dual,
-    degeneracy_report,
-    is_core_imputation,
-    meet_join,
-    paid_sometimes,
-    payment_report,
-    profit_bounds,
-    worth,
-)
+from matchcore.analysis import GameAnalysis, meet_join, worth
+from matchcore.bmatching import imputation_from_dual
 from matchcore.bundled import load_instance
 from matchcore.gamelp import DualSolution, dual_is_optimal, solve_dual
 from matchcore.games import make_game
@@ -36,22 +24,24 @@ def test_worth_tiers8():
 
 
 def test_dual_imputations_of_named_instances():
-    g = load_instance("path5")
-    _, y = solve_dual(g)
-    assert core_imputation_from_dual(g, y) == imp(g, 1, 1, 0, F(1, 10), 0)
-    g = load_instance("tritail4")
-    _, y = solve_dual(g)
-    assert core_imputation_from_dual(g, y) == imp(g, 1, F(1, 2), F(1, 2), 0)
-    g = load_instance("ring7")
-    _, y = solve_dual(g)
-    assert core_imputation_from_dual(g, y) == imp(g, 0, 1, 0, 1, 0, 1, 1)
+    for name, values in (
+        ("path5", (1, 1, 0, F(1, 10), 0)),
+        ("tritail4", (1, F(1, 2), F(1, 2), 0)),
+        ("ring7", (0, 1, 0, 1, 0, 1, 1)),
+    ):
+        a = GameAnalysis(load_instance(name))
+        _, y = solve_dual(a.g)
+        assert imputation_from_dual(a, y) == imp(a.g, *values)
+        assert a.core_imputation(y) == imp(a.g, *values)
 
 
 def test_dual_imputation_requires_optimality():
-    g = load_instance("k3")  # fractional optimum exceeds the worth
-    _, y = solve_dual(g)
-    with pytest.raises(ValueError):
-        core_imputation_from_dual(g, y)
+    a = GameAnalysis(load_instance("k3"))  # fractional optimum exceeds the worth
+    _, y = solve_dual(a.g)
+    with pytest.raises(ValueError, match="not optimal"):
+        imputation_from_dual(a, y)
+    with pytest.raises(ValueError, match="not optimal"):
+        a.core_imputation(y)
 
 
 def test_dual_imputation_rejects_infeasible_dual_with_the_right_total():
@@ -59,19 +49,20 @@ def test_dual_imputation_rejects_infeasible_dual_with_the_right_total():
     # profits it is blocked by the coalition {u2, v2}.
     g = make_game("assignment", ["u1", "u2"], ["v1", "v2"],
                   [("u1", "v1", 5), ("u2", "v2", 3)])
+    a = GameAnalysis(g)
     y = DualSolution(imp(g, 8, 0, 0, 0))
-    assert is_core_imputation(g, imp(g, 8, 0, 0, 0)).witness == {"u2", "v2"}
+    assert a.membership(imp(g, 8, 0, 0, 0)).witness == {"u2", "v2"}
     with pytest.raises(ValueError, match="not optimal"):
-        core_imputation_from_dual(g, y)
+        imputation_from_dual(a, y)
 
 
 def test_is_core_imputation_tiers8():
     g = load_instance("tiers8")
     good = imp(g, 51, 51, 0, 0, 50, 50, 0, 0)
-    assert is_core_imputation(g, good).in_core
+    assert GameAnalysis(g).membership(good).in_core
     half = F(101, 2)
     bad = imp(g, half, half, 0, 0, half, half, 0, 0)
-    got = is_core_imputation(g, bad)
+    got = GameAnalysis(g).membership(bad)
     assert not got.in_core
     assert got.witness == frozenset({"u1", "v3"})
 
@@ -79,79 +70,90 @@ def test_is_core_imputation_tiers8():
 def test_is_core_imputation_k3():
     g = load_instance("k3")
     third = F(1, 3)
-    got = is_core_imputation(g, imp(g, third, third, third))
+    got = GameAnalysis(g).membership(imp(g, third, third, third))
     assert not got.in_core
     assert got.witness is not None and len(got.witness) == 2
 
 
 def test_is_core_rejects_bad_sum_and_sign():
     g = load_instance("path5")
-    got = is_core_imputation(g, imp(g, 1, 1, 0, 0, 0))
+    a = GameAnalysis(g)
+    got = a.membership(imp(g, 1, 1, 0, 0, 0))
     assert not got.in_core and got.witness == frozenset(g.vertices)
-    got = is_core_imputation(g, imp(g, 2, 1, 0, F(-9, 10), 0))
+    got = a.membership(imp(g, 2, 1, 0, F(-9, 10), 0))
     assert not got.in_core and got.witness == frozenset({"v2"})
 
 
 def test_concurrency_reports():
-    k3 = check_concurrency(load_instance("k3"))
+    k3 = GameAnalysis(load_instance("k3")).concurrency
     assert (k3.integral, k3.fractional, k3.concurrent) == (F(1), F(3, 2), False)
-    t4 = check_concurrency(load_instance("tritail4"))
+    t4 = GameAnalysis(load_instance("tritail4")).concurrency
     assert (t4.integral, t4.fractional, t4.concurrent) == (F(2), F(2), True)
-    r7 = check_concurrency(load_instance("ring7"))
+    r7 = GameAnalysis(load_instance("ring7")).concurrency
     assert (r7.integral, r7.fractional, r7.concurrent) == (F(4), F(4), True)
 
 
 def test_paid_sometimes_cases():
-    r7 = load_instance("ring7")
-    got = paid_sometimes(r7, "v7")
+    r7 = GameAnalysis(load_instance("ring7"))
+    got = r7.vertex_payment("v7")
     assert (got.paid_sometimes, got.max_profit) == (True, F(1))
-    t4 = load_instance("tritail4")
-    got = paid_sometimes(t4, "v4")
+    t4 = GameAnalysis(load_instance("tritail4"))
+    got = t4.vertex_payment("v4")
     assert (got.paid_sometimes, got.max_profit) == (False, F(0))
-    p5 = load_instance("path5")
-    assert not paid_sometimes(p5, "v1").paid_sometimes
-    f3 = load_instance("fork3")
-    assert paid_sometimes(f3, "u").max_profit == F(11, 10)
+    p5 = GameAnalysis(load_instance("path5"))
+    assert not p5.vertex_payment("v1").paid_sometimes
+    f3 = GameAnalysis(load_instance("fork3"))
+    assert f3.vertex_payment("u").max_profit == F(11, 10)
 
 
 def test_payment_queries_report_empty_core():
-    k3 = load_instance("k3")
-    got = paid_sometimes(k3, "v1")
+    k3 = GameAnalysis(load_instance("k3"))
+    got = k3.vertex_payment("v1")
     assert got.core_empty and got.paid_sometimes is None
-    got = always_fairly_paid(k3, ("v1", "v2"))
+    got = k3.edge_payment(("v1", "v2"))
     assert got.core_empty and got.max_slack is None
 
 
 def test_always_fairly_paid_cases():
-    r7 = load_instance("ring7")
-    got = always_fairly_paid(r7, ("v1", "v2"))
+    r7 = GameAnalysis(load_instance("ring7"))
+    got = r7.edge_payment(("v1", "v2"))
     assert (got.always_fair, got.max_slack) == (True, F(0))
-    got = always_fairly_paid(r7, ("v4", "v7"))
+    got = r7.edge_payment(("v4", "v7"))
     assert (got.always_fair, got.max_slack) == (False, F(1))
     single = make_game("assignment", ["u"], ["v"], [("u", "v", F(7))])
-    got = always_fairly_paid(single, ("u", "v"))
+    got = GameAnalysis(single).edge_payment(("u", "v"))
     assert (got.always_fair, got.max_slack) == (True, F(0))
 
 
 def test_payment_report_matches_pointwise():
+    # Each point query on a fresh session (a cold face) agrees with the
+    # report, whose queries run one after another on one warm face.
     g = load_instance("web5")
-    rep = payment_report(g)
+    rep = GameAnalysis(g).payments
     for q in g.vertices:
-        assert rep.vertices[q] == paid_sometimes(g, q)
+        assert rep.vertices[q] == GameAnalysis(g).vertex_payment(q)
     for k in g.edge_keys:
-        assert rep.edges[k] == always_fairly_paid(g, k)
+        assert rep.edges[k] == GameAnalysis(g).edge_payment(k)
 
 
 def test_profit_bounds_unique_point():
     g = load_instance("path5")
+    a = GameAnalysis(g)
     expected = imp(g, 1, 1, 0, F(1, 10), 0)
     for q in g.vertices:
-        assert profit_bounds(g, q) == (expected[q], expected[q])
+        assert a.profit_bounds(q) == (expected[q], expected[q])
+
+
+@pytest.mark.parametrize("query", ["vertex_payment", "profit_bounds"])
+def test_vertex_queries_reject_an_unknown_vertex(query):
+    a = GameAnalysis(load_instance("web5"))
+    with pytest.raises(ValueError, match="unknown vertex 'nope'"):
+        getattr(a, query)("nope")
 
 
 def test_antipodal_web5():
     g = load_instance("web5")
-    left_best, right_best = antipodal_imputations(g)
+    left_best, right_best = GameAnalysis(g).antipodal
     tenth, nine = F(1, 10), F(9, 10)
     assert left_best == imp(g, tenth, tenth, 0, nine, nine)
     assert right_best == imp(g, 0, 0, 0, 1, 1)
@@ -159,24 +161,24 @@ def test_antipodal_web5():
 
 def test_antipodal_collapses_on_point_core():
     g = load_instance("path5")
-    left_best, right_best = antipodal_imputations(g)
+    left_best, right_best = GameAnalysis(g).antipodal
     assert left_best == right_best == imp(g, 1, 1, 0, F(1, 10), 0)
 
 
 def test_meet_join_web5():
-    g = load_instance("web5")
-    left_best, right_best = antipodal_imputations(g)
-    meet, join = meet_join(g, left_best, right_best)
+    a = GameAnalysis(load_instance("web5"))
+    left_best, right_best = a.antipodal
+    meet, join = meet_join(a, left_best, right_best)
     assert meet == right_best
     assert join == left_best
-    meet, join = meet_join(g, left_best, left_best)
+    meet, join = meet_join(a, left_best, left_best)
     assert meet == join == left_best
 
 
 def test_meet_join_tiers8_swaps_antipodals():
-    g = load_instance("tiers8")
-    left_best, right_best = antipodal_imputations(g)
-    meet, join = meet_join(g, left_best, right_best)
+    a = GameAnalysis(load_instance("tiers8"))
+    left_best, right_best = a.antipodal
+    meet, join = meet_join(a, left_best, right_best)
     assert meet == right_best
     assert join == left_best
 
@@ -184,22 +186,22 @@ def test_meet_join_tiers8_swaps_antipodals():
 def test_meet_join_rejects_non_core_input():
     g = load_instance("web5")
     with pytest.raises(ValueError):
-        meet_join(g, imp(g, 2, 0, 0, 0, 0), imp(g, 0, 0, 0, 1, 1))
+        meet_join(GameAnalysis(g), imp(g, 2, 0, 0, 0, 0), imp(g, 0, 0, 0, 1, 1))
 
 
 def test_degeneracy_ring7():
-    rep = degeneracy_report(load_instance("ring7"))
+    rep = GameAnalysis(load_instance("ring7")).degeneracy
     assert rep.degenerate and rep.optima_count == 3
     assert rep.viable_vertices == ("v1", "v3", "v5")
     assert set(rep.viable_vertices) <= set(rep.never_paid_vertices)
 
 
 def test_degeneracy_path5_and_single_edge():
-    rep = degeneracy_report(load_instance("path5"))
+    rep = GameAnalysis(load_instance("path5")).degeneracy
     assert rep.degenerate and rep.optima_count == 2
     assert rep.viable_vertices == ("v1", "v3")
     single = make_game("assignment", ["u"], ["v"], [("u", "v", F(7))])
-    rep = degeneracy_report(single)
+    rep = GameAnalysis(single).degeneracy
     assert not rep.degenerate
     assert rep.viable_vertices == () and rep.viable_edges == ()
 
@@ -217,21 +219,22 @@ def test_core_equals_optimal_duals_on_random_games():
         if not g.edges:
             continue
         checked += 1
+        a = GameAnalysis(g)
         _, y = solve_dual(g)
-        base = core_imputation_from_dual(g, y)
+        base = imputation_from_dual(a, y)
         candidates = [base]
         vs = sorted(g.vertices)
         for _ in range(3):
             cand = dict(base)
-            a, b = rng.sample(vs, 2) if len(vs) > 1 else (vs[0], vs[0])
+            gain, loss = rng.sample(vs, 2) if len(vs) > 1 else (vs[0], vs[0])
             delta = F(rng.randint(0, 2), 2)
-            cand[a] += delta
-            cand[b] -= delta
+            cand[gain] += delta
+            cand[loss] -= delta
             candidates.append(cand)
         for cand in candidates:
             if any(v < 0 for v in cand.values()):
                 continue
-            lhs = is_core_imputation(g, cand).in_core
+            lhs = a.membership(cand).in_core
             rhs = core_equals_optimal_dual(g, cand)
             assert lhs == rhs
 
@@ -244,13 +247,14 @@ def test_payment_equivalences_on_random_games():
         if not g.edges:
             continue
         checked += 1
-        vlabels, elabels = GameAnalysis(g).labels
-        rep = payment_report(g)
+        a = GameAnalysis(g)
+        vlabels, elabels = a.labels
+        rep = a.payments
         for q in g.vertices:
             assert rep.vertices[q].paid_sometimes == (vlabels[q] == "essential")
         for k in g.edge_keys:
             assert rep.edges[k].always_fair == (elabels[k] != "subpar")
-        if not degeneracy_report(g).degenerate:
+        if not a.degeneracy.degenerate:
             assert not [q for q in g.vertices if vlabels[q] == "viable"]
             assert not [k for k in g.edge_keys if elabels[k] == "viable"]
 
@@ -263,9 +267,10 @@ def test_essential_players_collect_everything():
         if not g.edges:
             continue
         checked += 1
-        vlabels, _ = GameAnalysis(g).labels
+        a = GameAnalysis(g)
+        vlabels, _ = a.labels
         _, y = solve_dual(g)
-        base = core_imputation_from_dual(g, y)
+        base = imputation_from_dual(a, y)
         essential_total = sum(
             (base[q] for q in g.vertices if vlabels[q] == "essential"), start=F(0)
         )
@@ -277,11 +282,12 @@ def test_gen_insights_one_directional_on_concurrent_games():
     concurrent_seen = 0
     for _ in range(60):
         g = random_general(rng, max_n=5)
-        if not g.edges or not check_concurrency(g).concurrent:
+        a = GameAnalysis(g)
+        if not g.edges or not a.concurrency.concurrent:
             continue
         concurrent_seen += 1
-        vlabels, elabels = GameAnalysis(g).labels
-        rep = payment_report(g)
+        vlabels, elabels = a.labels
+        rep = a.payments
         for q in g.vertices:
             if rep.vertices[q].paid_sometimes:
                 assert vlabels[q] == "essential"

@@ -5,10 +5,7 @@ import pytest
 
 from matchcore.analysis import (
     GameAnalysis,
-    coalition_system,
     core_membership_via_system,
-    game_worth,
-    is_core_imputation,
     meet_join,
     worth,
 )
@@ -39,11 +36,12 @@ def imp(g, *values):
 
 def test_uniform_forward_and_inverse():
     g = load_instance("path5-b2")
-    assert game_worth(g) == F(21, 5)
+    a = GameAnalysis(g)
+    assert a.worth == F(21, 5)
     _, y = solve_dual(g)
-    profits = imputation_from_dual(g, y)
+    profits = imputation_from_dual(a, y)
     assert profits == imp(g, 2, 2, 0, F(1, 5), 0)
-    assert in_dual_image(g, profits) and in_scaled_image(g, profits)
+    assert in_dual_image(a, profits) and in_scaled_image(g, profits)
     back = scaled_dual(g, profits)
     assert back.vertex_upper == {
         "u1": F(1),
@@ -63,20 +61,20 @@ def test_uniform_cap_one_reduces_to_identity():
         vertex_upper=1,
     )
     _, y = solve_dual(g)
-    assert imputation_from_dual(g, y) == dict(y.vertex_upper)
+    assert imputation_from_dual(GameAnalysis(g), y) == dict(y.vertex_upper)
 
 
 def test_uniform_inverse_rejects_non_core():
     g = load_instance("path5-b2")
     assert not in_scaled_image(g, imp(g, F(21, 5), 0, 0, 0, 0))
-    assert not in_dual_image(g, imp(g, F(21, 5), 0, 0, 0, 0))
+    assert not in_dual_image(GameAnalysis(g), imp(g, F(21, 5), 0, 0, 0, 0))
 
 
 def test_uncon_imputation_bpath4():
     g = load_instance("bpath4-uncon")
     _, y = solve_dual(g)
     assert y.vertex_upper == {"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)}
-    assert imputation_from_dual(g, y) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(GameAnalysis(g), y) == imp(g, 2, 0, 0, 2)
 
 
 def test_uncon_single_edge_scaling():
@@ -88,26 +86,27 @@ def test_uncon_single_edge_scaling():
         [("u", "v", w)],
         vertex_upper={"u": 3, "v": 2},
     )
-    assert game_worth(g) == 2 * w
+    a = GameAnalysis(g)
+    assert a.worth == 2 * w
     _, y = solve_dual(g)
     # the cheap side carries the price: min 3u + 2v forces (0, w)
     assert y.vertex_upper == {"u": Z, "v": w}
-    assert imputation_from_dual(g, y) == {"u": Z, "v": 2 * w}
+    assert imputation_from_dual(a, y) == {"u": Z, "v": 2 * w}
 
 
 def test_in_dual_image_uncon_cases():
     g = load_instance("bpath4-uncon")
-    assert in_dual_image(g, imp(g, 2, 0, 0, 2))
-    assert not in_dual_image(g, imp(g, 3, 0, 0, 1))
-    assert not in_dual_image(g, imp(g, 2, 0, 1, 1))
+    a = GameAnalysis(g)
+    assert in_dual_image(a, imp(g, 2, 0, 0, 2))
+    assert not in_dual_image(a, imp(g, 3, 0, 0, 1))
+    assert not in_dual_image(a, imp(g, 2, 0, 1, 1))
 
 
 def test_uncon_core_strictly_exceeds_dual_image():
-    g = load_instance("bpath4-uncon")
-    sys = coalition_system(g)
-    outside = imp(g, 3, 0, 0, 1)
-    assert core_membership_via_system(sys, outside).in_core
-    assert not in_dual_image(g, outside)
+    a = GameAnalysis(load_instance("bpath4-uncon"))
+    outside = imp(a.g, 3, 0, 0, 1)
+    assert core_membership_via_system(a.system, outside).in_core
+    assert not in_dual_image(a, outside)
 
 
 def test_con_imputations_from_dual_family():
@@ -118,33 +117,35 @@ def test_con_imputations_from_dual_family():
         edge_upper={k: (F(1) if k == heavy else Z) for k in g.edge_keys},
     )
     assert dual_is_optimal(g, y1, F(4))
-    assert imputation_from_dual(g, y1, split_all_left(y1)) == imp(g, 3, 0, 0, 1)
-    assert imputation_from_dual(g, y1, split_all_right(y1)) == imp(g, 2, 0, 0, 2)
-    assert imputation_from_dual(g, y1, split_half(y1)) == imp(
+    a = GameAnalysis(g)
+    assert imputation_from_dual(a, y1, split_all_left(y1)) == imp(g, 3, 0, 0, 1)
+    assert imputation_from_dual(a, y1, split_all_right(y1)) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(a, y1, split_half(y1)) == imp(
         g, F(5, 2), 0, 0, F(3, 2)
     )
     y0 = DualSolution(
         {"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)},
         edge_upper={k: Z for k in g.edge_keys},
     )
-    assert imputation_from_dual(g, y0, split_all_left(y0)) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(a, y0, split_all_left(y0)) == imp(g, 2, 0, 0, 2)
 
 
 def test_con_split_must_match_dual():
-    g = load_instance("bpath4-con")
-    _, y = solve_dual(g)
+    a = GameAnalysis(load_instance("bpath4-con"))
+    _, y = a.dual
     bad = split_all_left(y)
     bad.cap_left[("u1", "v2")] += 1
     with pytest.raises(ValueError):
-        imputation_from_dual(g, y, bad)
+        imputation_from_dual(a, y, bad)
     with pytest.raises(ValueError):
-        imputation_from_dual(g, y)  # the positive edge price needs a split
+        imputation_from_dual(a, y)  # the positive edge price needs a split
 
 
 def test_con_dual_image_family_points():
     g = load_instance("bpath4-con")
+    a = GameAnalysis(g)
     for b in (Z, F(1, 2), F(1)):
-        assert in_dual_image(g, imp(g, 3 - b, 0, 0, 1 + b))
+        assert in_dual_image(a, imp(g, 3 - b, 0, 0, 1 + b))
 
 
 def test_con_dual_image_reaches_beyond_listed_family():
@@ -161,21 +162,23 @@ def test_con_dual_image_reaches_beyond_listed_family():
         },
     )
     assert dual_is_optimal(g, y, F(4))
-    assert imputation_from_dual(g, y, split_all_left(y)) == imp(g, 1, 0, 0, 3)
-    assert imputation_from_dual(g, y, split_all_right(y)) == imp(g, 0, 0, 1, 3)
-    assert in_dual_image(g, imp(g, 1, 0, 0, 3))
-    assert in_dual_image(g, imp(g, 0, 0, 1, 3))
+    a = GameAnalysis(g)
+    assert imputation_from_dual(a, y, split_all_left(y)) == imp(g, 1, 0, 0, 3)
+    assert imputation_from_dual(a, y, split_all_right(y)) == imp(g, 0, 0, 1, 3)
+    assert in_dual_image(a, imp(g, 1, 0, 0, 3))
+    assert in_dual_image(a, imp(g, 0, 0, 1, 3))
 
 
 def test_con_dual_image_rejects_non_imputations():
     g = load_instance("bpath4-con")
-    assert not in_dual_image(g, imp(g, 4, 0, 0, 1))  # wrong total
-    assert not in_dual_image(g, imp(g, 4, 0, 0, 0))  # core violation too
+    a = GameAnalysis(g)
+    assert not in_dual_image(a, imp(g, 4, 0, 0, 1))  # wrong total
+    assert not in_dual_image(a, imp(g, 4, 0, 0, 0))  # core violation too
 
 
 def test_coalition_system_rhs_by_variant():
     gu = load_instance("bpath4-uncon")
-    su = coalition_system(gu)
+    su = GameAnalysis(gu).system
     rhs = {tuple(sorted(s)): v for s, v in su.inequalities}
     assert rhs[("u1", "v1")] == 2  # repeatable edge used twice
     assert rhs[("u1", "v2")] == 3
@@ -184,7 +187,7 @@ def test_coalition_system_rhs_by_variant():
     assert rhs[("u1", "u2", "v2")] == 3
     assert su.grand_worth == 4
     gc = load_instance("bpath4-con")
-    sc = coalition_system(gc)
+    sc = GameAnalysis(gc).system
     rhs = {tuple(sorted(s)): v for s, v in sc.inequalities}
     assert rhs[("u1", "v1")] == 1  # single-use edge
     assert sc.grand_worth == 4
@@ -192,42 +195,43 @@ def test_coalition_system_rhs_by_variant():
 
 def test_system_membership_witnesses():
     gu = load_instance("bpath4-uncon")
-    su = coalition_system(gu)
+    su = GameAnalysis(gu).system
     assert core_membership_via_system(su, imp(gu, 3, 0, 0, 1)).in_core
     got = core_membership_via_system(su, imp(gu, 1, 0, 0, 3))
     assert not got.in_core and got.witness == frozenset({"u1", "v1"})
     gc = load_instance("bpath4-con")
-    sc = coalition_system(gc)
+    sc = GameAnalysis(gc).system
     assert core_membership_via_system(sc, imp(gc, 1, 0, 0, 3)).in_core
 
 
 def test_gen_reduces_to_assignment_on_single_edge():
     w = F(9, 5)
     g = make_game("b-general", ["u"], ["v"], [("u", "v", w)])
+    a = GameAnalysis(g)
     _, y = solve_dual(g)
-    profits = imputation_from_dual(g, y, split_half(y))
+    profits = imputation_from_dual(a, y, split_half(y))
     assert sum(profits.values(), start=Z) == w
     assert all(v >= 0 for v in profits.values())
-    sys = coalition_system(g)
-    assert core_membership_via_system(sys, profits).in_core
+    assert core_membership_via_system(a.system, profits).in_core
 
 
 def test_gen_d1_matches_constrained_results():
     g = load_instance("bpath4-gen-d1")
-    assert game_worth(g) == 4
+    a = GameAnalysis(g)
+    assert a.worth == 4
     _, y = solve_dual(g)
-    sys = coalition_system(g)
     for split in (split_all_left, split_all_right, split_half):
-        profits = imputation_from_dual(g, y, split(y))
-        assert core_membership_via_system(sys, profits).in_core
+        profits = imputation_from_dual(a, y, split(y))
+        assert core_membership_via_system(a.system, profits).in_core
     # the family reachable in the single-use encoding is reachable here
     for b in (Z, F(1, 2), F(1)):
-        assert in_dual_image(g, imp(g, 3 - b, 0, 0, 1 + b))
+        assert in_dual_image(a, imp(g, 3 - b, 0, 0, 1 + b))
 
 
 def test_gen_cap_matches_unconstrained_results():
     g = load_instance("bpath4-gen-cap")
-    assert game_worth(g) == 4
+    a = GameAnalysis(g)
+    assert a.worth == 4
     y = DualSolution(
         {"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)},
         vertex_lower={q: Z for q in g.vertices},
@@ -235,11 +239,10 @@ def test_gen_cap_matches_unconstrained_results():
         edge_lower={k: Z for k in g.edge_keys},
     )
     assert dual_is_optimal(g, y, F(4))
-    profits = imputation_from_dual(g, y, split_half(y))
+    profits = imputation_from_dual(a, y, split_half(y))
     assert profits == imp(g, 2, 0, 0, 2)
-    assert in_dual_image(g, profits)
-    sys = coalition_system(g)
-    assert core_membership_via_system(sys, profits).in_core
+    assert in_dual_image(a, profits)
+    assert core_membership_via_system(a.system, profits).in_core
 
 
 def test_gen_floor_can_turn_profits_negative():
@@ -252,7 +255,8 @@ def test_gen_floor_can_turn_profits_negative():
         [("u", "v", F(1))],
         vertex_lower={"u": 1},
     )
-    assert game_worth(g) == 1
+    a = GameAnalysis(g)
+    assert a.worth == 1
     y = DualSolution(
         {"u": Z, "v": F(2)},
         vertex_lower={"u": F(1), "v": Z},
@@ -261,7 +265,7 @@ def test_gen_floor_can_turn_profits_negative():
     )
     assert dual_is_optimal(g, y, F(1))
     with pytest.raises(ProfitSignError):
-        imputation_from_dual(g, y, split_half(y))
+        imputation_from_dual(a, y, split_half(y))
 
 
 def test_gen_floor_infeasible_coalitions_are_skipped():
@@ -272,7 +276,7 @@ def test_gen_floor_infeasible_coalitions_are_skipped():
         [("u", "v", F(1))],
         vertex_lower={"u": 1},
     )
-    sys = coalition_system(g)
+    sys = GameAnalysis(g).system
     assert frozenset({"u"}) in sys.skipped
     verdict = core_membership_via_system(sys, {"u": Z, "v": F(1)})
     assert verdict.in_core
@@ -291,17 +295,19 @@ def test_connected_system_equals_full_system():
             if not g.edges:
                 continue
             done += 1
-            fast = coalition_system(g)
-            full = all_coalition_system(g)
+            a = GameAnalysis(g)
+            fast = a.system
+            full = all_coalition_system(a)
             for sample in sample_core_imputations(fast, seed=5, count=2):
                 assert core_membership_via_system(full, sample).in_core
             perturbed = sample_core_imputations(fast, seed=6, count=1)[0]
             qs = sorted(perturbed)
             perturbed[qs[0]] += F(1, 2)
             perturbed[qs[-1]] -= F(1, 2)
-            a = core_membership_via_system(fast, perturbed).in_core
-            b = core_membership_via_system(full, perturbed).in_core
-            assert a == b
+            assert (
+                core_membership_via_system(fast, perturbed).in_core
+                == core_membership_via_system(full, perturbed).in_core
+            )
 
 
 def test_edge_floor_image_point_outside_the_core():
@@ -313,9 +319,9 @@ def test_edge_floor_image_point_outside_the_core():
     assert any(g.edge_lower.values())
     a = GameAnalysis(g)
     _, y = a.dual
-    profits = imputation_from_dual(g, y, split_half(y), worth=a.worth)
+    profits = imputation_from_dual(a, y, split_half(y))
     assert profits == imp(g, 0, 3, F(15, 4), 0, 0, F(3, 4))
-    assert in_dual_image(g, profits, worth=a.worth)
+    assert in_dual_image(a, profits)
     got = a.membership(profits)
     short = frozenset({"u1", "u2", "v1", "v2", "v3"})
     assert not got.in_core and got.witness == short
@@ -340,19 +346,19 @@ def test_dual_derived_imputations_pass_core_check():
                 continue
             done += 1
             _, y = solve_dual(g)
-            total = game_worth(g)
-            sys = coalition_system(g)
+            a = GameAnalysis(g)
+            total = a.worth
             for s in (split_all_left, split_all_right, split_half):
                 try:
-                    profits = imputation_from_dual(g, y, s(y), worth=total)
+                    profits = imputation_from_dual(a, y, s(y))
                 except ProfitSignError:
                     assert floors
                     signs += 1
                     continue
                 assert sum(profits.values(), start=Z) == total
-                assert in_dual_image(g, profits, worth=total)
+                assert in_dual_image(a, profits)
                 if not floors:
-                    assert core_membership_via_system(sys, profits).in_core
+                    assert core_membership_via_system(a.system, profits).in_core
     assert signs > 0
 
 
@@ -370,21 +376,22 @@ def test_in_dual_image_agrees_with_the_scaling_oracle():
                 continue
             done += 1
             _, y = solve_dual(g)
-            base = imputation_from_dual(g, y)
-            sample = sample_core_imputations(coalition_system(g), seed=done, count=1)[0]
+            a = GameAnalysis(g)
+            base = imputation_from_dual(a, y)
+            sample = sample_core_imputations(a.system, seed=done, count=1)[0]
             qs = sorted(g.vertices)
             candidates = [base, sample]
             for start, delta in ((base, F(1, 2)), (sample, F(1, 5)), (base, F(1))):
                 moved = dict(start)
-                a, b = rng.choice(qs), rng.choice(qs)
-                moved[a] -= delta
-                moved[b] += delta
+                loss, gain = rng.choice(qs), rng.choice(qs)
+                moved[loss] -= delta
+                moved[gain] += delta
                 candidates.append(moved)
             richer = dict(base)
             richer[qs[0]] += 1
             candidates.append(richer)
             for cand in candidates:
-                got = in_dual_image(g, cand)
+                got = in_dual_image(a, cand)
                 assert got == in_scaled_image(g, cand)
                 answers.append(got)
     assert len(answers) == 240
@@ -399,9 +406,9 @@ def test_uniform_core_is_exactly_the_dual_image():
         if not g.edges:
             continue
         done += 1
-        sys = coalition_system(g)
-        for sample in sample_core_imputations(sys, seed=9, count=3):
-            assert dual_is_optimal(g, scaled_dual(g, sample), game_worth(g))
+        a = GameAnalysis(g)
+        for sample in sample_core_imputations(a.system, seed=9, count=3):
+            assert dual_is_optimal(g, scaled_dual(g, sample), a.worth)
 
 
 def test_meet_join_uniform_lattice():
@@ -412,18 +419,17 @@ def test_meet_join_uniform_lattice():
         if not g.edges:
             continue
         done += 1
-        sys = coalition_system(g)
-        samples = sample_core_imputations(sys, seed=3, count=2)
+        a = GameAnalysis(g)
+        samples = sample_core_imputations(a.system, seed=3, count=2)
         if len(samples) < 2:
             continue
-        meet, join = meet_join(g, samples[0], samples[1])
-        assert is_core_imputation(g, meet).in_core
-        assert is_core_imputation(g, join).in_core
+        meet, join = meet_join(a, samples[0], samples[1])
+        assert GameAnalysis(g).membership(meet).in_core
+        assert GameAnalysis(g).membership(join).in_core
 
 
 def test_sampling_is_deterministic():
-    g = load_instance("bpath4-uncon")
-    sys = coalition_system(g)
+    sys = GameAnalysis(load_instance("bpath4-uncon")).system
     a = sample_core_imputations(sys, seed=17, count=4)
     b = sample_core_imputations(sys, seed=17, count=4)
     assert a == b

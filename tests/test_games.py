@@ -1,11 +1,14 @@
+import itertools
 from fractions import Fraction as F
 from random import Random
 
+import networkx as nx
 import pytest
 
 from matchcore.analysis import worth
 from matchcore.bundled import load_instance
 from matchcore.games import (
+    VARIANTS,
     CapExceeded,
     connected_coalitions,
     connected_components,
@@ -14,7 +17,7 @@ from matchcore.games import (
     validate_game,
 )
 
-from gamegen import random_assignment, random_b_game
+from gamegen import random_assignment, random_b_game, random_general
 
 
 def test_path5_is_valid():
@@ -102,6 +105,33 @@ def test_connected_coalitions_trivia():
         ("b",),
         ("c",),
     ]
+
+
+def test_connected_coalitions_match_networkx():
+    # Independent oracle: networkx connectivity of the induced subgraph of
+    # every nonempty vertex subset, in the order of the sorted member ids.
+    rng = Random(13)
+    games = [make_game("general-matching", [], ["solo"], [])]
+    for variant in VARIANTS:
+        for _ in range(6):
+            if variant == "assignment":
+                g = random_assignment(rng, max_side=4, density=0.35)
+            elif variant == "general-matching":
+                g = random_general(rng, max_n=8, density=0.3)
+            else:
+                g = random_b_game(rng, variant)
+            games.append(g)
+    isolated = 0
+    for g in games:
+        graph = nx.Graph()
+        graph.add_nodes_from(g.vertices)
+        graph.add_edges_from(g.edge_keys)
+        ids = sorted(g.vertices)
+        subsets = [c for r in range(1, len(ids) + 1) for c in itertools.combinations(ids, r)]
+        want = sorted([c for c in subsets if nx.is_connected(graph.subgraph(c))])
+        assert connected_coalitions(g) == [frozenset(c) for c in want]
+        isolated += sum(1 for q in ids if graph.degree(q) == 0)
+    assert {g.variant for g in games} == set(VARIANTS) and isolated >= 5
 
 
 def test_connected_coalitions_cap():

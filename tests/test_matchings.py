@@ -1,11 +1,12 @@
 import gc
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 
-from matchcore.analysis import GameAnalysis, classify_edge, classify_vertex
+from matchcore.analysis import GameAnalysis
 from matchcore.bundled import load_instance
 from matchcore.games import CapExceeded, induce_subgame, make_game
 from matchcore.matchings import (
@@ -17,7 +18,8 @@ from matchcore.matchings import (
     make_matching_vector,
 )
 
-from gamegen import random_assignment
+from gamegen import random_assignment, random_b_game, random_general
+from plain_enumerator import plain_optima
 
 H = F(1, 2)
 
@@ -197,25 +199,51 @@ def test_birkhoff_random_combinations_resum():
 
 
 def test_classify_named_instances():
-    ring7 = load_instance("ring7")
-    assert classify_vertex(ring7, "v2") == "essential"
-    assert classify_vertex(ring7, "v1") == "viable"
-    assert classify_edge(ring7, ("v2", "v7")) == "essential"
-    assert classify_edge(ring7, ("v4", "v7")) == "subpar"
-    assert classify_edge(ring7, ("v1", "v6")) == "viable"
-    assert classify_vertex(load_instance("tritail4"), "v4") == "essential"
-    assert classify_vertex(load_instance("fork3"), "v1") == "subpar"
+    vlabels, elabels = GameAnalysis(load_instance("ring7")).labels
+    assert vlabels["v2"] == "essential"
+    assert vlabels["v1"] == "viable"
+    assert elabels[("v2", "v7")] == "essential"
+    assert elabels[("v4", "v7")] == "subpar"
+    assert elabels[("v1", "v6")] == "viable"
+    assert GameAnalysis(load_instance("tritail4")).labels[0]["v4"] == "essential"
+    assert GameAnalysis(load_instance("fork3")).labels[0]["v1"] == "subpar"
+
+
+def plain_labels(g):
+    """Labels counted here from the optima of the plain enumerator."""
+    optima = [dict(m.multiplicities) for m in plain_optima(g)[1]]
+
+    def label(used):
+        return "essential" if used == len(optima) else "viable" if used else "subpar"
+
+    vlabels = {
+        q: label(sum(1 for m in optima if any(q in k for k in m))) for q in g.vertices
+    }
+    elabels = {k: label(sum(1 for m in optima if k in m)) for k in g.edge_keys}
+    return vlabels, elabels
 
 
 def test_session_labels_match_pointwise():
     g = load_instance("ring7")
     a = GameAnalysis(g)
-    (vlabels, elabels), (best, optima) = a.labels, a.optima
+    best, optima = a.optima
     assert best == 4 and len(optima) == 3
-    for q in g.vertices:
-        assert vlabels[q] == classify_vertex(g, q)
-    for k in g.edge_keys:
-        assert elabels[k] == classify_edge(g, k)
+    assert a.labels == plain_labels(g)
+    # Seeded games of every variant, each also with unit weights, so that
+    # ties give many optima and viable labels.
+    rng = Random(47)
+    games = [load_instance(n) for n in ("path5", "web5", "tritail4", "bpath4-con")]
+    for variant in ("b-uniform", "b-unconstrained", "b-constrained", "b-general"):
+        games += [random_b_game(rng, variant) for _ in range(3)]
+    games += [random_assignment(rng, max_side=4) for _ in range(3)]
+    games += [random_general(rng, max_n=6) for _ in range(3)]
+    games += [replace(g, edges=tuple([(i, j, F(1)) for i, j, _ in g.edges])) for g in games]
+    viable = 0
+    for g in games:
+        labels = GameAnalysis(g).labels
+        assert labels == plain_labels(g), g
+        viable += list(labels[0].values()).count("viable")
+    assert viable >= 10
 
 
 def test_classification_cross_checks():

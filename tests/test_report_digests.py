@@ -16,7 +16,7 @@ from random import Random
 
 import pytest
 
-from matchcore.analysis import check_concurrency
+from matchcore.analysis import GameAnalysis
 from matchcore.games import DEFAULT_BUDGET_CAP, DEFAULT_COALITION_CAP
 from matchcore.reports import full_report
 
@@ -99,7 +99,7 @@ def test_report_digest(kind, seed, want):
 
 def test_general_cases_cover_both_core_states():
     flags = [
-        check_concurrency(make("general", s)).concurrent
+        GameAnalysis(make("general", s)).concurrency.concurrent
         for k, s, _ in PINNED
         if k == "general"
     ]

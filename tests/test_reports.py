@@ -19,7 +19,8 @@ from random import Random
 import pytest
 
 import matchcore.cli  # noqa: F401  (loads every module)
-from matchcore import analysis, cli, coalition_system, simplex
+from matchcore import analysis, cli, simplex
+from matchcore.analysis import GameAnalysis
 from matchcore.bmatching import sample_core_imputations
 from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore.gamefile import render_game
@@ -86,7 +87,6 @@ def _report(g):
 def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
     enums = count_calls(monkeypatch, brute_force_optima)
     solves = count_calls(monkeypatch, simplex.solve_lp)
-    pays = count_calls(monkeypatch, analysis.payment_report)
     runs = []
     run = simplex._run
     monkeypatch.setattr(simplex, "_run", lambda *a: runs.append(1) or run(*a))
@@ -104,15 +104,24 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
     # Phase 1 and phase 2 once per solve at most; one phase 2 per query.
     assert len(runs) <= 2 * len(solves) + len(queries)
     assert len(runs) >= len(solves) + len(queries)
-    assert pays == []
 
 
 @pytest.mark.parametrize("name", ["ring7", "tiers8", "path5", "k3"])
 def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
-    pays = count_calls(monkeypatch, analysis.payment_report)
+    # Each vertex is priced once, however the two facts are asked for.
+    priced = []
+    vertex_payment = GameAnalysis.vertex_payment
+    monkeypatch.setattr(
+        GameAnalysis,
+        "vertex_payment",
+        lambda self, q: priced.append(q) or vertex_payment(self, q),
+    )
     enums = count_calls(monkeypatch, brute_force_optima)
-    analysis.degeneracy_report(load_instance(name))
-    assert pays == [] and len(enums) == 1
+    a = GameAnalysis(load_instance(name))
+    a.degeneracy
+    a.payments
+    a.degeneracy
+    assert sorted(priced) == sorted(a.g.vertices) and len(enums) == 1
 
 
 @pytest.mark.parametrize(
@@ -203,13 +212,13 @@ def test_no_answer_enumerates_nothing_after_its_witness(
 
 
 def meet_join_inputs():
-    cases = [(load_instance(n), *analysis.antipodal_imputations(load_instance(n)))
+    cases = [(load_instance(n), *GameAnalysis(load_instance(n)).antipodal)
              for n in ("web5", "tiers8")]
     rng = Random(83)
     while len(cases) < 8:
         g = random_b_game(rng, "b-uniform", max_side=2, max_b=2)
         if g.edges:
-            samples = sample_core_imputations(coalition_system(g), seed=3, count=2)
+            samples = sample_core_imputations(GameAnalysis(g).system, seed=3, count=2)
             cases.append((g, samples[0], samples[-1]))
     return cases
 
@@ -222,7 +231,7 @@ MEET_JOIN_INPUTS = meet_join_inputs()
 )
 def test_meet_join_enumerates_each_coalition_at_most_once(monkeypatch, g, p, q):
     work = count_work(monkeypatch, g)
-    analysis.meet_join(g, p, q)
+    analysis.meet_join(GameAnalysis(g), p, q)
     done = work()
     assert done.enumerated == [frozenset(g.vertices)] and done.tables <= 1
     assert len(set(done.searched)) == len(done.searched)
@@ -230,7 +239,7 @@ def test_meet_join_enumerates_each_coalition_at_most_once(monkeypatch, g, p, q):
 
 @pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
 def test_membership_after_system_enumerates_nothing(monkeypatch, g):
-    a = analysis.GameAnalysis(g)
+    a = GameAnalysis(g)
     rows = a.system.inequalities
     inside = dual_imputation(g)
     outside = shifted_imputation(g, inside)

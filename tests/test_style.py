@@ -59,3 +59,40 @@ def test_cli_never_compares_the_variant():
         )
     ]
     assert found == []
+
+
+def _read_off_a_session(node) -> bool:
+    """Is ``node`` read off a ``GameAnalysis(...)`` call, as in
+    ``GameAnalysis(g).x``, ``GameAnalysis(g).f(q)`` or
+    ``GameAnalysis(g).labels[0][q]``?"""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "GameAnalysis"
+        ):
+            return True
+    return False
+
+
+def fresh_session_wrappers(src: Path) -> list[str]:
+    """Module-level functions that return a fact of a session they build."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef):
+                found += [
+                    f"{path.name}:{top.name}"
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Return) and _read_off_a_session(node.value)
+                ]
+    return found
+
+
+def test_no_fresh_session_wrappers():
+    # The session is the one way to ask a game's facts.  A function that
+    # builds GameAnalysis(...) and returns one of its facts gives that fact
+    # a second name and a second set of caps, and a caller who loops over
+    # it solves the game once per call.
+    assert fresh_session_wrappers(SRC) == []
