@@ -12,11 +12,13 @@ once: one enumeration of the optimal matchings, one primal solve, one
 dual solve whose final tableau answers every face question by a warm
 phase 2 (see :class:`~matchcore.simplex.OptimalTableau`), and one worth
 per connected coalition, from which come both the core system and the
-one core-membership test.  Coalition worths come from one pass per
-session: a subset table for assignment, general and b-uniform games,
-and the worth-only integer search, on arrays built once, for the other
-b-games.  :func:`worth` enumerates one induced subgame instead, and is
-kept as their independent oracle.
+"no" answers of the one core-membership test; its "yes" answers come
+from a dual certificate (see :meth:`GameAnalysis.membership`).
+Coalition worths come from one pass per session: a subset table for
+assignment, general and b-uniform games, and the worth-only integer
+search, on arrays built once, for the other b-games.  :func:`worth`
+enumerates one induced subgame instead, and is kept as their
+independent oracle.
 
 The session is the one way to ask a game's facts: build
 ``GameAnalysis(g, budget_cap, cap)`` and read its attributes.  The
@@ -31,6 +33,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .games import (
     DEFAULT_BUDGET_CAP,
@@ -38,6 +41,7 @@ from .games import (
     Coalition,
     Edge,
     GameInstance,
+    check_coalition_cap,
     connected_coalitions,
     induce_subgame,
 )
@@ -45,6 +49,7 @@ from .gamelp import (
     DualSolution,
     dual_solution_from_lp,
     edge_name,
+    priced,
     solve_dual,
 )
 from .matchings import (
@@ -141,6 +146,9 @@ def _membership(
     """The one core-membership test: signs, the total, then the rows in order.
 
     The witness is the first violated row; a worth of None imposes nothing.
+    ``worths`` is iterated only once the total holds.  The profits are
+    scaled once to their common denominator, so each row's sum is an
+    integer compared with its worth by cross-multiplication.
     """
     if set(imp) != set(vertices):
         raise ValueError("imputation keys do not match the game's vertices")
@@ -149,8 +157,12 @@ def _membership(
             return CoreMembership(False, frozenset((q,)))
     if sum(imp.values(), start=ZERO) != grand_worth():
         return CoreMembership(False, frozenset(vertices))
+    scale = lcm(*[v.denominator for v in imp.values()])
+    scaled = {q: v.numerator * (scale // v.denominator) for q, v in imp.items()}
     for s, ws in worths:
-        if ws is not None and sum((imp[q] for q in s), start=ZERO) < ws:
+        if ws is None:
+            continue
+        if sum([scaled[q] for q in s]) * ws.denominator < ws.numerator * scale:
             return CoreMembership(False, s)
     return CoreMembership(True, None)
 
@@ -266,16 +278,57 @@ class GameAnalysis:
         return CoalitionSystem.of(self.g, self.coalition_worths(), self.worth)
 
     def membership(self, imp: Imputation) -> CoreMembership:
-        """Exact core membership, checked over connected coalitions only.
+        """Exact core membership: a dual certificate says "yes", a scan "no".
 
-        A disconnected coalition's worth is the sum of its components'
-        worths, so its inequality is implied by the connected ones.  The
-        witness is the first violated coalition in lexicographic order;
-        the scan enumerates no coalition after it.
+        The order is: the keys, the signs, the total, the coalition cap,
+        the certificate, then the scan of the connected proper coalitions
+        in lexicographic order.  The scan runs only when the certificate
+        fails, so every "no" and its witness, the first violated
+        coalition, are the scan's; it enumerates no coalition after the
+        witness.  A disconnected coalition's worth is the sum of its
+        components' worths, so its inequality is implied by the connected
+        ones.
+
+        The certificate is sound by weak duality on each coalition's own
+        LP, whose optimum bounds the coalition's worth v(S) from above:
+
+        (a) ``y_q = imp_q / b_q`` covers every edge, ``y_i + y_j >= w_ij``.
+            With every other price family at 0, ``y`` restricted to S is
+            a feasible dual of S's LP of value sum(imp_q, q in S), so that
+            sum is at least v(S).  On single-use games this test is the
+            core itself; where edges are not priced, the dual image.
+        (b) Where edges are priced and no edge floor is positive,
+            :func:`~matchcore.bmatching.in_dual_image`: an optimal dual
+            with an admissible split pays S its own dual objective, plus
+            nonnegative split parts of the edges that leave S.  With a
+            positive edge floor those parts can be negative, and an image
+            point can lie outside the core
+            (``test_bmatching.py::test_edge_floor_image_point_outside_the_core``),
+            so there only (a) answers.
         """
-        return _membership(
-            imp, self.g.vertices, lambda: self.worth, self.coalition_worths()
-        )
+
+        def rows() -> Iterator[tuple[Coalition, Fraction | None]]:
+            check_coalition_cap(self.g, self.cap)
+            if not self._certified(imp):
+                yield from self.coalition_worths()
+
+        return _membership(imp, self.g.vertices, lambda: self.worth, rows())
+
+    def _certified(self, imp: Imputation) -> bool:
+        """Does a dual certificate put ``imp`` in the core?  See :meth:`membership`.
+
+        ``imp`` is nonnegative and pays out the worth.
+        """
+        g = self.g
+        y = {q: Fraction(imp[q], g.vertex_upper[q]) for q in g.vertices}
+        if all([y[i] + y[j] >= w for i, j, w in g.edges]):
+            return True
+        _, edge_caps = priced(g)
+        if not edge_caps or any(g.edge_lower.values()):
+            return False
+        from .bmatching import in_dual_image  # bmatching imports this module
+
+        return in_dual_image(self, imp)
 
     @cached_property
     def concurrency(self) -> WorthReport:

@@ -11,6 +11,10 @@ can lie outside the core while still in the dual image (see
 ``test_bmatching.py::test_edge_floor_image_point_outside_the_core``).
 :func:`in_dual_image` decides image membership exactly, and
 :meth:`~matchcore.analysis.GameAnalysis.membership` core membership.
+Without edge floors the image lies inside the core, so where edges are
+priced ``membership`` takes an image point as its certificate of "yes"
+and scans the coalitions only for "no"; with a positive edge floor only
+its scaled cover test, ``imp_q / b_q`` covering every edge, may answer.
 One map (:func:`imputation_from_dual`) and one LP
 (:func:`in_dual_image`) serve all four b-variants; both read the bound
 families a variant prices from :func:`~matchcore.gamelp.priced`.
@@ -31,7 +35,7 @@ from fractions import Fraction
 from random import Random
 
 from .analysis import CoalitionSystem, GameAnalysis, Imputation
-from .games import CapExceeded, Edge
+from .games import Edge, check_coalition_cap
 from .gamelp import (
     DualSolution,
     dual_is_optimal,
@@ -231,9 +235,8 @@ def all_coalition_system(a: GameAnalysis) -> CoalitionSystem:
     (:func:`~matchcore.analysis.worth`), not from the session's pass.
     """
     g = a.g
+    check_coalition_cap(g, a.cap)
     n = len(g.vertices)
-    if n > a.cap:
-        raise CapExceeded(f"{n} vertices exceed coalition enumeration cap {a.cap}")
     ids = sorted(g.vertices)
     every = (
         (s, coalition_worth(g, s, a.budget_cap))

@@ -244,6 +244,17 @@ def induce_subgame(g: GameInstance, s: Coalition) -> GameInstance:
     )
 
 
+def check_coalition_cap(g: GameInstance, cap: int) -> None:
+    """Raise :class:`CapExceeded` if ``g`` has more than ``cap`` vertices.
+
+    Every path that answers a question about the coalitions of ``g`` calls
+    this first, whether or not it goes on to enumerate them.
+    """
+    n = len(g.vertices)
+    if n > cap:
+        raise CapExceeded(f"{n} vertices exceed coalition enumeration cap {cap}")
+
+
 def connected_coalitions(
     g: GameInstance, cap: int = DEFAULT_COALITION_CAP
 ) -> list[Coalition]:
@@ -252,9 +263,8 @@ def connected_coalitions(
     Singletons are included.  The result is ordered lexicographically on
     the sorted member ids, so reports and witnesses are reproducible.
     """
+    check_coalition_cap(g, cap)
     n = len(g.vertices)
-    if n > cap:
-        raise CapExceeded(f"{n} vertices exceed coalition enumeration cap {cap}")
     ids = sorted(g.vertices)
     adj = g.adjacency()
     # Neighbours as bitmasks over the sorted ids; flood from the lowest bit.

@@ -114,11 +114,15 @@ def dual_imputation(g: GameInstance) -> dict[str, Fraction]:
 def shifted_imputation(g: GameInstance, imp: dict[str, Fraction]) -> dict[str, Fraction]:
     """``imp`` with one vertex k paid more than its marginal worth
     v(N) - v(N - k), taken from the others: N - k is short, so the
-    result is outside the core whatever else holds."""
+    result is outside the core whatever else holds.  A vertex whose N - k
+    admits no feasible matching imposes nothing and is passed over."""
     total = sum(imp.values(), start=Fraction(0))
     for k in sorted(g.vertices):
         rest = frozenset(g.vertices) - {k}
-        short = total - worth(g, rest) - imp[k] + Fraction(1, 7)
+        rest_worth = worth(g, rest)
+        if rest_worth is None:
+            continue
+        short = total - rest_worth - imp[k] + Fraction(1, 7)
         out = dict(imp)
         out[k] += short
         need = short

@@ -154,6 +154,59 @@ def test_cap_exceeded_exit_code(capsys, game_path):
     assert "cap exceeded" in err
 
 
+# ``check`` answers "yes" from a dual certificate without enumerating the
+# coalitions, but the coalition cap is checked before the certificate:
+# beyond the cap a core point still exits 3, while a negative entry or a
+# wrong total, which are answered before the cap, still exit 1.
+CORE_POINTS = [
+    ("path5", "1,1,0,1/10,0"),
+    ("path5-b2", "2,2,0,1/5,0"),
+    ("bpath4-con", "1,0,0,3"),
+    ("bpath4-uncon", "2,0,0,2"),
+]
+
+
+@pytest.mark.parametrize("name,imputation", CORE_POINTS)
+def test_certified_yes_beyond_the_cap_exits_3(capsys, game_path, name, imputation):
+    path = game_path(name)
+    n = len(load_instance(name).vertices)
+    code, out, _ = run(capsys, "check", "--game", path, "--imputation", imputation)
+    assert code == 0 and "in-core = yes" in out
+    got = run(capsys, "check", "--game", path, "--cap", "3", "--imputation", imputation)
+    message = f"cap exceeded: {n} vertices exceed coalition enumeration cap 3\n"
+    assert got == (3, "", message)
+
+
+@pytest.mark.parametrize("name,imputation", CORE_POINTS)
+def test_negative_entry_or_wrong_total_beyond_the_cap_exits_1(
+    capsys, game_path, name, imputation
+):
+    path = game_path(name)
+    first, *rest = imputation.split(",")
+    g = load_instance(name)
+    for bad, witness in [
+        (["-1", *rest], [g.vertices[0]]),
+        ([str(int(first) + 1), *rest], sorted(g.vertices)),
+    ]:
+        code, out, err = run(
+            capsys, "check", "--game", path, "--cap", "3", "--imputation", ",".join(bad)
+        )
+        assert (code, err) == (1, "")
+        assert out.endswith("in-core = no\nwitness = {" + ",".join(witness) + "}\n")
+
+
+def test_budget_is_checked_before_the_coalition_cap(capsys, tmp_path):
+    # 26 vertices and a multiplicity budget of 26: both caps are exceeded.
+    path = _diagonal_game(tmp_path, "assignment")
+    imp = ",".join([str(i) for i in range(1, 14)] + ["0"] * 13)
+    got = run(capsys, "check", "--game", path, "--imputation", imp)
+    budget = "cap exceeded: total multiplicity budget 26 exceeds cap 24\n"
+    assert got == (3, "", budget)
+    got = run(capsys, "check", "--game", path, "--budget", "30", "--imputation", imp)
+    cap = "cap exceeded: 26 vertices exceed coalition enumeration cap 16\n"
+    assert got == (3, "", cap)
+
+
 def test_out_writes_json(capsys, game_path, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run(

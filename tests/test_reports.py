@@ -183,6 +183,16 @@ def test_check_enumerates_the_grand_coalition_once(monkeypatch, capsys, tmp_path
     assert work.enumerated == [frozenset(g.vertices)]
 
 
+@pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
+def test_certified_yes_computes_no_coalition_worth(monkeypatch, capsys, tmp_path, g):
+    # No edge floors here, so the core points read off an optimal dual are
+    # certified by it: "yes" builds no subset table and runs no search.
+    # Only a general game with an empty core answers "no" (a wrong total).
+    code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
+    assert code == (0 if GameAnalysis(g).concurrency.concurrent else 1)
+    assert work == Work([frozenset(g.vertices)], [], 0)
+
+
 @pytest.mark.parametrize("how", ["shifted", "negative", "total"])
 @pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
 def test_no_answer_enumerates_nothing_after_its_witness(
