@@ -8,17 +8,19 @@ maximizing a secondary linear objective over the face.  One exact LP
 answers each question; no sampling of imputations is involved.
 
 A :class:`GameAnalysis` session computes each fact of one game at most
-once: one enumeration of the optimal matchings, one primal solve, one
-dual solve whose final tableau answers every face question by a warm
-phase 2 (see :class:`~matchcore.simplex.OptimalTableau`), and one worth
-per connected coalition, from which come both the core system and the
-"no" answers of the one core-membership test; its "yes" answers come
-from a dual certificate (see :meth:`GameAnalysis.membership`).
+once: one worth-only search of the grand coalition, one count of its
+optimal matchings (it lists none), one primal solve, one dual solve
+whose final tableau answers every face question by a warm phase 2 (see
+:class:`~matchcore.simplex.OptimalTableau`), and one worth per connected
+coalition, from which come both the core system and the "no" answers of
+the one core-membership test; its "yes" answers come from a dual
+certificate (see :meth:`GameAnalysis.membership`).
 Coalition worths come from one pass per session: a subset table for
 assignment, general and b-uniform games, and the worth-only integer
 search, on arrays built once, for the other b-games.  :func:`worth`
-enumerates one induced subgame instead, and is kept as their
-independent oracle.
+lists the optima of one induced subgame instead, and is kept as their
+independent oracle; it is the one caller of
+:func:`~matchcore.matchings.brute_force_optima` in the package.
 
 The session is the one way to ask a game's facts: build
 ``GameAnalysis(g, budget_cap, cap)`` and read its attributes.  The
@@ -41,6 +43,7 @@ from .games import (
     Coalition,
     Edge,
     GameInstance,
+    check_budget_cap,
     check_coalition_cap,
     connected_coalitions,
     induce_subgame,
@@ -55,15 +58,15 @@ from .gamelp import (
 from .matchings import (
     IntegerGame,
     InfeasibleGameError,
-    MatchingVector,
+    OptimaCount,
     SolverInvariantError,
     brute_force_optima,
+    count_optima,
     fractional_optimum,
     integer_game,
     integer_search,
-    label_optima,
     restrict,
-    subset_worths,
+    subset_table,
 )
 from .simplex import (  # solve_lp and solve_over_optimal_face stay importable here
     LPSolution,
@@ -186,8 +189,9 @@ def worth(
 
     ``None`` marks a coalition whose inherited floors admit no feasible
     matching at all; such coalitions are skipped by core checks.  Each
-    call enumerates the induced subgame; a session reads its coalition
-    worths from :meth:`GameAnalysis.coalition_worths` instead.
+    call lists the optima of the induced subgame; a session reads its
+    worths from :attr:`GameAnalysis.worth` and
+    :meth:`GameAnalysis.coalition_worths` instead.
     """
     sub = g if s is None else induce_subgame(g, s)
     if s is not None and not s:
@@ -200,8 +204,8 @@ class GameAnalysis:
     """Every fact of one game under one pair of caps, each computed once.
 
     Facts are computed on first use and kept for the session's lifetime:
-    the enumeration (worth plus all optimal matchings), the fractional
-    optimum, concurrency, the labels, the base dual solve with its final
+    the worth, the count of optimal matchings with the labels, the
+    fractional optimum, concurrency, the base dual solve with its final
     tableau, the payment report, and the worth of every connected
     coalition (at most ``cap`` vertices in the game), read from one
     subset table or one worth-only search each (see
@@ -221,15 +225,32 @@ class GameAnalysis:
         self._worths: list[Fraction | None] = []
 
     @cached_property
-    def optima(self) -> tuple[Fraction | None, list[MatchingVector]]:
-        return brute_force_optima(self.g, self.budget_cap)
-
-    @cached_property
     def worth(self) -> Fraction:
-        best = self.optima[0]
+        """The grand coalition's worth, from one worth-only search."""
+        check_budget_cap(self.g, self.budget_cap)
+        ig = self._integer_game
+        best = integer_search(ig)
         if best is None:
             raise InfeasibleGameError("the grand coalition admits no feasible matching")
-        return best
+        return Fraction(best, ig.scale)
+
+    @cached_property
+    def _optima(self) -> OptimaCount:
+        """The count of the optimal matchings (see :func:`count_optima`)."""
+        check_budget_cap(self.g, self.budget_cap)
+        ig = self._integer_game
+        best, count = count_optima(ig, self.cap)
+        if best is None:
+            raise InfeasibleGameError("no feasible matching to classify against")
+        # The count finds the worth too: a command that classifies first
+        # then reads it without a second search.
+        self.__dict__.setdefault("worth", Fraction(best, ig.scale))
+        return count
+
+    @property
+    def optima_count(self) -> int:
+        """How many optimal integral matchings the game has."""
+        return self._optima.total
 
     @cached_property
     def _coalitions(self) -> list[Coalition]:
@@ -242,7 +263,7 @@ class GameAnalysis:
 
     @cached_property
     def _subset_worths(self) -> list[int]:
-        return subset_worths(self._integer_game)
+        return subset_table(self._integer_game)[0]
 
     def coalition_worths(self) -> Iterator[tuple[Coalition, Fraction | None]]:
         """Each connected proper coalition with its worth, lexicographically.
@@ -252,7 +273,7 @@ class GameAnalysis:
         first: no coalition's multiplicity budget exceeds the game's, so
         its ``budget_cap`` check covers them all.  Assignment, general
         and b-uniform games read every worth from one subset table
-        (:func:`~matchcore.matchings.subset_worths`); the other b-games
+        (:func:`~matchcore.matchings.subset_table`); the other b-games
         run the worth-only integer search on the coalition's vertices.
         """
         self.worth
@@ -269,7 +290,7 @@ class GameAnalysis:
             # x -> b x maps the bipartite matching polytope, which is
             # integral, onto the b-uniform one, so v_b(S) = b v(S).
             return Fraction(max(ig.upper) * self._subset_worths[mask], ig.scale)
-        best, _ = integer_search(restrict(ig, mask), ties=False)
+        best = integer_search(restrict(ig, mask))
         return None if best is None else Fraction(best, ig.scale)
 
     @cached_property
@@ -304,7 +325,10 @@ class GameAnalysis:
             positive edge floor those parts can be negative, and an image
             point can lie outside the core
             (``test_bmatching.py::test_edge_floor_image_point_outside_the_core``),
-            so there only (a) answers.
+            so there only (a) answers.  Before the LP, each edge's pair
+            row ``imp_i + imp_j >= w_ij c_ij`` is tested, ``c_ij`` the
+            edge's cap in the :class:`~matchcore.matchings.IntegerGame`;
+            if one fails, the scan runs at once.
         """
 
         def rows() -> Iterator[tuple[Coalition, Fraction | None]]:
@@ -326,6 +350,12 @@ class GameAnalysis:
         _, edge_caps = priced(g)
         if not edge_caps or any(g.edge_lower.values()):
             return False
+        # An imputation that pays some pair less than its edge at the edge's
+        # cap is outside the core wherever that pair row holds: leave it to
+        # the scan, which finds the witness, without the LP.
+        caps = self._integer_game.caps
+        if any([imp[i] + imp[j] < w * c for (i, j, w), c in zip(g.edges, caps)]):
+            return False
         from .bmatching import in_dual_image  # bmatching imports this module
 
         return in_dual_image(self, imp)
@@ -340,10 +370,7 @@ class GameAnalysis:
     @cached_property
     def labels(self) -> tuple[dict[str, str], dict[Edge, str]]:
         """essential / viable / subpar for every vertex and edge."""
-        best, optima = self.optima
-        if best is None:
-            raise InfeasibleGameError("no feasible matching to classify against")
-        return label_optima(self.g, optima)
+        return self._optima.labels(self.g)
 
     @cached_property
     def dual(self) -> tuple[LPSolution, DualSolution]:
@@ -459,7 +486,6 @@ class GameAnalysis:
         """
         g = self.g
         vlabels, elabels = self.labels
-        optima = self.optima[1]
         never_paid = None
         always_fair = None
         if g.variant in PAYMENT_VARIANTS and self.face is not None:
@@ -469,8 +495,8 @@ class GameAnalysis:
             )
             always_fair = tuple([k for k in g.edge_keys if pay.edges[k].always_fair])
         return DegeneracyReport(
-            degenerate=len(optima) > 1,
-            optima_count=len(optima),
+            degenerate=self.optima_count > 1,
+            optima_count=self.optima_count,
             viable_vertices=tuple([q for q in g.vertices if vlabels[q] == "viable"]),
             viable_edges=tuple([k for k in g.edge_keys if elabels[k] == "viable"]),
             never_paid_vertices=never_paid,

@@ -255,6 +255,16 @@ def check_coalition_cap(g: GameInstance, cap: int) -> None:
         raise CapExceeded(f"{n} vertices exceed coalition enumeration cap {cap}")
 
 
+def check_budget_cap(g: GameInstance, budget_cap: int) -> None:
+    """Raise :class:`CapExceeded` if ``g``'s vertex caps sum past ``budget_cap``.
+
+    Every search over the integral matchings of ``g`` calls this first.
+    """
+    budget = sum(g.vertex_upper.values())
+    if budget > budget_cap:
+        raise CapExceeded(f"total multiplicity budget {budget} exceeds cap {budget_cap}")
+
+
 def connected_coalitions(
     g: GameInstance, cap: int = DEFAULT_COALITION_CAP
 ) -> list[Coalition]:

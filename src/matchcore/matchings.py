@@ -1,11 +1,16 @@
 """Integral matching oracles and fractional matching structure.
 
 The exhaustive enumerator here is deliberately independent of the LP
-path: it is the ground truth that duality results are checked against,
-and the source of the full set of optimal integral matchings that the
-essential/viable/subpar classification quantifies over.  Its integer
-search also runs worth-only on coalitions, and :func:`subset_worths`
-tabulates every coalition worth of a single-use game at once.
+path: :func:`brute_force_optima` lists every optimal integral matching,
+and is kept as the ground truth that duality results and the counts
+below are checked against.  The session lists nothing.  Its integer
+search runs worth-only on the grand coalition and on coalitions;
+:func:`subset_table` tabulates every coalition worth of a single-use
+game at once, with the number of matchings that reach it; and
+:func:`count_optima` counts the optimal matchings, and how many of them
+use each vertex and edge, which is all the essential/viable/subpar
+classification needs: from that table on single-use games, and from
+the ties search, tallying at its leaves, on the others.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from typing import NamedTuple
 
 from .games import (
     DEFAULT_BUDGET_CAP,
-    CapExceeded,
     Edge,
     GameInstance,
     InfeasibleGameError,
+    check_budget_cap,
 )
 from .simplex import solve_lp
 from .gamelp import build_primal_lp, edge_name
@@ -88,13 +93,10 @@ def brute_force_optima(
     ``budget_cap``.  The search is :func:`integer_search` with every
     tie listed.
     """
-    budget = sum(g.vertex_upper.values())
-    if budget > budget_cap:
-        raise CapExceeded(
-            f"total multiplicity budget {budget} exceeds cap {budget_cap}"
-        )
+    check_budget_cap(g, budget_cap)
     ig = integer_game(g)
-    best, optima = integer_search(ig, ties=True)
+    optima = _Listing()
+    best = integer_search(ig, optima)
     if best is None:
         return None, []
     keys = g.edge_keys
@@ -163,23 +165,72 @@ def restrict(ig: IntegerGame, mask: int) -> IntegerGame:
     )
 
 
+class _Listing(list):
+    """Every optimum of a ties search, as a multiplicity tuple, in order."""
+
+    def add(self, current: list[int], rem: list[int]) -> None:
+        self.append(tuple(current))
+
+
+class OptimaCount:
+    """How many optima there are, and how many of them use each edge and vertex.
+
+    ``edges[t]`` counts the optima with a positive multiplicity on edge
+    ``t`` of the :class:`IntegerGame`, ``vertices[p]`` those that match
+    vertex ``p``.  Filled by :func:`count_optima`.
+    """
+
+    def __init__(self, ig: IntegerGame):
+        self.upper = ig.upper
+        self.total = 0
+        self.edges = [0] * len(ig.ends)
+        self.vertices = [0] * len(ig.upper)
+
+    def clear(self) -> None:
+        self.total = 0
+        self.edges = [0] * len(self.edges)
+        self.vertices = [0] * len(self.vertices)
+
+    def add(self, current: list[int], rem: list[int]) -> None:
+        """Count one optimum of a ties search (see :func:`integer_search`)."""
+        self.total += 1
+        edges = self.edges
+        for t, m in enumerate(current):
+            if m:
+                edges[t] += 1
+        vertices = self.vertices
+        for p, u in enumerate(self.upper):
+            if rem[p] < u:
+                vertices[p] += 1
+
+    def labels(self, g: GameInstance) -> tuple[dict[str, str], dict[Edge, str]]:
+        """essential / viable / subpar for every vertex and edge of ``g``."""
+        total = self.total
+        return (
+            {q: _label(u, total) for q, u in zip(g.vertices, self.vertices)},
+            {k: _label(u, total) for k, u in zip(g.edge_keys, self.edges)},
+        )
+
+
 def integer_search(
-    ig: IntegerGame, ties: bool
-) -> tuple[int | None, list[tuple[int, ...]]]:
+    ig: IntegerGame, ties: _Listing | OptimaCount | None = None
+) -> int | None:
     """Maximum-weight integral b-matching of ``ig``, depth-first over its edges.
 
     Returns the best scaled weight, or None when floors admit no
-    matching, and the optimal multiplicity tuples over ``ig``'s edges.
+    matching.
 
     A node is pruned when even the smaller of two upper bounds on the
     weight still to come cannot reach the best found so far: the suffix
     bound (every later edge at its cap), and the residual dual bound, in
     which each vertex is priced at half the largest weight of a later
     edge to a vertex with capacity left.  With ``ties`` both prune only
-    on strict ``<``, so every optimum is listed, in depth-first order
-    (each multiplicity ascending).  Without, they prune on ``<=`` too, so
-    only strictly better matchings are reached and the list holds one
-    optimum: the worth-only search.  A vertex below its floor is
+    on strict ``<``, so every optimum is reached, in depth-first order
+    (each multiplicity ascending), and handed to ``ties.add(current,
+    rem)``: its multiplicities over ``ig``'s edges and each vertex's
+    capacity left; ``ties.clear()`` drops those of a worse weight.
+    Without, they prune on ``<=`` too, so only strictly better matchings
+    are reached: the worth-only search.  A vertex below its floor is
     rejected once its last edge is decided.
     """
     ends, weights, caps, floors, upper, lower, _ = ig
@@ -191,7 +242,7 @@ def integer_search(
     if any(floors[t] > caps[t] for t in range(n)) or any(
         lower[p] > 0 and last[p] < 0 for p in range(nv)
     ):
-        return None, []
+        return None
     # Vertices whose floor is decided once edge t is.
     closes = [[] for _ in range(n)]
     for p, t in enumerate(last):
@@ -217,9 +268,8 @@ def integer_search(
     # best holds the best weight found plus slack: a bound below it cannot
     # tie (slack 0) or beat (slack 1) that weight.  Weights are integers,
     # so the same holds for a doubled bound below 2 best.
-    slack = 0 if ties else 1
+    slack = 1 if ties is None else 0
     best: int | None = None
-    optima: list[tuple[int, ...]] = []
     rem = list(upper)
     # A vertex meets its floor while its remaining capacity is at most this.
     spare = [upper[p] - lower[p] for p in range(nv)]
@@ -246,11 +296,14 @@ def integer_search(
             if twice < 2 * best:
                 return
         if t == n:
+            # The bounds above let through only a leaf that ties (with
+            # ties) or beats (without) the best weight found so far.
             if best is None or weight + slack > best:
                 best = weight + slack
-                optima.clear()
-            if weight + slack == best:
-                optima.append(tuple(current))
+                if ties is not None:
+                    ties.clear()
+            if ties is not None:
+                ties.add(current, rem)
             return
         i, j = ends[t]
         top = min(caps[t], rem[i], rem[j])
@@ -272,17 +325,20 @@ def integer_search(
         visit(0, 0)
     finally:
         del visit  # it refers to itself through its cell: break the cycle
-    return (None if best is None else best - slack), optima
+    return None if best is None else best - slack
 
 
-def subset_worths(ig: IntegerGame) -> list[int]:
-    """Scaled single-use worth of every vertex subset, indexed by bitmask.
+def subset_table(ig: IntegerGame) -> tuple[list[int], list[int]]:
+    """Scaled single-use worth T[S] of every vertex subset S, indexed by
+    bitmask, and the number C[S] of matchings of S that reach it.
 
     Each vertex is matched at most once and each edge used at most once,
     whatever ``ig``'s caps say.  Built upward over the bitmasks by the
     recursion on the lowest vertex v of S, which is either unmatched or
     matched to one neighbour u in S:
-    v(S) = max(v(S - v), max over u of w_uv + v(S - v - u)).
+    T[S] = max(T[S - v], max over u of w_uv + T[S - v - u]), and
+    C[S] = C[S - v]·[T[S - v] = T[S]]
+    + sum over u of C[S - v - u]·[w_uv + T[S - v - u] = T[S]].
     It is exact on any simple graph, bipartite or not.
     """
     nv = len(ig.upper)
@@ -291,17 +347,57 @@ def subset_worths(ig: IntegerGame) -> list[int]:
         adj[i].append((1 << j, w))
         adj[j].append((1 << i, w))
     table = [0] * (1 << nv)
+    counts = [1] * (1 << nv)
     for s in range(1, 1 << nv):
         low = s & -s
         rest = s ^ low
         best = table[rest]
+        count = counts[rest]
         for bit, w in adj[low.bit_length() - 1]:
             if rest & bit:
-                got = w + table[rest ^ bit]
+                other = rest ^ bit
+                got = w + table[other]
                 if got > best:
                     best = got
+                    count = counts[other]
+                elif got == best:
+                    count += counts[other]
         table[s] = best
-    return table
+        counts[s] = count
+    return table, counts
+
+
+def count_optima(ig: IntegerGame, cap: int) -> tuple[int | None, OptimaCount]:
+    """The best scaled weight of ``ig`` (None if floors admit no matching)
+    and the count of its optimal matchings, listing none.
+
+    A single-use game (every vertex and edge used at most once, no
+    floors) of at most ``cap`` vertices is counted in one subset table
+    (:func:`subset_table`) of the whole vertex set N: vertex q is used by
+    C[N] - C[N - q]·[T[N - q] = T[N]] optima, edge uv by
+    C[N - u - v]·[w_uv + T[N - u - v] = T[N]].  Any other game runs the
+    ties search of :func:`integer_search`, which counts at its leaves.
+    """
+    count = OptimaCount(ig)
+    single_use = (
+        all([c == 1 for c in ig.caps])
+        and max(ig.upper, default=0) <= 1
+        and not any(ig.floors)
+        and not any(ig.lower)
+    )
+    if not single_use or len(ig.upper) > cap:
+        return integer_search(ig, count), count
+    table, counts = subset_table(ig)
+    full = (1 << len(ig.upper)) - 1
+    best = table[full]
+    count.total = counts[full]
+    for p in range(len(ig.upper)):
+        rest = full ^ (1 << p)
+        count.vertices[p] = count.total - (counts[rest] if table[rest] == best else 0)
+    for t, ((i, j), w) in enumerate(zip(ig.ends, ig.weights)):
+        rest = full ^ (1 << i) ^ (1 << j)
+        count.edges[t] = counts[rest] if w + table[rest] == best else 0
+    return best, count
 
 
 def fractional_optimum(g: GameInstance) -> MatchingVector:
@@ -498,19 +594,3 @@ def _label(times_used: int, total: int) -> str:
     if times_used == 0:
         return SUBPAR
     return VIABLE
-
-
-def label_optima(
-    g: GameInstance, optima: list[MatchingVector]
-) -> tuple[dict[str, str], dict[Edge, str]]:
-    """Labels for every vertex and edge against a complete list of optima."""
-    total = len(optima)
-    vlabels = {
-        q: _label(sum(1 for m in optima if m.load(q) > 0), total)
-        for q in g.vertices
-    }
-    elabels = {
-        k: _label(sum(1 for m in optima if m.multiplicity(k) > 0), total)
-        for k in g.edge_keys
-    }
-    return vlabels, elabels

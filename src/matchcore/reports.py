@@ -129,12 +129,11 @@ def imputation_section(a: GameAnalysis, split: str = "half") -> list[str]:
 def classify_section(a: GameAnalysis) -> list[str]:
     g = a.g
     vlabels, elabels = a.labels
-    best, optima = a.optima
     rows = [("vertex", "label")] + [(q, vlabels[q]) for q in g.vertices]
     rows += [("edge", "label")] + [(edge_name(k), elabels[k]) for k in g.edge_keys]
     return table(rows) + [
-        f"optimal-matchings = {len(optima)}",
-        f"optimum = {fr(best)}",
+        f"optimal-matchings = {a.optima_count}",
+        f"optimum = {fr(a.worth)}",
     ]
 
 
@@ -203,6 +202,9 @@ def system_section(a: GameAnalysis) -> list[str]:
 def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
     """The standard battery for a bundled instance, variant-aware."""
     a = GameAnalysis(g, budget_cap, cap)
+    # Every report classifies.  Counting the optima first finds the worth
+    # too, so the worth section needs no search of its own.
+    a.labels
     rep = report_header(g, cap, budget_cap)
     rep.add("worth", worth_section(a))
     rep.add("concurrency", concurrency_section(a))

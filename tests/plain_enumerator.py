@@ -5,7 +5,9 @@ searched in integers behind a residual dual bound: a depth-first search
 over every integral multiplicity vector in ``Fraction`` arithmetic that
 prunes only by the suffix bound (the weight of every later edge at its
 cap).  Tests compare the package's search against it: the same optimum
-and the same list of optimal vectors, in the same order.
+and the same list of optimal vectors, in the same order; and the
+session's count of the optima and its labels against those counted
+from this list.
 """
 
 from __future__ import annotations
@@ -95,3 +97,19 @@ def plain_optima(
         for opt in optima
     ]
     return best, vectors
+
+
+def plain_labels(
+    g: GameInstance, listed: list[MatchingVector]
+) -> tuple[dict[str, str], dict[Edge, str]]:
+    """Labels counted from ``listed``, the optima of :func:`plain_optima`."""
+    optima = [dict(m.multiplicities) for m in listed]
+
+    def label(used):
+        return "essential" if used == len(optima) else "viable" if used else "subpar"
+
+    vlabels = {
+        q: label(sum(1 for m in optima if any(q in k for k in m))) for q in g.vertices
+    }
+    elabels = {k: label(sum(1 for m in optima if k in m)) for k in g.edge_keys}
+    return vlabels, elabels

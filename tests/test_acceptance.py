@@ -265,7 +265,9 @@ def test_c09_assignment_property_suite():
             continue
         analyzed += 1
         a = GameAnalysis(g)
-        (vlabels, elabels), (best, optima) = a.labels, a.optima
+        vlabels, elabels = a.labels
+        best, optima = brute_force_optima(g)
+        assert (a.worth, a.optima_count) == (best, len(optima))
         _, y = solve_dual(g)
         base = imputation_from_dual(a, y)
 

@@ -24,7 +24,9 @@ from matchcore.bmatching import (
     split_half,
     system_lp,
 )
+from matchcore import bmatching
 from matchcore.games import connected_coalitions
+from matchcore.matchings import integer_game
 from matchcore.simplex import solve_lp
 
 from gamegen import (
@@ -57,7 +59,7 @@ def seeded_games(kind):
     games = []
     while len(games) < GAMES_PER_KIND:
         g = KINDS[kind](rng)
-        if g.edges and GameAnalysis(g).optima[0] is not None:
+        if g.edges and worth(g) is not None:
             games.append(g)
     return games
 
@@ -149,3 +151,32 @@ def test_edge_floor_image_points_outside_the_core_answer_no():
                 assert not got.in_core and got.witness == first_violated(g, imp)
                 outside += 1
     assert outside > 0
+
+
+@pytest.mark.parametrize("kind", ["b-constrained", "b-general"])
+def test_a_failed_pair_row_goes_to_the_scan_without_the_lp(monkeypatch, kind):
+    # imp_i + imp_j < w_ij c_ij on some edge, c_ij its cap: the pair is
+    # paid less than its own edge at that cap, so the dual-image LP is not
+    # asked; the scan gives the verdict and the witness.
+    lps = []
+    original = bmatching.in_dual_image
+    monkeypatch.setattr(
+        bmatching, "in_dual_image", lambda a, imp: lps.append(1) or original(a, imp)
+    )
+    failing = 0
+    for g in seeded_games(kind):
+        a = GameAnalysis(g)
+        full = all_coalition_system(a)
+        pairs = list(zip(g.edges, integer_game(g).caps))
+        for imp in probes(a):
+            if min(imp.values()) < 0 or sum(imp.values()) != a.worth:
+                continue  # answered before the certificate
+            if all(imp[i] + imp[j] >= w * c for (i, j, w), c in pairs):
+                continue
+            lps.clear()
+            got = a.membership(imp)
+            assert lps == []
+            assert got.in_core == core_membership_via_system(full, imp).in_core
+            assert got.witness == first_violated(g, imp)
+            failing += 1
+    assert failing >= 5

@@ -1,8 +1,9 @@
 """The integer search against independent oracles.
 
 * ``plain_enumerator.plain_optima`` (the plain ``Fraction`` search) for the
-  optimum and the full list of optimal vectors, order included, both from
-  ``brute_force_optima`` and from a session;
+  optimum and the full list of optimal vectors, order included, from
+  ``brute_force_optima``, and for a session's worth, count of optima and
+  labels, which it reads without listing them;
 * networkx ``max_weight_matching`` and scipy ``linear_sum_assignment``
   (weights scaled to integers) for worths.
 """
@@ -16,7 +17,7 @@ from matchcore.games import make_game
 from matchcore.matchings import brute_force_optima
 
 from gamegen import random_assignment, random_b_game, random_general, with_vertex_floors
-from plain_enumerator import plain_optima
+from plain_enumerator import plain_labels, plain_optima
 from worth_oracles import networkx_worth, scipy_worth
 
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
@@ -99,7 +100,10 @@ def test_tie_games_include_non_concurrent_general_games():
 
 @pytest.mark.parametrize("g", TIE_GAMES, ids=lambda g: f"{g.variant}-{len(g.vertices)}")
 def test_session_lists_the_plain_optima_on_tie_games(g):
-    assert GameAnalysis(g).optima == plain_optima(g)
+    # The session counts what the plain search lists.
+    best, optima = plain_optima(g)
+    a = GameAnalysis(g)
+    assert (a.worth, a.optima_count, a.labels) == (best, len(optima), plain_labels(g, optima))
 
 
 def test_worths_match_networkx_and_scipy():

@@ -19,7 +19,7 @@ from matchcore.matchings import (
 )
 
 from gamegen import random_assignment, random_b_game, random_general
-from plain_enumerator import plain_optima
+from plain_enumerator import plain_labels, plain_optima
 
 H = F(1, 2)
 
@@ -209,26 +209,11 @@ def test_classify_named_instances():
     assert GameAnalysis(load_instance("fork3")).labels[0]["v1"] == "subpar"
 
 
-def plain_labels(g):
-    """Labels counted here from the optima of the plain enumerator."""
-    optima = [dict(m.multiplicities) for m in plain_optima(g)[1]]
-
-    def label(used):
-        return "essential" if used == len(optima) else "viable" if used else "subpar"
-
-    vlabels = {
-        q: label(sum(1 for m in optima if any(q in k for k in m))) for q in g.vertices
-    }
-    elabels = {k: label(sum(1 for m in optima if k in m)) for k in g.edge_keys}
-    return vlabels, elabels
-
-
 def test_session_labels_match_pointwise():
     g = load_instance("ring7")
     a = GameAnalysis(g)
-    best, optima = a.optima
-    assert best == 4 and len(optima) == 3
-    assert a.labels == plain_labels(g)
+    assert a.worth == 4 and a.optima_count == 3
+    assert a.labels == plain_labels(g, plain_optima(g)[1])
     # Seeded games of every variant, each also with unit weights, so that
     # ties give many optima and viable labels.
     rng = Random(47)
@@ -241,7 +226,7 @@ def test_session_labels_match_pointwise():
     viable = 0
     for g in games:
         labels = GameAnalysis(g).labels
-        assert labels == plain_labels(g), g
+        assert labels == plain_labels(g, plain_optima(g)[1]), g
         viable += list(labels[0].values()).count("viable")
     assert viable >= 10
 

@@ -1,9 +1,10 @@
 """Work done by a full report, a core check and meet/join: each fact of
 the game is computed once, and a "no" stops at its witness.
 
-Coalition worths come from one subset table (assignment, general and
-b-uniform games) or from one worth-only search per coalition (the other
-b-games); the full enumeration runs on the grand coalition only.
+The grand coalition's worth comes from one worth-only search; no command
+lists the optimal matchings.  Coalition worths come from one subset
+table (assignment, general and b-uniform games) or from one worth-only
+search per coalition (the other b-games).
 
 Calls are counted by rebinding a function under every name the package's
 modules hold it by (``from .x import y`` makes copies), so no call path
@@ -24,8 +25,19 @@ from matchcore.analysis import GameAnalysis
 from matchcore.bmatching import sample_core_imputations
 from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore.gamefile import render_game
-from matchcore.games import DEFAULT_BUDGET_CAP, DEFAULT_COALITION_CAP, connected_coalitions
-from matchcore.matchings import brute_force_optima, restrict, subset_worths
+from matchcore.games import (
+    DEFAULT_BUDGET_CAP,
+    DEFAULT_COALITION_CAP,
+    connected_coalitions,
+    make_game,
+)
+from matchcore.matchings import (
+    brute_force_optima,
+    integer_game,
+    integer_search,
+    restrict,
+    subset_table,
+)
 from matchcore.rationals import format_rational
 from matchcore.reports import full_report
 
@@ -54,6 +66,22 @@ def count_calls(monkeypatch, original):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
     return log
+
+
+def count_grand_searches(monkeypatch, g):
+    """Start counting the integer searches of the whole of ``g``; read the
+    kinds, in call order, by calling the result: "worth" for the
+    worth-only search, "list" for one that lists every optimum, "count"
+    for one that only counts them."""
+    log = count_calls(monkeypatch, integer_search)
+    grand = integer_game(g)
+
+    def kind(args):
+        if len(args) == 1:
+            return "worth"
+        return "list" if isinstance(args[1], list) else "count"
+
+    return lambda: [kind(args) for args in log if args[0] == grand]
 
 
 def generated_games(kinds, count):
@@ -85,7 +113,11 @@ def _report(g):
 
 @pytest.mark.parametrize("g", PAYMENT_GAMES, ids=lambda g: g.name or g.variant)
 def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
-    enums = count_calls(monkeypatch, brute_force_optima)
+    # One counting table gives the labels, the optima count and the
+    # worth: the game is neither searched nor listed.
+    listed = count_calls(monkeypatch, brute_force_optima)
+    searches = count_grand_searches(monkeypatch, g)
+    tables = count_calls(monkeypatch, subset_table)
     solves = count_calls(monkeypatch, simplex.solve_lp)
     runs = []
     run = simplex._run
@@ -98,7 +130,7 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
         lambda self, *a: queries.append(1) or optimize(self, *a),
     )
     _report(g)
-    assert [args[0] is g for args in enums] == [True]
+    assert (searches(), len(tables), listed) == ([], 1, [])
     names = sorted(args[0].variables[0][:2] for args in solves)
     assert names == ["x[", "y["]  # one primal and one dual solve
     # Phase 1 and phase 2 once per solve at most; one phase 2 per query.
@@ -116,12 +148,17 @@ def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
         "vertex_payment",
         lambda self, q: priced.append(q) or vertex_payment(self, q),
     )
-    enums = count_calls(monkeypatch, brute_force_optima)
+    # The counting table gives the labels, the count and the worth: the
+    # game is neither searched nor listed.
+    listed = count_calls(monkeypatch, brute_force_optima)
+    tables = count_calls(monkeypatch, subset_table)
     a = GameAnalysis(load_instance(name))
+    searches = count_grand_searches(monkeypatch, a.g)
     a.degeneracy
     a.payments
     a.degeneracy
-    assert sorted(priced) == sorted(a.g.vertices) and len(enums) == 1
+    assert sorted(priced) == sorted(a.g.vertices)
+    assert (searches(), len(tables), listed) == ([], 1, [])
 
 
 @pytest.mark.parametrize(
@@ -131,10 +168,31 @@ def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
     ids=lambda g: g.name or g.variant,
 )
 def test_b_variant_report_enumerates_the_grand_coalition_once(monkeypatch, g):
-    enums = count_calls(monkeypatch, brute_force_optima)
+    # One counting search gives the labels, the optima count and the
+    # worth; the coalition worths of the system section search their own
+    # vertices.  Nothing lists the optima.
+    listed = count_calls(monkeypatch, brute_force_optima)
+    searches = count_grand_searches(monkeypatch, g)
     _report(g)
-    # The others are the coalition worths of the system section.
-    assert sum(1 for args in enums if args[0] is g) == 1
+    assert (searches(), listed) == (["count"], [])
+
+
+@pytest.mark.parametrize(
+    "command,line", [("worth", "grand-coalition = 8"), ("classify", "optimal-matchings = 2027025")]
+)
+def test_unit_k16_is_counted_inside_the_default_caps(
+    monkeypatch, capsys, tmp_path, command, line
+):
+    # 16 vertices and a budget of 16 are within the default caps.  The
+    # game has 2,027,025 optimal matchings: none is listed.
+    vs = [f"v{i + 1}" for i in range(16)]
+    edges = [(a, b, 1) for i, a in enumerate(vs) for b in vs[i + 1:]]
+    g = make_game("general-matching", [], vs, edges)
+    listed = count_calls(monkeypatch, brute_force_optima)
+    path = tmp_path / "k16.game"
+    path.write_text(render_game(g))
+    assert cli.main([command, "--game", str(path)]) == 0
+    assert line in capsys.readouterr().out.splitlines() and listed == []
 
 
 VARIANTS = ("assignment", "general-matching", *B_VARIANTS)
@@ -143,24 +201,27 @@ VARIANTS = ("assignment", "general-matching", *B_VARIANTS)
 CHECK_GAMES = [g for g in generated_games(VARIANTS, 24) if len(g.edges) >= 2]
 
 
-# Vertex sets enumerated in full, coalitions restricted to for a
-# worth-only search, and subset tables built.
-Work = namedtuple("Work", "enumerated searched tables")
+# The kinds of the searches of the whole game (see count_grand_searches),
+# coalitions restricted to for a worth-only search, subset tables built,
+# and vertex sets whose optima were listed.
+Work = namedtuple("Work", "grand searched tables listed")
 
 
 def count_work(monkeypatch, g):
     """Start counting the work done on ``g``; read it by calling the result."""
-    enums = count_calls(monkeypatch, brute_force_optima)
+    listed = count_calls(monkeypatch, brute_force_optima)
+    grand = count_grand_searches(monkeypatch, g)
     searches = count_calls(monkeypatch, restrict)
-    tables = count_calls(monkeypatch, subset_worths)
+    tables = count_calls(monkeypatch, subset_table)
 
     def members(mask):
         return frozenset(q for p, q in enumerate(g.vertices) if mask >> p & 1)
 
     return lambda: Work(
-        [frozenset(args[0].vertices) for args in enums],
+        grand(),
         [members(args[1]) for args in searches],
         len(tables),
+        [frozenset(args[0].vertices) for args in listed],
     )
 
 
@@ -180,7 +241,7 @@ def cli_check(monkeypatch, capsys, tmp_path, g, imp):
 def test_check_enumerates_the_grand_coalition_once(monkeypatch, capsys, tmp_path, g):
     code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code in (0, 1)
-    assert work.enumerated == [frozenset(g.vertices)]
+    assert (work.grand, work.listed) == (["worth"], [])
 
 
 @pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
@@ -190,7 +251,7 @@ def test_certified_yes_computes_no_coalition_worth(monkeypatch, capsys, tmp_path
     # Only a general game with an empty core answers "no" (a wrong total).
     code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code == (0 if GameAnalysis(g).concurrency.concurrent else 1)
-    assert work == Work([frozenset(g.vertices)], [], 0)
+    assert work == Work(["worth"], [], 0, [])
 
 
 @pytest.mark.parametrize("how", ["shifted", "negative", "total"])
@@ -212,7 +273,8 @@ def test_no_answer_enumerates_nothing_after_its_witness(
     # A negative entry is answered before the grand worth, a wrong total
     # before any coalition.
     prefix = proper[: proper.index(witness) + 1] if how == "shifted" else []
-    assert work.enumerated == ([] if how == "negative" else [grand])
+    assert work.grand == ([] if how == "negative" else ["worth"])
+    assert work.listed == []
     if g.variant in analysis.TABLE_VARIANTS:
         # One table per session holds every worth; nothing is searched.
         assert (work.tables, work.searched) == (1 if prefix else 0, [])
@@ -243,7 +305,7 @@ def test_meet_join_enumerates_each_coalition_at_most_once(monkeypatch, g, p, q):
     work = count_work(monkeypatch, g)
     analysis.meet_join(GameAnalysis(g), p, q)
     done = work()
-    assert done.enumerated == [frozenset(g.vertices)] and done.tables <= 1
+    assert done.grand == ["worth"] and done.tables <= 1 and done.listed == []
     assert len(set(done.searched)) == len(done.searched)
 
 
@@ -256,5 +318,5 @@ def test_membership_after_system_enumerates_nothing(monkeypatch, g):
     work = count_work(monkeypatch, g)
     a.membership(inside)
     verdict = a.membership(outside)
-    assert work() == Work([], [], 0)
+    assert work() == Work([], [], 0, [])
     assert not verdict.in_core and verdict.witness in [s for s, _ in rows]

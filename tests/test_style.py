@@ -96,3 +96,20 @@ def test_no_fresh_session_wrappers():
     # a second name and a second set of caps, and a caller who loops over
     # it solves the game once per call.
     assert fresh_session_wrappers(SRC) == []
+
+
+def test_only_the_worth_oracle_lists_optima():
+    # The session counts the optimal matchings and lists none: the listing
+    # search is the independent oracle behind analysis.worth.  Any other
+    # reference, a call or an alias, would bring a listing back.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            found += [
+                f"{path.name}:{owner}"
+                for node in ast.walk(top)
+                if (isinstance(node, ast.Name) and node.id == "brute_force_optima")
+                or (isinstance(node, ast.Attribute) and node.attr == "brute_force_optima")
+            ]
+    assert found == ["analysis.py:worth"]
