@@ -66,7 +66,7 @@ from .matchings import (
     integer_game,
     integer_search,
     restrict,
-    subset_table,
+    subset_worths,
 )
 from .simplex import (  # solve_lp and solve_over_optimal_face stay importable here
     LPSolution,
@@ -239,7 +239,7 @@ class GameAnalysis:
         """The count of the optimal matchings (see :func:`count_optima`)."""
         check_budget_cap(self.g, self.budget_cap)
         ig = self._integer_game
-        best, count = count_optima(ig, self.cap)
+        best, count = count_optima(ig)
         if best is None:
             raise InfeasibleGameError("no feasible matching to classify against")
         # The count finds the worth too: a command that classifies first
@@ -263,7 +263,7 @@ class GameAnalysis:
 
     @cached_property
     def _subset_worths(self) -> list[int]:
-        return subset_table(self._integer_game)[0]
+        return subset_worths(self._integer_game)
 
     def coalition_worths(self) -> Iterator[tuple[Coalition, Fraction | None]]:
         """Each connected proper coalition with its worth, lexicographically.
@@ -273,7 +273,7 @@ class GameAnalysis:
         first: no coalition's multiplicity budget exceeds the game's, so
         its ``budget_cap`` check covers them all.  Assignment, general
         and b-uniform games read every worth from one subset table
-        (:func:`~matchcore.matchings.subset_table`); the other b-games
+        (:func:`~matchcore.matchings.subset_worths`); the other b-games
         run the worth-only integer search on the coalition's vertices.
         """
         self.worth

@@ -24,7 +24,7 @@ import pytest
 from matchcore import analysis
 from matchcore.analysis import GameAnalysis
 from matchcore.games import induce_subgame, make_game
-from matchcore.matchings import InfeasibleGameError, integer_game, subset_table
+from matchcore.matchings import InfeasibleGameError, integer_game, subset_worths
 
 from gamegen import (
     rand_weight,
@@ -85,7 +85,7 @@ def test_every_coalition_worth_equals_the_enumerator():
 def table_against(g, oracle, rng, samples):
     """The table entry of the whole game and of random subsets against ``oracle``."""
     ig = integer_game(g)
-    table, _ = subset_table(ig)
+    table = subset_worths(ig)
     full = (1 << len(g.vertices)) - 1
     for mask in [full] + [rng.randrange(1, full) for _ in range(samples)]:
         s = frozenset(q for p, q in enumerate(g.vertices) if mask >> p & 1)

@@ -1,10 +1,11 @@
 """The session's count of optimal matchings against independent oracles.
 
 ``GameAnalysis`` lists no optimum: it counts them, and how many use each
-vertex and edge, in one subset table (single-use games within the
-coalition cap) or in the ties search (every other game).  The oracles
-here count from the list of ``plain_enumerator.plain_optima``, or use a
-closed form: (2k-1)!! perfect matchings of K_2k and n! of K_n,n.
+vertex and edge, by the recursion over the vertex subsets (single-use
+games, whatever the coalition cap) or in the ties search (every other
+game).  The oracles here count from the list of
+``plain_enumerator.plain_optima``, or use a closed form: (2k-1)!!
+perfect matchings of K_2k and n! of K_n,n.
 """
 
 from dataclasses import replace
@@ -16,8 +17,14 @@ import pytest
 
 from matchcore import matchings
 from matchcore.analysis import GameAnalysis
-from matchcore.games import DEFAULT_COALITION_CAP, make_game
-from matchcore.matchings import InfeasibleGameError
+from matchcore.games import make_game
+from matchcore.matchings import (
+    InfeasibleGameError,
+    OptimaCount,
+    integer_game,
+    integer_search,
+    single_use_count,
+)
 
 from gamegen import random_assignment, random_b_game, random_general, with_vertex_floors
 from plain_enumerator import plain_labels, plain_optima
@@ -57,33 +64,54 @@ def single_use(g):
     )
 
 
-@pytest.mark.parametrize("cap", [DEFAULT_COALITION_CAP, 3])
+@pytest.mark.parametrize("cap", [16, 3])
 @pytest.mark.parametrize("index", range(0, len(SEEDED), 16))
 def test_session_counts_the_plain_optima(monkeypatch, index, cap):
-    # With cap 3 a single-use game of more vertices is counted by the
-    # ties search, not by the table.
-    tables = []
-    subset_table = matchings.subset_table
+    # The path depends on the game's bounds only: a single-use game is
+    # counted over its vertex subsets whatever the coalition cap.
+    counted = []
+    count = matchings.single_use_count
     monkeypatch.setattr(
-        matchings, "subset_table", lambda ig: tables.append(1) or subset_table(ig)
+        matchings, "single_use_count", lambda ig: counted.append(1) or count(ig)
     )
     for g in SEEDED[index:index + 16]:
         best, optima = plain_optima(g)
         a = GameAnalysis(g, cap=cap)
-        tables.clear()
+        counted.clear()
         if best is None:
             with pytest.raises(InfeasibleGameError, match="to classify against"):
                 a.labels
             continue
         got = (a.labels, a.optima_count, a.worth)
         assert got == (plain_labels(g, optima), len(optima), best), g
-        assert len(tables) == (single_use(g) and len(g.vertices) <= cap), g
+        assert len(counted) == single_use(g), g
+
+
+def ties_search_count(g):
+    """The count from the ties search, which counts at its leaves."""
+    ig = integer_game(g)
+    count = OptimaCount(ig)
+    return integer_search(ig, count), count
+
+
+def test_the_two_counts_agree_on_single_use_games():
+    # The session counts single-use games over their vertex subsets; the
+    # ties search counts them too, optimum by optimum.
+    games = [g for g in SEEDED if single_use(g)]
+    for g in games:
+        best, got = single_use_count(integer_game(g))
+        want_best, want = ties_search_count(g)
+        assert (best, got.total, got.edges, got.vertices) == (
+            want_best, want.total, want.edges, want.vertices
+        ), g
+    assert len(games) >= 20
 
 
 def test_seeded_games_cover_both_paths_and_infeasible_floors():
     variants = {g.variant for g in SEEDED}
     assert variants == {"assignment", "general-matching", *B_VARIANTS}
-    assert any(single_use(g) and len(g.vertices) > 3 for g in SEEDED)
+    assert any(single_use(g) for g in SEEDED)
+    assert not all(single_use(g) for g in SEEDED)
     assert any(plain_optima(g)[0] is None for g in SEEDED)
     assert max(len(plain_optima(g)[1]) for g in SEEDED) >= 10
 
@@ -109,7 +137,7 @@ def test_unit_complete_graph_has_double_factorial_optima(k):
     assert set(a.labels[0].values()) == {"essential"}
     assert set(a.labels[1].values()) == ({"essential"} if k == 1 else {"viable"})
     if k <= 4:  # the ties search agrees
-        assert GameAnalysis(complete_graph(2 * k), cap=1).optima_count == want
+        assert ties_search_count(complete_graph(2 * k))[1].total == want
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -117,4 +145,11 @@ def test_unit_complete_bipartite_graph_has_factorial_optima(n):
     a = GameAnalysis(complete_bipartite(n))
     assert (a.optima_count, a.worth) == (factorial(n), n)
     if n <= 5:  # the ties search agrees
-        assert GameAnalysis(complete_bipartite(n), cap=1).optima_count == factorial(n)
+        assert ties_search_count(complete_bipartite(n))[1].total == factorial(n)
+
+
+def test_a_small_coalition_cap_does_not_change_how_optima_are_counted():
+    # Unit K_14 has 135,135 optima: the ties search would visit each, the
+    # count over the vertex subsets reaches 986 subsets.
+    a = GameAnalysis(complete_graph(14), cap=3)
+    assert (a.optima_count, a.worth) == (135135, 7)

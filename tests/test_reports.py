@@ -36,7 +36,8 @@ from matchcore.matchings import (
     integer_game,
     integer_search,
     restrict,
-    subset_table,
+    single_use_count,
+    subset_worths,
 )
 from matchcore.rationals import format_rational
 from matchcore.reports import full_report
@@ -113,11 +114,13 @@ def _report(g):
 
 @pytest.mark.parametrize("g", PAYMENT_GAMES, ids=lambda g: g.name or g.variant)
 def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
-    # One counting table gives the labels, the optima count and the
-    # worth: the game is neither searched nor listed.
+    # One count over the vertex subsets gives the labels, the optima count
+    # and the worth: the game is neither searched nor listed, and no
+    # table of every subset's worth is built.
     listed = count_calls(monkeypatch, brute_force_optima)
     searches = count_grand_searches(monkeypatch, g)
-    tables = count_calls(monkeypatch, subset_table)
+    counts = count_calls(monkeypatch, single_use_count)
+    tables = count_calls(monkeypatch, subset_worths)
     solves = count_calls(monkeypatch, simplex.solve_lp)
     runs = []
     run = simplex._run
@@ -130,7 +133,7 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
         lambda self, *a: queries.append(1) or optimize(self, *a),
     )
     _report(g)
-    assert (searches(), len(tables), listed) == ([], 1, [])
+    assert (searches(), len(counts), len(tables), listed) == ([], 1, 0, [])
     names = sorted(args[0].variables[0][:2] for args in solves)
     assert names == ["x[", "y["]  # one primal and one dual solve
     # Phase 1 and phase 2 once per solve at most; one phase 2 per query.
@@ -148,17 +151,31 @@ def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
         "vertex_payment",
         lambda self, q: priced.append(q) or vertex_payment(self, q),
     )
-    # The counting table gives the labels, the count and the worth: the
+    # One count gives the labels, the optima count and the worth: the
     # game is neither searched nor listed.
     listed = count_calls(monkeypatch, brute_force_optima)
-    tables = count_calls(monkeypatch, subset_table)
+    counts = count_calls(monkeypatch, single_use_count)
+    tables = count_calls(monkeypatch, subset_worths)
     a = GameAnalysis(load_instance(name))
     searches = count_grand_searches(monkeypatch, a.g)
     a.degeneracy
     a.payments
     a.degeneracy
     assert sorted(priced) == sorted(a.g.vertices)
-    assert (searches(), len(tables), listed) == ([], 1, [])
+    assert (searches(), len(counts), len(tables), listed) == ([], 1, 0, [])
+
+
+@pytest.mark.parametrize("g", PAYMENT_GAMES[:8], ids=lambda g: g.name or g.variant)
+def test_labels_and_coalition_worths_build_one_table(monkeypatch, g):
+    # The count reaches only the subsets its recursion needs; the one
+    # table of every subset's worth is built for the coalition worths.
+    counts = count_calls(monkeypatch, single_use_count)
+    tables = count_calls(monkeypatch, subset_worths)
+    a = GameAnalysis(g)
+    a.labels
+    a.system
+    a.labels
+    assert (len(counts), len(tables)) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -212,7 +229,7 @@ def count_work(monkeypatch, g):
     listed = count_calls(monkeypatch, brute_force_optima)
     grand = count_grand_searches(monkeypatch, g)
     searches = count_calls(monkeypatch, restrict)
-    tables = count_calls(monkeypatch, subset_table)
+    tables = count_calls(monkeypatch, subset_worths)
 
     def members(mask):
         return frozenset(q for p, q in enumerate(g.vertices) if mask >> p & 1)
