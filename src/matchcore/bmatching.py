@@ -16,8 +16,11 @@ priced ``membership`` takes an image point as its certificate of "yes"
 and scans the coalitions only for "no"; with a positive edge floor only
 its scaled cover test, ``imp_q / b_q`` covering every edge, may answer.
 One map (:func:`imputation_from_dual`) and one LP
-(:func:`in_dual_image`) serve all four b-variants; both read the bound
-families a variant prices from :func:`~matchcore.gamelp.priced`.
+(:func:`in_dual_image`) serve all four b-variants.  The map reads the
+price families the variant has from its dual; the LP is the dual LP of
+:func:`~matchcore.gamelp.build_dual_lp` with each column copied once
+per vertex it credits (:func:`~matchcore.gamelp.dual_columns`), so this
+module writes no dual row or column of its own.
 Every function here that needs a fact of the game (its worth, its
 caps) takes the game's :class:`~matchcore.analysis.GameAnalysis`
 session, so the worth is enumerated once per session.
@@ -38,9 +41,10 @@ from .analysis import CoalitionSystem, GameAnalysis, Imputation
 from .games import Edge, check_coalition_cap
 from .gamelp import (
     DualSolution,
+    build_dual_lp,
+    dual_columns,
     dual_is_optimal,
     edge_name,
-    priced,
 )
 from .analysis import worth as coalition_worth
 from .simplex import LinearProgram, solve_lp
@@ -156,76 +160,43 @@ def imputation_from_dual(
     return imp
 
 
-def _feasibility(
-    names: list[str],
-    rows: list[tuple[dict[str, Fraction], str, Fraction]],
-) -> bool:
-    """Is the nonnegative system feasible?  Decided by one exact solve."""
-    index = {n: t for t, n in enumerate(names)}
-    constraints = []
-    for coeffs, rel, rhs in rows:
-        vec = [ZERO] * len(names)
-        for n, cval in coeffs.items():
-            vec[index[n]] += cval
-        constraints.append((tuple(vec), rel, rhs))
-    lp = LinearProgram(
-        variables=tuple(names),
-        objective=(ZERO,) * len(names),
-        maximize=False,
-        constraints=tuple(constraints),
-        nonnegative=(True,) * len(names),
-    )
-    return solve_lp(lp).status == "optimal"
-
-
 def in_dual_image(a: GameAnalysis, imp: Imputation) -> bool:
     """Does any optimal dual of ``a.g`` plus an admissible split reproduce ``imp``?
 
     The split quantifier is linear, so the whole question is one LP
-    feasibility problem over prices and split parts; no search.  Columns
-    exist only for the families the variant prices: each priced edge cap
-    splits into ``capL``/``capR``, and floors add the credits ``y_lo`` and
-    the split floor parts ``floL``/``floR``.  Where edges are not priced
-    the LP is over the vertex prices alone.
+    feasibility problem; no search.  Its columns are those of
+    :func:`~matchcore.gamelp.build_dual_lp`, one copy per owner
+    (:func:`~matchcore.gamelp.dual_columns`): a vertex column once, an
+    edge column once for each end, whose copy is the part split to that
+    end.  Its rows are the dual's cover rows over the sums of the copies,
+    and per vertex a profit row: the dual objective's terms of the copies
+    the vertex owns equal its profit.  The profit rows add up to the dual
+    objective, so once the total is checked against the worth, a feasible
+    point is an optimal dual with its split.
     """
     g = a.g
     if g.variant not in B_VARIANTS:
         raise ValueError(f"dual image is defined for b-variants, not {g.variant}")
-    w = a.worth
-    if sum(imp.values(), start=ZERO) != w:
+    if sum(imp.values(), start=ZERO) != a.worth:
         return False
-    floors, edge_caps = priced(g)
-    names = [f"y[{q}]" for q in g.vertices]
-    if floors:
-        names += [f"y_lo[{q}]" for q in g.vertices]
-    rows: list[tuple[dict[str, Fraction], str, Fraction]] = []
-    obj: dict[str, Fraction] = {}
-    profit: dict[str, dict[str, Fraction]] = {}
-    for q in g.vertices:
-        profit[q] = {f"y[{q}]": Fraction(g.vertex_upper[q])}
-        if floors:
-            profit[q][f"y_lo[{q}]"] = Fraction(-g.vertex_lower[q])
-        obj.update(profit[q])
-    for (i, j, wt), k in zip(g.edges, g.edge_keys):
-        e = edge_name(k)
-        cover = {f"y[{i}]": ONE, f"y[{j}]": ONE}
-        if edge_caps:
-            names += [f"capL[{e}]", f"capR[{e}]"]
-            cover.update({f"capL[{e}]": ONE, f"capR[{e}]": ONE})
-            d = Fraction(g.edge_upper[k])
-            profit[i][f"capL[{e}]"] = profit[j][f"capR[{e}]"] = d
-            obj[f"capL[{e}]"] = obj[f"capR[{e}]"] = d
-        if floors:
-            names += [f"floL[{e}]", f"floR[{e}]"]
-            cover.update({f"y_lo[{i}]": -ONE, f"y_lo[{j}]": -ONE})
-            cover.update({f"floL[{e}]": -ONE, f"floR[{e}]": -ONE})
-            c = Fraction(-g.edge_lower[k])
-            profit[i][f"floL[{e}]"] = profit[j][f"floR[{e}]"] = c
-            obj[f"floL[{e}]"] = obj[f"floR[{e}]"] = c
-        rows.append((cover, ">=", wt))
-    rows.append((obj, "==", w))
-    rows += [(profit[q], "==", imp[q]) for q in g.vertices]
-    return _feasibility(names, rows)
+    dual = build_dual_lp(g)
+    copies = [(t, q) for t, col in enumerate(dual_columns(g)) for q in col.owners]
+    cover = [
+        (tuple([coeffs[t] for t, _ in copies]), rel, w)
+        for coeffs, rel, w in dual.constraints
+    ]
+    profit = [
+        (tuple([dual.objective[t] if p == q else ZERO for t, p in copies]), "==", imp[q])
+        for q in g.vertices
+    ]
+    lp = LinearProgram(
+        variables=tuple([f"{dual.variables[t]}@{q}" for t, q in copies]),
+        objective=(ZERO,) * len(copies),
+        maximize=False,
+        constraints=tuple(cover + profit),
+        nonnegative=(True,) * len(copies),
+    )
+    return solve_lp(lp).status == "optimal"
 
 
 def all_coalition_system(a: GameAnalysis) -> CoalitionSystem:

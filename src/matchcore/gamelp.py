@@ -6,6 +6,9 @@ their own caps or floors, edges).  Every variant is a b-general game
 with particular bounds: :func:`priced` declares which bound families a
 variant's LPs carry, and the builders, the dual read-out, the covering
 slack and the dual objective are all emitted from that declaration.
+:func:`dual_columns` lists the dual's columns once, with the vertices
+each one credits; :func:`build_dual_lp` and the dual-image LP of
+:mod:`matchcore.bmatching` are both built from it.
 Builders emit rows in a fixed order (left vertices, right vertices, edge
 rows) so solver output and reports are deterministic.
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .games import VARIANTS, Edge, GameInstance, InfeasibleGameError
 from .simplex import LinearProgram, LPSolution, solve_lp
@@ -78,49 +82,62 @@ def build_primal_lp(g: GameInstance) -> LinearProgram:
     )
 
 
+class DualColumn(NamedTuple):
+    """A column of :func:`build_dual_lp`.
+
+    Its objective coefficient is ``sign * bound``.  Its owners are the
+    vertices whose profit that term pays: a vertex column's own vertex,
+    or both ends of an edge column, between which a split divides it.
+    """
+
+    name: str
+    sign: int
+    bound: int
+    owners: tuple[str, ...]
+
+
+def dual_columns(g: GameInstance) -> list[DualColumn]:
+    """The columns of :func:`build_dual_lp`, in order.
+
+    Every variant prices the vertex caps (``y``); where :func:`priced` says
+    so, the vertex floor credits (``y_lo``), edge cap prices (``z``) and
+    edge floor credits (``z_lo``) follow, in that order.
+    """
+    floors, edge_caps = priced(g)
+    vs, keys = g.vertices, g.edge_keys
+    cols = [DualColumn(f"y[{q}]", 1, g.vertex_upper[q], (q,)) for q in vs]
+    if floors:
+        cols += [DualColumn(f"y_lo[{q}]", -1, g.vertex_lower[q], (q,)) for q in vs]
+    if edge_caps:
+        cols += [DualColumn(f"z[{edge_name(k)}]", 1, g.edge_upper[k], k) for k in keys]
+    if floors:
+        cols += [
+            DualColumn(f"z_lo[{edge_name(k)}]", -1, g.edge_lower[k], k) for k in keys
+        ]
+    return cols
+
+
 def build_dual_lp(g: GameInstance) -> LinearProgram:
     """Dual of :func:`build_primal_lp`: minimum-cost covering prices.
 
-    Every variant prices vertex caps (``y``); b-constrained and b-general
-    price edge caps (``z``), and b-general credits vertex and edge floors
-    (``y_lo``, ``z_lo``).  The row of edge e = ij reads
+    The columns are :func:`dual_columns`.  The row of edge e = ij reads
     ``y_i + y_j - y_lo_i - y_lo_j + z_e - z_lo_e >= w_e`` over the columns
-    the variant has, in the order y, y_lo, z, z_lo.
+    the variant has: each column owned by i, by j or by e enters with its
+    sign.
     """
-    floors, edge_caps = priced(g)
-    keys, vs = g.edge_keys, g.vertices
-    names = [f"y[{q}]" for q in vs]
-    objective = [Fraction(g.vertex_upper[q]) for q in vs]
-    if floors:
-        names += [f"y_lo[{q}]" for q in vs]
-        objective += [Fraction(-g.vertex_lower[q]) for q in vs]
-    if edge_caps:
-        names += [f"z[{edge_name(k)}]" for k in keys]
-        objective += [Fraction(g.edge_upper[k]) for k in keys]
-    if floors:
-        names += [f"z_lo[{edge_name(k)}]" for k in keys]
-        objective += [Fraction(-g.edge_lower[k]) for k in keys]
-    col = {n: t for t, n in enumerate(names)}
+    cols = dual_columns(g)
     rows = []
-    for k, (i, j, w) in zip(keys, g.edges):
-        coeffs = [ZERO] * len(names)
-        coeffs[col[f"y[{i}]"]] += ONE
-        coeffs[col[f"y[{j}]"]] += ONE
-        if floors:
-            coeffs[col[f"y_lo[{i}]"]] -= ONE
-            coeffs[col[f"y_lo[{j}]"]] -= ONE
-        if edge_caps:
-            coeffs[col[f"z[{edge_name(k)}]"]] += ONE
-        if floors:
-            coeffs[col[f"z_lo[{edge_name(k)}]"]] -= ONE
-        rows.append((tuple(coeffs), ">=", w, edge_name(k)))
+    for i, j, w in g.edges:
+        at = ((i,), (j,), (i, j))
+        coeffs = [Fraction(c.sign) if c.owners in at else ZERO for c in cols]
+        rows.append((tuple(coeffs), ">=", w))
     return LinearProgram(
-        variables=tuple(names),
-        objective=tuple(objective),
+        variables=tuple([c.name for c in cols]),
+        objective=tuple([Fraction(c.sign * c.bound) for c in cols]),
         maximize=False,
-        constraints=tuple([(c, r, b) for c, r, b, _ in rows]),
-        nonnegative=(True,) * len(names),
-        row_labels=tuple([lbl for _, _, _, lbl in rows]),
+        constraints=tuple(rows),
+        nonnegative=(True,) * len(cols),
+        row_labels=tuple([edge_name(k) for k in g.edge_keys]),
     )
 
 
@@ -207,56 +224,3 @@ def dual_objective(g: GameInstance, y: DualSolution) -> Fraction:
 
 def dual_is_optimal(g: GameInstance, y: DualSolution, optimum: Fraction) -> bool:
     return dual_is_feasible(g, y) and dual_objective(g, y) == optimum
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    objectives_equal: bool
-    primal_feasible: bool
-    dual_feasible: bool
-    tight_primal_rows: tuple[str, ...]
-    tight_dual_rows: tuple[str, ...]
-
-
-def verify_duality(g: GameInstance, x: LPSolution, y: LPSolution) -> DualityReport:
-    """Exact feasibility, objective equality and tight-row sets.
-
-    ``x`` must come from the primal of ``g`` and ``y`` from its dual;
-    a missing variable name is treated as a dimension mismatch.
-    """
-    primal = build_primal_lp(g)
-    dual = build_dual_lp(g)
-    for name in primal.variables:
-        if name not in x.values:
-            raise ValueError(f"primal solution is missing {name}")
-    for name in dual.variables:
-        if name not in y.values:
-            raise ValueError(f"dual solution is missing {name}")
-
-    def evaluate(lp: LinearProgram, values: dict[str, Fraction]):
-        feasible = all(values[v] >= 0 for v in lp.variables)
-        tight = []
-        for (coeffs, rel, rhs), label in zip(lp.constraints, lp.row_labels):
-            lhs = sum(
-                (c * values[v] for c, v in zip(coeffs, lp.variables)), start=ZERO
-            )
-            if (rel == "<=" and lhs > rhs) or (rel == ">=" and lhs < rhs):
-                feasible = False
-            if rel == "==" and lhs != rhs:
-                feasible = False
-            if lhs == rhs:
-                tight.append(label)
-        obj = sum(
-            (c * values[v] for c, v in zip(lp.objective, lp.variables)), start=ZERO
-        )
-        return feasible, tuple(tight), obj
-
-    pf, pt, pobj = evaluate(primal, x.values)
-    df, dt, dobj = evaluate(dual, y.values)
-    return DualityReport(
-        objectives_equal=(pobj == dobj),
-        primal_feasible=pf,
-        dual_feasible=df,
-        tight_primal_rows=pt,
-        tight_dual_rows=dt,
-    )

@@ -292,23 +292,3 @@ def connected_coalitions(
     found.sort()
     return [frozenset(t) for t in found]
 
-
-def connected_components(g: GameInstance) -> list[Coalition]:
-    """Vertex sets of the connected components, in lexicographic order."""
-    adj = g.adjacency()
-    remaining = set(g.vertices)
-    comps: list[tuple[str, ...]] = []
-    for q in sorted(g.vertices):
-        if q not in remaining:
-            continue
-        stack, seen = [q], {q}
-        while stack:
-            x = stack.pop()
-            for r in adj[x]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        remaining -= seen
-        comps.append(tuple(sorted(seen)))
-    comps.sort()
-    return [frozenset(t) for t in comps]

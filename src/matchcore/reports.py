@@ -140,8 +140,7 @@ def classify_section(a: GameAnalysis) -> list[str]:
 def payments_section(a: GameAnalysis) -> list[str]:
     g = a.g
     rep = a.payments
-    first = next(iter(rep.vertices.values()))
-    if first.core_empty:
+    if a.face is None:
         return ["core = empty"]
     rows = [("vertex", "paid-sometimes", "max-profit")]
     for q in g.vertices:

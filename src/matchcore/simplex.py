@@ -81,7 +81,6 @@ class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: dict[str, Fraction]
     objective_value: Fraction | None
-    is_vertex: bool = False
     # The final tableau of an optimal solve of ``solve_lp``; not part of
     # the answer, so equality ignores it.
     tableau: OptimalTableau | None = field(default=None, compare=False, repr=False)
@@ -254,7 +253,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         return LPSolution("unbounded", {}, None)
     values, objective = _read_out(lp, lp.objective, checks, cols, tableau, basis)
     base = OptimalTableau(lp, objective, tableau, basis, cost, cols)
-    return LPSolution("optimal", values, objective, all(nn), base)
+    return LPSolution("optimal", values, objective, base)
 
 
 def _read_out(lp, objective, checks, cols, rows, basis):
@@ -375,7 +374,7 @@ class OptimalTableau:
         if _run(rows, cost, basis, width) == "unbounded":
             return LPSolution("unbounded", {}, None)
         values, value = _read_out(lp, objective, checks, cols, rows, basis)
-        return LPSolution("optimal", values, value, all(lp.nonnegative or (True,)))
+        return LPSolution("optimal", values, value)
 
 
 def solve_over_optimal_face(

@@ -11,9 +11,17 @@ from fractions import Fraction
 from random import Random
 
 from matchcore.analysis import GameAnalysis, worth
-from matchcore.bmatching import imputation_from_dual, split_half
+from matchcore.bmatching import (
+    CANONICAL_SPLITS,
+    ProfitSignError,
+    imputation_from_dual,
+    sample_core_imputations,
+    split_half,
+    system_lp,
+)
 from matchcore.gamelp import solve_dual
 from matchcore.games import GameInstance, make_game
+from matchcore.simplex import solve_lp
 
 WEIGHT_DENOMS = (1, 2, 5)
 
@@ -133,3 +141,34 @@ def shifted_imputation(g: GameInstance, imp: dict[str, Fraction]) -> dict[str, F
         if need == 0:
             return out
     raise AssertionError("no vertex admits a shift out of the core")
+
+
+def probes(a: GameAnalysis) -> list[dict[str, Fraction]]:
+    """Dual-derived and sampled core points, each also shifted out of the
+    core and pair-perturbed."""
+    g = a.g
+    _, y = a.dual
+    base = []
+    for _, split in CANONICAL_SPLITS:
+        try:
+            base.append(imputation_from_dual(a, y, split(y)))
+        except ProfitSignError:
+            pass
+        except ValueError:  # an empty core: the prices do not pay out v(N)
+            base.append(dict(y.vertex_upper))
+            break
+    if solve_lp(system_lp(a.system, {})).status == "optimal":
+        base += sample_core_imputations(a.system, seed=len(g.vertices), count=3)
+    out = []
+    for imp in base:
+        out.append(imp)
+        try:
+            out.append(shifted_imputation(g, imp))
+        except AssertionError:  # the others cannot fund any vertex's shift
+            pass
+        qs = sorted(g.vertices)
+        moved = dict(imp)
+        moved[qs[0]] += Fraction(1, 3)
+        moved[qs[-1]] -= Fraction(1, 3)
+        out.append(moved)
+    return out

@@ -302,6 +302,22 @@ def test_floor_infeasible_game_is_input_error(capsys, tmp_path, command, message
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["variant: assignment\nleft:\nright:\n", "variant: general-matching\nvertices:\n"],
+    ids=["assignment", "general-matching"],
+)
+def test_payments_on_a_game_without_vertices(capsys, tmp_path, text):
+    # The empty game's core is {()}, so payments prints its two header rows.
+    path = tmp_path / "empty.game"
+    path.write_text(text)
+    code, out, err = run(capsys, "payments", "--game", str(path))
+    assert (code, err) == (0, "")
+    assert out.split("[payments]\n")[1] == (
+        "vertex  paid-sometimes  max-profit\nedge    always-fair     max-overpay\n"
+    )
+
+
 # Each command runs on a game whose coalition worths come from the
 # worth-only search (bpath4-uncon) and on one whose worths come from the
 # subset table (web5).  check runs on in-core imputations, which scan

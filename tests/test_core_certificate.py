@@ -8,32 +8,26 @@ proper coalition, each worth from its own enumeration
 coalition that a plain loop over ``connected_coalitions`` finds violated.
 """
 
-from fractions import Fraction as F
 from random import Random
 
 import pytest
 
 from matchcore.analysis import GameAnalysis, core_membership_via_system, worth
 from matchcore.bmatching import (
-    CANONICAL_SPLITS,
-    ProfitSignError,
     all_coalition_system,
     imputation_from_dual,
     in_dual_image,
-    sample_core_imputations,
     split_half,
-    system_lp,
 )
 from matchcore import bmatching
 from matchcore.games import connected_coalitions
 from matchcore.matchings import integer_game
-from matchcore.simplex import solve_lp
 
 from gamegen import (
+    probes,
     random_assignment,
     random_b_game,
     random_general,
-    shifted_imputation,
     with_vertex_floors,
 )
 
@@ -62,37 +56,6 @@ def seeded_games(kind):
         if g.edges and worth(g) is not None:
             games.append(g)
     return games
-
-
-def probes(a):
-    """Dual-derived and sampled core points, each also shifted out of the
-    core and pair-perturbed."""
-    g = a.g
-    _, y = a.dual
-    base = []
-    for _, split in CANONICAL_SPLITS:
-        try:
-            base.append(imputation_from_dual(a, y, split(y)))
-        except ProfitSignError:
-            pass
-        except ValueError:  # an empty core: the prices do not pay out v(N)
-            base.append(dict(y.vertex_upper))
-            break
-    if solve_lp(system_lp(a.system, {})).status == "optimal":
-        base += sample_core_imputations(a.system, seed=len(g.vertices), count=3)
-    out = []
-    for imp in base:
-        out.append(imp)
-        try:
-            out.append(shifted_imputation(g, imp))
-        except AssertionError:  # the others cannot fund any vertex's shift
-            pass
-        qs = sorted(g.vertices)
-        moved = dict(imp)
-        moved[qs[0]] += F(1, 3)
-        moved[qs[-1]] -= F(1, 3)
-        out.append(moved)
-    return out
 
 
 def first_violated(g, imp):

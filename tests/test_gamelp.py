@@ -1,19 +1,17 @@
 from fractions import Fraction as F
 from random import Random
 
-import pytest
-
 from matchcore.bundled import load_instance
 from matchcore.games import make_game
 from matchcore.gamelp import (
     DualSolution,
     build_dual_lp,
     build_primal_lp,
+    dual_cover_slack,
     dual_is_feasible,
     dual_is_optimal,
     dual_objective,
     solve_dual,
-    verify_duality,
 )
 from matchcore.matchings import brute_force_optima, fractional_optimum
 from matchcore.simplex import solve_lp
@@ -90,39 +88,31 @@ def test_dual_general_signs():
     assert hi == [F(2), F(1), F(2), F(1)]
 
 
-def test_verify_duality_path5():
+def test_tight_rows_path5():
     g = load_instance("path5")
     x = solve_lp(build_primal_lp(g))
-    y = solve_lp(build_dual_lp(g))
-    rep = verify_duality(g, x, y)
-    assert rep.objectives_equal and rep.primal_feasible and rep.dual_feasible
-    for e in ("u1~v1", "u1~v2", "u2~v2", "u2~v3"):
-        assert e in rep.tight_dual_rows
+    sol, y = solve_dual(g)
+    assert x.objective_value == sol.objective_value
+    assert dual_is_optimal(g, y, x.objective_value)
+    for e in (("u1", "v1"), ("u1", "v2"), ("u2", "v2"), ("u2", "v3")):
+        assert dual_cover_slack(g, y, e) == 0
 
 
-def test_verify_duality_ring7_slack_row():
+def test_ring7_slack_row():
     g = load_instance("ring7")
     x = solve_lp(build_primal_lp(g))
-    y = solve_lp(build_dual_lp(g))
-    rep = verify_duality(g, x, y)
-    assert rep.objectives_equal
-    assert "v4~v7" not in rep.tight_dual_rows  # priced 2 against weight 1
+    sol, y = solve_dual(g)
+    assert x.objective_value == sol.objective_value
+    assert dual_cover_slack(g, y, ("v4", "v7")) > 0  # priced 2 against weight 1
 
 
-def test_verify_duality_detects_suboptimal_pair():
+def test_suboptimal_dual_is_not_optimal():
     g = load_instance("path5")
     x = solve_lp(build_primal_lp(g))
-    y = solve_lp(build_dual_lp(g))
-    worse = type(x)(
-        status="optimal",
-        values={k: F(0) for k in x.values},
-        objective_value=F(0),
-        is_vertex=True,
-    )
-    rep = verify_duality(g, worse, y)
-    assert not rep.objectives_equal
-    with pytest.raises(ValueError):
-        verify_duality(g, y, x)  # swapped solutions: dimension mismatch
+    _, y = solve_dual(g)
+    worse = DualSolution({q: p + 1 for q, p in y.vertex_upper.items()})
+    assert dual_is_feasible(g, worse)
+    assert not dual_is_optimal(g, worse, x.objective_value)
 
 
 def test_dual_solution_helpers():

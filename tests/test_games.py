@@ -11,7 +11,6 @@ from matchcore.games import (
     VARIANTS,
     CapExceeded,
     connected_coalitions,
-    connected_components,
     induce_subgame,
     make_game,
     validate_game,
@@ -165,5 +164,8 @@ def test_worth_adds_over_components():
             continue
         sub = induce_subgame(g, members)
         total = worth(g, members)
-        parts = [worth(g, comp) for comp in connected_components(sub)]
+        graph = nx.Graph()
+        graph.add_nodes_from(sub.vertices)
+        graph.add_edges_from([(i, j) for i, j, _ in sub.edges])
+        parts = [worth(g, frozenset(comp)) for comp in nx.connected_components(graph)]
         assert total == sum(parts, start=F(0))

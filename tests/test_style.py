@@ -113,3 +113,22 @@ def test_only_the_worth_oracle_lists_optima():
                 or (isinstance(node, ast.Attribute) and node.attr == "brute_force_optima")
             ]
     assert found == ["analysis.py:worth"]
+
+
+def test_dual_image_rows_come_from_the_dual_lp():
+    # in_dual_image reads its cover rows and profit coefficients from
+    # gamelp.build_dual_lp, and which end each column credits from
+    # gamelp.dual_columns.  A ">=" row written in bmatching, or a dual
+    # column named there, would be a second copy of the dual LP.  The core
+    # system's coalition rows (system_lp) are not dual rows.
+    found = []
+    for top in ast.parse((SRC / "bmatching.py").read_text()).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+                continue
+            if (node.value == ">=" and owner != "system_lp") or any(
+                node.value.startswith(p) for p in ("y[", "y_lo[", "z[", "z_lo[")
+            ):
+                found.append(f"bmatching.py:{node.lineno} in {owner}")
+    assert found == []
