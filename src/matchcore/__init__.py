@@ -32,7 +32,7 @@ from .analysis import (
     meet_join,
     worth,
 )
-from .bmatching import SplitScheme, imputation_from_dual, in_dual_image
+from .bmatching import imputation_from_dual, in_dual_image
 from .gamefile import parse_game, render_game
 from .rationals import Rational, compare, format_rational, parse_rational
 

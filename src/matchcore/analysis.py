@@ -444,23 +444,6 @@ class GameAnalysis:
         edges = {k: self.edge_payment(k) for k in self.g.edge_keys}
         return PaymentReport(verts, edges)
 
-    def core_imputation(self, y: DualSolution) -> Imputation:
-        """Read an optimal dual of an assignment or concurrent game as profits.
-
-        The map is the identity on the vertex prices; it is an imputation
-        exactly when the dual objective equals the worth of the game, which
-        is verified here.
-        """
-        if self.g.variant not in PAYMENT_VARIANTS:
-            raise ValueError("direct dual imputations exist only for single-use games")
-        profits = {q: y.vertex_upper[q] for q in self.g.vertices}
-        total = sum(profits.values(), start=ZERO)
-        if total != self.worth:
-            raise ValueError(
-                "dual is not optimal for the integral worth; profits do not sum up"
-            )
-        return profits
-
     @cached_property
     def antipodal(self) -> tuple[Imputation, Imputation]:
         """The two core vertices that favor one side each.
@@ -468,14 +451,16 @@ class GameAnalysis:
         The left-optimal imputation maximizes the left side's total
         profit over the core, the right-optimal one the right side's.
         """
+        from .bmatching import imputation_from_dual  # bmatching imports this module
+
         g = self.g
         if g.variant != "assignment":
             raise ValueError("antipodal imputations are defined for assignment games")
         left_sol = self._face_extreme({f"y[{q}]": ONE for q in g.left})
         right_sol = self._face_extreme({f"y[{q}]": ONE for q in g.right})
         return (
-            self.core_imputation(dual_solution_from_lp(g, left_sol)),
-            self.core_imputation(dual_solution_from_lp(g, right_sol)),
+            imputation_from_dual(self, dual_solution_from_lp(g, left_sol)),
+            imputation_from_dual(self, dual_solution_from_lp(g, right_sol)),
         )
 
     @cached_property

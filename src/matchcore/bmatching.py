@@ -15,37 +15,32 @@ Without edge floors the image lies inside the core, so where edges are
 priced ``membership`` takes an image point as its certificate of "yes"
 and scans the coalitions only for "no"; with a positive edge floor only
 its scaled cover test, ``imp_q / b_q`` covering every edge, may answer.
-One map (:func:`imputation_from_dual`) and one LP
-(:func:`in_dual_image`) serve all four b-variants.  The map reads the
-price families the variant has from its dual; the LP is the dual LP of
-:func:`~matchcore.gamelp.build_dual_lp` with each column copied once
-per vertex it credits (:func:`~matchcore.gamelp.dual_columns`), so this
-module writes no dual row or column of its own.
+One map (:func:`imputation_from_dual`) serves all six variants and one
+LP (:func:`in_dual_image`) all four b-variants.  Both read the dual
+through :func:`~matchcore.gamelp.dual_columns`: the map pays each
+column's objective term to the vertices it credits, and the LP is the
+dual LP of :func:`~matchcore.gamelp.build_dual_lp` with each column
+copied once per vertex it credits, so this module writes no dual row,
+column or price family of its own.
 Every function here that needs a fact of the game (its worth, its
 caps) takes the game's :class:`~matchcore.analysis.GameAnalysis`
 session, so the worth is enumerated once per session.
 
-Naming note: the per-edge amounts credited to the left or right
-endpoint are called split parts throughout, never c/d, because c and d
+Naming note: a split is one share, the part of every edge price paid
+to the edge's left end (the rest goes to its right end); the amounts it
+credits are called split parts throughout, never c/d, because c and d
 already name the edge floor and cap bounds of the general variant.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
 from .analysis import CoalitionSystem, GameAnalysis, Imputation
-from .games import Edge, check_coalition_cap
-from .gamelp import (
-    DualSolution,
-    build_dual_lp,
-    dual_columns,
-    dual_is_optimal,
-    edge_name,
-)
+from .games import check_coalition_cap
+from .gamelp import DualSolution, build_dual_lp, dual_columns, dual_numerators, edge_name
 from .analysis import worth as coalition_worth
 from .simplex import LinearProgram, solve_lp
 
@@ -56,64 +51,8 @@ HALF = Fraction(1, 2)
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
 
 
-@dataclass(frozen=True)
-class SplitScheme:
-    """Division of each priced edge's dual value between its endpoints.
-
-    ``cap_left[e] + cap_right[e]`` must equal the edge-cap dual of e,
-    and likewise for the floor duals of the general variant.
-    """
-
-    cap_left: dict[Edge, Fraction] = field(default_factory=dict)
-    cap_right: dict[Edge, Fraction] = field(default_factory=dict)
-    floor_left: dict[Edge, Fraction] = field(default_factory=dict)
-    floor_right: dict[Edge, Fraction] = field(default_factory=dict)
-
-
-def split_all_left(y: DualSolution) -> SplitScheme:
-    return SplitScheme(
-        cap_left=dict(y.edge_upper),
-        cap_right={k: ZERO for k in y.edge_upper},
-        floor_left=dict(y.edge_lower),
-        floor_right={k: ZERO for k in y.edge_lower},
-    )
-
-
-def split_all_right(y: DualSolution) -> SplitScheme:
-    return SplitScheme(
-        cap_left={k: ZERO for k in y.edge_upper},
-        cap_right=dict(y.edge_upper),
-        floor_left={k: ZERO for k in y.edge_lower},
-        floor_right=dict(y.edge_lower),
-    )
-
-
-def split_half(y: DualSolution) -> SplitScheme:
-    return SplitScheme(
-        cap_left={k: v * HALF for k, v in y.edge_upper.items()},
-        cap_right={k: v * HALF for k, v in y.edge_upper.items()},
-        floor_left={k: v * HALF for k, v in y.edge_lower.items()},
-        floor_right={k: v * HALF for k, v in y.edge_lower.items()},
-    )
-
-
-CANONICAL_SPLITS = (
-    ("left", split_all_left),
-    ("right", split_all_right),
-    ("half", split_half),
-)
-
-
-def _check_split(y: DualSolution, s: SplitScheme) -> None:
-    for prices, left, right in (
-        (y.edge_upper, s.cap_left, s.cap_right),
-        (y.edge_lower, s.floor_left, s.floor_right),
-    ):
-        for k, z in prices.items():
-            if left.get(k, ZERO) < 0 or right.get(k, ZERO) < 0:
-                raise ValueError(f"negative split part on {edge_name(k)}")
-            if left.get(k, ZERO) + right.get(k, ZERO) != z:
-                raise ValueError(f"split does not add up on {edge_name(k)}")
+# The --split choices: the share of each edge price paid to the left end.
+SPLIT_SHARES = {"left": ONE, "right": ZERO, "half": HALF}
 
 
 class ProfitSignError(Exception):
@@ -121,43 +60,44 @@ class ProfitSignError(Exception):
 
 
 def imputation_from_dual(
-    a: GameAnalysis, y: DualSolution, split: SplitScheme = SplitScheme()
+    a: GameAnalysis, y: DualSolution, split: Fraction | None = None
 ) -> Imputation:
-    """Profits of an optimal dual of ``a.g`` under a split of its edge prices.
+    """Profits of an optimal dual of ``a.g``, its edge prices split by a share.
 
-    profit_i = (b_i * cap_price_i - a_i * floor_price_i)
-             + sum over incident edges of (d_e * own cap share
-                                           - c_e * own floor share).
-
-    Only the price families ``y`` carries enter, which are those the
-    variant prices (see :func:`~matchcore.gamelp.priced`); so a split is
-    needed only where edges are priced, and elsewhere the profits are
-    the vertex prices scaled by the caps.  With floors present nothing
-    forces the result nonnegative; a negative entry is raised as a
-    finding rather than clamped.  ``y`` must be optimal for the session's
-    worth; on single-use games the result is the vertex prices.
+    Each column of :func:`~matchcore.gamelp.dual_columns` pays its
+    objective term, ``sign * bound * price``, to its owners: a vertex
+    column to its vertex, an edge column the share ``split`` to its left
+    end and the rest to its right end.  On single-use games the result
+    is the vertex prices.  A split is needed only where an edge has a
+    positive price.  With floors nothing forces the result nonnegative;
+    a negative entry is raised as a finding rather than clamped.  ``y``
+    must be optimal for the session's worth.  The sums run in integers
+    over the common denominator of the prices and the share.
     """
     g = a.g
-    if not dual_is_optimal(g, y, a.worth):
+    left, whole = (split or 0).as_integer_ratio()
+    if not 0 <= left <= whole:
+        raise ValueError(f"split share {split} is outside [0, 1]")
+    scaled = dual_numerators(g, y, a.worth)
+    if scaled is None:
         raise ValueError("dual solution is not optimal for this game")
-    _check_split(y, split)
-    imp: Imputation = {q: g.vertex_upper[q] * y.vertex_upper[q] for q in g.vertices}
-    for q, p in y.vertex_lower.items():
-        imp[q] -= g.vertex_lower[q] * p
-    for k in y.edge_upper:
-        d = g.edge_upper[k]
-        imp[k[0]] += d * split.cap_left.get(k, ZERO)
-        imp[k[1]] += d * split.cap_right.get(k, ZERO)
-    for k in y.edge_lower:
-        c = g.edge_lower[k]
-        imp[k[0]] -= c * split.floor_left.get(k, ZERO)
-        imp[k[1]] -= c * split.floor_right.get(k, ZERO)
+    prices, den = scaled
+    imp = dict.fromkeys(g.vertices, 0)
+    for c, n in prices:
+        pay = c.sign * c.bound * n
+        if len(c.owners) == 1:
+            imp[c.owners[0]] += pay * whole
+        elif split is None:
+            raise ValueError(f"edge {edge_name(c.owners)} is priced: give a split")
+        else:
+            imp[c.owners[0]] += pay * left
+            imp[c.owners[1]] += pay * (whole - left)
     negative = sorted(q for q, v in imp.items() if v < 0)
     if negative:
         raise ProfitSignError(
             f"dual-derived profits are negative at {', '.join(negative)}"
         )
-    return imp
+    return {q: Fraction(v, den * whole) for q, v in imp.items()}
 
 
 def in_dual_image(a: GameAnalysis, imp: Imputation) -> bool:

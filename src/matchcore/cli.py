@@ -17,7 +17,7 @@ from functools import cache
 
 from . import bundled
 from .analysis import GameAnalysis, Imputation
-from .bmatching import ProfitSignError, in_dual_image
+from .bmatching import SPLIT_SHARES, ProfitSignError, in_dual_image
 from .games import (
     DEFAULT_BUDGET_CAP,
     DEFAULT_COALITION_CAP,
@@ -97,7 +97,7 @@ def _parser() -> argparse.ArgumentParser:
         if name == "imputation":
             p.add_argument(
                 "--split",
-                choices=("left", "right", "half"),
+                choices=tuple(SPLIT_SHARES),
                 default="half",
                 help="how edge prices are divided between endpoints",
             )
@@ -105,7 +105,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_imputation(g: GameInstance, text: str) -> Imputation:
-    parts = [p.strip() for p in text.split(",")]
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
     if len(parts) != len(g.vertices):
         raise GameFileError(
             f"imputation has {len(parts)} entries, game has {len(g.vertices)} vertices"

@@ -4,11 +4,12 @@ The primal maximizes total matched weight subject to the variant's
 multiplicity bounds; the dual prices vertices (and, where edges carry
 their own caps or floors, edges).  Every variant is a b-general game
 with particular bounds: :func:`priced` declares which bound families a
-variant's LPs carry, and the builders, the dual read-out, the covering
-slack and the dual objective are all emitted from that declaration.
-:func:`dual_columns` lists the dual's columns once, with the vertices
-each one credits; :func:`build_dual_lp` and the dual-image LP of
-:mod:`matchcore.bmatching` are both built from it.
+variant's LPs carry.  :func:`dual_columns` lists the dual's columns
+once, each with the vertices it credits and the :class:`DualSolution`
+entry that holds its price; :func:`build_dual_lp`, the dual read-out,
+the optimality test (:func:`dual_numerators`), the dual-image LP of
+:mod:`matchcore.bmatching` and its map from duals to profits are all
+built from that list.
 Builders emit rows in a fixed order (left vertices, right vertices, edge
 rows) so solver output and reports are deterministic.
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .games import VARIANTS, Edge, GameInstance, InfeasibleGameError
@@ -88,12 +90,20 @@ class DualColumn(NamedTuple):
     Its objective coefficient is ``sign * bound``.  Its owners are the
     vertices whose profit that term pays: a vertex column's own vertex,
     or both ends of an edge column, between which a split divides it.
+    Its price in a :class:`DualSolution` is at ``key`` in the field
+    ``family``.
     """
 
     name: str
     sign: int
     bound: int
     owners: tuple[str, ...]
+    family: str
+    key: str | Edge
+
+    def price(self, y: DualSolution) -> Fraction:
+        """The price of this column in ``y``; one ``y`` leaves out is 0."""
+        return getattr(y, self.family).get(self.key, ZERO)
 
 
 def dual_columns(g: GameInstance) -> list[DualColumn]:
@@ -101,18 +111,26 @@ def dual_columns(g: GameInstance) -> list[DualColumn]:
 
     Every variant prices the vertex caps (``y``); where :func:`priced` says
     so, the vertex floor credits (``y_lo``), edge cap prices (``z``) and
-    edge floor credits (``z_lo``) follow, in that order.
+    edge floor credits (``z_lo``) follow, in that order.  This is the one
+    place that knows the price families: the dual LP, its read-out, the
+    optimality test and the map from duals to profits all go through it.
     """
     floors, edge_caps = priced(g)
     vs, keys = g.vertices, g.edge_keys
-    cols = [DualColumn(f"y[{q}]", 1, g.vertex_upper[q], (q,)) for q in vs]
-    if floors:
-        cols += [DualColumn(f"y_lo[{q}]", -1, g.vertex_lower[q], (q,)) for q in vs]
-    if edge_caps:
-        cols += [DualColumn(f"z[{edge_name(k)}]", 1, g.edge_upper[k], k) for k in keys]
+    b, a, d, c = g.vertex_upper, g.vertex_lower, g.edge_upper, g.edge_lower
+    cols = [DualColumn(f"y[{q}]", 1, b[q], (q,), "vertex_upper", q) for q in vs]
     if floors:
         cols += [
-            DualColumn(f"z_lo[{edge_name(k)}]", -1, g.edge_lower[k], k) for k in keys
+            DualColumn(f"y_lo[{q}]", -1, a[q], (q,), "vertex_lower", q) for q in vs
+        ]
+    if edge_caps:
+        cols += [
+            DualColumn(f"z[{edge_name(k)}]", 1, d[k], k, "edge_upper", k) for k in keys
+        ]
+    if floors:
+        cols += [
+            DualColumn(f"z_lo[{edge_name(k)}]", -1, c[k], k, "edge_lower", k)
+            for k in keys
         ]
     return cols
 
@@ -152,18 +170,13 @@ class DualSolution:
 
 
 def dual_solution_from_lp(g: GameInstance, sol: LPSolution) -> DualSolution:
-    """The prices of ``sol``, one family per column family of the dual LP."""
+    """The prices of ``sol``, one per column of the dual LP."""
     if sol.status != "optimal":
         raise ValueError(f"dual LP did not produce an optimum: {sol.status}")
-    floors, edge_caps = priced(g)
-    v = sol.values
-    vs, es = g.vertices, [(k, edge_name(k)) for k in g.edge_keys]
-    return DualSolution(
-        {q: v[f"y[{q}]"] for q in vs},
-        {q: v[f"y_lo[{q}]"] for q in vs} if floors else {},
-        {k: v[f"z[{e}]"] for k, e in es} if edge_caps else {},
-        {k: v[f"z_lo[{e}]"] for k, e in es} if floors else {},
-    )
+    y = DualSolution({})
+    for c in dual_columns(g):
+        getattr(y, c.family)[c.key] = sol.values[c.name]
+    return y
 
 
 def solve_dual(g: GameInstance) -> tuple[LPSolution, DualSolution]:
@@ -178,49 +191,43 @@ def solve_dual(g: GameInstance) -> tuple[LPSolution, DualSolution]:
     return sol, dual_solution_from_lp(g, sol)
 
 
-def dual_cover_slack(g: GameInstance, y: DualSolution, key: Edge) -> Fraction:
-    """Left-hand side minus weight of the covering row for one edge.
+def dual_numerators(
+    g: GameInstance, y: DualSolution, optimum: Fraction
+) -> tuple[list[tuple[DualColumn, int]], int] | None:
+    """The prices of ``y`` as integers over one denominator, if ``y`` is optimal.
 
-    The row of :func:`build_dual_lp`; a price family ``y`` leaves empty
-    (one the variant does not price) contributes nothing.
+    Returns each column of :func:`dual_columns` with a nonzero price, with
+    that price times the denominator, and the denominator; or None unless
+    ``y`` is a feasible point of :func:`build_dual_lp` whose objective is
+    ``optimum``.  The rows are checked sparsely and in integers: the cover
+    row of edge ij sums the signed prices of the columns owned by i, by j
+    and by ij.
     """
-    i, j = key
-    lhs = y.vertex_upper[i] + y.vertex_upper[j]
-    if y.vertex_lower:
-        lhs -= y.vertex_lower.get(i, ZERO) + y.vertex_lower.get(j, ZERO)
-    if y.edge_upper:
-        lhs += y.edge_upper.get(key, ZERO)
-    if y.edge_lower:
-        lhs -= y.edge_lower.get(key, ZERO)
-    return lhs - g.weight(key)
-
-
-def dual_is_feasible(g: GameInstance, y: DualSolution) -> bool:
-    entries = (
-        list(y.vertex_upper.values())
-        + list(y.vertex_lower.values())
-        + list(y.edge_upper.values())
-        + list(y.edge_lower.values())
-    )
-    if any(e < 0 for e in entries):
-        return False
-    return all(dual_cover_slack(g, y, k) >= 0 for k in g.edge_keys)
-
-
-def dual_objective(g: GameInstance, y: DualSolution) -> Fraction:
-    """The objective of :func:`build_dual_lp` at ``y``: every price times its
-    bound, floor credits negated; a family ``y`` leaves empty adds nothing."""
-    total = ZERO
-    for bounds, prices, sign in (
-        (g.vertex_upper, y.vertex_upper, 1),
-        (g.vertex_lower, y.vertex_lower, -1),
-        (g.edge_upper, y.edge_upper, 1),
-        (g.edge_lower, y.edge_lower, -1),
-    ):
-        for key, price in prices.items():
-            total += sign * bounds[key] * price
-    return total
+    cols = dual_columns(g)
+    ratios = [c.price(y).as_integer_ratio() for c in cols]
+    den = lcm(*[d for _, d in ratios])
+    nonzero = []
+    objective = 0
+    cover: dict[tuple[str, ...], int] = {}
+    for c, (n, d) in zip(cols, ratios):
+        if n < 0:
+            return None
+        if n:
+            n *= den // d
+            nonzero.append((c, n))
+            objective += c.sign * c.bound * n
+            cover[c.owners] = cover.get(c.owners, 0) + c.sign * n
+    top, bottom = optimum.as_integer_ratio()
+    if objective * bottom != top * den:
+        return None
+    for i, j, w in g.edges:
+        row = cover.get((i,), 0) + cover.get((j,), 0) + cover.get((i, j), 0)
+        wn, wd = w.as_integer_ratio()
+        if row * wd < wn * den:
+            return None
+    return nonzero, den
 
 
 def dual_is_optimal(g: GameInstance, y: DualSolution, optimum: Fraction) -> bool:
-    return dual_is_feasible(g, y) and dual_objective(g, y) == optimum
+    """Is ``y`` an optimal point of :func:`build_dual_lp` with value ``optimum``?"""
+    return dual_numerators(g, y, optimum) is not None

@@ -16,14 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analysis import PAYMENT_VARIANTS, GameAnalysis, Imputation
-from .bmatching import (
-    B_VARIANTS,
-    CANONICAL_SPLITS,
-    imputation_from_dual,
-    in_dual_image,
-)
+from .bmatching import B_VARIANTS, SPLIT_SHARES, imputation_from_dual, in_dual_image
 from .games import GameInstance
-from .gamelp import edge_name, priced
+from .gamelp import dual_columns, edge_name, priced
 from .rationals import format_rational as fr
 
 
@@ -98,10 +93,10 @@ def concurrency_section(a: GameAnalysis) -> list[str]:
 def dual_section(a: GameAnalysis) -> list[str]:
     g = a.g
     sol, y = a.dual
-    rows = [(q, fr(y.vertex_upper[q])) for q in g.vertices]
-    rows += [(f"{q}:lo", fr(p)) for q, p in y.vertex_lower.items()]
-    rows += [(f"z[{edge_name(k)}]", fr(p)) for k, p in y.edge_upper.items()]
-    rows += [(f"z_lo[{edge_name(k)}]", fr(p)) for k, p in y.edge_lower.items()]
+    rows = []
+    for c in dual_columns(g):
+        vertex_labels = {"vertex_upper": c.key, "vertex_lower": f"{c.key}:lo"}
+        rows.append((vertex_labels.get(c.family, c.name), fr(c.price(y))))
     return table(rows) + [f"objective = {fr(sol.objective_value)}"]
 
 
@@ -111,9 +106,7 @@ def dual_imputation(a: GameAnalysis, split: str = "half") -> Imputation | None:
     if g.variant == "general-matching" and not a.concurrency.concurrent:
         return None
     _, y = a.dual
-    if g.variant in PAYMENT_VARIANTS:
-        return a.core_imputation(y)
-    return imputation_from_dual(a, y, dict(CANONICAL_SPLITS)[split](y))
+    return imputation_from_dual(a, y, SPLIT_SHARES[split])
 
 
 def imputation_section(a: GameAnalysis, split: str = "half") -> list[str]:

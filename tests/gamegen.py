@@ -12,11 +12,10 @@ from random import Random
 
 from matchcore.analysis import GameAnalysis, worth
 from matchcore.bmatching import (
-    CANONICAL_SPLITS,
+    SPLIT_SHARES,
     ProfitSignError,
     imputation_from_dual,
     sample_core_imputations,
-    split_half,
     system_lp,
 )
 from matchcore.gamelp import solve_dual
@@ -116,7 +115,7 @@ def dual_imputation(g: GameInstance) -> dict[str, Fraction]:
     _, y = solve_dual(g)
     if g.variant in ("assignment", "general-matching"):
         return dict(y.vertex_upper)
-    return imputation_from_dual(GameAnalysis(g), y, split_half(y))
+    return imputation_from_dual(GameAnalysis(g), y, Fraction(1, 2))
 
 
 def shifted_imputation(g: GameInstance, imp: dict[str, Fraction]) -> dict[str, Fraction]:
@@ -149,9 +148,9 @@ def probes(a: GameAnalysis) -> list[dict[str, Fraction]]:
     g = a.g
     _, y = a.dual
     base = []
-    for _, split in CANONICAL_SPLITS:
+    for share in SPLIT_SHARES.values():
         try:
-            base.append(imputation_from_dual(a, y, split(y)))
+            base.append(imputation_from_dual(a, y, share))
         except ProfitSignError:
             pass
         except ValueError:  # an empty core: the prices do not pay out v(N)

@@ -20,9 +20,6 @@ from matchcore.bmatching import (
     imputation_from_dual,
     in_dual_image,
     sample_core_imputations,
-    split_all_left,
-    split_all_right,
-    split_half,
 )
 from matchcore.bundled import instance_report_text, load_instance, run_examples
 from matchcore.gamefile import parse_game
@@ -192,8 +189,8 @@ def test_c08_bpath4_constrained():
         edge_upper={k: (O if k == heavy else Z) for k in g.edge_keys},
     )
     assert dual_is_optimal(g, y0, F(4)) and dual_is_optimal(g, y1, F(4))
-    assert imputation_from_dual(a, y0, split_all_right(y0)) == imp(g, 2, 0, 0, 2)
-    assert imputation_from_dual(a, y1, split_all_right(y1)) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(a, y0, Z) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(a, y1, Z) == imp(g, 2, 0, 0, 2)
     # The dual (0,0,0,3) with edge price 1 on u1~v1 is optimal, and its
     # two one-sided splits produce exactly `first` and `second`, so both
     # are in the image.
@@ -202,8 +199,8 @@ def test_c08_bpath4_constrained():
         edge_upper={k: (O if k == ("u1", "v1") else Z) for k in g.edge_keys},
     )
     assert dual_is_optimal(g, cert, F(4))
-    assert imputation_from_dual(a, cert, split_all_left(cert)) == first
-    assert imputation_from_dual(a, cert, split_all_right(cert)) == second
+    assert imputation_from_dual(a, cert, O) == first
+    assert imputation_from_dual(a, cert, Z) == second
     assert in_dual_image(a, first)
     assert in_dual_image(a, second)
     # The core here is the rectangle u2 = 0, 0 <= v1 <= 1, 1 <= v2 <= 3,
@@ -361,8 +358,8 @@ def test_c10_general_graph_property_suite():
 
 def _dual_derived_imputations(a, y):
     return [
-        imputation_from_dual(a, y, s(y))
-        for s in (split_all_left, split_all_right, split_half)
+        imputation_from_dual(a, y, s)
+        for s in (O, Z, H)
     ]
 
 

@@ -32,7 +32,6 @@ def test_dual_imputations_of_named_instances():
         a = GameAnalysis(load_instance(name))
         _, y = solve_dual(a.g)
         assert imputation_from_dual(a, y) == imp(a.g, *values)
-        assert a.core_imputation(y) == imp(a.g, *values)
 
 
 def test_dual_imputation_requires_optimality():
@@ -40,8 +39,6 @@ def test_dual_imputation_requires_optimality():
     _, y = solve_dual(a.g)
     with pytest.raises(ValueError, match="not optimal"):
         imputation_from_dual(a, y)
-    with pytest.raises(ValueError, match="not optimal"):
-        a.core_imputation(y)
 
 
 def test_dual_imputation_rejects_infeasible_dual_with_the_right_total():

@@ -16,9 +16,6 @@ from matchcore.bmatching import (
     imputation_from_dual,
     in_dual_image,
     sample_core_imputations,
-    split_all_left,
-    split_all_right,
-    split_half,
 )
 from matchcore.bundled import load_instance
 from matchcore.gamelp import DualSolution, dual_is_optimal, solve_dual
@@ -28,6 +25,7 @@ from gamegen import random_assignment, random_b_game, random_general
 from scaling_oracle import in_scaled_image, scaled_dual
 
 Z = F(0)
+LEFT, RIGHT, HALF = F(1), F(0), F(1, 2)  # split shares
 
 
 def imp(g, *values):
@@ -118,25 +116,24 @@ def test_con_imputations_from_dual_family():
     )
     assert dual_is_optimal(g, y1, F(4))
     a = GameAnalysis(g)
-    assert imputation_from_dual(a, y1, split_all_left(y1)) == imp(g, 3, 0, 0, 1)
-    assert imputation_from_dual(a, y1, split_all_right(y1)) == imp(g, 2, 0, 0, 2)
-    assert imputation_from_dual(a, y1, split_half(y1)) == imp(
+    assert imputation_from_dual(a, y1, LEFT) == imp(g, 3, 0, 0, 1)
+    assert imputation_from_dual(a, y1, RIGHT) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(a, y1, HALF) == imp(
         g, F(5, 2), 0, 0, F(3, 2)
     )
     y0 = DualSolution(
         {"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)},
         edge_upper={k: Z for k in g.edge_keys},
     )
-    assert imputation_from_dual(a, y0, split_all_left(y0)) == imp(g, 2, 0, 0, 2)
+    assert imputation_from_dual(a, y0, LEFT) == imp(g, 2, 0, 0, 2)
 
 
 def test_con_split_must_match_dual():
     a = GameAnalysis(load_instance("bpath4-con"))
     _, y = a.dual
-    bad = split_all_left(y)
-    bad.cap_left[("u1", "v2")] += 1
-    with pytest.raises(ValueError):
-        imputation_from_dual(a, y, bad)
+    for share in (F(-1, 2), F(3, 2)):
+        with pytest.raises(ValueError, match="outside"):
+            imputation_from_dual(a, y, share)
     with pytest.raises(ValueError):
         imputation_from_dual(a, y)  # the positive edge price needs a split
 
@@ -163,8 +160,8 @@ def test_con_dual_image_reaches_beyond_listed_family():
     )
     assert dual_is_optimal(g, y, F(4))
     a = GameAnalysis(g)
-    assert imputation_from_dual(a, y, split_all_left(y)) == imp(g, 1, 0, 0, 3)
-    assert imputation_from_dual(a, y, split_all_right(y)) == imp(g, 0, 0, 1, 3)
+    assert imputation_from_dual(a, y, LEFT) == imp(g, 1, 0, 0, 3)
+    assert imputation_from_dual(a, y, RIGHT) == imp(g, 0, 0, 1, 3)
     assert in_dual_image(a, imp(g, 1, 0, 0, 3))
     assert in_dual_image(a, imp(g, 0, 0, 1, 3))
 
@@ -209,7 +206,7 @@ def test_gen_reduces_to_assignment_on_single_edge():
     g = make_game("b-general", ["u"], ["v"], [("u", "v", w)])
     a = GameAnalysis(g)
     _, y = solve_dual(g)
-    profits = imputation_from_dual(a, y, split_half(y))
+    profits = imputation_from_dual(a, y, HALF)
     assert sum(profits.values(), start=Z) == w
     assert all(v >= 0 for v in profits.values())
     assert core_membership_via_system(a.system, profits).in_core
@@ -220,8 +217,8 @@ def test_gen_d1_matches_constrained_results():
     a = GameAnalysis(g)
     assert a.worth == 4
     _, y = solve_dual(g)
-    for split in (split_all_left, split_all_right, split_half):
-        profits = imputation_from_dual(a, y, split(y))
+    for split in (LEFT, RIGHT, HALF):
+        profits = imputation_from_dual(a, y, split)
         assert core_membership_via_system(a.system, profits).in_core
     # the family reachable in the single-use encoding is reachable here
     for b in (Z, F(1, 2), F(1)):
@@ -239,7 +236,7 @@ def test_gen_cap_matches_unconstrained_results():
         edge_lower={k: Z for k in g.edge_keys},
     )
     assert dual_is_optimal(g, y, F(4))
-    profits = imputation_from_dual(a, y, split_half(y))
+    profits = imputation_from_dual(a, y, HALF)
     assert profits == imp(g, 2, 0, 0, 2)
     assert in_dual_image(a, profits)
     assert core_membership_via_system(a.system, profits).in_core
@@ -265,7 +262,7 @@ def test_gen_floor_can_turn_profits_negative():
     )
     assert dual_is_optimal(g, y, F(1))
     with pytest.raises(ProfitSignError):
-        imputation_from_dual(a, y, split_half(y))
+        imputation_from_dual(a, y, HALF)
 
 
 def test_gen_floor_infeasible_coalitions_are_skipped():
@@ -319,7 +316,7 @@ def test_edge_floor_image_point_outside_the_core():
     assert any(g.edge_lower.values())
     a = GameAnalysis(g)
     _, y = a.dual
-    profits = imputation_from_dual(a, y, split_half(y))
+    profits = imputation_from_dual(a, y, HALF)
     assert profits == imp(g, 0, 3, F(15, 4), 0, 0, F(3, 4))
     assert in_dual_image(a, profits)
     got = a.membership(profits)
@@ -348,9 +345,9 @@ def test_dual_derived_imputations_pass_core_check():
             _, y = solve_dual(g)
             a = GameAnalysis(g)
             total = a.worth
-            for s in (split_all_left, split_all_right, split_half):
+            for s in (LEFT, RIGHT, HALF):
                 try:
-                    profits = imputation_from_dual(a, y, s(y))
+                    profits = imputation_from_dual(a, y, s)
                 except ProfitSignError:
                     assert floors
                     signs += 1

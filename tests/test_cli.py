@@ -318,6 +318,30 @@ def test_payments_on_a_game_without_vertices(capsys, tmp_path, text):
     )
 
 
+@pytest.mark.parametrize(
+    "variant, command, code, line",
+    [
+        ("assignment", "check", 0, "in-core = yes"),
+        ("b-unconstrained", "check", 0, "in-core = yes"),
+        ("b-unconstrained", "dual-image", 0, "in-dual-image = yes"),
+        ("assignment", "dual-image", 2, None),
+    ],
+)
+def test_empty_imputation_on_a_game_without_vertices(
+    capsys, tmp_path, variant, command, code, line
+):
+    # An empty --imputation lists no profits, which is the one imputation
+    # of a game with no vertices; dual-image stays a b-variant question.
+    path = tmp_path / "empty.game"
+    path.write_text(f"variant: {variant}\nleft:\nright:\n")
+    got, out, err = run(capsys, command, "--game", str(path), "--imputation=")
+    assert got == code
+    if line is None:
+        assert out == "" and "defined for b-variants" in err
+    else:
+        assert err == "" and out.endswith(f"{line}\n")
+
+
 # Each command runs on a game whose coalition worths come from the
 # worth-only search (bpath4-uncon) and on one whose worths come from the
 # subset table (web5).  check runs on in-core imputations, which scan

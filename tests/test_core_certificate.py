@@ -8,6 +8,7 @@ proper coalition, each worth from its own enumeration
 coalition that a plain loop over ``connected_coalitions`` finds violated.
 """
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -17,7 +18,6 @@ from matchcore.bmatching import (
     all_coalition_system,
     imputation_from_dual,
     in_dual_image,
-    split_half,
 )
 from matchcore import bmatching
 from matchcore.games import connected_coalitions
@@ -98,7 +98,7 @@ def test_edge_floor_image_points_outside_the_core_answer_no():
     g = random_b_game(Random(20), "b-general", with_floors=True)
     a = GameAnalysis(g)
     _, y = a.dual
-    pinned = imputation_from_dual(a, y, split_half(y))
+    pinned = imputation_from_dual(a, y, Fraction(1, 2))
     got = GameAnalysis(g).membership(pinned)
     short = frozenset({"u1", "u2", "v1", "v2", "v3"})
     assert in_dual_image(a, pinned) and (got.in_core, got.witness) == (False, short)

@@ -7,10 +7,8 @@ from matchcore.gamelp import (
     DualSolution,
     build_dual_lp,
     build_primal_lp,
-    dual_cover_slack,
-    dual_is_feasible,
+    dual_columns,
     dual_is_optimal,
-    dual_objective,
     solve_dual,
 )
 from matchcore.matchings import brute_force_optima, fractional_optimum
@@ -88,14 +86,27 @@ def test_dual_general_signs():
     assert hi == [F(2), F(1), F(2), F(1)]
 
 
+def dual_rows_at(g, y):
+    """The objective of ``build_dual_lp(g)`` at ``y``, and each cover row's
+    left-hand side minus its weight, by row label."""
+    lp = build_dual_lp(g)
+    at = [c.price(y) for c in dual_columns(g)]
+    slack = {
+        label: sum(a * v for a, v in zip(coeffs, at)) - rhs
+        for (coeffs, _, rhs), label in zip(lp.constraints, lp.row_labels)
+    }
+    return sum(c * v for c, v in zip(lp.objective, at)), slack
+
+
 def test_tight_rows_path5():
     g = load_instance("path5")
     x = solve_lp(build_primal_lp(g))
     sol, y = solve_dual(g)
     assert x.objective_value == sol.objective_value
     assert dual_is_optimal(g, y, x.objective_value)
-    for e in (("u1", "v1"), ("u1", "v2"), ("u2", "v2"), ("u2", "v3")):
-        assert dual_cover_slack(g, y, e) == 0
+    _, slack = dual_rows_at(g, y)
+    for e in ("u1~v1", "u1~v2", "u2~v2", "u2~v3"):
+        assert slack[e] == 0
 
 
 def test_ring7_slack_row():
@@ -103,7 +114,7 @@ def test_ring7_slack_row():
     x = solve_lp(build_primal_lp(g))
     sol, y = solve_dual(g)
     assert x.objective_value == sol.objective_value
-    assert dual_cover_slack(g, y, ("v4", "v7")) > 0  # priced 2 against weight 1
+    assert dual_rows_at(g, y)[1]["v4~v7"] > 0  # priced 2 against weight 1
 
 
 def test_suboptimal_dual_is_not_optimal():
@@ -111,18 +122,23 @@ def test_suboptimal_dual_is_not_optimal():
     x = solve_lp(build_primal_lp(g))
     _, y = solve_dual(g)
     worse = DualSolution({q: p + 1 for q, p in y.vertex_upper.items()})
-    assert dual_is_feasible(g, worse)
+    objective, slack = dual_rows_at(g, worse)
+    assert min(slack.values()) >= 0 and objective > x.objective_value
+    assert dual_is_optimal(g, worse, objective)  # feasible, at its own value
     assert not dual_is_optimal(g, worse, x.objective_value)
 
 
 def test_dual_solution_helpers():
     g = load_instance("bpath4-uncon")
     sol, y = solve_dual(g)
-    assert dual_is_feasible(g, y)
-    assert dual_objective(g, y) == sol.objective_value == F(4)
+    objective, slack = dual_rows_at(g, y)
+    assert min(slack.values()) >= 0
+    assert objective == sol.objective_value == F(4)
     assert dual_is_optimal(g, y, F(4))
     bad = DualSolution({q: F(0) for q in g.vertices})
-    assert not dual_is_feasible(g, bad)
+    objective, slack = dual_rows_at(g, bad)
+    assert min(slack.values()) < 0
+    assert not dual_is_optimal(g, bad, objective)
 
 
 def test_strong_duality_on_bundled_instances():

@@ -132,3 +132,28 @@ def test_dual_image_rows_come_from_the_dual_lp():
             ):
                 found.append(f"bmatching.py:{node.lineno} in {owner}")
     assert found == []
+
+
+PRICE_FAMILY_NAMES = {
+    "vertex_upper", "vertex_lower", "edge_upper", "edge_lower",
+    "cap_left", "cap_right", "floor_left", "floor_right",
+}
+
+
+def test_bmatching_names_no_price_family():
+    # gamelp.dual_columns is the one code that knows the price families:
+    # each column says where its price sits in a DualSolution.  The map
+    # from duals to profits reads every price through the columns, and a
+    # split is one share, so a family or split part named in bmatching (an
+    # identifier, an attribute or a string) would write a family out again.
+    # GameAnalysis keeps no second map for single-use games.
+    found = []
+    for node in ast.walk(ast.parse((SRC / "bmatching.py").read_text())):
+        names = [
+            getattr(node, attr)
+            for attr in ("id", "attr", "arg", "name", "value")
+            if isinstance(getattr(node, attr, None), str)
+        ]
+        found += [f"{node.lineno}: {n}" for n in names if n in PRICE_FAMILY_NAMES]
+    assert found == []
+    assert not hasattr(matchcore.GameAnalysis, "core_imputation")
