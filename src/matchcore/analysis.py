@@ -49,7 +49,9 @@ from .games import (
     induce_subgame,
 )
 from .gamelp import (
+    DualColumn,
     DualSolution,
+    dual_columns,
     dual_solution_from_lp,
     edge_name,
     priced,
@@ -258,6 +260,10 @@ class GameAnalysis:
         return [s for s in connected_coalitions(self.g, self.cap) if s != grand]
 
     @cached_property
+    def _weights(self) -> dict[Edge, Fraction]:
+        return {(i, j): w for i, j, w in self.g.edges}
+
+    @cached_property
     def _integer_game(self) -> IntegerGame:
         return integer_game(self.g)
 
@@ -373,8 +379,13 @@ class GameAnalysis:
         return self._optima.labels(self.g)
 
     @cached_property
+    def dual_columns(self) -> list[DualColumn]:
+        """The columns of the game's dual LP, built once per session."""
+        return dual_columns(self.g)
+
+    @cached_property
     def dual(self) -> tuple[LPSolution, DualSolution]:
-        return solve_dual(self.g)
+        return solve_dual(self.g, self.dual_columns)
 
     @cached_property
     def face(self) -> OptimalTableau | None:
@@ -406,7 +417,7 @@ class GameAnalysis:
             raise ValueError(f"unknown vertex {q!r}")
         if self.face is None:
             return VertexPayment(True, None, None)
-        top = self._face_extreme({f"y[{q}]": ONE}).values[f"y[{q}]"]
+        top = self._face_extreme({f"y[{q}]": ONE}).objective_value
         return VertexPayment(False, top > 0, top)
 
     def edge_payment(self, key: Edge) -> EdgePayment:
@@ -416,13 +427,12 @@ class GameAnalysis:
         when the pair is fairly paid in every imputation.
         """
         _require_payment_variant(self.g)
-        if key not in self.g.edge_keys:
+        if key not in self._weights:
             raise ValueError(f"unknown edge {edge_name(key)}")
         if self.face is None:
             return EdgePayment(True, None, None)
-        i, j = key
-        sol = self._face_extreme({f"y[{i}]": ONE, f"y[{j}]": ONE})
-        slack = sol.values[f"y[{i}]"] + sol.values[f"y[{j}]"] - self.g.weight(key)
+        goal = {f"y[{q}]": ONE for q in key}
+        slack = self._face_extreme(goal).objective_value - self._weights[key]
         return EdgePayment(False, slack == 0, slack)
 
     def profit_bounds(self, q: str) -> tuple[Fraction, Fraction] | None:
@@ -433,8 +443,8 @@ class GameAnalysis:
         if self.face is None:
             return None
         goal = {f"y[{q}]": ONE}
-        hi = self._face_extreme(goal, True).values[f"y[{q}]"]
-        lo = self._face_extreme(goal, False).values[f"y[{q}]"]
+        hi = self._face_extreme(goal, True).objective_value
+        lo = self._face_extreme(goal, False).objective_value
         return lo, hi
 
     @cached_property
@@ -456,11 +466,12 @@ class GameAnalysis:
         g = self.g
         if g.variant != "assignment":
             raise ValueError("antipodal imputations are defined for assignment games")
+        cols = self.dual_columns
         left_sol = self._face_extreme({f"y[{q}]": ONE for q in g.left})
         right_sol = self._face_extreme({f"y[{q}]": ONE for q in g.right})
         return (
-            imputation_from_dual(self, dual_solution_from_lp(g, left_sol)),
-            imputation_from_dual(self, dual_solution_from_lp(g, right_sol)),
+            imputation_from_dual(self, dual_solution_from_lp(left_sol, cols)),
+            imputation_from_dual(self, dual_solution_from_lp(right_sol, cols)),
         )
 
     @cached_property

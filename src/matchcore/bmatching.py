@@ -40,7 +40,7 @@ from random import Random
 
 from .analysis import CoalitionSystem, GameAnalysis, Imputation
 from .games import check_coalition_cap
-from .gamelp import DualSolution, build_dual_lp, dual_columns, dual_numerators, edge_name
+from .gamelp import DualSolution, build_dual_lp, dual_numerators, edge_name
 from .analysis import worth as coalition_worth
 from .simplex import LinearProgram, solve_lp
 
@@ -78,7 +78,7 @@ def imputation_from_dual(
     left, whole = (split or 0).as_integer_ratio()
     if not 0 <= left <= whole:
         raise ValueError(f"split share {split} is outside [0, 1]")
-    scaled = dual_numerators(g, y, a.worth)
+    scaled = dual_numerators(g, a.dual_columns, y, a.worth)
     if scaled is None:
         raise ValueError("dual solution is not optimal for this game")
     prices, den = scaled
@@ -119,8 +119,8 @@ def in_dual_image(a: GameAnalysis, imp: Imputation) -> bool:
         raise ValueError(f"dual image is defined for b-variants, not {g.variant}")
     if sum(imp.values(), start=ZERO) != a.worth:
         return False
-    dual = build_dual_lp(g)
-    copies = [(t, q) for t, col in enumerate(dual_columns(g)) for q in col.owners]
+    dual = build_dual_lp(g, a.dual_columns)
+    copies = [(t, q) for t, col in enumerate(a.dual_columns) for q in col.owners]
     cover = [
         (tuple([coeffs[t] for t, _ in copies]), rel, w)
         for coeffs, rel, w in dual.constraints

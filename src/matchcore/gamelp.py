@@ -135,15 +135,17 @@ def dual_columns(g: GameInstance) -> list[DualColumn]:
     return cols
 
 
-def build_dual_lp(g: GameInstance) -> LinearProgram:
+def build_dual_lp(
+    g: GameInstance, cols: list[DualColumn] | None = None
+) -> LinearProgram:
     """Dual of :func:`build_primal_lp`: minimum-cost covering prices.
 
-    The columns are :func:`dual_columns`.  The row of edge e = ij reads
-    ``y_i + y_j - y_lo_i - y_lo_j + z_e - z_lo_e >= w_e`` over the columns
-    the variant has: each column owned by i, by j or by e enters with its
-    sign.
+    The columns are ``cols``, or :func:`dual_columns` if None.  The row of
+    edge e = ij reads ``y_i + y_j - y_lo_i - y_lo_j + z_e - z_lo_e >= w_e``
+    over the columns the variant has: each column owned by i, by j or by
+    e enters with its sign.
     """
-    cols = dual_columns(g)
+    cols = dual_columns(g) if cols is None else cols
     rows = []
     for i, j, w in g.edges:
         at = ((i,), (j,), (i, j))
@@ -169,30 +171,33 @@ class DualSolution:
     edge_lower: dict[Edge, Fraction] = field(default_factory=dict)
 
 
-def dual_solution_from_lp(g: GameInstance, sol: LPSolution) -> DualSolution:
-    """The prices of ``sol``, one per column of the dual LP."""
+def dual_solution_from_lp(sol: LPSolution, cols: list[DualColumn]) -> DualSolution:
+    """The prices of ``sol``, one per column ``cols`` of the dual LP."""
     if sol.status != "optimal":
         raise ValueError(f"dual LP did not produce an optimum: {sol.status}")
     y = DualSolution({})
-    for c in dual_columns(g):
+    for c in cols:
         getattr(y, c.family)[c.key] = sol.values[c.name]
     return y
 
 
-def solve_dual(g: GameInstance) -> tuple[LPSolution, DualSolution]:
-    """The dual optimum and its prices.
+def solve_dual(
+    g: GameInstance, cols: list[DualColumn] | None = None
+) -> tuple[LPSolution, DualSolution]:
+    """The dual optimum and its prices (over ``cols``, if held).
 
     Raising the vertex prices covers every edge, so the dual is always
     feasible: an unbounded dual means that no matching meets the floors.
     """
-    sol = solve_lp(build_dual_lp(g))
+    cols = dual_columns(g) if cols is None else cols
+    sol = solve_lp(build_dual_lp(g, cols))
     if sol.status == "unbounded":
         raise InfeasibleGameError("the grand coalition admits no feasible matching")
-    return sol, dual_solution_from_lp(g, sol)
+    return sol, dual_solution_from_lp(sol, cols)
 
 
 def dual_numerators(
-    g: GameInstance, y: DualSolution, optimum: Fraction
+    g: GameInstance, cols: list[DualColumn], y: DualSolution, optimum: Fraction
 ) -> tuple[list[tuple[DualColumn, int]], int] | None:
     """The prices of ``y`` as integers over one denominator, if ``y`` is optimal.
 
@@ -201,9 +206,8 @@ def dual_numerators(
     ``y`` is a feasible point of :func:`build_dual_lp` whose objective is
     ``optimum``.  The rows are checked sparsely and in integers: the cover
     row of edge ij sums the signed prices of the columns owned by i, by j
-    and by ij.
+    and by ij.  ``cols`` are the columns of ``g``.
     """
-    cols = dual_columns(g)
     ratios = [c.price(y).as_integer_ratio() for c in cols]
     den = lcm(*[d for _, d in ratios])
     nonzero = []
@@ -230,4 +234,4 @@ def dual_numerators(
 
 def dual_is_optimal(g: GameInstance, y: DualSolution, optimum: Fraction) -> bool:
     """Is ``y`` an optimal point of :func:`build_dual_lp` with value ``optimum``?"""
-    return dual_numerators(g, y, optimum) is not None
+    return dual_numerators(g, dual_columns(g), y, optimum) is not None

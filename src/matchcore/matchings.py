@@ -70,13 +70,13 @@ class MatchingVector:
 def make_matching_vector(g: GameInstance, mult: dict[Edge, Fraction]) -> MatchingVector:
     items = []
     weight = ZERO
-    for k in g.edge_keys:
+    for k, (*_, w) in zip(g.edge_keys, g.edges):
         m = Fraction(mult.get(k, ZERO))
         if m < 0:
             raise ValueError(f"negative multiplicity on {edge_name(k)}")
         if m:
             items.append((k, m))
-            weight += g.weight(k) * m
+            weight += w * m
     return MatchingVector(tuple(items), weight)
 
 

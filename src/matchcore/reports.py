@@ -18,7 +18,7 @@ from fractions import Fraction
 from .analysis import PAYMENT_VARIANTS, GameAnalysis, Imputation
 from .bmatching import B_VARIANTS, SPLIT_SHARES, imputation_from_dual, in_dual_image
 from .games import GameInstance
-from .gamelp import dual_columns, edge_name, priced
+from .gamelp import edge_name, priced
 from .rationals import format_rational as fr
 
 
@@ -91,10 +91,9 @@ def concurrency_section(a: GameAnalysis) -> list[str]:
 
 
 def dual_section(a: GameAnalysis) -> list[str]:
-    g = a.g
     sol, y = a.dual
     rows = []
-    for c in dual_columns(g):
+    for c in a.dual_columns:
         vertex_labels = {"vertex_upper": c.key, "vertex_lower": f"{c.key}:lo"}
         rows.append((vertex_labels.get(c.family, c.name), fr(c.price(y))))
     return table(rows) + [f"objective = {fr(sol.objective_value)}"]

@@ -18,13 +18,15 @@ pivoting in the sense of Edmonds 1967 and Bareiss 1968):
   is nonzero by ``piv*row - f*prow`` divided by its gcd; rows with
   ``f == 0`` are left alone.  The cost row is a positive multiple of the
   reduced costs and is updated the same way.
-* The ratio test compares ``rhs/a`` between rows by cross-multiplying,
-  and a basic value is read out as ``Fraction(row[-1], row[basis[i]])``.
+* The ratio test compares ``rhs/a`` between rows by cross-multiplying.
+  The read-out puts each value over D, the lcm of the structural basic
+  rows' ``row[basis[i]]``, as the integer ``row[-1] * (D // row[basis[i]])``.
 
 Every scaling is by a positive integer, so each reduced cost keeps its
 sign and the ratios keep their order: Bland's rule takes the same
 pivots, and returns the same vertex, as on a tableau of fractions with
-unit basic entries.  Only the final read-out builds fractions.
+unit basic entries.  The self-check and the objective run on those
+integers too; only the answer's values and objective are fractions.
 
 An optimal solve keeps its final tableau (:class:`OptimalTableau`) so
 that further objectives can be optimized over its optimal face without
@@ -164,15 +166,11 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     nn = lp.nonnegative or (True,) * n
 
     # Free variables enter as a difference of two nonnegative columns.
-    cols: list[tuple[int, int]] = []
-    for idx in range(n):
-        cols.append((idx, 1))
-        if not nn[idx]:
-            cols.append((idx, -1))
+    cols = [(idx, s) for idx in range(n) for s in ((1,) if nn[idx] else (1, -1))]
     nstruct = len(cols)
 
     sense = -1 if lp.maximize else 1
-    c, _ = _integer_row(lp.objective)
+    c, c_scale = _integer_row(lp.objective)
     cost_struct = [sense * s * c[idx] for idx, s in cols]
 
     rows = []
@@ -198,18 +196,12 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     a_at = nstruct + nslack
     for struct, rel, rhs, scale in rows:
         row = struct + [0] * (nslack + nart) + [rhs]
+        if rel != "==":
+            row[s_at] = scale if rel == "<=" else -scale
+            s_at += 1
         if rel == "<=":
-            row[s_at] = scale
-            basis.append(s_at)
-            s_at += 1
-        elif rel == ">=":
-            row[s_at] = -scale
-            s_at += 1
-            row[a_at] = scale
-            basis.append(a_at)
-            art_cols.append(a_at)
-            a_at += 1
-        else:
+            basis.append(s_at - 1)
+        else:  # ">=" and "==" rows start on an artificial
             row[a_at] = scale
             basis.append(a_at)
             art_cols.append(a_at)
@@ -217,22 +209,17 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         tableau.append(row)
 
     if art_cols:
-        cost = [0] * (width + 1)
-        for j in art_cols:
-            cost[j] = 1
-        cost = _reduced(cost, tableau, basis)
+        art_set = set(art_cols)
+        cost = _reduced([int(j in art_set) for j in range(width + 1)], tableau, basis)
         status = _run(tableau, cost, basis, width)
         assert status == "optimal"  # phase one is always bounded below by 0
         if cost[-1] != 0:
             return LPSolution("infeasible", {}, None)
         # Drive lingering artificials out of the (degenerate) basis.
-        art_set = set(art_cols)
         drop: list[int] = []
         for i in range(m):
             if basis[i] in art_set:
-                piv = next(
-                    (j for j in range(nstruct + nslack) if tableau[i][j] != 0), -1
-                )
+                piv = next((j for j in range(nstruct + nslack) if tableau[i][j]), -1)
                 if piv < 0:
                     drop.append(i)  # redundant constraint
                 else:
@@ -251,27 +238,28 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     status = _run(tableau, cost, basis, width)
     if status == "unbounded":
         return LPSolution("unbounded", {}, None)
-    values, objective = _read_out(lp, lp.objective, checks, cols, tableau, basis)
+    values, objective = _read_out(lp, c, c_scale, checks, cols, tableau, basis)
     base = OptimalTableau(lp, objective, tableau, basis, cost, cols)
     return LPSolution("optimal", values, objective, base)
 
 
-def _read_out(lp, objective, checks, cols, rows, basis):
+def _read_out(lp, c, scale, checks, cols, rows, basis):
     """Values and objective of the basic solution, checked against ``checks``.
 
-    ``cols`` maps the leading (structural) tableau columns to variables.
+    ``cols`` maps the leading (structural) tableau columns to variables;
+    ``c, scale`` is the objective from :func:`_integer_row`.  Each value
+    is an integer over D, the lcm of the basic structural rows' pivot
+    entries, until the fractions of the answer are built.
     """
-    nstruct = len(cols)
-    expanded = [ZERO] * nstruct
-    for r, b in zip(rows, basis):
-        if b < nstruct:
-            expanded[b] = Fraction(r[-1], r[b])
-    values = {name: ZERO for name in lp.variables}
-    for (idx, s), x in zip(cols, expanded):
-        values[lp.variables[idx]] += Fraction(s) * x
-    total = sum((c * values[v] for c, v in zip(objective, lp.variables)), start=ZERO)
-    _check_point(lp, checks, values)
-    return values, total
+    basic = [(cols[b], r[-1], r[b]) for r, b in zip(rows, basis) if b < len(cols)]
+    den = lcm(*[p for _, _, p in basic])
+    nums = [0] * len(lp.variables)
+    for (idx, s), rhs, p in basic:
+        nums[idx] += s * rhs * (den // p)
+    _check_point(lp, checks, nums, den)
+    total = sum([a * x for a, x in zip(c, nums)])
+    values = {v: Fraction(x, den) if x else ZERO for v, x in zip(lp.variables, nums)}
+    return values, Fraction(total, scale * den)
 
 
 def _sparse(a: list[int]) -> list[tuple[int, int]]:
@@ -279,28 +267,23 @@ def _sparse(a: list[int]) -> list[tuple[int, int]]:
     return [(t, x) for t, x in enumerate(a[:-1]) if x]
 
 
-def _check_point(lp: LinearProgram, checks, values: dict[str, Fraction]) -> None:
-    """Exact feasibility of ``values``; a failure here is a solver bug.
+def _check_point(lp: LinearProgram, checks, nums: list[int], den: int) -> None:
+    """Exact feasibility of the point ``nums / den``; a failure is a solver bug.
 
     ``checks`` holds every row as sparse integer coefficients, relation and
     integer right-hand side (the row times the lcm of its denominators).
-    The values are scaled to one common denominator D, so each row is
-    compared as ``sum(a_t * D * x_t)`` against ``D * rhs`` in integers.
+    With ``den > 0`` each row is compared as ``sum(a_t * nums[t])``
+    against ``den * rhs`` in integers.
     """
     nn = lp.nonnegative or (True,) * len(lp.variables)
-    xs = [values[v] for v in lp.variables]
-    for flag, name, x in zip(nn, lp.variables, xs):
-        if flag and x.numerator < 0:
+    for flag, name, x in zip(nn, lp.variables, nums):
+        if flag and x < 0:
             raise AssertionError(f"solver produced negative {name}")
-    den = lcm(*[x.denominator for x in xs])
-    nums = [x.numerator * (den // x.denominator) for x in xs]
     for coeffs, rel, rhs in checks:
         lhs = sum([a * nums[t] for t, a in coeffs])
         rhs *= den
-        ok = (rel == "<=" and lhs <= rhs) or (rel == ">=" and lhs >= rhs) or (
-            rel == "==" and lhs == rhs
-        )
-        if not ok:
+        # Below the rhs breaks ">=" and "==", above it "<=" and "==".
+        if (lhs < rhs and rel != "<=") or (lhs > rhs and rel != ">="):
             raise AssertionError("solver produced an infeasible point")
 
 
@@ -314,7 +297,10 @@ def _check_rows(constraints) -> list[tuple[list[tuple[int, int]], str, int]]:
 
 def _assert_feasible(lp: LinearProgram, values: dict[str, Fraction]) -> None:
     """Raise ``AssertionError`` unless ``values`` is feasible for ``lp``."""
-    _check_point(lp, _check_rows(lp.constraints), values)
+    ratios = [values[v].as_integer_ratio() for v in lp.variables]
+    den = lcm(*[d for _, d in ratios])
+    nums = [n * (den // d) for n, d in ratios]
+    _check_point(lp, _check_rows(lp.constraints), nums, den)
 
 
 def _face_columns(cost: list[int]) -> list[int]:
@@ -368,12 +354,12 @@ class OptimalTableau:
         rows, basis, cols, width, checks = self._face
         rows, basis = list(rows), list(basis)  # pivots replace rows, never edit them
         sense = -1 if maximize else 1
-        c, _ = _integer_row(objective)
+        c, scale = _integer_row(objective)
         cost = [sense * s * c[idx] for idx, s in cols] + [0] * (width + 1 - len(cols))
         cost = _reduced(cost, rows, basis)
         if _run(rows, cost, basis, width) == "unbounded":
             return LPSolution("unbounded", {}, None)
-        values, value = _read_out(lp, objective, checks, cols, rows, basis)
+        values, value = _read_out(lp, c, scale, checks, cols, rows, basis)
         return LPSolution("optimal", values, value)
 
 

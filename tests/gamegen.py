@@ -18,6 +18,7 @@ from matchcore.bmatching import (
     sample_core_imputations,
     system_lp,
 )
+from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore.gamelp import solve_dual
 from matchcore.games import GameInstance, make_game
 from matchcore.simplex import solve_lp
@@ -100,6 +101,25 @@ def random_b_game(
         edge_upper=edge_upper,
         edge_lower=edge_lower,
     )
+
+
+def payment_games():
+    """Bundled payment games plus seeded assignment and concurrent general games."""
+    games = [load_instance(n) for n in INSTANCE_NAMES]
+    games = [g for g in games if g.variant in ("assignment", "general-matching")]
+    rng = Random(20)
+    assignment = general = 0
+    while assignment < 35:
+        g = random_assignment(rng, max_side=4, density=0.7)
+        if g.edges:
+            games.append(g)
+            assignment += 1
+    while general < 35:
+        g = random_general(rng, max_n=7, density=0.5)
+        if g.edges and GameAnalysis(g).concurrency.concurrent:
+            games.append(g)
+            general += 1
+    return games
 
 
 def with_vertex_floors(rng: Random, g: GameInstance) -> GameInstance:

@@ -96,7 +96,7 @@ def duals_to_compare(a):
         goal = tuple([Fraction(s == t) for s in range(len(lp.variables))])
         top = solve_over_optimal_face(lp, sol.objective_value, goal, True)
         if top.status == "optimal":
-            out.append(dual_solution_from_lp(g, top))
+            out.append(dual_solution_from_lp(top, a.dual_columns))
     for family in vars(y):
         for key in getattr(y, family):
             out += [nudged(y, family, key, 1), nudged(y, family, key, -1)]
@@ -118,7 +118,7 @@ def check_against_reference(a):
         got = outcome(imputation_from_dual, a, y, None)
         assert got == outcome(reference_imputation, a, y, SplitScheme())
     # The optimal dual asked against a total other than the worth.
-    wrong = SimpleNamespace(g=g, worth=a.worth + 1)
+    wrong = SimpleNamespace(g=g, worth=a.worth + 1, dual_columns=a.dual_columns)
     _, y = a.dual
     for share, split in SPLITS:
         assert outcome(imputation_from_dual, wrong, y, share) == "ValueError"

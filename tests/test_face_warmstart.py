@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 import fraction_simplex
 from matchcore import simplex
 from matchcore.analysis import GameAnalysis, worth
-from matchcore.bundled import INSTANCE_NAMES, load_instance
+from matchcore.bundled import load_instance
 from matchcore.gamelp import build_dual_lp
 from matchcore.simplex import LinearProgram, solve_lp, solve_over_optimal_face
 
-from gamegen import random_assignment, random_general
+from gamegen import payment_games
 
 Z, O = F(0), F(1)
 
@@ -148,25 +148,6 @@ def test_solve_over_optimal_face_checks_the_supplied_optimum():
     assert got == solve_lp(face_lp(lp, base.objective_value, coeffs, True))
     with pytest.raises(ValueError):
         solve_over_optimal_face(lp, base.objective_value + 1, coeffs, True)
-
-
-def payment_games():
-    """Bundled payment games plus seeded assignment and concurrent general games."""
-    games = [load_instance(n) for n in INSTANCE_NAMES]
-    games = [g for g in games if g.variant in ("assignment", "general-matching")]
-    rng = Random(20)
-    assignment = general = 0
-    while assignment < 35:
-        g = random_assignment(rng, max_side=4, density=0.7)
-        if g.edges:
-            games.append(g)
-            assignment += 1
-    while general < 35:
-        g = random_general(rng, max_n=7, density=0.5)
-        if g.edges and GameAnalysis(g).concurrency.concurrent:
-            games.append(g)
-            general += 1
-    return games
 
 
 def cold_face_max(a, goal, second_oracle=True):

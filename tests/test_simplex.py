@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchcore.bundled import INSTANCE_NAMES, load_instance
+from matchcore import simplex
 from matchcore.gamelp import build_dual_lp, build_primal_lp
 from matchcore.simplex import (
     LinearProgram,
@@ -191,6 +192,66 @@ def test_self_check_rejects_each_relation():
     ):
         with pytest.raises(AssertionError):
             _assert_feasible(program, moved)
+
+
+def _first_basic_structural(rows, basis, cols):
+    return next(i for i, b in enumerate(basis) if b < len(cols))
+
+
+def _corrupt_read_out(monkeypatch, change):
+    """Make every read-out see one basic structural row's rhs changed."""
+    real = simplex._read_out
+
+    def read_out(lp, c, scale, checks, cols, rows, basis):
+        rows = [list(r) for r in rows]
+        i = _first_basic_structural(rows, basis, cols)
+        rows[i][-1] = change(rows[i][-1])
+        return real(lp, c, scale, checks, cols, rows, basis)
+
+    monkeypatch.setattr(simplex, "_read_out", read_out)
+
+
+# x + y == 4 with x <= 1: the optimum (0, 4) has y basic, on the equality.
+EQUALITY = lp(["x", "y"], [1, 2], True, [([1, 1], "==", 4), ([1, 0], "<=", 1)])
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda rhs: rhs + 1, "solver produced an infeasible point"),
+        (lambda rhs: -1, "solver produced negative y"),
+    ],
+    ids=["rhs-plus-one", "rhs-minus-one"],
+)
+def test_self_check_fires_on_a_corrupted_solve(monkeypatch, change, message):
+    assert solve_lp(EQUALITY).values == {"x": Z, "y": F(4)}
+    _corrupt_read_out(monkeypatch, change)
+    with pytest.raises(AssertionError, match=message):
+        solve_lp(EQUALITY)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda rhs: rhs + 1, "solver produced an infeasible point"),
+        (lambda rhs: -1, "solver produced negative"),
+    ],
+    ids=["rhs-plus-one", "rhs-minus-one"],
+)
+def test_self_check_fires_on_a_corrupted_face(change, message):
+    # Every column of the ring7 dual has a positive cost, so moving a basic
+    # value breaks the face's "objective == optimum" row.  The zero goal
+    # takes no pivot: the query reads the corrupted basis as it stands.
+    program = build_dual_lp(load_instance("ring7"))
+    tableau = solve_lp(program).tableau
+    assert all(c > 0 for c in program.objective)
+    rows, basis, cols, _, _ = tableau._face
+    i = _first_basic_structural(rows, basis, cols)
+    zero = (Z,) * len(program.variables)
+    assert tableau.optimize(zero, True).status == "optimal"
+    rows[i][-1] = change(rows[i][-1])
+    with pytest.raises(AssertionError, match=message):
+        tableau.optimize(zero, True)
 
 
 small = st.integers(min_value=-6, max_value=6)

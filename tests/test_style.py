@@ -157,3 +157,27 @@ def test_bmatching_names_no_price_family():
         found += [f"{node.lineno}: {n}" for n in names if n in PRICE_FAMILY_NAMES]
     assert found == []
     assert not hasattr(matchcore.GameAnalysis, "core_imputation")
+
+
+def test_simplex_builds_fractions_only_for_the_answer():
+    # The pivots, the feasibility check and the objective run in integers:
+    # a value is an integer over one denominator until the read-out builds
+    # the answer's fractions.  _assert_feasible, which takes a dict of
+    # fractions from a caller, and the module's shared ZERO may build them
+    # too; a Fraction(...) call anywhere else would bring Fraction
+    # arithmetic back into the solver.
+    allowed = {"_read_out", "_assert_feasible"}
+    found = []
+    for top in ast.parse((SRC / "simplex.py").read_text()).body:
+        owner = getattr(top, "name", "<module>")
+        if isinstance(top, ast.Assign) and [t.id for t in top.targets] == ["ZERO"]:
+            continue
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+                and owner not in allowed
+            ):
+                found.append(f"simplex.py:{node.lineno} in {owner}")
+    assert found == []
