@@ -15,12 +15,14 @@ whose final tableau answers every face question by a warm phase 2 (see
 coalition, from which come both the core system and the "no" answers of
 the one core-membership test; its "yes" answers come from a dual
 certificate (see :meth:`GameAnalysis.membership`).
-Coalition worths come from one pass per session: a subset table for
-assignment, general and b-uniform games, and the worth-only integer
-search, on arrays built once, for the other b-games.  :func:`worth`
-lists the optima of one induced subgame instead, and is kept as their
-independent oracle; it is the one caller of
-:func:`~matchcore.matchings.brute_force_optima` in the package.
+Coalition worths come from one table per session, and no proper
+coalition is searched: a subset table for assignment, general and
+b-uniform games, and a residual-capacity table
+(:class:`~matchcore.matchings.ResidualTable`), filled as the scan goes,
+for the other b-games.  :func:`worth` lists the optima of one induced
+subgame instead, and is kept as their independent oracle; it is the one
+caller of :func:`~matchcore.matchings.brute_force_optima` in the
+package.
 
 The session is the one way to ask a game's facts: build
 ``GameAnalysis(g, budget_cap, cap)`` and read its attributes.  The
@@ -61,13 +63,13 @@ from .matchings import (
     IntegerGame,
     InfeasibleGameError,
     OptimaCount,
+    ResidualTable,
     SolverInvariantError,
     brute_force_optima,
     count_optima,
     fractional_optimum,
     integer_game,
     integer_search,
-    restrict,
     subset_worths,
 )
 from .simplex import (  # solve_lp and solve_over_optimal_face stay importable here
@@ -210,9 +212,8 @@ class GameAnalysis:
     fractional optimum, concurrency, the base dual solve with its final
     tableau, the payment report, and the worth of every connected
     coalition (at most ``cap`` vertices in the game), read from one
-    subset table or one worth-only search each (see
-    :meth:`coalition_worths`).  A report builds one session and hands it
-    to every section; no cache outlives the session.
+    table (see :meth:`coalition_worths`).  A report builds one session
+    and hands it to every section; no cache outlives the session.
     """
 
     def __init__(
@@ -271,6 +272,10 @@ class GameAnalysis:
     def _subset_worths(self) -> list[int]:
         return subset_worths(self._integer_game)
 
+    @cached_property
+    def _residual_table(self) -> ResidualTable:
+        return ResidualTable(self._integer_game, len(self.g.left))
+
     def coalition_worths(self) -> Iterator[tuple[Coalition, Fraction | None]]:
         """Each connected proper coalition with its worth, lexicographically.
 
@@ -280,7 +285,11 @@ class GameAnalysis:
         its ``budget_cap`` check covers them all.  Assignment, general
         and b-uniform games read every worth from one subset table
         (:func:`~matchcore.matchings.subset_worths`); the other b-games
-        run the worth-only integer search on the coalition's vertices.
+        look each coalition up in one residual-capacity table
+        (:class:`~matchcore.matchings.ResidualTable`), whose states the
+        coalitions share.  Its states number at most
+        2^|P|·Π_{q in Q}(b_q + 1) for the cheaper side P, so ``cap`` and
+        ``budget_cap`` bound its work too.
         """
         self.worth
         worths = self._worths
@@ -296,7 +305,7 @@ class GameAnalysis:
             # x -> b x maps the bipartite matching polytope, which is
             # integral, onto the b-uniform one, so v_b(S) = b v(S).
             return Fraction(max(ig.upper) * self._subset_worths[mask], ig.scale)
-        best = integer_search(restrict(ig, mask))
+        best = self._residual_table.worth(mask)
         return None if best is None else Fraction(best, ig.scale)
 
     @cached_property

@@ -77,13 +77,13 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--game", required=True, help="game file to analyze")
         p.add_argument(
             "--cap",
-            type=int,
+            type=_count,
             default=DEFAULT_COALITION_CAP,
             help="coalition enumeration vertex cap",
         )
         p.add_argument(
             "--budget",
-            type=int,
+            type=_count,
             default=DEFAULT_BUDGET_CAP,
             help="matching enumeration multiplicity budget",
         )
@@ -102,6 +102,17 @@ def _parser() -> argparse.ArgumentParser:
                 help="how edge prices are divided between endpoints",
             )
     return parser
+
+
+def _count(text: str) -> int:
+    """A cap for ``--cap`` and ``--budget``: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def _parse_imputation(g: GameInstance, text: str) -> Imputation:

@@ -4,9 +4,10 @@ The exhaustive enumerator here is deliberately independent of the LP
 path: :func:`brute_force_optima` lists every optimal integral matching,
 and is kept as the ground truth that duality results and the counts
 below are checked against.  The session lists nothing.  Its integer
-search runs worth-only on the grand coalition and on coalitions;
-:func:`subset_worths` tabulates every coalition worth of a single-use
-game at once; and :func:`count_optima` counts the optimal matchings,
+search runs worth-only on the grand coalition; :func:`subset_worths`
+tabulates every coalition worth of a single-use game at once, and
+:class:`ResidualTable` those of the other bipartite games, on demand;
+and :func:`count_optima` counts the optimal matchings,
 and how many of them use each vertex and edge, which is all the
 essential/viable/subpar classification needs: by the same recursion
 run down from the whole vertex set on single-use games
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple
 
 from .games import (
@@ -143,26 +144,6 @@ def integer_game(g: GameInstance) -> IntegerGame:
         [g.vertex_upper[q] for q in g.vertices],
         [g.vertex_lower[q] for q in g.vertices],
         scale,
-    )
-
-
-def restrict(ig: IntegerGame, mask: int) -> IntegerGame:
-    """The subgame induced by the vertices whose bits are set in ``mask``.
-
-    Vertex positions stay those of ``ig``; a vertex outside ``mask``
-    keeps no edge and gets cap and floor 0.
-    """
-    chosen = [
-        t for t, (i, j) in enumerate(ig.ends) if mask >> i & 1 and mask >> j & 1
-    ]
-    return IntegerGame(
-        [ig.ends[t] for t in chosen],
-        [ig.weights[t] for t in chosen],
-        [ig.caps[t] for t in chosen],
-        [ig.floors[t] for t in chosen],
-        [u if mask >> p & 1 else 0 for p, u in enumerate(ig.upper)],
-        [f if mask >> p & 1 else 0 for p, f in enumerate(ig.lower)],
-        ig.scale,
     )
 
 
@@ -356,6 +337,126 @@ def subset_worths(ig: IntegerGame) -> list[int]:
                     best = got
         table[s] = best
     return table
+
+
+_UNSEEN = object()
+
+
+class ResidualTable:
+    """Scaled worth of every coalition of a bipartite game, filled on demand.
+
+    One side P is processed vertex by vertex, lowest first; the other
+    side Q keeps the residual capacity r_v of each of its vertices.  The
+    lowest vertex u still to be processed chooses all its uses x of its
+    edges into the coalition's part of Q at once, each within the edge's
+    floor and cap, their total within u's floor and cap, and leaves:
+    F(P', r) = max over x <= r of w.x + F(P' - u, r - x).  With P' empty
+    a state is feasible when every v of Q meets its floor,
+    r_v <= b_v - lo_v; an infeasible state is None.  Coalition S starts
+    at (S ∩ P, b on S ∩ Q), so coalitions share their subproblems, and
+    every state reached is kept.  P is the side that minimizes
+    2^|P| · Π_{q in Q} (b_q + 1), which bounds the number of states (by
+    2^|Q| more where an edge floor is positive).
+
+    A state is one int: a bit per vertex of P' lowest, then a field per
+    vertex of Q holding r_v under a guard bit, then, where some edge
+    floor is positive, the members of S ∩ Q (an edge to a non-member is
+    not in S, so its floor does not bind).  A choice x is subtracted
+    with u's bit in one step, and x <= r exactly when every guard bit is
+    still set.  The recursion is a method, not a closure that calls
+    itself, so a table leaves no reference cycle behind.
+    """
+
+    def __init__(self, ig: IntegerGame, nleft: int):
+        ends, weights, caps, floors, upper, lower, _ = ig
+        left, right = range(nleft), range(nleft, len(upper))
+
+        def states(p, q):
+            return (1 << len(p)) * prod([upper[v] + 1 for v in q])
+
+        side, other = left, right
+        if states(right, left) < states(left, right):
+            side, other = right, left
+        width = max([upper[v] for v in other], default=0).bit_length() + 1
+        at = {v: len(side) + f * width for f, v in enumerate(other)}
+        top = len(side) + len(other) * width
+        self._todo = (1 << len(side)) - 1
+        self._guards = sum([1 << (s + width - 1) for s in at.values()])
+        self._fields = (1 << top) - 1 - self._todo
+        self._spare = self._guards + sum([(upper[v] - lower[v]) << at[v] for v in other])
+        self._members = top if any(floors) else None
+        # What each vertex adds to the state a coalition holding it starts at.
+        self._start = [0] * len(upper)
+        for k, u in enumerate(side):
+            self._start[u] = 1 << k
+        for f, v in enumerate(other):
+            self._start[v] = upper[v] << at[v]
+            if self._members is not None:
+                self._start[v] |= 1 << (self._members + f)
+        self._bounds = [(lower[u], upper[u]) for u in side]
+        self._edges: list[list[tuple[int, int, int, int, int]]] = [[] for _ in side]
+        for (i, j), w, c, f in zip(ends, weights, caps, floors):
+            u, v = (i, j) if i in side else (j, i)
+            self._edges[u - side.start].append((v - other.start, at[v], f, c, w))
+        self._choices: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._memo: dict[int, int | None] = {}
+
+    @property
+    def states(self) -> int:
+        """How many states the table holds."""
+        return len(self._memo)
+
+    def worth(self, mask: int) -> int | None:
+        """The best scaled weight inside the vertices set in ``mask``
+        (positions of the :class:`IntegerGame`), or None if their floors
+        admit no matching."""
+        state = self._guards
+        while mask:
+            low = mask & -mask
+            state += self._start[low.bit_length() - 1]
+            mask ^= low
+        return self._best(state)
+
+    def _best(self, state: int) -> int | None:
+        got = self._memo.get(state, _UNSEEN)
+        if got is not _UNSEEN:
+            return got
+        todo = state & self._todo
+        guards = self._guards
+        got = None
+        if not todo:
+            left = (state & self._fields) - guards
+            if (self._spare - left) & guards == guards:
+                got = 0
+        else:
+            for step, w in self._choices_of(todo & -todo, state):
+                nxt = state - step
+                if nxt & guards == guards:
+                    sub = self._best(nxt)
+                    if sub is not None and (got is None or w + sub > got):
+                        got = w + sub
+        self._memo[state] = got
+        return got
+
+    def _choices_of(self, low: int, state: int) -> list[tuple[int, int]]:
+        """Every use of its edges by the vertex of bit ``low``, as the step
+        it takes off a state and its weight, within the bounds."""
+        members = -1 if self._members is None else state >> self._members
+        key = (low, members)
+        got = self._choices.get(key)
+        if got is None:
+            k = low.bit_length() - 1
+            bottom, top = self._bounds[k]
+            ways = [(low, 0, 0)]  # (step, weight, total use)
+            for f, at, floor, cap, w in self._edges[k]:
+                if members >> f & 1:
+                    ways = [
+                        (step + (m << at), weight + m * w, n + m)
+                        for step, weight, n in ways
+                        for m in range(floor, min(cap, top - n) + 1)
+                    ]
+            got = self._choices[key] = [(s, w) for s, w, n in ways if n >= bottom]
+        return got
 
 
 def single_use_count(ig: IntegerGame) -> tuple[int, OptimaCount]:

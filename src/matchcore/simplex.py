@@ -239,7 +239,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     if status == "unbounded":
         return LPSolution("unbounded", {}, None)
     values, objective = _read_out(lp, c, c_scale, checks, cols, tableau, basis)
-    base = OptimalTableau(lp, objective, tableau, basis, cost, cols)
+    base = OptimalTableau(lp, objective, tableau, basis, cost, cols, checks)
     return LPSolution("optimal", values, objective, base)
 
 
@@ -322,18 +322,19 @@ class OptimalTableau:
     "objective == optimum".
     """
 
-    def __init__(self, lp: LinearProgram, optimum: Fraction, rows, basis, cost, cols):
+    def __init__(self, lp: LinearProgram, optimum: Fraction, rows, basis, cost, cols,
+                 checks):
         self.lp = lp
         self.optimum = optimum
-        self._base = (rows, basis, cost, cols)
+        self._base = (rows, basis, cost, cols, checks)
 
     @cached_property
     def _face(self):
-        rows, basis, cost, cols = self._base
+        rows, basis, cost, cols, checks = self._base
         keep = _face_columns(cost)
         remap = {j: k for k, j in enumerate(keep)}
-        lp = self.lp
-        checks = _check_rows(lp.constraints + ((lp.objective, "==", self.optimum),))
+        # The solve's own check rows, plus "objective == optimum".
+        checks = checks + _check_rows(((self.lp.objective, "==", self.optimum),))
         return (
             [[r[j] for j in keep] + [r[-1]] for r in rows],
             [remap[b] for b in basis],

@@ -10,6 +10,9 @@ from matchcore.cli import main
 from matchcore.gamefile import render_game
 from matchcore.bundled import load_instance
 from matchcore.games import make_game
+from matchcore.rationals import format_rational
+
+from gamegen import dual_imputation, shifted_imputation
 
 
 @pytest.fixture
@@ -144,6 +147,16 @@ def test_seed_option_is_rejected(capsys, game_path, command):
         main([command, *args, "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--cap", "--budget"])
+def test_negative_cap_is_input_error(capsys, game_path, option):
+    # A negative cap bounds nothing: it is a bad input (exit 2), not a cap
+    # that every game exceeds (exit 3).
+    with pytest.raises(SystemExit) as exc:
+        main(["system", "--game", game_path("path5"), option, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {option}: must not be negative: -1" in capsys.readouterr().err
 
 
 def test_cap_exceeded_exit_code(capsys, game_path):
@@ -342,17 +355,33 @@ def test_empty_imputation_on_a_game_without_vertices(
         assert err == "" and out.endswith(f"{line}\n")
 
 
+def shifted(name):
+    """A dual-derived imputation of a bundled game, shifted out of its core."""
+    g = load_instance(name)
+    imp = shifted_imputation(g, dual_imputation(g))
+    return ",".join(format_rational(imp[q]) for q in g.vertices)
+
+
 # Each command runs on a game whose coalition worths come from the
-# worth-only search (bpath4-uncon) and on one whose worths come from the
-# subset table (web5).  check runs on in-core imputations, which scan
-# every coalition, and on out-of-core ones, which stop at the witness and
-# leave the coalition scan unfinished; the exit code tells which ran.
+# residual table (bpath4-uncon) and on one whose worths come from the
+# subset table (web5); system also on the other b-games whose worths come
+# from the residual table, one of them b-general.  check runs on in-core
+# imputations, which scan every coalition, and on out-of-core ones, which
+# stop at the witness and leave the coalition scan unfinished; the exit
+# code tells which ran.
 GARBAGE_RUNS = {
     "check": [
         ("bpath4-uncon", ["--imputation", "2,0,0,2"], 0),
         ("bpath4-uncon", ["--imputation", "1,0,0,3"], 1),
+        ("bpath4-con", ["--imputation", shifted("bpath4-con")], 1),
         ("web5", ["--imputation", "1/10,0,0,1,9/10"], 0),
         ("web5", ["--imputation", "0,0,0,0,2"], 1),
+    ],
+    "system": [
+        ("bpath4-uncon", [], 0),
+        ("bpath4-con", [], 0),
+        ("bpath4-gen-d1", [], 0),
+        ("web5", [], 0),
     ],
 }
 

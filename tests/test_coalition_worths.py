@@ -1,10 +1,13 @@
 """Coalition worths of a session against independent oracles.
 
 ``GameAnalysis.coalition_worths`` reads assignment, general and b-uniform
-worths from one subset table and searches the other b-games worth-only.
+worths from one subset table and the other b-games' worths from one
+residual-capacity table (``matchings.ResidualTable``).
 Oracles:
 
 * ``analysis.worth(g, s)``: the full enumeration of the induced subgame;
+* ``worth_oracles.searched_worth``: the worth-only search of each
+  coalition's own subgame, None answers included;
 * networkx ``max_weight_matching`` on general games of 12-16 vertices and
   scipy ``linear_sum_assignment`` on assignment games (weights scaled to
   integers), against the subset table itself;
@@ -23,8 +26,13 @@ import pytest
 
 from matchcore import analysis
 from matchcore.analysis import GameAnalysis
-from matchcore.games import induce_subgame, make_game
-from matchcore.matchings import InfeasibleGameError, integer_game, subset_worths
+from matchcore.games import connected_coalitions, induce_subgame, make_game
+from matchcore.matchings import (
+    InfeasibleGameError,
+    ResidualTable,
+    integer_game,
+    subset_worths,
+)
 
 from gamegen import (
     rand_weight,
@@ -33,7 +41,7 @@ from gamegen import (
     random_general,
     with_vertex_floors,
 )
-from worth_oracles import networkx_worth, scipy_worth
+from worth_oracles import networkx_worth, scipy_worth, searched_worth
 
 VARIANTS = (
     "assignment",
@@ -80,6 +88,64 @@ def test_every_coalition_worth_equals_the_enumerator():
         assert got == [(s, analysis.worth(g, s)) for s, _ in got]
         skipping += any(w is None for _, w in got)
     assert skipping >= 5
+
+
+def masks(g):
+    """Each connected coalition of ``g`` and the grand coalition, as bitmasks."""
+    pos = {q: p for p, q in enumerate(g.vertices)}
+    coalitions = connected_coalitions(g) + [frozenset(g.vertices)]
+    return [sum([1 << pos[q] for q in s]) for s in coalitions]
+
+
+def test_every_coalition_worth_equals_the_worth_only_search():
+    # All six variants, with vertex and edge floors: the session's table
+    # reads against a search of each coalition's own subgame.
+    skipping = 0
+    for g in SEEDED:
+        ig = integer_game(g)
+        if searched_worth(ig, (1 << len(g.vertices)) - 1) is None:
+            continue
+        for s, got in GameAnalysis(g).coalition_worths():
+            mask = sum([1 << p for p, q in enumerate(g.vertices) if q in s])
+            want = searched_worth(ig, mask)
+            assert got == (None if want is None else Fraction(want, ig.scale)), (g, s)
+            skipping += want is None
+    assert skipping >= 5
+
+
+def test_residual_table_equals_the_worth_only_search():
+    # Every bipartite variant, the grand coalition included, whichever
+    # side the table processes; an infeasible coalition reads None.
+    infeasible = 0
+    for g in SEEDED:
+        if g.variant == "general-matching":
+            continue
+        ig = integer_game(g)
+        table = ResidualTable(ig, len(g.left))
+        for mask in masks(g):
+            want = searched_worth(ig, mask)
+            assert table.worth(mask) == want, (g, mask)
+            infeasible += want is None
+    assert infeasible >= 20
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_residual_table_processes_the_side_with_fewer_states(mirrored):
+    # Four vertices of cap 3 against eight of cap 1.  Processing the four
+    # bounds the states by 2^4 * 2^8 = 4,096; processing the eight would
+    # reach 14,084 of its bound 2^8 * 4^4.
+    rng = Random(41)
+    few = [f"a{i + 1}" for i in range(4)]
+    many = [f"b{i + 1}" for i in range(8)]
+    left, right = (many, few) if mirrored else (few, many)
+    edges = [(u, v, rand_weight(rng)) for u in left for v in right]
+    caps = {**{q: 3 for q in few}, **{q: 1 for q in many}}
+    g = make_game("b-constrained", left, right, edges, vertex_upper=caps)
+    ig = integer_game(g)
+    table = ResidualTable(ig, len(g.left))
+    for mask in masks(g):
+        assert table.worth(mask) == searched_worth(ig, mask)
+    assert table.states <= 4096
 
 
 def table_against(g, oracle, rng, samples):

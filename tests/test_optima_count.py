@@ -5,7 +5,8 @@ vertex and edge, by the recursion over the vertex subsets (single-use
 games, whatever the coalition cap) or in the ties search (every other
 game).  The oracles here count from the list of
 ``plain_enumerator.plain_optima``, or use a closed form: (2k-1)!!
-perfect matchings of K_2k and n! of K_n,n.
+perfect matchings of K_2k, n! of K_n,n, and, with every vertex cap 2,
+OEIS A001499 (b-constrained) and A000681 (b-unconstrained) on K_n,n.
 """
 
 from dataclasses import replace
@@ -153,3 +154,34 @@ def test_a_small_coalition_cap_does_not_change_how_optima_are_counted():
     # count over the vertex subsets reaches 986 subsets.
     a = GameAnalysis(complete_graph(14), cap=3)
     assert (a.optima_count, a.worth) == (135135, 7)
+
+
+def capped_complete_bipartite(variant, n, b):
+    """Unit-weight K_n,n with every vertex cap ``b``."""
+    left = [f"u{i + 1}" for i in range(n)]
+    right = [f"v{i + 1}" for i in range(n)]
+    edges = [(u, v, 1) for u in left for v in right]
+    return make_game(variant, left, right, edges, vertex_upper=b)
+
+
+# With b = 2 every optimum uses each vertex twice: an n x n matrix with
+# every row and column sum 2, its entries 0 or 1 where each edge is used
+# at most once (OEIS A001499), any nonnegative integer where edges
+# repeat (A000681).
+@pytest.mark.parametrize(
+    "variant,n,want",
+    [
+        ("b-constrained", 3, 6),
+        ("b-constrained", 4, 90),
+        ("b-constrained", 5, 2040),
+        ("b-unconstrained", 3, 21),
+        ("b-unconstrained", 4, 282),
+        ("b-unconstrained", 5, 6210),
+    ],
+)
+def test_unit_complete_bipartite_b2_counts_are_the_closed_forms(variant, n, want):
+    a = GameAnalysis(capped_complete_bipartite(variant, n, 2))
+    assert (a.optima_count, a.worth) == (want, 2 * n)
+    # Every vertex is used in every optimum; every edge in some.
+    assert set(a.labels[0].values()) == {"essential"}
+    assert set(a.labels[1].values()) == {"viable"}

@@ -3,8 +3,8 @@ the game is computed once, and a "no" stops at its witness.
 
 The grand coalition's worth comes from one worth-only search; no command
 lists the optimal matchings.  Coalition worths come from one subset
-table (assignment, general and b-uniform games) or from one worth-only
-search per coalition (the other b-games).
+table (assignment, general and b-uniform games) or from one residual
+table, looked up once per coalition (the other b-games).
 
 Calls are counted by rebinding a function under every name the package's
 modules hold it by (``from .x import y`` makes copies), so no call path
@@ -32,10 +32,10 @@ from matchcore.games import (
     make_game,
 )
 from matchcore.matchings import (
+    ResidualTable,
     brute_force_optima,
     integer_game,
     integer_search,
-    restrict,
     single_use_count,
     subset_worths,
 )
@@ -186,8 +186,8 @@ def test_labels_and_coalition_worths_build_one_table(monkeypatch, g):
 )
 def test_b_variant_report_enumerates_the_grand_coalition_once(monkeypatch, g):
     # One counting search gives the labels, the optima count and the
-    # worth; the coalition worths of the system section search their own
-    # vertices.  Nothing lists the optima.
+    # worth; the coalition worths of the system section come from a
+    # table, not from a search.  Nothing lists the optima.
     listed = count_calls(monkeypatch, brute_force_optima)
     searches = count_grand_searches(monkeypatch, g)
     _report(g)
@@ -219,25 +219,33 @@ CHECK_GAMES = [g for g in generated_games(VARIANTS, 24) if len(g.edges) >= 2]
 
 
 # The kinds of the searches of the whole game (see count_grand_searches),
-# coalitions restricted to for a worth-only search, subset tables built,
-# and vertex sets whose optima were listed.
-Work = namedtuple("Work", "grand searched tables listed")
+# the kinds of the coalition tables built ("subset" or "residual"), the
+# coalitions looked up in a residual table, in order, and vertex sets
+# whose optima were listed.
+Work = namedtuple("Work", "grand tables looked_up listed")
 
 
 def count_work(monkeypatch, g):
     """Start counting the work done on ``g``; read it by calling the result."""
     listed = count_calls(monkeypatch, brute_force_optima)
     grand = count_grand_searches(monkeypatch, g)
-    searches = count_calls(monkeypatch, restrict)
-    tables = count_calls(monkeypatch, subset_worths)
+    subset = count_calls(monkeypatch, subset_worths)
+    looked_up = []
+    lookup = ResidualTable.worth
+    monkeypatch.setattr(
+        ResidualTable,
+        "worth",
+        lambda self, mask: looked_up.append(mask) or lookup(self, mask),
+    )
+    build = count_calls(monkeypatch, ResidualTable)
 
     def members(mask):
         return frozenset(q for p, q in enumerate(g.vertices) if mask >> p & 1)
 
     return lambda: Work(
         grand(),
-        [members(args[1]) for args in searches],
-        len(tables),
+        ["subset"] * len(subset) + ["residual"] * len(build),
+        [members(mask) for mask in looked_up],
         [frozenset(args[0].vertices) for args in listed],
     )
 
@@ -268,7 +276,7 @@ def test_certified_yes_computes_no_coalition_worth(monkeypatch, capsys, tmp_path
     # Only a general game with an empty core answers "no" (a wrong total).
     code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code == (0 if GameAnalysis(g).concurrency.concurrent else 1)
-    assert work == Work(["worth"], [], 0, [])
+    assert work == Work(["worth"], [], [], [])
 
 
 @pytest.mark.parametrize("how", ["shifted", "negative", "total"])
@@ -293,11 +301,13 @@ def test_no_answer_enumerates_nothing_after_its_witness(
     assert work.grand == ([] if how == "negative" else ["worth"])
     assert work.listed == []
     if g.variant in analysis.TABLE_VARIANTS:
-        # One table per session holds every worth; nothing is searched.
-        assert (work.tables, work.searched) == (1 if prefix else 0, [])
+        # One subset table per session holds every worth.
+        assert (work.tables, work.looked_up) == (["subset"] if prefix else [], [])
     else:
-        # One worth-only search per coalition, up to the witness.
-        assert (work.tables, work.searched) == (0, prefix)
+        # One residual table per session, looked up once per coalition,
+        # in order, up to the witness and no further.
+        tables = ["residual"] if prefix else []
+        assert (work.tables, work.looked_up) == (tables, prefix)
 
 
 def meet_join_inputs():
@@ -322,8 +332,8 @@ def test_meet_join_enumerates_each_coalition_at_most_once(monkeypatch, g, p, q):
     work = count_work(monkeypatch, g)
     analysis.meet_join(GameAnalysis(g), p, q)
     done = work()
-    assert done.grand == ["worth"] and done.tables <= 1 and done.listed == []
-    assert len(set(done.searched)) == len(done.searched)
+    assert done.grand == ["worth"] and len(done.tables) <= 1 and done.listed == []
+    assert len(set(done.looked_up)) == len(done.looked_up)
 
 
 @pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
@@ -335,5 +345,5 @@ def test_membership_after_system_enumerates_nothing(monkeypatch, g):
     work = count_work(monkeypatch, g)
     a.membership(inside)
     verdict = a.membership(outside)
-    assert work() == Work([], [], 0, [])
+    assert work() == Work([], [], [], [])
     assert not verdict.in_core and verdict.witness in [s for s, _ in rows]
