@@ -8,21 +8,17 @@ maximizing a secondary linear objective over the face.  One exact LP
 answers each question; no sampling of imputations is involved.
 
 A :class:`GameAnalysis` session computes each fact of one game at most
-once: one worth-only search of the grand coalition, one count of its
-optimal matchings (it lists none), one primal solve, one dual solve
-whose final tableau answers every face question by a warm phase 2 (see
-:class:`~matchcore.simplex.OptimalTableau`), and one worth per connected
-coalition, from which come both the core system and the "no" answers of
-the one core-membership test; its "yes" answers come from a dual
-certificate (see :meth:`GameAnalysis.membership`).
-Coalition worths come from one table per session, and no proper
-coalition is searched: a subset table for assignment, general and
-b-uniform games, and a residual-capacity table
-(:class:`~matchcore.matchings.ResidualTable`), filled as the scan goes,
-for the other b-games.  :func:`worth` lists the optima of one induced
-subgame instead, and is kept as their independent oracle; it is the one
-caller of :func:`~matchcore.matchings.brute_force_optima` in the
-package.
+once: one recursion that gives the grand coalition's worth and counts
+its optimal matchings (it lists none, and no integer search runs), one
+primal solve, one dual solve whose final tableau answers every face
+question by a warm phase 2 (see :class:`~matchcore.simplex.OptimalTableau`),
+and one worth per connected coalition, read from one table (see
+:meth:`GameAnalysis.coalition_worths`), from which come both the core
+system and the "no" answers of the one core-membership test; its "yes"
+answers come from a dual certificate (see :meth:`GameAnalysis.membership`).
+:func:`worth` lists the optima of one induced subgame instead, and is
+kept as the independent oracle of these worths; it is the one caller of
+:func:`~matchcore.matchings.brute_force_optima` in the package.
 
 The session is the one way to ask a game's facts: build
 ``GameAnalysis(g, budget_cap, cap)`` and read its attributes.  The
@@ -66,10 +62,9 @@ from .matchings import (
     ResidualTable,
     SolverInvariantError,
     brute_force_optima,
-    count_optima,
     fractional_optimum,
     integer_game,
-    integer_search,
+    single_use_count,
     subset_worths,
 )
 from .simplex import (  # solve_lp and solve_over_optimal_face stay importable here
@@ -208,7 +203,7 @@ class GameAnalysis:
     """Every fact of one game under one pair of caps, each computed once.
 
     Facts are computed on first use and kept for the session's lifetime:
-    the worth, the count of optimal matchings with the labels, the
+    the worth with the count of optimal matchings and the labels, the
     fractional optimum, concurrency, the base dual solve with its final
     tableau, the payment report, and the worth of every connected
     coalition (at most ``cap`` vertices in the game), read from one
@@ -228,32 +223,34 @@ class GameAnalysis:
         self._worths: list[Fraction | None] = []
 
     @cached_property
-    def worth(self) -> Fraction:
-        """The grand coalition's worth, from one worth-only search."""
+    def _optima(self) -> tuple[int, OptimaCount] | None:
+        """The grand coalition's best scaled weight and the count of its optima
+        (None if floors admit no matching): by the subset recursion on
+        single-use games, else by the one residual table (all bipartite)."""
         check_budget_cap(self.g, self.budget_cap)
         ig = self._integer_game
-        best = integer_search(ig)
-        if best is None:
-            raise InfeasibleGameError("the grand coalition admits no feasible matching")
-        return Fraction(best, ig.scale)
+        if set(ig.caps + ig.upper) <= {1} and not any(ig.floors + ig.lower):
+            return single_use_count(ig)
+        return self._residual_table.count()
 
     @cached_property
-    def _optima(self) -> OptimaCount:
-        """The count of the optimal matchings (see :func:`count_optima`)."""
-        check_budget_cap(self.g, self.budget_cap)
-        ig = self._integer_game
-        best, count = count_optima(ig)
-        if best is None:
+    def worth(self) -> Fraction:
+        """The grand coalition's worth, from the recursion that counts its
+        optima (see :attr:`_optima`): the worth and the labels are one fact."""
+        if self._optima is None:
+            raise InfeasibleGameError("the grand coalition admits no feasible matching")
+        return Fraction(self._optima[0], self._integer_game.scale)
+
+    @property
+    def _count(self) -> OptimaCount:
+        if self._optima is None:
             raise InfeasibleGameError("no feasible matching to classify against")
-        # The count finds the worth too: a command that classifies first
-        # then reads it without a second search.
-        self.__dict__.setdefault("worth", Fraction(best, ig.scale))
-        return count
+        return self._optima[1]
 
     @property
     def optima_count(self) -> int:
         """How many optimal integral matchings the game has."""
-        return self._optima.total
+        return self._count.total
 
     @cached_property
     def _coalitions(self) -> list[Coalition]:
@@ -385,7 +382,7 @@ class GameAnalysis:
     @cached_property
     def labels(self) -> tuple[dict[str, str], dict[Edge, str]]:
         """essential / viable / subpar for every vertex and edge."""
-        return self._optima.labels(self.g)
+        return self._count.labels(self.g)
 
     @cached_property
     def dual_columns(self) -> list[DualColumn]:

@@ -2,17 +2,16 @@
 
 The exhaustive enumerator here is deliberately independent of the LP
 path: :func:`brute_force_optima` lists every optimal integral matching,
-and is kept as the ground truth that duality results and the counts
-below are checked against.  The session lists nothing.  Its integer
-search runs worth-only on the grand coalition; :func:`subset_worths`
-tabulates every coalition worth of a single-use game at once, and
-:class:`ResidualTable` those of the other bipartite games, on demand;
-and :func:`count_optima` counts the optimal matchings,
-and how many of them use each vertex and edge, which is all the
-essential/viable/subpar classification needs: by the same recursion
-run down from the whole vertex set on single-use games
-(:func:`single_use_count`), and by the ties search, tallying at its
-leaves, on the others.
+and is kept, with the worth-only :func:`integer_search`, as the ground
+truth that the recursions below are checked against; the session runs
+neither.  A game's worth and the count of its optimal matchings, with
+how many of them use each vertex and edge (all the
+essential/viable/subpar classification needs), come from one recursion
+chosen by the game's bounds: :func:`single_use_count` on single-use
+games, :meth:`ResidualTable.count` on the others, which are all
+bipartite b-games.  Coalition worths come from :func:`subset_worths`,
+every coalition of a single-use game at once, or from the same
+:class:`ResidualTable`, on demand.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def brute_force_optima(
     """
     check_budget_cap(g, budget_cap)
     ig = integer_game(g)
-    optima = _Listing()
+    optima: list[tuple[int, ...]] = []
     best = integer_search(ig, optima)
     if best is None:
         return None, []
@@ -147,43 +146,18 @@ def integer_game(g: GameInstance) -> IntegerGame:
     )
 
 
-class _Listing(list):
-    """Every optimum of a ties search, as a multiplicity tuple, in order."""
-
-    def add(self, current: list[int], rem: list[int]) -> None:
-        self.append(tuple(current))
-
-
+@dataclass(frozen=True)
 class OptimaCount:
     """How many optima there are, and how many of them use each edge and vertex.
 
     ``edges[t]`` counts the optima with a positive multiplicity on edge
     ``t`` of the :class:`IntegerGame`, ``vertices[p]`` those that match
-    vertex ``p``.  Filled by :func:`count_optima`.
+    vertex ``p``.
     """
 
-    def __init__(self, ig: IntegerGame):
-        self.upper = ig.upper
-        self.total = 0
-        self.edges = [0] * len(ig.ends)
-        self.vertices = [0] * len(ig.upper)
-
-    def clear(self) -> None:
-        self.total = 0
-        self.edges = [0] * len(self.edges)
-        self.vertices = [0] * len(self.vertices)
-
-    def add(self, current: list[int], rem: list[int]) -> None:
-        """Count one optimum of a ties search (see :func:`integer_search`)."""
-        self.total += 1
-        edges = self.edges
-        for t, m in enumerate(current):
-            if m:
-                edges[t] += 1
-        vertices = self.vertices
-        for p, u in enumerate(self.upper):
-            if rem[p] < u:
-                vertices[p] += 1
+    total: int
+    edges: list[int]
+    vertices: list[int]
 
     def labels(self, g: GameInstance) -> tuple[dict[str, str], dict[Edge, str]]:
         """essential / viable / subpar for every vertex and edge of ``g``."""
@@ -195,7 +169,7 @@ class OptimaCount:
 
 
 def integer_search(
-    ig: IntegerGame, ties: _Listing | OptimaCount | None = None
+    ig: IntegerGame, ties: list[tuple[int, ...]] | None = None
 ) -> int | None:
     """Maximum-weight integral b-matching of ``ig``, depth-first over its edges.
 
@@ -208,9 +182,8 @@ def integer_search(
     which each vertex is priced at half the largest weight of a later
     edge to a vertex with capacity left.  With ``ties`` both prune only
     on strict ``<``, so every optimum is reached, in depth-first order
-    (each multiplicity ascending), and handed to ``ties.add(current,
-    rem)``: its multiplicities over ``ig``'s edges and each vertex's
-    capacity left; ``ties.clear()`` drops those of a worse weight.
+    (each multiplicity ascending), and appended to ``ties`` as its
+    multiplicities over ``ig``'s edges; a better weight clears the list.
     Without, they prune on ``<=`` too, so only strictly better matchings
     are reached: the worth-only search.  A vertex below its floor is
     rejected once its last edge is decided.
@@ -285,7 +258,7 @@ def integer_search(
                 if ties is not None:
                     ties.clear()
             if ties is not None:
-                ties.add(current, rem)
+                ties.append(tuple(current))
             return
         i, j = ends[t]
         top = min(caps[t], rem[i], rem[j])
@@ -343,7 +316,8 @@ _UNSEEN = object()
 
 
 class ResidualTable:
-    """Scaled worth of every coalition of a bipartite game, filled on demand.
+    """Scaled worth of every coalition of a bipartite game, filled on demand,
+    and the count of the whole game's optima.
 
     One side P is processed vertex by vertex, lowest first; the other
     side Q keeps the residual capacity r_v of each of its vertices.  The
@@ -352,7 +326,8 @@ class ResidualTable:
     floor and cap, their total within u's floor and cap, and leaves:
     F(P', r) = max over x <= r of w.x + F(P' - u, r - x).  With P' empty
     a state is feasible when every v of Q meets its floor,
-    r_v <= b_v - lo_v; an infeasible state is None.  Coalition S starts
+    r_v <= b_v - lo_v; an infeasible state is None.  Each state keeps
+    F and the number C of its optimal completions.  Coalition S starts
     at (S ∩ P, b on S ∩ Q), so coalitions share their subproblems, and
     every state reached is kept.  P is the side that minimizes
     2^|P| · Π_{q in Q} (b_q + 1), which bounds the number of states (by
@@ -380,6 +355,8 @@ class ResidualTable:
         width = max([upper[v] for v in other], default=0).bit_length() + 1
         at = {v: len(side) + f * width for f, v in enumerate(other)}
         top = len(side) + len(other) * width
+        self._field = (1 << width - 1) - 1
+        self._q_caps = [(v, at[v], upper[v]) for v in other]
         self._todo = (1 << len(side)) - 1
         self._guards = sum([1 << (s + width - 1) for s in at.values()])
         self._fields = (1 << top) - 1 - self._todo
@@ -393,13 +370,13 @@ class ResidualTable:
             self._start[v] = upper[v] << at[v]
             if self._members is not None:
                 self._start[v] |= 1 << (self._members + f)
-        self._bounds = [(lower[u], upper[u]) for u in side]
-        self._edges: list[list[tuple[int, int, int, int, int]]] = [[] for _ in side]
-        for (i, j), w, c, f in zip(ends, weights, caps, floors):
+        self._bounds = [(u, lower[u], upper[u]) for u in side]
+        self._edges: list[list[tuple[int, int, int, int, int, int]]] = [[] for _ in side]
+        for t, ((i, j), w, c, f) in enumerate(zip(ends, weights, caps, floors)):
             u, v = (i, j) if i in side else (j, i)
-            self._edges[u - side.start].append((v - other.start, at[v], f, c, w))
+            self._edges[u - side.start].append((t, v - other.start, at[v], f, c, w))
         self._choices: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self._memo: dict[int, int | None] = {}
+        self._memo: dict[int, tuple[int, int] | None] = {}
 
     @property
     def states(self) -> int:
@@ -415,9 +392,51 @@ class ResidualTable:
             low = mask & -mask
             state += self._start[low.bit_length() - 1]
             mask ^= low
-        return self._best(state)
+        got = self._best(state)
+        return None if got is None else got[0]
 
-    def _best(self, state: int) -> int | None:
+    def count(self) -> tuple[int, OptimaCount] | None:
+        """The whole game's best scaled weight and the count of its optima (None
+        if floors admit no matching), by one downward pass in descending state
+        order, which is topological: each choice takes a positive step off the
+        state.  P[s] counts the tight paths from the whole game to s; a tight
+        choice x of u from s to s' lies on P[s]·C[s'] optima, which use each
+        edge with x_e > 0, and u if Σx > 0; the P[s] optima ending at leaf s
+        use each v of Q whose field there is below b_v."""
+        full = self._guards + sum(self._start)
+        top = self._best(full)
+        if top is None:
+            return None
+        memo, guards, field = self._memo, self._guards, self._field
+        edges = [0] * sum(map(len, self._edges))
+        vertices = [0] * len(self._start)
+        paths = {full: 1}
+        for s in sorted(memo, reverse=True):
+            here = paths.get(s)
+            if not here:
+                continue
+            if not s & self._todo:
+                for v, at, cap in self._q_caps:
+                    if s >> at & field < cap:
+                        vertices[v] += here
+                continue
+            low = s & -s  # the todo bits are the lowest
+            k = low.bit_length() - 1
+            best = memo[s][0]
+            for step, w in self._choices_of(low, s):
+                nxt = s - step
+                sub = memo[nxt] if nxt & guards == guards else None
+                if sub is not None and w + sub[0] == best:
+                    paths[nxt] = paths.get(nxt, 0) + here
+                    through = here * sub[1]
+                    if step != low:
+                        vertices[self._bounds[k][0]] += through
+                    for t, _, at, *_ in self._edges[k]:
+                        if step >> at & field:
+                            edges[t] += through
+        return top[0], OptimaCount(top[1], edges, vertices)
+
+    def _best(self, state: int) -> tuple[int, int] | None:
         got = self._memo.get(state, _UNSEEN)
         if got is not _UNSEEN:
             return got
@@ -427,14 +446,18 @@ class ResidualTable:
         if not todo:
             left = (state & self._fields) - guards
             if (self._spare - left) & guards == guards:
-                got = 0
+                got = (0, 1)
         else:
             for step, w in self._choices_of(todo & -todo, state):
                 nxt = state - step
                 if nxt & guards == guards:
                     sub = self._best(nxt)
-                    if sub is not None and (got is None or w + sub > got):
-                        got = w + sub
+                    if sub is not None:
+                        w += sub[0]
+                        if got is None or w > got[0]:
+                            got = (w, sub[1])
+                        elif w == got[0]:
+                            got = (w, got[1] + sub[1])
         self._memo[state] = got
         return got
 
@@ -446,9 +469,9 @@ class ResidualTable:
         got = self._choices.get(key)
         if got is None:
             k = low.bit_length() - 1
-            bottom, top = self._bounds[k]
+            _, bottom, top = self._bounds[k]
             ways = [(low, 0, 0)]  # (step, weight, total use)
-            for f, at, floor, cap, w in self._edges[k]:
+            for _, f, at, floor, cap, w in self._edges[k]:
                 if members >> f & 1:
                     ways = [
                         (step + (m << at), weight + m * w, n + m)
@@ -511,7 +534,7 @@ def single_use_count(ig: IntegerGame) -> tuple[int, OptimaCount]:
                     count += counts[other]
         table[s] = best
         counts[s] = count
-    found = OptimaCount(ig)
+    edges = [0] * len(ig.ends)
     paths = dict.fromkeys(order, 0)
     paths[full] = 1
     unmatched = [0] * nv
@@ -531,29 +554,9 @@ def single_use_count(ig: IntegerGame) -> tuple[int, OptimaCount]:
                 other = rest ^ bit
                 if w + table[other] == best:
                     paths[other] += here
-                    found.edges[t] += here * counts[other]
-    found.total = counts[full]
-    found.vertices = [found.total - u for u in unmatched]
-    return table[full], found
-
-
-def count_optima(ig: IntegerGame) -> tuple[int | None, OptimaCount]:
-    """The best scaled weight of ``ig`` (None if floors admit no matching)
-    and the count of its optimal matchings, listing none.
-
-    A single-use game (every vertex and edge used at most once, no
-    floors) is counted by :func:`single_use_count`.  Any other game runs
-    the ties search of :func:`integer_search`, which counts at its leaves.
-    """
-    if (
-        all([c == 1 for c in ig.caps])
-        and max(ig.upper, default=0) <= 1
-        and not any(ig.floors)
-        and not any(ig.lower)
-    ):
-        return single_use_count(ig)
-    count = OptimaCount(ig)
-    return integer_search(ig, count), count
+                    edges[t] += here * counts[other]
+    total = counts[full]
+    return table[full], OptimaCount(total, edges, [total - u for u in unmatched])
 
 
 def fractional_optimum(g: GameInstance) -> MatchingVector:

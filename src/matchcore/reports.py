@@ -193,8 +193,8 @@ def system_section(a: GameAnalysis) -> list[str]:
 def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
     """The standard battery for a bundled instance, variant-aware."""
     a = GameAnalysis(g, budget_cap, cap)
-    # Every report classifies.  Counting the optima first finds the worth
-    # too, so the worth section needs no search of its own.
+    # Every report classifies first: the worth comes with the count, and
+    # a game whose floors admit no matching fails as classify does.
     a.labels
     rep = report_header(g, cap, budget_cap)
     rep.add("worth", worth_section(a))

@@ -2,11 +2,12 @@
 
 ``GameAnalysis`` lists no optimum: it counts them, and how many use each
 vertex and edge, by the recursion over the vertex subsets (single-use
-games, whatever the coalition cap) or in the ties search (every other
-game).  The oracles here count from the list of
-``plain_enumerator.plain_optima``, or use a closed form: (2k-1)!!
-perfect matchings of K_2k, n! of K_n,n, and, with every vertex cap 2,
-OEIS A001499 (b-constrained) and A000681 (b-unconstrained) on K_n,n.
+games, whatever the coalition cap) or over residual capacities in the
+session's ``ResidualTable`` (every other game).  The oracles here count
+from the list of ``plain_enumerator.plain_optima`` or of
+``brute_force_optima``, or use a closed form: (2k-1)!! perfect
+matchings of K_2k, n! of K_n,n, and, with every vertex cap 2, OEIS
+A001499 (b-constrained) and A000681 (b-unconstrained) on K_n,n.
 """
 
 from dataclasses import replace
@@ -16,14 +17,15 @@ from random import Random
 
 import pytest
 
-from matchcore import matchings
+from matchcore import analysis, cli
 from matchcore.analysis import GameAnalysis
+from matchcore.gamefile import render_game
 from matchcore.games import make_game
 from matchcore.matchings import (
     InfeasibleGameError,
-    OptimaCount,
+    ResidualTable,
+    brute_force_optima,
     integer_game,
-    integer_search,
     single_use_count,
 )
 
@@ -69,11 +71,20 @@ def single_use(g):
 @pytest.mark.parametrize("index", range(0, len(SEEDED), 16))
 def test_session_counts_the_plain_optima(monkeypatch, index, cap):
     # The path depends on the game's bounds only: a single-use game is
-    # counted over its vertex subsets whatever the coalition cap.
+    # counted over its vertex subsets whatever the coalition cap, every
+    # other game by its residual table.
     counted = []
-    count = matchings.single_use_count
+    count = analysis.single_use_count
     monkeypatch.setattr(
-        matchings, "single_use_count", lambda ig: counted.append(1) or count(ig)
+        analysis,
+        "single_use_count",
+        lambda ig: counted.append("single-use") or count(ig),
+    )
+    residual = ResidualTable.count
+    monkeypatch.setattr(
+        ResidualTable,
+        "count",
+        lambda self: counted.append("residual") or residual(self),
     )
     for g in SEEDED[index:index + 16]:
         best, optima = plain_optima(g)
@@ -82,30 +93,50 @@ def test_session_counts_the_plain_optima(monkeypatch, index, cap):
         if best is None:
             with pytest.raises(InfeasibleGameError, match="to classify against"):
                 a.labels
-            continue
-        got = (a.labels, a.optima_count, a.worth)
-        assert got == (plain_labels(g, optima), len(optima), best), g
-        assert len(counted) == single_use(g), g
+        else:
+            got = (a.labels, a.optima_count, a.worth)
+            assert got == (plain_labels(g, optima), len(optima), best), g
+        assert counted == ["single-use" if single_use(g) else "residual"], g
 
 
-def ties_search_count(g):
-    """The count from the ties search, which counts at its leaves."""
-    ig = integer_game(g)
-    count = OptimaCount(ig)
-    return integer_search(ig, count), count
+def listed_count(g):
+    """The worth of ``g`` and its optima's (total, per-edge uses,
+    per-vertex uses), counted from the list of ``brute_force_optima``;
+    None if floors admit no matching."""
+    best, optima = brute_force_optima(g)
+    if best is None:
+        return None
+    used = [dict(m.multiplicities) for m in optima]
+    edges = [sum(1 for m in used if k in m) for k in g.edge_keys]
+    vertices = [sum(1 for m in used if any(q in k for k in m)) for q in g.vertices]
+    return best, len(optima), edges, vertices
 
 
 def test_the_two_counts_agree_on_single_use_games():
     # The session counts single-use games over their vertex subsets; the
-    # ties search counts them too, optimum by optimum.
+    # listing search lists them, optimum by optimum.
     games = [g for g in SEEDED if single_use(g)]
     for g in games:
-        best, got = single_use_count(integer_game(g))
-        want_best, want = ties_search_count(g)
-        assert (best, got.total, got.edges, got.vertices) == (
-            want_best, want.total, want.edges, want.vertices
-        ), g
+        ig = integer_game(g)
+        best, got = single_use_count(ig)
+        assert (F(best, ig.scale), got.total, got.edges, got.vertices) == listed_count(g), g
     assert len(games) >= 20
+
+
+def test_residual_table_counts_the_listed_optima():
+    # Every other game is counted by its residual table: the total and
+    # every edge's and vertex's uses, floors and infeasible floors included.
+    games = [g for g in SEEDED if not single_use(g)]
+    for g in games:
+        ig = integer_game(g)
+        got = ResidualTable(ig, len(g.left)).count()
+        if got is not None:
+            best, count = got
+            got = (F(best, ig.scale), count.total, count.edges, count.vertices)
+        assert got == listed_count(g), g
+    assert len(games) >= 50
+    assert any(listed_count(g) is None for g in games)
+    assert any(any(g.edge_lower.values()) for g in games)
 
 
 def test_seeded_games_cover_both_paths_and_infeasible_floors():
@@ -137,20 +168,20 @@ def test_unit_complete_graph_has_double_factorial_optima(k):
     # Every vertex is matched in every optimum; every edge in some.
     assert set(a.labels[0].values()) == {"essential"}
     assert set(a.labels[1].values()) == ({"essential"} if k == 1 else {"viable"})
-    if k <= 4:  # the ties search agrees
-        assert ties_search_count(complete_graph(2 * k))[1].total == want
+    if k <= 4:  # the listing search agrees
+        assert len(brute_force_optima(complete_graph(2 * k))[1]) == want
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_unit_complete_bipartite_graph_has_factorial_optima(n):
     a = GameAnalysis(complete_bipartite(n))
     assert (a.optima_count, a.worth) == (factorial(n), n)
-    if n <= 5:  # the ties search agrees
-        assert ties_search_count(complete_bipartite(n))[1].total == factorial(n)
+    if n <= 5:  # the listing search agrees
+        assert len(brute_force_optima(complete_bipartite(n))[1]) == factorial(n)
 
 
 def test_a_small_coalition_cap_does_not_change_how_optima_are_counted():
-    # Unit K_14 has 135,135 optima: the ties search would visit each, the
+    # Unit K_14 has 135,135 optima: a listing search would visit each, the
     # count over the vertex subsets reaches 986 subsets.
     a = GameAnalysis(complete_graph(14), cap=3)
     assert (a.optima_count, a.worth) == (135135, 7)
@@ -174,9 +205,11 @@ def capped_complete_bipartite(variant, n, b):
         ("b-constrained", 3, 6),
         ("b-constrained", 4, 90),
         ("b-constrained", 5, 2040),
+        ("b-constrained", 6, 67950),
         ("b-unconstrained", 3, 21),
         ("b-unconstrained", 4, 282),
         ("b-unconstrained", 5, 6210),
+        ("b-unconstrained", 6, 202410),
     ],
 )
 def test_unit_complete_bipartite_b2_counts_are_the_closed_forms(variant, n, want):
@@ -185,3 +218,17 @@ def test_unit_complete_bipartite_b2_counts_are_the_closed_forms(variant, n, want
     # Every vertex is used in every optimum; every edge in some.
     assert set(a.labels[0].values()) == {"essential"}
     assert set(a.labels[1].values()) == {"viable"}
+
+
+@pytest.mark.parametrize(
+    "variant,want", [("b-constrained", 67950), ("b-unconstrained", 202410)]
+)
+def test_unit_k66_b2_is_classified_inside_the_default_caps(
+    capsys, tmp_path, variant, want
+):
+    # 12 vertices and a budget of 24 are within the default caps: the
+    # residual table counts the optima over 2,728 or 2,734 states.
+    path = tmp_path / "k66.game"
+    path.write_text(render_game(capped_complete_bipartite(variant, 6, 2)))
+    assert cli.main(["classify", "--game", str(path)]) == 0
+    assert f"optimal-matchings = {want}" in capsys.readouterr().out.splitlines()

@@ -1,10 +1,11 @@
 """Work done by a full report, a core check and meet/join: each fact of
 the game is computed once, and a "no" stops at its witness.
 
-The grand coalition's worth comes from one worth-only search; no command
-lists the optimal matchings.  Coalition worths come from one subset
-table (assignment, general and b-uniform games) or from one residual
-table, looked up once per coalition (the other b-games).
+The grand coalition's worth and the count of its optima come from one
+recursion, chosen by the game's bounds; no integer search runs, and no
+command lists the optimal matchings.  Coalition worths come from one
+subset table (assignment, general and b-uniform games) or from one
+residual table, looked up once per coalition (the other b-games).
 
 Calls are counted by rebinding a function under every name the package's
 modules hold it by (``from .x import y`` makes copies), so no call path
@@ -34,7 +35,6 @@ from matchcore.games import (
 from matchcore.matchings import (
     ResidualTable,
     brute_force_optima,
-    integer_game,
     integer_search,
     single_use_count,
     subset_worths,
@@ -69,20 +69,35 @@ def count_calls(monkeypatch, original):
     return log
 
 
-def count_grand_searches(monkeypatch, g):
-    """Start counting the integer searches of the whole of ``g``; read the
-    kinds, in call order, by calling the result: "worth" for the
-    worth-only search, "list" for one that lists every optimum, "count"
-    for one that only counts them."""
-    log = count_calls(monkeypatch, integer_search)
-    grand = integer_game(g)
+def count_recursions(monkeypatch):
+    """Start counting the recursions that give a game's worth; read their
+    kinds by calling the result: "search" for each integer search,
+    "single-use" for each count over the vertex subsets, "residual" for
+    each count of a residual table."""
+    searched = count_calls(monkeypatch, integer_search)
+    subsets = count_calls(monkeypatch, single_use_count)
+    residual = []
+    count = ResidualTable.count
+    monkeypatch.setattr(
+        ResidualTable, "count", lambda self: residual.append(1) or count(self)
+    )
+    return lambda: (
+        ["search"] * len(searched)
+        + ["single-use"] * len(subsets)
+        + ["residual"] * len(residual)
+    )
 
-    def kind(args):
-        if len(args) == 1:
-            return "worth"
-        return "list" if isinstance(args[1], list) else "count"
 
-    return lambda: [kind(args) for args in log if args[0] == grand]
+def grand_recursion(g):
+    """The recursion that counts the optima of ``g`` and gives its worth:
+    over the vertex subsets when every vertex cap is 1 and no floor is
+    set, else in a residual table."""
+    single = (
+        set(g.vertex_upper.values()) == {1}
+        and not any(g.vertex_lower.values())
+        and not any(g.edge_lower.values())
+    )
+    return "single-use" if single else "residual"
 
 
 def generated_games(kinds, count):
@@ -118,8 +133,7 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
     # and the worth: the game is neither searched nor listed, and no
     # table of every subset's worth is built.
     listed = count_calls(monkeypatch, brute_force_optima)
-    searches = count_grand_searches(monkeypatch, g)
-    counts = count_calls(monkeypatch, single_use_count)
+    recursions = count_recursions(monkeypatch)
     tables = count_calls(monkeypatch, subset_worths)
     solves = count_calls(monkeypatch, simplex.solve_lp)
     runs = []
@@ -133,7 +147,7 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
         lambda self, *a: queries.append(1) or optimize(self, *a),
     )
     _report(g)
-    assert (searches(), len(counts), len(tables), listed) == ([], 1, 0, [])
+    assert (recursions(), len(tables), listed) == (["single-use"], 0, [])
     names = sorted(args[0].variables[0][:2] for args in solves)
     assert names == ["x[", "y["]  # one primal and one dual solve
     # Phase 1 and phase 2 once per solve at most; one phase 2 per query.
@@ -154,15 +168,14 @@ def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
     # One count gives the labels, the optima count and the worth: the
     # game is neither searched nor listed.
     listed = count_calls(monkeypatch, brute_force_optima)
-    counts = count_calls(monkeypatch, single_use_count)
+    recursions = count_recursions(monkeypatch)
     tables = count_calls(monkeypatch, subset_worths)
     a = GameAnalysis(load_instance(name))
-    searches = count_grand_searches(monkeypatch, a.g)
     a.degeneracy
     a.payments
     a.degeneracy
     assert sorted(priced) == sorted(a.g.vertices)
-    assert (searches(), len(counts), len(tables), listed) == ([], 1, 0, [])
+    assert (recursions(), len(tables), listed) == (["single-use"], 0, [])
 
 
 @pytest.mark.parametrize("g", PAYMENT_GAMES[:8], ids=lambda g: g.name or g.variant)
@@ -185,13 +198,13 @@ def test_labels_and_coalition_worths_build_one_table(monkeypatch, g):
     ids=lambda g: g.name or g.variant,
 )
 def test_b_variant_report_enumerates_the_grand_coalition_once(monkeypatch, g):
-    # One counting search gives the labels, the optima count and the
-    # worth; the coalition worths of the system section come from a
-    # table, not from a search.  Nothing lists the optima.
+    # One recursion gives the labels, the optima count and the worth; the
+    # coalition worths of the system section come from a table.  Nothing
+    # searches the game or lists its optima.
     listed = count_calls(monkeypatch, brute_force_optima)
-    searches = count_grand_searches(monkeypatch, g)
+    recursions = count_recursions(monkeypatch)
     _report(g)
-    assert (searches(), listed) == (["count"], [])
+    assert (recursions(), listed) == ([grand_recursion(g)], [])
 
 
 @pytest.mark.parametrize(
@@ -218,17 +231,27 @@ VARIANTS = ("assignment", "general-matching", *B_VARIANTS)
 CHECK_GAMES = [g for g in generated_games(VARIANTS, 24) if len(g.edges) >= 2]
 
 
-# The kinds of the searches of the whole game (see count_grand_searches),
-# the kinds of the coalition tables built ("subset" or "residual"), the
+# The kinds of the recursions that gave the worth (see count_recursions),
+# the kinds of the tables built ("subset" or "residual", sorted), the
 # coalitions looked up in a residual table, in order, and vertex sets
 # whose optima were listed.
 Work = namedtuple("Work", "grand tables looked_up listed")
 
 
+def tables_built(g, grand, scanned):
+    """The tables a session of ``g`` builds, sorted: the residual table
+    that counts a game which is not single-use, if the worth is read,
+    and the coalition table, if the coalitions are scanned."""
+    kinds = {"residual"} if grand and grand_recursion(g) == "residual" else set()
+    if scanned:
+        kinds.add("subset" if g.variant in analysis.TABLE_VARIANTS else "residual")
+    return sorted(kinds)
+
+
 def count_work(monkeypatch, g):
     """Start counting the work done on ``g``; read it by calling the result."""
     listed = count_calls(monkeypatch, brute_force_optima)
-    grand = count_grand_searches(monkeypatch, g)
+    grand = count_recursions(monkeypatch)
     subset = count_calls(monkeypatch, subset_worths)
     looked_up = []
     lookup = ResidualTable.worth
@@ -244,7 +267,7 @@ def count_work(monkeypatch, g):
 
     return lambda: Work(
         grand(),
-        ["subset"] * len(subset) + ["residual"] * len(build),
+        sorted(["subset"] * len(subset) + ["residual"] * len(build)),
         [members(mask) for mask in looked_up],
         [frozenset(args[0].vertices) for args in listed],
     )
@@ -266,17 +289,19 @@ def cli_check(monkeypatch, capsys, tmp_path, g, imp):
 def test_check_enumerates_the_grand_coalition_once(monkeypatch, capsys, tmp_path, g):
     code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code in (0, 1)
-    assert (work.grand, work.listed) == (["worth"], [])
+    assert (work.grand, work.listed) == ([grand_recursion(g)], [])
 
 
 @pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
 def test_certified_yes_computes_no_coalition_worth(monkeypatch, capsys, tmp_path, g):
     # No edge floors here, so the core points read off an optimal dual are
-    # certified by it: "yes" builds no subset table and runs no search.
-    # Only a general game with an empty core answers "no" (a wrong total).
+    # certified by it: "yes" builds no coalition table, looks up no
+    # coalition and runs no search; only the table that gives the worth
+    # of a game that is not single-use is built.  Only a general game
+    # with an empty core answers "no" (a wrong total).
     code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code == (0 if GameAnalysis(g).concurrency.concurrent else 1)
-    assert work == Work(["worth"], [], [], [])
+    assert work == Work([grand_recursion(g)], tables_built(g, True, False), [], [])
 
 
 @pytest.mark.parametrize("how", ["shifted", "negative", "total"])
@@ -298,15 +323,15 @@ def test_no_answer_enumerates_nothing_after_its_witness(
     # A negative entry is answered before the grand worth, a wrong total
     # before any coalition.
     prefix = proper[: proper.index(witness) + 1] if how == "shifted" else []
-    assert work.grand == ([] if how == "negative" else ["worth"])
+    assert work.grand == ([] if how == "negative" else [grand_recursion(g)])
     assert work.listed == []
+    tables = tables_built(g, how != "negative", bool(prefix))
     if g.variant in analysis.TABLE_VARIANTS:
         # One subset table per session holds every worth.
-        assert (work.tables, work.looked_up) == (["subset"] if prefix else [], [])
+        assert (work.tables, work.looked_up) == (tables, [])
     else:
         # One residual table per session, looked up once per coalition,
         # in order, up to the witness and no further.
-        tables = ["residual"] if prefix else []
         assert (work.tables, work.looked_up) == (tables, prefix)
 
 
@@ -332,7 +357,8 @@ def test_meet_join_enumerates_each_coalition_at_most_once(monkeypatch, g, p, q):
     work = count_work(monkeypatch, g)
     analysis.meet_join(GameAnalysis(g), p, q)
     done = work()
-    assert done.grand == ["worth"] and len(done.tables) <= 1 and done.listed == []
+    assert done.grand == [grand_recursion(g)] and done.listed == []
+    assert done.tables in (tables_built(g, True, False), tables_built(g, True, True))
     assert len(set(done.looked_up)) == len(done.looked_up)
 
 

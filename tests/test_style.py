@@ -115,6 +115,27 @@ def test_only_the_worth_oracle_lists_optima():
     assert found == ["analysis.py:worth"]
 
 
+def test_the_session_runs_no_search_of_its_own():
+    # The session reads a game's worth and the count of its optima from
+    # one recursion, chosen by the game's bounds.  The worth-only search,
+    # the listing search and a counting search beside it are oracles; a
+    # name of one in the class body would give the session a second
+    # engine for the same fact.
+    oracles = {"integer_search", "brute_force_optima", "count_optima"}
+    tree = ast.parse((SRC / "analysis.py").read_text())
+    (session,) = [
+        top for top in tree.body
+        if isinstance(top, ast.ClassDef) and top.name == "GameAnalysis"
+    ]
+    found = [
+        f"analysis.py:{node.lineno}"
+        for node in ast.walk(session)
+        if (isinstance(node, ast.Name) and node.id in oracles)
+        or (isinstance(node, ast.Attribute) and node.attr in oracles)
+    ]
+    assert found == []
+
+
 def test_dual_image_rows_come_from_the_dual_lp():
     # in_dual_image reads its cover rows and profit coefficients from
     # gamelp.build_dual_lp, and which end each column credits from
