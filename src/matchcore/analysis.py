@@ -8,14 +8,15 @@ maximizing a secondary linear objective over the face.  One exact LP
 answers each question; no sampling of imputations is involved.
 
 A :class:`GameAnalysis` session computes each fact of one game at most
-once: one recursion that gives the grand coalition's worth and counts
-its optimal matchings (it lists none, and no integer search runs), one
-primal solve, one dual solve whose final tableau answers every face
-question by a warm phase 2 (see :class:`~matchcore.simplex.OptimalTableau`),
-and one worth per connected coalition, read from one table (see
-:meth:`GameAnalysis.coalition_worths`), from which come both the core
-system and the "no" answers of the one core-membership test; its "yes"
-answers come from a dual certificate (see :meth:`GameAnalysis.membership`).
+once, and reads the combinatorial ones from one table, chosen once by
+the game's bounds: the grand coalition's worth with the count of its
+optimal matchings (it lists none, and no integer search runs), and one
+worth per connected coalition (see :meth:`GameAnalysis.coalition_worths`),
+from which come both the core system and the "no" answers of the one
+core-membership test; its "yes" answers come from a dual certificate
+(see :meth:`GameAnalysis.membership`).  Beside the table it runs one
+primal solve and one dual solve, whose final tableau answers every face
+question by a warm phase 2 (see :class:`~matchcore.simplex.OptimalTableau`).
 :func:`worth` lists the optima of one induced subgame instead, and is
 kept as the independent oracle of these worths; it is the one caller of
 :func:`~matchcore.matchings.brute_force_optima` in the package.
@@ -61,11 +62,10 @@ from .matchings import (
     OptimaCount,
     ResidualTable,
     SolverInvariantError,
+    SubsetTable,
     brute_force_optima,
     fractional_optimum,
     integer_game,
-    single_use_count,
-    subset_worths,
 )
 from .simplex import (  # solve_lp and solve_over_optimal_face stay importable here
     LPSolution,
@@ -80,8 +80,6 @@ ONE = Fraction(1)
 Imputation = dict[str, Fraction]
 
 PAYMENT_VARIANTS = ("assignment", "general-matching")
-# Variants whose coalition worths are read from one subset table.
-TABLE_VARIANTS = (*PAYMENT_VARIANTS, "b-uniform")
 
 
 @dataclass(frozen=True)
@@ -206,9 +204,10 @@ class GameAnalysis:
     the worth with the count of optimal matchings and the labels, the
     fractional optimum, concurrency, the base dual solve with its final
     tableau, the payment report, and the worth of every connected
-    coalition (at most ``cap`` vertices in the game), read from one
-    table (see :meth:`coalition_worths`).  A report builds one session
-    and hands it to every section; no cache outlives the session.
+    coalition (at most ``cap`` vertices in the game).  The worth, the
+    count and the coalition worths are read from one table (see
+    :attr:`_table`).  A report builds one session and hands it to every
+    section; no cache outlives the session.
     """
 
     def __init__(
@@ -223,20 +222,27 @@ class GameAnalysis:
         self._worths: list[Fraction | None] = []
 
     @cached_property
-    def _optima(self) -> tuple[int, OptimaCount] | None:
-        """The grand coalition's best scaled weight and the count of its optima
-        (None if floors admit no matching): by the subset recursion on
-        single-use games, else by the one residual table (all bipartite)."""
-        check_budget_cap(self.g, self.budget_cap)
+    def _table(self) -> SubsetTable | ResidualTable:
+        """The session's one table: over the vertex subsets on single-use
+        games (every cap 1, no floor), else over residual capacities (all
+        such games are bipartite).  It gives the worth, the count and every
+        coalition worth."""
         ig = self._integer_game
         if set(ig.caps + ig.upper) <= {1} and not any(ig.floors + ig.lower):
-            return single_use_count(ig)
-        return self._residual_table.count()
+            return SubsetTable(ig)
+        return ResidualTable(ig, len(self.g.left))
+
+    @cached_property
+    def _optima(self) -> tuple[int, OptimaCount] | None:
+        """The grand coalition's best scaled weight and the count of its optima
+        (None if floors admit no matching), from the session's table."""
+        check_budget_cap(self.g, self.budget_cap)
+        return self._table.count()
 
     @cached_property
     def worth(self) -> Fraction:
-        """The grand coalition's worth, from the recursion that counts its
-        optima (see :attr:`_optima`): the worth and the labels are one fact."""
+        """The grand coalition's worth, read with the count of its optima
+        (see :attr:`_optima`): the worth and the labels are one fact."""
         if self._optima is None:
             raise InfeasibleGameError("the grand coalition admits no feasible matching")
         return Fraction(self._optima[0], self._integer_game.scale)
@@ -266,12 +272,8 @@ class GameAnalysis:
         return integer_game(self.g)
 
     @cached_property
-    def _subset_worths(self) -> list[int]:
-        return subset_worths(self._integer_game)
-
-    @cached_property
-    def _residual_table(self) -> ResidualTable:
-        return ResidualTable(self._integer_game, len(self.g.left))
+    def _bits(self) -> dict[str, int]:
+        return {q: 1 << p for p, q in enumerate(self.g.vertices)}
 
     def coalition_worths(self) -> Iterator[tuple[Coalition, Fraction | None]]:
         """Each connected proper coalition with its worth, lexicographically.
@@ -279,12 +281,13 @@ class GameAnalysis:
         Lazy and memoized: a worth is computed when a scan first reaches
         its coalition, at most once per session.  The grand worth comes
         first: no coalition's multiplicity budget exceeds the game's, so
-        its ``budget_cap`` check covers them all.  Assignment, general
-        and b-uniform games read every worth from one subset table
-        (:func:`~matchcore.matchings.subset_worths`); the other b-games
-        look each coalition up in one residual-capacity table
-        (:class:`~matchcore.matchings.ResidualTable`), whose states the
-        coalitions share.  Its states number at most
+        its ``budget_cap`` check covers them all.  Each coalition is
+        looked up once in the table that gave the grand worth (see
+        :attr:`_table`).  A single-use game's
+        :class:`~matchcore.matchings.SubsetTable` fills all 2^n vertex
+        subsets at the first lookup, and ``cap`` bounds n; any other
+        game's :class:`~matchcore.matchings.ResidualTable` fills the
+        states the coalitions reach, which they share, at most
         2^|P|·Π_{q in Q}(b_q + 1) for the cheaper side P, so ``cap`` and
         ``budget_cap`` bound its work too.
         """
@@ -296,14 +299,9 @@ class GameAnalysis:
             yield s, worths[i]
 
     def _coalition_worth(self, s: Coalition) -> Fraction | None:
-        ig = self._integer_game
-        mask = sum([1 << p for p, q in enumerate(self.g.vertices) if q in s])
-        if self.g.variant in TABLE_VARIANTS:
-            # x -> b x maps the bipartite matching polytope, which is
-            # integral, onto the b-uniform one, so v_b(S) = b v(S).
-            return Fraction(max(ig.upper) * self._subset_worths[mask], ig.scale)
-        best = self._residual_table.worth(mask)
-        return None if best is None else Fraction(best, ig.scale)
+        bits = self._bits
+        best = self._table.worth(sum([bits[q] for q in s]))
+        return None if best is None else Fraction(best, self._integer_game.scale)
 
     @cached_property
     def system(self) -> CoalitionSystem:

@@ -1,7 +1,8 @@
 """Command-line analysis driver.
 
 Usage shape: ``matchcore <command> --game <path> [--imputation v1,v2,...]
-[--cap N] [--budget N] [--split half] [--out <path>]``.
+[--cap N] [--budget N] [--split half] [--out <path>]``, or
+``matchcore examples``, which takes no option.
 
 Exit codes: 0 success, 1 analysis finding (a membership check answered
 no, or a bundled example drifted), 2 input error, 3 enumeration cap
@@ -41,20 +42,19 @@ from .reports import (
     worth_section,
 )
 
-COMMANDS = (
-    "worth",
-    "dual",
-    "imputation",
-    "classify",
-    "payments",
-    "concurrency",
-    "antipodal",
-    "degeneracy",
-    "system",
-    "check",
-    "dual-image",
-    "examples",
-)
+# The commands that print one report section: its title and its function.
+SECTIONS = {
+    "worth": ("worth", worth_section),
+    "dual": ("dual", dual_section),
+    "imputation": ("imputation", imputation_section),
+    "classify": ("classification", classify_section),
+    "payments": ("payments", payments_section),
+    "concurrency": ("concurrency", concurrency_section),
+    "antipodal": ("antipodal", antipodal_section),
+    "degeneracy": ("degeneracy", degeneracy_section),
+    "system": ("system", system_section),
+}
+COMMANDS = (*SECTIONS, "check", "dual-image", "examples")
 
 
 @cache
@@ -73,8 +73,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        if name != "examples":
-            p.add_argument("--game", required=True, help="game file to analyze")
+        if name == "examples":
+            continue
+        p.add_argument("--game", required=True, help="game file to analyze")
         p.add_argument(
             "--cap",
             type=_count,
@@ -148,24 +149,10 @@ def _run(args: argparse.Namespace) -> int:
     a = GameAnalysis(g, args.budget, args.cap)
 
     finding = False
-    if args.command == "worth":
-        rep.add("worth", worth_section(a))
-    elif args.command == "concurrency":
-        rep.add("concurrency", concurrency_section(a))
-    elif args.command == "dual":
-        rep.add("dual", dual_section(a))
-    elif args.command == "imputation":
-        rep.add("imputation", imputation_section(a, args.split))
-    elif args.command == "classify":
-        rep.add("classification", classify_section(a))
-    elif args.command == "payments":
-        rep.add("payments", payments_section(a))
-    elif args.command == "antipodal":
-        rep.add("antipodal", antipodal_section(a))
-    elif args.command == "degeneracy":
-        rep.add("degeneracy", degeneracy_section(a))
-    elif args.command == "system":
-        rep.add("system", system_section(a))
+    if args.command in SECTIONS:
+        title, section = SECTIONS[args.command]
+        split = [args.split] if args.command == "imputation" else []
+        rep.add(title, section(a, *split))
     elif args.command == "check":
         got = a.membership(_parse_imputation(g, args.imputation))
         lines = [f"in-core = {'yes' if got.in_core else 'no'}"]

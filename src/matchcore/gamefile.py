@@ -52,6 +52,7 @@ def parse_game(text: str) -> GameInstance:
     right: list[str] = []
     vertices_line = False
     edges: list[tuple[str, str, Fraction]] = []
+    pairs: set[frozenset[str]] = set()  # each edge's ends, unordered
     b_lines: list[tuple[str, int]] = []
     b_star: int | None = None
     a_lines: list[tuple[str, int]] = []
@@ -89,10 +90,10 @@ def parse_game(text: str) -> GameInstance:
                 w = parse_rational(toks[2])
             except ValueError as exc:
                 raise GameFileError(f"{where}: {exc}") from exc
-            if any((i, j) == (toks[0], toks[1]) for i, j, _ in edges) or any(
-                {i, j} == {toks[0], toks[1]} for i, j, _ in edges
-            ):
+            pair = frozenset(toks[:2])
+            if pair in pairs:
                 raise GameFileError(f"{where}: duplicate edge {toks[0]} {toks[1]}")
+            pairs.add(pair)
             edges.append((toks[0], toks[1], w))
         elif head == "b":
             toks = _tokens(value, where, 2)

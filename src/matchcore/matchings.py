@@ -3,19 +3,19 @@
 The exhaustive enumerator here is deliberately independent of the LP
 path: :func:`brute_force_optima` lists every optimal integral matching,
 and is kept, with the worth-only :func:`integer_search`, as the ground
-truth that the recursions below are checked against; the session runs
-neither.  A game's worth and the count of its optimal matchings, with
-how many of them use each vertex and edge (all the
-essential/viable/subpar classification needs), come from one recursion
-chosen by the game's bounds: :func:`single_use_count` on single-use
-games, :meth:`ResidualTable.count` on the others, which are all
-bipartite b-games.  Coalition worths come from :func:`subset_worths`,
-every coalition of a single-use game at once, or from the same
-:class:`ResidualTable`, on demand.
+truth that the tables below are checked against; the session runs
+neither.  A game's worth, the count of its optimal matchings, with how
+many of them use each vertex and edge (all the essential/viable/subpar
+classification needs), and every coalition worth come from one table
+chosen by the game's bounds: a :class:`SubsetTable` on single-use
+games, a :class:`ResidualTable` on the others, which are all bipartite
+b-games.  Both fill on demand and answer ``count()`` and
+``worth(mask)``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -283,33 +283,117 @@ def integer_search(
     return None if best is None else best - slack
 
 
-def subset_worths(ig: IntegerGame) -> list[int]:
-    """Scaled single-use worth of every vertex subset, indexed by bitmask.
+class SubsetTable:
+    """Scaled single-use worth of every vertex subset, filled on demand,
+    and the count of the whole game's optima.
 
     Each vertex is matched at most once and each edge used at most once,
-    whatever ``ig``'s caps say.  Built upward over the bitmasks by the
-    recursion on the lowest vertex v of S, which is either unmatched or
-    matched to one neighbour u in S:
-    v(S) = max(v(S - v), max over u of w_uv + v(S - v - u)).
-    It is exact on any simple graph, bipartite or not.
+    whatever ``ig``'s caps say.  The lowest vertex v of a subset S is
+    either unmatched or matched to one neighbour u in S:
+    v(S) = max(v(S - v), max over u of w_uv + v(S - v - u)), exact on
+    any simple graph, bipartite or not.  One dict keeps, for each subset
+    filled, its worth T[S] and the number C[S] of its optimal matchings.
+    :meth:`count` fills only the subsets reached down from the whole
+    vertex set N: removing the lowest vertex, alone or with a neighbour,
+    reaches few of the 2^n subsets (2,583 of 65,536 on K_16, fewer on
+    sparser graphs).  The first :meth:`worth` fills the rest, upward
+    over the bitmasks, so a coalition cap on the game's vertices bounds
+    it.  The interface is :class:`ResidualTable`'s.
     """
-    nv = len(ig.upper)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for (i, j), w in zip(ig.ends, ig.weights):
-        adj[i].append((1 << j, w))
-        adj[j].append((1 << i, w))
-    table = [0] * (1 << nv)
-    for s in range(1, 1 << nv):
-        low = s & -s
-        rest = s ^ low
-        best = table[rest]
-        for bit, w in adj[low.bit_length() - 1]:
-            if rest & bit:
-                got = w + table[rest ^ bit]
-                if got > best:
-                    best = got
-        table[s] = best
-    return table
+
+    def __init__(self, ig: IntegerGame):
+        self._adj: list[list[tuple[int, int, int]]] = [[] for _ in ig.upper]
+        for t, ((i, j), w) in enumerate(zip(ig.ends, ig.weights)):
+            self._adj[i].append((1 << j, w, t))
+            self._adj[j].append((1 << i, w, t))
+        self._edges = len(ig.ends)
+        self._memo: dict[int, tuple[int, int]] = {0: (0, 1)}
+        self._complete = False
+
+    @property
+    def states(self) -> int:
+        """How many subsets the table holds."""
+        return len(self._memo)
+
+    def worth(self, mask: int) -> int:
+        """The best scaled single-use weight inside the vertices set in
+        ``mask`` (positions of the :class:`IntegerGame`)."""
+        if not self._complete:
+            self._fill(range(1, 1 << len(self._adj)))
+            self._complete = True
+        return self._memo[mask][0]
+
+    def count(self) -> tuple[int, OptimaCount]:
+        """The whole game's best scaled weight and the count of its optima.
+
+        Every optimum of N is one path of tight steps from N down to the
+        empty set, so, downward, P[S] counts the tight paths from N to S,
+        and a tight step from S that removes v alone, or v with u, lies
+        on P[S]·C[rest] optima, which leave v unmatched, or use edge uv.
+        The work depends on the graph, not on how many optima there are.
+        """
+        adj = self._adj
+        full = (1 << len(adj)) - 1
+        reached = {0}
+        todo = [full]
+        while todo:
+            s = todo.pop()
+            if s not in reached:
+                reached.add(s)
+                low = s & -s
+                rest = s ^ low
+                todo.append(rest)
+                for bit, _, _ in adj[low.bit_length() - 1]:
+                    if rest & bit:
+                        todo.append(rest ^ bit)
+        order = sorted(reached)
+        self._fill(order)
+        memo = self._memo
+        edges = [0] * self._edges
+        paths = dict.fromkeys(order, 0)
+        paths[full] = 1
+        unmatched = [0] * len(adj)
+        for s in reversed(order[1:]):
+            here = paths[s]
+            if not here:
+                continue
+            low = s & -s
+            rest = s ^ low
+            v = low.bit_length() - 1
+            best = memo[s][0]
+            worth, count = memo[rest]
+            if worth == best:
+                paths[rest] += here
+                unmatched[v] += here * count
+            for bit, w, t in adj[v]:
+                if rest & bit:
+                    other = rest ^ bit
+                    worth, count = memo[other]
+                    if w + worth == best:
+                        paths[other] += here
+                        edges[t] += here * count
+        best, total = memo[full]
+        return best, OptimaCount(total, edges, [total - u for u in unmatched])
+
+    def _fill(self, order: Iterable[int]) -> None:
+        """Fill each subset of ``order`` not yet held; a subset's smaller
+        subsets come before it."""
+        memo, adj = self._memo, self._adj
+        for s in order:
+            if s in memo:
+                continue
+            low = s & -s
+            rest = s ^ low
+            best, count = memo[rest]
+            for bit, w, _ in adj[low.bit_length() - 1]:
+                if rest & bit:
+                    got, more = memo[rest ^ bit]
+                    got += w
+                    if got > best:
+                        best, count = got, more
+                    elif got == best:
+                        count += more
+            memo[s] = best, count
 
 
 _UNSEEN = object()
@@ -480,83 +564,6 @@ class ResidualTable:
                     ]
             got = self._choices[key] = [(s, w) for s, w, n in ways if n >= bottom]
         return got
-
-
-def single_use_count(ig: IntegerGame) -> tuple[int, OptimaCount]:
-    """The best scaled single-use weight of ``ig`` and the count of its optima.
-
-    The recursion of :func:`subset_worths` run down from the whole
-    vertex set N, on the subsets it reaches only: removing the lowest
-    vertex, alone or with a neighbour, reaches few of the 2^n subsets
-    (2,583 of 65,536 on K_16, fewer on sparser graphs).  Upward over
-    those, each subset S gets its worth T[S] and the number C[S] of
-    matchings of S reaching it.  Every optimum of N is one path of
-    tight steps from N down to the empty set, so, downward, P[S] counts
-    the tight paths from N to S, and a tight step from S that removes v
-    alone, or v with u, lies on P[S]·C[rest] optima, which leave v
-    unmatched, or use edge uv.  The work depends on the graph, not on
-    how many optima there are.
-    """
-    nv = len(ig.upper)
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(nv)]
-    for t, ((i, j), w) in enumerate(zip(ig.ends, ig.weights)):
-        adj[i].append((1 << j, w, t))
-        adj[j].append((1 << i, w, t))
-    full = (1 << nv) - 1
-    reached = {0}
-    todo = [full]
-    while todo:
-        s = todo.pop()
-        if s not in reached:
-            reached.add(s)
-            low = s & -s
-            rest = s ^ low
-            todo.append(rest)
-            for bit, _, _ in adj[low.bit_length() - 1]:
-                if rest & bit:
-                    todo.append(rest ^ bit)
-    order = sorted(reached)
-    table = {0: 0}
-    counts = {0: 1}
-    for s in order[1:]:
-        low = s & -s
-        rest = s ^ low
-        best = table[rest]
-        count = counts[rest]
-        for bit, w, _ in adj[low.bit_length() - 1]:
-            if rest & bit:
-                other = rest ^ bit
-                got = w + table[other]
-                if got > best:
-                    best = got
-                    count = counts[other]
-                elif got == best:
-                    count += counts[other]
-        table[s] = best
-        counts[s] = count
-    edges = [0] * len(ig.ends)
-    paths = dict.fromkeys(order, 0)
-    paths[full] = 1
-    unmatched = [0] * nv
-    for s in reversed(order[1:]):
-        here = paths[s]
-        if not here:
-            continue
-        low = s & -s
-        rest = s ^ low
-        v = low.bit_length() - 1
-        best = table[s]
-        if table[rest] == best:
-            paths[rest] += here
-            unmatched[v] += here * counts[rest]
-        for bit, w, t in adj[v]:
-            if rest & bit:
-                other = rest ^ bit
-                if w + table[other] == best:
-                    paths[other] += here
-                    edges[t] += here * counts[other]
-    total = counts[full]
-    return table[full], OptimaCount(total, edges, [total - u for u in unmatched])
 
 
 def fractional_optimum(g: GameInstance) -> MatchingVector:

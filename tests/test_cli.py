@@ -149,6 +149,20 @@ def test_seed_option_is_rejected(capsys, game_path, command):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option", [["--cap", "2"], ["--budget", "1"], ["--out", "x.json"]], ids=lambda o: o[0]
+)
+def test_examples_rejects_the_options_it_does_not_read(capsys, tmp_path, monkeypatch, option):
+    # examples runs the battery at the default caps and writes no file, so
+    # --cap, --budget and --out would be accepted and ignored.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["examples", *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("option", ["--cap", "--budget"])
 def test_negative_cap_is_input_error(capsys, game_path, option):
     # A negative cap bounds nothing: it is a bad input (exit 2), not a cap

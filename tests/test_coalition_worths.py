@@ -1,9 +1,9 @@
 """Coalition worths of a session against independent oracles.
 
-``GameAnalysis.coalition_worths`` reads assignment, general and b-uniform
-worths from one subset table and the other b-games' worths from one
-residual-capacity table (``matchings.ResidualTable``).
-Oracles:
+``GameAnalysis.coalition_worths`` reads every worth from the session's
+one table: a ``matchings.SubsetTable`` over the vertex subsets on
+single-use games, a residual-capacity ``matchings.ResidualTable`` on
+the others.  Oracles:
 
 * ``analysis.worth(g, s)``: the full enumeration of the induced subgame;
 * ``worth_oracles.searched_worth``: the worth-only search of each
@@ -12,7 +12,7 @@ Oracles:
   scipy ``linear_sum_assignment`` on assignment games (weights scaled to
   integers), against the subset table itself;
 * the b-uniform identity v_b(S) = b v(S), where v is the assignment game
-  on the same graph.  Certificate: x -> b x maps the bipartite matching
+  on the same graph, against the residual table of b >= 2.  Certificate: x -> b x maps the bipartite matching
   polytope onto {x >= 0, x(delta(q)) <= b, x_e <= b}; the first is
   integral (Birkhoff-von Neumann), so the LP optimum of the second is
   b v(S) and is reached at an integer point.
@@ -30,8 +30,8 @@ from matchcore.games import connected_coalitions, induce_subgame, make_game
 from matchcore.matchings import (
     InfeasibleGameError,
     ResidualTable,
+    SubsetTable,
     integer_game,
-    subset_worths,
 )
 
 from gamegen import (
@@ -129,6 +129,24 @@ def test_residual_table_equals_the_worth_only_search():
     assert infeasible >= 20
 
 
+def single_use(g):
+    """Is every vertex and edge of ``g`` used at most once, with no floor?"""
+    ig = integer_game(g)
+    return set(ig.caps + ig.upper) <= {1} and not any(ig.floors + ig.lower)
+
+
+def test_subset_table_equals_the_worth_only_search():
+    # Every single-use seeded game, b-games with every cap 1 among them,
+    # the grand coalition included.
+    games = [g for g in SEEDED if single_use(g)]
+    for g in games:
+        ig = integer_game(g)
+        table = SubsetTable(ig)
+        for mask in masks(g):
+            assert table.worth(mask) == searched_worth(ig, mask), (g, mask)
+    assert {g.variant for g in games} >= {"assignment", "general-matching", "b-uniform"}
+
+
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_residual_table_processes_the_side_with_fewer_states(mirrored):
     # Four vertices of cap 3 against eight of cap 1.  Processing the four
@@ -151,11 +169,11 @@ def test_residual_table_processes_the_side_with_fewer_states(mirrored):
 def table_against(g, oracle, rng, samples):
     """The table entry of the whole game and of random subsets against ``oracle``."""
     ig = integer_game(g)
-    table = subset_worths(ig)
+    table = SubsetTable(ig)
     full = (1 << len(g.vertices)) - 1
     for mask in [full] + [rng.randrange(1, full) for _ in range(samples)]:
         s = frozenset(q for p, q in enumerate(g.vertices) if mask >> p & 1)
-        assert Fraction(table[mask], ig.scale) == oracle(induce_subgame(g, s))
+        assert Fraction(table.worth(mask), ig.scale) == oracle(induce_subgame(g, s))
 
 
 def large_general(rng, n):

@@ -1,9 +1,10 @@
 """The session's count of optimal matchings against independent oracles.
 
 ``GameAnalysis`` lists no optimum: it counts them, and how many use each
-vertex and edge, by the recursion over the vertex subsets (single-use
-games, whatever the coalition cap) or over residual capacities in the
-session's ``ResidualTable`` (every other game).  The oracles here count
+vertex and edge, in its one table: a ``SubsetTable`` over the vertex
+subsets (single-use games, whatever the coalition cap) or a
+``ResidualTable`` over residual capacities (every other game).  The
+oracles here count
 from the list of ``plain_enumerator.plain_optima`` or of
 ``brute_force_optima``, or use a closed form: (2k-1)!! perfect
 matchings of K_2k, n! of K_n,n, and, with every vertex cap 2, OEIS
@@ -17,16 +18,16 @@ from random import Random
 
 import pytest
 
-from matchcore import analysis, cli
+from matchcore import cli
 from matchcore.analysis import GameAnalysis
 from matchcore.gamefile import render_game
 from matchcore.games import make_game
 from matchcore.matchings import (
     InfeasibleGameError,
     ResidualTable,
+    SubsetTable,
     brute_force_optima,
     integer_game,
-    single_use_count,
 )
 
 from gamegen import random_assignment, random_b_game, random_general, with_vertex_floors
@@ -70,15 +71,15 @@ def single_use(g):
 @pytest.mark.parametrize("cap", [16, 3])
 @pytest.mark.parametrize("index", range(0, len(SEEDED), 16))
 def test_session_counts_the_plain_optima(monkeypatch, index, cap):
-    # The path depends on the game's bounds only: a single-use game is
+    # The table depends on the game's bounds only: a single-use game is
     # counted over its vertex subsets whatever the coalition cap, every
     # other game by its residual table.
     counted = []
-    count = analysis.single_use_count
+    subsets = SubsetTable.count
     monkeypatch.setattr(
-        analysis,
-        "single_use_count",
-        lambda ig: counted.append("single-use") or count(ig),
+        SubsetTable,
+        "count",
+        lambda self: counted.append("single-use") or subsets(self),
     )
     residual = ResidualTable.count
     monkeypatch.setattr(
@@ -113,12 +114,12 @@ def listed_count(g):
 
 
 def test_the_two_counts_agree_on_single_use_games():
-    # The session counts single-use games over their vertex subsets; the
+    # The session counts single-use games in their subset table; the
     # listing search lists them, optimum by optimum.
     games = [g for g in SEEDED if single_use(g)]
     for g in games:
         ig = integer_game(g)
-        best, got = single_use_count(ig)
+        best, got = SubsetTable(ig).count()
         assert (F(best, ig.scale), got.total, got.edges, got.vertices) == listed_count(g), g
     assert len(games) >= 20
 
@@ -160,11 +161,18 @@ def complete_bipartite(n):
     return make_game("assignment", left, right, [(u, v, 1) for u in left for v in right])
 
 
+def table_count(g):
+    """The number of optima of unit-weight single-use ``g`` and its worth,
+    from its subset table."""
+    best, got = SubsetTable(integer_game(g)).count()
+    return got.total, best
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_unit_complete_graph_has_double_factorial_optima(k):
     a = GameAnalysis(complete_graph(2 * k))
     want = prod(range(1, 2 * k, 2))
-    assert (a.optima_count, a.worth) == (want, k)
+    assert (a.optima_count, a.worth) == table_count(complete_graph(2 * k)) == (want, k)
     # Every vertex is matched in every optimum; every edge in some.
     assert set(a.labels[0].values()) == {"essential"}
     assert set(a.labels[1].values()) == ({"essential"} if k == 1 else {"viable"})
@@ -175,7 +183,8 @@ def test_unit_complete_graph_has_double_factorial_optima(k):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_unit_complete_bipartite_graph_has_factorial_optima(n):
     a = GameAnalysis(complete_bipartite(n))
-    assert (a.optima_count, a.worth) == (factorial(n), n)
+    want = (factorial(n), n)
+    assert (a.optima_count, a.worth) == table_count(complete_bipartite(n)) == want
     if n <= 5:  # the listing search agrees
         assert len(brute_force_optima(complete_bipartite(n))[1]) == factorial(n)
 

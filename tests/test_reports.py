@@ -1,11 +1,11 @@
 """Work done by a full report, a core check and meet/join: each fact of
 the game is computed once, and a "no" stops at its witness.
 
-The grand coalition's worth and the count of its optima come from one
-recursion, chosen by the game's bounds; no integer search runs, and no
-command lists the optimal matchings.  Coalition worths come from one
-subset table (assignment, general and b-uniform games) or from one
-residual table, looked up once per coalition (the other b-games).
+Each session builds one table, chosen by the game's bounds: a subset
+table on single-use games, a residual table on the others.  The grand
+coalition's worth and the count of its optima come from one ``count()``
+of it, and each coalition worth from one lookup in it; no integer
+search runs, and no command lists the optimal matchings.
 
 Calls are counted by rebinding a function under every name the package's
 modules hold it by (``from .x import y`` makes copies), so no call path
@@ -34,10 +34,9 @@ from matchcore.games import (
 )
 from matchcore.matchings import (
     ResidualTable,
+    SubsetTable,
     brute_force_optima,
     integer_search,
-    single_use_count,
-    subset_worths,
 )
 from matchcore.rationals import format_rational
 from matchcore.reports import full_report
@@ -70,34 +69,76 @@ def count_calls(monkeypatch, original):
 
 
 def count_recursions(monkeypatch):
-    """Start counting the recursions that give a game's worth; read their
-    kinds by calling the result: "search" for each integer search,
-    "single-use" for each count over the vertex subsets, "residual" for
-    each count of a residual table."""
+    """Start counting the recursions that give a game's worth and the work
+    done in its tables.  Calling the result reads, in order: the kind of
+    each recursion ("search" for an integer search, else the kind of the
+    table counted, "subset" or "residual"), the kind of each table built,
+    and the mask of each ``worth`` lookup, on either table."""
     searched = count_calls(monkeypatch, integer_search)
-    subsets = count_calls(monkeypatch, single_use_count)
-    residual = []
-    count = ResidualTable.count
-    monkeypatch.setattr(
-        ResidualTable, "count", lambda self: residual.append(1) or count(self)
-    )
-    return lambda: (
-        ["search"] * len(searched)
-        + ["single-use"] * len(subsets)
-        + ["residual"] * len(residual)
-    )
+    counted, built, looked_up = [], [], []
+    for table, kind in ((SubsetTable, "subset"), (ResidualTable, "residual")):
+        init, count, lookup = table.__init__, table.count, table.worth
+
+        def logged_init(self, *args, init=init, kind=kind):
+            built.append(kind)
+            init(self, *args)
+
+        def logged_count(self, count=count, kind=kind):
+            counted.append(kind)
+            return count(self)
+
+        def logged_worth(self, mask, lookup=lookup):
+            looked_up.append(mask)
+            return lookup(self, mask)
+
+        monkeypatch.setattr(table, "__init__", logged_init)
+        monkeypatch.setattr(table, "count", logged_count)
+        monkeypatch.setattr(table, "worth", logged_worth)
+    return lambda: (["search"] * len(searched) + counted, list(built), list(looked_up))
 
 
-def grand_recursion(g):
-    """The recursion that counts the optima of ``g`` and gives its worth:
-    over the vertex subsets when every vertex cap is 1 and no floor is
-    set, else in a residual table."""
+def table_kind(g):
+    """The table a session of ``g`` builds: over the vertex subsets when
+    every vertex cap is 1 and no floor is set, else over residual
+    capacities."""
     single = (
         set(g.vertex_upper.values()) == {1}
         and not any(g.vertex_lower.values())
         and not any(g.edge_lower.values())
     )
-    return "single-use" if single else "residual"
+    return "subset" if single else "residual"
+
+
+# The kinds of the recursions that gave the worth (see count_recursions),
+# the kinds of the tables built, the coalitions looked up in a table, in
+# order, and vertex sets whose optima were listed.
+Work = namedtuple("Work", "grand tables looked_up listed")
+
+
+def tables_built(g, built):
+    """The tables a session of ``g`` builds: its one table if anything was
+    read from it (the worth, the count or a coalition worth), else none."""
+    return [table_kind(g)] if built else []
+
+
+def count_work(monkeypatch, g):
+    """Start counting the work done on ``g``; read it by calling the result."""
+    listed = count_calls(monkeypatch, brute_force_optima)
+    recursions = count_recursions(monkeypatch)
+
+    def members(mask):
+        return frozenset(q for p, q in enumerate(g.vertices) if mask >> p & 1)
+
+    def work():
+        grand, built, looked_up = recursions()
+        return Work(
+            grand,
+            built,
+            [members(mask) for mask in looked_up],
+            [frozenset(args[0].vertices) for args in listed],
+        )
+
+    return work
 
 
 def generated_games(kinds, count):
@@ -129,12 +170,10 @@ def _report(g):
 
 @pytest.mark.parametrize("g", PAYMENT_GAMES, ids=lambda g: g.name or g.variant)
 def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
-    # One count over the vertex subsets gives the labels, the optima count
-    # and the worth: the game is neither searched nor listed, and no
-    # table of every subset's worth is built.
-    listed = count_calls(monkeypatch, brute_force_optima)
-    recursions = count_recursions(monkeypatch)
-    tables = count_calls(monkeypatch, subset_worths)
+    # One count of the session's subset table gives the labels, the optima
+    # count and the worth: the game is neither searched nor listed, and no
+    # coalition worth is looked up.
+    work = count_work(monkeypatch, g)
     solves = count_calls(monkeypatch, simplex.solve_lp)
     runs = []
     run = simplex._run
@@ -147,7 +186,7 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
         lambda self, *a: queries.append(1) or optimize(self, *a),
     )
     _report(g)
-    assert (recursions(), len(tables), listed) == (["single-use"], 0, [])
+    assert work() == Work(["subset"], ["subset"], [], [])
     names = sorted(args[0].variables[0][:2] for args in solves)
     assert names == ["x[", "y["]  # one primal and one dual solve
     # Phase 1 and phase 2 once per solve at most; one phase 2 per query.
@@ -167,28 +206,28 @@ def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
     )
     # One count gives the labels, the optima count and the worth: the
     # game is neither searched nor listed.
-    listed = count_calls(monkeypatch, brute_force_optima)
-    recursions = count_recursions(monkeypatch)
-    tables = count_calls(monkeypatch, subset_worths)
-    a = GameAnalysis(load_instance(name))
+    g = load_instance(name)
+    work = count_work(monkeypatch, g)
+    a = GameAnalysis(g)
     a.degeneracy
     a.payments
     a.degeneracy
     assert sorted(priced) == sorted(a.g.vertices)
-    assert (recursions(), len(tables), listed) == (["single-use"], 0, [])
+    assert work() == Work(["subset"], ["subset"], [], [])
 
 
 @pytest.mark.parametrize("g", PAYMENT_GAMES[:8], ids=lambda g: g.name or g.variant)
 def test_labels_and_coalition_worths_build_one_table(monkeypatch, g):
-    # The count reaches only the subsets its recursion needs; the one
-    # table of every subset's worth is built for the coalition worths.
-    counts = count_calls(monkeypatch, single_use_count)
-    tables = count_calls(monkeypatch, subset_worths)
+    # The count fills only the subsets its recursion reaches; the coalition
+    # worths fill the rest of the same table, one lookup per coalition.
+    work = count_work(monkeypatch, g)
     a = GameAnalysis(g)
     a.labels
     a.system
     a.labels
-    assert (len(counts), len(tables)) == (1, 1)
+    done = work()
+    assert (done.grand, done.tables) == (["subset"], ["subset"])
+    assert done.looked_up == [s for s, _ in a.system.inequalities]
 
 
 @pytest.mark.parametrize(
@@ -198,13 +237,58 @@ def test_labels_and_coalition_worths_build_one_table(monkeypatch, g):
     ids=lambda g: g.name or g.variant,
 )
 def test_b_variant_report_enumerates_the_grand_coalition_once(monkeypatch, g):
-    # One recursion gives the labels, the optima count and the worth; the
-    # coalition worths of the system section come from a table.  Nothing
-    # searches the game or lists its optima.
-    listed = count_calls(monkeypatch, brute_force_optima)
-    recursions = count_recursions(monkeypatch)
+    # One count gives the labels, the optima count and the worth; the
+    # coalition worths of the system section are looked up in the same
+    # table.  Nothing searches the game or lists its optima.
+    work = count_work(monkeypatch, g)
     _report(g)
-    assert (recursions(), listed) == ([grand_recursion(g)], [])
+    done = work()
+    assert (done.grand, done.tables, done.listed) == ([table_kind(g)], [table_kind(g)], [])
+
+
+def capped_path(variant, b):
+    """A weighted path u1-v1-u2-v2-u3 with every vertex cap ``b``."""
+    edges = [("u1", "v1", 3), ("u2", "v1", 2), ("u2", "v2", 4), ("u3", "v2", 1)]
+    return make_game(variant, ("u1", "u2", "u3"), ("v1", "v2"), edges, vertex_upper=b)
+
+
+# Every variant, with the bounds where the two tables would part: b-uniform
+# with b = 2 counts in a residual table, and b-constrained and b-general
+# games with every cap 1 are single-use.
+ONE_TABLE_GAMES = generated_games(("assignment", "general-matching", *B_VARIANTS), 6) + [
+    capped_path("b-uniform", 2),
+    capped_path("b-constrained", 1),
+    capped_path("b-general", 1),
+]
+
+
+@pytest.mark.parametrize("ask", ["labels", "system", "membership", "degeneracy"])
+@pytest.mark.parametrize(
+    "g", ONE_TABLE_GAMES, ids=lambda g: f"{g.variant}-{max(g.vertex_upper.values())}"
+)
+def test_every_session_builds_one_table_and_counts_once(monkeypatch, g, ask):
+    # The bounds pick the table once; the worth, the count, the labels and
+    # every coalition worth are read from it, whatever is asked.
+    inside = dual_imputation(g)
+    outside = shifted_imputation(g, inside)
+    work = count_work(monkeypatch, g)
+    a = GameAnalysis(g)
+    if ask == "membership":
+        a.membership(inside)
+        a.membership(outside)
+    else:
+        getattr(a, ask)
+        a.labels
+        a.worth
+    done = work()
+    assert (done.grand, done.tables, done.listed) == ([table_kind(g)], [table_kind(g)], [])
+    assert len(set(done.looked_up)) == len(done.looked_up)
+
+
+def test_one_table_games_part_where_the_variant_does_not_decide():
+    kinds = {(g.variant, table_kind(g)) for g in ONE_TABLE_GAMES}
+    assert {("b-uniform", "residual"), ("b-constrained", "subset"), ("b-general", "subset")} <= kinds
+    assert {g.variant for g in ONE_TABLE_GAMES} == {"assignment", "general-matching", *B_VARIANTS}
 
 
 @pytest.mark.parametrize(
@@ -231,48 +315,6 @@ VARIANTS = ("assignment", "general-matching", *B_VARIANTS)
 CHECK_GAMES = [g for g in generated_games(VARIANTS, 24) if len(g.edges) >= 2]
 
 
-# The kinds of the recursions that gave the worth (see count_recursions),
-# the kinds of the tables built ("subset" or "residual", sorted), the
-# coalitions looked up in a residual table, in order, and vertex sets
-# whose optima were listed.
-Work = namedtuple("Work", "grand tables looked_up listed")
-
-
-def tables_built(g, grand, scanned):
-    """The tables a session of ``g`` builds, sorted: the residual table
-    that counts a game which is not single-use, if the worth is read,
-    and the coalition table, if the coalitions are scanned."""
-    kinds = {"residual"} if grand and grand_recursion(g) == "residual" else set()
-    if scanned:
-        kinds.add("subset" if g.variant in analysis.TABLE_VARIANTS else "residual")
-    return sorted(kinds)
-
-
-def count_work(monkeypatch, g):
-    """Start counting the work done on ``g``; read it by calling the result."""
-    listed = count_calls(monkeypatch, brute_force_optima)
-    grand = count_recursions(monkeypatch)
-    subset = count_calls(monkeypatch, subset_worths)
-    looked_up = []
-    lookup = ResidualTable.worth
-    monkeypatch.setattr(
-        ResidualTable,
-        "worth",
-        lambda self, mask: looked_up.append(mask) or lookup(self, mask),
-    )
-    build = count_calls(monkeypatch, ResidualTable)
-
-    def members(mask):
-        return frozenset(q for p, q in enumerate(g.vertices) if mask >> p & 1)
-
-    return lambda: Work(
-        grand(),
-        sorted(["subset"] * len(subset) + ["residual"] * len(build)),
-        [members(mask) for mask in looked_up],
-        [frozenset(args[0].vertices) for args in listed],
-    )
-
-
 def cli_check(monkeypatch, capsys, tmp_path, g, imp):
     """``matchcore check`` on ``g``: exit code, witness, work done."""
     work = count_work(monkeypatch, g)
@@ -289,19 +331,18 @@ def cli_check(monkeypatch, capsys, tmp_path, g, imp):
 def test_check_enumerates_the_grand_coalition_once(monkeypatch, capsys, tmp_path, g):
     code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code in (0, 1)
-    assert (work.grand, work.listed) == ([grand_recursion(g)], [])
+    assert (work.grand, work.listed) == ([table_kind(g)], [])
 
 
 @pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
 def test_certified_yes_computes_no_coalition_worth(monkeypatch, capsys, tmp_path, g):
     # No edge floors here, so the core points read off an optimal dual are
-    # certified by it: "yes" builds no coalition table, looks up no
-    # coalition and runs no search; only the table that gives the worth
-    # of a game that is not single-use is built.  Only a general game
-    # with an empty core answers "no" (a wrong total).
+    # certified by it: "yes" looks up no coalition and runs no search; the
+    # one table is built for the worth.  Only a general game with an empty
+    # core answers "no" (a wrong total).
     code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code == (0 if GameAnalysis(g).concurrency.concurrent else 1)
-    assert work == Work([grand_recursion(g)], tables_built(g, True, False), [], [])
+    assert work == Work([table_kind(g)], tables_built(g, True), [], [])
 
 
 @pytest.mark.parametrize("how", ["shifted", "negative", "total"])
@@ -323,16 +364,11 @@ def test_no_answer_enumerates_nothing_after_its_witness(
     # A negative entry is answered before the grand worth, a wrong total
     # before any coalition.
     prefix = proper[: proper.index(witness) + 1] if how == "shifted" else []
-    assert work.grand == ([] if how == "negative" else [grand_recursion(g)])
+    assert work.grand == ([] if how == "negative" else [table_kind(g)])
     assert work.listed == []
-    tables = tables_built(g, how != "negative", bool(prefix))
-    if g.variant in analysis.TABLE_VARIANTS:
-        # One subset table per session holds every worth.
-        assert (work.tables, work.looked_up) == (tables, [])
-    else:
-        # One residual table per session, looked up once per coalition,
-        # in order, up to the witness and no further.
-        assert (work.tables, work.looked_up) == (tables, prefix)
+    # One table per session, on every variant, looked up once per
+    # coalition, in order, up to the witness and no further.
+    assert (work.tables, work.looked_up) == (tables_built(g, how != "negative"), prefix)
 
 
 def meet_join_inputs():
@@ -357,8 +393,8 @@ def test_meet_join_enumerates_each_coalition_at_most_once(monkeypatch, g, p, q):
     work = count_work(monkeypatch, g)
     analysis.meet_join(GameAnalysis(g), p, q)
     done = work()
-    assert done.grand == [grand_recursion(g)] and done.listed == []
-    assert done.tables in (tables_built(g, True, False), tables_built(g, True, True))
+    assert done.grand == [table_kind(g)] and done.listed == []
+    assert done.tables == tables_built(g, True)
     assert len(set(done.looked_up)) == len(done.looked_up)
 
 

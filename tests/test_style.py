@@ -136,6 +136,31 @@ def test_the_session_runs_no_search_of_its_own():
     assert found == []
 
 
+def test_the_table_is_picked_by_the_bounds_alone():
+    # The session's one table is chosen from the game's bounds, once, in
+    # _table; the count and the coalition worths read that table.  A
+    # ``.variant`` read in any of the three would let a variant pick a
+    # second table for the same game.
+    tree = ast.parse((SRC / "analysis.py").read_text())
+    (session,) = [
+        top for top in tree.body
+        if isinstance(top, ast.ClassDef) and top.name == "GameAnalysis"
+    ]
+    methods = {
+        node.name: node for node in session.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_table", "_optima", "_coalition_worth")
+    }
+    assert sorted(methods) == ["_coalition_worth", "_optima", "_table"]
+    found = [
+        f"analysis.py:{node.lineno} in {name}"
+        for name, method in methods.items()
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and node.attr == "variant"
+    ]
+    assert found == []
+
+
 def test_dual_image_rows_come_from_the_dual_lp():
     # in_dual_image reads its cover rows and profit coefficients from
     # gamelp.build_dual_lp, and which end each column credits from
