@@ -8,12 +8,12 @@ maximizing a secondary linear objective over the face.  One exact LP
 answers each question; no sampling of imputations is involved.
 
 A :class:`GameAnalysis` session computes each fact of one game at most
-once, and reads the combinatorial ones from one table, chosen once by
-the game's bounds: the grand coalition's worth with the count of its
-optimal matchings (it lists none, and no integer search runs), and one
-worth per connected coalition (see :meth:`GameAnalysis.coalition_worths`),
-from which come both the core system and the "no" answers of the one
-core-membership test; its "yes" answers come from a dual certificate
+once, and reads the combinatorial ones from one residual-capacity
+table, the same on every variant: the grand coalition's worth with the
+count of its optimal matchings (it lists none, and no integer search
+runs), and one worth per connected coalition (see
+:meth:`GameAnalysis.coalition_worths`), from which come both the core
+system and the "no" answers of the one core-membership test; its "yes" answers come from a dual certificate
 (see :meth:`GameAnalysis.membership`).  Beside the table it runs one
 primal solve and one dual solve, whose final tableau answers every face
 question by a warm phase 2 (see :class:`~matchcore.simplex.OptimalTableau`).
@@ -62,7 +62,6 @@ from .matchings import (
     OptimaCount,
     ResidualTable,
     SolverInvariantError,
-    SubsetTable,
     brute_force_optima,
     fractional_optimum,
     integer_game,
@@ -222,15 +221,10 @@ class GameAnalysis:
         self._worths: list[Fraction | None] = []
 
     @cached_property
-    def _table(self) -> SubsetTable | ResidualTable:
-        """The session's one table: over the vertex subsets on single-use
-        games (every cap 1, no floor), else over residual capacities (all
-        such games are bipartite).  It gives the worth, the count and every
-        coalition worth."""
-        ig = self._integer_game
-        if set(ig.caps + ig.upper) <= {1} and not any(ig.floors + ig.lower):
-            return SubsetTable(ig)
-        return ResidualTable(ig, len(self.g.left))
+    def _table(self) -> ResidualTable:
+        """The session's one table, over residual capacities: it gives the
+        worth, the count and every coalition worth."""
+        return ResidualTable(self._integer_game, len(self.g.left))
 
     @cached_property
     def _optima(self) -> tuple[int, OptimaCount] | None:
@@ -272,8 +266,8 @@ class GameAnalysis:
         return integer_game(self.g)
 
     @cached_property
-    def _bits(self) -> dict[str, int]:
-        return {q: 1 << p for p, q in enumerate(self.g.vertices)}
+    def _start(self) -> dict[str, int]:
+        return {q: x for q, x in zip(self.g.vertices, self._table.start)}
 
     def coalition_worths(self) -> Iterator[tuple[Coalition, Fraction | None]]:
         """Each connected proper coalition with its worth, lexicographically.
@@ -283,13 +277,10 @@ class GameAnalysis:
         first: no coalition's multiplicity budget exceeds the game's, so
         its ``budget_cap`` check covers them all.  Each coalition is
         looked up once in the table that gave the grand worth (see
-        :attr:`_table`).  A single-use game's
-        :class:`~matchcore.matchings.SubsetTable` fills all 2^n vertex
-        subsets at the first lookup, and ``cap`` bounds n; any other
-        game's :class:`~matchcore.matchings.ResidualTable` fills the
-        states the coalitions reach, which they share, at most
-        2^|P|·Π_{q in Q}(b_q + 1) for the cheaper side P, so ``cap`` and
-        ``budget_cap`` bound its work too.
+        :attr:`_table`), which fills the states the coalitions reach and
+        share: at most 2^n on a single-use game, so ``cap`` bounds it,
+        and 2^|P|·Π_{q in Q}(b_q + 1) for the cheaper side P of a
+        bipartite b-game, so ``cap`` and ``budget_cap`` bound it.
         """
         self.worth
         worths = self._worths
@@ -299,8 +290,8 @@ class GameAnalysis:
             yield s, worths[i]
 
     def _coalition_worth(self, s: Coalition) -> Fraction | None:
-        bits = self._bits
-        best = self._table.worth(sum([bits[q] for q in s]))
+        start = self._start
+        best = self._table.worth(sum([start[q] for q in s]))
         return None if best is None else Fraction(best, self._integer_game.scale)
 
     @cached_property

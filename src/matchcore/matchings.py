@@ -6,16 +6,14 @@ and is kept, with the worth-only :func:`integer_search`, as the ground
 truth that the tables below are checked against; the session runs
 neither.  A game's worth, the count of its optimal matchings, with how
 many of them use each vertex and edge (all the essential/viable/subpar
-classification needs), and every coalition worth come from one table
-chosen by the game's bounds: a :class:`SubsetTable` on single-use
-games, a :class:`ResidualTable` on the others, which are all bipartite
-b-games.  Both fill on demand and answer ``count()`` and
-``worth(mask)``.
+classification needs), and every coalition worth come from one
+:class:`ResidualTable` on all six variants, each a b-general game with
+particular bounds.  It fills on demand and answers ``count()`` and
+``worth(state)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -283,183 +281,88 @@ def integer_search(
     return None if best is None else best - slack
 
 
-class SubsetTable:
-    """Scaled single-use worth of every vertex subset, filled on demand,
-    and the count of the whole game's optima.
-
-    Each vertex is matched at most once and each edge used at most once,
-    whatever ``ig``'s caps say.  The lowest vertex v of a subset S is
-    either unmatched or matched to one neighbour u in S:
-    v(S) = max(v(S - v), max over u of w_uv + v(S - v - u)), exact on
-    any simple graph, bipartite or not.  One dict keeps, for each subset
-    filled, its worth T[S] and the number C[S] of its optimal matchings.
-    :meth:`count` fills only the subsets reached down from the whole
-    vertex set N: removing the lowest vertex, alone or with a neighbour,
-    reaches few of the 2^n subsets (2,583 of 65,536 on K_16, fewer on
-    sparser graphs).  The first :meth:`worth` fills the rest, upward
-    over the bitmasks, so a coalition cap on the game's vertices bounds
-    it.  The interface is :class:`ResidualTable`'s.
-    """
-
-    def __init__(self, ig: IntegerGame):
-        self._adj: list[list[tuple[int, int, int]]] = [[] for _ in ig.upper]
-        for t, ((i, j), w) in enumerate(zip(ig.ends, ig.weights)):
-            self._adj[i].append((1 << j, w, t))
-            self._adj[j].append((1 << i, w, t))
-        self._edges = len(ig.ends)
-        self._memo: dict[int, tuple[int, int]] = {0: (0, 1)}
-        self._complete = False
-
-    @property
-    def states(self) -> int:
-        """How many subsets the table holds."""
-        return len(self._memo)
-
-    def worth(self, mask: int) -> int:
-        """The best scaled single-use weight inside the vertices set in
-        ``mask`` (positions of the :class:`IntegerGame`)."""
-        if not self._complete:
-            self._fill(range(1, 1 << len(self._adj)))
-            self._complete = True
-        return self._memo[mask][0]
-
-    def count(self) -> tuple[int, OptimaCount]:
-        """The whole game's best scaled weight and the count of its optima.
-
-        Every optimum of N is one path of tight steps from N down to the
-        empty set, so, downward, P[S] counts the tight paths from N to S,
-        and a tight step from S that removes v alone, or v with u, lies
-        on P[S]·C[rest] optima, which leave v unmatched, or use edge uv.
-        The work depends on the graph, not on how many optima there are.
-        """
-        adj = self._adj
-        full = (1 << len(adj)) - 1
-        reached = {0}
-        todo = [full]
-        while todo:
-            s = todo.pop()
-            if s not in reached:
-                reached.add(s)
-                low = s & -s
-                rest = s ^ low
-                todo.append(rest)
-                for bit, _, _ in adj[low.bit_length() - 1]:
-                    if rest & bit:
-                        todo.append(rest ^ bit)
-        order = sorted(reached)
-        self._fill(order)
-        memo = self._memo
-        edges = [0] * self._edges
-        paths = dict.fromkeys(order, 0)
-        paths[full] = 1
-        unmatched = [0] * len(adj)
-        for s in reversed(order[1:]):
-            here = paths[s]
-            if not here:
-                continue
-            low = s & -s
-            rest = s ^ low
-            v = low.bit_length() - 1
-            best = memo[s][0]
-            worth, count = memo[rest]
-            if worth == best:
-                paths[rest] += here
-                unmatched[v] += here * count
-            for bit, w, t in adj[v]:
-                if rest & bit:
-                    other = rest ^ bit
-                    worth, count = memo[other]
-                    if w + worth == best:
-                        paths[other] += here
-                        edges[t] += here * count
-        best, total = memo[full]
-        return best, OptimaCount(total, edges, [total - u for u in unmatched])
-
-    def _fill(self, order: Iterable[int]) -> None:
-        """Fill each subset of ``order`` not yet held; a subset's smaller
-        subsets come before it."""
-        memo, adj = self._memo, self._adj
-        for s in order:
-            if s in memo:
-                continue
-            low = s & -s
-            rest = s ^ low
-            best, count = memo[rest]
-            for bit, w, _ in adj[low.bit_length() - 1]:
-                if rest & bit:
-                    got, more = memo[rest ^ bit]
-                    got += w
-                    if got > best:
-                        best, count = got, more
-                    elif got == best:
-                        count += more
-            memo[s] = best, count
-
-
 _UNSEEN = object()
 
 
 class ResidualTable:
-    """Scaled worth of every coalition of a bipartite game, filled on demand,
-    and the count of the whole game's optima.
+    """Scaled worth of every coalition, filled on demand, and the count of
+    the whole game's optima.
 
-    One side P is processed vertex by vertex, lowest first; the other
-    side Q keeps the residual capacity r_v of each of its vertices.  The
-    lowest vertex u still to be processed chooses all its uses x of its
-    edges into the coalition's part of Q at once, each within the edge's
-    floor and cap, their total within u's floor and cap, and leaves:
-    F(P', r) = max over x <= r of w.x + F(P' - u, r - x).  With P' empty
-    a state is feasible when every v of Q meets its floor,
-    r_v <= b_v - lo_v; an infeasible state is None.  Each state keeps
-    F and the number C of its optimal completions.  Coalition S starts
-    at (S ∩ P, b on S ∩ Q), so coalitions share their subproblems, and
-    every state reached is kept.  P is the side that minimizes
+    The vertices are processed in one order, each keeping its residual
+    capacity r_v.  The lowest vertex u with capacity left and an edge to
+    a later vertex chooses all its uses x of those edges at once, each
+    within the edge's floor and cap, their total within r_u and what u's
+    floor still asks, and leaves: F(r) = max over x of w.x + F(r'), where
+    r' takes x off the later ends and r_u off u.  A vertex with no later
+    neighbour is checked only at the leaf, where every vertex must meet
+    its floor, r_v <= b_v - lo_v; an infeasible state is None.  Each
+    state keeps F and the number C of its optimal completions.
+    Coalition S starts at r = b on S and 0 elsewhere, so coalitions share
+    their subproblems, and every state reached is kept.
+
+    A bipartite game puts first the side P that minimizes
     2^|P| · Π_{q in Q} (b_q + 1), which bounds the number of states (by
-    2^|Q| more where an edge floor is positive).
+    2^|Q| more where an edge floor is positive): P's vertices receive no
+    use before their turn, so each holds b_u or 0 then, and every edge
+    floor is applied at its P end's turn.  A general game keeps its
+    declared order, as the same rule gives (its left side is empty).  Its
+    caps are all 1, so a state is the set of vertices still unmatched:
+    the lowest vertex of S is left alone or matched to a neighbour in S,
+    v(S) = max(v(S - v), max over u of w_uv + v(S - v - u)).
 
-    A state is one int: a bit per vertex of P' lowest, then a field per
-    vertex of Q holding r_v under a guard bit, then, where some edge
-    floor is positive, the members of S ∩ Q (an edge to a non-member is
-    not in S, so its floor does not bind).  A choice x is subtracted
-    with u's bit in one step, and x <= r exactly when every guard bit is
-    still set.  The recursion is a method, not a closure that calls
-    itself, so a table leaves no reference cycle behind.
+    A state is one int: a field per vertex, in processing order, holding
+    r_v under a guard bit, then the members of S among the later ends of
+    edges with a positive floor (an edge to a non-member is not in S, so
+    its floor does not bind).  A choice is subtracted in one step, and it
+    fits exactly when every guard bit is still set.  A vertex's choices
+    are cached under its own field and those member bits, all of the
+    state they depend on.  The recursion is a method, not a closure that
+    calls itself, so a table leaves no reference cycle behind.
     """
 
     def __init__(self, ig: IntegerGame, nleft: int):
         ends, weights, caps, floors, upper, lower, _ = ig
-        left, right = range(nleft), range(nleft, len(upper))
-
-        def states(p, q):
-            return (1 << len(p)) * prod([upper[v] + 1 for v in q])
-
-        side, other = left, right
-        if states(right, left) < states(left, right):
-            side, other = right, left
-        width = max([upper[v] for v in other], default=0).bit_length() + 1
-        at = {v: len(side) + f * width for f, v in enumerate(other)}
-        top = len(side) + len(other) * width
-        self._field = (1 << width - 1) - 1
-        self._q_caps = [(v, at[v], upper[v]) for v in other]
-        self._todo = (1 << len(side)) - 1
-        self._guards = sum([1 << (s + width - 1) for s in at.values()])
-        self._fields = (1 << top) - 1 - self._todo
-        self._spare = self._guards + sum([(upper[v] - lower[v]) << at[v] for v in other])
-        self._members = top if any(floors) else None
+        n = len(upper)
+        width = max(upper, default=0).bit_length() + 1
+        field = (1 << width - 1) - 1
+        top = n * width
+        # Where each vertex's field starts: the left side first, unless the
+        # right side's bound 2^|P|·Π_Q (b_q + 1) on the states is smaller.
+        order, at = [*range(n)], [*range(0, top, width)]
+        left = prod([b + 1 for b in upper[:nleft]])
+        right = prod([b + 1 for b in upper[nleft:]])
+        if left << n - nleft < right << nleft:
+            order = order[nleft:] + order[:nleft]
+            split = (n - nleft) * width
+            at = [*range(split, top, width), *range(0, split, width)]
+        # Per rank: its edges to later vertices, as (edge, the later end's
+        # field offset, floor, cap, weight, member bit if floored), and the
+        # key its choices are cached under: its own field and the member
+        # bits of those edges.
+        later: list[list[tuple[int, int, int, int, int, int]]] = [[] for _ in at]
+        keys = [field << x for x in range(0, top, width)]
+        member: dict[int, int] = {}
+        for t, ((i, j), f, c, w) in enumerate(zip(ends, floors, caps, weights)):
+            if at[i] > at[j]:
+                i, j = j, i
+            k = at[i] // width
+            bit = 0
+            if f:
+                bit = member.setdefault(j, 1 << top + len(member))
+                keys[k] |= bit
+            later[k].append((t, at[j], f, c, w, bit))
+        self._order, self._upper, self._lower = order, upper, lower
+        self._later, self._keys = later, keys
+        self._width, self._field = width, field
+        # The top bit of every field: the sum of 2^(k·width + width - 1).
+        self._guards = guards = ((1 << top) - 1) // ((1 << width) - 1) << width - 1
+        # Every guard stays set in this less a leaf state when each
+        # r_v <= b_v - lo_v (the member bits above the fields borrow no guard).
+        self._slack = 2 * guards + sum([b - lo << x for b, lo, x in zip(upper, lower, at)])
+        self._active = sum([field << x for x, out in zip(range(0, top, width), later) if out])
         # What each vertex adds to the state a coalition holding it starts at.
-        self._start = [0] * len(upper)
-        for k, u in enumerate(side):
-            self._start[u] = 1 << k
-        for f, v in enumerate(other):
-            self._start[v] = upper[v] << at[v]
-            if self._members is not None:
-                self._start[v] |= 1 << (self._members + f)
-        self._bounds = [(u, lower[u], upper[u]) for u in side]
-        self._edges: list[list[tuple[int, int, int, int, int, int]]] = [[] for _ in side]
-        for t, ((i, j), w, c, f) in enumerate(zip(ends, weights, caps, floors)):
-            u, v = (i, j) if i in side else (j, i)
-            self._edges[u - side.start].append((t, v - other.start, at[v], f, c, w))
-        self._choices: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.start = [b << x | member.get(v, 0) for v, (b, x) in enumerate(zip(upper, at))]
+        self._choices: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
         self._memo: dict[int, tuple[int, int] | None] = {}
 
     @property
@@ -467,102 +370,116 @@ class ResidualTable:
         """How many states the table holds."""
         return len(self._memo)
 
-    def worth(self, mask: int) -> int | None:
-        """The best scaled weight inside the vertices set in ``mask``
-        (positions of the :class:`IntegerGame`), or None if their floors
-        admit no matching."""
-        state = self._guards
-        while mask:
-            low = mask & -mask
-            state += self._start[low.bit_length() - 1]
-            mask ^= low
-        got = self._best(state)
+    def worth(self, state: int) -> int | None:
+        """The best scaled weight of the coalition whose members' ``start``
+        entries sum to ``state``, or None if their floors admit no matching."""
+        got = self._best(self._guards + state)
         return None if got is None else got[0]
 
     def count(self) -> tuple[int, OptimaCount] | None:
         """The whole game's best scaled weight and the count of its optima (None
         if floors admit no matching), by one downward pass in descending state
         order, which is topological: each choice takes a positive step off the
-        state.  P[s] counts the tight paths from the whole game to s; a tight
+        state.  P[s] counts the tight paths from the whole game to s.  A tight
         choice x of u from s to s' lies on P[s]·C[s'] optima, which use each
-        edge with x_e > 0, and u if Σx > 0; the P[s] optima ending at leaf s
-        use each v of Q whose field there is below b_v."""
-        full = self._guards + sum(self._start)
-        top = self._best(full)
-        if top is None:
+        edge with x_e > 0, and leave u unused if it held b_u and Σx = 0; the
+        P[s] optima ending at leaf s leave unused each vertex with no later
+        neighbour that still holds its cap."""
+        full = self._guards + sum(self.start)
+        if self._best(full) is None:
             return None
-        memo, guards, field = self._memo, self._guards, self._field
-        edges = [0] * sum(map(len, self._edges))
-        vertices = [0] * len(self._start)
+        memo, guards, field, width = self._memo, self._guards, self._field, self._width
+        order, upper, later = self._order, self._upper, self._later
+        idle = [(u, k * width) for k, (u, out) in enumerate(zip(order, later)) if not out]
+        edges = [0] * sum(map(len, later))
+        unused = [0] * len(upper)
         paths = {full: 1}
         for s in sorted(memo, reverse=True):
             here = paths.get(s)
             if not here:
                 continue
-            if not s & self._todo:
-                for v, at, cap in self._q_caps:
-                    if s >> at & field < cap:
-                        vertices[v] += here
+            todo = s & self._active
+            if not todo:
+                for v, at in idle:
+                    if s >> at & field == upper[v]:
+                        unused[v] += here
                 continue
-            low = s & -s  # the todo bits are the lowest
-            k = low.bit_length() - 1
+            k = ((todo & -todo).bit_length() - 1) // width
+            u = order[k]
+            whole = s >> k * width & field == upper[u]
             best = memo[s][0]
-            for step, w in self._choices_of(low, s):
+            key = s & self._keys[k]
+            for step, w, used in self._choices[key]:
                 nxt = s - step
                 sub = memo[nxt] if nxt & guards == guards else None
                 if sub is not None and w + sub[0] == best:
                     paths[nxt] = paths.get(nxt, 0) + here
                     through = here * sub[1]
-                    if step != low:
-                        vertices[self._bounds[k][0]] += through
-                    for t, _, at, *_ in self._edges[k]:
-                        if step >> at & field:
-                            edges[t] += through
-        return top[0], OptimaCount(top[1], edges, vertices)
+                    if not used and whole:
+                        unused[u] += through
+                    for t in used:
+                        edges[t] += through
+        best, total = memo[full]
+        return best, OptimaCount(total, edges, [total - n for n in unused])
 
     def _best(self, state: int) -> tuple[int, int] | None:
-        got = self._memo.get(state, _UNSEEN)
+        memo = self._memo
+        got = memo.get(state, _UNSEEN)
         if got is not _UNSEEN:
             return got
-        todo = state & self._todo
         guards = self._guards
-        got = None
+        todo = state & self._active
         if not todo:
-            left = (state & self._fields) - guards
-            if (self._spare - left) & guards == guards:
-                got = (0, 1)
+            feasible = (self._slack - state) & guards == guards
+            got = (0, 1) if feasible else None
         else:
-            for step, w in self._choices_of(todo & -todo, state):
+            k = ((todo & -todo).bit_length() - 1) // self._width
+            key = state & self._keys[k]
+            choices = self._choices.get(key)
+            if choices is None:
+                choices = self._choose(k, key)
+            best, count = -1, 0
+            for step, w, _ in choices:
                 nxt = state - step
                 if nxt & guards == guards:
-                    sub = self._best(nxt)
+                    sub = memo.get(nxt, _UNSEEN)
+                    if sub is _UNSEEN:
+                        sub = self._best(nxt)
                     if sub is not None:
                         w += sub[0]
-                        if got is None or w > got[0]:
-                            got = (w, sub[1])
-                        elif w == got[0]:
-                            got = (w, got[1] + sub[1])
-        self._memo[state] = got
+                        if w > best:
+                            best, count = w, sub[1]
+                        elif w == best:
+                            count += sub[1]
+            got = None if best < 0 else (best, count)
+        memo[state] = got
         return got
 
-    def _choices_of(self, low: int, state: int) -> list[tuple[int, int]]:
-        """Every use of its edges by the vertex of bit ``low``, as the step
-        it takes off a state and its weight, within the bounds."""
-        members = -1 if self._members is None else state >> self._members
-        key = (low, members)
-        got = self._choices.get(key)
-        if got is None:
-            k = low.bit_length() - 1
-            _, bottom, top = self._bounds[k]
-            ways = [(low, 0, 0)]  # (step, weight, total use)
-            for _, f, at, floor, cap, w in self._edges[k]:
-                if members >> f & 1:
-                    ways = [
-                        (step + (m << at), weight + m * w, n + m)
-                        for step, weight, n in ways
-                        for m in range(floor, min(cap, top - n) + 1)
-                    ]
-            got = self._choices[key] = [(s, w) for s, w, n in ways if n >= bottom]
+    def _choose(self, k: int, key: int) -> list[tuple[int, int, tuple[int, ...]]]:
+        """Every use of its edges to later vertices by the vertex of rank
+        ``k``, within the bounds, given its own field and the member bits in
+        ``key``: the step it takes off a state, its weight and the edges it
+        uses."""
+        at = k * self._width
+        r = key >> at & self._field
+        u = self._order[k]
+        least = r - self._upper[u] + self._lower[u]
+        ways = [(r << at, 0, 0, ())]  # (step, weight, total use, edges used)
+        for t, to, floor, cap, w, bit in self._later[k]:
+            if bit and not key & bit:
+                continue
+            edge = (t,)
+            more = [
+                (step + (m << to), weight + m * w, n + m, used + edge)
+                for step, weight, n, used in ways
+                if n < r
+                for m in range(floor or 1, min(cap, r - n) + 1)
+            ]
+            if floor:
+                ways = more
+            else:
+                ways += more
+        got = self._choices[key] = [(s, w, used) for s, w, n, used in ways if n >= least]
         return got
 
 

@@ -1,19 +1,20 @@
 """Coalition worths of a session against independent oracles.
 
 ``GameAnalysis.coalition_worths`` reads every worth from the session's
-one table: a ``matchings.SubsetTable`` over the vertex subsets on
-single-use games, a residual-capacity ``matchings.ResidualTable`` on
-the others.  Oracles:
+one table, the residual-capacity ``matchings.ResidualTable``, on all
+six variants; on single-use games its states are vertex subsets.
+Oracles:
 
 * ``analysis.worth(g, s)``: the full enumeration of the induced subgame;
 * ``worth_oracles.searched_worth``: the worth-only search of each
   coalition's own subgame, None answers included;
 * networkx ``max_weight_matching`` on general games of 12-16 vertices and
   scipy ``linear_sum_assignment`` on assignment games (weights scaled to
-  integers), against the subset table itself;
+  integers), against the table itself;
 * the b-uniform identity v_b(S) = b v(S), where v is the assignment game
-  on the same graph, against the residual table of b >= 2.  Certificate: x -> b x maps the bipartite matching
-  polytope onto {x >= 0, x(delta(q)) <= b, x_e <= b}; the first is
+  on the same graph, against the table of b >= 2.  Certificate: x -> b x
+  maps the bipartite matching polytope onto
+  {x >= 0, x(delta(q)) <= b, x_e <= b}; the first is
   integral (Birkhoff-von Neumann), so the LP optimum of the second is
   b v(S) and is reached at an integer point.
 """
@@ -30,7 +31,6 @@ from matchcore.games import connected_coalitions, induce_subgame, make_game
 from matchcore.matchings import (
     InfeasibleGameError,
     ResidualTable,
-    SubsetTable,
     integer_game,
 )
 
@@ -97,6 +97,11 @@ def masks(g):
     return [sum([1 << pos[q] for q in s]) for s in coalitions]
 
 
+def table_worth(table, mask):
+    """The table's worth of the vertices set in ``mask``."""
+    return table.worth(sum([x for p, x in enumerate(table.start) if mask >> p & 1]))
+
+
 def test_every_coalition_worth_equals_the_worth_only_search():
     # All six variants, with vertex and edge floors: the session's table
     # reads against a search of each coalition's own subgame.
@@ -124,7 +129,7 @@ def test_residual_table_equals_the_worth_only_search():
         table = ResidualTable(ig, len(g.left))
         for mask in masks(g):
             want = searched_worth(ig, mask)
-            assert table.worth(mask) == want, (g, mask)
+            assert table_worth(table, mask) == want, (g, mask)
             infeasible += want is None
     assert infeasible >= 20
 
@@ -136,14 +141,15 @@ def single_use(g):
 
 
 def test_subset_table_equals_the_worth_only_search():
-    # Every single-use seeded game, b-games with every cap 1 among them,
-    # the grand coalition included.
+    # Every single-use seeded game, general games and b-games with every
+    # cap 1 among them, the grand coalition included: the table's states
+    # are vertex subsets here.
     games = [g for g in SEEDED if single_use(g)]
     for g in games:
         ig = integer_game(g)
-        table = SubsetTable(ig)
+        table = ResidualTable(ig, len(g.left))
         for mask in masks(g):
-            assert table.worth(mask) == searched_worth(ig, mask), (g, mask)
+            assert table_worth(table, mask) == searched_worth(ig, mask), (g, mask)
     assert {g.variant for g in games} >= {"assignment", "general-matching", "b-uniform"}
 
 
@@ -162,18 +168,19 @@ def test_residual_table_processes_the_side_with_fewer_states(mirrored):
     ig = integer_game(g)
     table = ResidualTable(ig, len(g.left))
     for mask in masks(g):
-        assert table.worth(mask) == searched_worth(ig, mask)
+        assert table_worth(table, mask) == searched_worth(ig, mask)
     assert table.states <= 4096
 
 
 def table_against(g, oracle, rng, samples):
     """The table entry of the whole game and of random subsets against ``oracle``."""
     ig = integer_game(g)
-    table = SubsetTable(ig)
+    table = ResidualTable(ig, len(g.left))
     full = (1 << len(g.vertices)) - 1
     for mask in [full] + [rng.randrange(1, full) for _ in range(samples)]:
         s = frozenset(q for p, q in enumerate(g.vertices) if mask >> p & 1)
-        assert Fraction(table.worth(mask), ig.scale) == oracle(induce_subgame(g, s))
+        got = Fraction(table_worth(table, mask), ig.scale)
+        assert got == oracle(induce_subgame(g, s))
 
 
 def large_general(rng, n):

@@ -1,14 +1,14 @@
 """The session's count of optimal matchings against independent oracles.
 
 ``GameAnalysis`` lists no optimum: it counts them, and how many use each
-vertex and edge, in its one table: a ``SubsetTable`` over the vertex
-subsets (single-use games, whatever the coalition cap) or a
-``ResidualTable`` over residual capacities (every other game).  The
-oracles here count
-from the list of ``plain_enumerator.plain_optima`` or of
-``brute_force_optima``, or use a closed form: (2k-1)!! perfect
+vertex and edge, in its one table, the residual-capacity
+``ResidualTable``, on every game, whatever the coalition cap.  The
+oracles here count from the list of ``plain_enumerator.plain_optima`` or
+of ``brute_force_optima``, or use a closed form: (2k-1)!! perfect
 matchings of K_2k, n! of K_n,n, and, with every vertex cap 2, OEIS
-A001499 (b-constrained) and A000681 (b-unconstrained) on K_n,n.
+A001499 (b-constrained) and A000681 (b-unconstrained) on K_n,n.  The
+states the table reaches on the largest of these are pinned as upper
+bounds.
 """
 
 from dataclasses import replace
@@ -25,13 +25,13 @@ from matchcore.games import make_game
 from matchcore.matchings import (
     InfeasibleGameError,
     ResidualTable,
-    SubsetTable,
     brute_force_optima,
     integer_game,
 )
 
 from gamegen import random_assignment, random_b_game, random_general, with_vertex_floors
 from plain_enumerator import plain_labels, plain_optima
+from worth_oracles import searched_worth
 
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
 
@@ -71,21 +71,12 @@ def single_use(g):
 @pytest.mark.parametrize("cap", [16, 3])
 @pytest.mark.parametrize("index", range(0, len(SEEDED), 16))
 def test_session_counts_the_plain_optima(monkeypatch, index, cap):
-    # The table depends on the game's bounds only: a single-use game is
-    # counted over its vertex subsets whatever the coalition cap, every
-    # other game by its residual table.
+    # One table counts every game, single-use or not, whatever the
+    # coalition cap, once per session.
     counted = []
-    subsets = SubsetTable.count
+    count = ResidualTable.count
     monkeypatch.setattr(
-        SubsetTable,
-        "count",
-        lambda self: counted.append("single-use") or subsets(self),
-    )
-    residual = ResidualTable.count
-    monkeypatch.setattr(
-        ResidualTable,
-        "count",
-        lambda self: counted.append("residual") or residual(self),
+        ResidualTable, "count", lambda self: counted.append(1) or count(self)
     )
     for g in SEEDED[index:index + 16]:
         best, optima = plain_optima(g)
@@ -97,14 +88,18 @@ def test_session_counts_the_plain_optima(monkeypatch, index, cap):
         else:
             got = (a.labels, a.optima_count, a.worth)
             assert got == (plain_labels(g, optima), len(optima), best), g
-        assert counted == ["single-use" if single_use(g) else "residual"], g
+        assert counted == [1], g
 
 
 def listed_count(g):
     """The worth of ``g`` and its optima's (total, per-edge uses,
     per-vertex uses), counted from the list of ``brute_force_optima``;
     None if floors admit no matching."""
-    best, optima = brute_force_optima(g)
+    return uses(g, *brute_force_optima(g))
+
+
+def uses(g, best, optima):
+    """``best`` and the (total, per-edge uses, per-vertex uses) of ``optima``."""
     if best is None:
         return None
     used = [dict(m.multiplicities) for m in optima]
@@ -113,31 +108,19 @@ def listed_count(g):
     return best, len(optima), edges, vertices
 
 
-def test_the_two_counts_agree_on_single_use_games():
-    # The session counts single-use games in their subset table; the
-    # listing search lists them, optimum by optimum.
-    games = [g for g in SEEDED if single_use(g)]
-    for g in games:
-        ig = integer_game(g)
-        best, got = SubsetTable(ig).count()
-        assert (F(best, ig.scale), got.total, got.edges, got.vertices) == listed_count(g), g
-    assert len(games) >= 20
-
-
 def test_residual_table_counts_the_listed_optima():
-    # Every other game is counted by its residual table: the total and
-    # every edge's and vertex's uses, floors and infeasible floors included.
-    games = [g for g in SEEDED if not single_use(g)]
-    for g in games:
+    # Every seeded game, single-use or not: the total and every edge's and
+    # vertex's uses, floors and infeasible floors included.
+    for g in SEEDED:
         ig = integer_game(g)
         got = ResidualTable(ig, len(g.left)).count()
         if got is not None:
             best, count = got
             got = (F(best, ig.scale), count.total, count.edges, count.vertices)
         assert got == listed_count(g), g
-    assert len(games) >= 50
-    assert any(listed_count(g) is None for g in games)
-    assert any(any(g.edge_lower.values()) for g in games)
+    assert sum(map(single_use, SEEDED)) >= 20
+    assert any(listed_count(g) is None for g in SEEDED)
+    assert any(any(g.edge_lower.values()) for g in SEEDED)
 
 
 def test_seeded_games_cover_both_paths_and_infeasible_floors():
@@ -163,8 +146,8 @@ def complete_bipartite(n):
 
 def table_count(g):
     """The number of optima of unit-weight single-use ``g`` and its worth,
-    from its subset table."""
-    best, got = SubsetTable(integer_game(g)).count()
+    from its table."""
+    best, got = ResidualTable(integer_game(g), len(g.left)).count()
     return got.total, best
 
 
@@ -191,7 +174,7 @@ def test_unit_complete_bipartite_graph_has_factorial_optima(n):
 
 def test_a_small_coalition_cap_does_not_change_how_optima_are_counted():
     # Unit K_14 has 135,135 optima: a listing search would visit each, the
-    # count over the vertex subsets reaches 986 subsets.
+    # count reaches 987 vertex subsets.
     a = GameAnalysis(complete_graph(14), cap=3)
     assert (a.optima_count, a.worth) == (135135, 7)
 
@@ -202,6 +185,105 @@ def capped_complete_bipartite(variant, n, b):
     right = [f"v{i + 1}" for i in range(n)]
     edges = [(u, v, 1) for u in left for v in right]
     return make_game(variant, left, right, edges, vertex_upper=b)
+
+
+def general_in_order(order, edges):
+    """A general game whose vertices are declared in ``order``."""
+    return make_game("general-matching", [], order, edges)
+
+
+# General games are processed in their declared order: a star with its
+# centre last, first and in the middle, a path with a pendant declared
+# last and first, and a triangle with a tail.  Between them, a vertex
+# other than the last has no later neighbour, so it is only checked at
+# the leaf, and a vertex has an earlier and a later neighbour, or is the
+# centre of a star declared last, so an earlier vertex can use up its
+# capacity before its turn.
+ORDER_GAMES = [
+    general_in_order(["l1", "l2", "l3", "c"], [("l1", "c", 2), ("l2", "c", 3), ("c", "l3", 3)]),
+    general_in_order(["c", "l1", "l2", "l3"], [("c", "l1", 2), ("c", "l2", 3), ("l3", "c", 1)]),
+    general_in_order(
+        ["l1", "c", "l2", "l3", "d"],
+        [("l1", "c", 2), ("c", "l2", 2), ("c", "l3", 1), ("l3", "d", 1)],
+    ),
+    general_in_order(
+        ["a", "b", "c", "d", "e"],
+        [("a", "b", 2), ("b", "c", 3), ("c", "d", 2), ("b", "e", 1)],
+    ),
+    general_in_order(
+        ["e", "a", "b", "c", "d"],
+        [("a", "b", 2), ("b", "c", 3), ("c", "d", 2), ("b", "e", 1)],
+    ),
+    general_in_order(
+        ["x", "y", "z", "t", "s"],
+        [("x", "y", 2), ("y", "z", 2), ("x", "z", 3), ("z", "t", 1), ("s", "x", 1)],
+    ),
+]
+ORDER_GAMES += [unit_weights(g) for g in ORDER_GAMES]
+
+
+def general_b_matching(g):
+    """``g`` with every vertex and edge cap 2 and its second vertex's floor 1.
+    No variant has these bounds, but the table takes them: a vertex used
+    before its turn still has capacity then, and its floor asks for less."""
+    return replace(
+        g,
+        vertex_upper={q: 2 for q in g.vertices},
+        vertex_lower={**g.vertex_lower, g.vertices[1]: 1},
+        edge_upper={k: 2 for k in g.edge_keys},
+    )
+
+
+ORDER_GAMES += [general_b_matching(g) for g in ORDER_GAMES]
+
+
+def test_order_games_hold_both_cases():
+    idle, spent = 0, 0
+    for g in ORDER_GAMES:
+        rank = {q: p for p, q in enumerate(g.vertices)}
+        adj = g.adjacency()
+        for q in g.vertices:
+            before = sum(rank[r] < rank[q] for r in adj[q])
+            after = len(adj[q]) - before
+            idle += after == 0 and q != g.vertices[-1]
+            spent += before > 0 and (after > 0 or before > 1)
+    assert idle and spent
+
+
+@pytest.mark.parametrize("index", range(len(ORDER_GAMES)))
+def test_declared_order_counts_and_worths_are_exact(index):
+    # The count against the plain listing, and every coalition's worth,
+    # connected or not, against the worth-only search of its subgame.
+    g = ORDER_GAMES[index]
+    ig = integer_game(g)
+    table = ResidualTable(ig, len(g.left))
+    got = table.count()
+    if got is not None:
+        best, count = got
+        got = (F(best, ig.scale), count.total, count.edges, count.vertices)
+    assert got == uses(g, *plain_optima(g))
+    for mask in range(1 << len(g.vertices)):
+        state = sum([x for p, x in enumerate(table.start) if mask >> p & 1])
+        assert table.worth(state) == searched_worth(ig, mask), mask
+
+
+# The states today's table reaches, pinned as upper bounds: the same as
+# the subset table (general games) and the residual table (b-games) it
+# replaced.
+@pytest.mark.parametrize(
+    "g,most",
+    [
+        (complete_graph(16), 2584),
+        (complete_graph(20), 17711),
+        (capped_complete_bipartite("b-constrained", 6, 2), 2728),
+        (capped_complete_bipartite("b-unconstrained", 6, 2), 2734),
+    ],
+    ids=["K16", "K20", "K66-b-constrained", "K66-b-unconstrained"],
+)
+def test_the_count_reaches_no_more_states_than_before(g, most):
+    table = ResidualTable(integer_game(g), len(g.left))
+    assert table.count() is not None
+    assert table.states <= most
 
 
 # With b = 2 every optimum uses each vertex twice: an n x n matrix with

@@ -1,11 +1,11 @@
 """Work done by a full report, a core check and meet/join: each fact of
 the game is computed once, and a "no" stops at its witness.
 
-Each session builds one table, chosen by the game's bounds: a subset
-table on single-use games, a residual table on the others.  The grand
-coalition's worth and the count of its optima come from one ``count()``
-of it, and each coalition worth from one lookup in it; no integer
-search runs, and no command lists the optimal matchings.
+Each session builds one table, the residual-capacity
+``matchings.ResidualTable``, on every variant.  The grand coalition's
+worth and the count of its optima come from one ``count()`` of it, and
+each coalition worth from one lookup in it; no integer search runs, and
+no command lists the optimal matchings.
 
 Calls are counted by rebinding a function under every name the package's
 modules hold it by (``from .x import y`` makes copies), so no call path
@@ -34,7 +34,6 @@ from matchcore.games import (
 )
 from matchcore.matchings import (
     ResidualTable,
-    SubsetTable,
     brute_force_optima,
     integer_search,
 )
@@ -70,55 +69,38 @@ def count_calls(monkeypatch, original):
 
 def count_recursions(monkeypatch):
     """Start counting the recursions that give a game's worth and the work
-    done in its tables.  Calling the result reads, in order: the kind of
-    each recursion ("search" for an integer search, else the kind of the
-    table counted, "subset" or "residual"), the kind of each table built,
-    and the mask of each ``worth`` lookup, on either table."""
+    done in its table.  Calling the result reads, in order: each recursion
+    ("search" for an integer search, "table" for a table's count), each
+    table built ("table"), and the mask of the vertices of each ``worth``
+    lookup."""
     searched = count_calls(monkeypatch, integer_search)
     counted, built, looked_up = [], [], []
-    for table, kind in ((SubsetTable, "subset"), (ResidualTable, "residual")):
-        init, count, lookup = table.__init__, table.count, table.worth
+    init, count, lookup = ResidualTable.__init__, ResidualTable.count, ResidualTable.worth
 
-        def logged_init(self, *args, init=init, kind=kind):
-            built.append(kind)
-            init(self, *args)
+    def logged_init(self, *args):
+        built.append("table")
+        init(self, *args)
 
-        def logged_count(self, count=count, kind=kind):
-            counted.append(kind)
-            return count(self)
+    def logged_count(self):
+        counted.append("table")
+        return count(self)
 
-        def logged_worth(self, mask, lookup=lookup):
-            looked_up.append(mask)
-            return lookup(self, mask)
+    def logged_worth(self, state):
+        start = self.start
+        looked_up.append(sum([1 << p for p, x in enumerate(start) if state & x == x]))
+        return lookup(self, state)
 
-        monkeypatch.setattr(table, "__init__", logged_init)
-        monkeypatch.setattr(table, "count", logged_count)
-        monkeypatch.setattr(table, "worth", logged_worth)
+    monkeypatch.setattr(ResidualTable, "__init__", logged_init)
+    monkeypatch.setattr(ResidualTable, "count", logged_count)
+    monkeypatch.setattr(ResidualTable, "worth", logged_worth)
     return lambda: (["search"] * len(searched) + counted, list(built), list(looked_up))
 
 
-def table_kind(g):
-    """The table a session of ``g`` builds: over the vertex subsets when
-    every vertex cap is 1 and no floor is set, else over residual
-    capacities."""
-    single = (
-        set(g.vertex_upper.values()) == {1}
-        and not any(g.vertex_lower.values())
-        and not any(g.edge_lower.values())
-    )
-    return "subset" if single else "residual"
-
-
-# The kinds of the recursions that gave the worth (see count_recursions),
-# the kinds of the tables built, the coalitions looked up in a table, in
-# order, and vertex sets whose optima were listed.
+# The recursions that gave the worth (see count_recursions), the tables
+# built, the coalitions looked up in a table, in order, and vertex sets
+# whose optima were listed.
 Work = namedtuple("Work", "grand tables looked_up listed")
-
-
-def tables_built(g, built):
-    """The tables a session of ``g`` builds: its one table if anything was
-    read from it (the worth, the count or a coalition worth), else none."""
-    return [table_kind(g)] if built else []
+ONE = ["table"]
 
 
 def count_work(monkeypatch, g):
@@ -170,7 +152,7 @@ def _report(g):
 
 @pytest.mark.parametrize("g", PAYMENT_GAMES, ids=lambda g: g.name or g.variant)
 def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
-    # One count of the session's subset table gives the labels, the optima
+    # One count of the session's table gives the labels, the optima
     # count and the worth: the game is neither searched nor listed, and no
     # coalition worth is looked up.
     work = count_work(monkeypatch, g)
@@ -186,7 +168,7 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
         lambda self, *a: queries.append(1) or optimize(self, *a),
     )
     _report(g)
-    assert work() == Work(["subset"], ["subset"], [], [])
+    assert work() == Work(ONE, ONE, [], [])
     names = sorted(args[0].variables[0][:2] for args in solves)
     assert names == ["x[", "y["]  # one primal and one dual solve
     # Phase 1 and phase 2 once per solve at most; one phase 2 per query.
@@ -213,20 +195,20 @@ def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
     a.payments
     a.degeneracy
     assert sorted(priced) == sorted(a.g.vertices)
-    assert work() == Work(["subset"], ["subset"], [], [])
+    assert work() == Work(ONE, ONE, [], [])
 
 
 @pytest.mark.parametrize("g", PAYMENT_GAMES[:8], ids=lambda g: g.name or g.variant)
 def test_labels_and_coalition_worths_build_one_table(monkeypatch, g):
-    # The count fills only the subsets its recursion reaches; the coalition
-    # worths fill the rest of the same table, one lookup per coalition.
+    # The coalition worths are read from the table the count filled, one
+    # lookup per coalition.
     work = count_work(monkeypatch, g)
     a = GameAnalysis(g)
     a.labels
     a.system
     a.labels
     done = work()
-    assert (done.grand, done.tables) == (["subset"], ["subset"])
+    assert (done.grand, done.tables) == (ONE, ONE)
     assert done.looked_up == [s for s, _ in a.system.inequalities]
 
 
@@ -243,7 +225,7 @@ def test_b_variant_report_enumerates_the_grand_coalition_once(monkeypatch, g):
     work = count_work(monkeypatch, g)
     _report(g)
     done = work()
-    assert (done.grand, done.tables, done.listed) == ([table_kind(g)], [table_kind(g)], [])
+    assert (done.grand, done.tables, done.listed) == (ONE, ONE, [])
 
 
 def capped_path(variant, b):
@@ -252,9 +234,9 @@ def capped_path(variant, b):
     return make_game(variant, ("u1", "u2", "u3"), ("v1", "v2"), edges, vertex_upper=b)
 
 
-# Every variant, with the bounds where the two tables would part: b-uniform
-# with b = 2 counts in a residual table, and b-constrained and b-general
-# games with every cap 1 are single-use.
+# Every variant, and bounds the variant does not decide: b-uniform with
+# b = 2, and b-constrained and b-general games with every cap 1, which are
+# single-use.
 ONE_TABLE_GAMES = generated_games(("assignment", "general-matching", *B_VARIANTS), 6) + [
     capped_path("b-uniform", 2),
     capped_path("b-constrained", 1),
@@ -267,8 +249,8 @@ ONE_TABLE_GAMES = generated_games(("assignment", "general-matching", *B_VARIANTS
     "g", ONE_TABLE_GAMES, ids=lambda g: f"{g.variant}-{max(g.vertex_upper.values())}"
 )
 def test_every_session_builds_one_table_and_counts_once(monkeypatch, g, ask):
-    # The bounds pick the table once; the worth, the count, the labels and
-    # every coalition worth are read from it, whatever is asked.
+    # One table for every game; the worth, the count, the labels and every
+    # coalition worth are read from it, whatever is asked.
     inside = dual_imputation(g)
     outside = shifted_imputation(g, inside)
     work = count_work(monkeypatch, g)
@@ -281,13 +263,13 @@ def test_every_session_builds_one_table_and_counts_once(monkeypatch, g, ask):
         a.labels
         a.worth
     done = work()
-    assert (done.grand, done.tables, done.listed) == ([table_kind(g)], [table_kind(g)], [])
+    assert (done.grand, done.tables, done.listed) == (ONE, ONE, [])
     assert len(set(done.looked_up)) == len(done.looked_up)
 
 
 def test_one_table_games_part_where_the_variant_does_not_decide():
-    kinds = {(g.variant, table_kind(g)) for g in ONE_TABLE_GAMES}
-    assert {("b-uniform", "residual"), ("b-constrained", "subset"), ("b-general", "subset")} <= kinds
+    caps = {(g.variant, max(g.vertex_upper.values())) for g in ONE_TABLE_GAMES}
+    assert {("b-uniform", 2), ("b-constrained", 1), ("b-general", 1)} <= caps
     assert {g.variant for g in ONE_TABLE_GAMES} == {"assignment", "general-matching", *B_VARIANTS}
 
 
@@ -331,7 +313,7 @@ def cli_check(monkeypatch, capsys, tmp_path, g, imp):
 def test_check_enumerates_the_grand_coalition_once(monkeypatch, capsys, tmp_path, g):
     code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code in (0, 1)
-    assert (work.grand, work.listed) == ([table_kind(g)], [])
+    assert (work.grand, work.listed) == (ONE, [])
 
 
 @pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
@@ -342,7 +324,7 @@ def test_certified_yes_computes_no_coalition_worth(monkeypatch, capsys, tmp_path
     # core answers "no" (a wrong total).
     code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code == (0 if GameAnalysis(g).concurrency.concurrent else 1)
-    assert work == Work([table_kind(g)], tables_built(g, True), [], [])
+    assert work == Work(ONE, ONE, [], [])
 
 
 @pytest.mark.parametrize("how", ["shifted", "negative", "total"])
@@ -364,11 +346,11 @@ def test_no_answer_enumerates_nothing_after_its_witness(
     # A negative entry is answered before the grand worth, a wrong total
     # before any coalition.
     prefix = proper[: proper.index(witness) + 1] if how == "shifted" else []
-    assert work.grand == ([] if how == "negative" else [table_kind(g)])
+    assert work.grand == ([] if how == "negative" else ONE)
     assert work.listed == []
     # One table per session, on every variant, looked up once per
     # coalition, in order, up to the witness and no further.
-    assert (work.tables, work.looked_up) == (tables_built(g, how != "negative"), prefix)
+    assert (work.tables, work.looked_up) == ([] if how == "negative" else ONE, prefix)
 
 
 def meet_join_inputs():
@@ -393,8 +375,7 @@ def test_meet_join_enumerates_each_coalition_at_most_once(monkeypatch, g, p, q):
     work = count_work(monkeypatch, g)
     analysis.meet_join(GameAnalysis(g), p, q)
     done = work()
-    assert done.grand == [table_kind(g)] and done.listed == []
-    assert done.tables == tables_built(g, True)
+    assert (done.grand, done.tables, done.listed) == (ONE, ONE, [])
     assert len(set(done.looked_up)) == len(done.looked_up)
 
 

@@ -136,11 +136,17 @@ def test_the_session_runs_no_search_of_its_own():
     assert found == []
 
 
-def test_the_table_is_picked_by_the_bounds_alone():
-    # The session's one table is chosen from the game's bounds, once, in
-    # _table; the count and the coalition worths read that table.  A
-    # ``.variant`` read in any of the three would let a variant pick a
-    # second table for the same game.
+def test_the_session_builds_one_table_class():
+    # Every game's worth, count and coalition worths come from one table
+    # class, built in _table with no predicate on the bounds; a test there,
+    # or a ``.variant`` read in _table, _optima or _coalition_worth, would
+    # let a game pick a second table for the same facts.
+    classes = {
+        top.name: {f.name for f in top.body if isinstance(f, ast.FunctionDef)}
+        for top in ast.parse((SRC / "matchings.py").read_text()).body
+        if isinstance(top, ast.ClassDef)
+    }
+    assert [c for c, names in classes.items() if {"count", "worth"} <= names] == ["ResidualTable"]
     tree = ast.parse((SRC / "analysis.py").read_text())
     (session,) = [
         top for top in tree.body
@@ -152,11 +158,18 @@ def test_the_table_is_picked_by_the_bounds_alone():
         and node.name in ("_table", "_optima", "_coalition_worth")
     }
     assert sorted(methods) == ["_coalition_worth", "_optima", "_table"]
+    built = [
+        node.func.id for node in ast.walk(methods["_table"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in classes
+    ]
+    assert built == ["ResidualTable"]
     found = [
         f"analysis.py:{node.lineno} in {name}"
         for name, method in methods.items()
         for node in ast.walk(method)
-        if isinstance(node, ast.Attribute) and node.attr == "variant"
+        if (isinstance(node, ast.Attribute) and node.attr == "variant")
+        or (name == "_table" and isinstance(node, (ast.If, ast.IfExp, ast.Compare, ast.BoolOp)))
     ]
     assert found == []
 
