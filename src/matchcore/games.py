@@ -34,8 +34,6 @@ VARIANTS = (
     "b-general",
 )
 
-BIPARTITE_VARIANTS = tuple([v for v in VARIANTS if v != "general-matching"])
-
 # Enumeration guards: coalition enumeration is exponential in the vertex
 # count, matching enumeration in the total multiplicity budget.
 DEFAULT_COALITION_CAP = 16

@@ -3,13 +3,14 @@
 The exhaustive enumerator here is deliberately independent of the LP
 path: :func:`brute_force_optima` lists every optimal integral matching,
 and is kept, with the worth-only :func:`integer_search`, as the ground
-truth that the tables below are checked against; the session runs
-neither.  A game's worth, the count of its optimal matchings, with how
-many of them use each vertex and edge (all the essential/viable/subpar
-classification needs), and every coalition worth come from one
-:class:`ResidualTable` on all six variants, each a b-general game with
-particular bounds.  It fills on demand and answers ``count()`` and
-``worth(state)``.
+truth that the tables below are checked against.  The same listing
+search finds the covering matchings of :func:`birkhoff_decompose`.  The
+session runs neither search.  A game's worth, the count of its optimal
+matchings, with how many of them use each vertex and edge (all the
+essential/viable/subpar classification needs), and every coalition
+worth come from one :class:`ResidualTable` on all six variants, each a
+b-general game with particular bounds.  It fills on demand and answers
+``count()`` and ``worth(state)``.
 """
 
 from __future__ import annotations
@@ -520,57 +521,38 @@ def check_half_integral(x: MatchingVector) -> HalfIntegralReport:
 
     Every multiplicity must be 0, 1/2 or 1; the 1-edges must form a
     matching; the 1/2-edges must decompose into odd cycles, disjoint
-    from each other and from the 1-edges.  Failures are report content,
-    not exceptions.
+    from each other and from the 1-edges.  Each cycle is walked from its
+    least vertex toward that vertex's lesser neighbour.  Failures are
+    report content, not exceptions.
     """
-    ones: list[Edge] = []
-    halves: list[Edge] = []
-    for k, m in x.multiplicities:
-        if m == ONE:
-            ones.append(k)
-        elif m == HALF:
-            halves.append(k)
-        else:
-            return HalfIntegralReport(False, (), (), ())
-
-    used: set[str] = set()
-    for i, j in ones:
-        if i in used or j in used:
-            return HalfIntegralReport(False, (), (), ())
-        used.update((i, j))
-
+    ones = tuple([k for k, m in x.multiplicities if m == ONE])
+    halves = tuple([k for k, m in x.multiplicities if m == HALF])
+    matched = [q for k in ones for q in k]
     adj: dict[str, list[str]] = {}
     for i, j in halves:
         adj.setdefault(i, []).append(j)
         adj.setdefault(j, []).append(i)
-    if used & set(adj):
-        return HalfIntegralReport(False, (), (), ())
-
     cycles: list[tuple[str, ...]] = []
-    seen: set[str] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        if len(adj[start]) != 2:
-            return HalfIntegralReport(False, (), (), ())
-        cycle = [start]
-        seen.add(start)
-        prev, here = None, start
-        while True:
-            nxt = [r for r in sorted(adj[here]) if r != prev]
-            if len(adj[here]) != 2 or not nxt:
-                return HalfIntegralReport(False, (), (), ())
-            prev, here = here, nxt[0]
-            if here == start:
-                break
-            if here in seen:
-                return HalfIntegralReport(False, (), (), ())
-            seen.add(here)
-            cycle.append(here)
-        if len(cycle) % 2 == 0:
-            return HalfIntegralReport(False, (), (), ())
-        cycles.append(tuple(cycle))
-    return HalfIntegralReport(True, tuple(ones), tuple(halves), tuple(cycles))
+    if (
+        len(ones) + len(halves) == len(x.multiplicities)
+        and len(set(matched)) == len(matched)
+        and adj.keys().isdisjoint(matched)
+        and all(len(nb) == 2 and nb[0] != nb[1] for nb in adj.values())
+    ):
+        seen: set[str] = set()
+        for start in sorted(adj):
+            if start in seen:
+                continue
+            cycle, prev, here = [start], start, min(adj[start])
+            while here != start:
+                cycle.append(here)
+                a, b = adj[here]
+                prev, here = here, b if a == prev else a
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
+        if all(len(c) % 2 for c in cycles):
+            return HalfIntegralReport(True, ones, halves, tuple(cycles))
+    return HalfIntegralReport(False, (), (), ())
 
 
 class DecompositionError(Exception):
@@ -582,38 +564,23 @@ def _max_matching_covering(
 ) -> list[Edge] | None:
     """Largest matching inside ``support`` covering all of ``tight``.
 
-    Ties break toward the lexicographically earliest edge-index set.
-    Exhaustive; support sizes here are desk scale.
+    Ties break toward the lexicographically earliest edge-index set.  One
+    listing :func:`integer_search` over the support, every cap 1: with m
+    support edges, edge e weighs 1 + (m+1)·|e ∩ tight|, so a matching
+    covers ``tight`` exactly when its weight reaches (m+1)·|tight|, and
+    the heaviest of those are the largest.
     """
-    best: tuple[int, tuple[int, ...]] | None = None
-
-    def rec(t: int, chosen: list[int], used: set[str]) -> None:
-        nonlocal best
-        remaining = len(support) - t
-        if best is not None and len(chosen) + remaining < -best[0]:
-            return
-        if t == len(support):
-            if tight <= used:
-                key = (-len(chosen), tuple(chosen))
-                if best is None or key < best:
-                    best = key
-            return
-        i, j = support[t]
-        if i not in used and j not in used:
-            chosen.append(t)
-            used.update((i, j))
-            rec(t + 1, chosen, used)
-            chosen.pop()
-            used.difference_update((i, j))
-        rec(t + 1, chosen, used)
-
-    try:
-        rec(0, [], set())
-    finally:
-        del rec  # it refers to itself through its cell: break the cycle
-    if best is None:
+    m = len(support)
+    pos = {q: p for p, q in enumerate(dict.fromkeys([q for k in support for q in k]))}
+    ends = [(pos[i], pos[j]) for i, j in support]
+    weights = [1 + (m + 1) * ((i in tight) + (j in tight)) for i, j in support]
+    n = len(pos)
+    ig = IntegerGame(ends, weights, [1] * m, [0] * m, [1] * n, [0] * n, 1)
+    ties: list[tuple[int, ...]] = []
+    if integer_search(ig, ties) < (m + 1) * len(tight):
         return None
-    return [support[t] for t in best[1]]
+    first = min([tuple([t for t, used in enumerate(opt) if used]) for opt in ties])
+    return [support[t] for t in first]
 
 
 def birkhoff_decompose(
@@ -637,7 +604,8 @@ def birkhoff_decompose(
         raise DecompositionError("vertex load exceeds one")
 
     remaining = Fraction(1)
-    terms: list[tuple[Fraction, dict[Edge, Fraction]]] = []
+    # Repeated matchings are merged, in first-seen order.
+    terms: dict[tuple[Edge, ...], Fraction] = {}
     while any(mult.values()):
         support = [k for k in g.edge_keys if mult.get(k, ZERO) > 0]
         tight = frozenset(q for q in g.vertices if load[q] == remaining)
@@ -658,17 +626,11 @@ def birkhoff_decompose(
         for q in covered:
             load[q] -= step
         remaining -= step
-        terms.append((step, {k: ONE for k in matching}))
-
-    merged: list[tuple[Fraction, dict[Edge, Fraction]]] = []
-    for coeff, m in terms:
-        for idx, (c0, m0) in enumerate(merged):
-            if m0 == m:
-                merged[idx] = (c0 + coeff, m0)
-                break
-        else:
-            merged.append((coeff, m))
-    return [(c, make_matching_vector(g, m)) for c, m in merged]
+        key = tuple(matching)
+        terms[key] = terms.get(key, ZERO) + step
+    return [
+        (c, make_matching_vector(g, dict.fromkeys(m, ONE))) for m, c in terms.items()
+    ]
 
 
 def _label(times_used: int, total: int) -> str:

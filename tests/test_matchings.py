@@ -2,15 +2,19 @@ import gc
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
 from random import Random
 
 import pytest
 
+from matchcore import matchings
 from matchcore.analysis import GameAnalysis
 from matchcore.bundled import load_instance
 from matchcore.games import CapExceeded, induce_subgame, make_game
 from matchcore.matchings import (
+    HalfIntegralReport,
     MatchingVector,
+    _max_matching_covering,
     birkhoff_decompose,
     brute_force_optima,
     check_half_integral,
@@ -119,6 +123,99 @@ def test_half_integral_rejects_even_cycle():
     )
     vec = make_matching_vector(g, {k: H for k in g.edge_keys})
     assert not check_half_integral(vec).is_half_integral
+
+
+def general(edges, value):
+    """A general graph on the ends of ``edges``, each at ``value`` (or its
+    own value where an edge is given as a triple)."""
+    names = sorted({q for e in edges for q in e[:2]})
+    g = make_game("general-matching", [], names, [(i, j, F(1)) for i, j, *_ in edges])
+    return make_matching_vector(g, {(i, j): (rest or [value])[0] for i, j, *rest in edges})
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        general([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d", F(1))], H),
+        general([("a", "b"), ("b", "c")], H),
+        general([("a", "b"), ("a", "c"), ("a", "d")], H),
+        general([("a", "b"), ("b", "c")], F(1)),
+        MatchingVector(((("u", "v"), H), (("v", "u"), H)), F(1)),
+        MatchingVector(((("a", "b"), F(0)), (("c", "d"), F(1))), F(1)),
+        MatchingVector(((("a", "b"), F(1, 3)), (("c", "d"), F(1))), F(1)),
+    ],
+    ids=[
+        "one-edge-touching-half-edge",
+        "half-edge-path",
+        "half-star",
+        "one-edges-sharing-a-vertex",
+        "edge-listed-both-ways",
+        "hand-built-zero",
+        "hand-built-third",
+    ],
+)
+def test_half_integral_rejects(vec):
+    assert check_half_integral(vec) == HalfIntegralReport(False, (), (), ())
+
+
+def test_half_integral_orders_and_walks_the_cycles():
+    # Components come by least vertex; each is walked from its least
+    # vertex toward that vertex's lesser neighbour.
+    triangles = [("f", "d"), ("b", "f"), ("d", "b"), ("e", "a"), ("c", "e"), ("a", "c")]
+    vec = general(triangles + [("g", "h", F(1))], H)
+    rep = check_half_integral(vec)
+    assert rep.is_half_integral and rep.ones == (("g", "h"),)
+    assert rep.halves == tuple(triangles)
+    assert rep.half_components == (("a", "c", "e"), ("b", "d", "f"))
+    pentagon = [("a", "d"), ("e", "d"), ("b", "e"), ("c", "b"), ("a", "c")]
+    rep = check_half_integral(general(pentagon, H))
+    assert rep.half_components == (("a", "c", "b", "e", "d"),)
+
+
+def plain_covering(support, tight):
+    """The largest matching of ``support`` covering ``tight``, ties to the
+    earliest edge-index set: every index set, largest first, in order."""
+    for size in range(len(support), -1, -1):
+        for chosen in combinations(range(len(support)), size):
+            ends = [q for t in chosen for q in support[t]]
+            if len(set(ends)) == len(ends) and tight <= set(ends):
+                return [support[t] for t in chosen]
+    return None
+
+
+def test_covering_step_matches_plain_enumeration():
+    rng = Random(53)
+    cases = [([], frozenset()), ([("a", "b")], frozenset()), ([("a", "b")], frozenset("c"))]
+    for _ in range(300):
+        names = "abcdefg"[: rng.randint(2, 7)]
+        pairs = list(combinations(names, 2))
+        support = rng.sample(pairs, rng.randint(1, min(len(pairs), 10)))
+        tight = frozenset(q for q in names if rng.random() < 0.4)
+        cases.append((support, tight))
+    found = 0
+    for support, tight in cases:
+        want = plain_covering(support, tight)
+        assert _max_matching_covering(support, tight) == want, (support, tight)
+        found += want is not None
+    assert 50 < found < len(cases)
+    assert _max_matching_covering([("a", "b"), ("c", "d")], frozenset("ae")) is None
+    assert _max_matching_covering([("a", "b"), ("b", "c")], frozenset()) == [("a", "b")]
+
+
+def test_each_covering_step_makes_one_search(monkeypatch):
+    calls = {"search": 0, "step": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name, attr in [("search", "integer_search"), ("step", "_max_matching_covering")]:
+        monkeypatch.setattr(matchings, attr, counted(name, getattr(matchings, attr)))
+    g = load_instance("path5")
+    birkhoff_decompose(g, make_matching_vector(g, {k: H for k in g.edge_keys}))
+    assert calls["step"] == 2 and calls["search"] == 2
 
 
 def test_birkhoff_four_cycle():
@@ -286,8 +383,11 @@ def test_repeated_searches_hold_no_memory():
     # freed tuple of exactly 20 items, so a search closure of 20 cells
     # grew the tuple free list by one block per call, up to 2,000 blocks
     # (about 400 kB of resident memory).
+    # A first batch fills the interpreter's free lists, which keep up to 80
+    # freed dicts and lists each; what the measured batch adds is held memory.
     g = load_instance("bpath4-con")
-    GameAnalysis(g).system
+    for _ in range(200):
+        GameAnalysis(g).system
     before = sys.getallocatedblocks()
     for _ in range(200):
         GameAnalysis(g).system

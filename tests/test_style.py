@@ -240,3 +240,21 @@ def test_simplex_builds_fractions_only_for_the_answer():
             ):
                 found.append(f"simplex.py:{node.lineno} in {owner}")
     assert found == []
+
+
+def test_only_the_search_nests_a_function():
+    # integer_search's closure is the one recursion in matchings.py; it
+    # breaks its own reference cycle.  Every other search there is one
+    # call to it (birkhoff_decompose's covering step) or a table method,
+    # so a nested function elsewhere would grow a private recursion back.
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    found = []
+    for top in ast.walk(ast.parse((SRC / "matchings.py").read_text())):
+        if not isinstance(top, nested[:2]) or top.name == "integer_search":
+            continue
+        found += [
+            f"matchings.py:{node.lineno} in {top.name}"
+            for node in ast.walk(top)
+            if node is not top and isinstance(node, nested)
+        ]
+    assert found == []
