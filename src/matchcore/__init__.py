@@ -15,7 +15,7 @@ from .games import (
     make_game,
     validate_game,
 )
-from .gamelp import DualSolution, build_dual_lp, build_primal_lp, priced, solve_dual
+from .gamelp import build_dual_lp, build_primal_lp, priced, solve_dual
 from .simplex import LinearProgram, LPSolution, solve_lp, solve_over_optimal_face
 from .matchings import (
     MatchingVector,

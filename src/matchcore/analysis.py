@@ -47,15 +47,7 @@ from .games import (
     connected_coalitions,
     induce_subgame,
 )
-from .gamelp import (
-    DualColumn,
-    DualSolution,
-    dual_columns,
-    dual_solution_from_lp,
-    edge_name,
-    priced,
-    solve_dual,
-)
+from .gamelp import DualColumn, dual_columns, edge_name, priced, solve_dual
 from .matchings import (
     IntegerGame,
     InfeasibleGameError,
@@ -379,8 +371,9 @@ class GameAnalysis:
         return dual_columns(self.g)
 
     @cached_property
-    def dual(self) -> tuple[LPSolution, DualSolution]:
-        return solve_dual(self.g, self.dual_columns)
+    def dual(self) -> tuple[LPSolution, dict[str, Fraction]]:
+        """The dual optimum and its prices, by column name."""
+        return solve_dual(self.g)
 
     @cached_property
     def face(self) -> OptimalTableau | None:
@@ -461,12 +454,11 @@ class GameAnalysis:
         g = self.g
         if g.variant != "assignment":
             raise ValueError("antipodal imputations are defined for assignment games")
-        cols = self.dual_columns
         left_sol = self._face_extreme({f"y[{q}]": ONE for q in g.left})
         right_sol = self._face_extreme({f"y[{q}]": ONE for q in g.right})
         return (
-            imputation_from_dual(self, dual_solution_from_lp(left_sol, cols)),
-            imputation_from_dual(self, dual_solution_from_lp(right_sol, cols)),
+            imputation_from_dual(self, left_sol.values),
+            imputation_from_dual(self, right_sol.values),
         )
 
     @cached_property

@@ -40,7 +40,7 @@ from random import Random
 
 from .analysis import CoalitionSystem, GameAnalysis, Imputation
 from .games import check_coalition_cap
-from .gamelp import DualSolution, build_dual_lp, dual_numerators, edge_name
+from .gamelp import build_dual_lp, dual_numerators, edge_name
 from .analysis import worth as coalition_worth
 from .simplex import LinearProgram, solve_lp
 
@@ -60,7 +60,7 @@ class ProfitSignError(Exception):
 
 
 def imputation_from_dual(
-    a: GameAnalysis, y: DualSolution, split: Fraction | None = None
+    a: GameAnalysis, y: dict[str, Fraction], split: Fraction | None = None
 ) -> Imputation:
     """Profits of an optimal dual of ``a.g``, its edge prices split by a share.
 
@@ -71,8 +71,9 @@ def imputation_from_dual(
     is the vertex prices.  A split is needed only where an edge has a
     positive price.  With floors nothing forces the result nonnegative;
     a negative entry is raised as a finding rather than clamped.  ``y``
-    must be optimal for the session's worth.  The sums run in integers
-    over the common denominator of the prices and the share.
+    prices each column at its name, and must be optimal for the session's
+    worth.  The sums run in integers over the common denominator of the
+    prices and the share.
     """
     g = a.g
     left, whole = (split or 0).as_integer_ratio()
@@ -117,9 +118,11 @@ def in_dual_image(a: GameAnalysis, imp: Imputation) -> bool:
     g = a.g
     if g.variant not in B_VARIANTS:
         raise ValueError(f"dual image is defined for b-variants, not {g.variant}")
+    if set(imp) != set(g.vertices):
+        raise ValueError("imputation keys do not match the game's vertices")
     if sum(imp.values(), start=ZERO) != a.worth:
         return False
-    dual = build_dual_lp(g, a.dual_columns)
+    dual = build_dual_lp(g)
     copies = [(t, q) for t, col in enumerate(a.dual_columns) for q in col.owners]
     cover = [
         (tuple([coeffs[t] for t, _ in copies]), rel, w)

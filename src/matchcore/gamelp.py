@@ -5,11 +5,11 @@ multiplicity bounds; the dual prices vertices (and, where edges carry
 their own caps or floors, edges).  Every variant is a b-general game
 with particular bounds: :func:`priced` declares which bound families a
 variant's LPs carry.  :func:`dual_columns` lists the dual's columns
-once, each with the vertices it credits and the :class:`DualSolution`
-entry that holds its price; :func:`build_dual_lp`, the dual read-out,
-the optimality test (:func:`dual_numerators`), the dual-image LP of
+once, each with the vertices it credits; :func:`build_dual_lp`, the
+optimality test (:func:`dual_numerators`), the dual-image LP of
 :mod:`matchcore.bmatching` and its map from duals to profits are all
-built from that list.
+built from that list.  A dual is what the solver returns for the dual
+LP: a dict from column name to price, a column it leaves out priced 0.
 Builders emit rows in a fixed order (left vertices, right vertices, edge
 rows) so solver output and reports are deterministic.
 
@@ -20,7 +20,6 @@ prices, ``y_lo[q]`` vertex floor credits, ``z[i~j]`` edge cap prices,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -42,8 +41,8 @@ def priced(g: GameInstance) -> tuple[bool, bool]:
     Returns ``(floors, edge_caps)``.  Every variant is a b-general game
     with particular bounds: only b-general has floors (vertex and edge),
     and only b-constrained and b-general cap the edges below what the
-    vertex caps already allow.  Every LP, dual read-out, imputation map
-    and dual-image test is emitted from this one declaration.
+    vertex caps already allow.  Every LP, imputation map and dual-image
+    test is emitted from this one declaration.
     """
     if g.variant not in VARIANTS:
         raise ValueError(f"unknown variant {g.variant!r}")
@@ -90,20 +89,13 @@ class DualColumn(NamedTuple):
     Its objective coefficient is ``sign * bound``.  Its owners are the
     vertices whose profit that term pays: a vertex column's own vertex,
     or both ends of an edge column, between which a split divides it.
-    Its price in a :class:`DualSolution` is at ``key`` in the field
-    ``family``.
+    A dual prices it at its ``name``.
     """
 
     name: str
     sign: int
     bound: int
     owners: tuple[str, ...]
-    family: str
-    key: str | Edge
-
-    def price(self, y: DualSolution) -> Fraction:
-        """The price of this column in ``y``; one ``y`` leaves out is 0."""
-        return getattr(y, self.family).get(self.key, ZERO)
 
 
 def dual_columns(g: GameInstance) -> list[DualColumn]:
@@ -112,40 +104,31 @@ def dual_columns(g: GameInstance) -> list[DualColumn]:
     Every variant prices the vertex caps (``y``); where :func:`priced` says
     so, the vertex floor credits (``y_lo``), edge cap prices (``z``) and
     edge floor credits (``z_lo``) follow, in that order.  This is the one
-    place that knows the price families: the dual LP, its read-out, the
-    optimality test and the map from duals to profits all go through it.
+    place that knows the price families: the dual LP, the optimality test
+    and the map from duals to profits all go through it.
     """
     floors, edge_caps = priced(g)
     vs, keys = g.vertices, g.edge_keys
     b, a, d, c = g.vertex_upper, g.vertex_lower, g.edge_upper, g.edge_lower
-    cols = [DualColumn(f"y[{q}]", 1, b[q], (q,), "vertex_upper", q) for q in vs]
+    cols = [DualColumn(f"y[{q}]", 1, b[q], (q,)) for q in vs]
     if floors:
-        cols += [
-            DualColumn(f"y_lo[{q}]", -1, a[q], (q,), "vertex_lower", q) for q in vs
-        ]
+        cols += [DualColumn(f"y_lo[{q}]", -1, a[q], (q,)) for q in vs]
     if edge_caps:
-        cols += [
-            DualColumn(f"z[{edge_name(k)}]", 1, d[k], k, "edge_upper", k) for k in keys
-        ]
+        cols += [DualColumn(f"z[{edge_name(k)}]", 1, d[k], k) for k in keys]
     if floors:
-        cols += [
-            DualColumn(f"z_lo[{edge_name(k)}]", -1, c[k], k, "edge_lower", k)
-            for k in keys
-        ]
+        cols += [DualColumn(f"z_lo[{edge_name(k)}]", -1, c[k], k) for k in keys]
     return cols
 
 
-def build_dual_lp(
-    g: GameInstance, cols: list[DualColumn] | None = None
-) -> LinearProgram:
+def build_dual_lp(g: GameInstance) -> LinearProgram:
     """Dual of :func:`build_primal_lp`: minimum-cost covering prices.
 
-    The columns are ``cols``, or :func:`dual_columns` if None.  The row of
-    edge e = ij reads ``y_i + y_j - y_lo_i - y_lo_j + z_e - z_lo_e >= w_e``
-    over the columns the variant has: each column owned by i, by j or by
-    e enters with its sign.
+    The columns are :func:`dual_columns`.  The row of edge e = ij reads
+    ``y_i + y_j - y_lo_i - y_lo_j + z_e - z_lo_e >= w_e`` over the columns
+    the variant has: each column owned by i, by j or by e enters with its
+    sign.
     """
-    cols = dual_columns(g) if cols is None else cols
+    cols = dual_columns(g)
     rows = []
     for i, j, w in g.edges:
         at = ((i,), (j,), (i, j))
@@ -161,54 +144,39 @@ def build_dual_lp(
     )
 
 
-@dataclass(frozen=True)
-class DualSolution:
-    """Covering prices: one value per vertex, plus edge terms if priced."""
-
-    vertex_upper: dict[str, Fraction]
-    vertex_lower: dict[str, Fraction] = field(default_factory=dict)
-    edge_upper: dict[Edge, Fraction] = field(default_factory=dict)
-    edge_lower: dict[Edge, Fraction] = field(default_factory=dict)
-
-
-def dual_solution_from_lp(sol: LPSolution, cols: list[DualColumn]) -> DualSolution:
-    """The prices of ``sol``, one per column ``cols`` of the dual LP."""
-    if sol.status != "optimal":
-        raise ValueError(f"dual LP did not produce an optimum: {sol.status}")
-    y = DualSolution({})
-    for c in cols:
-        getattr(y, c.family)[c.key] = sol.values[c.name]
-    return y
-
-
-def solve_dual(
-    g: GameInstance, cols: list[DualColumn] | None = None
-) -> tuple[LPSolution, DualSolution]:
-    """The dual optimum and its prices (over ``cols``, if held).
+def solve_dual(g: GameInstance) -> tuple[LPSolution, dict[str, Fraction]]:
+    """The dual optimum and its prices, by column name.
 
     Raising the vertex prices covers every edge, so the dual is always
     feasible: an unbounded dual means that no matching meets the floors.
     """
-    cols = dual_columns(g) if cols is None else cols
-    sol = solve_lp(build_dual_lp(g, cols))
+    sol = solve_lp(build_dual_lp(g))
     if sol.status == "unbounded":
         raise InfeasibleGameError("the grand coalition admits no feasible matching")
-    return sol, dual_solution_from_lp(sol, cols)
+    if sol.status != "optimal":
+        raise ValueError(f"dual LP did not produce an optimum: {sol.status}")
+    return sol, sol.values
 
 
 def dual_numerators(
-    g: GameInstance, cols: list[DualColumn], y: DualSolution, optimum: Fraction
+    g: GameInstance,
+    cols: list[DualColumn],
+    y: dict[str, Fraction],
+    optimum: Fraction,
 ) -> tuple[list[tuple[DualColumn, int]], int] | None:
     """The prices of ``y`` as integers over one denominator, if ``y`` is optimal.
 
     Returns each column of :func:`dual_columns` with a nonzero price, with
     that price times the denominator, and the denominator; or None unless
     ``y`` is a feasible point of :func:`build_dual_lp` whose objective is
-    ``optimum``.  The rows are checked sparsely and in integers: the cover
-    row of edge ij sums the signed prices of the columns owned by i, by j
-    and by ij.  ``cols`` are the columns of ``g``.
+    ``optimum``.  A key of ``y`` that names no column fails too.  The rows
+    are checked sparsely and in integers: the cover row of edge ij sums the
+    signed prices of the columns owned by i, by j and by ij.  ``cols`` are
+    the columns of ``g``.
     """
-    ratios = [c.price(y).as_integer_ratio() for c in cols]
+    if y.keys() - {c.name for c in cols}:
+        return None
+    ratios = [y.get(c.name, ZERO).as_integer_ratio() for c in cols]
     den = lcm(*[d for _, d in ratios])
     nonzero = []
     objective = 0
@@ -232,6 +200,8 @@ def dual_numerators(
     return nonzero, den
 
 
-def dual_is_optimal(g: GameInstance, y: DualSolution, optimum: Fraction) -> bool:
+def dual_is_optimal(
+    g: GameInstance, y: dict[str, Fraction], optimum: Fraction
+) -> bool:
     """Is ``y`` an optimal point of :func:`build_dual_lp` with value ``optimum``?"""
     return dual_numerators(g, dual_columns(g), y, optimum) is not None

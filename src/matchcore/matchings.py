@@ -67,6 +67,10 @@ class MatchingVector:
 
 
 def make_matching_vector(g: GameInstance, mult: dict[Edge, Fraction]) -> MatchingVector:
+    keys = set(g.edge_keys)
+    for k in mult:
+        if k not in keys:
+            raise ValueError(f"unknown edge {k!r}")
     items = []
     weight = ZERO
     for k, (*_, w) in zip(g.edge_keys, g.edges):

@@ -94,8 +94,10 @@ def dual_section(a: GameAnalysis) -> list[str]:
     sol, y = a.dual
     rows = []
     for c in a.dual_columns:
-        vertex_labels = {"vertex_upper": c.key, "vertex_lower": f"{c.key}:lo"}
-        rows.append((vertex_labels.get(c.family, c.name), fr(c.price(y))))
+        label = c.name
+        if len(c.owners) == 1:
+            label = c.owners[0] if c.sign > 0 else f"{c.owners[0]}:lo"
+        rows.append((label, fr(y[c.name])))
     return table(rows) + [f"objective = {fr(sol.objective_value)}"]
 
 

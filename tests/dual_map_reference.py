@@ -2,11 +2,14 @@
 reference for the one that reads ``matchcore.gamelp.dual_columns``.
 
 This is the formulation ``matchcore.bmatching.imputation_from_dual`` used
-before the price families were declared once: a split is four dicts of
-split parts (left and right, for the cap and the floor prices of each
-edge), and optimality is the cover rows, the signs and the objective
-written family by family over ``Fraction``s.  Both must give the same
-profits, the same ``ProfitSignError`` and the same rejections.
+before the price families were declared once: a dual, keyed by the
+column names ``matchcore.gamelp`` documents (``y[q]``, ``y_lo[q]``,
+``z[i~j]``, ``z_lo[i~j]``), is read into one dict of prices per family
+(:func:`read_prices`); a split is four dicts of split parts (left and
+right, for the cap and the floor prices of each edge), and optimality is
+the cover rows, the signs and the objective written family by family
+over ``Fraction``s.  Both must give the same profits, the same
+``ProfitSignError`` and the same rejections.
 """
 
 from __future__ import annotations
@@ -16,11 +19,48 @@ from fractions import Fraction
 
 from matchcore.analysis import GameAnalysis, Imputation
 from matchcore.bmatching import ProfitSignError
-from matchcore.gamelp import DualSolution, edge_name
+from matchcore.gamelp import edge_name
 from matchcore.games import Edge, GameInstance
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+
+
+@dataclass(frozen=True)
+class Prices:
+    """A dual's prices by family; a family the variant does not price is empty."""
+
+    vertex_upper: dict[str, Fraction]
+    vertex_lower: dict[str, Fraction]
+    edge_upper: dict[Edge, Fraction]
+    edge_lower: dict[Edge, Fraction]
+
+
+def read_prices(g: GameInstance, y: dict[str, Fraction]) -> Prices:
+    """The prices of ``y`` at the column names of the dual of ``g``, a name
+    ``y`` leaves out priced 0.  Only b-general prices floors, and only
+    b-constrained and b-general price edge caps.  A key of ``y`` that is
+    not such a name is a ``ValueError``."""
+    floors = g.variant == "b-general"
+    edge_caps = g.variant in ("b-constrained", "b-general")
+    read = set()
+
+    def family(prefix, keys, priced):
+        if not priced:
+            return {}
+        names = {k: f"{prefix}[{k if isinstance(k, str) else edge_name(k)}]" for k in keys}
+        read.update(names.values())
+        return {k: y.get(n, ZERO) for k, n in names.items()}
+
+    prices = Prices(
+        family("y", g.vertices, True),
+        family("y_lo", g.vertices, floors),
+        family("z", g.edge_keys, edge_caps),
+        family("z_lo", g.edge_keys, floors),
+    )
+    if set(y) - read:
+        raise ValueError("dual solution is not optimal for this game")
+    return prices
 
 
 @dataclass(frozen=True)
@@ -37,7 +77,7 @@ class SplitScheme:
     floor_right: dict[Edge, Fraction] = field(default_factory=dict)
 
 
-def split_all_left(y: DualSolution) -> SplitScheme:
+def split_all_left(y: Prices) -> SplitScheme:
     return SplitScheme(
         cap_left=dict(y.edge_upper),
         cap_right={k: ZERO for k in y.edge_upper},
@@ -46,7 +86,7 @@ def split_all_left(y: DualSolution) -> SplitScheme:
     )
 
 
-def split_all_right(y: DualSolution) -> SplitScheme:
+def split_all_right(y: Prices) -> SplitScheme:
     return SplitScheme(
         cap_left={k: ZERO for k in y.edge_upper},
         cap_right=dict(y.edge_upper),
@@ -55,7 +95,7 @@ def split_all_right(y: DualSolution) -> SplitScheme:
     )
 
 
-def split_half(y: DualSolution) -> SplitScheme:
+def split_half(y: Prices) -> SplitScheme:
     return SplitScheme(
         cap_left={k: v * HALF for k, v in y.edge_upper.items()},
         cap_right={k: v * HALF for k, v in y.edge_upper.items()},
@@ -68,7 +108,7 @@ def split_half(y: DualSolution) -> SplitScheme:
 SPLITS = ((Fraction(1), split_all_left), (ZERO, split_all_right), (HALF, split_half))
 
 
-def dual_cover_slack(g: GameInstance, y: DualSolution, key: Edge) -> Fraction:
+def dual_cover_slack(g: GameInstance, y: Prices, key: Edge) -> Fraction:
     """Left-hand side minus weight of the covering row for one edge; a
     price family ``y`` leaves empty contributes nothing."""
     i, j = key
@@ -82,7 +122,7 @@ def dual_cover_slack(g: GameInstance, y: DualSolution, key: Edge) -> Fraction:
     return lhs - g.weight(key)
 
 
-def dual_is_feasible(g: GameInstance, y: DualSolution) -> bool:
+def dual_is_feasible(g: GameInstance, y: Prices) -> bool:
     entries = (
         list(y.vertex_upper.values())
         + list(y.vertex_lower.values())
@@ -94,7 +134,7 @@ def dual_is_feasible(g: GameInstance, y: DualSolution) -> bool:
     return all(dual_cover_slack(g, y, k) >= 0 for k in g.edge_keys)
 
 
-def dual_objective(g: GameInstance, y: DualSolution) -> Fraction:
+def dual_objective(g: GameInstance, y: Prices) -> Fraction:
     """Every price times its bound, floor credits negated."""
     total = ZERO
     for bounds, prices, sign in (
@@ -108,11 +148,11 @@ def dual_objective(g: GameInstance, y: DualSolution) -> Fraction:
     return total
 
 
-def dual_is_optimal(g: GameInstance, y: DualSolution, optimum: Fraction) -> bool:
+def dual_is_optimal(g: GameInstance, y: Prices, optimum: Fraction) -> bool:
     return dual_is_feasible(g, y) and dual_objective(g, y) == optimum
 
 
-def _check_split(y: DualSolution, s: SplitScheme) -> None:
+def _check_split(y: Prices, s: SplitScheme) -> None:
     for prices, left, right in (
         (y.edge_upper, s.cap_left, s.cap_right),
         (y.edge_lower, s.floor_left, s.floor_right),
@@ -125,12 +165,13 @@ def _check_split(y: DualSolution, s: SplitScheme) -> None:
 
 
 def reference_imputation(
-    a: GameAnalysis, y: DualSolution, split: SplitScheme = SplitScheme()
+    a: GameAnalysis, dual: dict[str, Fraction], split: SplitScheme = SplitScheme()
 ) -> Imputation:
     """profit_i = (b_i * cap_price_i - a_i * floor_price_i)
                 + sum over incident edges of (d_e * own cap part
                                               - c_e * own floor part)."""
     g = a.g
+    y = read_prices(g, dual)
     if not dual_is_optimal(g, y, a.worth):
         raise ValueError("dual solution is not optimal for this game")
     _check_split(y, split)

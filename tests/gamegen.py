@@ -2,6 +2,8 @@
 
 Weights are small rationals (numerators 1..9, denominators 1, 2 or 5)
 so every quantity downstream stays exactly representable and tiny.
+A dual is a dict from the dual LP's column names (``y[q]``, ``y_lo[q]``,
+``z[i~j]``, ``z_lo[i~j]``) to prices; :func:`named_dual` writes one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from matchcore.bmatching import (
     system_lp,
 )
 from matchcore.bundled import INSTANCE_NAMES, load_instance
-from matchcore.gamelp import solve_dual
+from matchcore.gamelp import edge_name, solve_dual
 from matchcore.games import GameInstance, make_game
 from matchcore.simplex import solve_lp
 
@@ -28,6 +30,22 @@ WEIGHT_DENOMS = (1, 2, 5)
 
 def rand_weight(rng: Random) -> Fraction:
     return Fraction(rng.randint(1, 9), rng.choice(WEIGHT_DENOMS))
+
+
+def named_dual(y=None, y_lo=None, z=None, z_lo=None) -> dict[str, Fraction]:
+    """A dual by column name, from prices by vertex (``y``, ``y_lo``) and
+    by edge (``z``, ``z_lo``)."""
+    dual = {}
+    for family, prices in (("y", y), ("y_lo", y_lo), ("z", z), ("z_lo", z_lo)):
+        for key, price in (prices or {}).items():
+            at = key if isinstance(key, str) else edge_name(key)
+            dual[f"{family}[{at}]"] = Fraction(price)
+    return dual
+
+
+def vertex_prices(g: GameInstance, y: dict[str, Fraction]) -> dict[str, Fraction]:
+    """The vertex cap prices ``y[q]`` of the dual ``y``, by vertex."""
+    return {q: y.get(f"y[{q}]", Fraction(0)) for q in g.vertices}
 
 
 def random_assignment(rng: Random, max_side: int = 4, density: float = 0.6) -> GameInstance:
@@ -134,7 +152,7 @@ def dual_imputation(g: GameInstance) -> dict[str, Fraction]:
     half split of the optimal dual for b-variants."""
     _, y = solve_dual(g)
     if g.variant in ("assignment", "general-matching"):
-        return dict(y.vertex_upper)
+        return vertex_prices(g, y)
     return imputation_from_dual(GameAnalysis(g), y, Fraction(1, 2))
 
 
@@ -174,7 +192,7 @@ def probes(a: GameAnalysis) -> list[dict[str, Fraction]]:
         except ProfitSignError:
             pass
         except ValueError:  # an empty core: the prices do not pay out v(N)
-            base.append(dict(y.vertex_upper))
+            base.append(vertex_prices(g, y))
             break
     if solve_lp(system_lp(a.system, {})).status == "optimal":
         base += sample_core_imputations(a.system, seed=len(g.vertices), count=3)

@@ -10,16 +10,18 @@ serves as its oracle.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from matchcore.analysis import Imputation, worth
-from matchcore.gamelp import DualSolution, dual_is_optimal
+from matchcore.gamelp import dual_is_optimal
 from matchcore.games import GameInstance
 
 
-def scaled_dual(g: GameInstance, imp: Imputation) -> DualSolution:
+def scaled_dual(g: GameInstance, imp: Imputation) -> dict[str, Fraction]:
     """The only dual the scaling map can send to ``imp``: divide by the caps."""
     if g.variant not in ("b-uniform", "b-unconstrained"):
         raise ValueError("the closed-form inverse needs a game that prices no edges")
-    return DualSolution({q: imp[q] / g.vertex_upper[q] for q in g.vertices})
+    return {f"y[{q}]": imp[q] / g.vertex_upper[q] for q in g.vertices}
 
 
 def in_scaled_image(g: GameInstance, imp: Imputation) -> bool:

@@ -23,12 +23,7 @@ from matchcore.bmatching import (
 )
 from matchcore.bundled import instance_report_text, load_instance, run_examples
 from matchcore.gamefile import parse_game
-from matchcore.gamelp import (
-    DualSolution,
-    build_dual_lp,
-    dual_is_optimal,
-    solve_dual,
-)
+from matchcore.gamelp import build_dual_lp, dual_is_optimal, solve_dual
 from matchcore.games import make_game
 from matchcore.matchings import (
     birkhoff_decompose,
@@ -39,7 +34,7 @@ from matchcore.matchings import (
 )
 from matchcore.simplex import solve_lp, solve_over_optimal_face
 
-from gamegen import random_assignment, random_b_game, random_general
+from gamegen import named_dual, random_assignment, random_b_game, random_general
 from scaling_oracle import scaled_dual
 
 Z, H, O = F(0), F(1, 2), F(1)
@@ -180,13 +175,13 @@ def test_c08_bpath4_constrained():
     assert core_membership_via_system(sys, first).in_core
     assert core_membership_via_system(sys, second).in_core
     heavy = ("u1", "v2")
-    y0 = DualSolution(
-        {"u1": O, "u2": Z, "v1": Z, "v2": F(2)},
-        edge_upper={k: Z for k in g.edge_keys},
+    y0 = named_dual(
+        y={"u1": O, "u2": Z, "v1": Z, "v2": F(2)},
+        z={k: Z for k in g.edge_keys},
     )
-    y1 = DualSolution(
-        {"u1": O, "u2": Z, "v1": Z, "v2": O},
-        edge_upper={k: (O if k == heavy else Z) for k in g.edge_keys},
+    y1 = named_dual(
+        y={"u1": O, "u2": Z, "v1": Z, "v2": O},
+        z={k: (O if k == heavy else Z) for k in g.edge_keys},
     )
     assert dual_is_optimal(g, y0, F(4)) and dual_is_optimal(g, y1, F(4))
     assert imputation_from_dual(a, y0, Z) == imp(g, 2, 0, 0, 2)
@@ -194,9 +189,9 @@ def test_c08_bpath4_constrained():
     # The dual (0,0,0,3) with edge price 1 on u1~v1 is optimal, and its
     # two one-sided splits produce exactly `first` and `second`, so both
     # are in the image.
-    cert = DualSolution(
-        {"u1": Z, "u2": Z, "v1": Z, "v2": F(3)},
-        edge_upper={k: (O if k == ("u1", "v1") else Z) for k in g.edge_keys},
+    cert = named_dual(
+        y={"u1": Z, "u2": Z, "v1": Z, "v2": F(3)},
+        z={k: (O if k == ("u1", "v1") else Z) for k in g.edge_keys},
     )
     assert dual_is_optimal(g, cert, F(4))
     assert imputation_from_dual(a, cert, O) == first
@@ -271,7 +266,7 @@ def test_c09_assignment_property_suite():
         # core membership coincides with optimal-dual feasibility
         for cand in _ss_candidates(rng, g, base):
             in_core = a.membership(cand).in_core
-            dual_side = dual_is_optimal(g, DualSolution(dict(cand)), best)
+            dual_side = dual_is_optimal(g, named_dual(y=cand), best)
             assert in_core == dual_side
 
         # payment flags coincide with the classification

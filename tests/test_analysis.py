@@ -6,10 +6,10 @@ import pytest
 from matchcore.analysis import GameAnalysis, meet_join, worth
 from matchcore.bmatching import imputation_from_dual
 from matchcore.bundled import load_instance
-from matchcore.gamelp import DualSolution, dual_is_optimal, solve_dual
+from matchcore.gamelp import dual_is_optimal, solve_dual
 from matchcore.games import make_game
 
-from gamegen import random_assignment, random_general
+from gamegen import named_dual, random_assignment, random_general
 
 
 def imp(g, *values):
@@ -47,7 +47,7 @@ def test_dual_imputation_rejects_infeasible_dual_with_the_right_total():
     g = make_game("assignment", ["u1", "u2"], ["v1", "v2"],
                   [("u1", "v1", 5), ("u2", "v2", 3)])
     a = GameAnalysis(g)
-    y = DualSolution(imp(g, 8, 0, 0, 0))
+    y = named_dual(y=imp(g, 8, 0, 0, 0))
     assert a.membership(imp(g, 8, 0, 0, 0)).witness == {"u2", "v2"}
     with pytest.raises(ValueError, match="not optimal"):
         imputation_from_dual(a, y)
@@ -204,7 +204,7 @@ def test_degeneracy_path5_and_single_edge():
 
 
 def core_equals_optimal_dual(g, candidate):
-    y = DualSolution(dict(candidate))
+    y = named_dual(y=candidate)
     return dual_is_optimal(g, y, worth(g))
 
 

@@ -18,10 +18,16 @@ from matchcore.bmatching import (
     sample_core_imputations,
 )
 from matchcore.bundled import load_instance
-from matchcore.gamelp import DualSolution, dual_is_optimal, solve_dual
+from matchcore.gamelp import dual_is_optimal, solve_dual
 from matchcore.games import make_game
 
-from gamegen import random_assignment, random_b_game, random_general
+from gamegen import (
+    named_dual,
+    random_assignment,
+    random_b_game,
+    random_general,
+    vertex_prices,
+)
 from scaling_oracle import in_scaled_image, scaled_dual
 
 Z = F(0)
@@ -41,13 +47,13 @@ def test_uniform_forward_and_inverse():
     assert profits == imp(g, 2, 2, 0, F(1, 5), 0)
     assert in_dual_image(a, profits) and in_scaled_image(g, profits)
     back = scaled_dual(g, profits)
-    assert back.vertex_upper == {
+    assert back == named_dual(y={
         "u1": F(1),
         "u2": F(1),
         "v1": Z,
         "v2": F(1, 10),
         "v3": Z,
-    }
+    })
 
 
 def test_uniform_cap_one_reduces_to_identity():
@@ -59,7 +65,7 @@ def test_uniform_cap_one_reduces_to_identity():
         vertex_upper=1,
     )
     _, y = solve_dual(g)
-    assert imputation_from_dual(GameAnalysis(g), y) == dict(y.vertex_upper)
+    assert imputation_from_dual(GameAnalysis(g), y) == vertex_prices(g, y)
 
 
 def test_uniform_inverse_rejects_non_core():
@@ -71,7 +77,7 @@ def test_uniform_inverse_rejects_non_core():
 def test_uncon_imputation_bpath4():
     g = load_instance("bpath4-uncon")
     _, y = solve_dual(g)
-    assert y.vertex_upper == {"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)}
+    assert y == named_dual(y={"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)})
     assert imputation_from_dual(GameAnalysis(g), y) == imp(g, 2, 0, 0, 2)
 
 
@@ -88,7 +94,7 @@ def test_uncon_single_edge_scaling():
     assert a.worth == 2 * w
     _, y = solve_dual(g)
     # the cheap side carries the price: min 3u + 2v forces (0, w)
-    assert y.vertex_upper == {"u": Z, "v": w}
+    assert y == named_dual(y={"u": Z, "v": w})
     assert imputation_from_dual(a, y) == {"u": Z, "v": 2 * w}
 
 
@@ -110,9 +116,9 @@ def test_uncon_core_strictly_exceeds_dual_image():
 def test_con_imputations_from_dual_family():
     g = load_instance("bpath4-con")
     heavy = ("u1", "v2")
-    y1 = DualSolution(
-        {"u1": F(1), "u2": Z, "v1": Z, "v2": F(1)},
-        edge_upper={k: (F(1) if k == heavy else Z) for k in g.edge_keys},
+    y1 = named_dual(
+        y={"u1": F(1), "u2": Z, "v1": Z, "v2": F(1)},
+        z={k: (F(1) if k == heavy else Z) for k in g.edge_keys},
     )
     assert dual_is_optimal(g, y1, F(4))
     a = GameAnalysis(g)
@@ -121,9 +127,9 @@ def test_con_imputations_from_dual_family():
     assert imputation_from_dual(a, y1, HALF) == imp(
         g, F(5, 2), 0, 0, F(3, 2)
     )
-    y0 = DualSolution(
-        {"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)},
-        edge_upper={k: Z for k in g.edge_keys},
+    y0 = named_dual(
+        y={"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)},
+        z={k: Z for k in g.edge_keys},
     )
     assert imputation_from_dual(a, y0, LEFT) == imp(g, 2, 0, 0, 2)
 
@@ -150,9 +156,9 @@ def test_con_dual_image_reaches_beyond_listed_family():
     # (objective 4), and splitting that edge price to either endpoint
     # yields (1,0,0,3) and (0,0,1,3).  Both are therefore in the image.
     g = load_instance("bpath4-con")
-    y = DualSolution(
-        {"u1": Z, "u2": Z, "v1": Z, "v2": F(3)},
-        edge_upper={
+    y = named_dual(
+        y={"u1": Z, "u2": Z, "v1": Z, "v2": F(3)},
+        z={
             ("u1", "v1"): F(1),
             ("u1", "v2"): Z,
             ("u2", "v2"): Z,
@@ -171,6 +177,34 @@ def test_con_dual_image_rejects_non_imputations():
     a = GameAnalysis(g)
     assert not in_dual_image(a, imp(g, 4, 0, 0, 1))  # wrong total
     assert not in_dual_image(a, imp(g, 4, 0, 0, 0))  # core violation too
+
+
+def test_dual_image_needs_one_profit_per_vertex():
+    # As in the membership test: a missing vertex and an extra key (left
+    # out of the LP's rows but counted in the total) are both errors.
+    g = load_instance("bpath4-con")
+    a = GameAnalysis(g)
+    good = imp(g, 2, 0, 0, 2)
+    assert in_dual_image(a, good)
+    missing = {q: p for q, p in good.items() if q != "u2"}
+    extra = {**good, "x": Z}
+    for bad in (missing, extra):
+        for check in (a.membership, lambda p: in_dual_image(a, p)):
+            with pytest.raises(ValueError, match="keys do not match"):
+                check(bad)
+
+
+def test_a_vertex_keyed_dual_is_rejected():
+    # A dual is keyed by column name: read by name, a dict keyed by vertex
+    # would be the all-zero dual, so a key that names no column fails.
+    g = load_instance("bpath4-uncon")
+    a = GameAnalysis(g)
+    by_vertex = {"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)}
+    assert dual_is_optimal(g, named_dual(y=by_vertex), F(4))
+    for y in (by_vertex, {**named_dual(y=by_vertex), "u1": Z}):
+        assert not dual_is_optimal(g, y, F(4))
+        with pytest.raises(ValueError, match="not optimal"):
+            imputation_from_dual(a, y)
 
 
 def test_coalition_system_rhs_by_variant():
@@ -229,11 +263,11 @@ def test_gen_cap_matches_unconstrained_results():
     g = load_instance("bpath4-gen-cap")
     a = GameAnalysis(g)
     assert a.worth == 4
-    y = DualSolution(
-        {"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)},
-        vertex_lower={q: Z for q in g.vertices},
-        edge_upper={k: Z for k in g.edge_keys},
-        edge_lower={k: Z for k in g.edge_keys},
+    y = named_dual(
+        y={"u1": F(1), "u2": Z, "v1": Z, "v2": F(2)},
+        y_lo={q: Z for q in g.vertices},
+        z={k: Z for k in g.edge_keys},
+        z_lo={k: Z for k in g.edge_keys},
     )
     assert dual_is_optimal(g, y, F(4))
     profits = imputation_from_dual(a, y, HALF)
@@ -254,11 +288,11 @@ def test_gen_floor_can_turn_profits_negative():
     )
     a = GameAnalysis(g)
     assert a.worth == 1
-    y = DualSolution(
-        {"u": Z, "v": F(2)},
-        vertex_lower={"u": F(1), "v": Z},
-        edge_upper={("u", "v"): Z},
-        edge_lower={("u", "v"): Z},
+    y = named_dual(
+        y={"u": Z, "v": F(2)},
+        y_lo={"u": F(1), "v": Z},
+        z={("u", "v"): Z},
+        z_lo={("u", "v"): Z},
     )
     assert dual_is_optimal(g, y, F(1))
     with pytest.raises(ProfitSignError):

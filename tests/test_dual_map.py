@@ -28,12 +28,18 @@ from matchcore.bmatching import (
     in_dual_image,
 )
 from matchcore.bundled import INSTANCE_NAMES, load_instance
-from matchcore.gamelp import DualSolution, build_dual_lp, dual_solution_from_lp
+from matchcore.gamelp import build_dual_lp
 from matchcore.games import make_game
 from matchcore.simplex import solve_over_optimal_face
 
-from dual_map_reference import SPLITS, SplitScheme, reference_imputation
-from gamegen import random_assignment, random_b_game, random_general, with_vertex_floors
+from dual_map_reference import SPLITS, SplitScheme, read_prices, reference_imputation
+from gamegen import (
+    named_dual,
+    random_assignment,
+    random_b_game,
+    random_general,
+    with_vertex_floors,
+)
 
 KINDS = {
     "assignment": lambda rng: random_assignment(rng, max_side=4, density=0.7),
@@ -77,11 +83,9 @@ def kind_of(got):
     return got if isinstance(got, str) else got[0]
 
 
-def nudged(y, family, key, step):
-    """``y`` with the price at ``key`` in ``family`` moved by ``step``."""
-    prices = {name: dict(getattr(y, name)) for name in vars(y)}
-    prices[family][key] += step
-    return DualSolution(**prices)
+def nudged(y, name, step):
+    """``y`` with the price of the column ``name`` moved by ``step``."""
+    return {**y, name: y[name] + step}
 
 
 def duals_to_compare(a):
@@ -96,10 +100,9 @@ def duals_to_compare(a):
         goal = tuple([Fraction(s == t) for s in range(len(lp.variables))])
         top = solve_over_optimal_face(lp, sol.objective_value, goal, True)
         if top.status == "optimal":
-            out.append(dual_solution_from_lp(top, a.dual_columns))
-    for family in vars(y):
-        for key in getattr(y, family):
-            out += [nudged(y, family, key, 1), nudged(y, family, key, -1)]
+            out.append(top.values)
+    for name in y:
+        out += [nudged(y, name, 1), nudged(y, name, -1)]
     return out
 
 
@@ -111,7 +114,7 @@ def check_against_reference(a):
     for y in duals_to_compare(a):
         for share, split in SPLITS:
             got = outcome(imputation_from_dual, a, y, share)
-            assert got == outcome(reference_imputation, a, y, split(y))
+            assert got == outcome(reference_imputation, a, y, split(read_prices(g, y)))
             seen[kind_of(got)] += 1
             if isinstance(got, dict) and g.variant in B_VARIANTS and no_edge_floor:
                 assert in_dual_image(a, got)
@@ -122,7 +125,7 @@ def check_against_reference(a):
     _, y = a.dual
     for share, split in SPLITS:
         assert outcome(imputation_from_dual, wrong, y, share) == "ValueError"
-        assert outcome(reference_imputation, wrong, y, split(y)) == "ValueError"
+        assert outcome(reference_imputation, wrong, y, split(read_prices(g, y))) == "ValueError"
     return seen
 
 
@@ -158,13 +161,13 @@ def test_a_vertex_floor_raises_the_same_profit_sign_error():
     g = make_game("b-general", ["u"], ["v"], [("u", "v", Fraction(1))],
                   vertex_lower={"u": 1})
     a = GameAnalysis(g)
-    y = DualSolution(
-        {"u": Fraction(0), "v": Fraction(2)},
-        vertex_lower={"u": Fraction(1), "v": Fraction(0)},
-        edge_upper={("u", "v"): Fraction(0)},
-        edge_lower={("u", "v"): Fraction(0)},
+    y = named_dual(
+        y={"u": 0, "v": 2},
+        y_lo={"u": 1, "v": 0},
+        z={("u", "v"): 0},
+        z_lo={("u", "v"): 0},
     )
     for share, split in SPLITS:
         got = outcome(imputation_from_dual, a, y, share)
         assert got == ("ProfitSignError", "dual-derived profits are negative at u")
-        assert got == outcome(reference_imputation, a, y, split(y))
+        assert got == outcome(reference_imputation, a, y, split(read_prices(g, y)))

@@ -3,6 +3,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -112,6 +113,18 @@ def test_half_integral_rejects_thirds():
     g = load_instance("k3")
     vec = make_matching_vector(g, {("v1", "v2"): F(1, 3)})
     assert not check_half_integral(vec).is_half_integral
+
+
+def test_matching_vector_rejects_a_key_that_is_no_edge():
+    # A reversed key or an unknown vertex would otherwise drop out of the
+    # vector, and birkhoff_decompose would decompose another vector.
+    g = load_instance("path5")
+    assert ("u1", "v1") in g.edge_keys
+    for key in (("v1", "u1"), ("u1", "x")):
+        with pytest.raises(ValueError, match="unknown edge"):
+            make_matching_vector(g, {key: F(1)})
+        with pytest.raises(ValueError, match="unknown edge"):
+            birkhoff_decompose(g, make_matching_vector(g, {("u1", "v1"): H, key: H}))
 
 
 def test_half_integral_rejects_even_cycle():
@@ -378,11 +391,33 @@ def test_enumeration_leaves_no_cyclic_garbage():
 
 
 
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            yield from _code_objects(const)
+
+
+def test_no_nested_function_closes_over_twenty_names():
+    # CPython 3.11 never reuses a freed tuple of exactly 20 items, so a
+    # closure over 20 names grows the tuple free list by one block per call
+    # of the function that builds it: integer_search's visit did, up to
+    # 2,000 blocks (about 400 kB of resident memory).
+    path = Path(matchings.__file__)
+    code = compile(path.read_text(), str(path), "exec")
+    closures = [
+        (c.co_name, c.co_firstlineno, len(c.co_freevars))
+        for c in _code_objects(code)
+        if c.co_freevars
+    ]
+    assert any(name == "visit" for name, _, _ in closures)
+    assert [c for c in closures if c[2] == 20] == []
+
+
 def test_repeated_searches_hold_no_memory():
-    # A session searches once per coalition.  CPython 3.11 never reuses a
-    # freed tuple of exactly 20 items, so a search closure of 20 cells
-    # grew the tuple free list by one block per call, up to 2,000 blocks
-    # (about 400 kB of resident memory).
+    # A session reads its coalition worths from one residual table and
+    # runs no search per coalition; the closure size that once leaked per
+    # search is gated by test_no_nested_function_closes_over_twenty_names.
     # A first batch fills the interpreter's free lists, which keep up to 80
     # freed dicts and lists each; what the measured batch adds is held memory.
     g = load_instance("bpath4-con")

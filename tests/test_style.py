@@ -200,20 +200,24 @@ PRICE_FAMILY_NAMES = {
 
 
 def test_bmatching_names_no_price_family():
-    # gamelp.dual_columns is the one code that knows the price families:
-    # each column says where its price sits in a DualSolution.  The map
-    # from duals to profits reads every price through the columns, and a
-    # split is one share, so a family or split part named in bmatching (an
-    # identifier, an attribute or a string) would write a family out again.
-    # GameAnalysis keeps no second map for single-use games.
+    # gamelp.dual_columns is the one code that knows the price families,
+    # and a dual prices each column at its name.  The map from duals to
+    # profits and the report's [dual] section read every price through the
+    # columns, and a split is one share, so a family or split part named in
+    # bmatching or reports (an identifier, an attribute or a string) would
+    # write a family out again.  GameAnalysis keeps no second map for
+    # single-use games.
     found = []
-    for node in ast.walk(ast.parse((SRC / "bmatching.py").read_text())):
-        names = [
-            getattr(node, attr)
-            for attr in ("id", "attr", "arg", "name", "value")
-            if isinstance(getattr(node, attr, None), str)
-        ]
-        found += [f"{node.lineno}: {n}" for n in names if n in PRICE_FAMILY_NAMES]
+    for module in ("bmatching.py", "reports.py"):
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            names = [
+                getattr(node, attr)
+                for attr in ("id", "attr", "arg", "name", "value")
+                if isinstance(getattr(node, attr, None), str)
+            ]
+            found += [
+                f"{module}:{node.lineno}: {n}" for n in names if n in PRICE_FAMILY_NAMES
+            ]
     assert found == []
     assert not hasattr(matchcore.GameAnalysis, "core_imputation")
 
