@@ -4,8 +4,14 @@ The central device is the optimal face of the dual LP.  For assignment
 games and for concurrent general-graph games the core is exactly that
 face, so universally or existentially quantified payment questions
 ("is q ever paid", "is the pair u,v overpaid anywhere") reduce to
-maximizing a secondary linear objective over the face.  One exact LP
-answers each question; no sampling of imputations is involved.
+maximizing a secondary linear objective over the face.  The payment
+report asks the face only what nothing cheaper decides exactly (see
+:attr:`GameAnalysis.payments`): complementary slackness answers every
+vertex that is not essential and every edge that is not subpar from the
+labels, the Shapley–Shubik lattice answers an assignment game's other
+vertices from its two antipodal points, and one exact face LP answers
+each remaining question, an essential vertex of a general game or a
+subpar edge.  No sampling of imputations is involved.
 
 A :class:`GameAnalysis` session computes each fact of one game at most
 once, and reads the combinatorial ones from one residual-capacity
@@ -49,6 +55,8 @@ from .games import (
 )
 from .gamelp import DualColumn, dual_columns, edge_name, priced, solve_dual
 from .matchings import (
+    ESSENTIAL,
+    SUBPAR,
     IntegerGame,
     InfeasibleGameError,
     OptimaCount,
@@ -437,10 +445,52 @@ class GameAnalysis:
 
     @cached_property
     def payments(self) -> PaymentReport:
-        _require_payment_variant(self.g)
-        verts = {q: self.vertex_payment(q) for q in self.g.vertices}
-        edges = {k: self.edge_payment(k) for k in self.g.edge_keys}
-        return PaymentReport(verts, edges)
+        """Every payment answer, each from the first exact source that decides it.
+
+        With an empty core every answer says so.  Otherwise the core is
+        the dual's optimal face, and the integral optimum equals the
+        fractional one, so every optimal matching is an optimal primal
+        solution and complementary slackness holds against every core
+        point:
+
+        1. The labels.  A vertex that is not essential is left unmatched
+           by some optimal matching, so ``y_q = 0`` on the whole face: it
+           is never paid.  An edge that is not subpar lies in some optimal
+           matching, so its row ``y_u + y_v >= w_uv`` is tight on the
+           whole face: it is always fairly paid.
+        2. On assignment games, the antipodal points (see
+           :attr:`antipodal`).  By Shapley and Shubik the core is a
+           lattice whose left-optimal point pays every left vertex its
+           maximum at once, and the right-optimal point every right
+           vertex, so the essential vertices are read off them.
+        3. The face LP, :meth:`vertex_payment` and :meth:`edge_payment`,
+           for the rest: the essential vertices of general games and the
+           subpar edges.
+        """
+        g = self.g
+        _require_payment_variant(g)
+        if self.face is None:
+            return PaymentReport(
+                dict.fromkeys(g.vertices, VertexPayment(True, None, None)),
+                dict.fromkeys(g.edge_keys, EdgePayment(True, None, None)),
+            )
+        vlabels, elabels = self.labels
+        essential = [q for q in g.vertices if vlabels[q] == ESSENTIAL]
+        if g.variant == "assignment" and essential:
+            left_best, right_best = self.antipodal
+            top = {**right_best, **{q: left_best[q] for q in g.left}}
+            paid = {q: VertexPayment(False, top[q] > 0, top[q]) for q in essential}
+        else:
+            paid = {q: self.vertex_payment(q) for q in essential}
+        never = VertexPayment(False, False, ZERO)
+        fair = EdgePayment(False, True, ZERO)
+        return PaymentReport(
+            {q: paid.get(q, never) for q in g.vertices},
+            {
+                k: self.edge_payment(k) if elabels[k] == SUBPAR else fair
+                for k in g.edge_keys
+            },
+        )
 
     @cached_property
     def antipodal(self) -> tuple[Imputation, Imputation]:

@@ -569,22 +569,31 @@ def _max_matching_covering(
     """Largest matching inside ``support`` covering all of ``tight``.
 
     Ties break toward the lexicographically earliest edge-index set.  One
-    listing :func:`integer_search` over the support, every cap 1: with m
-    support edges, edge e weighs 1 + (m+1)·|e ∩ tight|, so a matching
-    covers ``tight`` exactly when its weight reaches (m+1)·|tight|, and
-    the heaviest of those are the largest.
+    :func:`integer_search` over the support, every cap 1: with m support
+    edges, edge t weighs 2^m·(1 + (m+1)·|e ∩ tight|) + 2^(m−1−t).  Above
+    2^m, a matching covers ``tight`` exactly when its weight reaches
+    (m+1)·|tight|, and the heaviest of those are the largest.  Below it,
+    each index set weighs its own binary number, the greatest for the
+    earliest of the sets tied above (no one of which holds another), so
+    the optimum is unique and the search lists only it.  The search gets
+    the edges last first: in index order its leaves would come in
+    ascending order of that number, each one a new best.
     """
     m = len(support)
-    pos = {q: p for p, q in enumerate(dict.fromkeys([q for k in support for q in k]))}
-    ends = [(pos[i], pos[j]) for i, j in support]
-    weights = [1 + (m + 1) * ((i in tight) + (j in tight)) for i, j in support]
+    order = support[::-1]
+    pos = {q: p for p, q in enumerate(dict.fromkeys([q for k in order for q in k]))}
+    ends = [(pos[i], pos[j]) for i, j in order]
+    weights = [
+        ((1 + (m + 1) * ((i in tight) + (j in tight))) << m) + (1 << p)
+        for p, (i, j) in enumerate(order)
+    ]
     n = len(pos)
     ig = IntegerGame(ends, weights, [1] * m, [0] * m, [1] * n, [0] * n, 1)
     ties: list[tuple[int, ...]] = []
-    if integer_search(ig, ties) < (m + 1) * len(tight):
+    if integer_search(ig, ties) >> m < (m + 1) * len(tight):
         return None
-    first = min([tuple([t for t, used in enumerate(opt) if used]) for opt in ties])
-    return [support[t] for t in first]
+    (best,) = ties
+    return [k for k, used in zip(support, reversed(best)) if used]
 
 
 def birkhoff_decompose(

@@ -140,6 +140,18 @@ def payment_games():
     return games
 
 
+def tied_payment_games():
+    """The games of :func:`payment_games` with every weight redrawn from
+    {0, 1, 2, 3}: optima tie often, so viable vertices and edges occur."""
+    rng = Random(3)
+    return [
+        make_game(
+            g.variant, g.left, g.right, [(i, j, rng.randint(0, 3)) for i, j, _ in g.edges]
+        )
+        for g in payment_games()
+    ]
+
+
 def with_vertex_floors(rng: Random, g: GameInstance) -> GameInstance:
     """``g`` (b-general) with random vertex floors, often beyond reach."""
     lower = {q: rng.randint(0, g.vertex_upper[q]) if rng.random() < 0.4 else 0

@@ -3,9 +3,9 @@ from random import Random
 
 import pytest
 
-from matchcore.analysis import GameAnalysis, meet_join, worth
+from matchcore.analysis import PAYMENT_VARIANTS, GameAnalysis, meet_join, worth
 from matchcore.bmatching import imputation_from_dual
-from matchcore.bundled import load_instance
+from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore.gamelp import dual_is_optimal, solve_dual
 from matchcore.games import make_game
 
@@ -124,13 +124,17 @@ def test_always_fairly_paid_cases():
 
 def test_payment_report_matches_pointwise():
     # Each point query on a fresh session (a cold face) agrees with the
-    # report, whose queries run one after another on one warm face.
-    g = load_instance("web5")
-    rep = GameAnalysis(g).payments
-    for q in g.vertices:
-        assert rep.vertices[q] == GameAnalysis(g).vertex_payment(q)
-    for k in g.edge_keys:
-        assert rep.edges[k] == GameAnalysis(g).edge_payment(k)
+    # report, which reads what it can from the labels and the antipodal
+    # points and runs its other queries one after another on one warm face.
+    names = [n for n in INSTANCE_NAMES if load_instance(n).variant in PAYMENT_VARIANTS]
+    assert len(names) == 7
+    for name in names:
+        g = load_instance(name)
+        rep = GameAnalysis(g).payments
+        for q in g.vertices:
+            assert rep.vertices[q] == GameAnalysis(g).vertex_payment(q), (name, q)
+        for k in g.edge_keys:
+            assert rep.edges[k] == GameAnalysis(g).edge_payment(k), (name, k)
 
 
 def test_profit_bounds_unique_point():

@@ -16,12 +16,18 @@ from hypothesis import strategies as st
 
 import fraction_simplex
 from matchcore import simplex
-from matchcore.analysis import GameAnalysis, worth
+from matchcore.analysis import (
+    EdgePayment,
+    GameAnalysis,
+    PaymentReport,
+    VertexPayment,
+    worth,
+)
 from matchcore.bundled import load_instance
 from matchcore.gamelp import build_dual_lp
 from matchcore.simplex import LinearProgram, solve_lp, solve_over_optimal_face
 
-from gamegen import payment_games
+from gamegen import payment_games, tied_payment_games
 
 Z, O = F(0), F(1)
 
@@ -167,7 +173,24 @@ def cold_face_max(a, goal, second_oracle=True):
     return cold
 
 
+def cold_payments(a, second_oracle):
+    """The payment report of ``a``, one cold face solve per question."""
+    g = a.g
+    vertices = {}
+    for q in g.vertices:
+        top = cold_face_max(a, {f"y[{q}]": O}, second_oracle).objective_value
+        vertices[q] = VertexPayment(False, top > 0, top)
+    edges = {}
+    for k in g.edge_keys:
+        goal = {f"y[{q}]": O for q in k}
+        slack = cold_face_max(a, goal, second_oracle).objective_value - g.weight(k)
+        edges[k] = EdgePayment(False, slack == 0, slack)
+    return PaymentReport(vertices, edges)
+
+
 def test_every_vertex_and_edge_query_of_payment_games():
+    # The report (labels, antipodal points, face) and each point query
+    # (the face alone) against the cold face.
     games = payment_games()
     assert len(games) >= 60
     for t, g in enumerate(games):
@@ -175,14 +198,56 @@ def test_every_vertex_and_edge_query_of_payment_games():
         if a.face is None:
             continue
         slow = t % 4 == 0  # the Fraction tableau checks every fourth game
-        for q in g.vertices:
-            want = cold_face_max(a, {f"y[{q}]": O}, slow).objective_value
-            assert a.vertex_payment(q).max_profit == want
-        for k in g.edge_keys:
-            i, j = k
-            goal = {f"y[{i}]": O, f"y[{j}]": O}
-            want = cold_face_max(a, goal, slow).objective_value
-            assert a.edge_payment(k).max_slack == want - g.weight(k)
+        cold = cold_payments(a, slow)
+        assert a.payments == cold
+        assert {q: a.vertex_payment(q) for q in g.vertices} == cold.vertices
+        assert {k: a.edge_payment(k) for k in g.edge_keys} == cold.edges
+
+
+def test_payment_report_on_tied_weights_matches_cold_solves():
+    # Weights in {0, ..., 3} tie the optima, so the labels' "viable"
+    # answers are tested too.
+    viable = 0
+    for t, g in enumerate(tied_payment_games()):
+        a = GameAnalysis(g)
+        if a.face is None:
+            continue
+        assert a.payments == cold_payments(a, t % 4 == 0)
+        vlabels, elabels = a.labels
+        viable += [*vlabels.values(), *elabels.values()].count("viable")
+    assert viable >= 50
+
+
+def relabelled(label):
+    """``GameAnalysis.labels`` with the first vertex labelled ``label``
+    and the first edge labelled ``label`` relabelled viable."""
+    labels = GameAnalysis.labels.func
+
+    def wrong(self):
+        found = []
+        for table in labels(self):
+            table = dict(table)
+            first = next((x for x, got in table.items() if got == label), None)
+            if first is not None:
+                table[first] = "viable"
+            found.append(table)
+        return tuple(found)
+
+    return property(wrong)
+
+
+@pytest.mark.parametrize("label", ["essential", "subpar"])
+def test_a_wrong_label_is_caught(monkeypatch, label):
+    # A viable vertex is never paid and a viable edge is always fairly
+    # paid, so an essential vertex or a subpar edge taken for viable is
+    # answered without the face; the cold comparison must notice.
+    monkeypatch.setattr(GameAnalysis, "labels", relabelled(label))
+    caught = 0
+    for g in payment_games()[:40] + tied_payment_games()[:40]:
+        a = GameAnalysis(g)
+        if a.face is not None and a.payments != cold_payments(a, False):
+            caught += 1
+    assert caught >= 50
 
 
 def test_antipodal_points_match_cold_argmax_and_closed_form():

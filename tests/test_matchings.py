@@ -215,6 +215,57 @@ def test_covering_step_matches_plain_enumeration():
     assert _max_matching_covering([("a", "b"), ("b", "c")], frozenset()) == [("a", "b")]
 
 
+def listed_covering(support, tight):
+    """The covering step by listing every optimum of the unscaled weights,
+    1 + (m+1)·|e ∩ tight|, and keeping the least index set."""
+    m = len(support)
+    pos = {q: p for p, q in enumerate(dict.fromkeys([q for k in support for q in k]))}
+    ends = [(pos[i], pos[j]) for i, j in support]
+    weights = [1 + (m + 1) * ((i in tight) + (j in tight)) for i, j in support]
+    ig = matchings.IntegerGame(ends, weights, [1] * m, [0] * m, [1] * len(pos), [0] * len(pos), 1)
+    ties = []
+    if matchings.integer_search(ig, ties) < (m + 1) * len(tight):
+        return None
+    first = min([tuple([t for t, used in enumerate(opt) if used]) for opt in ties])
+    return [support[t] for t in first]
+
+
+def mixes_of_optima(count):
+    """Seeded assignment games, each with a combination of its optima."""
+    rng = Random(29)
+    cases = []
+    while len(cases) < count:
+        g = random_assignment(rng, max_side=5, density=0.7)
+        if not g.edges:
+            continue
+        _, optima = brute_force_optima(g)
+        weights = [F(rng.randint(0, 3), 8) for _ in optima]
+        if sum(weights) > 1 or not any(weights):
+            continue
+        mix = {}
+        for w, m in zip(weights, optima):
+            for k, x in m.multiplicities:
+                mix[k] = mix.get(k, F(0)) + w * x
+        cases.append((g, make_matching_vector(g, mix)))
+    return cases
+
+
+def test_birkhoff_is_the_one_of_the_listing_covering_step(monkeypatch):
+    # The tie-broken weights pick the covering matching that listing
+    # every tied optimum and keeping the least index set picked, so the
+    # decomposition is the same, on mixes of optima and on the uniform
+    # vector of unit K_6,6, whose first step has 720 tied optima.
+    side = range(6)
+    k66 = make_game("assignment", [f"u{i}" for i in side], [f"v{j}" for j in side],
+                    [(f"u{i}", f"v{j}", 1) for i in side for j in side])
+    cases = mixes_of_optima(120)
+    cases.append((k66, make_matching_vector(k66, dict.fromkeys(k66.edge_keys, F(1, 6)))))
+    got = [birkhoff_decompose(g, vec) for g, vec in cases]
+    monkeypatch.setattr(matchings, "_max_matching_covering", listed_covering)
+    assert got == [birkhoff_decompose(g, vec) for g, vec in cases]
+    assert len(got[-1]) == 6
+
+
 def test_each_covering_step_makes_one_search(monkeypatch):
     calls = {"search": 0, "step": 0}
 

@@ -174,17 +174,50 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
     # Phase 1 and phase 2 once per solve at most; one phase 2 per query.
     assert len(runs) <= 2 * len(solves) + len(queries)
     assert len(runs) >= len(solves) + len(queries)
+    # The face answers only what the labels and the antipodal points
+    # leave: an assignment report's two antipodal points, a general
+    # report's essential vertices, and every report's subpar edges.
+    a = GameAnalysis(g)
+    vertices, edges = face_questions(a)
+    antipodal = 2 if g.variant == "assignment" else 0
+    assert len(queries) == antipodal + len(vertices) + len(edges)
 
 
-@pytest.mark.parametrize("name", ["ring7", "tiers8", "path5", "k3"])
+def face_questions(a):
+    """The vertices and the edges whose payment answers need the face LP:
+    none where the core is empty; otherwise the essential vertices of a
+    general game (an assignment game's are read off its antipodal points)
+    and the subpar edges."""
+    if a.face is None:
+        return [], []
+    vlabels, elabels = a.labels
+    general = a.g.variant == "general-matching"
+    vertices = [q for q in a.g.vertices if general and vlabels[q] == "essential"]
+    return vertices, [k for k in a.g.edge_keys if elabels[k] == "subpar"]
+
+
+@pytest.mark.parametrize("name", ["ring7", "tritail4", "tiers8", "path5", "web5", "k3"])
 def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
-    # Each vertex is priced once, however the two facts are asked for.
-    priced = []
-    vertex_payment = GameAnalysis.vertex_payment
+    # Each question reaches the face LP at most once, however the two
+    # facts are asked for, and only where the labels and the antipodal
+    # points leave it open: a vertex that is not essential is never paid
+    # and an edge that is not subpar is always fairly paid (complementary
+    # slackness), and an assignment game's vertices take the two
+    # antipodal LPs between them.
+    asked = {"vertex_payment": [], "edge_payment": []}
+    for method, log in asked.items():
+        original = getattr(GameAnalysis, method)
+        monkeypatch.setattr(
+            GameAnalysis,
+            method,
+            lambda self, x, f=original, log=log: log.append(x) or f(self, x),
+        )
+    queries = []
+    optimize = simplex.OptimalTableau.optimize
     monkeypatch.setattr(
-        GameAnalysis,
-        "vertex_payment",
-        lambda self, q: priced.append(q) or vertex_payment(self, q),
+        simplex.OptimalTableau,
+        "optimize",
+        lambda self, *a: queries.append(1) or optimize(self, *a),
     )
     # One count gives the labels, the optima count and the worth: the
     # game is neither searched nor listed.
@@ -194,7 +227,10 @@ def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
     a.degeneracy
     a.payments
     a.degeneracy
-    assert sorted(priced) == sorted(a.g.vertices)
+    vertices, edges = face_questions(a)
+    assert asked == {"vertex_payment": vertices, "edge_payment": edges}
+    antipodal = 2 if g.variant == "assignment" and a.face is not None else 0
+    assert len(queries) == antipodal + len(vertices) + len(edges)
     assert work() == Work(ONE, ONE, [], [])
 
 
