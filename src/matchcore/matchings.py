@@ -1,16 +1,16 @@
 """Integral matching oracles and fractional matching structure.
 
 The exhaustive enumerator here is deliberately independent of the LP
-path: :func:`brute_force_optima` lists every optimal integral matching,
-and is kept, with the worth-only :func:`integer_search`, as the ground
-truth that the tables below are checked against.  The same listing
-search finds the covering matchings of :func:`birkhoff_decompose`.  The
-session runs neither search.  A game's worth, the count of its optimal
-matchings, with how many of them use each vertex and edge (all the
-essential/viable/subpar classification needs), and every coalition
-worth come from one :class:`ResidualTable` on all six variants, each a
-b-general game with particular bounds.  It fills on demand and answers
-``count()`` and ``worth(state)``.
+path: :func:`brute_force_optima` lists every optimal integral matching
+by the plain search :func:`integer_search`, and is kept as the ground
+truth that the table below is checked against; the session does not
+run it.  A game's worth, the count of its optimal matchings, with how
+many of them use each vertex and edge (all the essential/viable/subpar
+classification needs), every coalition worth, and the covering
+matchings of :func:`birkhoff_decompose` come from one
+:class:`ResidualTable` on all six variants, each a b-general game with
+particular bounds.  It fills on demand and answers ``count()`` and
+``worth(state)``.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ def brute_force_optima(
     multiplicity ascending).  Returns ``(None, [])`` when vertex or edge
     floors make the instance infeasible.  Raises :class:`CapExceeded`
     when the total multiplicity budget (sum of vertex caps) exceeds
-    ``budget_cap``.  The search is :func:`integer_search` with every
-    tie listed.
+    ``budget_cap``.  The search is :func:`integer_search`.
     """
     check_budget_cap(g, budget_cap)
     ig = integer_game(g)
@@ -171,29 +170,19 @@ class OptimaCount:
         )
 
 
-def integer_search(
-    ig: IntegerGame, ties: list[tuple[int, ...]] | None = None
-) -> int | None:
-    """Maximum-weight integral b-matching of ``ig``, depth-first over its edges.
+def integer_search(ig: IntegerGame, ties: list[tuple[int, ...]]) -> int | None:
+    """Every optimal integral b-matching of ``ig``, depth-first over its edges.
 
     Returns the best scaled weight, or None when floors admit no
-    matching.
-
-    A node is pruned when even the smaller of two upper bounds on the
-    weight still to come cannot reach the best found so far: the suffix
-    bound (every later edge at its cap), and the residual dual bound, in
-    which each vertex is priced at half the largest weight of a later
-    edge to a vertex with capacity left.  With ``ties`` both prune only
-    on strict ``<``, so every optimum is reached, in depth-first order
-    (each multiplicity ascending), and appended to ``ties`` as its
-    multiplicities over ``ig``'s edges; a better weight clears the list.
-    Without, they prune on ``<=`` too, so only strictly better matchings
-    are reached: the worth-only search.  A vertex below its floor is
-    rejected once its last edge is decided.
+    matching.  A node is pruned when the suffix bound, every later edge
+    at its cap, falls strictly below the best weight found so far, so
+    every optimum is reached, in depth-first order (each multiplicity
+    ascending), and appended to ``ties`` as its multiplicities over
+    ``ig``'s edges; a better weight clears the list.  A vertex below its
+    floor is rejected once its last edge is decided.
     """
     ends, weights, caps, floors, upper, lower, _ = ig
-    n = len(ends)
-    nv = len(upper)
+    n, nv = len(ends), len(upper)
     last = [-1] * nv
     for t, (i, j) in enumerate(ends):
         last[i] = last[j] = t
@@ -211,22 +200,7 @@ def integer_search(
     suffix = [0] * (n + 1)
     for t in range(n - 1, -1, -1):
         suffix[t] = suffix[t + 1] + weights[t] * caps[t]
-    # Per vertex, its edges heaviest first as (weight, other end, index);
-    # a node at edge t reads only the entries with index t or later.
-    heavy: list[list[tuple[int, int, int]]] = [[] for _ in range(nv)]
-    for s, (i, j) in enumerate(ends):
-        heavy[i].append((weights[s], j, s))
-        heavy[j].append((weights[s], i, s))
-    for entries in heavy:
-        entries.sort(key=lambda e: -e[0])
-    # Vertices with an edge, latest last edge first: those with an edge
-    # at t or later are a prefix.
-    by_last = sorted([p for p in range(nv) if last[p] >= 0], key=lambda p: -last[p])
 
-    # best holds the best weight found plus slack: a bound below it cannot
-    # tie (slack 0) or beat (slack 1) that weight.  Weights are integers,
-    # so the same holds for a doubled bound below 2 best.
-    slack = 1 if ties is None else 0
     best: int | None = None
     rem = list(upper)
     # A vertex meets its floor while its remaining capacity is at most this.
@@ -238,30 +212,14 @@ def integer_search(
     # tuple behind (tests/test_matchings.py checks the memory).
     def visit(t: int, weight: int) -> None:
         nonlocal best
-        if best is not None:
-            if weight + suffix[t] < best:
-                return
-            twice = 2 * weight
-            for p in by_last:
-                if last[p] < t:
-                    break
-                r = rem[p]
-                if r:
-                    for w, o, s in heavy[p]:
-                        if s >= t and rem[o]:
-                            twice += r * w
-                            break
-            if twice < 2 * best:
-                return
+        if best is not None and weight + suffix[t] < best:
+            return
         if t == n:
-            # The bounds above let through only a leaf that ties (with
-            # ties) or beats (without) the best weight found so far.
-            if best is None or weight + slack > best:
-                best = weight + slack
-                if ties is not None:
-                    ties.clear()
-            if ties is not None:
-                ties.append(tuple(current))
+            # The bound lets through only a leaf that ties or beats the best.
+            if best is None or weight > best:
+                best = weight
+                ties.clear()
+            ties.append(tuple(current))
             return
         i, j = ends[t]
         top = min(caps[t], rem[i], rem[j])
@@ -283,7 +241,7 @@ def integer_search(
         visit(0, 0)
     finally:
         del visit  # it refers to itself through its cell: break the cycle
-    return None if best is None else best - slack
+    return best
 
 
 _UNSEEN = object()
@@ -569,31 +527,29 @@ def _max_matching_covering(
     """Largest matching inside ``support`` covering all of ``tight``.
 
     Ties break toward the lexicographically earliest edge-index set.  One
-    :func:`integer_search` over the support, every cap 1: with m support
+    :class:`ResidualTable` over the support, every cap 1: with m support
     edges, edge t weighs 2^m·(1 + (m+1)·|e ∩ tight|) + 2^(m−1−t).  Above
     2^m, a matching covers ``tight`` exactly when its weight reaches
     (m+1)·|tight|, and the heaviest of those are the largest.  Below it,
     each index set weighs its own binary number, the greatest for the
     earliest of the sets tied above (no one of which holds another), so
-    the optimum is unique and the search lists only it.  The search gets
-    the edges last first: in index order its leaves would come in
-    ascending order of that number, each one a new best.
+    the optimum is unique and the count uses exactly its edges.  First
+    ends come first, so on a bipartite support the table's states are
+    the sets of second ends still free.
     """
     m = len(support)
-    order = support[::-1]
-    pos = {q: p for p, q in enumerate(dict.fromkeys([q for k in order for q in k]))}
-    ends = [(pos[i], pos[j]) for i, j in order]
+    pos = {q: p for p, q in enumerate(dict.fromkeys([k[e] for e in (0, 1) for k in support]))}
+    ends = [(pos[i], pos[j]) for i, j in support]
     weights = [
-        ((1 + (m + 1) * ((i in tight) + (j in tight))) << m) + (1 << p)
-        for p, (i, j) in enumerate(order)
+        ((1 + (m + 1) * ((i in tight) + (j in tight))) << m) + (1 << m - 1 - t)
+        for t, (i, j) in enumerate(support)
     ]
     n = len(pos)
     ig = IntegerGame(ends, weights, [1] * m, [0] * m, [1] * n, [0] * n, 1)
-    ties: list[tuple[int, ...]] = []
-    if integer_search(ig, ties) >> m < (m + 1) * len(tight):
+    best, count = ResidualTable(ig, 0).count()
+    if best >> m < (m + 1) * len(tight):
         return None
-    (best,) = ties
-    return [k for k, used in zip(support, reversed(best)) if used]
+    return [k for k, used in zip(support, count.edges) if used]
 
 
 def birkhoff_decompose(
@@ -609,7 +565,10 @@ def birkhoff_decompose(
     """
     if g.variant == "general-matching":
         raise ValueError("decomposition into matchings needs a bipartite game")
-    mult = {k: m for k, m in x.multiplicities}
+    mult = x.as_dict()
+    unknown = sorted(map(edge_name, mult.keys() - set(g.edge_keys)))
+    if unknown:
+        raise DecompositionError(f"not an edge of the game: {', '.join(unknown)}")
     if any(m < 0 for m in mult.values()):
         raise DecompositionError("negative multiplicity")
     load = {q: x.load(q) for q in g.vertices}

@@ -1,10 +1,11 @@
 """The plain exhaustive enumerator, kept as an independent test oracle.
 
 This is the enumerator ``matchings.brute_force_optima`` used before it
-searched in integers behind a residual dual bound: a depth-first search
-over every integral multiplicity vector in ``Fraction`` arithmetic that
-prunes only by the suffix bound (the weight of every later edge at its
-cap).  Tests compare the package's search against it: the same optimum
+searched in integers: a depth-first search over every integral
+multiplicity vector in ``Fraction`` arithmetic that prunes only by the
+suffix bound (the weight of every later edge at its cap), as
+``matchings.integer_search`` does over scaled integer weights.  Tests
+compare the package's search against it: the same optimum
 and the same list of optimal vectors, in the same order; and the
 session's count of the optima and its labels against those counted
 from this list.

@@ -6,7 +6,7 @@ six variants; on single-use games its states are vertex subsets.
 Oracles:
 
 * ``analysis.worth(g, s)``: the full enumeration of the induced subgame;
-* ``worth_oracles.searched_worth``: the worth-only search of each
+* ``worth_oracles.searched_worth``: the listing search of each
   coalition's own subgame, None answers included;
 * networkx ``max_weight_matching`` on general games of 12-16 vertices and
   scipy ``linear_sum_assignment`` on assignment games (weights scaled to

@@ -13,6 +13,7 @@ from matchcore.analysis import GameAnalysis
 from matchcore.bundled import load_instance
 from matchcore.games import CapExceeded, induce_subgame, make_game
 from matchcore.matchings import (
+    DecompositionError,
     HalfIntegralReport,
     MatchingVector,
     _max_matching_covering,
@@ -230,6 +231,12 @@ def listed_covering(support, tight):
     return [support[t] for t in first]
 
 
+def unit_complete_bipartite(n):
+    side = range(n)
+    return make_game("assignment", [f"u{i}" for i in side], [f"v{j}" for j in side],
+                     [(f"u{i}", f"v{j}", 1) for i in side for j in side])
+
+
 def mixes_of_optima(count):
     """Seeded assignment games, each with a combination of its optima."""
     rng = Random(29)
@@ -255,9 +262,7 @@ def test_birkhoff_is_the_one_of_the_listing_covering_step(monkeypatch):
     # every tied optimum and keeping the least index set picked, so the
     # decomposition is the same, on mixes of optima and on the uniform
     # vector of unit K_6,6, whose first step has 720 tied optima.
-    side = range(6)
-    k66 = make_game("assignment", [f"u{i}" for i in side], [f"v{j}" for j in side],
-                    [(f"u{i}", f"v{j}", 1) for i in side for j in side])
+    k66 = unit_complete_bipartite(6)
     cases = mixes_of_optima(120)
     cases.append((k66, make_matching_vector(k66, dict.fromkeys(k66.edge_keys, F(1, 6)))))
     got = [birkhoff_decompose(g, vec) for g, vec in cases]
@@ -266,8 +271,8 @@ def test_birkhoff_is_the_one_of_the_listing_covering_step(monkeypatch):
     assert len(got[-1]) == 6
 
 
-def test_each_covering_step_makes_one_search(monkeypatch):
-    calls = {"search": 0, "step": 0}
+def test_each_covering_step_builds_one_table(monkeypatch):
+    calls = {"search": 0, "table": 0, "step": 0}
 
     def counted(name, f):
         def wrapper(*args):
@@ -275,11 +280,41 @@ def test_each_covering_step_makes_one_search(monkeypatch):
             return f(*args)
         return wrapper
 
-    for name, attr in [("search", "integer_search"), ("step", "_max_matching_covering")]:
+    for name, attr in [
+        ("search", "integer_search"), ("table", "ResidualTable"), ("step", "_max_matching_covering"),
+    ]:
         monkeypatch.setattr(matchings, attr, counted(name, getattr(matchings, attr)))
     g = load_instance("path5")
     birkhoff_decompose(g, make_matching_vector(g, {k: H for k in g.edge_keys}))
-    assert calls["step"] == 2 and calls["search"] == 2
+    assert calls == {"search": 0, "table": 2, "step": 2}
+
+
+def test_birkhoff_uniform_k88_resums():
+    # Each step's optimum is unique, so the table never lists the 8! tied
+    # perfect matchings of the first step.
+    g = unit_complete_bipartite(8)
+    vec = make_matching_vector(g, dict.fromkeys(g.edge_keys, F(1, 8)))
+    terms = birkhoff_decompose(g, vec)
+    assert len(terms) == 8 and all(c == F(1, 8) for c, _ in terms)
+    resum = {}
+    for c, m in terms:
+        assert len(m.multiplicities) == 8
+        for k, x in m.multiplicities:
+            resum[k] = resum.get(k, F(0)) + c * x
+    assert resum == vec.as_dict()
+
+
+def test_birkhoff_rejects_a_vector_of_another_game():
+    # A foreign edge is named up front: past that point it would read as an
+    # uncovered saturated vertex, or leave the covering step no support.
+    g = make_game("assignment", ["u1", "u2"], ["v1", "v2"],
+                  [("u1", "v1", 1), ("u2", "v2", 1)])
+    h = make_game("assignment", ["u1", "u2"], ["v1", "v2"],
+                  [("u1", "v1", 1), ("u1", "v2", 1)])
+    for mult in ({("u1", "v2"): F(1)}, {("u1", "v2"): H}, {("u1", "v1"): H, ("u1", "v2"): H}):
+        vec = make_matching_vector(h, mult)
+        with pytest.raises(DecompositionError, match="^not an edge of the game: u1~v2$"):
+            birkhoff_decompose(g, vec)
 
 
 def test_birkhoff_four_cycle():

@@ -270,7 +270,7 @@ def test_order_games_hold_both_cases():
 @pytest.mark.parametrize("index", range(len(ORDER_GAMES)))
 def test_declared_order_counts_and_worths_are_exact(index):
     # The count against the plain listing, and every coalition's worth,
-    # connected or not, against the worth-only search of its subgame.
+    # connected or not, against the listing search of its subgame.
     g = ORDER_GAMES[index]
     ig = integer_game(g)
     table = ResidualTable(ig, len(g.left))

@@ -98,10 +98,9 @@ def test_no_fresh_session_wrappers():
     assert fresh_session_wrappers(SRC) == []
 
 
-def test_only_the_worth_oracle_lists_optima():
-    # The session counts the optimal matchings and lists none: the listing
-    # search is the independent oracle behind analysis.worth.  Any other
-    # reference, a call or an alias, would bring a listing back.
+def references(name):
+    """Each reference to ``name`` in the package, a call or an alias, as
+    ``file:top-level owner``."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -109,16 +108,31 @@ def test_only_the_worth_oracle_lists_optima():
             found += [
                 f"{path.name}:{owner}"
                 for node in ast.walk(top)
-                if (isinstance(node, ast.Name) and node.id == "brute_force_optima")
-                or (isinstance(node, ast.Attribute) and node.attr == "brute_force_optima")
+                if (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
             ]
-    assert found == ["analysis.py:worth"]
+    return found
+
+
+def test_only_the_worth_oracle_lists_optima():
+    # The session counts the optimal matchings and lists none: the listing
+    # search is the independent oracle behind analysis.worth.  Any other
+    # reference, a call or an alias, would bring a listing back.
+    assert references("brute_force_optima") == ["analysis.py:worth"]
+
+
+def test_only_the_listing_oracle_runs_the_search():
+    # integer_search is the plain listing search behind brute_force_optima;
+    # every other optimum, Birkhoff's covering matchings among them, is
+    # read off the residual table.  Any other reference would bring a
+    # second engine back.
+    assert references("integer_search") == ["matchings.py:brute_force_optima"]
 
 
 def test_the_session_runs_no_search_of_its_own():
     # The session reads a game's worth and the count of its optima from
-    # one recursion, chosen by the game's bounds.  The worth-only search,
-    # the listing search and a counting search beside it are oracles; a
+    # one recursion, chosen by the game's bounds.  The listing search, its
+    # oracle wrapper and a counting search beside it are oracles; a
     # name of one in the class body would give the session a second
     # engine for the same fact.
     oracles = {"integer_search", "brute_force_optima", "count_optima"}
@@ -248,9 +262,9 @@ def test_simplex_builds_fractions_only_for_the_answer():
 
 def test_only_the_search_nests_a_function():
     # integer_search's closure is the one recursion in matchings.py; it
-    # breaks its own reference cycle.  Every other search there is one
-    # call to it (birkhoff_decompose's covering step) or a table method,
-    # so a nested function elsewhere would grow a private recursion back.
+    # breaks its own reference cycle.  Every other search there is a table
+    # method, so a nested function elsewhere would grow a private
+    # recursion back.
     nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     found = []
     for top in ast.walk(ast.parse((SRC / "matchings.py").read_text())):

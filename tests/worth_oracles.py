@@ -1,5 +1,5 @@
 """Worths from outside the package (networkx and scipy), and from the
-package's own worth-only search run on one coalition at a time.
+package's own listing search run on one coalition at a time.
 
 Weights are scaled to integers by the lcm of their denominators, so
 both libraries compare exact integers.
@@ -66,6 +66,6 @@ def restrict(ig: IntegerGame, mask: int) -> IntegerGame:
 
 
 def searched_worth(ig: IntegerGame, mask: int) -> int | None:
-    """Scaled worth of the coalition ``mask`` by a worth-only search of its
+    """Scaled worth of the coalition ``mask`` by the listing search of its
     own subgame; None where its floors admit no matching."""
-    return integer_search(restrict(ig, mask))
+    return integer_search(restrict(ig, mask), [])
