@@ -21,8 +21,9 @@ runs), and one worth per connected coalition (see
 :meth:`GameAnalysis.coalition_worths`), from which come both the core
 system and the "no" answers of the one core-membership test; its "yes" answers come from a dual certificate
 (see :meth:`GameAnalysis.membership`).  Beside the table it runs one
-primal solve and one dual solve, whose final tableau answers every face
-question by a warm phase 2 (see :class:`~matchcore.simplex.OptimalTableau`).
+primal solve and one dual solve, whose answer carries the
+:class:`~matchcore.simplex.Tableau` of its optimal face, the core: every
+face question is a warm phase 2 on it.
 :func:`worth` lists the optima of one induced subgame instead, and is
 kept as the independent oracle of these worths; it is the one caller of
 :func:`~matchcore.matchings.brute_force_optima` in the package.
@@ -66,12 +67,9 @@ from .matchings import (
     fractional_optimum,
     integer_game,
 )
-from .simplex import (  # solve_lp and solve_over_optimal_face stay importable here
-    LPSolution,
-    OptimalTableau,
-    solve_lp,
-    solve_over_optimal_face,
-)
+# solve_lp and solve_over_optimal_face are not used here: bench/selftest.py
+# checks that this module binds them.
+from .simplex import LPSolution, Tableau, solve_lp, solve_over_optimal_face
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -384,7 +382,7 @@ class GameAnalysis:
         return solve_dual(self.g)
 
     @cached_property
-    def face(self) -> OptimalTableau | None:
+    def face(self) -> Tableau | None:
         """The core as the optimal face of the dual; None if the core is empty.
 
         Only meaningful for assignment and general matching games, where

@@ -138,7 +138,8 @@ def validate_game(g: GameInstance) -> list[str]:
 
     seen: set[str] = set()
     for q in g.vertices:
-        if not q or any(ch.isspace() for ch in q):
+        # "*" means every vertex in a game file, and "~" joins an edge's ends.
+        if not q or q == "*" or "~" in q or any(ch.isspace() for ch in q):
             bad.append(f"invalid vertex id {q!r}")
         if q in seen:
             bad.append(f"duplicate vertex id {q!r}")

@@ -28,11 +28,12 @@ pivots, and returns the same vertex, as on a tableau of fractions with
 unit basic entries.  The self-check and the objective run on those
 integers too; only the answer's values and objective are fractions.
 
-An optimal solve keeps its final tableau (:class:`OptimalTableau`) so
-that further objectives can be optimized over its optimal face without
-a new phase 1: every column with a positive reduced cost is pinned to 0
-on that face (complementary slackness), so dropping those columns leaves
-a feasible basis of the face, and phase 2 alone finishes each query.
+Phase 2 and the read-out run in one place, :class:`Tableau`, a feasible
+basis.  Every optimal answer carries the tableau of its optimal face, so
+further objectives are optimized over that face without a new phase 1:
+every column with a positive reduced cost is pinned to 0 on the face
+(complementary slackness), and dropping those columns leaves a feasible
+basis of the face.
 
 The solver is meant for desk-scale programs (tens of variables).  Every
 ``optimal`` answer is an exact basic solution: downstream code relies on
@@ -83,9 +84,9 @@ class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: dict[str, Fraction]
     objective_value: Fraction | None
-    # The final tableau of an optimal solve of ``solve_lp``; not part of
-    # the answer, so equality ignores it.
-    tableau: OptimalTableau | None = field(default=None, compare=False, repr=False)
+    # The tableau of an optimal answer's optimal face; not part of the
+    # answer, so equality ignores it.
+    tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
 
 def _eliminate(row: list[int], piv: int, f: int, prow: list[int]) -> list[int]:
@@ -158,8 +159,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     Returns status ``infeasible`` or ``unbounded`` when no optimum
     exists.  The output is a pure function of the input: Bland's rule
-    with first-index tie-breaking leaves no room for tie ambiguity.  An
-    optimal answer carries its final tableau for face queries.
+    with first-index tie-breaking leaves no room for tie ambiguity.
+    Phase 1 finds a feasible basis, and its :class:`Tableau` runs phase 2.
     """
     lp.check()
     n = len(lp.variables)
@@ -168,10 +169,6 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     # Free variables enter as a difference of two nonnegative columns.
     cols = [(idx, s) for idx in range(n) for s in ((1,) if nn[idx] else (1, -1))]
     nstruct = len(cols)
-
-    sense = -1 if lp.maximize else 1
-    c, c_scale = _integer_row(lp.objective)
-    cost_struct = [sense * s * c[idx] for idx, s in cols]
 
     rows = []
     checks = []
@@ -188,12 +185,11 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     m = len(rows)
     nslack = sum(1 for _, rel, _, _ in rows if rel in ("<=", ">="))
     nart = sum(1 for _, rel, _, _ in rows if rel in (">=", "=="))
-    width = nstruct + nslack + nart
+    width = nstruct + nslack  # the artificial columns come after these
     tableau: list[list[int]] = []
     basis: list[int] = []
-    art_cols: list[int] = []
     s_at = nstruct
-    a_at = nstruct + nslack
+    a_at = width
     for struct, rel, rhs, scale in rows:
         row = struct + [0] * (nslack + nart) + [rhs]
         if rel != "==":
@@ -204,43 +200,27 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         else:  # ">=" and "==" rows start on an artificial
             row[a_at] = scale
             basis.append(a_at)
-            art_cols.append(a_at)
             a_at += 1
         tableau.append(row)
 
-    if art_cols:
-        art_set = set(art_cols)
-        cost = _reduced([int(j in art_set) for j in range(width + 1)], tableau, basis)
-        status = _run(tableau, cost, basis, width)
+    if nart:
+        cost = _reduced([0] * width + [1] * nart + [0], tableau, basis)
+        status = _run(tableau, cost, basis, width + nart)
         assert status == "optimal"  # phase one is always bounded below by 0
         if cost[-1] != 0:
             return LPSolution("infeasible", {}, None)
-        # Drive lingering artificials out of the (degenerate) basis.
-        drop: list[int] = []
+        # Drive lingering artificials out of the (degenerate) basis.  A row
+        # that keeps one is a redundant constraint and goes; every row is
+        # cut off at the first artificial column.
         for i in range(m):
-            if basis[i] in art_set:
-                piv = next((j for j in range(nstruct + nslack) if tableau[i][j]), -1)
-                if piv < 0:
-                    drop.append(i)  # redundant constraint
-                else:
+            if basis[i] >= width:
+                piv = next((j for j in range(width) if tableau[i][j]), -1)
+                if piv >= 0:
                     _pivot(tableau, None, basis, i, piv)
-        for i in reversed(drop):
-            del tableau[i]
-            del basis[i]
-        keep = [j for j in range(width) if j not in art_set]
-        remap = {j: k for k, j in enumerate(keep)}
-        tableau = [[r[j] for j in keep] + [r[-1]] for r in tableau]
-        basis = [remap[b] for b in basis]
-        width = len(keep)
+        tableau = [r[:width] + r[-1:] for r, b in zip(tableau, basis) if b < width]
+        basis = [b for b in basis if b < width]
 
-    cost = cost_struct + [0] * (width + 1 - nstruct)
-    cost = _reduced(cost, tableau, basis)
-    status = _run(tableau, cost, basis, width)
-    if status == "unbounded":
-        return LPSolution("unbounded", {}, None)
-    values, objective = _read_out(lp, c, c_scale, checks, cols, tableau, basis)
-    base = OptimalTableau(lp, objective, tableau, basis, cost, cols, checks)
-    return LPSolution("optimal", values, objective, base)
+    return Tableau(lp, tableau, basis, cols, width, checks).optimize(lp.objective, lp.maximize)
 
 
 def _read_out(lp, c, scale, checks, cols, rows, basis):
@@ -308,43 +288,43 @@ def _face_columns(cost: list[int]) -> list[int]:
     return [j for j in range(len(cost) - 1) if cost[j] == 0]
 
 
-class OptimalTableau:
-    """The final tableau of an optimal solve, for queries over its optimal face.
+class Tableau:
+    """A feasible basis of an LP: the kernel's one phase 2 and read-out.
 
-    At the optimum every reduced cost is nonnegative, and the objective
-    of any feasible point is the optimum plus the sum of reduced cost
-    times value over the columns.  So the optimal face is the feasible
-    set with every column of positive reduced cost at 0.  Dropping those
-    columns keeps the basis (basic columns have reduced cost 0) and
-    leaves a tableau of the face itself, over which each query runs
-    phase 2 only, with the same Bland rule.  Every answer is checked
-    exactly against the explicit face LP: the constraints plus
-    "objective == optimum".
+    ``rows`` and ``basis`` hold the basis in the integer form above, over
+    ``width`` columns (the structural ``cols`` first); every answer is
+    checked exactly against ``checks``.  An optimal answer carries the
+    tableau of its optimal face, built with ``optimum`` (the objective,
+    its value and the final reduced costs).  A feasible point's objective
+    is the optimum plus reduced cost times value over the columns, so
+    columns of positive reduced cost are 0 on the face.  The first query
+    drops them, keeping the basis (basic columns cost 0), and checks
+    "objective == optimum" too, so a face answer carries a face of a face.
     """
 
-    def __init__(self, lp: LinearProgram, optimum: Fraction, rows, basis, cost, cols,
-                 checks):
+    def __init__(self, lp: LinearProgram, rows, basis, cols, width, checks, optimum=None):
         self.lp = lp
-        self.optimum = optimum
-        self._base = (rows, basis, cost, cols, checks)
+        self._given = (rows, basis, cols, width, checks, optimum)
 
     @cached_property
-    def _face(self):
-        rows, basis, cost, cols, checks = self._base
+    def _basis(self):
+        """The rows, basis, structural columns, width and check rows."""
+        rows, basis, cols, width, checks, optimum = self._given
+        if optimum is None:
+            return rows, basis, cols, width, checks
+        objective, value, cost = optimum
         keep = _face_columns(cost)
-        remap = {j: k for k, j in enumerate(keep)}
-        # The solve's own check rows, plus "objective == optimum".
-        checks = checks + _check_rows(((self.lp.objective, "==", self.optimum),))
+        at = {j: k for k, j in enumerate(keep)}
         return (
             [[r[j] for j in keep] + [r[-1]] for r in rows],
-            [remap[b] for b in basis],
+            [at[b] for b in basis],
             [cols[j] for j in keep if j < len(cols)],
             len(keep),
-            checks,
+            checks + _check_rows(((objective, "==", value),)),
         )
 
     def optimize(self, objective: tuple[Fraction, ...], maximize: bool) -> LPSolution:
-        """Optimum of ``objective`` over the optimal face of the solved LP.
+        """Optimum of ``objective`` over this tableau's LP, from its basis.
 
         An unbounded objective is reported as such, never clamped: on
         the faces this package builds it signals a modeling bug loudly.
@@ -352,7 +332,7 @@ class OptimalTableau:
         lp = self.lp
         if len(objective) != len(lp.variables):
             raise ValueError("objective length does not match variables")
-        rows, basis, cols, width, checks = self._face
+        rows, basis, cols, width, checks = self._basis
         rows, basis = list(rows), list(basis)  # pivots replace rows, never edit them
         sense = -1 if maximize else 1
         c, scale = _integer_row(objective)
@@ -361,7 +341,8 @@ class OptimalTableau:
         if _run(rows, cost, basis, width) == "unbounded":
             return LPSolution("unbounded", {}, None)
         values, value = _read_out(lp, c, scale, checks, cols, rows, basis)
-        return LPSolution("optimal", values, value)
+        face = Tableau(lp, rows, basis, cols, width, checks, (objective, value, cost))
+        return LPSolution("optimal", values, value, face)
 
 
 def solve_over_optimal_face(
@@ -375,8 +356,7 @@ def solve_over_optimal_face(
     The face is the feasible set of ``lp`` intersected with the equality
     "original objective == optimal_value".  The caller supplies the true
     optimum; ``lp`` is solved once and a different optimum (or none)
-    raises.  The query then runs warm on the final tableau (see
-    :class:`OptimalTableau`).
+    raises.  The query then runs warm on the answer's face (:class:`Tableau`).
     """
     base = solve_lp(lp)
     if base.status != "optimal" or base.objective_value != optimal_value:

@@ -13,6 +13,7 @@ from matchcore.games import make_game
 from matchcore.rationals import format_rational
 
 from gamegen import dual_imputation, shifted_imputation
+from test_gamefile import BAD_VERTEX_IDS
 
 
 @pytest.fixture
@@ -78,6 +79,17 @@ def test_bad_file_is_input_error(capsys, tmp_path):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "worth", "--game", str(tmp_path / "missing.game"))
     assert code == 2
+
+
+@pytest.mark.parametrize("case, command", [("star", "worth"), ("tilde", "dual")])
+def test_reserved_vertex_id_is_input_error(capsys, tmp_path, case, command):
+    # Before they were rejected, "worth" read the "*" game with every cap
+    # 3, and "dual" answered on the "~" game whose edge names collide.
+    path = tmp_path / f"{case}.game"
+    path.write_text(BAD_VERTEX_IDS[case])
+    code, out, err = run(capsys, command, "--game", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid game: invalid vertex id")
 
 
 def test_negative_dual_profit_is_input_error(capsys, tmp_path):

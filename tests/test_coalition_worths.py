@@ -102,7 +102,7 @@ def table_worth(table, mask):
     return table.worth(sum([x for p, x in enumerate(table.start) if mask >> p & 1]))
 
 
-def test_every_coalition_worth_equals_the_worth_only_search():
+def test_every_coalition_worth_equals_the_listing_search():
     # All six variants, with vertex and edge floors: the session's table
     # reads against a search of each coalition's own subgame.
     skipping = 0
@@ -118,7 +118,7 @@ def test_every_coalition_worth_equals_the_worth_only_search():
     assert skipping >= 5
 
 
-def test_residual_table_equals_the_worth_only_search():
+def test_residual_table_equals_the_listing_search():
     # Every bipartite variant, the grand coalition included, whichever
     # side the table processes; an infeasible coalition reads None.
     infeasible = 0
@@ -140,7 +140,7 @@ def single_use(g):
     return set(ig.caps + ig.upper) <= {1} and not any(ig.floors + ig.lower)
 
 
-def test_subset_table_equals_the_worth_only_search():
+def test_single_use_games_table_equals_the_listing_search():
     # Every single-use seeded game, general games and b-games with every
     # cap 1 among them, the grand coalition included: the table's states
     # are vertex subsets here.
@@ -198,7 +198,7 @@ def test_subset_table_matches_networkx_on_general_games(n):
         table_against(large_general(rng, n), networkx_worth, rng, 40)
 
 
-def test_subset_table_matches_scipy_on_assignment_games():
+def test_residual_table_matches_scipy_on_assignment_games():
     rng = Random(31)
     for _ in range(30):
         g = random_assignment(rng, max_side=7, density=0.6)

@@ -1,10 +1,12 @@
 """Warm-started optimal-face queries against cold solves of the explicit face.
 
-A face query runs phase 2 on the final tableau of the base solve with
-every positive-reduced-cost column dropped.  Each answer here is compared
-with two independent solves of the explicit face LP (the constraints plus
-"objective == optimum"): the integer-row `solve_lp` from a fresh phase 1,
-and the `Fraction` tableau of `tests/fraction_simplex.py`.
+A face query runs phase 2 on the `Tableau` that the base answer carries:
+its final tableau with every positive-reduced-cost column dropped.  Each
+answer here is compared with two independent solves of the explicit face
+LP (the constraints plus "objective == optimum"): the integer-row
+`solve_lp` from a fresh phase 1, and the `Fraction` tableau of
+`tests/fraction_simplex.py`.  A face answer carries the face of that
+face, checked the same way with one "objective == value" row per level.
 """
 
 from fractions import Fraction as F
@@ -154,6 +156,43 @@ def test_solve_over_optimal_face_checks_the_supplied_optimum():
     assert got == solve_lp(face_lp(lp, base.objective_value, coeffs, True))
     with pytest.raises(ValueError):
         solve_over_optimal_face(lp, base.objective_value + 1, coeffs, True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_faces_of_faces_match_cold_solves(rnd):
+    rng = Random(rnd.random())
+    lp = degenerate_program(rng)
+    base = solve_lp(lp)
+    if base.status != "optimal":
+        return
+    n = len(lp.variables)
+    first, second = [
+        ([_number(rng, -3, 3) for _ in range(n)], rng.random() < 0.5) for _ in range(2)
+    ]
+    # The first answer carries the optimal face, under the first
+    # objective, of the base's face LP; check_query pins that objective
+    # at its value for the cold solves.
+    top = check_query(lp, base, *first)
+    if top.status == "optimal":
+        check_query(face_lp(lp, base.objective_value, *first), top, *second)
+
+
+@pytest.mark.parametrize(
+    "name, p, q, narrower",
+    [("ring7", "y[v1]", "y[v2]", False), ("web5", "y[u1]", "y[v2]", True)],
+)
+def test_face_of_a_face_on_the_dual(name, p, q, narrower):
+    # Maximize p's price over the core, then q's price over that answer's
+    # face.  ring7's core is one point; on web5, paying u1 its most lowers
+    # the most v2 can get, so the second face is strictly smaller.
+    lp = build_dual_lp(load_instance(name))
+    base = solve_lp(lp)
+    goal = {t: [F(int(v == t)) for v in lp.variables] for t in (p, q)}
+    top = check_query(lp, base, goal[p], True)
+    warm = check_query(face_lp(lp, base.objective_value, goal[p], True), top, goal[q], True)
+    alone = base.tableau.optimize(tuple(goal[q]), True)
+    assert (warm.objective_value < alone.objective_value) == narrower
 
 
 def cold_face_max(a, goal, second_oracle=True):

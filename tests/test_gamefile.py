@@ -81,3 +81,20 @@ def test_general_matching_uses_vertices():
         parse_game("variant: general-matching\nleft: a\nright: b\nedge: a b 1\n")
     g = parse_game("variant: general-matching\nvertices: a b\nedge: a b 1\n")
     assert g.left == () and g.right == ("a", "b")
+
+
+# "*" is the every-vertex token of a "b:" line, so a vertex named "*" would
+# give every vertex its cap on the way back in; "~" joins an edge's ends
+# in LP variable and report row names, so "a~b"+"c" and "a"+"b~c" collide.
+BAD_VERTEX_IDS = {
+    "star": "variant: b-unconstrained\nleft: * u\nright: v\nedge: * v 1\nedge: u v 2\n"
+    "b: * 3\n",
+    "tilde": "variant: general-matching\nvertices: a~b c a b~c\nedge: a~b c 1\n"
+    "edge: a b~c 1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VERTEX_IDS))
+def test_reserved_vertex_ids_are_rejected(case):
+    with pytest.raises(GameFileError, match="invalid vertex id"):
+        parse_game(BAD_VERTEX_IDS[case])

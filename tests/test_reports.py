@@ -51,6 +51,26 @@ from gamegen import (
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
 
 
+def count_face_queries(monkeypatch):
+    """Rebind ``Tableau.optimize``; return the log of the calls made on a
+    face, the tableau that an optimal answer carries.  The phase 2 of
+    ``solve_lp`` runs on a tableau that no answer carries, so it is not
+    logged."""
+    faces, queries = {}, []
+    optimize = simplex.Tableau.optimize
+
+    def counted(self, *args):
+        if id(self) in faces:
+            queries.append(args)
+        sol = optimize(self, *args)
+        if sol.tableau is not None:
+            faces[id(sol.tableau)] = sol.tableau  # held, so no id is reused
+        return sol
+
+    monkeypatch.setattr(simplex.Tableau, "optimize", counted)
+    return queries
+
+
 def count_calls(monkeypatch, original):
     """Rebind ``original`` everywhere in the package; return the call log."""
     log = []
@@ -160,13 +180,7 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
     runs = []
     run = simplex._run
     monkeypatch.setattr(simplex, "_run", lambda *a: runs.append(1) or run(*a))
-    queries = []
-    optimize = simplex.OptimalTableau.optimize
-    monkeypatch.setattr(
-        simplex.OptimalTableau,
-        "optimize",
-        lambda self, *a: queries.append(1) or optimize(self, *a),
-    )
+    queries = count_face_queries(monkeypatch)
     _report(g)
     assert work() == Work(ONE, ONE, [], [])
     names = sorted(args[0].variables[0][:2] for args in solves)
@@ -212,13 +226,7 @@ def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
             method,
             lambda self, x, f=original, log=log: log.append(x) or f(self, x),
         )
-    queries = []
-    optimize = simplex.OptimalTableau.optimize
-    monkeypatch.setattr(
-        simplex.OptimalTableau,
-        "optimize",
-        lambda self, *a: queries.append(1) or optimize(self, *a),
-    )
+    queries = count_face_queries(monkeypatch)
     # One count gives the labels, the optima count and the worth: the
     # game is neither searched nor listed.
     g = load_instance(name)

@@ -245,7 +245,7 @@ def test_self_check_fires_on_a_corrupted_face(change, message):
     program = build_dual_lp(load_instance("ring7"))
     tableau = solve_lp(program).tableau
     assert all(c > 0 for c in program.objective)
-    rows, basis, cols, _, _ = tableau._face
+    rows, basis, cols, _, _ = tableau._basis
     i = _first_basic_structural(rows, basis, cols)
     zero = (Z,) * len(program.variables)
     assert tableau.optimize(zero, True).status == "optimal"

@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import matchcore
+from matchcore import simplex
 
 SRC = Path(matchcore.__file__).parent
 
@@ -276,3 +278,39 @@ def test_only_the_search_nests_a_function():
             if node is not top and isinstance(node, nested)
         ]
     assert found == []
+
+
+def test_one_tableau_runs_every_phase_2():
+    # A Tableau is a feasible basis of an LP, and its optimize is the
+    # kernel's one phase 2 and one read-out: solve_lp hands it the basis
+    # that phase 1 found, and every face query runs on the face an answer
+    # carries.  A _read_out call anywhere else, or a class beside the LP
+    # and its answer holding a tableau, would be a second copy of phase 2.
+    tree = ast.parse((SRC / "simplex.py").read_text())
+    found = []
+    for top in tree.body:
+        scopes = top.body if isinstance(top, ast.ClassDef) else [top]
+        for scope in scopes:
+            owner = getattr(scope, "name", "<module>")
+            if scope is not top:
+                owner = f"{top.name}.{owner}"
+            found += [
+                owner
+                for node in ast.walk(scope)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_read_out"
+            ]
+    assert found == ["Tableau.optimize"]
+    classes = [top.name for top in tree.body if isinstance(top, ast.ClassDef)]
+    assert classes == ["LinearProgram", "LPSolution", "Tableau"]
+    fields = {
+        cls.__name__: [f.name for f in dataclasses.fields(cls)]
+        for cls in (simplex.LinearProgram, simplex.LPSolution)
+    }
+    assert fields == {
+        "LinearProgram": [
+            "variables", "objective", "maximize", "constraints", "nonnegative", "row_labels",
+        ],
+        "LPSolution": ["status", "values", "objective_value", "tableau"],
+    }
