@@ -49,9 +49,10 @@ from .games import (
     Coalition,
     Edge,
     GameInstance,
+    _connected_masks,
+    _members,
     check_budget_cap,
     check_coalition_cap,
-    connected_coalitions,
     induce_subgame,
 )
 from .gamelp import DualColumn, dual_columns, edge_name, priced, solve_dual
@@ -138,30 +139,39 @@ class CoalitionSystem:
 
 
 def _membership(
-    imp: Imputation, vertices, grand_worth: Callable[[], Fraction], worths: Iterable
+    imp: Imputation, ids: list[str], grand_worth: Callable, rows: Iterable, scale: int
 ) -> CoreMembership:
     """The one core-membership test: signs, the total, then the rows in order.
 
-    The witness is the first violated row; a worth of None imposes nothing.
-    ``worths`` is iterated only once the total holds.  The profits are
-    scaled once to their common denominator, so each row's sum is an
-    integer compared with its worth by cross-multiplication.
+    A row is a mask, bit p standing for ``ids[p]``, and its worth over
+    ``scale``, or None, which imposes nothing.  The witness is the first
+    violated row; ``rows`` is iterated only once the total holds.  Each
+    row's profit sum is an integer over the profits' common denominator,
+    compared with its worth by cross-multiplication.
     """
-    if set(imp) != set(vertices):
+    if set(imp) != set(ids):
         raise ValueError("imputation keys do not match the game's vertices")
-    for q in sorted(vertices):
+    for q in sorted(ids):
         if imp[q] < 0:
             return CoreMembership(False, frozenset((q,)))
     if sum(imp.values(), start=ZERO) != grand_worth():
-        return CoreMembership(False, frozenset(vertices))
-    scale = lcm(*[v.denominator for v in imp.values()])
-    scaled = {q: v.numerator * (scale // v.denominator) for q, v in imp.items()}
-    for s, ws in worths:
-        if ws is None:
-            continue
-        if sum([scaled[q] for q in s]) * ws.denominator < ws.numerator * scale:
-            return CoreMembership(False, s)
+        return CoreMembership(False, frozenset(ids))
+    unit = lcm(*[v.denominator for v in imp.values()])
+    paid = _mask_sum([imp[q].numerator * (unit // imp[q].denominator) for q in ids])
+    for m, w in rows:
+        if w is not None and paid(m) * scale < w * unit:
+            return CoreMembership(False, _members(ids, m))
     return CoreMembership(True, None)
+
+
+def _mask_sum(values: list[int]) -> Callable[[int], int]:
+    """The sum of ``values`` over a mask's set bits, bit p weighing
+    ``values[p]``, read from one table of the 256 subset sums of each 8 bits."""
+    tables = [(c, [0]) for c in range(0, len(values), 8)]
+    for p, v in enumerate(values):
+        t = tables[p >> 3][1]
+        t += [x + v for x in t]
+    return lambda m: sum([t[m >> c & 255] for c, t in tables])
 
 
 @dataclass(frozen=True)
@@ -216,7 +226,8 @@ class GameAnalysis:
         self.g = g
         self.budget_cap = budget_cap
         self.cap = cap
-        self._worths: list[Fraction | None] = []
+        self._worths: list[int | None] = []
+        self._ids = sorted(g.vertices, reverse=True)  # bit p of a mask is _ids[p]
 
     @cached_property
     def _table(self) -> ResidualTable:
@@ -251,9 +262,14 @@ class GameAnalysis:
         return self._count.total
 
     @cached_property
-    def _coalitions(self) -> list[Coalition]:
-        grand = frozenset(self.g.vertices)
-        return [s for s in connected_coalitions(self.g, self.cap) if s != grand]
+    def _coalitions(self) -> list[tuple[int, int]]:
+        """Each connected proper coalition's mask, lexicographically, with its
+        table state: the sum of its members' ``start`` entries in the table."""
+        check_coalition_cap(self.g, self.cap)
+        start = dict(zip(self.g.vertices, self._table.start))
+        state = _mask_sum([start[q] for q in self._ids])
+        full = (1 << len(self._ids)) - 1
+        return [(m, state(m)) for m in _connected_masks(self.g) if m != full]
 
     @cached_property
     def _weights(self) -> dict[Edge, Fraction]:
@@ -263,12 +279,14 @@ class GameAnalysis:
     def _integer_game(self) -> IntegerGame:
         return integer_game(self.g)
 
-    @cached_property
-    def _start(self) -> dict[str, int]:
-        return {q: x for q, x in zip(self.g.vertices, self._table.start)}
-
     def coalition_worths(self) -> Iterator[tuple[Coalition, Fraction | None]]:
-        """Each connected proper coalition with its worth, lexicographically.
+        """Each connected proper coalition with its worth, as :meth:`_scan` gives them."""
+        scale = self._integer_game.scale
+        for m, w in self._scan():
+            yield _members(self._ids, m), None if w is None else Fraction(w, scale)
+
+    def _scan(self) -> Iterator[tuple[int, int | None]]:
+        """Each connected proper coalition's mask and scaled worth, in order.
 
         Lazy and memoized: a worth is computed when a scan first reaches
         its coalition, at most once per session.  The grand worth comes
@@ -282,15 +300,13 @@ class GameAnalysis:
         """
         self.worth
         worths = self._worths
-        for i, s in enumerate(self._coalitions):
+        for i, (m, state) in enumerate(self._coalitions):
             if i == len(worths):
-                worths.append(self._coalition_worth(s))
-            yield s, worths[i]
+                worths.append(self._coalition_worth(state))
+            yield m, worths[i]
 
-    def _coalition_worth(self, s: Coalition) -> Fraction | None:
-        start = self._start
-        best = self._table.worth(sum([start[q] for q in s]))
-        return None if best is None else Fraction(best, self._integer_game.scale)
+    def _coalition_worth(self, state: int) -> int | None:
+        return self._table.worth(state)
 
     @cached_property
     def system(self) -> CoalitionSystem:
@@ -330,12 +346,13 @@ class GameAnalysis:
             if one fails, the scan runs at once.
         """
 
-        def rows() -> Iterator[tuple[Coalition, Fraction | None]]:
+        def rows() -> Iterator[tuple[int, int | None]]:
             check_coalition_cap(self.g, self.cap)
             if not self._certified(imp):
-                yield from self.coalition_worths()
+                yield from self._scan()
 
-        return _membership(imp, self.g.vertices, lambda: self.worth, rows())
+        ig = self._integer_game
+        return _membership(imp, self._ids, lambda: self.worth, rows(), ig.scale)
 
     def _certified(self, imp: Imputation) -> bool:
         """Does a dual certificate put ``imp`` in the core?  See :meth:`membership`.
@@ -537,7 +554,10 @@ class GameAnalysis:
 
 def core_membership_via_system(sys: CoalitionSystem, imp: Imputation) -> CoreMembership:
     """The membership test of :meth:`GameAnalysis.membership` over a built system."""
-    return _membership(imp, sys.vertices, lambda: sys.grand_worth, sys.inequalities)
+    bit = {q: 1 << p for p, q in enumerate(sorted(sys.vertices, reverse=True))}
+    scale = lcm(*[w.denominator for _, w in sys.inequalities])
+    rows = [(sum([bit[q] for q in s]), int(w * scale)) for s, w in sys.inequalities]
+    return _membership(imp, list(bit), lambda: sys.grand_worth, rows, scale)
 
 
 def _require_payment_variant(g: GameInstance) -> None:

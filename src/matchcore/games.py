@@ -273,21 +273,39 @@ def connected_coalitions(
     the sorted member ids, so reports and witnesses are reproducible.
     """
     check_coalition_cap(g, cap)
-    n = len(g.vertices)
-    ids = sorted(g.vertices)
-    adj = g.adjacency()
-    # Neighbours as bitmasks over the sorted ids; flood from the lowest bit.
-    nbr = [sum([1 << ids.index(r) for r in adj[q]]) for q in ids]
-    found: list[tuple[str, ...]] = []
-    for mask in range(1, 1 << n):
-        seen = frontier = mask & -mask
-        while frontier:
-            low = frontier & -frontier
-            grow = nbr[low.bit_length() - 1] & mask & ~seen
-            seen |= grow
-            frontier = (frontier ^ low) | grow
-        if seen == mask:
-            found.append(tuple([q for p, q in enumerate(ids) if mask >> p & 1]))
-    found.sort()
-    return [frozenset(t) for t in found]
+    ids = sorted(g.vertices, reverse=True)
+    return [_members(ids, m) for m in _connected_masks(g)]
+
+
+def _members(ids: list[str], mask: int) -> Coalition:
+    """The coalition of ``mask``, whose bit p stands for ``ids[p]``."""
+    return frozenset([q for p, q in enumerate(ids) if mask >> p & 1])
+
+
+def _connected_masks(g: GameInstance) -> list[int]:
+    """Every connected vertex set of ``g`` as a mask, bit p standing for the
+    p-th id in descending order, in lexicographic order of the sorted ids.
+
+    Each set grows from its lowest id through its members' later
+    neighbours, on a stack of (set, vertices that may join, vertices it
+    may never gain); a child adds one joinable vertex and bans those its
+    earlier siblings added, so no set comes twice.  The sort ranks a mask
+    with every bit below its lowest one set, larger first, prefix first.
+    """
+    ids = sorted(g.vertices, reverse=True)
+    bit = {q: 1 << p for p, q in enumerate(ids)}
+    nbr = {bit[q]: sum([bit[r] for r in adj]) for q, adj in g.adjacency().items()}
+    found: list[int] = []
+    for r in bit.values():
+        stack = [(r, nbr[r] & r - 1, -r | nbr[r])]
+        while stack:
+            s, x, banned = stack.pop()
+            found.append(s)
+            while x:
+                v = x & -x
+                x ^= v
+                stack.append((s | v, x | nbr[v] & ~banned, banned | nbr[v]))
+    n = len(ids)
+    found.sort(key=lambda m: (m | (m & -m) - 1) << n | m & -m, reverse=True)
+    return found
 

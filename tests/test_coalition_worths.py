@@ -192,7 +192,7 @@ def large_general(rng, n):
 
 
 @pytest.mark.parametrize("n", range(12, 17))
-def test_subset_table_matches_networkx_on_general_games(n):
+def test_residual_table_matches_networkx_on_general_games(n):
     rng = Random(n)
     for _ in range(3):
         table_against(large_general(rng, n), networkx_worth, rng, 40)

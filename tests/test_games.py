@@ -5,17 +5,20 @@ from random import Random
 import networkx as nx
 import pytest
 
-from matchcore.analysis import worth
+from matchcore import analysis, games
+from matchcore.analysis import GameAnalysis, worth
 from matchcore.bundled import load_instance
 from matchcore.games import (
     VARIANTS,
     CapExceeded,
+    _connected_masks,
     connected_coalitions,
     induce_subgame,
     make_game,
     validate_game,
 )
 
+from flood_fill import as_mask, flood_fill_coalitions
 from gamegen import random_assignment, random_b_game, random_general
 
 
@@ -137,6 +140,102 @@ def test_connected_coalitions_cap():
     g = load_instance("path5")
     with pytest.raises(CapExceeded):
         connected_coalitions(g, cap=4)
+
+
+def structure_game(rng, variant, n, density):
+    """A valid ``variant`` game on n vertices, each edge drawn with
+    probability ``density``.  The ids sort differently as strings and as
+    numbers (v10 < v2), and each side is listed in shuffled order, so the
+    masks must follow the sorted ids, not the declared order."""
+    if variant == "general-matching":
+        left, right = [], [f"v{i}" for i in range(1, n + 1)]
+        pairs = [(a, b) for i, a in enumerate(right) for b in right[i + 1:]]
+    else:
+        k = rng.randint(1, n - 1)
+        left = [f"u{i}" for i in range(1, k + 1)]
+        right = [f"v{i}" for i in range(1, n - k + 1)]
+        pairs = [(a, b) for a in left for b in right]
+    rng.shuffle(left)
+    rng.shuffle(right)
+    edges = [(a, b, 1) for a, b in pairs if rng.random() < density]
+    return make_game(variant, left, right, edges)
+
+
+TRIANGLES = [(a, b, 1) for t in ("abc", "xyz") for a, b in zip(t, t[1:] + t[0])]
+STARS = [("u1", "v1", 1), ("u1", "v2", 1), ("u2", "v3", 1)]
+# A single vertex, and disconnected games whose components are not blocks
+# of consecutive ids.
+FIXED = {
+    "general-matching": [
+        make_game("general-matching", [], ["solo"], []),
+        make_game("general-matching", [], ["c", "x", "a", "b", "z", "y", "q"], TRIANGLES),
+    ],
+    "b-constrained": [
+        make_game("b-constrained", ["u2", "u1"], ["v3", "v1", "v2"], STARS, vertex_upper=2),
+    ],
+}
+
+
+def enumerator_games(variant):
+    rng = Random(f"masks:{variant}")
+    cases = [
+        structure_game(rng, variant, n, density)
+        for density in (0.2, 0.4, 0.6, 0.8, 1.0)
+        for n in (2, rng.randint(3, 10), 14)
+    ]
+    return cases + [structure_game(rng, variant, 7, 0.0)] + FIXED.get(variant, [])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_connected_masks_match_the_flood_fill(variant):
+    # Independent oracle: the 2^n flood fill of tests/flood_fill.py, in
+    # content and in order, on 2 to 14 vertices at densities 0.2 to 1.0,
+    # on an edgeless game, on disconnected games and on a single vertex.
+    cases = enumerator_games(variant)
+    components = set()
+    for g in cases:
+        assert validate_game(g) == []
+        want = flood_fill_coalitions(g)
+        assert _connected_masks(g) == [as_mask(g, t) for t in want]
+        assert connected_coalitions(g) == [frozenset(t) for t in want]
+        graph = nx.Graph()
+        graph.add_nodes_from(g.vertices)
+        graph.add_edges_from(g.edge_keys)
+        components.add(min(nx.number_connected_components(graph), 2))
+    assert {len(g.vertices) for g in cases} >= {2, 14} and components == {1, 2}
+    assert variant != "general-matching" or 1 in {len(g.vertices) for g in cases}
+
+
+def long_path(n):
+    ids = [f"p{i:02d}" for i in range(n)]
+    return ids, make_game("general-matching", [], ids, [(a, b, 1) for a, b in zip(ids, ids[1:])])
+
+
+def test_a_long_path_is_enumerated_in_its_output():
+    # A path's connected sets are its 40·41/2 = 820 intervals, among 2^40
+    # subsets: only an enumerator whose work follows its output finishes.
+    ids, g = long_path(40)
+    got = connected_coalitions(g, cap=40)
+    want = sorted([tuple(ids[i:j]) for i in range(40) for j in range(i + 1, 41)])
+    assert len(got) == 820
+    assert got == [frozenset(t) for t in want]
+
+
+def test_the_cap_is_checked_before_any_set_is_produced(monkeypatch):
+    # Over the cap, neither connected_coalitions nor a session's scan
+    # starts the enumerator.
+    _, g = long_path(40)
+    produced = []
+    for module in (games, analysis):
+        monkeypatch.setattr(module, "_connected_masks", lambda g: produced.append(g) or [])
+    with pytest.raises(CapExceeded):
+        connected_coalitions(g, cap=39)
+    a = GameAnalysis(g, budget_cap=40)
+    with pytest.raises(CapExceeded):
+        a.system
+    with pytest.raises(CapExceeded):
+        a.membership(dict.fromkeys(g.vertices, F(1, 2)))
+    assert produced == []
 
 
 def test_induced_subgames_stay_valid():

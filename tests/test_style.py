@@ -314,3 +314,32 @@ def test_one_tableau_runs_every_phase_2():
         ],
         "LPSolution": ["status", "values", "objective_value", "tableau"],
     }
+
+
+def test_one_connected_set_enumerator():
+    # games._connected_masks is the one enumerator of connected vertex
+    # sets, and its work follows its output: connected_coalitions wraps it,
+    # and the session reads its masks, not the frozensets.  A second
+    # caller, or a range over all 1 << n subsets anywhere in the package,
+    # would bring back a 2^n flood fill.
+    assert references("_connected_masks") == [
+        "analysis.py:GameAnalysis", "games.py:connected_coalitions",
+    ]
+    assert references("connected_coalitions") == []
+
+    def shifts_or_powers(node):
+        return any(
+            isinstance(n, ast.BinOp) and isinstance(n.op, (ast.LShift, ast.Pow))
+            for n in ast.walk(node)
+        )
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "range"
+        and any(shifts_or_powers(arg) for arg in node.args)
+    ]
+    assert found == []
