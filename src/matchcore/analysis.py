@@ -81,32 +81,15 @@ PAYMENT_VARIANTS = ("assignment", "general-matching")
 
 
 @dataclass(frozen=True)
-class WorthReport:
-    """Integral vs fractional optimum; the core is nonempty iff they agree."""
-
-    integral: Fraction
-    fractional: Fraction
-    concurrent: bool
-
-
-@dataclass(frozen=True)
-class VertexPayment:
-    core_empty: bool
-    paid_sometimes: bool | None
-    max_profit: Fraction | None
-
-
-@dataclass(frozen=True)
-class EdgePayment:
-    core_empty: bool
-    always_fair: bool | None
-    max_slack: Fraction | None
-
-
-@dataclass(frozen=True)
 class PaymentReport:
-    vertices: dict[str, VertexPayment]
-    edges: dict[Edge, EdgePayment]
+    """The most the core pays each vertex and overpays each edge.
+
+    A vertex is ever paid exactly when its value is above 0, and an edge
+    is always fairly paid exactly when its value is 0.
+    """
+
+    vertices: dict[str, Fraction]
+    edges: dict[Edge, Fraction]
 
 
 @dataclass(frozen=True)
@@ -157,9 +140,13 @@ def _membership(
     if sum(imp.values(), start=ZERO) != grand_worth():
         return CoreMembership(False, frozenset(ids))
     unit = lcm(*[v.denominator for v in imp.values()])
-    paid = _mask_sum([imp[q].numerator * (unit // imp[q].denominator) for q in ids])
+    paid = None  # the profits' byte tables, built when the first row arrives
     for m, w in rows:
-        if w is not None and paid(m) * scale < w * unit:
+        if w is None:
+            continue
+        if paid is None:
+            paid = _mask_sum([imp[q].numerator * unit // imp[q].denominator for q in ids])
+        if paid(m) * scale < w * unit:
             return CoreMembership(False, _members(ids, m))
     return CoreMembership(True, None)
 
@@ -172,16 +159,6 @@ def _mask_sum(values: list[int]) -> Callable[[int], int]:
         t = tables[p >> 3][1]
         t += [x + v for x in t]
     return lambda m: sum([t[m >> c & 255] for c, t in tables])
-
-
-@dataclass(frozen=True)
-class DegeneracyReport:
-    degenerate: bool
-    optima_count: int
-    viable_vertices: tuple[str, ...]
-    viable_edges: tuple[Edge, ...]
-    never_paid_vertices: tuple[str, ...] | None
-    always_fair_edges: tuple[Edge, ...] | None
 
 
 def worth(
@@ -377,11 +354,15 @@ class GameAnalysis:
         return in_dual_image(self, imp)
 
     @cached_property
-    def concurrency(self) -> WorthReport:
-        """Exact comparison of the integral and fractional optima."""
-        qi = self.worth
-        qf = fractional_optimum(self.g).weight
-        return WorthReport(integral=qi, fractional=qf, concurrent=(qi == qf))
+    def fractional(self) -> Fraction:
+        """The fractional optimum, the primal LP's value."""
+        return fractional_optimum(self.g).weight
+
+    @property
+    def concurrent(self) -> bool:
+        """Do the integral and fractional optima agree exactly?  On a general
+        game the core is nonempty exactly when they do."""
+        return self.worth == self.fractional
 
     @cached_property
     def labels(self) -> tuple[dict[str, str], dict[Edge, str]]:
@@ -405,11 +386,10 @@ class GameAnalysis:
         Only meaningful for assignment and general matching games, where
         the dual optimum must equal the fractional primal optimum exactly.
         """
-        rep = self.concurrency
-        if self.g.variant == "general-matching" and not rep.concurrent:
+        if self.g.variant == "general-matching" and not self.concurrent:
             return None
         sol, _ = self.dual
-        if sol.objective_value != rep.fractional:
+        if sol.objective_value != self.fractional:
             raise SolverInvariantError("dual optimum differs from the primal optimum")
         return sol.tableau
 
@@ -421,48 +401,43 @@ class GameAnalysis:
             raise RuntimeError(f"face optimization came back {sol.status}")
         return sol
 
-    def vertex_payment(self, q: str) -> VertexPayment:
-        """Does any core imputation pay ``q``?  Decided by face maximization."""
-        _require_payment_variant(self.g)
-        if q not in self.g.vertices:
-            raise ValueError(f"unknown vertex {q!r}")
-        if self.face is None:
-            return VertexPayment(True, None, None)
-        top = self._face_extreme({f"y[{q}]": ONE}).objective_value
-        return VertexPayment(False, top > 0, top)
-
-    def edge_payment(self, key: Edge) -> EdgePayment:
-        """Is the pair's profit sum ever strictly above its own weight?
-
-        The maximum of ``y_u + y_v - w_e`` over the core is zero exactly
-        when the pair is fairly paid in every imputation.
-        """
-        _require_payment_variant(self.g)
-        if key not in self._weights:
-            raise ValueError(f"unknown edge {edge_name(key)}")
-        if self.face is None:
-            return EdgePayment(True, None, None)
-        goal = {f"y[{q}]": ONE for q in key}
-        slack = self._face_extreme(goal).objective_value - self._weights[key]
-        return EdgePayment(False, slack == 0, slack)
-
-    def profit_bounds(self, q: str) -> tuple[Fraction, Fraction] | None:
-        """Exact min and max profit of ``q`` over the whole core."""
+    def vertex_payment(self, q: str) -> Fraction | None:
+        """The most any core imputation pays ``q``, by face maximization;
+        None if the core is empty.  ``q`` is ever paid exactly when it is
+        above 0."""
         _require_payment_variant(self.g)
         if q not in self.g.vertices:
             raise ValueError(f"unknown vertex {q!r}")
         if self.face is None:
             return None
-        goal = {f"y[{q}]": ONE}
-        hi = self._face_extreme(goal, True).objective_value
-        lo = self._face_extreme(goal, False).objective_value
-        return lo, hi
+        return self._face_extreme({f"y[{q}]": ONE}).objective_value
+
+    def edge_payment(self, key: Edge) -> Fraction | None:
+        """The most the pair's profit sum exceeds its own weight over the
+        core; None if the core is empty.
+
+        It is zero exactly when the pair is fairly paid in every imputation.
+        """
+        _require_payment_variant(self.g)
+        if key not in self._weights:
+            raise ValueError(f"unknown edge {edge_name(key)}")
+        if self.face is None:
+            return None
+        goal = {f"y[{q}]": ONE for q in key}
+        return self._face_extreme(goal).objective_value - self._weights[key]
+
+    def profit_bounds(self, q: str) -> tuple[Fraction, Fraction] | None:
+        """Exact min and max profit of ``q`` over the whole core."""
+        hi = self.vertex_payment(q)
+        if hi is None:
+            return None
+        return self._face_extreme({f"y[{q}]": ONE}, False).objective_value, hi
 
     @cached_property
-    def payments(self) -> PaymentReport:
+    def payments(self) -> PaymentReport | None:
         """Every payment answer, each from the first exact source that decides it.
 
-        With an empty core every answer says so.  Otherwise the core is
+        None where the core is empty.  Otherwise the core is
         the dual's optimal face, and the integral optimum equals the
         fractional one, so every optimal matching is an optimal primal
         solution and complementary slackness holds against every core
@@ -485,24 +460,19 @@ class GameAnalysis:
         g = self.g
         _require_payment_variant(g)
         if self.face is None:
-            return PaymentReport(
-                dict.fromkeys(g.vertices, VertexPayment(True, None, None)),
-                dict.fromkeys(g.edge_keys, EdgePayment(True, None, None)),
-            )
+            return None
         vlabels, elabels = self.labels
         essential = [q for q in g.vertices if vlabels[q] == ESSENTIAL]
         if g.variant == "assignment" and essential:
             left_best, right_best = self.antipodal
             top = {**right_best, **{q: left_best[q] for q in g.left}}
-            paid = {q: VertexPayment(False, top[q] > 0, top[q]) for q in essential}
+            paid = {q: top[q] for q in essential}
         else:
             paid = {q: self.vertex_payment(q) for q in essential}
-        never = VertexPayment(False, False, ZERO)
-        fair = EdgePayment(False, True, ZERO)
         return PaymentReport(
-            {q: paid.get(q, never) for q in g.vertices},
+            {q: paid.get(q, ZERO) for q in g.vertices},
             {
-                k: self.edge_payment(k) if elabels[k] == SUBPAR else fair
+                k: self.edge_payment(k) if elabels[k] == SUBPAR else ZERO
                 for k in g.edge_keys
             },
         )
@@ -524,31 +494,6 @@ class GameAnalysis:
         return (
             imputation_from_dual(self, left_sol.values),
             imputation_from_dual(self, right_sol.values),
-        )
-
-    @cached_property
-    def degeneracy(self) -> DegeneracyReport:
-        """Non-unique optima cross-tabulated with the payment flags.
-
-        Payment columns exist for assignment and concurrent general games.
-        """
-        g = self.g
-        vlabels, elabels = self.labels
-        never_paid = None
-        always_fair = None
-        if g.variant in PAYMENT_VARIANTS and self.face is not None:
-            pay = self.payments
-            never_paid = tuple(
-                [q for q in g.vertices if pay.vertices[q].max_profit == 0]
-            )
-            always_fair = tuple([k for k in g.edge_keys if pay.edges[k].always_fair])
-        return DegeneracyReport(
-            degenerate=self.optima_count > 1,
-            optima_count=self.optima_count,
-            viable_vertices=tuple([q for q in g.vertices if vlabels[q] == "viable"]),
-            viable_edges=tuple([k for k in g.edge_keys if elabels[k] == "viable"]),
-            never_paid_vertices=never_paid,
-            always_fair_edges=always_fair,
         )
 
 

@@ -5,10 +5,10 @@ multiplicity bounds; the dual prices vertices (and, where edges carry
 their own caps or floors, edges).  Every variant is a b-general game
 with particular bounds: :func:`priced` declares which bound families a
 variant's LPs carry.  :func:`dual_columns` lists the dual's columns
-once, each with the vertices it credits; :func:`build_dual_lp`, the
-optimality test (:func:`dual_numerators`), the dual-image LP of
-:mod:`matchcore.bmatching` and its map from duals to profits are all
-built from that list.  A dual is what the solver returns for the dual
+once, each with the vertices it credits; :func:`build_primal_lp` (one
+row per column), :func:`build_dual_lp`, the optimality test
+(:func:`dual_numerators`), the dual-image LP of :mod:`matchcore.bmatching`
+and its map from duals to profits are all built from that list.  A dual is what the solver returns for the dual
 LP: a dict from column name to price, a column it leaves out priced 0.
 Builders emit rows in a fixed order (left vertices, right vertices, edge
 rows) so solver output and reports are deterministic.
@@ -52,33 +52,29 @@ def priced(g: GameInstance) -> tuple[bool, bool]:
 def build_primal_lp(g: GameInstance) -> LinearProgram:
     """Maximum-weight (fractional) matching LP for the variant of ``g``.
 
-    Per vertex a floor row ``q:lo`` where floors are priced, then the cap
-    row; per edge a floor row, then a cap row where edge caps are priced.
-    Cap rows carry the suffix ``:hi`` only next to a floor row.
+    One row per column of :func:`dual_columns`, the primal's matrix being
+    the dual's transposed: a cap gives a ``<=`` row, a floor a ``>=`` row
+    suffixed ``:lo``.  The vertices' rows come first, then the edges';
+    each owner's floor row precedes its cap row, and a cap row carries
+    the suffix ``:hi`` where the game has floors.
     """
-    floors, edge_caps = priced(g)
-    hi = ":hi" if floors else ""
+    floors, _ = priced(g)
     keys = g.edge_keys
-    names = tuple([f"x[{edge_name(k)}]" for k in keys])
-    objective = tuple([w for _, _, w in g.edges])
-    rows: list[tuple[tuple[Fraction, ...], str, Fraction, str]] = []
-    for q in g.vertices:
-        coeffs = tuple([ONE if q in k else ZERO for k in keys])
-        if floors:
-            rows.append((coeffs, ">=", Fraction(g.vertex_lower[q]), f"{q}:lo"))
-        rows.append((coeffs, "<=", Fraction(g.vertex_upper[q]), q + hi))
-    for idx, k in enumerate(keys):
-        unit = tuple([ONE if t == idx else ZERO for t in range(len(keys))])
-        if floors:
-            rows.append((unit, ">=", Fraction(g.edge_lower[k]), f"{edge_name(k)}:lo"))
-        if edge_caps:
-            rows.append((unit, "<=", Fraction(g.edge_upper[k]), edge_name(k) + hi))
+    at = [((i,), (j,), (i, j)) for i, j, _ in g.edges]
+    order = {o: p for p, o in enumerate([*[(q,) for q in g.vertices], *keys])}
+    rows = []
+    for c in sorted(dual_columns(g), key=lambda c: (order[c.owners], c.sign)):
+        coeffs = tuple([ONE if c.owners in ends else ZERO for ends in at])
+        owner = c.owners[0] if len(c.owners) == 1 else edge_name(c.owners)
+        suffix = ":lo" if c.sign < 0 else ":hi" if floors else ""
+        rel = ">=" if c.sign < 0 else "<="
+        rows.append((coeffs, rel, Fraction(c.bound), owner + suffix))
     return LinearProgram(
-        variables=names,
-        objective=objective,
+        variables=tuple([f"x[{edge_name(k)}]" for k in keys]),
+        objective=tuple([w for _, _, w in g.edges]),
         maximize=True,
         constraints=tuple([(c, r, b) for c, r, b, _ in rows]),
-        nonnegative=(True,) * len(names),
+        nonnegative=(True,) * len(keys),
         row_labels=tuple([lbl for _, _, _, lbl in rows]),
     )
 

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
-_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
+_LITERAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -27,15 +26,17 @@ def parse_rational(text: str) -> Fraction:
     whitespace and a signed or zero denominator are rejected so that the
     set of accepted strings round-trips through :func:`format_rational`.
     """
-    if _DECIMAL.fullmatch(text):
-        return Fraction(text)
-    m = _RATIO.fullmatch(text)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2))
-        if den == 0:
-            raise ValueError(f"zero denominator in rational literal {text!r}")
-        return Fraction(num, den)
-    raise ValueError(f"not a rational literal: {text!r}")
+    m = _LITERAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a rational literal: {text!r}")
+    whole, digits, den = m.groups()
+    if digits is not None:
+        return Fraction(int(whole + digits), 10 ** len(digits))
+    if den is None:
+        return Fraction(int(whole))
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in rational literal {text!r}")
+    return Fraction(int(whole), int(den))
 
 
 def format_rational(value: Fraction) -> str:

@@ -19,6 +19,7 @@ from .analysis import PAYMENT_VARIANTS, GameAnalysis, Imputation
 from .bmatching import B_VARIANTS, SPLIT_SHARES, imputation_from_dual, in_dual_image
 from .games import GameInstance
 from .gamelp import edge_name, priced
+from .matchings import VIABLE
 from .rationals import format_rational as fr
 
 
@@ -58,6 +59,15 @@ def table(rows: list[tuple[str, ...]]) -> list[str]:
     ]
 
 
+def yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def names(items: list[str]) -> str:
+    """Space-separated names, or ``(none)``."""
+    return " ".join(items) or "(none)"
+
+
 def report_header(g: GameInstance, cap: int, budget_cap: int) -> Report:
     return Report(
         header=[
@@ -79,14 +89,13 @@ def worth_section(a: GameAnalysis) -> list[str]:
 
 
 def concurrency_section(a: GameAnalysis) -> list[str]:
-    rep = a.concurrency
     lines = [
-        f"integral-optimum = {fr(rep.integral)}",
-        f"fractional-optimum = {fr(rep.fractional)}",
-        f"concurrent = {'yes' if rep.concurrent else 'no'}",
+        f"integral-optimum = {fr(a.worth)}",
+        f"fractional-optimum = {fr(a.fractional)}",
+        f"concurrent = {yes_no(a.concurrent)}",
     ]
     if a.g.variant == "general-matching":
-        lines.append(f"core = {'nonempty' if rep.concurrent else 'empty'}")
+        lines.append(f"core = {'nonempty' if a.concurrent else 'empty'}")
     return lines
 
 
@@ -104,7 +113,7 @@ def dual_section(a: GameAnalysis) -> list[str]:
 def dual_imputation(a: GameAnalysis, split: str = "half") -> Imputation | None:
     """The dual-derived imputation of the variant, or None for empty core."""
     g = a.g
-    if g.variant == "general-matching" and not a.concurrency.concurrent:
+    if g.variant == "general-matching" and not a.concurrent:
         return None
     _, y = a.dual
     return imputation_from_dual(a, y, SPLIT_SHARES[split])
@@ -134,16 +143,16 @@ def classify_section(a: GameAnalysis) -> list[str]:
 def payments_section(a: GameAnalysis) -> list[str]:
     g = a.g
     rep = a.payments
-    if a.face is None:
+    if rep is None:
         return ["core = empty"]
     rows = [("vertex", "paid-sometimes", "max-profit")]
     for q in g.vertices:
-        p = rep.vertices[q]
-        rows.append((q, "yes" if p.paid_sometimes else "no", fr(p.max_profit)))
+        top = rep.vertices[q]
+        rows.append((q, yes_no(top > 0), fr(top)))
     rows.append(("edge", "always-fair", "max-overpay"))
     for k in g.edge_keys:
-        e = rep.edges[k]
-        rows.append((edge_name(k), "yes" if e.always_fair else "no", fr(e.max_slack)))
+        over = rep.edges[k]
+        rows.append((edge_name(k), yes_no(over == 0), fr(over)))
     return table(rows)
 
 
@@ -157,23 +166,23 @@ def antipodal_section(a: GameAnalysis) -> list[str]:
 
 
 def degeneracy_section(a: GameAnalysis) -> list[str]:
-    rep = a.degeneracy
+    """Non-unique optima, with the payment answers where the core is the
+    dual's optimal face: assignment games and concurrent general games."""
+    g = a.g
+    vlabels, elabels = a.labels
     lines = [
-        f"degenerate = {'yes' if rep.degenerate else 'no'}",
-        f"optimal-matchings = {rep.optima_count}",
-        "viable-vertices = " + (" ".join(rep.viable_vertices) or "(none)"),
+        f"degenerate = {yes_no(a.optima_count > 1)}",
+        f"optimal-matchings = {a.optima_count}",
+        "viable-vertices = " + names([q for q in g.vertices if vlabels[q] == VIABLE]),
         "viable-edges = "
-        + (" ".join(edge_name(k) for k in rep.viable_edges) or "(none)"),
+        + names([edge_name(k) for k in g.edge_keys if elabels[k] == VIABLE]),
     ]
-    if rep.never_paid_vertices is not None:
-        lines.append(
-            "never-paid-vertices = " + (" ".join(rep.never_paid_vertices) or "(none)")
-        )
-    if rep.always_fair_edges is not None:
-        lines.append(
-            "always-fair-edges = "
-            + (" ".join(edge_name(k) for k in rep.always_fair_edges) or "(none)")
-        )
+    pay = a.payments if g.variant in PAYMENT_VARIANTS else None
+    if pay is not None:
+        never = [q for q in g.vertices if pay.vertices[q] == 0]
+        fair = [edge_name(k) for k in g.edge_keys if pay.edges[k] == 0]
+        lines.append("never-paid-vertices = " + names(never))
+        lines.append("always-fair-edges = " + names(fair))
     return lines
 
 
@@ -214,7 +223,6 @@ def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
         imp = dual_imputation(a)
         rep.add(
             "dual-image",
-            [f"dual-derived-imputation-in-image = "
-             f"{'yes' if in_dual_image(a, imp) else 'no'}"],
+            [f"dual-derived-imputation-in-image = {yes_no(in_dual_image(a, imp))}"],
         )
     return rep

@@ -134,7 +134,7 @@ def payment_games():
             assignment += 1
     while general < 35:
         g = random_general(rng, max_n=7, density=0.5)
-        if g.edges and GameAnalysis(g).concurrency.concurrent:
+        if g.edges and GameAnalysis(g).concurrent:
             games.append(g)
             general += 1
     return games

@@ -82,44 +82,43 @@ def test_is_core_rejects_bad_sum_and_sign():
 
 
 def test_concurrency_reports():
-    k3 = GameAnalysis(load_instance("k3")).concurrency
-    assert (k3.integral, k3.fractional, k3.concurrent) == (F(1), F(3, 2), False)
-    t4 = GameAnalysis(load_instance("tritail4")).concurrency
-    assert (t4.integral, t4.fractional, t4.concurrent) == (F(2), F(2), True)
-    r7 = GameAnalysis(load_instance("ring7")).concurrency
-    assert (r7.integral, r7.fractional, r7.concurrent) == (F(4), F(4), True)
+    k3 = GameAnalysis(load_instance("k3"))
+    assert (k3.worth, k3.fractional, k3.concurrent) == (F(1), F(3, 2), False)
+    t4 = GameAnalysis(load_instance("tritail4"))
+    assert (t4.worth, t4.fractional, t4.concurrent) == (F(2), F(2), True)
+    r7 = GameAnalysis(load_instance("ring7"))
+    assert (r7.worth, r7.fractional, r7.concurrent) == (F(4), F(4), True)
 
 
 def test_paid_sometimes_cases():
     r7 = GameAnalysis(load_instance("ring7"))
     got = r7.vertex_payment("v7")
-    assert (got.paid_sometimes, got.max_profit) == (True, F(1))
+    assert (got > 0, got) == (True, F(1))
     t4 = GameAnalysis(load_instance("tritail4"))
     got = t4.vertex_payment("v4")
-    assert (got.paid_sometimes, got.max_profit) == (False, F(0))
+    assert (got > 0, got) == (False, F(0))
     p5 = GameAnalysis(load_instance("path5"))
-    assert not p5.vertex_payment("v1").paid_sometimes
+    assert not p5.vertex_payment("v1") > 0
     f3 = GameAnalysis(load_instance("fork3"))
-    assert f3.vertex_payment("u").max_profit == F(11, 10)
+    assert f3.vertex_payment("u") == F(11, 10)
 
 
 def test_payment_queries_report_empty_core():
     k3 = GameAnalysis(load_instance("k3"))
-    got = k3.vertex_payment("v1")
-    assert got.core_empty and got.paid_sometimes is None
-    got = k3.edge_payment(("v1", "v2"))
-    assert got.core_empty and got.max_slack is None
+    assert k3.vertex_payment("v1") is None
+    assert k3.edge_payment(("v1", "v2")) is None
+    assert k3.payments is None
 
 
 def test_always_fairly_paid_cases():
     r7 = GameAnalysis(load_instance("ring7"))
     got = r7.edge_payment(("v1", "v2"))
-    assert (got.always_fair, got.max_slack) == (True, F(0))
+    assert (got == 0, got) == (True, F(0))
     got = r7.edge_payment(("v4", "v7"))
-    assert (got.always_fair, got.max_slack) == (False, F(1))
+    assert (got == 0, got) == (False, F(1))
     single = make_game("assignment", ["u"], ["v"], [("u", "v", F(7))])
     got = GameAnalysis(single).edge_payment(("u", "v"))
-    assert (got.always_fair, got.max_slack) == (True, F(0))
+    assert (got == 0, got) == (True, F(0))
 
 
 def test_payment_report_matches_pointwise():
@@ -130,11 +129,13 @@ def test_payment_report_matches_pointwise():
     assert len(names) == 7
     for name in names:
         g = load_instance(name)
-        rep = GameAnalysis(g).payments
+        rep = GameAnalysis(g).payments  # None where the core is empty, as each query
+        vertices = dict.fromkeys(g.vertices) if rep is None else rep.vertices
+        edges = dict.fromkeys(g.edge_keys) if rep is None else rep.edges
         for q in g.vertices:
-            assert rep.vertices[q] == GameAnalysis(g).vertex_payment(q), (name, q)
+            assert vertices[q] == GameAnalysis(g).vertex_payment(q), (name, q)
         for k in g.edge_keys:
-            assert rep.edges[k] == GameAnalysis(g).edge_payment(k), (name, k)
+            assert edges[k] == GameAnalysis(g).edge_payment(k), (name, k)
 
 
 def test_profit_bounds_unique_point():
@@ -190,21 +191,30 @@ def test_meet_join_rejects_non_core_input():
         meet_join(GameAnalysis(g), imp(g, 2, 0, 0, 0, 0), imp(g, 0, 0, 0, 1, 1))
 
 
+def viable(a):
+    """The viable vertices and edges of ``a.g``, in declared order."""
+    vlabels, elabels = a.labels
+    return (
+        [q for q in a.g.vertices if vlabels[q] == "viable"],
+        [k for k in a.g.edge_keys if elabels[k] == "viable"],
+    )
+
+
 def test_degeneracy_ring7():
-    rep = GameAnalysis(load_instance("ring7")).degeneracy
-    assert rep.degenerate and rep.optima_count == 3
-    assert rep.viable_vertices == ("v1", "v3", "v5")
-    assert set(rep.viable_vertices) <= set(rep.never_paid_vertices)
+    a = GameAnalysis(load_instance("ring7"))
+    assert a.optima_count > 1 and a.optima_count == 3
+    assert viable(a)[0] == ["v1", "v3", "v5"]
+    assert all([a.payments.vertices[q] == 0 for q in viable(a)[0]])
 
 
 def test_degeneracy_path5_and_single_edge():
-    rep = GameAnalysis(load_instance("path5")).degeneracy
-    assert rep.degenerate and rep.optima_count == 2
-    assert rep.viable_vertices == ("v1", "v3")
+    a = GameAnalysis(load_instance("path5"))
+    assert a.optima_count > 1 and a.optima_count == 2
+    assert viable(a)[0] == ["v1", "v3"]
     single = make_game("assignment", ["u"], ["v"], [("u", "v", F(7))])
-    rep = GameAnalysis(single).degeneracy
-    assert not rep.degenerate
-    assert rep.viable_vertices == () and rep.viable_edges == ()
+    a = GameAnalysis(single)
+    assert not a.optima_count > 1
+    assert viable(a) == ([], [])
 
 
 def core_equals_optimal_dual(g, candidate):
@@ -252,10 +262,10 @@ def test_payment_equivalences_on_random_games():
         vlabels, elabels = a.labels
         rep = a.payments
         for q in g.vertices:
-            assert rep.vertices[q].paid_sometimes == (vlabels[q] == "essential")
+            assert (rep.vertices[q] > 0) == (vlabels[q] == "essential")
         for k in g.edge_keys:
-            assert rep.edges[k].always_fair == (elabels[k] != "subpar")
-        if not a.degeneracy.degenerate:
+            assert (rep.edges[k] == 0) == (elabels[k] != "subpar")
+        if not a.optima_count > 1:
             assert not [q for q in g.vertices if vlabels[q] == "viable"]
             assert not [k for k in g.edge_keys if elabels[k] == "viable"]
 
@@ -284,15 +294,15 @@ def test_gen_insights_one_directional_on_concurrent_games():
     for _ in range(60):
         g = random_general(rng, max_n=5)
         a = GameAnalysis(g)
-        if not g.edges or not a.concurrency.concurrent:
+        if not g.edges or not a.concurrent:
             continue
         concurrent_seen += 1
         vlabels, elabels = a.labels
         rep = a.payments
         for q in g.vertices:
-            if rep.vertices[q].paid_sometimes:
+            if rep.vertices[q] > 0:
                 assert vlabels[q] == "essential"
         for k in g.edge_keys:
             if elabels[k] != "subpar":
-                assert rep.edges[k].always_fair
+                assert rep.edges[k] == 0
     assert concurrent_seen >= 10

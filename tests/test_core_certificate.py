@@ -19,7 +19,7 @@ from matchcore.bmatching import (
     imputation_from_dual,
     in_dual_image,
 )
-from matchcore import bmatching
+from matchcore import analysis, bmatching
 from matchcore.games import connected_coalitions
 from matchcore.matchings import integer_game
 
@@ -143,3 +143,31 @@ def test_a_failed_pair_row_goes_to_the_scan_without_the_lp(monkeypatch, kind):
             assert got.witness == first_violated(g, imp)
             failing += 1
     assert failing >= 5
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_certified_yes_builds_no_byte_tables(monkeypatch, kind):
+    # The profits' byte tables are built when the first row arrives: a
+    # certified "yes" gets no row and builds none, and a "no" from the
+    # scan builds them once.
+    built = []
+    original = analysis._mask_sum
+    monkeypatch.setattr(
+        analysis, "_mask_sum", lambda values: built.append(1) or original(values)
+    )
+    certified = scanned = 0
+    for g in seeded_games(kind):
+        a = GameAnalysis(g)
+        a._coalitions  # the coalitions' table states are read from byte tables too
+        for imp in probes(a):
+            early = min(imp.values()) < 0 or sum(imp.values()) != a.worth
+            yes = not early and a._certified(imp)
+            built.clear()
+            got = a.membership(imp)
+            if early or yes:
+                assert built == []
+                certified += yes
+            elif not got.in_core:
+                assert built == [1]
+                scanned += 1
+    assert certified > 0 and scanned > 0

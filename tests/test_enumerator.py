@@ -93,7 +93,7 @@ TIE_GAMES = tie_games()
 
 
 def test_tie_games_include_non_concurrent_general_games():
-    concurrent = [GameAnalysis(g).concurrency.concurrent
+    concurrent = [GameAnalysis(g).concurrent
                   for g in TIE_GAMES if g.variant == "general-matching"]
     assert True in concurrent and False in concurrent
 

@@ -18,13 +18,7 @@ from hypothesis import strategies as st
 
 import fraction_simplex
 from matchcore import simplex
-from matchcore.analysis import (
-    EdgePayment,
-    GameAnalysis,
-    PaymentReport,
-    VertexPayment,
-    worth,
-)
+from matchcore.analysis import GameAnalysis, PaymentReport, worth
 from matchcore.bundled import load_instance
 from matchcore.gamelp import build_dual_lp
 from matchcore.simplex import LinearProgram, solve_lp, solve_over_optimal_face
@@ -202,7 +196,7 @@ def cold_face_max(a, goal, second_oracle=True):
     always did; the session's own base solve plays no part.
     """
     lp = build_dual_lp(a.g)
-    optimum = a.concurrency.fractional
+    optimum = a.fractional
     coeffs = tuple([goal.get(v, Z) for v in lp.variables])
     explicit = face_lp(lp, optimum, coeffs, True)
     cold = solve_lp(explicit)
@@ -217,13 +211,11 @@ def cold_payments(a, second_oracle):
     g = a.g
     vertices = {}
     for q in g.vertices:
-        top = cold_face_max(a, {f"y[{q}]": O}, second_oracle).objective_value
-        vertices[q] = VertexPayment(False, top > 0, top)
+        vertices[q] = cold_face_max(a, {f"y[{q}]": O}, second_oracle).objective_value
     edges = {}
     for k in g.edge_keys:
         goal = {f"y[{q}]": O for q in k}
-        slack = cold_face_max(a, goal, second_oracle).objective_value - g.weight(k)
-        edges[k] = EdgePayment(False, slack == 0, slack)
+        edges[k] = cold_face_max(a, goal, second_oracle).objective_value - g.weight(k)
     return PaymentReport(vertices, edges)
 
 
@@ -325,7 +317,7 @@ def test_a_wrong_reduced_cost_filter_is_caught(monkeypatch):
         try:
             for q in g.vertices:
                 want = cold_face_max(a, {f"y[{q}]": O}, False).objective_value
-                if a.vertex_payment(q).max_profit != want:
+                if a.vertex_payment(q) != want:
                     caught += 1
                     break
         except (AssertionError, RuntimeError):

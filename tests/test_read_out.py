@@ -79,13 +79,13 @@ def test_every_vertex_and_edge_face_query_reads_out():
             y = f"y[{q}]"
             top = query({y: F(1)})
             low = query({y: F(1)}, False)
-            assert a.vertex_payment(q).max_profit == top.values[y]
+            assert a.vertex_payment(q) == top.values[y]
             assert a.profit_bounds(q) == (low.values[y], top.values[y])
             queries += 2
         for i, j, w in g.edges:
             yi, yj = f"y[{i}]", f"y[{j}]"
             top = query({yi: F(1), yj: F(1)})
             slack = top.values[yi] + top.values[yj] - w
-            assert a.edge_payment((i, j)).max_slack == slack
+            assert a.edge_payment((i, j)) == slack
             queries += 1
     assert queries >= 500

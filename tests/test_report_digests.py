@@ -99,7 +99,7 @@ def test_report_digest(kind, seed, want):
 
 def test_general_cases_cover_both_core_states():
     flags = [
-        GameAnalysis(make("general", s)).concurrency.concurrent
+        GameAnalysis(make("general", s)).concurrent
         for k, s, _ in PINNED
         if k == "general"
     ]
