@@ -20,10 +20,13 @@ count of its optimal matchings (it lists none, and no integer search
 runs), and one worth per connected coalition (see
 :meth:`GameAnalysis.coalition_worths`), from which come both the core
 system and the "no" answers of the one core-membership test; its "yes" answers come from a dual certificate
-(see :meth:`GameAnalysis.membership`).  Beside the table it runs one
-primal solve and one dual solve, whose answer carries the
+(see :meth:`GameAnalysis.membership`).  Beside the table it runs one LP
+solve, the dual's, whose answer carries the
 :class:`~matchcore.simplex.Tableau` of its optimal face, the core: every
-face question is a warm phase 2 on it.
+face question is a warm phase 2 on it.  The fractional optimum is read
+from that answer's final tableau by complementary slackness and certified
+exactly; a session asked for it before the dual solves the primal LP
+instead (see :attr:`GameAnalysis.fractional`).
 :func:`worth` lists the optima of one induced subgame instead, and is
 kept as the independent oracle of these worths; it is the one caller of
 :func:`~matchcore.matchings.brute_force_optima` in the package.
@@ -65,6 +68,7 @@ from .matchings import (
     ResidualTable,
     SolverInvariantError,
     brute_force_optima,
+    fractional_from_dual,
     fractional_optimum,
     integer_game,
 )
@@ -190,8 +194,9 @@ class GameAnalysis:
     tableau, the payment report, and the worth of every connected
     coalition (at most ``cap`` vertices in the game).  The worth, the
     count and the coalition worths are read from one table (see
-    :attr:`_table`).  A report builds one session and hands it to every
-    section; no cache outlives the session.
+    :attr:`_table`); the fractional optimum is read from the dual's
+    final tableau once the session holds the dual.  A report builds one
+    session and hands it to every section; no cache outlives the session.
     """
 
     def __init__(
@@ -355,8 +360,22 @@ class GameAnalysis:
 
     @cached_property
     def fractional(self) -> Fraction:
-        """The fractional optimum, the primal LP's value."""
+        """The fractional optimum.  A session that holds the dual reads it
+        from the dual's final tableau (see :attr:`_certified_fractional`);
+        one that does not solves the primal LP, not the dual, whose phase 1
+        can cost far more on degenerate general games."""
+        if "dual" in self.__dict__:
+            return self._certified_fractional
         return fractional_optimum(self.g).weight
+
+    @cached_property
+    def _certified_fractional(self) -> Fraction:
+        """The dual optimum, certified exactly as the fractional optimum: the
+        point that complementary slackness reads off the dual's final tableau
+        is a primal optimum with the vertex structure of the variant's
+        polytope (see :func:`~matchcore.matchings.fractional_from_dual`)."""
+        sol, _ = self.dual
+        return fractional_from_dual(self.g, self.dual_columns, sol)
 
     @property
     def concurrent(self) -> bool:
@@ -384,14 +403,15 @@ class GameAnalysis:
         """The core as the optimal face of the dual; None if the core is empty.
 
         Only meaningful for assignment and general matching games, where
-        the dual optimum must equal the fractional primal optimum exactly.
+        the dual optimum is certified as the fractional optimum (see
+        :attr:`_certified_fractional`).  A session that solved the primal LP
+        first must have found the same value.
         """
         if self.g.variant == "general-matching" and not self.concurrent:
             return None
-        sol, _ = self.dual
-        if sol.objective_value != self.fractional:
-            raise SolverInvariantError("dual optimum differs from the primal optimum")
-        return sol.tableau
+        if self._certified_fractional != self.fractional:
+            raise SolverInvariantError("the primal LP missed the certified optimum")
+        return self.dual[0].tableau
 
     def _face_extreme(self, goal: dict[str, Fraction], maximize=True) -> LPSolution:
         lp = self.face.lp

@@ -103,7 +103,10 @@ def make_game(
     """
     left = tuple(left)
     right = tuple(right)
-    norm_edges = tuple([(i, j, Fraction(w)) for i, j, w in edges])
+    # A parsed weight is already a Fraction: keep it rather than copy it.
+    norm_edges = tuple(
+        [(i, j, w if type(w) is Fraction else Fraction(w)) for i, j, w in edges]
+    )
     vertices = left + right
 
     if isinstance(vertex_upper, int):

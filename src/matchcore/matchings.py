@@ -27,8 +27,8 @@ from .games import (
     InfeasibleGameError,
     check_budget_cap,
 )
-from .simplex import solve_lp
-from .gamelp import build_primal_lp, edge_name
+from .simplex import LPSolution, solve_lp
+from .gamelp import DualColumn, build_primal_lp, edge_name, primal_numerators
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -450,8 +450,7 @@ def fractional_optimum(g: GameInstance) -> MatchingVector:
     """Exact vertex-optimal fractional matching from the primal LP.
 
     Asserts the structural guarantee of the variant's polytope on every
-    solve: bipartite variants must come back integral, general graphs
-    half-integral with the half edges forming disjoint odd cycles.
+    solve (see :func:`check_vertex`).
     """
     lp = build_primal_lp(g)
     sol = solve_lp(lp)
@@ -460,14 +459,43 @@ def fractional_optimum(g: GameInstance) -> MatchingVector:
     if sol.status != "optimal":
         raise SolverInvariantError(f"primal LP came back {sol.status}")
     mult = {k: sol.values[f"x[{edge_name(k)}]"] for k in g.edge_keys}
-    vec = make_matching_vector(g, mult)
-    if g.variant == "general-matching":
-        if not check_half_integral(vec).is_half_integral:
-            raise SolverInvariantError("general-graph vertex is not half-integral")
-    else:
-        if any(m.denominator != 1 for _, m in vec.multiplicities):
+    ratios = [m.as_integer_ratio() for m in mult.values()]
+    den = lcm(*[d for _, d in ratios])
+    check_vertex(g, [n * (den // d) for n, d in ratios], den)
+    return make_matching_vector(g, mult)
+
+
+def fractional_from_dual(
+    g: GameInstance, cols: list[DualColumn], sol: LPSolution
+) -> Fraction:
+    """The fractional optimum, read from the dual's answer ``sol`` and certified.
+
+    The point read off the dual's final tableau must pass
+    :func:`~matchcore.gamelp.primal_numerators` (a primal optimum, by weak
+    duality) and :func:`check_vertex` (it is a basic solution, a vertex);
+    either failure raises :class:`SolverInvariantError`.  ``cols`` are the
+    dual's columns.  Returns the dual optimum, which is then the fractional
+    optimum.
+    """
+    read = primal_numerators(g, cols, sol)
+    if read is None:
+        raise SolverInvariantError("the dual's final tableau gives no primal optimum")
+    check_vertex(g, *read)
+    return sol.objective_value
+
+
+def check_vertex(g: GameInstance, nums: list[int], den: int) -> None:
+    """Raise :class:`SolverInvariantError` unless ``nums / den``, one entry
+    per edge, has the structure of a vertex of the variant's polytope:
+    integral on bipartite variants, and on general graphs half-integral
+    with the half edges forming disjoint odd cycles."""
+    if g.variant != "general-matching":
+        if any([n % den for n in nums]):
             raise SolverInvariantError("bipartite vertex solution is not integral")
-    return vec
+        return
+    mult = {k: Fraction(n, den) for k, n in zip(g.edge_keys, nums) if n}
+    if not check_half_integral(make_matching_vector(g, mult)).is_half_integral:
+        raise SolverInvariantError("general-graph vertex is not half-integral")
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,11 @@ def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
     """The standard battery for a bundled instance, variant-aware."""
     a = GameAnalysis(g, budget_cap, cap)
     # Every report classifies first: the worth comes with the count, and
-    # a game whose floors admit no matching fails as classify does.
+    # a game whose floors admit no matching fails as classify does.  The
+    # dual comes next, so the fractional optimum is read from its final
+    # tableau and the report solves one LP besides the face queries.
     a.labels
+    a.dual
     rep = report_header(g, cap, budget_cap)
     rep.add("worth", worth_section(a))
     rep.add("concurrency", concurrency_section(a))

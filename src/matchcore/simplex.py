@@ -344,6 +344,42 @@ class Tableau:
         face = Tableau(lp, rows, basis, cols, width, checks, (objective, value, cost))
         return LPSolution("optimal", values, value, face)
 
+    def row_duals(self) -> tuple[list[int], int]:
+        """The row duals of this optimal answer: one numerator per
+        constraint, over one denominator D > 0.
+
+        The final cost row is K > 0 times the reduced costs.  A row's slack
+        or surplus column is nonzero only in that row, so its cost entry is
+        K times the row's dual, negated for a ``<=`` row and again when
+        maximizing, however the row was scaled or flipped.  The last entry
+        is ``-K`` times the optimum (``+K`` when maximizing), which gives K.
+        Only a :func:`solve_lp` answer with a nonzero optimum and no
+        equality row has them here: a face query drops slack columns, and
+        an equality row has none.  The caller certifies the duals (see
+        :func:`~matchcore.gamelp.primal_numerators`).
+        """
+        lp = self.lp
+        _, _, cols, _, checks, optimum = self._given
+        if optimum is None or len(checks) != len(lp.constraints):
+            raise ValueError("row duals are read from an answer of solve_lp")
+        if any([rel == "==" for _, rel, _ in lp.constraints]):
+            raise ValueError("an equality row has no slack column")
+        _, value, cost = optimum
+        top, bottom = value.as_integer_ratio()
+        if not top:
+            raise ValueError("a zero optimum fixes no multiple of the cost row")
+        sense = -1 if lp.maximize else 1
+        den = -sense * cost[-1] * bottom  # K * top
+        if (den > 0) != (top > 0):
+            raise AssertionError("the cost row is not a positive multiple of the optimum")
+        unit = sense * abs(top)  # a dual is unit * (+-cost entry) / |K * top|
+        at = len(cols)  # the slack columns follow the structural ones, in row order
+        nums = [
+            unit * (cost[at + i] if rel == ">=" else -cost[at + i])
+            for i, (_, rel, _) in enumerate(lp.constraints)
+        ]
+        return nums, abs(den)
+
 
 def solve_over_optimal_face(
     lp: LinearProgram,

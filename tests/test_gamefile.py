@@ -5,6 +5,7 @@ import pytest
 
 from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore.gamefile import GameFileError, parse_game, render_game
+from matchcore.games import make_game
 
 from gamegen import random_assignment, random_b_game, random_general
 
@@ -38,6 +39,16 @@ def test_defaults_applied():
     assert g.vertex_upper == {"u": 1, "v": 1}
     assert g.edge_upper == {("u", "v"): 1}
     assert g.weight(("u", "v")) == F(3, 2)
+
+
+def test_a_parsed_weight_is_built_once():
+    # make_game keeps a weight that is already a Fraction and converts
+    # any other, so a parsed game holds parse_rational's own objects.
+    w = F(3, 2)
+    g = make_game("assignment", ["u1", "u2"], ["v"], [("u1", "v", w), ("u2", "v", "1.5")])
+    assert g.edges[0][2] is w
+    assert type(g.edges[1][2]) is F and g.edges[1][2] == w
+    assert parse_game(render_game(g)) == g
 
 
 def test_uniform_star_bound():

@@ -35,6 +35,7 @@ from matchcore.games import (
 from matchcore.matchings import (
     ResidualTable,
     brute_force_optima,
+    fractional_optimum,
     integer_search,
 )
 from matchcore.rationals import format_rational
@@ -177,14 +178,17 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
     # coalition worth is looked up.
     work = count_work(monkeypatch, g)
     solves = count_calls(monkeypatch, simplex.solve_lp)
+    primal = count_calls(monkeypatch, fractional_optimum)
     runs = []
     run = simplex._run
     monkeypatch.setattr(simplex, "_run", lambda *a: runs.append(1) or run(*a))
     queries = count_face_queries(monkeypatch)
     _report(g)
     assert work() == Work(ONE, ONE, [], [])
-    names = sorted(args[0].variables[0][:2] for args in solves)
-    assert names == ["x[", "y["]  # one primal and one dual solve
+    # The dual's solve only: the fractional optimum is read from its
+    # final tableau.
+    assert [args[0].variables[0][:2] for args in solves] == ["y["]
+    assert primal == []
     # Phase 1 and phase 2 once per solve at most; one phase 2 per query.
     assert len(runs) <= 2 * len(solves) + len(queries)
     assert len(runs) >= len(solves) + len(queries)
@@ -195,6 +199,29 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
     vertices, edges = face_questions(a)
     antipodal = 2 if g.variant == "assignment" else 0
     assert len(queries) == antipodal + len(vertices) + len(edges)
+
+
+@pytest.mark.parametrize("g", PAYMENT_GAMES[::3], ids=lambda g: g.name or g.variant)
+def test_fractional_before_the_dual_solves_only_the_primal(monkeypatch, tmp_path, g):
+    # Without the dual, the fractional optimum costs the primal LP, never
+    # the dual's phase 1: so does the concurrency command.
+    solves = count_calls(monkeypatch, simplex.solve_lp)
+    GameAnalysis(g).fractional
+    path = tmp_path / "game.txt"
+    path.write_text(render_game(g))
+    assert cli.main(["concurrency", "--game", str(path)]) == 0
+    assert [args[0].variables[0][:2] for args in solves] == ["x[", "x["]
+
+
+@pytest.mark.parametrize("command", ["payments", "degeneracy", "antipodal"])
+def test_assignment_face_commands_solve_only_the_dual(monkeypatch, tmp_path, command):
+    # An assignment game's core is the dual's optimal face whatever the
+    # fractional optimum, so the face is certified from the dual alone.
+    solves = count_calls(monkeypatch, simplex.solve_lp)
+    path = tmp_path / "game.txt"
+    path.write_text(render_game(load_instance("tiers8")))
+    assert cli.main([command, "--game", str(path)]) == 0
+    assert [args[0].variables[0][:2] for args in solves] == ["y["]
 
 
 def face_questions(a):
