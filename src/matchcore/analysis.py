@@ -25,8 +25,10 @@ solve, the dual's, whose answer carries the
 :class:`~matchcore.simplex.Tableau` of its optimal face, the core: every
 face question is a warm phase 2 on it.  The fractional optimum is read
 from that answer's final tableau by complementary slackness and certified
-exactly; a session asked for it before the dual solves the primal LP
-instead (see :attr:`GameAnalysis.fractional`).
+exactly; a session asked for it before the dual solves no LP for it: a
+bipartite variant's is the worth, its polytope being integral, and a
+general game's is half the best weight of its bipartite double cover,
+certified in integers (see :attr:`GameAnalysis.fractional`).
 :func:`worth` lists the optima of one induced subgame instead, and is
 kept as the independent oracle of these worths; it is the one caller of
 :func:`~matchcore.matchings.brute_force_optima` in the package.
@@ -68,8 +70,8 @@ from .matchings import (
     ResidualTable,
     SolverInvariantError,
     brute_force_optima,
+    double_cover_optimum,
     fractional_from_dual,
-    fractional_optimum,
     integer_game,
 )
 # solve_lp and solve_over_optimal_face are not used here: bench/selftest.py
@@ -195,7 +197,8 @@ class GameAnalysis:
     coalition (at most ``cap`` vertices in the game).  The worth, the
     count and the coalition worths are read from one table (see
     :attr:`_table`); the fractional optimum is read from the dual's
-    final tableau once the session holds the dual.  A report builds one
+    final tableau once the session holds the dual, and from the worth or
+    the double cover before.  A report builds one
     session and hands it to every section; no cache outlives the session.
     """
 
@@ -360,13 +363,23 @@ class GameAnalysis:
 
     @cached_property
     def fractional(self) -> Fraction:
-        """The fractional optimum.  A session that holds the dual reads it
-        from the dual's final tableau (see :attr:`_certified_fractional`);
-        one that does not solves the primal LP, not the dual, whose phase 1
-        can cost far more on degenerate general games."""
+        """The fractional optimum, from the first source that applies; none
+        solves an LP for it.
+
+        1. A session that holds the dual reads it from the dual's final
+           tableau (see :attr:`_certified_fractional`).
+        2. A bipartite variant's polytope is integral: its matrix is totally
+           unimodular and its bounds are integers, so the fractional optimum
+           is the worth.
+        3. A general game's is half the best weight of its bipartite double
+           cover, certified in integers (see
+           :func:`~matchcore.matchings.double_cover_optimum`).
+        """
         if "dual" in self.__dict__:
             return self._certified_fractional
-        return fractional_optimum(self.g).weight
+        if self.g.variant != "general-matching":
+            return self.worth
+        return double_cover_optimum(self._integer_game)
 
     @cached_property
     def _certified_fractional(self) -> Fraction:
@@ -404,13 +417,16 @@ class GameAnalysis:
 
         Only meaningful for assignment and general matching games, where
         the dual optimum is certified as the fractional optimum (see
-        :attr:`_certified_fractional`).  A session that solved the primal LP
-        first must have found the same value.
+        :attr:`_certified_fractional`).  A session that read the fractional
+        optimum first, from the worth or the double cover, must have found
+        the same value.
         """
         if self.g.variant == "general-matching" and not self.concurrent:
             return None
         if self._certified_fractional != self.fractional:
-            raise SolverInvariantError("the primal LP missed the certified optimum")
+            raise SolverInvariantError(
+                "the dual's certified optimum differs from the fractional optimum"
+            )
         return self.dual[0].tableau
 
     def _face_extreme(self, goal: dict[str, Fraction], maximize=True) -> LPSolution:

@@ -465,6 +465,95 @@ def fractional_optimum(g: GameInstance) -> MatchingVector:
     return make_matching_vector(g, mult)
 
 
+def double_cover_optimum(ig: IntegerGame) -> Fraction:
+    """The fractional optimum of a general game, with no LP: half the best
+    weight of its bipartite double cover, certified in the game's own terms.
+
+    The double cover D(G) joins a left copy of each vertex i to a right copy
+    of each neighbour j, so ν_f(G) = ν(D(G))/2: a fractional matching x of G
+    gives D(G) the fractional matching x_ij on i–j' and j–i', and D(G)'s
+    polytope is integral.  Its best matching is the best assignment of the
+    n×n matrix W, W[i][j] = W[j][i] = the scaled weight of edge ij and 0 off
+    the edges, the diagonal included, by the Hungarian method (see
+    :func:`_hungarian`).
+
+    Its potentials a, b and assignment σ certify the answer in integers:
+    y_q = a_q + b_q and x_ij = [σ(i) = j] + [σ(j) = i] must satisfy y >= 0,
+    y_i + y_j >= 2·w_ij on every edge, x(δ(q)) <= 2 and w·x = Σy.  Then x/2
+    is a fractional matching of G and y/2 a dual of equal value, both
+    optimal by weak duality; a failed check raises
+    :class:`SolverInvariantError`.
+    """
+    n = len(ig.upper)
+    w = [[0] * n for _ in range(n)]
+    for (i, j), wij in zip(ig.ends, ig.weights):
+        w[i][j] = w[j][i] = wij
+    a, b, sigma = _hungarian(w)
+    y = [aq + bq for aq, bq in zip(a, b)]
+    x = [(sigma[i] == j) + (sigma[j] == i) for i, j in ig.ends]
+    load = [0] * n
+    for (i, j), xe in zip(ig.ends, x):
+        load[i] += xe
+        load[j] += xe
+    if (
+        min(y, default=0) < 0
+        or any([y[i] + y[j] < 2 * wij for (i, j), wij in zip(ig.ends, ig.weights)])
+        or max(load, default=0) > 2
+        or sum([wij * xe for wij, xe in zip(ig.weights, x)]) != sum(y)
+    ):
+        raise SolverInvariantError("the double cover's assignment is not certified")
+    return Fraction(sum(y), 2 * ig.scale)
+
+
+def _hungarian(w: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+    """A maximum-weight assignment of the square integer matrix ``w`` and its
+    potentials: ``(a, b, sigma)`` with a_i + b_j >= w[i][j] everywhere and
+    equality where j = sigma[i].
+
+    The O(n³) shortest-augmenting-path Hungarian method on the costs
+    c = top - w, all in [0, top], adding one row per phase.  A phase moves
+    each potential by at most the distance to the free column it reaches,
+    at most top, a free column's direct reduced cost; so every potential
+    stays within n·top of 0 and every reduced cost below ``big``, the
+    method's "no column yet" bound.
+    """
+    n = len(w)
+    top = max([max(row) for row in w], default=0)
+    big = (2 * n + 1) * top + 1
+    # Rows and columns are 1-based; column 0 holds the row being added.
+    u, v, match, way = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, n + 1):
+        match[0], j0 = i, 0
+        least, done = [big] * (n + 1), [False] * (n + 1)
+        while match[j0]:
+            done[j0] = True
+            i0 = match[j0]
+            row, ui = w[i0 - 1], u[i0]
+            delta, j1 = big, 0
+            for j in range(1, n + 1):
+                if not done[j]:
+                    cur = top - row[j - 1] - ui - v[j]
+                    if cur < least[j]:
+                        least[j], way[j] = cur, j0
+                    if least[j] < delta:
+                        delta, j1 = least[j], j
+            for j in range(n + 1):
+                if done[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    least[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    sigma = [0] * n
+    for j in range(1, n + 1):
+        sigma[match[j] - 1] = j - 1
+    return [top - ui for ui in u[1:]], [-vj for vj in v[1:]], sigma
+
+
 def fractional_from_dual(
     g: GameInstance, cols: list[DualColumn], sol: LPSolution
 ) -> Fraction:

@@ -35,6 +35,7 @@ from matchcore.games import (
 from matchcore.matchings import (
     ResidualTable,
     brute_force_optima,
+    double_cover_optimum,
     fractional_optimum,
     integer_search,
 )
@@ -201,16 +202,51 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
     assert len(queries) == antipodal + len(vertices) + len(edges)
 
 
-@pytest.mark.parametrize("g", PAYMENT_GAMES[::3], ids=lambda g: g.name or g.variant)
-def test_fractional_before_the_dual_solves_only_the_primal(monkeypatch, tmp_path, g):
-    # Without the dual, the fractional optimum costs the primal LP, never
-    # the dual's phase 1: so does the concurrency command.
+B_INSTANCES = [
+    load_instance(n) for n in INSTANCE_NAMES if load_instance(n).variant in B_VARIANTS
+]
+
+
+@pytest.mark.parametrize(
+    "g", PAYMENT_GAMES[::3] + B_INSTANCES, ids=lambda g: g.name or g.variant
+)
+def test_fractional_before_the_dual_solves_no_lp(monkeypatch, tmp_path, g):
+    # Without the dual, the fractional optimum is a bipartite game's worth
+    # or a general game's double cover: no LP, so none for the concurrency
+    # command either.
     solves = count_calls(monkeypatch, simplex.solve_lp)
     GameAnalysis(g).fractional
     path = tmp_path / "game.txt"
     path.write_text(render_game(g))
     assert cli.main(["concurrency", "--game", str(path)]) == 0
-    assert [args[0].variables[0][:2] for args in solves] == ["x[", "x["]
+    assert solves == []
+
+
+def test_general_concurrency_over_the_budget_does_no_matching_work(
+    monkeypatch, capsys, tmp_path
+):
+    # The worth's cap check comes first: the double cover is not reached.
+    covered = count_calls(monkeypatch, double_cover_optimum)
+    work = count_work(monkeypatch, load_instance("ring7"))
+    path = tmp_path / "game.txt"
+    path.write_text(render_game(load_instance("ring7")))
+    assert cli.main(["concurrency", "--game", str(path), "--budget", "6"]) == 3
+    assert "budget 7 exceeds cap 6" in capsys.readouterr().err
+    assert covered == []
+    assert work() == Work([], [], [], [])
+
+
+@pytest.mark.parametrize("command", ["payments", "degeneracy"])
+def test_concurrent_general_face_commands_solve_only_the_dual(
+    monkeypatch, tmp_path, command
+):
+    # Concurrency comes from the double cover, so the face of a concurrent
+    # general game costs the dual's solve alone.
+    solves = count_calls(monkeypatch, simplex.solve_lp)
+    path = tmp_path / "game.txt"
+    path.write_text(render_game(load_instance("ring7")))
+    assert cli.main([command, "--game", str(path)]) == 0
+    assert [args[0].variables[0][:2] for args in solves] == ["y["]
 
 
 @pytest.mark.parametrize("command", ["payments", "degeneracy", "antipodal"])
