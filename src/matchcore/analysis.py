@@ -15,8 +15,8 @@ subpar edge.  No sampling of imputations is involved.
 
 A :class:`GameAnalysis` session computes each fact of one game at most
 once, and reads the combinatorial ones from one residual-capacity
-table, the same on every variant: the grand coalition's worth with the
-count of its optimal matchings (it lists none, and no integer search
+table, the same on every variant: the count of the grand coalition's
+optimal matchings with their worth (it lists none, and no integer search
 runs), and one worth per connected coalition (see
 :meth:`GameAnalysis.coalition_worths`), from which come both the core
 system and the "no" answers of the one core-membership test; its "yes" answers come from a dual certificate
@@ -28,7 +28,11 @@ from that answer's final tableau by complementary slackness and certified
 exactly; a session asked for it before the dual solves no LP for it: a
 bipartite variant's is the worth, its polytope being integral, and a
 general game's is half the best weight of its bipartite double cover,
-certified in integers (see :attr:`GameAnalysis.fractional`).
+certified in integers (see :attr:`GameAnalysis.fractional`).  One
+Hungarian run on that double cover also gives a single-use game's worth
+before its optima are counted, where its assignment rounds to a matching
+of the same weight: then a session that needs no count and no coalition
+worth builds no table (see :attr:`GameAnalysis.worth`).
 :func:`worth` lists the optima of one induced subgame instead, and is
 kept as the independent oracle of these worths; it is the one caller of
 :func:`~matchcore.matchings.brute_force_optima` in the package.
@@ -64,6 +68,7 @@ from .gamelp import DualColumn, dual_columns, edge_name, priced, solve_dual
 from .matchings import (
     ESSENTIAL,
     SUBPAR,
+    DoubleCover,
     IntegerGame,
     InfeasibleGameError,
     OptimaCount,
@@ -157,6 +162,12 @@ def _membership(
     return CoreMembership(True, None)
 
 
+def scaled_cover(g: GameInstance, imp: Imputation) -> bool:
+    """Do the prices ``y_q = imp_q / b_q`` cover every edge, y_i + y_j >= w_ij?"""
+    y = {q: Fraction(imp[q], g.vertex_upper[q]) for q in g.vertices}
+    return all([y[i] + y[j] >= w for i, j, w in g.edges])
+
+
 def _mask_sum(values: list[int]) -> Callable[[int], int]:
     """The sum of ``values`` over a mask's set bits, bit p weighing
     ``values[p]``, read from one table of the 256 subset sums of each 8 bits."""
@@ -191,14 +202,15 @@ class GameAnalysis:
     """Every fact of one game under one pair of caps, each computed once.
 
     Facts are computed on first use and kept for the session's lifetime:
-    the worth with the count of optimal matchings and the labels, the
+    the worth, the count of optimal matchings and the labels, the
     fractional optimum, concurrency, the base dual solve with its final
     tableau, the payment report, and the worth of every connected
-    coalition (at most ``cap`` vertices in the game).  The worth, the
-    count and the coalition worths are read from one table (see
-    :attr:`_table`); the fractional optimum is read from the dual's
-    final tableau once the session holds the dual, and from the worth or
-    the double cover before.  A report builds one
+    coalition (at most ``cap`` vertices in the game).  The count and the
+    coalition worths are read from one table (see :attr:`_table`), and so
+    is the worth, unless the double cover's matching gives it first (see
+    :attr:`worth`); the fractional optimum is read from the dual's final
+    tableau once the session holds the dual, and from the worth or the
+    double cover before.  A report builds one
     session and hands it to every section; no cache outlives the session.
     """
 
@@ -217,20 +229,47 @@ class GameAnalysis:
     @cached_property
     def _table(self) -> ResidualTable:
         """The session's one table, over residual capacities: it gives the
-        worth, the count and every coalition worth."""
+        count with the worth, and every coalition worth."""
         return ResidualTable(self._integer_game, len(self.g.left))
 
     @cached_property
     def _optima(self) -> tuple[int, OptimaCount] | None:
         """The grand coalition's best scaled weight and the count of its optima
-        (None if floors admit no matching), from the session's table."""
+        (None if floors admit no matching), from the session's table.  A
+        session that read the worth from the double cover's matching first
+        must find it again here."""
         check_budget_cap(self.g, self.budget_cap)
-        return self._table.count()
+        got = self._table.count()
+        if "worth" in self.__dict__ and (
+            got is None or Fraction(got[0], self._integer_game.scale) != self.worth
+        ):
+            raise SolverInvariantError("the table's optimum differs from the worth")
+        return got
+
+    @cached_property
+    def _cover(self) -> DoubleCover:
+        """The double cover's certified optimum and the matching it rounds to
+        (see :func:`~matchcore.matchings.double_cover_optimum`), run once per
+        session for both :attr:`worth` and :attr:`fractional`."""
+        return double_cover_optimum(self._integer_game)
 
     @cached_property
     def worth(self) -> Fraction:
-        """The grand coalition's worth, read with the count of its optima
-        (see :attr:`_optima`): the worth and the labels are one fact."""
+        """The grand coalition's worth, from the first source that applies,
+        each after the ``budget_cap`` check.
+
+        1. A session that has counted its optima reads it with the count
+           (see :attr:`_optima`): the worth and the labels are one fact.
+        2. On a single-use game, the weight of the matching that the double
+           cover's assignment rounds to, if it rounds to one (see
+           :attr:`_cover`): that matching weighs the fractional optimum, so
+           it is optimal, and no table is built.
+        3. The count, from the session's table.
+        """
+        if "_optima" not in self.__dict__ and self.g.variant in PAYMENT_VARIANTS:
+            check_budget_cap(self.g, self.budget_cap)
+            if self._cover.matching is not None:
+                return self._cover.value
         if self._optima is None:
             raise InfeasibleGameError("the grand coalition admits no feasible matching")
         return Fraction(self._optima[0], self._integer_game.scale)
@@ -277,11 +316,11 @@ class GameAnalysis:
         its coalition, at most once per session.  The grand worth comes
         first: no coalition's multiplicity budget exceeds the game's, so
         its ``budget_cap`` check covers them all.  Each coalition is
-        looked up once in the table that gave the grand worth (see
-        :attr:`_table`), which fills the states the coalitions reach and
-        share: at most 2^n on a single-use game, so ``cap`` bounds it,
-        and 2^|P|·Π_{q in Q}(b_q + 1) for the cheaper side P of a
-        bipartite b-game, so ``cap`` and ``budget_cap`` bound it.
+        looked up once in the session's table (see :attr:`_table`), which
+        fills the states the coalitions reach and share: at most 2^n on a
+        single-use game, so ``cap`` bounds it, and 2^|P|·Π_{q in Q}(b_q + 1)
+        for the cheaper side P of a bipartite b-game, so ``cap`` and
+        ``budget_cap`` bound it.
         """
         self.worth
         worths = self._worths
@@ -345,8 +384,7 @@ class GameAnalysis:
         ``imp`` is nonnegative and pays out the worth.
         """
         g = self.g
-        y = {q: Fraction(imp[q], g.vertex_upper[q]) for q in g.vertices}
-        if all([y[i] + y[j] >= w for i, j, w in g.edges]):
+        if scaled_cover(g, imp):
             return True
         _, edge_caps = priced(g)
         if not edge_caps or any(g.edge_lower.values()):
@@ -372,14 +410,14 @@ class GameAnalysis:
            unimodular and its bounds are integers, so the fractional optimum
            is the worth.
         3. A general game's is half the best weight of its bipartite double
-           cover, certified in integers (see
-           :func:`~matchcore.matchings.double_cover_optimum`).
+           cover, certified in integers (see :attr:`_cover`, which the worth
+           shares).
         """
         if "dual" in self.__dict__:
             return self._certified_fractional
         if self.g.variant != "general-matching":
             return self.worth
-        return double_cover_optimum(self._integer_game)
+        return self._cover.value
 
     @cached_property
     def _certified_fractional(self) -> Fraction:

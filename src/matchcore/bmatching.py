@@ -16,7 +16,9 @@ priced ``membership`` takes an image point as its certificate of "yes"
 and scans the coalitions only for "no"; with a positive edge floor only
 its scaled cover test, ``imp_q / b_q`` covering every edge, may answer.
 One map (:func:`imputation_from_dual`) serves all six variants and one
-LP (:func:`in_dual_image`) all four b-variants.  Both read the dual
+test (:func:`in_dual_image`) all four b-variants: an LP where edges are
+priced, and where they are not the scaled cover test it shares with
+``membership``.  Both read the dual
 through :func:`~matchcore.gamelp.dual_columns`: the map pays each
 column's objective term to the vertices it credits, and the LP is the
 dual LP of :func:`~matchcore.gamelp.build_dual_lp` with each column
@@ -38,9 +40,9 @@ import itertools
 from fractions import Fraction
 from random import Random
 
-from .analysis import CoalitionSystem, GameAnalysis, Imputation
+from .analysis import CoalitionSystem, GameAnalysis, Imputation, scaled_cover
 from .games import check_coalition_cap
-from .gamelp import build_dual_lp, dual_numerators, edge_name
+from .gamelp import build_dual_lp, dual_numerators, edge_name, priced
 from .analysis import worth as coalition_worth
 from .simplex import LinearProgram, solve_lp
 
@@ -114,6 +116,11 @@ def in_dual_image(a: GameAnalysis, imp: Imputation) -> bool:
     the vertex owns equal its profit.  The profit rows add up to the dual
     objective, so once the total is checked against the worth, a feasible
     point is an optimal dual with its split.
+
+    Where no edge is priced (:func:`~matchcore.gamelp.priced`), the only
+    columns are the vertex prices, which the profit rows fix at
+    ``y_q = imp_q / b_q``: the answer is that they are nonnegative and
+    cover every edge, with no LP.
     """
     g = a.g
     if g.variant not in B_VARIANTS:
@@ -122,6 +129,8 @@ def in_dual_image(a: GameAnalysis, imp: Imputation) -> bool:
         raise ValueError("imputation keys do not match the game's vertices")
     if sum(imp.values(), start=ZERO) != a.worth:
         return False
+    if priced(g) == (False, False):
+        return all([v >= 0 for v in imp.values()]) and scaled_cover(g, imp)
     dual = build_dual_lp(g)
     copies = [(t, q) for t, col in enumerate(a.dual_columns) for q in col.owners]
     cover = [

@@ -10,7 +10,9 @@ classification needs), every coalition worth, and the covering
 matchings of :func:`birkhoff_decompose` come from one
 :class:`ResidualTable` on all six variants, each a b-general game with
 particular bounds.  It fills on demand and answers ``count()`` and
-``worth(state)``.
+``worth(state)``.  A single-use game's worth can come before any table,
+from the matching that :func:`double_cover_optimum` rounds its
+fractional optimum to, where it rounds to one.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def integer_game(g: GameInstance) -> IntegerGame:
     scale = lcm(*[w.denominator for _, _, w in g.edges])
     return IntegerGame(
         [(pos[i], pos[j]) for i, j in keys],
-        [int(w * scale) for _, _, w in g.edges],
+        [w.numerator * (scale // w.denominator) for _, _, w in g.edges],
         [
             min(g.edge_upper[k], g.vertex_upper[k[0]], g.vertex_upper[k[1]])
             for k in keys
@@ -465,9 +467,19 @@ def fractional_optimum(g: GameInstance) -> MatchingVector:
     return make_matching_vector(g, mult)
 
 
-def double_cover_optimum(ig: IntegerGame) -> Fraction:
-    """The fractional optimum of a general game, with no LP: half the best
-    weight of its bipartite double cover, certified in the game's own terms.
+class DoubleCover(NamedTuple):
+    """A single-use game's fractional optimum and, where the double cover's
+    assignment rounds to one, a matching of the same weight, by the indices
+    of its edges in the :class:`IntegerGame`; otherwise None."""
+
+    value: Fraction
+    matching: tuple[int, ...] | None
+
+
+def double_cover_optimum(ig: IntegerGame) -> DoubleCover:
+    """The fractional optimum of a single-use game, with no LP: half the best
+    weight of its bipartite double cover, certified in the game's own terms,
+    and the matching it rounds to, if any.
 
     The double cover D(G) joins a left copy of each vertex i to a right copy
     of each neighbour j, so ν_f(G) = ν(D(G))/2: a fractional matching x of G
@@ -481,8 +493,12 @@ def double_cover_optimum(ig: IntegerGame) -> Fraction:
     y_q = a_q + b_q and x_ij = [σ(i) = j] + [σ(j) = i] must satisfy y >= 0,
     y_i + y_j >= 2·w_ij on every edge, x(δ(q)) <= 2 and w·x = Σy.  Then x/2
     is a fractional matching of G and y/2 a dual of equal value, both
-    optimal by weak duality; a failed check raises
-    :class:`SolverInvariantError`.
+    optimal by weak duality.
+
+    A matching M rounded from x (see :func:`_rounded`) must have every load
+    at most 1 and 2·w(M) = Σy.  Then w(M) = ν_f >= ν >= w(M): M is an
+    optimal matching and the game is concurrent.  A failed check of either
+    raises :class:`SolverInvariantError`.
     """
     n = len(ig.upper)
     w = [[0] * n for _ in range(n)]
@@ -502,7 +518,48 @@ def double_cover_optimum(ig: IntegerGame) -> Fraction:
         or sum([wij * xe for wij, xe in zip(ig.weights, x)]) != sum(y)
     ):
         raise SolverInvariantError("the double cover's assignment is not certified")
-    return Fraction(sum(y), 2 * ig.scale)
+    matching = _rounded(ig.ends, sigma)
+    if matching is not None:
+        ends = [q for t in matching for q in ig.ends[t]]
+        if len(set(ends)) < len(ends) or 2 * sum([ig.weights[t] for t in matching]) != sum(y):
+            raise SolverInvariantError("the double cover's matching is not certified")
+    return DoubleCover(Fraction(sum(y), 2 * ig.scale), matching)
+
+
+def _rounded(ends: list[tuple[int, int]], sigma: list[int]) -> tuple[int, ...] | None:
+    """A matching read off the assignment ``sigma``, or None.
+
+    The edges of x (see :func:`double_cover_optimum`) are the pairs
+    q–σ(q) that are edges, used twice where σ(σ(q)) = q and once otherwise.
+    Each cycle of σ walks along them, cut where q–σ(q) is no edge; every
+    other edge of each piece is taken, from its start.  So a 2-cycle on an
+    edge gives that edge, and each path or even cycle of once-used edges
+    every other one of its edges.  An uncut cycle of odd length is an odd
+    cycle of once-used edges, which rounds to no matching: None.  Returns
+    the edges' indices in ``ends``, ascending.
+    """
+    edge = {}
+    for t, (i, j) in enumerate(ends):
+        edge[i, j] = edge[j, i] = t
+    seen = [False] * len(sigma)
+    matching = []
+    for s in range(len(sigma)):
+        steps, q = [], s
+        while not seen[q]:
+            seen[q] = True
+            steps.append(edge.get((q, sigma[q])))
+            q = sigma[q]
+        if None in steps:
+            cut = steps.index(None)
+            steps = steps[cut:] + steps[:cut]
+        elif len(steps) % 2:
+            return None
+        take = True
+        for t in steps:
+            if t is not None and take:
+                matching.append(t)
+            take = t is None or not take
+    return tuple(sorted(matching))
 
 
 def _hungarian(w: list[list[int]]) -> tuple[list[int], list[int], list[int]]:

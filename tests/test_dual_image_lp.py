@@ -5,12 +5,16 @@ cover rows and profit coefficients from ``build_dual_lp``;
 ``dual_image_reference.reference_in_dual_image`` writes the same question
 out by hand, with an explicit "objective == worth" row.  On every seeded
 (game, imputation) pair the two verdicts must agree, and the rebuilt LP
-must take no more pivots in total.
+must take no more pivots in total.  Where no edge is priced (b-uniform
+and b-unconstrained), the profit rows fix every vertex price, and
+``in_dual_image`` answers with no LP at all.
 """
 
 from random import Random
 
-from matchcore import simplex
+import pytest
+
+from matchcore import bmatching, simplex
 from matchcore.analysis import GameAnalysis, worth
 from matchcore.bmatching import in_dual_image
 
@@ -78,3 +82,19 @@ def test_rebuilt_lp_agrees_with_the_hand_built_one(monkeypatch):
         assert True in verdicts and False in verdicts, kind
     assert pairs >= 240
     assert new_pivots <= old_pivots, (new_pivots, old_pivots)
+
+
+@pytest.mark.parametrize("kind", ["b-uniform", "b-unconstrained"])
+def test_unpriced_edges_solve_no_lp(monkeypatch, kind):
+    # y_q = imp_q / b_q: nonnegative, covering every edge, the total the
+    # worth.  The reference LP agrees above; here no LP is solved.
+    pairs = []
+    for g in seeded_games(kind):
+        a = GameAnalysis(g)
+        pairs += [(a, imp) for imp in with_wrong_total(probes(a))]
+    solves = []
+    solve = simplex.solve_lp
+    monkeypatch.setattr(bmatching, "solve_lp", lambda lp: solves.append(lp) or solve(lp))
+    verdicts = {in_dual_image(a, imp) for a, imp in pairs}
+    assert verdicts == {True, False}
+    assert solves == []

@@ -11,6 +11,12 @@ terms.  Both are compared here with the cold primal LP
 double cover also with scipy's HiGHS (floats, test-only) and closed
 forms.  Tampered potentials and assignments, each breaking one check of
 the certificate, must be refused.
+
+The double cover's assignment also rounds, where its once-used edges hold
+no odd cycle, to a matching of the same weight, which is then the worth.
+That matching is compared with the residual table's count and with
+networkx's blossom matching, and tampered roundings, each breaking one
+check of its certificate, must be refused.
 """
 
 from fractions import Fraction as F
@@ -23,6 +29,7 @@ from matchcore.analysis import GameAnalysis
 from matchcore.bundled import load_instance
 from matchcore.games import InfeasibleGameError, make_game
 from matchcore.matchings import (
+    ResidualTable,
     SolverInvariantError,
     double_cover_optimum,
     fractional_optimum,
@@ -43,7 +50,7 @@ def unit_complete(n):
 
 
 def cover(g):
-    return double_cover_optimum(integer_game(g))
+    return double_cover_optimum(integer_game(g)).value
 
 
 def scipy_fractional(g):
@@ -174,3 +181,118 @@ def test_tampered_certificate_is_refused(monkeypatch, tamper):
     monkeypatch.setattr(matchings, "_hungarian", tampered)
     with pytest.raises(SolverInvariantError):
         cover(PATH)
+
+
+ASSIGNMENT = [random_assignment(Random(s), max_side=6, density=0.6) for s in range(200)]
+
+
+def blossom_worth(ig):
+    """The best scaled weight of a matching, by networkx's blossom method."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    for (i, j), w in zip(ig.ends, ig.weights):
+        graph.add_edge(i, j, weight=w)
+    return sum([graph[i][j]["weight"] for i, j in nx.max_weight_matching(graph)])
+
+
+def test_rounded_matching_is_an_optimum():
+    rounded, refused = {"assignment": 0, "general-matching": 0}, 0
+    for g in GENERAL + ASSIGNMENT:
+        ig = integer_game(g)
+        got = double_cover_optimum(ig)
+        best, _ = ResidualTable(ig, len(g.left)).count()
+        assert best == blossom_worth(ig)
+        if got.matching is None:
+            # Only a general game's odd cycle of once-used edges refuses.
+            assert g.variant == "general-matching"
+            refused += 1
+            continue
+        rounded[g.variant] += 1
+        ends = [q for t in got.matching for q in ig.ends[t]]
+        assert len(set(ends)) == len(ends)
+        assert sum([ig.weights[t] for t in got.matching]) == best
+        assert got.value == F(best, ig.scale) == GameAnalysis(g).worth
+    # Every bipartite game rounds; general games part both ways.
+    assert rounded["assignment"] == len(ASSIGNMENT)
+    assert rounded["general-matching"] > 300 and refused > 50
+
+
+def test_no_non_concurrent_game_rounds():
+    empty = 0
+    for g in GENERAL:
+        a = GameAnalysis(g)
+        a.labels  # the worth from the table's count
+        if a.worth != a.fractional:
+            empty += 1
+            assert double_cover_optimum(integer_game(g)).matching is None
+    assert empty > 50
+
+
+@pytest.mark.parametrize("n, rounded", [(3, None), (4, 2)])
+def test_unit_k3_rounds_to_nothing_and_k4_to_two(n, rounded):
+    ig = integer_game(unit_complete(n))
+    got = double_cover_optimum(ig)
+    if rounded is None:
+        assert got.matching is None
+    else:
+        assert sum([ig.weights[t] for t in got.matching]) == rounded == got.value
+
+
+def forced_through(ends, sigma):
+    # Every other step of each cycle of sigma, an odd cycle included.
+    edge = {**{(i, j): t for t, (i, j) in enumerate(ends)},
+            **{(j, i): t for t, (i, j) in enumerate(ends)}}
+    taken, seen = [], set()
+    for s in range(len(sigma)):
+        q, at = s, 0
+        while q not in seen:
+            seen.add(q)
+            if at % 2 == 0 and (q, sigma[q]) in edge:
+                taken.append(edge[q, sigma[q]])
+            q, at = sigma[q], at + 1
+    return tuple(sorted(set(taken)))
+
+
+def overloading(ends, sigma):
+    return (0, 1)  # v1-v2 and v2-v3 weigh the optimum 2, but share v2
+
+
+def short(ends, sigma):
+    return (0,)  # a matching of weight 1 < 2
+
+
+UNIT_PATH = make_game(
+    "general-matching", [], ["v1", "v2", "v3", "v4"],
+    [("v1", "v2", 1), ("v2", "v3", 1), ("v3", "v4", 1)],
+)
+
+
+@pytest.mark.parametrize(
+    "tamper, g",
+    [(forced_through, unit_complete(3)), (overloading, UNIT_PATH), (short, UNIT_PATH)],
+)
+def test_tampered_rounding_is_refused(monkeypatch, tamper, g):
+    double_cover_optimum(integer_game(g))  # the genuine rounding passes
+    monkeypatch.setattr(matchings, "_rounded", tamper)
+    with pytest.raises(SolverInvariantError):
+        double_cover_optimum(integer_game(g))
+
+
+def test_a_count_that_disagrees_with_the_rounded_matching_raises(monkeypatch):
+    g = load_instance("ring7")
+    count = ResidualTable.count
+
+    def off_by_one(self):
+        best, optima = count(self)
+        return best + 1, optima
+
+    monkeypatch.setattr(ResidualTable, "count", off_by_one)
+    a = GameAnalysis(g)
+    assert a.worth == 4
+    with pytest.raises(SolverInvariantError):
+        a.labels
+    # Counted first, the table gives the worth and nothing is compared.
+    b = GameAnalysis(g)
+    b.labels
+    assert b.worth == 5

@@ -21,8 +21,10 @@ from matchcore.matchings import (
     brute_force_optima,
     check_half_integral,
     fractional_optimum,
+    integer_game,
     make_matching_vector,
 )
+from matchcore.rationals import parse_rational
 
 from gamegen import random_assignment, random_b_game, random_general
 from plain_enumerator import plain_labels, plain_optima
@@ -513,3 +515,27 @@ def test_repeated_searches_hold_no_memory():
     for _ in range(200):
         GameAnalysis(g).system
     assert sys.getallocatedblocks() - before < 100
+
+
+WEIGHT_KINDS = {
+    "integer": lambda rng: F(rng.randint(1, 40)),
+    "decimal": lambda rng: parse_rational(f"{rng.randint(0, 9)}.{rng.randint(1, 999):03d}"),
+    "ratio": lambda rng: F(rng.randint(1, 50), rng.randint(1, 24)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHT_KINDS))
+def test_integer_game_scales_each_weight_exactly(kind):
+    # Each weight's numerator times the scale over its denominator, with no
+    # Fraction product: the integers of int(w * scale), on every variant.
+    rng = Random(len(kind))
+    draw = WEIGHT_KINDS[kind]
+    for s in range(150):
+        base = [random_assignment, random_general][s % 2](Random(s))
+        if s % 3 == 2:
+            base = random_b_game(Random(s), "b-general", with_floors=True)
+        edges = [(i, j, draw(rng)) for i, j, _ in base.edges]
+        g = replace(base, edges=tuple(edges))
+        ig = integer_game(g)
+        assert ig.weights == [int(w * ig.scale) for *_, w in g.edges]
+        assert all([type(w) is int for w in ig.weights])

@@ -1,11 +1,15 @@
 """Work done by a full report, a core check and meet/join: each fact of
 the game is computed once, and a "no" stops at its witness.
 
-Each session builds one table, the residual-capacity
-``matchings.ResidualTable``, on every variant.  The grand coalition's
-worth and the count of its optima come from one ``count()`` of it, and
-each coalition worth from one lookup in it; no integer search runs, and
-no command lists the optimal matchings.
+Each session builds at most one table, the residual-capacity
+``matchings.ResidualTable``, on every variant.  The count of the grand
+coalition's optima comes from one ``count()`` of it, and each coalition
+worth from one lookup in it; no integer search runs, and no command
+lists the optimal matchings.  The grand coalition's worth comes with the
+count, except on a single-use game whose double cover rounds to a
+matching (see ``rounds``) and that has not counted its optima: there
+the matching gives the worth, and a session that needs no coalition
+worth and no count builds no table.
 
 Calls are counted by rebinding a function under every name the package's
 modules hold it by (``from .x import y`` makes copies), so no call path
@@ -22,7 +26,7 @@ import pytest
 
 import matchcore.cli  # noqa: F401  (loads every module)
 from matchcore import analysis, cli, simplex
-from matchcore.analysis import GameAnalysis
+from matchcore.analysis import PAYMENT_VARIANTS, GameAnalysis
 from matchcore.bmatching import sample_core_imputations
 from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore.gamefile import render_game
@@ -37,6 +41,7 @@ from matchcore.matchings import (
     brute_force_optima,
     double_cover_optimum,
     fractional_optimum,
+    integer_game,
     integer_search,
 )
 from matchcore.rationals import format_rational
@@ -123,6 +128,15 @@ def count_recursions(monkeypatch):
 # whose optima were listed.
 Work = namedtuple("Work", "grand tables looked_up listed")
 ONE = ["table"]
+
+
+def rounds(g):
+    """Is ``g`` single-use with a double cover that rounds to a matching?
+    Its session then reads the worth from that matching, with no table,
+    until it counts its optima."""
+    if g.variant not in PAYMENT_VARIANTS:
+        return False
+    return double_cover_optimum(integer_game(g)).matching is not None
 
 
 def count_work(monkeypatch, g):
@@ -234,6 +248,34 @@ def test_general_concurrency_over_the_budget_does_no_matching_work(
     assert "budget 7 exceeds cap 6" in capsys.readouterr().err
     assert covered == []
     assert work() == Work([], [], [], [])
+
+
+@pytest.mark.parametrize("command", ["worth", "concurrency"])
+@pytest.mark.parametrize("g", PAYMENT_GAMES, ids=lambda g: g.name or g.variant)
+def test_worth_and_concurrency_build_a_table_only_where_the_cover_does_not_round(
+    monkeypatch, tmp_path, g, command
+):
+    # One Hungarian per session gives the fractional optimum and, where its
+    # assignment rounds to a matching, the worth: then no table is built.
+    # Otherwise (an odd cycle of once-used edges, as on every
+    # non-concurrent game) the worth is counted in the table.
+    covered = count_calls(monkeypatch, double_cover_optimum)
+    work = count_work(monkeypatch, g)
+    path = tmp_path / "game.txt"
+    path.write_text(render_game(g))
+    assert cli.main([command, "--game", str(path)]) == 0
+    assert len(covered) == 1
+    assert work() == (Work([], [], [], []) if rounds(g) else Work(ONE, ONE, [], []))
+
+
+def test_payment_games_part_on_the_rounding():
+    # Both branches above are taken: k3 and a generated general game are not
+    # concurrent, and tritail4 is concurrent but its assignment holds an
+    # odd cycle.
+    apart = {g.name or g.variant: GameAnalysis(g).concurrent
+             for g in PAYMENT_GAMES if not rounds(g)}
+    assert apart == {"k3": False, "tritail4": True, "general-matching": False}
+    assert all([rounds(g) for g in PAYMENT_GAMES if g.variant == "assignment"])
 
 
 @pytest.mark.parametrize("command", ["payments", "degeneracy"])
@@ -356,8 +398,10 @@ ONE_TABLE_GAMES = generated_games(("assignment", "general-matching", *B_VARIANTS
     "g", ONE_TABLE_GAMES, ids=lambda g: f"{g.variant}-{max(g.vertex_upper.values())}"
 )
 def test_every_session_builds_one_table_and_counts_once(monkeypatch, g, ask):
-    # One table for every game; the worth, the count, the labels and every
-    # coalition worth are read from it, whatever is asked.
+    # One table for every game; the count, the labels and every coalition
+    # worth are read from it, whatever is asked, and so is the worth, but
+    # where membership reads it from the double cover's matching: the
+    # outside point's scan builds the table and counts nothing.
     inside = dual_imputation(g)
     outside = shifted_imputation(g, inside)
     work = count_work(monkeypatch, g)
@@ -372,7 +416,8 @@ def test_every_session_builds_one_table_and_counts_once(monkeypatch, g, ask):
         a.labels
         a.worth
     done = work()
-    assert (done.grand, done.tables, done.listed) == (ONE, ONE, [])
+    grand = [] if ask == "membership" and rounds(g) else ONE
+    assert (done.grand, done.tables, done.listed) == (grand, ONE, [])
     assert len(set(done.looked_up)) == len(done.looked_up)
 
 
@@ -420,20 +465,22 @@ def cli_check(monkeypatch, capsys, tmp_path, g, imp):
 
 @pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
 def test_check_enumerates_the_grand_coalition_once(monkeypatch, capsys, tmp_path, g):
+    # At most once: not at all where the double cover's matching gives the worth.
     code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code in (0, 1)
-    assert (work.grand, work.listed) == (ONE, [])
+    assert (work.grand, work.listed) == ([] if rounds(g) else ONE, [])
 
 
 @pytest.mark.parametrize("g", CHECK_GAMES, ids=lambda g: g.variant)
 def test_certified_yes_computes_no_coalition_worth(monkeypatch, capsys, tmp_path, g):
     # No edge floors here, so the core points read off an optimal dual are
     # certified by it: "yes" looks up no coalition and runs no search; the
-    # one table is built for the worth.  Only a general game with an empty
-    # core answers "no" (a wrong total).
+    # one table is built for the worth, and none where the double cover's
+    # matching gives it.  Only a general game with an empty core answers
+    # "no" (a wrong total).
     code, _, work = cli_check(monkeypatch, capsys, tmp_path, g, dual_imputation(g))
     assert code == (0 if GameAnalysis(g).concurrent else 1)
-    assert work == Work(ONE, ONE, [], [])
+    assert work == (Work([], [], [], []) if rounds(g) else Work(ONE, ONE, [], []))
 
 
 @pytest.mark.parametrize("how", ["shifted", "negative", "total"])
@@ -453,13 +500,16 @@ def test_no_answer_enumerates_nothing_after_its_witness(
     grand = frozenset(g.vertices)
     proper = [s for s in connected_coalitions(g) if s != grand]
     # A negative entry is answered before the grand worth, a wrong total
-    # before any coalition.
+    # before any coalition.  Where the double cover's matching gives the
+    # worth, nothing is counted, and a wrong total builds no table.
     prefix = proper[: proper.index(witness) + 1] if how == "shifted" else []
-    assert work.grand == ([] if how == "negative" else ONE)
+    counted = how != "negative" and not rounds(g)
+    assert work.grand == (ONE if counted else [])
     assert work.listed == []
-    # One table per session, on every variant, looked up once per
+    # At most one table per session, on every variant, looked up once per
     # coalition, in order, up to the witness and no further.
-    assert (work.tables, work.looked_up) == ([] if how == "negative" else ONE, prefix)
+    tables = ONE if counted or how == "shifted" else []
+    assert (work.tables, work.looked_up) == (tables, prefix)
 
 
 def meet_join_inputs():
@@ -481,10 +531,13 @@ MEET_JOIN_INPUTS = meet_join_inputs()
     "g,p,q", MEET_JOIN_INPUTS, ids=[g.name or g.variant for g, _, _ in MEET_JOIN_INPUTS]
 )
 def test_meet_join_enumerates_each_coalition_at_most_once(monkeypatch, g, p, q):
+    # The four core points of an assignment game are certified "yes" with
+    # the worth from the double cover's matching: no table at all.
     work = count_work(monkeypatch, g)
     analysis.meet_join(GameAnalysis(g), p, q)
     done = work()
-    assert (done.grand, done.tables, done.listed) == (ONE, ONE, [])
+    tables = [] if rounds(g) else ONE
+    assert (done.grand, done.tables, done.listed) == (tables, tables, [])
     assert len(set(done.looked_up)) == len(done.looked_up)
 
 
