@@ -1,17 +1,18 @@
 """Core analysis: worths, membership, payments, antipodal imputations.
 
-The central device is the optimal face of the dual LP.  For assignment
-games and for concurrent general-graph games the core is exactly that
-face, so universally or existentially quantified payment questions
-("is q ever paid", "is the pair u,v overpaid anywhere") reduce to
-maximizing a secondary linear objective over the face.  The payment
-report asks the face only what nothing cheaper decides exactly (see
+Universally or existentially quantified payment questions ("is q ever
+paid", "is the pair u,v overpaid anywhere") are maxima of a linear
+objective over the core, answered exactly; no sampling of imputations is
+involved.  On an assignment game one optimal matching turns every core
+row into a difference constraint on the left side's profits (Shapley and
+Shubik), so every payment answer and both antipodal points are
+shortest-path distances, read from one certified table with no LP (see
+:func:`~matchcore.matchings.core_paths`).  On a concurrent general game
+the core is the optimal face of the dual LP, and the payment report asks
+the face only what the labels leave open (see
 :attr:`GameAnalysis.payments`): complementary slackness answers every
-vertex that is not essential and every edge that is not subpar from the
-labels, the Shapley–Shubik lattice answers an assignment game's other
-vertices from its two antipodal points, and one exact face LP answers
-each remaining question, an essential vertex of a general game or a
-subpar edge.  No sampling of imputations is involved.
+vertex that is not essential and every edge that is not subpar, and one
+exact face LP answers each essential vertex and each subpar edge.
 
 A :class:`GameAnalysis` session computes each fact of one game at most
 once, and reads the combinatorial ones from one residual-capacity
@@ -20,19 +21,22 @@ optimal matchings with their worth (it lists none, and no integer search
 runs), and one worth per connected coalition (see
 :meth:`GameAnalysis.coalition_worths`), from which come both the core
 system and the "no" answers of the one core-membership test; its "yes" answers come from a dual certificate
-(see :meth:`GameAnalysis.membership`).  Beside the table it runs one LP
-solve, the dual's, whose answer carries the
-:class:`~matchcore.simplex.Tableau` of its optimal face, the core: every
-face question is a warm phase 2 on it.  The fractional optimum is read
-from that answer's final tableau by complementary slackness and certified
-exactly; a session asked for it before the dual solves no LP for it: a
-bipartite variant's is the worth, its polytope being integral, and a
-general game's is half the best weight of its bipartite double cover,
-certified in integers (see :attr:`GameAnalysis.fractional`).  One
-Hungarian run on that double cover also gives a single-use game's worth
-before its optima are counted, where its assignment rounds to a matching
-of the same weight: then a session that needs no count and no coalition
-worth builds no table (see :attr:`GameAnalysis.worth`).
+(see :meth:`GameAnalysis.membership`).  Beside the table it runs at most
+one LP solve, the dual's, whose answer carries the
+:class:`~matchcore.simplex.Tableau` of its optimal face, a concurrent
+general game's core: every face question is a warm phase 2 on it.  The
+fractional optimum is read from that answer's final tableau by
+complementary slackness and certified exactly; a session asked for it
+before the dual solves no LP for it: a bipartite variant's is the worth,
+its polytope being integral, and a general game's is half the best
+weight of its bipartite double cover, certified in integers (see
+:attr:`GameAnalysis.fractional`).  One Hungarian run on that double
+cover, or on an assignment game's own matrix, also gives a single-use
+game's worth before its optima are counted, where its assignment rounds
+to a matching of the same weight: then a session that needs no count
+and no coalition worth builds no table (see :attr:`GameAnalysis.worth`).
+An assignment game's matching is always there, and anchors its payment
+table.
 :func:`worth` lists the optima of one induced subgame instead, and is
 kept as the independent oracle of these worths; it is the one caller of
 :func:`~matchcore.matchings.brute_force_optima` in the package.
@@ -68,6 +72,7 @@ from .gamelp import DualColumn, dual_columns, edge_name, priced, solve_dual
 from .matchings import (
     ESSENTIAL,
     SUBPAR,
+    CorePaths,
     DoubleCover,
     IntegerGame,
     InfeasibleGameError,
@@ -75,6 +80,7 @@ from .matchings import (
     ResidualTable,
     SolverInvariantError,
     brute_force_optima,
+    core_paths,
     double_cover_optimum,
     fractional_from_dual,
     integer_game,
@@ -204,7 +210,8 @@ class GameAnalysis:
     Facts are computed on first use and kept for the session's lifetime:
     the worth, the count of optimal matchings and the labels, the
     fractional optimum, concurrency, the base dual solve with its final
-    tableau, the payment report, and the worth of every connected
+    tableau, an assignment game's table of core shortest paths, the
+    payment report, and the worth of every connected
     coalition (at most ``cap`` vertices in the game).  The count and the
     coalition worths are read from one table (see :attr:`_table`), and so
     is the worth, unless the double cover's matching gives it first (see
@@ -249,9 +256,10 @@ class GameAnalysis:
     @cached_property
     def _cover(self) -> DoubleCover:
         """The double cover's certified optimum and the matching it rounds to
-        (see :func:`~matchcore.matchings.double_cover_optimum`), run once per
-        session for both :attr:`worth` and :attr:`fractional`."""
-        return double_cover_optimum(self._integer_game)
+        (see :func:`~matchcore.matchings.double_cover_optimum`; an assignment
+        game's own matrix), run once per session for :attr:`worth`,
+        :attr:`fractional` and :attr:`_paths`."""
+        return double_cover_optimum(self._integer_game, len(self.g.left))
 
     @cached_property
     def worth(self) -> Fraction:
@@ -455,7 +463,8 @@ class GameAnalysis:
 
         Only meaningful for assignment and general matching games, where
         the dual optimum is certified as the fractional optimum (see
-        :attr:`_certified_fractional`).  A session that read the fractional
+        :attr:`_certified_fractional`); the payment answers ask it only on
+        general games.  A session that read the fractional
         optimum first, from the worth or the double cover, must have found
         the same value.
         """
@@ -475,26 +484,54 @@ class GameAnalysis:
             raise RuntimeError(f"face optimization came back {sol.status}")
         return sol
 
+    @cached_property
+    def _paths(self) -> CorePaths:
+        """An assignment game's core as certified shortest paths over the
+        optimal matching of :attr:`_cover` (see
+        :func:`~matchcore.matchings.core_paths`), after the ``budget_cap``
+        check."""
+        check_budget_cap(self.g, self.budget_cap)
+        matching = self._cover.matching
+        if matching is None:
+            raise SolverInvariantError("the assignment gives no optimal matching")
+        return core_paths(self._integer_game, len(self.g.left), matching)
+
+    @cached_property
+    def _profit_bounds(self) -> dict[str, tuple[Fraction, Fraction]]:
+        """An assignment game's least and most profit of each vertex over
+        the core, from :attr:`_paths`."""
+        scale = self._integer_game.scale
+        return {
+            q: (Fraction(lo, scale), Fraction(hi, scale))
+            for q, (lo, hi) in zip(self.g.vertices, self._paths.profits())
+        }
+
     def vertex_payment(self, q: str) -> Fraction | None:
-        """The most any core imputation pays ``q``, by face maximization;
-        None if the core is empty.  ``q`` is ever paid exactly when it is
-        above 0."""
+        """The most any core imputation pays ``q``; None if the core is
+        empty.  ``q`` is ever paid exactly when it is above 0.  From the
+        shortest paths on an assignment game, by face maximization on a
+        general one."""
         _require_payment_variant(self.g)
         if q not in self.g.vertices:
             raise ValueError(f"unknown vertex {q!r}")
+        if self.g.variant == "assignment":
+            return self.payments.vertices[q]
         if self.face is None:
             return None
         return self._face_extreme({f"y[{q}]": ONE}).objective_value
 
     def edge_payment(self, key: Edge) -> Fraction | None:
         """The most the pair's profit sum exceeds its own weight over the
-        core; None if the core is empty.
+        core; None if the core is empty.  From the shortest paths on an
+        assignment game, by face maximization on a general one.
 
         It is zero exactly when the pair is fairly paid in every imputation.
         """
         _require_payment_variant(self.g)
         if key not in self._weights:
             raise ValueError(f"unknown edge {edge_name(key)}")
+        if self.g.variant == "assignment":
+            return self.payments.edges[key]
         if self.face is None:
             return None
         goal = {f"y[{q}]": ONE for q in key}
@@ -505,46 +542,48 @@ class GameAnalysis:
         hi = self.vertex_payment(q)
         if hi is None:
             return None
+        if self.g.variant == "assignment":
+            return self._profit_bounds[q]
         return self._face_extreme({f"y[{q}]": ONE}, False).objective_value, hi
 
     @cached_property
     def payments(self) -> PaymentReport | None:
         """Every payment answer, each from the first exact source that decides it.
 
-        None where the core is empty.  Otherwise the core is
-        the dual's optimal face, and the integral optimum equals the
-        fractional one, so every optimal matching is an optimal primal
-        solution and complementary slackness holds against every core
-        point:
+        On an assignment game, every answer is read from the shortest paths
+        (see :attr:`_paths`), and the core is never empty.  On a general
+        game, None where the core is empty.  Otherwise the core is the
+        dual's optimal face, and the integral optimum equals the fractional
+        one, so every optimal matching is an optimal primal solution and
+        complementary slackness holds against every core point:
 
         1. The labels.  A vertex that is not essential is left unmatched
            by some optimal matching, so ``y_q = 0`` on the whole face: it
            is never paid.  An edge that is not subpar lies in some optimal
            matching, so its row ``y_u + y_v >= w_uv`` is tight on the
            whole face: it is always fairly paid.
-        2. On assignment games, the antipodal points (see
-           :attr:`antipodal`).  By Shapley and Shubik the core is a
-           lattice whose left-optimal point pays every left vertex its
-           maximum at once, and the right-optimal point every right
-           vertex, so the essential vertices are read off them.
-        3. The face LP, :meth:`vertex_payment` and :meth:`edge_payment`,
-           for the rest: the essential vertices of general games and the
-           subpar edges.
+        2. The face LP, :meth:`vertex_payment` and :meth:`edge_payment`,
+           for the rest: the essential vertices and the subpar edges.
         """
         g = self.g
         _require_payment_variant(g)
+        if g.variant == "assignment":
+            ig, paths = self._integer_game, self._paths
+            return PaymentReport(
+                {q: hi for q, (_, hi) in self._profit_bounds.items()},
+                {
+                    k: Fraction(paths.overpay(i, j, w), ig.scale)
+                    for k, (i, j), w in zip(g.edge_keys, ig.ends, ig.weights)
+                },
+            )
         if self.face is None:
             return None
         vlabels, elabels = self.labels
-        essential = [q for q in g.vertices if vlabels[q] == ESSENTIAL]
-        if g.variant == "assignment" and essential:
-            left_best, right_best = self.antipodal
-            top = {**right_best, **{q: left_best[q] for q in g.left}}
-            paid = {q: top[q] for q in essential}
-        else:
-            paid = {q: self.vertex_payment(q) for q in essential}
         return PaymentReport(
-            {q: paid.get(q, ZERO) for q in g.vertices},
+            {
+                q: self.vertex_payment(q) if vlabels[q] == ESSENTIAL else ZERO
+                for q in g.vertices
+            },
             {
                 k: self.edge_payment(k) if elabels[k] == SUBPAR else ZERO
                 for k in g.edge_keys
@@ -556,18 +595,20 @@ class GameAnalysis:
         """The two core vertices that favor one side each.
 
         The left-optimal imputation maximizes the left side's total
-        profit over the core, the right-optimal one the right side's.
+        profit over the core, the right-optimal one the right side's.  By
+        Shapley and Shubik the core is a lattice: the left-optimal point
+        pays every left vertex its most and every right vertex its least
+        at once, and the right-optimal point the other way around, so both
+        are read off the least and most profits (see :attr:`_paths`).
         """
-        from .bmatching import imputation_from_dual  # bmatching imports this module
-
         g = self.g
         if g.variant != "assignment":
             raise ValueError("antipodal imputations are defined for assignment games")
-        left_sol = self._face_extreme({f"y[{q}]": ONE for q in g.left})
-        right_sol = self._face_extreme({f"y[{q}]": ONE for q in g.right})
+        side = set(g.left)
+        bounds = self._profit_bounds.items()
         return (
-            imputation_from_dual(self, left_sol.values),
-            imputation_from_dual(self, right_sol.values),
+            {q: hi if q in side else lo for q, (lo, hi) in bounds},
+            {q: lo if q in side else hi for q, (lo, hi) in bounds},
         )
 
 

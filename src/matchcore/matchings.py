@@ -12,7 +12,10 @@ matchings of :func:`birkhoff_decompose` come from one
 particular bounds.  It fills on demand and answers ``count()`` and
 ``worth(state)``.  A single-use game's worth can come before any table,
 from the matching that :func:`double_cover_optimum` rounds its
-fractional optimum to, where it rounds to one.
+fractional optimum to, where it rounds to one.  On an assignment game
+that matching also fixes the core as a system of difference constraints,
+and :func:`core_paths` answers every payment question from its shortest
+paths.
 """
 
 from __future__ import annotations
@@ -476,10 +479,12 @@ class DoubleCover(NamedTuple):
     matching: tuple[int, ...] | None
 
 
-def double_cover_optimum(ig: IntegerGame) -> DoubleCover:
+def double_cover_optimum(ig: IntegerGame, nleft: int = 0) -> DoubleCover:
     """The fractional optimum of a single-use game, with no LP: half the best
     weight of its bipartite double cover, certified in the game's own terms,
-    and the matching it rounds to, if any.
+    and the matching it rounds to, if any.  An assignment game, whose
+    ``nleft`` left vertices come first, runs the Hungarian method on its own
+    matrix instead (see :func:`_assignment_optimum`); a general game passes 0.
 
     The double cover D(G) joins a left copy of each vertex i to a right copy
     of each neighbour j, so ν_f(G) = ν(D(G))/2: a fractional matching x of G
@@ -500,6 +505,8 @@ def double_cover_optimum(ig: IntegerGame) -> DoubleCover:
     optimal matching and the game is concurrent.  A failed check of either
     raises :class:`SolverInvariantError`.
     """
+    if nleft:
+        return _assignment_optimum(ig, nleft)
     n = len(ig.upper)
     w = [[0] * n for _ in range(n)]
     for (i, j), wij in zip(ig.ends, ig.weights):
@@ -524,6 +531,133 @@ def double_cover_optimum(ig: IntegerGame) -> DoubleCover:
         if len(set(ends)) < len(ends) or 2 * sum([ig.weights[t] for t in matching]) != sum(y):
             raise SolverInvariantError("the double cover's matching is not certified")
     return DoubleCover(Fraction(sum(y), 2 * ig.scale), matching)
+
+
+def _assignment_optimum(ig: IntegerGame, nleft: int) -> DoubleCover:
+    """An assignment game's optimum and an optimal matching M, certified.
+
+    The Hungarian method runs on the n_l × n_r matrix of scaled weights,
+    padded square with zeros; M is the assigned pairs that are edges.  The
+    padded zeros give a_i + b_j >= 0 everywhere, so min a + min b >= 0, and
+    the potentials shifted by min a, y_i = a_i - min a on the left and
+    y_j = b_j + min a on the right, must satisfy y >= 0, y_i + y_j >= w_ij
+    on every edge and w(M) = Σy, with M a matching.  Then w(M) <= ν <= ν_f
+    <= Σy = w(M) by weak duality; a failed check raises
+    :class:`SolverInvariantError`.
+    """
+    nright = len(ig.upper) - nleft
+    size = max(nleft, nright)
+    w = [[0] * size for _ in range(size)]
+    edge = {}
+    for t, ((i, j), wij) in enumerate(zip(ig.ends, ig.weights)):
+        w[i][j - nleft] = wij
+        edge[i, j - nleft] = t
+    a, b, sigma = _hungarian(w)
+    least = min(a)
+    y = [aq - least for aq in a[:nleft]] + [bq + least for bq in b[:nright]]
+    matching = tuple(sorted([edge[p] for p in enumerate(sigma[:nleft]) if p in edge]))
+    ends = [q for t in matching for q in ig.ends[t]]
+    if (
+        min(y) < 0
+        or any([y[i] + y[j] < wij for (i, j), wij in zip(ig.ends, ig.weights)])
+        or len(set(ends)) < len(ends)
+        or sum([ig.weights[t] for t in matching]) != sum(y)
+    ):
+        raise SolverInvariantError("the assignment is not certified")
+    return DoubleCover(Fraction(sum(y), ig.scale), matching)
+
+
+class CorePaths(NamedTuple):
+    """An assignment game's core over the left profits x, with a zero node
+    z = nleft: ``dist[b][a]`` is the most x_a - x_b over the core, scaled.
+
+    Left vertex i is paid x_i - x_z, and right vertex j (the n-th right
+    vertex, n = j - nleft) ``base[n] - x[mate[n]] + x_z``: the weight of
+    its edge to its mate k = ``mate[n]`` in the matching, less k's profit,
+    or 0 where j is unmatched (``mate[n]`` is z and ``base[n]`` 0).
+    """
+
+    dist: list[list[int]]
+    mate: list[int]
+    base: list[int]
+
+    def profits(self) -> list[tuple[int, int]]:
+        """Each vertex's least and most scaled profit over the core, the
+        left side first: -d(i, z) and d(z, i) on the left, and
+        w_kj - d(z, k) and w_kj + d(k, z) on the right."""
+        d, z = self.dist, len(self.dist) - 1
+        return [(-d[i][z], d[z][i]) for i in range(z)] + [
+            (w - d[z][k], w + d[k][z]) for k, w in zip(self.mate, self.base)
+        ]
+
+    def overpay(self, i: int, j: int, w: int) -> int:
+        """The most y_i + y_j - w over the core, for left i and right j:
+        d(k, i) + w_kj - w, k the mate of j (z where j is unmatched)."""
+        n = j - len(self.dist) + 1
+        return self.dist[self.mate[n]][i] + self.base[n] - w
+
+
+def core_paths(ig: IntegerGame, nleft: int, matching: tuple[int, ...]) -> CorePaths:
+    """An assignment game's core as shortest paths, certified in integers.
+
+    ``matching`` is an optimal matching M, by edge index.  Every core point
+    is tight on M and pays an unmatched vertex 0 (Shapley and Shubik), so
+    its left profits x fix it, and each core row is a difference
+    constraint x_a - x_b <= c, an arc b -> a of length c, over the left
+    vertices and a zero node z:
+
+    - i -> z of length 0 for every left i (y_i >= 0);
+    - z -> i of length w_iM(i) for a matched i (its mate's profit is >= 0),
+      and of length 0 for an unmatched i (y_i = 0);
+    - for each edge ij, i -> k of length w_kj - w_ij where j is matched to
+      k, and i -> z of length -w_ij where j is unmatched (a loop of length 0
+      for an edge of M).
+
+    The most x_a - x_b over the core is then the distance d(b, a), by
+    Floyd–Warshall in integers (see :func:`_shortest_paths`).  It is
+    certified: d(v, v) = 0 for every node, so there is no negative cycle,
+    and every row d(s, ·), shifted to x_z = 0, satisfies every arc, so it
+    is a core point attaining every distance from s; each distance is a
+    path's length, so it bounds every core point.  A failed check raises
+    :class:`SolverInvariantError`.
+    """
+    z = nleft
+    mate = [z] * (len(ig.upper) - nleft)
+    base = [0] * len(mate)
+    own = [0] * nleft
+    for t in matching:
+        i, j = ig.ends[t]
+        mate[j - nleft] = i
+        base[j - nleft] = own[i] = ig.weights[t]
+    arcs = [(i, z, 0) for i in range(nleft)] + [(z, i, own[i]) for i in range(nleft)]
+    arcs += [
+        (i, mate[j - nleft], base[j - nleft] - w) for (i, j), w in zip(ig.ends, ig.weights)
+    ]
+    dist = _shortest_paths(nleft + 1, arcs)
+    if any([row[v] for v, row in enumerate(dist)]) or any(
+        [row[a] - row[b] > c for row in dist for b, a, c in arcs]
+    ):
+        raise SolverInvariantError("the core's shortest paths are not certified")
+    return CorePaths(dist, mate, base)
+
+
+def _shortest_paths(n: int, arcs: list[tuple[int, int, int]]) -> list[list[int]]:
+    """All-pairs shortest path lengths over nodes 0..n-1 and the arcs
+    (tail, head, length): ``dist[b][a]`` runs from b to a.  Floyd–Warshall,
+    through the last node first: in :func:`core_paths` that is z, which
+    every node has arcs to and from, so from then on every entry is a
+    path's length."""
+    far = 1 + sum([abs(c) for *_, c in arcs])
+    dist = [[0 if a == b else far for a in range(n)] for b in range(n)]
+    for b, a, c in arcs:
+        if c < dist[b][a]:
+            dist[b][a] = c
+    for k in (n - 1, *range(n - 1)):
+        through = dist[k]
+        for b, row in enumerate(dist):
+            bk = row[k]
+            dist[b] = [x if x <= bk + y else bk + y for x, y in zip(row, through)]
+    return dist
 
 
 def _rounded(ends: list[tuple[int, int]], sigma: list[int]) -> tuple[int, ...] | None:
@@ -639,9 +773,45 @@ def check_vertex(g: GameInstance, nums: list[int], den: int) -> None:
         if any([n % den for n in nums]):
             raise SolverInvariantError("bipartite vertex solution is not integral")
         return
-    mult = {k: Fraction(n, den) for k, n in zip(g.edge_keys, nums) if n}
-    if not check_half_integral(make_matching_vector(g, mult)).is_half_integral:
+    if not _half_integral(g.edge_keys, nums, den):
         raise SolverInvariantError("general-graph vertex is not half-integral")
+
+
+def _half_integral(keys: list[Edge], nums: list[int], den: int) -> bool:
+    """The test of :func:`check_half_integral` on ``nums / den``, one entry
+    per edge of ``keys``, in integers: every entry is 0, 1/2 (2n = den) or 1
+    (n = den), the 1-edges form a matching, and the 1/2-edges, apart from
+    it, have two distinct neighbours at each end and close into cycles of
+    odd length."""
+    matched: list[str] = []
+    adj: dict[str, list[str]] = {}
+    for (i, j), n in zip(keys, nums):
+        if n == den:
+            matched += (i, j)
+        elif 2 * n == den:
+            adj.setdefault(i, []).append(j)
+            adj.setdefault(j, []).append(i)
+        elif n:
+            return False
+    if (
+        len(set(matched)) < len(matched)
+        or not adj.keys().isdisjoint(matched)
+        or not all([len(nb) == 2 and nb[0] != nb[1] for nb in adj.values()])
+    ):
+        return False
+    seen: set[str] = set()
+    for start in adj:
+        if start in seen:
+            continue
+        size, prev, here = 1, start, adj[start][0]
+        while here != start:
+            size += 1
+            seen.add(here)
+            a, b = adj[here]
+            prev, here = here, b if a == prev else a
+        if size % 2 == 0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -166,8 +166,8 @@ def antipodal_section(a: GameAnalysis) -> list[str]:
 
 
 def degeneracy_section(a: GameAnalysis) -> list[str]:
-    """Non-unique optima, with the payment answers where the core is the
-    dual's optimal face: assignment games and concurrent general games."""
+    """Non-unique optima, with the payment answers of assignment games and
+    of general games with a nonempty core."""
     g = a.g
     vlabels, elabels = a.labels
     lines = [
@@ -207,7 +207,8 @@ def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
     # Every report classifies first: the worth comes with the count, and
     # a game whose floors admit no matching fails as classify does.  The
     # dual comes next, so the fractional optimum is read from its final
-    # tableau and the report solves one LP besides the face queries.
+    # tableau and the report solves one LP besides a general game's face
+    # queries; an assignment game's payments make none.
     a.labels
     a.dual
     rep = report_header(g, cap, budget_cap)

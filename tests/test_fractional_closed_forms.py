@@ -296,3 +296,63 @@ def test_a_count_that_disagrees_with_the_rounded_matching_raises(monkeypatch):
     b = GameAnalysis(g)
     b.labels
     assert b.worth == 5
+
+
+def test_an_assignment_game_runs_the_hungarian_on_its_own_matrix(monkeypatch):
+    # n_l × n_r padded square, not the (n_l + n_r)² double cover, and the
+    # same optimum with a matching of its weight: the table's count.
+    sizes = []
+    hungarian = matchings._hungarian
+    monkeypatch.setattr(matchings, "_hungarian", lambda w: sizes.append(len(w)) or hungarian(w))
+    for g in ASSIGNMENT:
+        ig = integer_game(g)
+        got = double_cover_optimum(ig, len(g.left))
+        assert sizes.pop() == max(len(g.left), len(g.right))
+        best, _ = ResidualTable(ig, len(g.left)).count()
+        ends = [q for t in got.matching for q in ig.ends[t]]
+        assert len(set(ends)) == len(ends)
+        assert sum([ig.weights[t] for t in got.matching]) == best
+        assert got.value == F(best, ig.scale) == double_cover_optimum(ig).value
+        assert GameAnalysis(g).fractional == got.value
+
+
+# u1 and u2 against v1 and v2, every pair an edge: the optimum 3 is
+# u1-v1 with u2-v2.
+SQUARE = make_game(
+    "assignment", ["u1", "u2"], ["v1", "v2"],
+    [("u1", "v1", 2), ("u1", "v2", 1), ("u2", "v1", 1), ("u2", "v2", 1)],
+)
+
+
+def lowered_row(a, b, sigma):
+    a[0] -= 1  # the potentials sum to 2 < w(M) = 3
+    return a, b, sigma
+
+
+def uncovered_column(a, b, sigma):
+    a[0] += 5  # the sum is kept, but y_u2 + y_v2 falls below w = 1
+    b[1] -= 5
+    return a, b, sigma
+
+
+def crossed(a, b, sigma):
+    return a, b, [1, 0]  # u1-v2 and u2-v1 weigh 2 < 3
+
+
+def shared_column(a, b, sigma):
+    return a, b, [0, 0]  # u1-v1 and u2-v1 weigh 3, but share v1
+
+
+@pytest.mark.parametrize("tamper", [lowered_row, uncovered_column, crossed, shared_column])
+def test_tampered_assignment_certificate_is_refused(monkeypatch, tamper):
+    ig = integer_game(SQUARE)
+    assert double_cover_optimum(ig, 2) == (3, (0, 3))  # the genuine answer passes
+    hungarian = matchings._hungarian
+
+    def tampered(w):
+        a, b, sigma = hungarian(w)
+        return tamper(list(a), list(b), list(sigma))
+
+    monkeypatch.setattr(matchings, "_hungarian", tampered)
+    with pytest.raises(SolverInvariantError):
+        double_cover_optimum(ig, 2)

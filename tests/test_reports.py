@@ -9,7 +9,9 @@ lists the optimal matchings.  The grand coalition's worth comes with the
 count, except on a single-use game whose double cover rounds to a
 matching (see ``rounds``) and that has not counted its optima: there
 the matching gives the worth, and a session that needs no coalition
-worth and no count builds no table.
+worth and no count builds no table.  An assignment game's payment
+answers and antipodal points come from the shortest paths over that
+matching, with no LP; only a general game asks the dual's optimal face.
 
 Calls are counted by rebinding a function under every name the package's
 modules hold it by (``from .x import y`` makes copies), so no call path
@@ -136,7 +138,7 @@ def rounds(g):
     until it counts its optima."""
     if g.variant not in PAYMENT_VARIANTS:
         return False
-    return double_cover_optimum(integer_game(g)).matching is not None
+    return double_cover_optimum(integer_game(g), len(g.left)).matching is not None
 
 
 def count_work(monkeypatch, g):
@@ -187,7 +189,7 @@ def _report(g):
 
 
 @pytest.mark.parametrize("g", PAYMENT_GAMES, ids=lambda g: g.name or g.variant)
-def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
+def test_full_report_enumerates_once_and_solves_one_lp(monkeypatch, g):
     # One count of the session's table gives the labels, the optima
     # count and the worth: the game is neither searched nor listed, and no
     # coalition worth is looked up.
@@ -207,13 +209,14 @@ def test_full_report_enumerates_once_and_solves_two_lps(monkeypatch, g):
     # Phase 1 and phase 2 once per solve at most; one phase 2 per query.
     assert len(runs) <= 2 * len(solves) + len(queries)
     assert len(runs) >= len(solves) + len(queries)
-    # The face answers only what the labels and the antipodal points
-    # leave: an assignment report's two antipodal points, a general
-    # report's essential vertices, and every report's subpar edges.
+    # The face answers only what the labels leave on a general report:
+    # its essential vertices and its subpar edges.  An assignment report
+    # asks it nothing.
     a = GameAnalysis(g)
     vertices, edges = face_questions(a)
-    antipodal = 2 if g.variant == "assignment" else 0
-    assert len(queries) == antipodal + len(vertices) + len(edges)
+    assert len(queries) == len(vertices) + len(edges)
+    if g.variant == "assignment":
+        assert queries == []
 
 
 B_INSTANCES = [
@@ -292,37 +295,36 @@ def test_concurrent_general_face_commands_solve_only_the_dual(
 
 
 @pytest.mark.parametrize("command", ["payments", "degeneracy", "antipodal"])
-def test_assignment_face_commands_solve_only_the_dual(monkeypatch, tmp_path, command):
-    # An assignment game's core is the dual's optimal face whatever the
-    # fractional optimum, so the face is certified from the dual alone.
+def test_assignment_face_commands_solve_no_lp(monkeypatch, tmp_path, command):
+    # An assignment game's payments and antipodal points are read from the
+    # shortest paths over the Hungarian matching: no LP at all.
     solves = count_calls(monkeypatch, simplex.solve_lp)
     path = tmp_path / "game.txt"
     path.write_text(render_game(load_instance("tiers8")))
     assert cli.main([command, "--game", str(path)]) == 0
-    assert [args[0].variables[0][:2] for args in solves] == ["y["]
+    assert solves == []
 
 
 def face_questions(a):
     """The vertices and the edges whose payment answers need the face LP:
-    none where the core is empty; otherwise the essential vertices of a
-    general game (an assignment game's are read off its antipodal points)
-    and the subpar edges."""
-    if a.face is None:
+    none on an assignment game (the core's shortest paths answer them all)
+    or where the core is empty; otherwise a general game's essential
+    vertices and subpar edges."""
+    if a.g.variant == "assignment" or a.face is None:
         return [], []
     vlabels, elabels = a.labels
-    general = a.g.variant == "general-matching"
-    vertices = [q for q in a.g.vertices if general and vlabels[q] == "essential"]
+    vertices = [q for q in a.g.vertices if vlabels[q] == "essential"]
     return vertices, [k for k in a.g.edge_keys if elabels[k] == "subpar"]
 
 
 @pytest.mark.parametrize("name", ["ring7", "tritail4", "tiers8", "path5", "web5", "k3"])
 def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
     # Each question reaches the face LP at most once, however the two
-    # facts are asked for, and only where the labels and the antipodal
-    # points leave it open: a vertex that is not essential is never paid
-    # and an edge that is not subpar is always fairly paid (complementary
-    # slackness), and an assignment game's vertices take the two
-    # antipodal LPs between them.
+    # facts are asked for, and only where the labels leave it open on a
+    # general game: a vertex that is not essential is never paid and an
+    # edge that is not subpar is always fairly paid (complementary
+    # slackness).  An assignment game's answers come from the core's
+    # shortest paths: no face LP, and no per-question call.
     asked = {"vertex_payment": [], "edge_payment": []}
     for method, log in asked.items():
         original = getattr(GameAnalysis, method)
@@ -342,8 +344,7 @@ def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
     degeneracy_section(a)
     vertices, edges = face_questions(a)
     assert asked == {"vertex_payment": vertices, "edge_payment": edges}
-    antipodal = 2 if g.variant == "assignment" and a.face is not None else 0
-    assert len(queries) == antipodal + len(vertices) + len(edges)
+    assert len(queries) == len(vertices) + len(edges)
     assert work() == Work(ONE, ONE, [], [])
 
 
