@@ -3,16 +3,13 @@
 Universally or existentially quantified payment questions ("is q ever
 paid", "is the pair u,v overpaid anywhere") are maxima of a linear
 objective over the core, answered exactly; no sampling of imputations is
-involved.  On an assignment game one optimal matching turns every core
-row into a difference constraint on the left side's profits (Shapley and
-Shubik), so every payment answer and both antipodal points are
-shortest-path distances, read from one certified table with no LP (see
-:func:`~matchcore.matchings.core_paths`).  On a concurrent general game
-the core is the optimal face of the dual LP, and the payment report asks
-the face only what the labels leave open (see
-:attr:`GameAnalysis.payments`): complementary slackness answers every
-vertex that is not essential and every edge that is not subpar, and one
-exact face LP answers each essential vertex and each subpar edge.
+involved.  On both payment variants, assignment and general matching,
+one optimal matching turns every core row of a concurrent game into a
+bound on at most two profits with coefficients ±1, so the core is an
+octagon: every payment answer, the profit bounds and an assignment
+game's antipodal points are read from its certified strong closure,
+with no LP (see :func:`~matchcore.matchings.core_octagon` and
+:attr:`GameAnalysis.payments`).
 
 A :class:`GameAnalysis` session computes each fact of one game at most
 once, and reads the combinatorial ones from one residual-capacity
@@ -22,21 +19,18 @@ runs), and one worth per connected coalition (see
 :meth:`GameAnalysis.coalition_worths`), from which come both the core
 system and the "no" answers of the one core-membership test; its "yes" answers come from a dual certificate
 (see :meth:`GameAnalysis.membership`).  Beside the table it runs at most
-one LP solve, the dual's, whose answer carries the
-:class:`~matchcore.simplex.Tableau` of its optimal face, a concurrent
-general game's core: every face question is a warm phase 2 on it.  The
-fractional optimum is read from that answer's final tableau by
-complementary slackness and certified exactly; a session asked for it
-before the dual solves no LP for it: a bipartite variant's is the worth,
-its polytope being integral, and a general game's is half the best
-weight of its bipartite double cover, certified in integers (see
-:attr:`GameAnalysis.fractional`).  One Hungarian run on that double
-cover, or on an assignment game's own matrix, also gives a single-use
-game's worth before its optima are counted, where its assignment rounds
-to a matching of the same weight: then a session that needs no count
-and no coalition worth builds no table (see :attr:`GameAnalysis.worth`).
-An assignment game's matching is always there, and anchors its payment
-table.
+one LP solve, the dual's.  The fractional optimum is read from that
+answer's final tableau by complementary slackness and certified
+exactly; a session asked for it before the dual solves no LP for it: a
+bipartite variant's is the worth, its polytope being integral, and a
+general game's is half the best weight of its bipartite double cover,
+certified in integers (see :attr:`GameAnalysis.fractional`).  One
+Hungarian run on that double cover, or on an assignment game's own
+matrix, also gives a single-use game's worth before its optima are
+counted, where its assignment rounds to a matching of the same weight:
+then a session that needs no count and no coalition worth builds no
+table (see :attr:`GameAnalysis.worth`).  That matching, where there is
+one, also anchors the core's octagon.
 :func:`worth` lists the optima of one induced subgame instead, and is
 kept as the independent oracle of these worths; it is the one caller of
 :func:`~matchcore.matchings.brute_force_optima` in the package.
@@ -70,9 +64,6 @@ from .games import (
 )
 from .gamelp import DualColumn, dual_columns, edge_name, priced, solve_dual
 from .matchings import (
-    ESSENTIAL,
-    SUBPAR,
-    CorePaths,
     DoubleCover,
     IntegerGame,
     InfeasibleGameError,
@@ -80,17 +71,16 @@ from .matchings import (
     ResidualTable,
     SolverInvariantError,
     brute_force_optima,
-    core_paths,
+    core_octagon,
     double_cover_optimum,
     fractional_from_dual,
     integer_game,
 )
 # solve_lp and solve_over_optimal_face are not used here: bench/selftest.py
 # checks that this module binds them.
-from .simplex import LPSolution, Tableau, solve_lp, solve_over_optimal_face
+from .simplex import LPSolution, solve_lp, solve_over_optimal_face
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Imputation = dict[str, Fraction]
 
@@ -210,15 +200,14 @@ class GameAnalysis:
     Facts are computed on first use and kept for the session's lifetime:
     the worth, the count of optimal matchings and the labels, the
     fractional optimum, concurrency, the base dual solve with its final
-    tableau, an assignment game's table of core shortest paths, the
-    payment report, and the worth of every connected
-    coalition (at most ``cap`` vertices in the game).  The count and the
-    coalition worths are read from one table (see :attr:`_table`), and so
-    is the worth, unless the double cover's matching gives it first (see
-    :attr:`worth`); the fractional optimum is read from the dual's final
-    tableau once the session holds the dual, and from the worth or the
-    double cover before.  A report builds one
-    session and hands it to every section; no cache outlives the session.
+    tableau, the core's octagon with the payment report, and the worth of
+    every connected coalition (at most ``cap`` vertices in the game).  The
+    count and the coalition worths are read from one table (see
+    :attr:`_table`), and so is the worth, unless the double cover's
+    matching gives it first (see :attr:`worth`); the fractional optimum is
+    read from the dual's final tableau once the session holds the dual, and
+    from the worth or the double cover before.  A report builds one session
+    and hands it to every section; no cache outlives the session.
     """
 
     def __init__(
@@ -258,7 +247,7 @@ class GameAnalysis:
         """The double cover's certified optimum and the matching it rounds to
         (see :func:`~matchcore.matchings.double_cover_optimum`; an assignment
         game's own matrix), run once per session for :attr:`worth`,
-        :attr:`fractional` and :attr:`_paths`."""
+        :attr:`fractional` and :attr:`_core_bounds`."""
         return double_cover_optimum(self._integer_game, len(self.g.left))
 
     @cached_property
@@ -413,7 +402,10 @@ class GameAnalysis:
         solves an LP for it.
 
         1. A session that holds the dual reads it from the dual's final
-           tableau (see :attr:`_certified_fractional`).
+           tableau: the point that complementary slackness reads off it is
+           certified exactly as a primal optimum with the vertex structure
+           of the variant's polytope (see
+           :func:`~matchcore.matchings.fractional_from_dual`).
         2. A bipartite variant's polytope is integral: its matrix is totally
            unimodular and its bounds are integers, so the fractional optimum
            is the worth.
@@ -422,19 +414,10 @@ class GameAnalysis:
            shares).
         """
         if "dual" in self.__dict__:
-            return self._certified_fractional
+            return fractional_from_dual(self.g, self.dual_columns, self.dual[0])
         if self.g.variant != "general-matching":
             return self.worth
         return self._cover.value
-
-    @cached_property
-    def _certified_fractional(self) -> Fraction:
-        """The dual optimum, certified exactly as the fractional optimum: the
-        point that complementary slackness reads off the dual's final tableau
-        is a primal optimum with the vertex structure of the variant's
-        polytope (see :func:`~matchcore.matchings.fractional_from_dual`)."""
-        sol, _ = self.dual
-        return fractional_from_dual(self.g, self.dual_columns, sol)
 
     @property
     def concurrent(self) -> bool:
@@ -454,141 +437,82 @@ class GameAnalysis:
 
     @cached_property
     def dual(self) -> tuple[LPSolution, dict[str, Fraction]]:
-        """The dual optimum and its prices, by column name."""
-        return solve_dual(self.g)
-
-    @cached_property
-    def face(self) -> Tableau | None:
-        """The core as the optimal face of the dual; None if the core is empty.
-
-        Only meaningful for assignment and general matching games, where
-        the dual optimum is certified as the fractional optimum (see
-        :attr:`_certified_fractional`); the payment answers ask it only on
-        general games.  A session that read the fractional
-        optimum first, from the worth or the double cover, must have found
-        the same value.
-        """
-        if self.g.variant == "general-matching" and not self.concurrent:
-            return None
-        if self._certified_fractional != self.fractional:
+        """The dual optimum and its prices, by column name.  A session that
+        read the fractional optimum first, from the worth or the double
+        cover, must find the dual's certified optimum equal to it (see
+        :attr:`fractional`)."""
+        sol, y = solve_dual(self.g)
+        if "fractional" in self.__dict__ and self.fractional != fractional_from_dual(
+            self.g, self.dual_columns, sol
+        ):
             raise SolverInvariantError(
                 "the dual's certified optimum differs from the fractional optimum"
             )
-        return self.dual[0].tableau
-
-    def _face_extreme(self, goal: dict[str, Fraction], maximize=True) -> LPSolution:
-        lp = self.face.lp
-        coeffs = tuple([goal.get(v, ZERO) for v in lp.variables])
-        sol = self.face.optimize(coeffs, maximize)
-        if sol.status != "optimal":
-            raise RuntimeError(f"face optimization came back {sol.status}")
-        return sol
+        return sol, y
 
     @cached_property
-    def _paths(self) -> CorePaths:
-        """An assignment game's core as certified shortest paths over the
-        optimal matching of :attr:`_cover` (see
-        :func:`~matchcore.matchings.core_paths`), after the ``budget_cap``
-        check."""
-        check_budget_cap(self.g, self.budget_cap)
+    def _core_bounds(
+        self,
+    ) -> tuple[dict[str, tuple[Fraction, Fraction]], dict[Edge, Fraction]] | None:
+        """Each vertex's least and most profit and each edge's most overpay
+        over the core, from its certified octagon over one optimal matching
+        (see :func:`~matchcore.matchings.core_octagon`); None where the core
+        is empty.  Concurrency, and so the ``budget_cap`` check, comes first.
+        The matching is the one the double cover rounds to (see
+        :attr:`_cover`), as an assignment game's always does, and otherwise
+        one traced through the session's table."""
+        _require_payment_variant(self.g)
+        if not self.concurrent:
+            return None
         matching = self._cover.matching
         if matching is None:
-            raise SolverInvariantError("the assignment gives no optimal matching")
-        return core_paths(self._integer_game, len(self.g.left), matching)
-
-    @cached_property
-    def _profit_bounds(self) -> dict[str, tuple[Fraction, Fraction]]:
-        """An assignment game's least and most profit of each vertex over
-        the core, from :attr:`_paths`."""
-        scale = self._integer_game.scale
-        return {
-            q: (Fraction(lo, scale), Fraction(hi, scale))
-            for q, (lo, hi) in zip(self.g.vertices, self._paths.profits())
-        }
+            matching = self._table.matching()
+        profits, overpay = core_octagon(self._integer_game, matching)
+        unit = 2 * self._integer_game.scale
+        return (
+            {
+                q: (Fraction(lo, unit), Fraction(hi, unit))
+                for q, (lo, hi) in zip(self.g.vertices, profits)
+            },
+            {k: Fraction(x, unit) for k, x in zip(self.g.edge_keys, overpay)},
+        )
 
     def vertex_payment(self, q: str) -> Fraction | None:
         """The most any core imputation pays ``q``; None if the core is
-        empty.  ``q`` is ever paid exactly when it is above 0.  From the
-        shortest paths on an assignment game, by face maximization on a
-        general one."""
-        _require_payment_variant(self.g)
-        if q not in self.g.vertices:
-            raise ValueError(f"unknown vertex {q!r}")
-        if self.g.variant == "assignment":
-            return self.payments.vertices[q]
-        if self.face is None:
-            return None
-        return self._face_extreme({f"y[{q}]": ONE}).objective_value
+        empty.  ``q`` is ever paid exactly when it is above 0."""
+        bounds = self.profit_bounds(q)
+        return None if bounds is None else bounds[1]
 
     def edge_payment(self, key: Edge) -> Fraction | None:
         """The most the pair's profit sum exceeds its own weight over the
-        core; None if the core is empty.  From the shortest paths on an
-        assignment game, by face maximization on a general one.
+        core; None if the core is empty.
 
         It is zero exactly when the pair is fairly paid in every imputation.
         """
         _require_payment_variant(self.g)
         if key not in self._weights:
             raise ValueError(f"unknown edge {edge_name(key)}")
-        if self.g.variant == "assignment":
-            return self.payments.edges[key]
-        if self.face is None:
-            return None
-        goal = {f"y[{q}]": ONE for q in key}
-        return self._face_extreme(goal).objective_value - self._weights[key]
+        rep = self.payments
+        return None if rep is None else rep.edges[key]
 
     def profit_bounds(self, q: str) -> tuple[Fraction, Fraction] | None:
-        """Exact min and max profit of ``q`` over the whole core."""
-        hi = self.vertex_payment(q)
-        if hi is None:
-            return None
-        if self.g.variant == "assignment":
-            return self._profit_bounds[q]
-        return self._face_extreme({f"y[{q}]": ONE}, False).objective_value, hi
+        """Exact min and max profit of ``q`` over the whole core; None if the
+        core is empty."""
+        _require_payment_variant(self.g)
+        if q not in self.g.vertices:
+            raise ValueError(f"unknown vertex {q!r}")
+        core = self._core_bounds
+        return None if core is None else core[0][q]
 
     @cached_property
     def payments(self) -> PaymentReport | None:
-        """Every payment answer, each from the first exact source that decides it.
-
-        On an assignment game, every answer is read from the shortest paths
-        (see :attr:`_paths`), and the core is never empty.  On a general
-        game, None where the core is empty.  Otherwise the core is the
-        dual's optimal face, and the integral optimum equals the fractional
-        one, so every optimal matching is an optimal primal solution and
-        complementary slackness holds against every core point:
-
-        1. The labels.  A vertex that is not essential is left unmatched
-           by some optimal matching, so ``y_q = 0`` on the whole face: it
-           is never paid.  An edge that is not subpar lies in some optimal
-           matching, so its row ``y_u + y_v >= w_uv`` is tight on the
-           whole face: it is always fairly paid.
-        2. The face LP, :meth:`vertex_payment` and :meth:`edge_payment`,
-           for the rest: the essential vertices and the subpar edges.
-        """
-        g = self.g
-        _require_payment_variant(g)
-        if g.variant == "assignment":
-            ig, paths = self._integer_game, self._paths
-            return PaymentReport(
-                {q: hi for q, (_, hi) in self._profit_bounds.items()},
-                {
-                    k: Fraction(paths.overpay(i, j, w), ig.scale)
-                    for k, (i, j), w in zip(g.edge_keys, ig.ends, ig.weights)
-                },
-            )
-        if self.face is None:
+        """Every payment answer, read from the core's octagon (see
+        :attr:`_core_bounds`) on both payment variants; None where a general
+        game's core is empty.  An assignment game's core is never empty."""
+        core = self._core_bounds
+        if core is None:
             return None
-        vlabels, elabels = self.labels
-        return PaymentReport(
-            {
-                q: self.vertex_payment(q) if vlabels[q] == ESSENTIAL else ZERO
-                for q in g.vertices
-            },
-            {
-                k: self.edge_payment(k) if elabels[k] == SUBPAR else ZERO
-                for k in g.edge_keys
-            },
-        )
+        return PaymentReport({q: hi for q, (_, hi) in core[0].items()}, core[1])
 
     @cached_property
     def antipodal(self) -> tuple[Imputation, Imputation]:
@@ -599,13 +523,13 @@ class GameAnalysis:
         Shapley and Shubik the core is a lattice: the left-optimal point
         pays every left vertex its most and every right vertex its least
         at once, and the right-optimal point the other way around, so both
-        are read off the least and most profits (see :attr:`_paths`).
+        are read off the least and most profits (see :attr:`_core_bounds`).
         """
         g = self.g
         if g.variant != "assignment":
             raise ValueError("antipodal imputations are defined for assignment games")
         side = set(g.left)
-        bounds = self._profit_bounds.items()
+        bounds = self._core_bounds[0].items()
         return (
             {q: hi if q in side else lo for q, (lo, hi) in bounds},
             {q: lo if q in side else hi for q, (lo, hi) in bounds},

@@ -209,9 +209,8 @@ def primal_numerators(
     the point is nonnegative, meets the :func:`build_primal_lp` row of every
     column of ``cols`` (a cap's load at most its bound, a floor's at least)
     and weighs ``sol.objective_value``: by weak duality against the feasible
-    dual, both are then optimal.  A zero optimum fixes no multiple; with
-    positive weights and caps of at least 1 only a game with no edges has
-    it, and the point read is 0.
+    dual, both are then optimal.  A zero optimum fixes no multiple; only a
+    game with no edge of positive weight has it, and the point read is 0.
     """
     value = sol.objective_value
     if value:

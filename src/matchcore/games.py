@@ -165,8 +165,8 @@ def validate_game(g: GameInstance) -> list[str]:
         if pair in keys_seen:
             bad.append(f"parallel edge {i}~{j}")
         keys_seen.add(pair)
-        if w <= 0:
-            bad.append(f"non-positive weight on edge {i}~{j}")
+        if w < 0:
+            bad.append(f"negative weight on edge {i}~{j}")
 
     keys = set(g.edge_keys)
     if set(g.vertex_upper) != set(g.vertices):

@@ -12,10 +12,11 @@ matchings of :func:`birkhoff_decompose` come from one
 particular bounds.  It fills on demand and answers ``count()`` and
 ``worth(state)``.  A single-use game's worth can come before any table,
 from the matching that :func:`double_cover_optimum` rounds its
-fractional optimum to, where it rounds to one.  On an assignment game
-that matching also fixes the core as a system of difference constraints,
-and :func:`core_paths` answers every payment question from its shortest
-paths.
+fractional optimum to, where it rounds to one.  On a concurrent
+single-use game one optimal matching, that one or one traced through the
+table (:meth:`ResidualTable.matching`), fixes the core as an octagon,
+and :func:`core_octagon` answers every payment question from its
+certified strong closure, with no LP.
 """
 
 from __future__ import annotations
@@ -390,6 +391,25 @@ class ResidualTable:
         best, total = memo[full]
         return best, OptimaCount(total, edges, [total - n for n in unused])
 
+    def matching(self) -> tuple[int, ...] | None:
+        """One optimal matching of a single-use game, by edge index (None if
+        floors admit none): from the whole game, the first tight choice of
+        each state, in the order ``count()`` walks them."""
+        s = self._guards + sum(self.start)
+        if self._best(s) is None:
+            return None
+        memo, guards, used = self._memo, self._guards, []
+        while s & self._active:
+            todo = s & self._active
+            k = ((todo & -todo).bit_length() - 1) // self._width
+            for step, w, edges in self._choices[s & self._keys[k]]:
+                nxt = s - step
+                if nxt & guards == guards and memo[nxt] and w + memo[nxt][0] == memo[s][0]:
+                    break
+            used += edges
+            s = nxt
+        return tuple(sorted(used))
+
     def _best(self, state: int) -> tuple[int, int] | None:
         memo = self._memo
         got = memo.get(state, _UNSEEN)
@@ -567,97 +587,177 @@ def _assignment_optimum(ig: IntegerGame, nleft: int) -> DoubleCover:
     return DoubleCover(Fraction(sum(y), ig.scale), matching)
 
 
-class CorePaths(NamedTuple):
-    """An assignment game's core over the left profits x, with a zero node
-    z = nleft: ``dist[b][a]`` is the most x_a - x_b over the core, scaled.
+class CoreOctagon(NamedTuple):
+    """A concurrent single-use game's payment answers over its core, as
+    integers over twice the :class:`IntegerGame`'s scale: each vertex's
+    least and most profit, and each edge's most overpay."""
 
-    Left vertex i is paid x_i - x_z, and right vertex j (the n-th right
-    vertex, n = j - nleft) ``base[n] - x[mate[n]] + x_z``: the weight of
-    its edge to its mate k = ``mate[n]`` in the matching, less k's profit,
-    or 0 where j is unmatched (``mate[n]`` is z and ``base[n]`` 0).
+    profits: list[tuple[int, int]]
+    overpay: list[int]
+
+
+def core_octagon(ig: IntegerGame, matching: tuple[int, ...]) -> CoreOctagon:
+    """The payment answers of a concurrent single-use game, read from its
+    core as a strongly closed octagon and certified in integers.
+
+    ``matching`` is an optimal matching M, by edge index.  By complementary
+    slackness every core point is tight on M and pays 0 where M leaves a
+    vertex unmatched, so one variable x_p per edge p of M fixes it: the
+    profit of p's first end (the left end on an assignment game), whose
+    second end gets w_p - x_p.  Every core row then bounds at most two
+    variables with coefficients ±1: the core is an octagon (Miné, "The
+    octagon abstract domain", HOSC 2006).  Node 0 is a zero node z, and
+    the p-th edge of M, counting from 1, has the nodes p for x_p and
+    p + |M| for -x_p, which the bar swaps.  A row V_b - V_a <= c, its length doubled so that the
+    strengthening halves in integers, is an arc a -> b with its mirror
+    b̄ -> ā: y_q >= 0 for each matched q, and y_a + y_b >= w_ab for every
+    edge.  The strong closure d (see :func:`_strong_closure`) gives the most
+    V_b - V_a over the core as d(a, b), a path's length or half of two.  So
+    with q' the node of vertex q, q's most profit is d(z, q') and its least
+    -d(q', z), and edge ab's most overpay is d(b̄', a') - w_ab, each plus
+    the constants of the ends (w_p at a second end).
+
+    The certificate: no diagonal entry is negative, and every entry
+    answered is attained by a witness (see :func:`_witnesses` and
+    :func:`_imposed`) that meets every core row, y >= 0, y_a + y_b >= w_ab
+    and Σy = w(M); by weak duality w(M) <= ν <= ν_f <= Σy, so that point
+    also proves M optimal.  A failed check raises :class:`SolverInvariantError`.
     """
-
-    dist: list[list[int]]
-    mate: list[int]
-    base: list[int]
-
-    def profits(self) -> list[tuple[int, int]]:
-        """Each vertex's least and most scaled profit over the core, the
-        left side first: -d(i, z) and d(z, i) on the left, and
-        w_kj - d(z, k) and w_kj + d(k, z) on the right."""
-        d, z = self.dist, len(self.dist) - 1
-        return [(-d[i][z], d[z][i]) for i in range(z)] + [
-            (w - d[z][k], w + d[k][z]) for k, w in zip(self.mate, self.base)
-        ]
-
-    def overpay(self, i: int, j: int, w: int) -> int:
-        """The most y_i + y_j - w over the core, for left i and right j:
-        d(k, i) + w_kj - w, k the mate of j (z where j is unmatched)."""
-        n = j - len(self.dist) + 1
-        return self.dist[self.mate[n]][i] + self.base[n] - w
-
-
-def core_paths(ig: IntegerGame, nleft: int, matching: tuple[int, ...]) -> CorePaths:
-    """An assignment game's core as shortest paths, certified in integers.
-
-    ``matching`` is an optimal matching M, by edge index.  Every core point
-    is tight on M and pays an unmatched vertex 0 (Shapley and Shubik), so
-    its left profits x fix it, and each core row is a difference
-    constraint x_a - x_b <= c, an arc b -> a of length c, over the left
-    vertices and a zero node z:
-
-    - i -> z of length 0 for every left i (y_i >= 0);
-    - z -> i of length w_iM(i) for a matched i (its mate's profit is >= 0),
-      and of length 0 for an unmatched i (y_i = 0);
-    - for each edge ij, i -> k of length w_kj - w_ij where j is matched to
-      k, and i -> z of length -w_ij where j is unmatched (a loop of length 0
-      for an edge of M).
-
-    The most x_a - x_b over the core is then the distance d(b, a), by
-    Floyd–Warshall in integers (see :func:`_shortest_paths`).  It is
-    certified: d(v, v) = 0 for every node, so there is no negative cycle,
-    and every row d(s, ·), shifted to x_z = 0, satisfies every arc, so it
-    is a core point attaining every distance from s; each distance is a
-    path's length, so it bounds every core point.  A failed check raises
-    :class:`SolverInvariantError`.
-    """
-    z = nleft
-    mate = [z] * (len(ig.upper) - nleft)
-    base = [0] * len(mate)
-    own = [0] * nleft
-    for t in matching:
-        i, j = ig.ends[t]
-        mate[j - nleft] = i
-        base[j - nleft] = own[i] = ig.weights[t]
-    arcs = [(i, z, 0) for i in range(nleft)] + [(z, i, own[i]) for i in range(nleft)]
+    ends, weights = ig.ends, ig.weights
+    hit = [q for t in matching for q in ends[t]]
+    if len(set(hit)) < len(hit):
+        raise SolverInvariantError("the core's octagon needs a matching")
+    k = len(matching)
+    bar = [0, *range(k + 1, 2 * k + 1), *range(1, k + 1)]
+    node, base = [0] * len(ig.upper), [0] * len(ig.upper)
+    for p, t in enumerate(matching, 1):
+        i, j = ends[t]
+        node[i], node[j], base[j] = p, p + k, weights[t]
+    arcs = [(node[q], 0, 2 * base[q]) for q in hit]
     arcs += [
-        (i, mate[j - nleft], base[j - nleft] - w) for (i, j), w in zip(ig.ends, ig.weights)
+        (node[i], bar[node[j]], 2 * (base[i] + base[j] - w)) for (i, j), w in zip(ends, weights)
     ]
-    dist = _shortest_paths(nleft + 1, arcs)
-    if any([row[v] for v, row in enumerate(dist)]) or any(
-        [row[a] - row[b] > c for row in dist for b, a, c in arcs]
-    ):
-        raise SolverInvariantError("the core's shortest paths are not certified")
-    return CorePaths(dist, mate, base)
+    # A sum row joins the two halves other than through z.
+    sums = any([a and b and (a <= k) != (b <= k) for a, b, _ in arcs])
+    dist = _strong_closure(bar, arcs, sums)
+    if any([row[v] < 0 for v, row in enumerate(dist)]):
+        raise SolverInvariantError("the core's octagon is empty")
+    # A witness is a point V over 4 times the scale; it attains d(a, b) when
+    # V_b - V_a = 2 d(a, b), and pays q V at q' plus 4 times q's constant.
+    pool = _witnesses(dist, bar, sums)
+    total, checked = 4 * sum([weights[t] for t in matching]), set()
+    entries = [(v, 0) for v in node] + [(0, v) for v in node]
+    for a, b in dict.fromkeys(entries + [(bar[node[j]], node[i]) for i, j in ends]):
+        want = 2 * dist[a][b]
+        # Try a's own row first; without a sum row, that of b̄ for a negative a.
+        n = a if a < len(pool) else bar[b]
+        if pool[n][b] - pool[n][a] != want:
+            n = next((n for n, v in enumerate(pool) if v[b] - v[a] == want), len(pool))
+        if n == len(pool):
+            pool.append(_imposed(dist, bar, a, b))
+            if pool[n][b] - pool[n][a] != want:
+                raise SolverInvariantError("no core point attains a bound of the core's octagon")
+        if n not in checked:
+            y = [pool[n][v] + 4 * c for v, c in zip(node, base)]
+            if (
+                min(y, default=0) < 0
+                or sum(y) != total
+                or any([y[i] + y[j] < 4 * w for (i, j), w in zip(ends, weights)])
+            ):
+                raise SolverInvariantError("a witness of the core's octagon is not a core point")
+            checked.add(n)
+    return CoreOctagon(
+        [(2 * c - dist[v][0], 2 * c + dist[0][v]) for v, c in zip(node, base)],
+        [
+            dist[bar[node[j]]][node[i]] + 2 * (base[i] + base[j] - w)
+            for (i, j), w in zip(ends, weights)
+        ],
+    )
 
 
-def _shortest_paths(n: int, arcs: list[tuple[int, int, int]]) -> list[list[int]]:
+def _strong_closure(
+    bar: list[int], arcs: list[tuple[int, int, int]], sums: bool
+) -> list[list[int]]:
+    """The strong closure over the nodes of ``bar`` of these arcs and their
+    mirrors: shortest paths (see :func:`_closure`), then one strengthening
+    pass d(a, b) <- min(d(a, b), (d(a, ā) + d(b̄, b))/2), which suffices
+    after the closure (Bagnara, Hill and Zaffanella 2009).  Without a sum
+    row, the positive half with z is closed alone and mirrored (see
+    :func:`_mirrored`)."""
+    k = len(bar) // 2
+    if not sums:
+        # Each arc, or its mirror, lies in the positive half.
+        arcs = [(a, b, c) if a <= k and b <= k else (bar[b], bar[a], c) for a, b, c in arcs]
+        return _mirrored(_closure(k + 1, arcs))
+    dist = _closure(len(bar), arcs + [(bar[b], bar[a], c) for a, b, c in arcs])
+    half = [row[v] for row, v in zip(dist, bar)]  # d(v, v̄)
+    across = [half[v] for v in bar]  # d(v̄, v)
+    return [[min(x, (h + c) // 2) for x, c in zip(row, across)] for row, h in zip(dist, half)]
+
+
+def _mirrored(pos: list[list[int]]) -> list[list[int]]:
+    """The strong closure of an octagon with no sum row, from the closure
+    ``pos`` of its positive half, z first: d(ā, b̄) = d(b, a), and a path
+    between the halves runs through z, so d(a, b̄) = d(a, z) + d(b, z) and
+    d(ā, b) = d(z, a) + d(z, b).  Strengthening would change nothing."""
+    up = pos[0][1:]  # d(z, a)
+    down = [row[0] for row in pos[1:]]  # d(a, z)
+    cols = [list(col) for col in zip(*pos[1:])][1:]  # d(·, a) over the variables
+    return (
+        [[pos[0][0], *up, *down]]
+        + [[x, *row[1:], *[x + y for y in down]] for row, x in zip(pos[1:], down)]
+        + [[x, *[x + y for y in up], *col] for col, x in zip(cols, up)]
+    )
+
+
+def _closure(n: int, arcs: list[tuple[int, int, int]]) -> list[list[int]]:
     """All-pairs shortest path lengths over nodes 0..n-1 and the arcs
-    (tail, head, length): ``dist[b][a]`` runs from b to a.  Floyd–Warshall,
-    through the last node first: in :func:`core_paths` that is z, which
-    every node has arcs to and from, so from then on every entry is a
-    path's length."""
+    (tail, head, length), ``dist[a][b]`` from a to b, by Floyd–Warshall
+    through node 0 first: in :func:`core_octagon` that is z, which every
+    node has arcs to and from, so from then on every entry is a path's
+    length."""
     far = 1 + sum([abs(c) for *_, c in arcs])
-    dist = [[0 if a == b else far for a in range(n)] for b in range(n)]
-    for b, a, c in arcs:
-        if c < dist[b][a]:
-            dist[b][a] = c
-    for k in (n - 1, *range(n - 1)):
-        through = dist[k]
-        for b, row in enumerate(dist):
-            bk = row[k]
-            dist[b] = [x if x <= bk + y else bk + y for x, y in zip(row, through)]
+    dist = [[0 if a == b else far for b in range(n)] for a in range(n)]
+    for a, b, c in arcs:
+        if c < dist[a][b]:
+            dist[a][b] = c
+    for m in range(n):
+        through = dist[m]
+        for a, row in enumerate(dist):
+            am = row[m]
+            dist[a] = [x if x <= am + y else am + y for x, y in zip(row, through)]
     return dist
+
+
+def _witnesses(dist: list[list[int]], bar: list[int], sums: bool) -> list[list[int]]:
+    """A point V per row s of the strong closure ``dist``, over 4 times the
+    scale.  Without a sum row, each row of the positive half gives the
+    potential V = d(s, ·) - d(s, z), which attains every d(s, ·).  Otherwise
+    V_v = (d(s, v) - d(s, v̄))/2: an arc a -> b of length c and its mirror
+    give d(s, b) <= d(s, a) + c and d(s, ā) <= d(s, b̄) + c, which add up to
+    V_b - V_a <= c."""
+    if sums:
+        return [[row[v] - row[b] for v, b in enumerate(bar)] for row in dist]
+    k = len(bar) // 2
+    points = [[2 * (x - row[0]) for x in row[1 : k + 1]] for row in dist[: k + 1]]
+    return [[0, *up, *[-x for x in up]] for up in points]
+
+
+def _imposed(dist: list[list[int]], bar: list[int], a: int, b: int) -> list[int]:
+    """A point where V_b - V_a reaches d(a, b): z's row point (see
+    :func:`_witnesses`) once V_a - V_b <= -d(a, b), an arc b -> a with its
+    mirror, is imposed and closed through their ends.  Those pivots read
+    only the rows of z and of the ends, so only those are kept."""
+    rows = {v: list(dist[v]) for v in (0, a, b, bar[a], bar[b])}
+    rows[b][a] = min(rows[b][a], -dist[a][b])
+    rows[bar[a]][bar[b]] = min(rows[bar[a]][bar[b]], -dist[a][b])
+    for m in (a, b, bar[a], bar[b]):
+        through = rows[m]
+        for v, row in rows.items():
+            vm = row[m]
+            rows[v] = [x if x <= vm + y else vm + y for x, y in zip(row, through)]
+    row = rows[0]
+    return [row[v] - row[w] for v, w in enumerate(bar)]
 
 
 def _rounded(ends: list[tuple[int, int]], sigma: list[int]) -> tuple[int, ...] | None:

@@ -207,8 +207,8 @@ def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
     # Every report classifies first: the worth comes with the count, and
     # a game whose floors admit no matching fails as classify does.  The
     # dual comes next, so the fractional optimum is read from its final
-    # tableau and the report solves one LP besides a general game's face
-    # queries; an assignment game's payments make none.
+    # tableau and the report solves one LP, the dual's: the payments come
+    # from the core's octagon, with none.
     a.labels
     a.dual
     rep = report_header(g, cap, budget_cap)

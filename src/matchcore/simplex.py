@@ -29,11 +29,8 @@ unit basic entries.  The self-check and the objective run on those
 integers too; only the answer's values and objective are fractions.
 
 Phase 2 and the read-out run in one place, :class:`Tableau`, a feasible
-basis.  Every optimal answer carries the tableau of its optimal face, so
-further objectives are optimized over that face without a new phase 1:
-every column with a positive reduced cost is pinned to 0 on the face
-(complementary slackness), and dropping those columns leaves a feasible
-basis of the face.
+basis.  Every optimal answer carries the tableau of its final basis,
+from whose cost row :meth:`Tableau.row_duals` reads the row duals.
 
 The solver is meant for desk-scale programs (tens of variables).  Every
 ``optimal`` answer is an exact basic solution: downstream code relies on
@@ -42,9 +39,8 @@ equalities such as "dual objective == worth" holding exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 ZERO = Fraction(0)
@@ -84,7 +80,7 @@ class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: dict[str, Fraction]
     objective_value: Fraction | None
-    # The tableau of an optimal answer's optimal face; not part of the
+    # The tableau of an optimal answer's final basis; not part of the
     # answer, so equality ignores it.
     tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
@@ -283,56 +279,29 @@ def _assert_feasible(lp: LinearProgram, values: dict[str, Fraction]) -> None:
     _check_point(lp, _check_rows(lp.constraints), nums, den)
 
 
-def _face_columns(cost: list[int]) -> list[int]:
-    """Columns of zero reduced cost: the only ones nonzero on the optimal face."""
-    return [j for j in range(len(cost) - 1) if cost[j] == 0]
-
-
 class Tableau:
     """A feasible basis of an LP: the kernel's one phase 2 and read-out.
 
     ``rows`` and ``basis`` hold the basis in the integer form above, over
     ``width`` columns (the structural ``cols`` first); every answer is
     checked exactly against ``checks``.  An optimal answer carries the
-    tableau of its optimal face, built with ``optimum`` (the objective,
-    its value and the final reduced costs).  A feasible point's objective
-    is the optimum plus reduced cost times value over the columns, so
-    columns of positive reduced cost are 0 on the face.  The first query
-    drops them, keeping the basis (basic columns cost 0), and checks
-    "objective == optimum" too, so a face answer carries a face of a face.
+    tableau of its final basis, with ``optimum``: its value and the final
+    reduced costs.
     """
 
     def __init__(self, lp: LinearProgram, rows, basis, cols, width, checks, optimum=None):
         self.lp = lp
         self._given = (rows, basis, cols, width, checks, optimum)
 
-    @cached_property
-    def _basis(self):
-        """The rows, basis, structural columns, width and check rows."""
-        rows, basis, cols, width, checks, optimum = self._given
-        if optimum is None:
-            return rows, basis, cols, width, checks
-        objective, value, cost = optimum
-        keep = _face_columns(cost)
-        at = {j: k for k, j in enumerate(keep)}
-        return (
-            [[r[j] for j in keep] + [r[-1]] for r in rows],
-            [at[b] for b in basis],
-            [cols[j] for j in keep if j < len(cols)],
-            len(keep),
-            checks + _check_rows(((objective, "==", value),)),
-        )
-
     def optimize(self, objective: tuple[Fraction, ...], maximize: bool) -> LPSolution:
         """Optimum of ``objective`` over this tableau's LP, from its basis.
 
-        An unbounded objective is reported as such, never clamped: on
-        the faces this package builds it signals a modeling bug loudly.
+        An unbounded objective is reported as such, never clamped.
         """
         lp = self.lp
         if len(objective) != len(lp.variables):
             raise ValueError("objective length does not match variables")
-        rows, basis, cols, width, checks = self._basis
+        rows, basis, cols, width, checks, _ = self._given
         rows, basis = list(rows), list(basis)  # pivots replace rows, never edit them
         sense = -1 if maximize else 1
         c, scale = _integer_row(objective)
@@ -341,8 +310,8 @@ class Tableau:
         if _run(rows, cost, basis, width) == "unbounded":
             return LPSolution("unbounded", {}, None)
         values, value = _read_out(lp, c, scale, checks, cols, rows, basis)
-        face = Tableau(lp, rows, basis, cols, width, checks, (objective, value, cost))
-        return LPSolution("optimal", values, value, face)
+        final = Tableau(lp, rows, basis, cols, width, checks, (value, cost))
+        return LPSolution("optimal", values, value, final)
 
     def row_duals(self) -> tuple[list[int], int]:
         """The row duals of this optimal answer: one numerator per
@@ -353,18 +322,17 @@ class Tableau:
         K times the row's dual, negated for a ``<=`` row and again when
         maximizing, however the row was scaled or flipped.  The last entry
         is ``-K`` times the optimum (``+K`` when maximizing), which gives K.
-        Only a :func:`solve_lp` answer with a nonzero optimum and no
-        equality row has them here: a face query drops slack columns, and
-        an equality row has none.  The caller certifies the duals (see
-        :func:`~matchcore.gamelp.primal_numerators`).
+        Only an optimal answer with a nonzero optimum and no equality row
+        has them here: an equality row has no slack column.  The caller
+        certifies the duals (see :func:`~matchcore.gamelp.primal_numerators`).
         """
         lp = self.lp
-        _, _, cols, _, checks, optimum = self._given
-        if optimum is None or len(checks) != len(lp.constraints):
-            raise ValueError("row duals are read from an answer of solve_lp")
+        _, _, cols, _, _, optimum = self._given
+        if optimum is None:
+            raise ValueError("row duals are read from an optimal answer")
         if any([rel == "==" for _, rel, _ in lp.constraints]):
             raise ValueError("an equality row has no slack column")
-        _, value, cost = optimum
+        value, cost = optimum
         top, bottom = value.as_integer_ratio()
         if not top:
             raise ValueError("a zero optimum fixes no multiple of the cost row")
@@ -392,11 +360,18 @@ def solve_over_optimal_face(
     The face is the feasible set of ``lp`` intersected with the equality
     "original objective == optimal_value".  The caller supplies the true
     optimum; ``lp`` is solved once and a different optimum (or none)
-    raises.  The query then runs warm on the answer's face (:class:`Tableau`).
+    raises.  The explicit face LP is then solved cold, from its own phase 1.
     """
     base = solve_lp(lp)
     if base.status != "optimal" or base.objective_value != optimal_value:
         raise ValueError(
             "optimal face is empty; the supplied optimal_value is not the optimum"
         )
-    return base.tableau.optimize(tuple(secondary_objective), maximize)
+    face = replace(
+        lp,
+        objective=tuple(secondary_objective),
+        maximize=maximize,
+        constraints=(*lp.constraints, (lp.objective, "==", optimal_value)),
+        row_labels=(),
+    )
+    return solve_lp(face)

@@ -122,9 +122,8 @@ def test_always_fairly_paid_cases():
 
 
 def test_payment_report_matches_pointwise():
-    # Each point query on a fresh session (a cold face) agrees with the
-    # report, which reads what it can from the labels and the antipodal
-    # points and runs its other queries one after another on one warm face.
+    # Each point query on a fresh session agrees with the report: both
+    # read the one octagon of their session.
     names = [n for n in INSTANCE_NAMES if load_instance(n).variant in PAYMENT_VARIANTS]
     assert len(names) == 7
     for name in names:

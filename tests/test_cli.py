@@ -74,7 +74,7 @@ def test_imputation_vector_length_checked(capsys, game_path):
 
 def test_bad_file_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.game"
-    bad.write_text("variant: assignment\nleft: u\nright: v\nedge: u v 0\n")
+    bad.write_text("variant: assignment\nleft: u\nright: v\nedge: u v -1\n")
     code, _, err = run(capsys, "worth", "--game", str(bad))
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "worth", "--game", str(tmp_path / "missing.game"))

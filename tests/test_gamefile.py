@@ -7,7 +7,7 @@ from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore.gamefile import GameFileError, parse_game, render_game
 from matchcore.games import make_game
 
-from gamegen import random_assignment, random_b_game, random_general
+from gamegen import random_assignment, random_b_game, random_general, tied_payment_games
 
 
 def test_bundled_instances_round_trip():
@@ -66,7 +66,7 @@ def test_uniform_star_bound():
         ("variant: nosuch\n", "unknown variant"),
         ("variant: assignment\nleft: u\nright: v\nedge: u v 1\nedge: u v 2\n", "duplicate edge"),
         ("variant: assignment\nleft: u\nright: v\nedge: u v x\n", "rational"),
-        ("variant: assignment\nleft: u\nright: v\nedge: u v 0\n", "non-positive"),
+        ("variant: assignment\nleft: u\nright: v\nedge: u v -1\n", "negative weight on edge u~v"),
         ("variant: assignment\nleft: u\nright: v\nedge: u w 1\n", "invalid game"),
         ("variant: assignment\nleft: u\nright: v\nfrob: 1\n", "unknown directive"),
         ("variant: assignment\nleft: u\nright: v\nb: w 2\n", "unknown vertex"),
@@ -77,6 +77,20 @@ def test_parse_errors(text, fragment):
     with pytest.raises(GameFileError) as err:
         parse_game(text)
     assert fragment in str(err.value)
+
+
+def test_zero_weight_accepted():
+    # A weight of 0 is as valid in a file as in make_game and the session.
+    g = parse_game("variant: assignment\nleft: u\nright: v\nedge: u v 0\n")
+    assert g.weight(("u", "v")) == 0
+
+
+def test_tied_payment_games_round_trip():
+    # Their weights are drawn from 0 to 3.
+    games = tied_payment_games()
+    assert any([w == 0 for g in games for *_, w in g.edges])
+    for g in games:
+        assert parse_game(render_game(g)) == g
 
 
 def test_comments_and_blanks_ignored():

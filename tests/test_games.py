@@ -26,9 +26,11 @@ def test_path5_is_valid():
     assert validate_game(load_instance("path5")) == []
 
 
-def test_zero_weight_rejected():
+def test_negative_weight_rejected():
+    g = make_game("assignment", ["u"], ["v"], [("u", "v", F(-1))])
+    assert "negative weight on edge u~v" in validate_game(g)
     g = make_game("assignment", ["u"], ["v"], [("u", "v", F(0))])
-    assert any("non-positive weight" in v for v in validate_game(g))
+    assert validate_game(g) == []
 
 
 def test_edge_bound_order_rejected():

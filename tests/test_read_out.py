@@ -4,9 +4,9 @@ The solver reads each basic solution in integers over one denominator
 and builds fractions only for the answer.  Whatever it does inside, an
 optimal ``LPSolution`` must hold a ``Fraction`` in lowest terms for each
 variable, and an objective value equal to the objective recomputed from
-those values in ``Fraction`` arithmetic.  The face readers of the
-payment games take the query's objective value as their answer; here it
-is also read back from the values.
+those values in ``Fraction`` arithmetic.  Answers over the dual's
+optimal face (``solve_over_optimal_face``), the oracle of the payment
+answers, are read out the same way.
 """
 
 from fractions import Fraction as F
@@ -16,7 +16,7 @@ from random import Random
 from matchcore.analysis import GameAnalysis
 from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore.gamelp import build_dual_lp, build_primal_lp
-from matchcore.simplex import solve_lp
+from matchcore.simplex import solve_lp, solve_over_optimal_face
 
 from gamegen import payment_games, random_assignment, random_b_game, random_general
 
@@ -65,14 +65,14 @@ def test_every_vertex_and_edge_face_query_reads_out():
     queries = 0
     for g in payment_games():
         a = GameAnalysis(g)
-        if a.face is None:
+        if a.payments is None:
             continue
-        variables = a.face.lp.variables
+        lp = build_dual_lp(g)
 
         def query(goal, maximize=True):
-            coeffs = tuple([goal.get(v, F(0)) for v in variables])
-            sol = a.face.optimize(coeffs, maximize)
-            check_read_out(variables, coeffs, sol)
+            coeffs = tuple([goal.get(v, F(0)) for v in lp.variables])
+            sol = solve_over_optimal_face(lp, a.worth, coeffs, maximize)
+            check_read_out(lp.variables, coeffs, sol)
             return sol
 
         for q in g.vertices:

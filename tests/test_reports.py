@@ -9,9 +9,9 @@ lists the optimal matchings.  The grand coalition's worth comes with the
 count, except on a single-use game whose double cover rounds to a
 matching (see ``rounds``) and that has not counted its optima: there
 the matching gives the worth, and a session that needs no coalition
-worth and no count builds no table.  An assignment game's payment
-answers and antipodal points come from the shortest paths over that
-matching, with no LP; only a general game asks the dual's optimal face.
+worth and no count builds no table.  The payment answers and an
+assignment game's antipodal points come from the core's octagon over
+that matching, or over one traced through the table, with no LP.
 
 Calls are counted by rebinding a function under every name the package's
 modules hold it by (``from .x import y`` makes copies), so no call path
@@ -27,7 +27,7 @@ from random import Random
 import pytest
 
 import matchcore.cli  # noqa: F401  (loads every module)
-from matchcore import analysis, cli, simplex
+from matchcore import analysis, cli, matchings, simplex
 from matchcore.analysis import PAYMENT_VARIANTS, GameAnalysis
 from matchcore.bmatching import sample_core_imputations
 from matchcore.bundled import INSTANCE_NAMES, load_instance
@@ -58,26 +58,6 @@ from gamegen import (
 )
 
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
-
-
-def count_face_queries(monkeypatch):
-    """Rebind ``Tableau.optimize``; return the log of the calls made on a
-    face, the tableau that an optimal answer carries.  The phase 2 of
-    ``solve_lp`` runs on a tableau that no answer carries, so it is not
-    logged."""
-    faces, queries = {}, []
-    optimize = simplex.Tableau.optimize
-
-    def counted(self, *args):
-        if id(self) in faces:
-            queries.append(args)
-        sol = optimize(self, *args)
-        if sol.tableau is not None:
-            faces[id(sol.tableau)] = sol.tableau  # held, so no id is reused
-        return sol
-
-    monkeypatch.setattr(simplex.Tableau, "optimize", counted)
-    return queries
 
 
 def count_calls(monkeypatch, original):
@@ -199,24 +179,14 @@ def test_full_report_enumerates_once_and_solves_one_lp(monkeypatch, g):
     runs = []
     run = simplex._run
     monkeypatch.setattr(simplex, "_run", lambda *a: runs.append(1) or run(*a))
-    queries = count_face_queries(monkeypatch)
     _report(g)
     assert work() == Work(ONE, ONE, [], [])
     # The dual's solve only: the fractional optimum is read from its
-    # final tableau.
+    # final tableau, and the payments from the core's octagon.
     assert [args[0].variables[0][:2] for args in solves] == ["y["]
     assert primal == []
-    # Phase 1 and phase 2 once per solve at most; one phase 2 per query.
-    assert len(runs) <= 2 * len(solves) + len(queries)
-    assert len(runs) >= len(solves) + len(queries)
-    # The face answers only what the labels leave on a general report:
-    # its essential vertices and its subpar edges.  An assignment report
-    # asks it nothing.
-    a = GameAnalysis(g)
-    vertices, edges = face_questions(a)
-    assert len(queries) == len(vertices) + len(edges)
-    if g.variant == "assignment":
-        assert queries == []
+    # Phase 1 and phase 2 of that one solve, and no other phase 2.
+    assert 1 <= len(runs) <= 2
 
 
 B_INSTANCES = [
@@ -281,70 +251,34 @@ def test_payment_games_part_on_the_rounding():
     assert all([rounds(g) for g in PAYMENT_GAMES if g.variant == "assignment"])
 
 
+@pytest.mark.parametrize("name", ["ring7", "tiers8"])
 @pytest.mark.parametrize("command", ["payments", "degeneracy"])
-def test_concurrent_general_face_commands_solve_only_the_dual(
-    monkeypatch, tmp_path, command
-):
-    # Concurrency comes from the double cover, so the face of a concurrent
-    # general game costs the dual's solve alone.
+def test_payment_commands_solve_no_lp(monkeypatch, tmp_path, command, name):
+    # Concurrency comes from the double cover and the answers from the
+    # core's octagon, so no LP runs, the dual's included, on a general game
+    # or on an assignment game.
     solves = count_calls(monkeypatch, simplex.solve_lp)
     path = tmp_path / "game.txt"
-    path.write_text(render_game(load_instance("ring7")))
-    assert cli.main([command, "--game", str(path)]) == 0
-    assert [args[0].variables[0][:2] for args in solves] == ["y["]
-
-
-@pytest.mark.parametrize("command", ["payments", "degeneracy", "antipodal"])
-def test_assignment_face_commands_solve_no_lp(monkeypatch, tmp_path, command):
-    # An assignment game's payments and antipodal points are read from the
-    # shortest paths over the Hungarian matching: no LP at all.
-    solves = count_calls(monkeypatch, simplex.solve_lp)
-    path = tmp_path / "game.txt"
-    path.write_text(render_game(load_instance("tiers8")))
+    path.write_text(render_game(load_instance(name)))
     assert cli.main([command, "--game", str(path)]) == 0
     assert solves == []
 
 
-def face_questions(a):
-    """The vertices and the edges whose payment answers need the face LP:
-    none on an assignment game (the core's shortest paths answer them all)
-    or where the core is empty; otherwise a general game's essential
-    vertices and subpar edges."""
-    if a.g.variant == "assignment" or a.face is None:
-        return [], []
-    vlabels, elabels = a.labels
-    vertices = [q for q in a.g.vertices if vlabels[q] == "essential"]
-    return vertices, [k for k in a.g.edge_keys if elabels[k] == "subpar"]
-
-
 @pytest.mark.parametrize("name", ["ring7", "tritail4", "tiers8", "path5", "web5", "k3"])
 def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
-    # Each question reaches the face LP at most once, however the two
-    # facts are asked for, and only where the labels leave it open on a
-    # general game: a vertex that is not essential is never paid and an
-    # edge that is not subpar is always fairly paid (complementary
-    # slackness).  An assignment game's answers come from the core's
-    # shortest paths: no face LP, and no per-question call.
-    asked = {"vertex_payment": [], "edge_payment": []}
-    for method, log in asked.items():
-        original = getattr(GameAnalysis, method)
-        monkeypatch.setattr(
-            GameAnalysis,
-            method,
-            lambda self, x, f=original, log=log: log.append(x) or f(self, x),
-        )
-    queries = count_face_queries(monkeypatch)
-    # One count gives the labels, the optima count and the worth: the
-    # game is neither searched nor listed.
+    # One octagon per session, however the two facts are asked for, and
+    # none where the core is empty.  One count gives the labels, the optima
+    # count and the worth: the game is neither searched nor listed.
+    octagons = count_calls(monkeypatch, matchings.core_octagon)
     g = load_instance(name)
     work = count_work(monkeypatch, g)
     a = GameAnalysis(g)
     degeneracy_section(a)
     a.payments
     degeneracy_section(a)
-    vertices, edges = face_questions(a)
-    assert asked == {"vertex_payment": vertices, "edge_payment": edges}
-    assert len(queries) == len(vertices) + len(edges)
+    [a.vertex_payment(q) for q in g.vertices]
+    [a.edge_payment(k) for k in g.edge_keys]
+    assert len(octagons) == (1 if a.concurrent else 0)
     assert work() == Work(ONE, ONE, [], [])
 
 

@@ -283,8 +283,8 @@ def test_only_the_search_nests_a_function():
 def test_one_tableau_runs_every_phase_2():
     # A Tableau is a feasible basis of an LP, and its optimize is the
     # kernel's one phase 2 and one read-out: solve_lp hands it the basis
-    # that phase 1 found, and every face query runs on the face an answer
-    # carries.  A _read_out call anywhere else, or a class beside the LP
+    # that phase 1 found, and an answer carries the tableau of its final
+    # basis.  A _read_out call anywhere else, or a class beside the LP
     # and its answer holding a tableau, would be a second copy of phase 2.
     tree = ast.parse((SRC / "simplex.py").read_text())
     found = []
@@ -343,3 +343,30 @@ def test_one_connected_set_enumerator():
         and any(shifts_or_powers(arg) for arg in node.args)
     ]
     assert found == []
+
+
+def test_one_payment_path_for_both_payment_variants():
+    # Every payment answer of both payment variants is read from the
+    # core's octagon (matchings.core_octagon).  A ``.variant`` comparison
+    # in the session's payment methods, or a face query on the session,
+    # would grow the second path back.
+    tree = ast.parse((SRC / "analysis.py").read_text())
+    (session,) = [
+        top for top in tree.body
+        if isinstance(top, ast.ClassDef) and top.name == "GameAnalysis"
+    ]
+    names = ("vertex_payment", "edge_payment", "profit_bounds", "payments")
+    methods = [f for f in session.body if isinstance(f, ast.FunctionDef) and f.name in names]
+    assert sorted([f.name for f in methods]) == sorted(names)
+    found = [
+        f"analysis.py:{node.lineno} in {f.name}"
+        for f in methods
+        for node in ast.walk(f)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(side, ast.Attribute) and side.attr == "variant"
+            for side in [node.left, *node.comparators]
+        )
+    ]
+    assert found == []
+    assert not hasattr(matchcore.GameAnalysis, "face")
