@@ -357,9 +357,11 @@ class GameAnalysis:
         (b) Where edges are priced and no edge floor is positive,
             :func:`~matchcore.bmatching.in_dual_image`: an optimal dual
             with an admissible split pays S its own dual objective, plus
-            nonnegative split parts of the edges that leave S.  With a
-            positive edge floor those parts can be negative, and an image
-            point can lie outside the core
+            nonnegative split parts of the edges that leave S.  Its
+            profit rows fix each vertex cap price, so it is one LP over the
+            edge prices, whose zero point is (a); (a) has failed here, so
+            that LP is solved.  With a positive edge floor the split parts
+            can be negative, and an image point can lie outside the core
             (``test_bmatching.py::test_edge_floor_image_point_outside_the_core``),
             so there only (a) answers.  Before the LP, each edge's pair
             row ``imp_i + imp_j >= w_ij c_ij`` is tested, ``c_ij`` the
@@ -414,7 +416,7 @@ class GameAnalysis:
            shares).
         """
         if "dual" in self.__dict__:
-            return fractional_from_dual(self.g, self.dual_columns, self.dual[0])
+            return self._fractional_from(self.dual[0])
         if self.g.variant != "general-matching":
             return self.worth
         return self._cover.value
@@ -442,13 +444,25 @@ class GameAnalysis:
         cover, must find the dual's certified optimum equal to it (see
         :attr:`fractional`)."""
         sol, y = solve_dual(self.g)
-        if "fractional" in self.__dict__ and self.fractional != fractional_from_dual(
-            self.g, self.dual_columns, sol
-        ):
+        if "fractional" in self.__dict__ and self.fractional != self._fractional_from(sol):
             raise SolverInvariantError(
                 "the dual's certified optimum differs from the fractional optimum"
             )
         return sol, y
+
+    def _fractional_from(self, sol: LPSolution) -> Fraction:
+        """The fractional optimum certified from the dual's answer ``sol``.
+        A zero optimum fixes no primal point (see
+        :func:`~matchcore.gamelp.primal_numerators`).  The empty matching is
+        one unless a floor is positive; there the point is the optimal
+        matching traced through the session's table, after the
+        ``budget_cap`` check."""
+        ig = self._integer_game
+        matching: tuple[int, ...] = ()
+        if not sol.objective_value and (any(ig.floors) or any(ig.lower)):
+            check_budget_cap(self.g, self.budget_cap)
+            matching = self._table.matching() or ()
+        return fractional_from_dual(self.g, self.dual_columns, sol, matching)
 
     @cached_property
     def _core_bounds(

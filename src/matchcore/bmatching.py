@@ -16,14 +16,16 @@ priced ``membership`` takes an image point as its certificate of "yes"
 and scans the coalitions only for "no"; with a positive edge floor only
 its scaled cover test, ``imp_q / b_q`` covering every edge, may answer.
 One map (:func:`imputation_from_dual`) serves all six variants and one
-test (:func:`in_dual_image`) all four b-variants: an LP where edges are
-priced, and where they are not the scaled cover test it shares with
-``membership``.  Both read the dual
+test (:func:`in_dual_image`) all four b-variants.  Both read the dual
 through :func:`~matchcore.gamelp.dual_columns`: the map pays each
-column's objective term to the vertices it credits, and the LP is the
-dual LP of :func:`~matchcore.gamelp.build_dual_lp` with each column
-copied once per vertex it credits, so this module writes no dual row,
-column or price family of its own.
+column's objective term to the vertices it credits, and the test is the
+dual LP with each column copied once per vertex it credits and each
+vertex cap price eliminated through its vertex's profit row.  What is
+left is one LP over the other prices, with one row per vertex and one
+per edge; the point where they are all 0 is the scaled imputation
+``imp_q / b_q``.  Where that point meets every row the answer is yes
+with no LP; where no edge is priced there are no columns, so that test
+is the whole answer.  This module writes no price family of its own.
 Every function here that needs a fact of the game (its worth, its
 caps) takes the game's :class:`~matchcore.analysis.GameAnalysis`
 session, so the worth is enumerated once per session.
@@ -38,11 +40,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from random import Random
 
-from .analysis import CoalitionSystem, GameAnalysis, Imputation, scaled_cover
+from .analysis import CoalitionSystem, GameAnalysis, Imputation
 from .games import check_coalition_cap
-from .gamelp import build_dual_lp, dual_numerators, edge_name, priced
+from .gamelp import DualColumn, dual_numerators, edge_name
 from .analysis import worth as coalition_worth
 from .simplex import LinearProgram, solve_lp
 
@@ -108,19 +111,25 @@ def in_dual_image(a: GameAnalysis, imp: Imputation) -> bool:
 
     The split quantifier is linear, so the whole question is one LP
     feasibility problem; no search.  Its columns are those of
-    :func:`~matchcore.gamelp.build_dual_lp`, one copy per owner
-    (:func:`~matchcore.gamelp.dual_columns`): a vertex column once, an
-    edge column once for each end, whose copy is the part split to that
-    end.  Its rows are the dual's cover rows over the sums of the copies,
-    and per vertex a profit row: the dual objective's terms of the copies
-    the vertex owns equal its profit.  The profit rows add up to the dual
-    objective, so once the total is checked against the worth, a feasible
-    point is an optimal dual with its split.
+    :func:`~matchcore.gamelp.dual_columns` but the vertex cap prices,
+    one copy per owner: a vertex floor credit once, an edge column once
+    for each end, whose copy is the part split to that end.  Vertex q's
+    profit row, ``b_q y_q + T_q = imp_q`` with ``T_q`` the objective
+    terms of the other copies q owns, fixes ``y_q = (imp_q - T_q) / b_q``
+    (every cap ``b_q`` is at least 1).  What is left is one row per
+    vertex, ``T_q <= imp_q`` (that is, ``y_q >= 0``), and one per edge:
+    the dual's cover row with ``y_i`` and ``y_j`` substituted, whose
+    right-hand side is ``imp_i / b_i + imp_j / b_j - w_ij``, the scaled
+    imputation's cover surplus.  The profit rows add up to the dual
+    objective, so once the total is checked against the worth, a
+    feasible point is an optimal dual with its split.
 
-    Where no edge is priced (:func:`~matchcore.gamelp.priced`), the only
-    columns are the vertex prices, which the profit rows fix at
-    ``y_q = imp_q / b_q``: the answer is that they are nonnegative and
-    cover every edge, with no LP.
+    Every row is written ``a x <= r``, so the zero point meets it exactly
+    when ``r >= 0``: such a row keeps its slack basic, and only the others
+    start phase 1 on an artificial.  If the zero point meets every row
+    (``imp >= 0`` and ``imp_q / b_q`` covers every edge) the answer is yes
+    with no LP; where no edge is priced there are no columns, and that
+    test is the whole answer.
     """
     g = a.g
     if g.variant not in B_VARIANTS:
@@ -129,23 +138,41 @@ def in_dual_image(a: GameAnalysis, imp: Imputation) -> bool:
         raise ValueError("imputation keys do not match the game's vertices")
     if sum(imp.values(), start=ZERO) != a.worth:
         return False
-    if priced(g) == (False, False):
-        return all([v >= 0 for v in imp.values()]) and scaled_cover(g, imp)
-    dual = build_dual_lp(g)
-    copies = [(t, q) for t, col in enumerate(a.dual_columns) for q in col.owners]
-    cover = [
-        (tuple([coeffs[t] for t, _ in copies]), rel, w)
-        for coeffs, rel, w in dual.constraints
-    ]
-    profit = [
-        (tuple([dual.objective[t] if p == q else ZERO for t, p in copies]), "==", imp[q])
-        for q in g.vertices
-    ]
+    b: dict[str, int] = {}
+    copies: list[tuple[DualColumn, str]] = []
+    for c in a.dual_columns:
+        if c.sign > 0 and len(c.owners) == 1:
+            b[c.owners[0]] = c.bound
+        else:
+            copies += [(c, q) for q in c.owners]
+    # Dense rows: T_q's coefficients by owner, and each copy's sign in the
+    # cover rows of the edges its column is owned by.  Edge ij's row is
+    # scaled by lcm(b_i, b_j), so every coefficient is an integer.
+    zero = [0] * len(copies)
+    owned = {q: list(zero) for q in g.vertices}
+    signs: dict[tuple[str, ...], list[int]] = {}
+    for k, (c, q) in enumerate(copies):
+        owned[q][k] = c.sign * c.bound
+        signs.setdefault(c.owners, list(zero))[k] = c.sign
+    rows = [(owned[q], imp[q]) for q in g.vertices]
+    for i, j, w in g.edges:
+        unit = lcm(b[i], b[j])
+        si, sj = unit // b[i], unit // b[j]
+        at = [signs.get(owners, zero) for owners in ((i,), (j,), (i, j))]
+        row = [
+            si * x + sj * y - unit * (ci + cj + ce)
+            for x, y, ci, cj, ce in zip(owned[i], owned[j], *at)
+        ]
+        rows.append((row, imp[i] * si + imp[j] * sj - w * unit))
+    if all([rhs >= 0 for _, rhs in rows]):
+        return True  # the zero point meets every row
+    if not copies:
+        return False  # and there is no other point
     lp = LinearProgram(
-        variables=tuple([f"{dual.variables[t]}@{q}" for t, q in copies]),
+        variables=tuple([f"{c.name}@{q}" for c, q in copies]),
         objective=(ZERO,) * len(copies),
         maximize=False,
-        constraints=tuple(cover + profit),
+        constraints=tuple([(tuple(row), "<=", rhs) for row, rhs in rows]),
         nonnegative=(True,) * len(copies),
     )
     return solve_lp(lp).status == "optimal"

@@ -22,6 +22,7 @@ prices, ``y_lo[q]`` vertex floor credits, ``z[i~j]`` edge cap prices,
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -199,7 +200,10 @@ def dual_numerators(
 
 
 def primal_numerators(
-    g: GameInstance, cols: list[DualColumn], sol: LPSolution
+    g: GameInstance,
+    cols: list[DualColumn],
+    sol: LPSolution,
+    matching: Iterable[int] = (),
 ) -> tuple[list[int], int] | None:
     """The fractional optimum read from the dual's answer ``sol``, if certified.
 
@@ -209,14 +213,19 @@ def primal_numerators(
     the point is nonnegative, meets the :func:`build_primal_lp` row of every
     column of ``cols`` (a cap's load at most its bound, a floor's at least)
     and weighs ``sol.objective_value``: by weak duality against the feasible
-    dual, both are then optimal.  A zero optimum fixes no multiple; only a
-    game with no edge of positive weight has it, and the point read is 0.
+    dual, both are then optimal.  A zero optimum fixes no multiple of the
+    cost row; only a game with no edge of positive weight has it, and the
+    point read is ``matching``, one edge index per use (by default none),
+    over 1.  Where a floor is positive, the empty matching misses it, so
+    the caller gives a feasible one, such as an optimal matching.
     """
     value = sol.objective_value
     if value:
         nums, den = sol.tableau.row_duals()
     else:
         nums, den = [0] * len(g.edges), 1
+        for t in matching:
+            nums[t] += 1
     load: dict[tuple[str, ...], int] = {}
     for key, n in zip(g.edge_keys, nums):
         if n < 0:

@@ -21,6 +21,7 @@ certified strong closure, with no LP.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -392,21 +393,23 @@ class ResidualTable:
         return best, OptimaCount(total, edges, [total - n for n in unused])
 
     def matching(self) -> tuple[int, ...] | None:
-        """One optimal matching of a single-use game, by edge index (None if
-        floors admit none): from the whole game, the first tight choice of
-        each state, in the order ``count()`` walks them."""
+        """One optimal matching, by edge index, each index repeated as often
+        as the matching uses its edge (None if floors admit none): from the
+        whole game, the first tight choice of each state, in the order
+        ``count()`` walks them.  A choice's step holds each use x_e in the
+        field of the edge's later end."""
         s = self._guards + sum(self.start)
         if self._best(s) is None:
             return None
-        memo, guards, used = self._memo, self._guards, []
+        memo, guards, field, used = self._memo, self._guards, self._field, []
         while s & self._active:
             todo = s & self._active
             k = ((todo & -todo).bit_length() - 1) // self._width
-            for step, w, edges in self._choices[s & self._keys[k]]:
+            for step, w, _ in self._choices[s & self._keys[k]]:
                 nxt = s - step
                 if nxt & guards == guards and memo[nxt] and w + memo[nxt][0] == memo[s][0]:
                     break
-            used += edges
+            used += [t for t, to, *_ in self._later[k] for _ in range(step >> to & field)]
             s = nxt
         return tuple(sorted(used))
 
@@ -846,18 +849,21 @@ def _hungarian(w: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
 
 
 def fractional_from_dual(
-    g: GameInstance, cols: list[DualColumn], sol: LPSolution
+    g: GameInstance,
+    cols: list[DualColumn],
+    sol: LPSolution,
+    matching: Iterable[int] = (),
 ) -> Fraction:
     """The fractional optimum, read from the dual's answer ``sol`` and certified.
 
-    The point read off the dual's final tableau must pass
-    :func:`~matchcore.gamelp.primal_numerators` (a primal optimum, by weak
-    duality) and :func:`check_vertex` (it is a basic solution, a vertex);
-    either failure raises :class:`SolverInvariantError`.  ``cols`` are the
-    dual's columns.  Returns the dual optimum, which is then the fractional
-    optimum.
+    The point read off the dual's final tableau (``matching`` where the
+    optimum is 0, see :func:`~matchcore.gamelp.primal_numerators`) must
+    pass ``primal_numerators`` (a primal optimum, by weak duality) and
+    :func:`check_vertex` (it is a basic solution, a vertex); either failure
+    raises :class:`SolverInvariantError`.  ``cols`` are the dual's columns.
+    Returns the dual optimum, which is then the fractional optimum.
     """
-    read = primal_numerators(g, cols, sol)
+    read = primal_numerators(g, cols, sol, matching)
     if read is None:
         raise SolverInvariantError("the dual's final tableau gives no primal optimum")
     check_vertex(g, *read)

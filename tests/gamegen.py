@@ -194,7 +194,9 @@ def shifted_imputation(g: GameInstance, imp: dict[str, Fraction]) -> dict[str, F
 
 def probes(a: GameAnalysis) -> list[dict[str, Fraction]]:
     """Dual-derived and sampled core points, each also shifted out of the
-    core and pair-perturbed."""
+    core and pair-perturbed; then two random points, seeded by the game's
+    size, that pay out the worth, their entries often negative, each also
+    with a wrong total."""
     g = a.g
     _, y = a.dual
     base = []
@@ -220,4 +222,12 @@ def probes(a: GameAnalysis) -> list[dict[str, Fraction]]:
         moved[qs[0]] += Fraction(1, 3)
         moved[qs[-1]] -= Fraction(1, 3)
         out.append(moved)
+    rng = Random(len(g.vertices) + len(g.edges))
+    qs = sorted(g.vertices)
+    for _ in range(2):
+        loose = {q: Fraction(rng.randint(-3, 9), rng.choice(WEIGHT_DENOMS)) for q in qs}
+        loose[qs[0]] = a.worth - sum([loose[q] for q in qs[1:]], Fraction(0))
+        wrong = dict(loose)
+        wrong[qs[-1]] += Fraction(1, 2)
+        out += [loose, wrong]
     return out

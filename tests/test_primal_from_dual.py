@@ -23,9 +23,11 @@ import pytest
 
 from matchcore.analysis import GameAnalysis
 from matchcore.bundled import INSTANCE_NAMES, load_instance
+from matchcore.gamefile import parse_game
 from matchcore.gamelp import build_primal_lp, dual_columns, primal_numerators, solve_dual
 from matchcore.games import InfeasibleGameError, make_game
 from matchcore.matchings import SolverInvariantError, fractional_from_dual, fractional_optimum
+from matchcore.reports import full_report
 from matchcore.simplex import LinearProgram, Tableau, solve_lp
 
 from gamegen import random_assignment, random_b_game, random_general, with_vertex_floors
@@ -209,6 +211,52 @@ def test_a_game_without_edges_reads_zero(variant):
     assert a.fractional == 0 == fractional_optimum(g).weight
     with pytest.raises(ValueError, match="zero optimum"):
         sol.tableau.row_duals()
+
+
+def zero_game_with_a_floor():
+    """Every weight 0, and u1's floor 1: the point 0 misses that floor."""
+    return parse_game(
+        "variant: b-general\nleft: u1 u2\nright: v1\n"
+        "edge: u1 v1 0\nedge: u2 v1 0\nb: v1 2\na: u1 1\n"
+    )
+
+
+def test_a_zero_optimum_under_a_floor_reads_the_traced_matching():
+    # A zero optimum fixes no multiple of the dual's cost row; the session
+    # certifies the optimal matching traced through its table, which meets
+    # the floor, instead of the point 0, which does not.
+    g = zero_game_with_a_floor()
+    a = GameAnalysis(g)
+    sol, _ = a.dual
+    assert sol.objective_value == 0
+    assert a.fractional == 0 == fractional_optimum(g).weight
+    matching = a._table.matching()
+    assert primal_numerators(g, a.dual_columns, sol, matching) == ([1, 0], 1)
+    # The point 0 still fails the row check, and is still refused.
+    assert primal_numerators(g, a.dual_columns, sol) is None
+    with pytest.raises(SolverInvariantError, match="no primal optimum"):
+        fractional_from_dual(g, a.dual_columns, sol)
+    text = full_report(g, 12, 24).to_text()
+    assert "fractional-optimum = 0\n" in text
+
+
+def test_the_traced_matching_meets_every_row_of_a_b_game():
+    # Each edge index is repeated once per use, so the matching is a point
+    # of the primal LP, floors included, of the worth's weight.
+    traced = 0
+    for g in GAMES:
+        if g.variant not in B_VARIANTS:
+            continue
+        a = GameAnalysis(g)
+        matching = a._table.matching()
+        if matching is None:
+            with pytest.raises(InfeasibleGameError):
+                a.worth
+            continue
+        x = [F(matching.count(t)) for t in range(len(g.edges))]
+        assert primal_rows_hold(g, x) and weight(g, x) == a.worth
+        traced += any(n > 1 for n in x)
+    assert traced > 0
 
 
 def random_program(rng: Random) -> LinearProgram:

@@ -191,11 +191,12 @@ def test_the_session_builds_one_table_class():
 
 
 def test_dual_image_rows_come_from_the_dual_lp():
-    # in_dual_image reads its cover rows and profit coefficients from
-    # gamelp.build_dual_lp, and which end each column credits from
-    # gamelp.dual_columns.  A ">=" row written in bmatching, or a dual
-    # column named there, would be a second copy of the dual LP.  The core
-    # system's coalition rows (system_lp) are not dual rows.
+    # in_dual_image reads every column, its owners and its objective term
+    # from gamelp.dual_columns, and substitutes the vertex cap prices into
+    # the dual's cover rows, each column entering the rows of the edges it
+    # is owned by; its rows are all "<=".  A ">=" row written in bmatching,
+    # or a dual column named there, would be a second copy of the dual LP.
+    # The core system's coalition rows (system_lp) are not dual rows.
     found = []
     for top in ast.parse((SRC / "bmatching.py").read_text()).body:
         owner = getattr(top, "name", "<module>")
