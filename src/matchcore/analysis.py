@@ -19,12 +19,11 @@ runs), and one worth per connected coalition (see
 :meth:`GameAnalysis.coalition_worths`), from which come both the core
 system and the "no" answers of the one core-membership test; its "yes" answers come from a dual certificate
 (see :meth:`GameAnalysis.membership`).  Beside the table it runs at most
-one LP solve, the dual's.  The fractional optimum is read from that
-answer's final tableau by complementary slackness and certified
-exactly; a session asked for it before the dual solves no LP for it: a
+one LP solve, the dual's.  The fractional optimum takes no LP: a
 bipartite variant's is the worth, its polytope being integral, and a
 general game's is half the best weight of its bipartite double cover,
-certified in integers (see :attr:`GameAnalysis.fractional`).  One
+certified in integers; a session that holds both it and the dual
+certifies the dual against it (see :attr:`GameAnalysis.fractional`).  One
 Hungarian run on that double cover, or on an assignment game's own
 matrix, also gives a single-use game's worth before its optima are
 counted, where its assignment rounds to a matching of the same weight:
@@ -62,7 +61,7 @@ from .games import (
     check_coalition_cap,
     induce_subgame,
 )
-from .gamelp import DualColumn, dual_columns, edge_name, priced, solve_dual
+from .gamelp import DualColumn, dual_columns, dual_numerators, edge_name, priced, solve_dual
 from .matchings import (
     DoubleCover,
     IntegerGame,
@@ -73,7 +72,6 @@ from .matchings import (
     brute_force_optima,
     core_octagon,
     double_cover_optimum,
-    fractional_from_dual,
     integer_game,
 )
 # solve_lp and solve_over_optimal_face are not used here: bench/selftest.py
@@ -199,14 +197,13 @@ class GameAnalysis:
 
     Facts are computed on first use and kept for the session's lifetime:
     the worth, the count of optimal matchings and the labels, the
-    fractional optimum, concurrency, the base dual solve with its final
-    tableau, the core's octagon with the payment report, and the worth of
-    every connected coalition (at most ``cap`` vertices in the game).  The
+    fractional optimum, concurrency, the base dual solve, the core's
+    octagon with the payment report, and the worth of every connected
+    coalition (at most ``cap`` vertices in the game).  The
     count and the coalition worths are read from one table (see
     :attr:`_table`), and so is the worth, unless the double cover's
     matching gives it first (see :attr:`worth`); the fractional optimum is
-    read from the dual's final tableau once the session holds the dual, and
-    from the worth or the double cover before.  A report builds one session
+    the worth or comes from the double cover.  A report builds one session
     and hands it to every section; no cache outlives the session.
     """
 
@@ -400,26 +397,21 @@ class GameAnalysis:
 
     @cached_property
     def fractional(self) -> Fraction:
-        """The fractional optimum, from the first source that applies; none
-        solves an LP for it.
+        """The fractional optimum, with no LP.
 
-        1. A session that holds the dual reads it from the dual's final
-           tableau: the point that complementary slackness reads off it is
-           certified exactly as a primal optimum with the vertex structure
-           of the variant's polytope (see
-           :func:`~matchcore.matchings.fractional_from_dual`).
-        2. A bipartite variant's polytope is integral: its matrix is totally
-           unimodular and its bounds are integers, so the fractional optimum
-           is the worth.
-        3. A general game's is half the best weight of its bipartite double
-           cover, certified in integers (see :attr:`_cover`, which the worth
-           shares).
+        A bipartite variant's polytope is integral: its matrix is totally
+        unimodular and its bounds are integers, so the fractional optimum
+        is the worth.  A general game's is half the best weight of its
+        bipartite double cover, certified in integers (see :attr:`_cover`,
+        which the worth shares).  A session that already holds the dual
+        certifies it against this value (see :attr:`dual`).
         """
+        value = self.worth if self.g.variant != "general-matching" else self._cover.value
         if "dual" in self.__dict__:
-            return self._fractional_from(self.dual[0])
-        if self.g.variant != "general-matching":
-            return self.worth
-        return self._cover.value
+            _, y = self.dual
+            if dual_numerators(self.g, self.dual_columns, y, value) is None:
+                raise SolverInvariantError("the dual is not optimal at the fractional optimum")
+        return value
 
     @property
     def concurrent(self) -> bool:
@@ -439,30 +431,20 @@ class GameAnalysis:
 
     @cached_property
     def dual(self) -> tuple[LPSolution, dict[str, Fraction]]:
-        """The dual optimum and its prices, by column name.  A session that
-        read the fractional optimum first, from the worth or the double
-        cover, must find the dual's certified optimum equal to it (see
-        :attr:`fractional`)."""
-        sol, y = solve_dual(self.g)
-        if "fractional" in self.__dict__ and self.fractional != self._fractional_from(sol):
-            raise SolverInvariantError(
-                "the dual's certified optimum differs from the fractional optimum"
-            )
-        return sol, y
+        """The dual optimum and its prices, by column name.
 
-    def _fractional_from(self, sol: LPSolution) -> Fraction:
-        """The fractional optimum certified from the dual's answer ``sol``.
-        A zero optimum fixes no primal point (see
-        :func:`~matchcore.gamelp.primal_numerators`).  The empty matching is
-        one unless a floor is positive; there the point is the optimal
-        matching traced through the session's table, after the
-        ``budget_cap`` check."""
-        ig = self._integer_game
-        matching: tuple[int, ...] = ()
-        if not sol.objective_value and (any(ig.floors) or any(ig.lower)):
-            check_budget_cap(self.g, self.budget_cap)
-            matching = self._table.matching() or ()
-        return fractional_from_dual(self.g, self.dual_columns, sol, matching)
+        Whichever of the dual and :attr:`fractional` a session reads second
+        checks the prices against the fractional optimum (see
+        :func:`~matchcore.gamelp.dual_numerators`): they must be feasible
+        and their objective must equal it, which makes them optimal by weak
+        duality; otherwise :class:`SolverInvariantError` is raised.  Read
+        alone, the dual needs no worth.
+        """
+        sol, y = solve_dual(self.g)
+        if "fractional" in self.__dict__:
+            if dual_numerators(self.g, self.dual_columns, y, self.fractional) is None:
+                raise SolverInvariantError("the dual is not optimal at the fractional optimum")
+        return sol, y
 
     @cached_property
     def _core_bounds(

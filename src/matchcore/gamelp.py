@@ -7,11 +7,11 @@ with particular bounds: :func:`priced` declares which bound families a
 variant's LPs carry.  :func:`dual_columns` lists the dual's columns
 once, each with the vertices it credits; :func:`build_primal_lp` (one
 row per column), :func:`build_dual_lp`, the optimality test
-(:func:`dual_numerators`), the certificate of the primal optimum read
-from the dual's final tableau (:func:`primal_numerators`), the dual-image
-LP of :mod:`matchcore.bmatching` and its map from duals to profits are
-all built from that list.  A dual is what the solver returns for the dual
-LP: a dict from column name to price, a column it leaves out priced 0.
+(:func:`dual_numerators`, which certifies a session's dual against its
+fractional optimum), the dual-image LP of :mod:`matchcore.bmatching` and
+its map from duals to profits are all built from that list.  A dual is
+what the solver returns for the dual LP: a dict from column name to
+price, a column it leaves out priced 0.
 Builders emit rows in a fixed order (left vertices, right vertices, edge
 rows) so solver output and reports are deterministic.
 
@@ -22,7 +22,6 @@ prices, ``y_lo[q]`` vertex floor credits, ``z[i~j]`` edge cap prices,
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -197,53 +196,6 @@ def dual_numerators(
         if row * wd < wn * den:
             return None
     return nonzero, den
-
-
-def primal_numerators(
-    g: GameInstance,
-    cols: list[DualColumn],
-    sol: LPSolution,
-    matching: Iterable[int] = (),
-) -> tuple[list[int], int] | None:
-    """The fractional optimum read from the dual's answer ``sol``, if certified.
-
-    Edge e's multiplicity is the dual of e's cover row
-    (:meth:`~matchcore.simplex.Tableau.row_duals`).  Returns one numerator
-    per edge and their denominator, or None unless, checked in integers,
-    the point is nonnegative, meets the :func:`build_primal_lp` row of every
-    column of ``cols`` (a cap's load at most its bound, a floor's at least)
-    and weighs ``sol.objective_value``: by weak duality against the feasible
-    dual, both are then optimal.  A zero optimum fixes no multiple of the
-    cost row; only a game with no edge of positive weight has it, and the
-    point read is ``matching``, one edge index per use (by default none),
-    over 1.  Where a floor is positive, the empty matching misses it, so
-    the caller gives a feasible one, such as an optimal matching.
-    """
-    value = sol.objective_value
-    if value:
-        nums, den = sol.tableau.row_duals()
-    else:
-        nums, den = [0] * len(g.edges), 1
-        for t in matching:
-            nums[t] += 1
-    load: dict[tuple[str, ...], int] = {}
-    for key, n in zip(g.edge_keys, nums):
-        if n < 0:
-            return None
-        if n:
-            for owners in ((key[0],), (key[1],), key):
-                load[owners] = load.get(owners, 0) + n
-    for c in cols:
-        bound, got = c.bound * den, load.get(c.owners, 0)
-        if got > bound if c.sign > 0 else got < bound:
-            return None
-    ratios = [w.as_integer_ratio() for _, _, w in g.edges]
-    unit = lcm(*[d for _, d in ratios])
-    total = sum([n * wn * (unit // wd) for n, (wn, wd) in zip(nums, ratios)])
-    top, bottom = value.as_integer_ratio()
-    if total * bottom != top * den * unit:
-        return None
-    return nums, den
 
 
 def dual_is_optimal(

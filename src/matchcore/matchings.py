@@ -16,12 +16,14 @@ fractional optimum to, where it rounds to one.  On a concurrent
 single-use game one optimal matching, that one or one traced through the
 table (:meth:`ResidualTable.matching`), fixes the core as an octagon,
 and :func:`core_octagon` answers every payment question from its
-certified strong closure, with no LP.
+certified strong closure, with no LP.  The same double cover gives a
+general game's fractional optimum; :func:`fractional_optimum` solves the
+primal LP instead and is kept as the oracle, asserting the vertex
+structure of its answer (:func:`check_half_integral` on a general graph).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -34,8 +36,8 @@ from .games import (
     InfeasibleGameError,
     check_budget_cap,
 )
-from .simplex import LPSolution, solve_lp
-from .gamelp import DualColumn, build_primal_lp, edge_name, primal_numerators
+from .simplex import solve_lp
+from .gamelp import build_primal_lp, edge_name
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -478,7 +480,8 @@ def fractional_optimum(g: GameInstance) -> MatchingVector:
     """Exact vertex-optimal fractional matching from the primal LP.
 
     Asserts the structural guarantee of the variant's polytope on every
-    solve (see :func:`check_vertex`).
+    solve: the vertex is integral on a bipartite variant, and on a general
+    graph it passes :func:`check_half_integral`.
     """
     lp = build_primal_lp(g)
     sol = solve_lp(lp)
@@ -487,10 +490,13 @@ def fractional_optimum(g: GameInstance) -> MatchingVector:
     if sol.status != "optimal":
         raise SolverInvariantError(f"primal LP came back {sol.status}")
     mult = {k: sol.values[f"x[{edge_name(k)}]"] for k in g.edge_keys}
-    ratios = [m.as_integer_ratio() for m in mult.values()]
-    den = lcm(*[d for _, d in ratios])
-    check_vertex(g, [n * (den // d) for n, d in ratios], den)
-    return make_matching_vector(g, mult)
+    vec = make_matching_vector(g, mult)
+    if g.variant != "general-matching":
+        if any([m.denominator != 1 for _, m in vec.multiplicities]):
+            raise SolverInvariantError("bipartite vertex solution is not integral")
+    elif not check_half_integral(vec).is_half_integral:
+        raise SolverInvariantError("general-graph vertex is not half-integral")
+    return vec
 
 
 class DoubleCover(NamedTuple):
@@ -846,78 +852,6 @@ def _hungarian(w: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
     for j in range(1, n + 1):
         sigma[match[j] - 1] = j - 1
     return [top - ui for ui in u[1:]], [-vj for vj in v[1:]], sigma
-
-
-def fractional_from_dual(
-    g: GameInstance,
-    cols: list[DualColumn],
-    sol: LPSolution,
-    matching: Iterable[int] = (),
-) -> Fraction:
-    """The fractional optimum, read from the dual's answer ``sol`` and certified.
-
-    The point read off the dual's final tableau (``matching`` where the
-    optimum is 0, see :func:`~matchcore.gamelp.primal_numerators`) must
-    pass ``primal_numerators`` (a primal optimum, by weak duality) and
-    :func:`check_vertex` (it is a basic solution, a vertex); either failure
-    raises :class:`SolverInvariantError`.  ``cols`` are the dual's columns.
-    Returns the dual optimum, which is then the fractional optimum.
-    """
-    read = primal_numerators(g, cols, sol, matching)
-    if read is None:
-        raise SolverInvariantError("the dual's final tableau gives no primal optimum")
-    check_vertex(g, *read)
-    return sol.objective_value
-
-
-def check_vertex(g: GameInstance, nums: list[int], den: int) -> None:
-    """Raise :class:`SolverInvariantError` unless ``nums / den``, one entry
-    per edge, has the structure of a vertex of the variant's polytope:
-    integral on bipartite variants, and on general graphs half-integral
-    with the half edges forming disjoint odd cycles."""
-    if g.variant != "general-matching":
-        if any([n % den for n in nums]):
-            raise SolverInvariantError("bipartite vertex solution is not integral")
-        return
-    if not _half_integral(g.edge_keys, nums, den):
-        raise SolverInvariantError("general-graph vertex is not half-integral")
-
-
-def _half_integral(keys: list[Edge], nums: list[int], den: int) -> bool:
-    """The test of :func:`check_half_integral` on ``nums / den``, one entry
-    per edge of ``keys``, in integers: every entry is 0, 1/2 (2n = den) or 1
-    (n = den), the 1-edges form a matching, and the 1/2-edges, apart from
-    it, have two distinct neighbours at each end and close into cycles of
-    odd length."""
-    matched: list[str] = []
-    adj: dict[str, list[str]] = {}
-    for (i, j), n in zip(keys, nums):
-        if n == den:
-            matched += (i, j)
-        elif 2 * n == den:
-            adj.setdefault(i, []).append(j)
-            adj.setdefault(j, []).append(i)
-        elif n:
-            return False
-    if (
-        len(set(matched)) < len(matched)
-        or not adj.keys().isdisjoint(matched)
-        or not all([len(nb) == 2 and nb[0] != nb[1] for nb in adj.values()])
-    ):
-        return False
-    seen: set[str] = set()
-    for start in adj:
-        if start in seen:
-            continue
-        size, prev, here = 1, start, adj[start][0]
-        while here != start:
-            size += 1
-            seen.add(here)
-            a, b = adj[here]
-            prev, here = here, b if a == prev else a
-        if size % 2 == 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

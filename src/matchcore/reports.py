@@ -206,9 +206,9 @@ def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
     a = GameAnalysis(g, budget_cap, cap)
     # Every report classifies first: the worth comes with the count, and
     # a game whose floors admit no matching fails as classify does.  The
-    # dual comes next, so the fractional optimum is read from its final
-    # tableau and the report solves one LP, the dual's: the payments come
-    # from the core's octagon, with none.
+    # dual comes next, and the report solves one LP, the dual's: the
+    # fractional optimum is the worth or the double cover's, which
+    # certifies the dual, and the payments come from the core's octagon.
     a.labels
     a.dual
     rep = report_header(g, cap, budget_cap)

@@ -30,7 +30,8 @@ integers too; only the answer's values and objective are fractions.
 
 Phase 2 and the read-out run in one place, :class:`Tableau`, a feasible
 basis.  Every optimal answer carries the tableau of its final basis,
-from whose cost row :meth:`Tableau.row_duals` reads the row duals.
+from which :meth:`Tableau.optimize` runs phase 2 for another objective
+over the same LP.
 
 The solver is meant for desk-scale programs (tens of variables).  Every
 ``optimal`` answer is an exact basic solution: downstream code relies on
@@ -285,13 +286,12 @@ class Tableau:
     ``rows`` and ``basis`` hold the basis in the integer form above, over
     ``width`` columns (the structural ``cols`` first); every answer is
     checked exactly against ``checks``.  An optimal answer carries the
-    tableau of its final basis, with ``optimum``: its value and the final
-    reduced costs.
+    tableau of its final basis.
     """
 
-    def __init__(self, lp: LinearProgram, rows, basis, cols, width, checks, optimum=None):
+    def __init__(self, lp: LinearProgram, rows, basis, cols, width, checks):
         self.lp = lp
-        self._given = (rows, basis, cols, width, checks, optimum)
+        self._given = (rows, basis, cols, width, checks)
 
     def optimize(self, objective: tuple[Fraction, ...], maximize: bool) -> LPSolution:
         """Optimum of ``objective`` over this tableau's LP, from its basis.
@@ -301,7 +301,7 @@ class Tableau:
         lp = self.lp
         if len(objective) != len(lp.variables):
             raise ValueError("objective length does not match variables")
-        rows, basis, cols, width, checks, _ = self._given
+        rows, basis, cols, width, checks = self._given
         rows, basis = list(rows), list(basis)  # pivots replace rows, never edit them
         sense = -1 if maximize else 1
         c, scale = _integer_row(objective)
@@ -310,43 +310,8 @@ class Tableau:
         if _run(rows, cost, basis, width) == "unbounded":
             return LPSolution("unbounded", {}, None)
         values, value = _read_out(lp, c, scale, checks, cols, rows, basis)
-        final = Tableau(lp, rows, basis, cols, width, checks, (value, cost))
+        final = Tableau(lp, rows, basis, cols, width, checks)
         return LPSolution("optimal", values, value, final)
-
-    def row_duals(self) -> tuple[list[int], int]:
-        """The row duals of this optimal answer: one numerator per
-        constraint, over one denominator D > 0.
-
-        The final cost row is K > 0 times the reduced costs.  A row's slack
-        or surplus column is nonzero only in that row, so its cost entry is
-        K times the row's dual, negated for a ``<=`` row and again when
-        maximizing, however the row was scaled or flipped.  The last entry
-        is ``-K`` times the optimum (``+K`` when maximizing), which gives K.
-        Only an optimal answer with a nonzero optimum and no equality row
-        has them here: an equality row has no slack column.  The caller
-        certifies the duals (see :func:`~matchcore.gamelp.primal_numerators`).
-        """
-        lp = self.lp
-        _, _, cols, _, _, optimum = self._given
-        if optimum is None:
-            raise ValueError("row duals are read from an optimal answer")
-        if any([rel == "==" for _, rel, _ in lp.constraints]):
-            raise ValueError("an equality row has no slack column")
-        value, cost = optimum
-        top, bottom = value.as_integer_ratio()
-        if not top:
-            raise ValueError("a zero optimum fixes no multiple of the cost row")
-        sense = -1 if lp.maximize else 1
-        den = -sense * cost[-1] * bottom  # K * top
-        if (den > 0) != (top > 0):
-            raise AssertionError("the cost row is not a positive multiple of the optimum")
-        unit = sense * abs(top)  # a dual is unit * (+-cost entry) / |K * top|
-        at = len(cols)  # the slack columns follow the structural ones, in row order
-        nums = [
-            unit * (cost[at + i] if rel == ">=" else -cost[at + i])
-            for i, (_, rel, _) in enumerate(lp.constraints)
-        ]
-        return nums, abs(den)
 
 
 def solve_over_optimal_face(

@@ -188,59 +188,6 @@ def test_half_integral_orders_and_walks_the_cycles():
     assert rep.half_components == (("a", "c", "b", "e", "d"),)
 
 
-def structured_vector(rng, names):
-    """Numerators over a random denominator for the complete graph on
-    ``names``: vertices drawn into 1-edges, cycles of 1/2-edges (odd or
-    even) and paths of 1/2-edges, then often tampered with (an entry
-    moved off 0, 1/2 and 1, one dropped, or a stray edge added)."""
-    keys = list(combinations(names, 2))
-    den = rng.choice((1, 2, 4, 6, 3))
-    mult = dict.fromkeys(keys, 0)
-
-    def put(i, j, n):
-        mult[min(i, j), max(i, j)] = n
-
-    free = list(names)
-    rng.shuffle(free)
-    while len(free) >= 2:
-        kind = rng.choice(("one", "cycle", "cycle", "path", "skip"))
-        size = rng.choice((2, 3, 3, 4, 5))
-        piece, free = free[:size], free[size:]
-        if kind == "one":
-            put(piece[0], piece[1], den)
-        elif kind == "cycle" and len(piece) >= 3:
-            for i, j in zip(piece, piece[1:] + piece[:1]):
-                put(i, j, den // 2 if den % 2 == 0 else 1)
-        elif kind == "path":
-            for i, j in zip(piece, piece[1:]):
-                put(i, j, den // 2 if den % 2 == 0 else 1)
-    if rng.random() < 0.5:
-        k = rng.choice(keys)
-        mult[k] = rng.choice((0, 1, den // 2, den, den + 1, 2 * den))
-    return keys, [mult[k] for k in keys], den
-
-
-def test_check_vertex_agrees_with_check_half_integral():
-    # The integer test of a general vertex against the MatchingVector
-    # report, on structured vectors and on their tampered copies.
-    rng = Random(71)
-    verdicts = {True: 0, False: 0}
-    for _ in range(800):
-        names = [f"v{p}" for p in range(rng.randint(2, 9))]
-        keys, nums, den = structured_vector(rng, names)
-        g = make_game("general-matching", [], names, [(i, j, F(1)) for i, j in keys])
-        vec = make_matching_vector(g, {k: F(n, den) for k, n in zip(keys, nums)})
-        want = check_half_integral(vec).is_half_integral
-        try:
-            matchings.check_vertex(g, nums, den)
-            got = True
-        except matchings.SolverInvariantError:
-            got = False
-        assert got == want, (keys, nums, den)
-        verdicts[want] += 1
-    assert min(verdicts.values()) >= 200
-
-
 def plain_covering(support, tight):
     """The largest matching of ``support`` covering ``tight``, ties to the
     earliest edge-index set: every index set, largest first, in order."""

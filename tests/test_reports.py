@@ -168,30 +168,43 @@ def _report(g):
     return full_report(g, DEFAULT_COALITION_CAP, DEFAULT_BUDGET_CAP)
 
 
-@pytest.mark.parametrize("g", PAYMENT_GAMES, ids=lambda g: g.name or g.variant)
+B_INSTANCES = [
+    load_instance(n) for n in INSTANCE_NAMES if load_instance(n).variant in B_VARIANTS
+]
+
+
+@pytest.mark.parametrize(
+    "g", PAYMENT_GAMES + B_INSTANCES, ids=lambda g: g.name or g.variant
+)
 def test_full_report_enumerates_once_and_solves_one_lp(monkeypatch, g):
     # One count of the session's table gives the labels, the optima
-    # count and the worth: the game is neither searched nor listed, and no
-    # coalition worth is looked up.
+    # count and the worth: the game is neither searched nor listed.
     work = count_work(monkeypatch, g)
     solves = count_calls(monkeypatch, simplex.solve_lp)
     primal = count_calls(monkeypatch, fractional_optimum)
+    hungarian = count_calls(monkeypatch, matchings._hungarian)
     runs = []
     run = simplex._run
     monkeypatch.setattr(simplex, "_run", lambda *a: runs.append(1) or run(*a))
     _report(g)
-    assert work() == Work(ONE, ONE, [], [])
-    # The dual's solve only: the fractional optimum is read from its
-    # final tableau, and the payments from the core's octagon.
-    assert [args[0].variables[0][:2] for args in solves] == ["y["]
+    # The fractional optimum is a b-variant's worth, with no Hungarian run.
+    # A single-use game's comes from one Hungarian run, on its double cover
+    # or an assignment game's own matrix, which also gives the matching
+    # that anchors the core's octagon.
+    assert len(hungarian) == (g.variant in PAYMENT_VARIANTS)
     assert primal == []
+    if g.variant not in PAYMENT_VARIANTS:
+        # The core system looks up every coalition, and the dual-image
+        # test may solve its own LP after the dual's.
+        assert work()[:2] == (ONE, ONE) and work().listed == []
+        assert [args[0].variables[0][:2] for args in solves][:1] == ["y["]
+        return
+    # No coalition worth is looked up, and the one LP solved is the
+    # dual's: the payments come from the core's octagon.
+    assert work() == Work(ONE, ONE, [], [])
+    assert [args[0].variables[0][:2] for args in solves] == ["y["]
     # Phase 1 and phase 2 of that one solve, and no other phase 2.
     assert 1 <= len(runs) <= 2
-
-
-B_INSTANCES = [
-    load_instance(n) for n in INSTANCE_NAMES if load_instance(n).variant in B_VARIANTS
-]
 
 
 @pytest.mark.parametrize(

@@ -27,8 +27,9 @@ def test_no_tuple_of_generator():
 
 def test_variant_compared_only_where_bounds_are_declared():
     # Every variant is a b-general game with particular bounds, declared
-    # once by gamelp.priced; the LPs, dual read-outs, imputation map and
-    # dual-image test are emitted from that declaration.  A comparison on
+    # once by gamelp.priced; the LPs, the dual's optimality test, the
+    # imputation map and the dual-image test are emitted from that
+    # declaration.  A comparison on
     # ``.variant`` anywhere else in these modules grows a ladder back.
     allowed = {("gamelp.py", "priced"), ("bmatching.py", "in_dual_image")}
     found = []
@@ -283,9 +284,10 @@ def test_only_the_search_nests_a_function():
 
 def test_one_tableau_runs_every_phase_2():
     # A Tableau is a feasible basis of an LP, and its optimize is the
-    # kernel's one phase 2 and one read-out: solve_lp hands it the basis
-    # that phase 1 found, and an answer carries the tableau of its final
-    # basis.  A _read_out call anywhere else, or a class beside the LP
+    # kernel's one phase 2 and one read-out of a basic solution: solve_lp
+    # hands it the basis that phase 1 found, and an answer carries the
+    # tableau of its final basis, from which a later optimize warm-starts.
+    # A _read_out call anywhere else, or a class beside the LP
     # and its answer holding a tableau, would be a second copy of phase 2.
     tree = ast.parse((SRC / "simplex.py").read_text())
     found = []
