@@ -15,10 +15,14 @@ A :class:`GameAnalysis` session computes each fact of one game at most
 once, and reads the combinatorial ones from one residual-capacity
 table, the same on every variant: the count of the grand coalition's
 optimal matchings with their worth (it lists none, and no integer search
-runs), and one worth per connected coalition (see
-:meth:`GameAnalysis.coalition_worths`), from which come both the core
-system and the "no" answers of the one core-membership test; its "yes" answers come from a dual certificate
-(see :meth:`GameAnalysis.membership`).  Beside the table it runs at most
+runs), and one worth per connected coalition, in masks, from one scan
+(see :meth:`GameAnalysis.scan`), computed where a scan first reaches its
+coalition.  The scan gives the core system, the ``system`` report's rows
+and the "no" answers of the one core-membership test; its "yes" answers
+come from a dual certificate (see :meth:`GameAnalysis.membership`).
+Only the API's answers (:attr:`GameAnalysis.system`,
+:meth:`GameAnalysis.coalition_worths`) and a witness turn masks into
+frozensets and worths into Fractions.  Beside the table it runs at most
 one LP solve, the dual's.  The fractional optimum takes no LP: a
 bipartite variant's is the worth, its polytope being integral, and a
 general game's is half the best weight of its bipartite double cover,
@@ -198,13 +202,14 @@ class GameAnalysis:
     Facts are computed on first use and kept for the session's lifetime:
     the worth, the count of optimal matchings and the labels, the
     fractional optimum, concurrency, the base dual solve, the core's
-    octagon with the payment report, and the worth of every connected
-    coalition (at most ``cap`` vertices in the game).  The
-    count and the coalition worths are read from one table (see
-    :attr:`_table`), and so is the worth, unless the double cover's
-    matching gives it first (see :attr:`worth`); the fractional optimum is
-    the worth or comes from the double cover.  A report builds one session
-    and hands it to every section; no cache outlives the session.
+    octagon with the payment report, and the table state and worth of
+    every connected coalition a scan reaches (at most ``cap`` vertices in
+    the game).  The count and the coalition worths are read from one
+    table (see :attr:`_table`), and so is the worth, unless the double
+    cover's matching gives it first (see :attr:`worth`); the fractional
+    optimum is the worth or comes from the double cover.  A report builds
+    one session and hands it to every section; no cache outlives the
+    session.
     """
 
     def __init__(
@@ -217,7 +222,7 @@ class GameAnalysis:
         self.budget_cap = budget_cap
         self.cap = cap
         self._worths: list[int | None] = []
-        self._ids = sorted(g.vertices, reverse=True)  # bit p of a mask is _ids[p]
+        self.ids = sorted(g.vertices, reverse=True)  # bit p of a mask is ids[p]
 
     @cached_property
     def _table(self) -> ResidualTable:
@@ -280,14 +285,18 @@ class GameAnalysis:
         return self._count.total
 
     @cached_property
-    def _coalitions(self) -> list[tuple[int, int]]:
-        """Each connected proper coalition's mask, lexicographically, with its
-        table state: the sum of its members' ``start`` entries in the table."""
+    def _coalitions(self) -> list[int]:
+        """Each connected proper coalition's mask, lexicographically."""
         check_coalition_cap(self.g, self.cap)
+        full = (1 << len(self.ids)) - 1
+        return [m for m in _connected_masks(self.g) if m != full]
+
+    @cached_property
+    def _start_sum(self) -> Callable[[int], int]:
+        """A coalition's table state from its mask: the sum of its members'
+        ``start`` entries in the table."""
         start = dict(zip(self.g.vertices, self._table.start))
-        state = _mask_sum([start[q] for q in self._ids])
-        full = (1 << len(self._ids)) - 1
-        return [(m, state(m)) for m in _connected_masks(self.g) if m != full]
+        return _mask_sum([start[q] for q in self.ids])
 
     @cached_property
     def _weights(self) -> dict[Edge, Fraction]:
@@ -298,33 +307,43 @@ class GameAnalysis:
         return integer_game(self.g)
 
     def coalition_worths(self) -> Iterator[tuple[Coalition, Fraction | None]]:
-        """Each connected proper coalition with its worth, as :meth:`_scan` gives them."""
-        scale = self._integer_game.scale
-        for m, w in self._scan():
-            yield _members(self._ids, m), None if w is None else Fraction(w, scale)
+        """Each connected proper coalition with its worth, as :meth:`scan` gives them."""
+        scale = self.scale
+        for m, w in self.scan():
+            yield _members(self.ids, m), None if w is None else Fraction(w, scale)
 
-    def _scan(self) -> Iterator[tuple[int, int | None]]:
+    @property
+    def scale(self) -> int:
+        """What :meth:`scan` scales every worth by: the lcm of the weights'
+        denominators."""
+        return self._integer_game.scale
+
+    def scan(self) -> Iterator[tuple[int, int | None]]:
         """Each connected proper coalition's mask and scaled worth, in order.
 
-        Lazy and memoized: a worth is computed when a scan first reaches
-        its coalition, at most once per session.  The grand worth comes
-        first: no coalition's multiplicity budget exceeds the game's, so
-        its ``budget_cap`` check covers them all.  Each coalition is
-        looked up once in the session's table (see :attr:`_table`), which
-        fills the states the coalitions reach and share: at most 2^n on a
-        single-use game, so ``cap`` bounds it, and 2^|P|·Π_{q in Q}(b_q + 1)
-        for the cheaper side P of a bipartite b-game, so ``cap`` and
+        A mask's bit p stands for ``ids[p]``, the ids in descending order,
+        and a worth is over :attr:`scale`; a worth of None marks a
+        coalition whose floors admit no matching.  Lazy and memoized: a
+        coalition's table state, the sum of its members' ``start``
+        entries, and its worth are computed when a scan first reaches it,
+        at most once per session.  The grand worth comes first: no
+        coalition's multiplicity budget exceeds the game's, so its
+        ``budget_cap`` check covers them all.  Each coalition is looked up
+        once in the session's table (see :attr:`_table`), which fills the
+        states the coalitions reach and share: at most 2^n on a single-use
+        game, so ``cap`` bounds it, and 2^|P|·Π_{q in Q}(b_q + 1) for the
+        cheaper side P of a bipartite b-game, so ``cap`` and
         ``budget_cap`` bound it.
         """
         self.worth
         worths = self._worths
-        for i, (m, state) in enumerate(self._coalitions):
+        for i, m in enumerate(self._coalitions):
             if i == len(worths):
-                worths.append(self._coalition_worth(state))
+                worths.append(self._coalition_worth(m))
             yield m, worths[i]
 
-    def _coalition_worth(self, state: int) -> int | None:
-        return self._table.worth(state)
+    def _coalition_worth(self, m: int) -> int | None:
+        return self._table.worth(self._start_sum(m))
 
     @cached_property
     def system(self) -> CoalitionSystem:
@@ -369,10 +388,9 @@ class GameAnalysis:
         def rows() -> Iterator[tuple[int, int | None]]:
             check_coalition_cap(self.g, self.cap)
             if not self._certified(imp):
-                yield from self._scan()
+                yield from self.scan()
 
-        ig = self._integer_game
-        return _membership(imp, self._ids, lambda: self.worth, rows(), ig.scale)
+        return _membership(imp, self.ids, lambda: self.worth, rows(), self.scale)
 
     def _certified(self, imp: Imputation) -> bool:
         """Does a dual certificate put ``imp`` in the core?  See :meth:`membership`.

@@ -142,7 +142,9 @@ def validate_game(g: GameInstance) -> list[str]:
     seen: set[str] = set()
     for q in g.vertices:
         # "*" means every vertex in a game file, and "~" joins an edge's ends.
-        if not q or q == "*" or "~" in q or any(ch.isspace() for ch in q):
+        # An id splits to itself alone exactly when it is nonempty and has
+        # no whitespace.
+        if q.split() != [q] or q == "*" or "~" in q:
             bad.append(f"invalid vertex id {q!r}")
         if q in seen:
             bad.append(f"duplicate vertex id {q!r}")
@@ -150,22 +152,24 @@ def validate_game(g: GameInstance) -> list[str]:
     if g.variant == "general-matching" and g.left:
         bad.append("general-matching games keep all vertices on one side")
 
+    left, right = set(g.left), set(g.right)
     keys_seen: set[frozenset[str]] = set()
     for i, j, w in g.edges:
         if i == j:
             bad.append(f"self-loop at {i!r}")
             continue
         if g.variant == "general-matching":
-            if i not in g.right or j not in g.right:
+            if i not in right or j not in right:
                 bad.append(f"edge {i}~{j} uses unknown vertex")
         else:
-            if i not in g.left or j not in g.right:
+            if i not in left or j not in right:
                 bad.append(f"edge {i}~{j} does not go left to right")
         pair = frozenset((i, j))
         if pair in keys_seen:
             bad.append(f"parallel edge {i}~{j}")
         keys_seen.add(pair)
-        if w < 0:
+        # A Fraction's sign is its numerator's: its denominator is positive.
+        if (w.numerator if type(w) is Fraction else w) < 0:
             bad.append(f"negative weight on edge {i}~{j}")
 
     keys = set(g.edge_keys)

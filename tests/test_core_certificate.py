@@ -158,7 +158,7 @@ def test_a_certified_yes_builds_no_byte_tables(monkeypatch, kind):
     certified = scanned = 0
     for g in seeded_games(kind):
         a = GameAnalysis(g)
-        a._coalitions  # the coalitions' table states are read from byte tables too
+        a._start_sum  # the coalitions' table states are read from byte tables too
         for imp in probes(a):
             early = min(imp.values()) < 0 or sum(imp.values()) != a.worth
             yes = not early and a._certified(imp)

@@ -21,13 +21,14 @@ escapes the count.
 import re
 import sys
 from collections import namedtuple
+from functools import cached_property
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 import matchcore.cli  # noqa: F401  (loads every module)
-from matchcore import analysis, cli, matchings, simplex
+from matchcore import analysis, cli, games, matchings, simplex
 from matchcore.analysis import PAYMENT_VARIANTS, GameAnalysis
 from matchcore.bmatching import sample_core_imputations
 from matchcore.bundled import INSTANCE_NAMES, load_instance
@@ -47,7 +48,7 @@ from matchcore.matchings import (
     integer_search,
 )
 from matchcore.rationals import format_rational
-from matchcore.reports import degeneracy_section, full_report
+from matchcore.reports import degeneracy_section, full_report, system_section
 
 from gamegen import (
     dual_imputation,
@@ -55,6 +56,7 @@ from gamegen import (
     random_b_game,
     random_general,
     shifted_imputation,
+    with_vertex_floors,
 )
 
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
@@ -139,6 +141,24 @@ def count_work(monkeypatch, g):
         )
 
     return work
+
+
+def count_start_sums(monkeypatch, g):
+    """Start logging the coalitions whose table state, the sum of their
+    members' ``start`` entries, a session of ``g`` computes; read the log,
+    in order, by calling the result."""
+    ids = sorted(g.vertices, reverse=True)
+    log = []
+    build = analysis.GameAnalysis._start_sum.func
+
+    def logged(self):
+        state = build(self)
+        return lambda m: log.append(games._members(ids, m)) or state(m)
+
+    prop = cached_property(logged)
+    prop.__set_name__(GameAnalysis, "_start_sum")
+    monkeypatch.setattr(GameAnalysis, "_start_sum", prop)
+    return lambda: list(log)
 
 
 def generated_games(kinds, count):
@@ -443,6 +463,7 @@ def test_no_answer_enumerates_nothing_after_its_witness(
         imp[g.vertices[0]] = Fraction(-1)
     else:
         imp[g.vertices[0]] += 1
+    start_sums = count_start_sums(monkeypatch, g)
     code, witness, work = cli_check(monkeypatch, capsys, tmp_path, g, imp)
     assert code == 1
     grand = frozenset(g.vertices)
@@ -458,6 +479,44 @@ def test_no_answer_enumerates_nothing_after_its_witness(
     # coalition, in order, up to the witness and no further.
     tables = ONE if counted or how == "shifted" else []
     assert (work.tables, work.looked_up) == (tables, prefix)
+    # A coalition's table state is computed when the scan reaches it, so
+    # only for the coalitions looked up.
+    assert start_sums() == prefix
+
+
+def floored_games(count):
+    """b-general games with vertex and edge floors and a feasible grand
+    coalition; in some of them the floors leave a coalition infeasible."""
+    rng = Random(61)
+    out = []
+    while len(out) < count:
+        g = with_vertex_floors(rng, random_b_game(rng, "b-general", with_floors=True))
+        try:
+            GameAnalysis(g).worth
+        except matchings.InfeasibleGameError:
+            continue
+        if g.edges:
+            out.append(g)
+    return out
+
+
+SYSTEM_GAMES = B_INSTANCES + generated_games(VARIANTS, 12) + floored_games(16)
+
+
+@pytest.mark.parametrize("g", SYSTEM_GAMES, ids=lambda g: g.name or g.variant)
+def test_system_section_builds_coalitions_only_where_skipped(monkeypatch, g):
+    # The rows are text built from masks: only a skipped coalition, listed
+    # by its sorted names, becomes a frozenset.
+    skipped = GameAnalysis(g).system.skipped
+    built = count_calls(monkeypatch, games._members)
+    lines = system_section(GameAnalysis(g))
+    assert len(built) == len(skipped)
+    assert lines[-1].startswith("skipped-infeasible = ") == bool(skipped)
+
+
+def test_system_games_skip_somewhere_and_nowhere():
+    skipped = [bool(GameAnalysis(g).system.skipped) for g in SYSTEM_GAMES]
+    assert any(skipped) and not all(skipped)
 
 
 def meet_join_inputs():
