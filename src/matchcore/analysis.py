@@ -13,10 +13,11 @@ with no LP (see :func:`~matchcore.matchings.core_octagon` and
 
 A :class:`GameAnalysis` session computes each fact of one game at most
 once, and reads the combinatorial ones from one residual-capacity
-table, the same on every variant: the count of the grand coalition's
-optimal matchings with their worth (it lists none, and no integer search
-runs), and one worth per connected coalition, in masks, from one scan
-(see :meth:`GameAnalysis.scan`), computed where a scan first reaches its
+table, the same on every variant: the grand coalition's worth, one
+lookup of the whole game's state; the count of its optimal matchings,
+for the labels only (it lists none, and no integer search runs); and
+one worth per connected coalition, in masks, from one scan (see
+:meth:`GameAnalysis.scan`), computed where a scan first reaches its
 coalition.  The scan gives the core system, the ``system`` report's rows
 and the "no" answers of the one core-membership test; its "yes" answers
 come from a dual certificate (see :meth:`GameAnalysis.membership`).
@@ -29,8 +30,8 @@ general game's is half the best weight of its bipartite double cover,
 certified in integers; a session that holds both it and the dual
 certifies the dual against it (see :attr:`GameAnalysis.fractional`).  One
 Hungarian run on that double cover, or on an assignment game's own
-matrix, also gives a single-use game's worth before its optima are
-counted, where its assignment rounds to a matching of the same weight:
+matrix, also gives a single-use game's worth before the session holds a
+table, where its assignment rounds to a matching of the same weight:
 then a session that needs no count and no coalition worth builds no
 table (see :attr:`GameAnalysis.worth`).  That matching, where there is
 one, also anchors the core's octagon.
@@ -131,15 +132,16 @@ class CoalitionSystem:
 
 
 def _membership(
-    imp: Imputation, ids: list[str], grand_worth: Callable, rows: Iterable, scale: int
+    imp: Imputation, ids: list[str], grand_worth: Callable, rows: Iterable, scale: Callable
 ) -> CoreMembership:
     """The one core-membership test: signs, the total, then the rows in order.
 
     A row is a mask, bit p standing for ``ids[p]``, and its worth over
-    ``scale``, or None, which imposes nothing.  The witness is the first
-    violated row; ``rows`` is iterated only once the total holds.  Each
-    row's profit sum is an integer over the profits' common denominator,
-    compared with its worth by cross-multiplication.
+    ``scale()``, read when the first row arrives, or None, which imposes
+    nothing.  The witness is the first violated row; ``rows`` is iterated
+    only once the total holds.  Each row's profit sum is an integer over
+    the profits' common denominator, compared with its worth by
+    cross-multiplication.
     """
     if set(imp) != set(ids):
         raise ValueError("imputation keys do not match the game's vertices")
@@ -155,7 +157,8 @@ def _membership(
             continue
         if paid is None:
             paid = _mask_sum([imp[q].numerator * unit // imp[q].denominator for q in ids])
-        if paid(m) * scale < w * unit:
+            times = scale()
+        if paid(m) * times < w * unit:
             return CoreMembership(False, _members(ids, m))
     return CoreMembership(True, None)
 
@@ -204,12 +207,13 @@ class GameAnalysis:
     fractional optimum, concurrency, the base dual solve, the core's
     octagon with the payment report, and the table state and worth of
     every connected coalition a scan reaches (at most ``cap`` vertices in
-    the game).  The count and the coalition worths are read from one
-    table (see :attr:`_table`), and so is the worth, unless the double
-    cover's matching gives it first (see :attr:`worth`); the fractional
-    optimum is the worth or comes from the double cover.  A report builds
-    one session and hands it to every section; no cache outlives the
-    session.
+    the game).  The worth and every coalition worth are lookups in one
+    table (see :attr:`_table`), unless the double cover's matching gives
+    the worth before there is a table (see :attr:`worth`); the table's
+    count of optima runs only for the labels and is checked against the
+    worth (see :attr:`_count`).  The fractional optimum is the worth or
+    comes from the double cover.  A report builds one session and hands
+    it to every section; no cache outlives the session.
     """
 
     def __init__(
@@ -227,22 +231,8 @@ class GameAnalysis:
     @cached_property
     def _table(self) -> ResidualTable:
         """The session's one table, over residual capacities: it gives the
-        count with the worth, and every coalition worth."""
+        worth, every coalition worth and the count of optima."""
         return ResidualTable(self._integer_game, len(self.g.left))
-
-    @cached_property
-    def _optima(self) -> tuple[int, OptimaCount] | None:
-        """The grand coalition's best scaled weight and the count of its optima
-        (None if floors admit no matching), from the session's table.  A
-        session that read the worth from the double cover's matching first
-        must find it again here."""
-        check_budget_cap(self.g, self.budget_cap)
-        got = self._table.count()
-        if "worth" in self.__dict__ and (
-            got is None or Fraction(got[0], self._integer_game.scale) != self.worth
-        ):
-            raise SolverInvariantError("the table's optimum differs from the worth")
-        return got
 
     @cached_property
     def _cover(self) -> DoubleCover:
@@ -254,30 +244,36 @@ class GameAnalysis:
 
     @cached_property
     def worth(self) -> Fraction:
-        """The grand coalition's worth, from the first source that applies,
-        each after the ``budget_cap`` check.
+        """The grand coalition's worth, after the ``budget_cap`` check.
 
-        1. A session that has counted its optima reads it with the count
-           (see :attr:`_optima`): the worth and the labels are one fact.
-        2. On a single-use game, the weight of the matching that the double
-           cover's assignment rounds to, if it rounds to one (see
-           :attr:`_cover`): that matching weighs the fractional optimum, so
-           it is optimal, and no table is built.
-        3. The count, from the session's table.
+        On a single-use game whose session holds no table yet, it is the
+        weight of the matching that the double cover's assignment rounds
+        to, if it rounds to one (see :attr:`_cover`): that matching weighs
+        the fractional optimum, so it is optimal, and no table is built.
+        Otherwise it is one lookup of the whole game's state in the
+        session's table, as a coalition's worth is.
         """
-        if "_optima" not in self.__dict__ and self.g.variant in PAYMENT_VARIANTS:
-            check_budget_cap(self.g, self.budget_cap)
+        check_budget_cap(self.g, self.budget_cap)
+        if "_table" not in self.__dict__ and self.g.variant in PAYMENT_VARIANTS:
             if self._cover.matching is not None:
                 return self._cover.value
-        if self._optima is None:
+        best = self._table.worth(sum(self._table.start))
+        if best is None:
             raise InfeasibleGameError("the grand coalition admits no feasible matching")
-        return Fraction(self._optima[0], self._integer_game.scale)
+        return Fraction(best, self.scale)
 
-    @property
+    @cached_property
     def _count(self) -> OptimaCount:
-        if self._optima is None:
+        """The count of the grand coalition's optima, from the session's
+        table, for :attr:`labels` and :attr:`optima_count` only; its best
+        weight must be the worth."""
+        check_budget_cap(self.g, self.budget_cap)
+        got = self._table.count()
+        if got is None and "worth" not in self.__dict__:
             raise InfeasibleGameError("no feasible matching to classify against")
-        return self._optima[1]
+        if got is None or Fraction(got[0], self.scale) != self.worth:
+            raise SolverInvariantError("the table's optimum differs from the worth")
+        return got[1]
 
     @property
     def optima_count(self) -> int:
@@ -390,7 +386,7 @@ class GameAnalysis:
             if not self._certified(imp):
                 yield from self.scan()
 
-        return _membership(imp, self.ids, lambda: self.worth, rows(), self.scale)
+        return _membership(imp, self.ids, lambda: self.worth, rows(), lambda: self.scale)
 
     def _certified(self, imp: Imputation) -> bool:
         """Does a dual certificate put ``imp`` in the core?  See :meth:`membership`.
@@ -555,7 +551,7 @@ def core_membership_via_system(sys: CoalitionSystem, imp: Imputation) -> CoreMem
     bit = {q: 1 << p for p, q in enumerate(sorted(sys.vertices, reverse=True))}
     scale = lcm(*[w.denominator for _, w in sys.inequalities])
     rows = [(sum([bit[q] for q in s]), int(w * scale)) for s, w in sys.inequalities]
-    return _membership(imp, list(bit), lambda: sys.grand_worth, rows, scale)
+    return _membership(imp, list(bit), lambda: sys.grand_worth, rows, lambda: scale)
 
 
 def _require_payment_variant(g: GameInstance) -> None:

@@ -239,11 +239,12 @@ def _mask_names(ids: list[str], texts: dict[int, str], m: int) -> str:
 def full_report(g: GameInstance, cap: int, budget_cap: int) -> Report:
     """The standard battery for a bundled instance, variant-aware."""
     a = GameAnalysis(g, budget_cap, cap)
-    # Every report classifies first: the worth comes with the count, and
-    # a game whose floors admit no matching fails as classify does.  The
-    # dual comes next, and the report solves one LP, the dual's: the
-    # fractional optimum is the worth or the double cover's, which
-    # certifies the dual, and the payments come from the core's octagon.
+    # Every report classifies first: the count fills the table the worth
+    # is looked up in, and a game whose floors admit no matching fails as
+    # classify does.  The dual comes next, and the report solves one LP,
+    # the dual's: the fractional optimum is the worth or the double
+    # cover's, which certifies the dual, and the payments come from the
+    # core's octagon.
     a.labels
     a.dual
     rep = report_header(g, cap, budget_cap)

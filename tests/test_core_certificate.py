@@ -147,27 +147,35 @@ def test_a_failed_pair_row_goes_to_the_scan_without_the_lp(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_a_certified_yes_builds_no_byte_tables(monkeypatch, kind):
-    # The profits' byte tables are built when the first row arrives: a
-    # certified "yes" gets no row and builds none, and a "no" from the
-    # scan builds them once.
+    # Byte tables are built where a scan needs them: the start sums that
+    # give the coalitions' table states when the scan looks up its first
+    # coalition, and the profits' when its first row arrives.  A certified
+    # "yes" gets no row and builds none; a "no" from the scan builds each
+    # once.  The probes are built on one session, which scans every
+    # coalition, and each answer is asked of a fresh one, whose masks are
+    # listed first: listing them computes no table state.
     built = []
     original = analysis._mask_sum
     monkeypatch.setattr(
-        analysis, "_mask_sum", lambda values: built.append(1) or original(values)
+        analysis, "_mask_sum", lambda values: built.append(values) or original(values)
     )
     certified = scanned = 0
     for g in seeded_games(kind):
         a = GameAnalysis(g)
-        a._start_sum  # the coalitions' table states are read from byte tables too
         for imp in probes(a):
             early = min(imp.values()) < 0 or sum(imp.values()) != a.worth
             yes = not early and a._certified(imp)
+            b = GameAnalysis(g)
+            b._coalitions
             built.clear()
-            got = a.membership(imp)
+            got = b.membership(imp)
             if early or yes:
                 assert built == []
                 certified += yes
             elif not got.in_core:
-                assert built == [1]
+                start = dict(zip(g.vertices, b._table.start))
+                assert len(built) == 2
+                assert built[0] == [start[q] for q in b.ids]
+                assert built[1] != built[0]
                 scanned += 1
     assert certified > 0 and scanned > 0

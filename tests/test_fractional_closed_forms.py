@@ -292,10 +292,11 @@ def test_a_count_that_disagrees_with_the_rounded_matching_raises(monkeypatch):
     assert a.worth == 4
     with pytest.raises(SolverInvariantError):
         a.labels
-    # Counted first, the table gives the worth and nothing is compared.
+    # Counted first, the count is compared with the worth the table holds.
     b = GameAnalysis(g)
-    b.labels
-    assert b.worth == 5
+    with pytest.raises(SolverInvariantError):
+        b.labels
+    assert b.worth == 4
 
 
 def test_an_assignment_game_runs_the_hungarian_on_its_own_matrix(monkeypatch):

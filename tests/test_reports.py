@@ -5,13 +5,15 @@ Each session builds at most one table, the residual-capacity
 ``matchings.ResidualTable``, on every variant.  The count of the grand
 coalition's optima comes from one ``count()`` of it, and each coalition
 worth from one lookup in it; no integer search runs, and no command
-lists the optimal matchings.  The grand coalition's worth comes with the
-count, except on a single-use game whose double cover rounds to a
-matching (see ``rounds``) and that has not counted its optima: there
-the matching gives the worth, and a session that needs no coalition
-worth and no count builds no table.  The payment answers and an
-assignment game's antipodal points come from the core's octagon over
-that matching, or over one traced through the table, with no LP.
+lists the optimal matchings.  The grand coalition's worth is one lookup
+of the whole game's state in it, a memo hit once the optima are counted,
+except on a single-use game whose double cover rounds to a matching (see
+``rounds``) and whose session holds no table yet: there the matching
+gives the worth, and a session that needs no coalition worth and no
+count builds no table.  Only the labels and the count of optima run
+``count()``.  The payment answers and an assignment game's antipodal
+points come from the core's octagon over that matching, or over one
+traced through the table, with no LP.
 
 Calls are counted by rebinding a function under every name the package's
 modules hold it by (``from .x import y`` makes copies), so no call path
@@ -81,9 +83,10 @@ def count_calls(monkeypatch, original):
 def count_recursions(monkeypatch):
     """Start counting the recursions that give a game's worth and the work
     done in its table.  Calling the result reads, in order: each recursion
-    ("search" for an integer search, "table" for a table's count), each
+    ("search" for an integer search, "table" for a table's count or for a
+    ``worth`` lookup of the whole game's state that fills the table), each
     table built ("table"), and the mask of the vertices of each ``worth``
-    lookup."""
+    lookup of a proper coalition."""
     searched = count_calls(monkeypatch, integer_search)
     counted, built, looked_up = [], [], []
     init, count, lookup = ResidualTable.__init__, ResidualTable.count, ResidualTable.worth
@@ -98,7 +101,11 @@ def count_recursions(monkeypatch):
 
     def logged_worth(self, state):
         start = self.start
-        looked_up.append(sum([1 << p for p, x in enumerate(start) if state & x == x]))
+        if state == sum(start):
+            if self._guards + state not in self._memo:
+                counted.append("table")
+        else:
+            looked_up.append(sum([1 << p for p, x in enumerate(start) if state & x == x]))
         return lookup(self, state)
 
     monkeypatch.setattr(ResidualTable, "__init__", logged_init)
@@ -116,8 +123,8 @@ ONE = ["table"]
 
 def rounds(g):
     """Is ``g`` single-use with a double cover that rounds to a matching?
-    Its session then reads the worth from that matching, with no table,
-    until it counts its optima."""
+    Its session then reads the worth from that matching unless it already
+    holds a table."""
     if g.variant not in PAYMENT_VARIANTS:
         return False
     return double_cover_optimum(integer_game(g), len(g.left)).matching is not None
@@ -197,8 +204,9 @@ B_INSTANCES = [
     "g", PAYMENT_GAMES + B_INSTANCES, ids=lambda g: g.name or g.variant
 )
 def test_full_report_enumerates_once_and_solves_one_lp(monkeypatch, g):
-    # One count of the session's table gives the labels, the optima
-    # count and the worth: the game is neither searched nor listed.
+    # One count of the session's table gives the labels and the optima
+    # count, and the worth is looked up in the table it filled: the game is
+    # neither searched nor listed.
     work = count_work(monkeypatch, g)
     solves = count_calls(monkeypatch, simplex.solve_lp)
     primal = count_calls(monkeypatch, fractional_optimum)
@@ -264,7 +272,8 @@ def test_worth_and_concurrency_build_a_table_only_where_the_cover_does_not_round
     # One Hungarian per session gives the fractional optimum and, where its
     # assignment rounds to a matching, the worth: then no table is built.
     # Otherwise (an odd cycle of once-used edges, as on every
-    # non-concurrent game) the worth is counted in the table.
+    # non-concurrent game) the worth is looked up in the table, which
+    # counts nothing.
     covered = count_calls(monkeypatch, double_cover_optimum)
     work = count_work(monkeypatch, g)
     path = tmp_path / "game.txt"
@@ -300,8 +309,8 @@ def test_payment_commands_solve_no_lp(monkeypatch, tmp_path, command, name):
 @pytest.mark.parametrize("name", ["ring7", "tritail4", "tiers8", "path5", "web5", "k3"])
 def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
     # One octagon per session, however the two facts are asked for, and
-    # none where the core is empty.  One count gives the labels, the optima
-    # count and the worth: the game is neither searched nor listed.
+    # none where the core is empty.  One count gives the labels and the
+    # optima count: the game is neither searched nor listed.
     octagons = count_calls(monkeypatch, matchings.core_octagon)
     g = load_instance(name)
     work = count_work(monkeypatch, g)
@@ -336,7 +345,7 @@ def test_labels_and_coalition_worths_build_one_table(monkeypatch, g):
     ids=lambda g: g.name or g.variant,
 )
 def test_b_variant_report_enumerates_the_grand_coalition_once(monkeypatch, g):
-    # One count gives the labels, the optima count and the worth; the
+    # One count gives the labels and the optima count; the worth and the
     # coalition worths of the system section are looked up in the same
     # table.  Nothing searches the game or lists its optima.
     work = count_work(monkeypatch, g)
@@ -368,8 +377,10 @@ ONE_TABLE_GAMES = generated_games(("assignment", "general-matching", *B_VARIANTS
 def test_every_session_builds_one_table_and_counts_once(monkeypatch, g, ask):
     # One table for every game; the count, the labels and every coalition
     # worth are read from it, whatever is asked, and so is the worth, but
-    # where membership reads it from the double cover's matching: the
-    # outside point's scan builds the table and counts nothing.
+    # where it comes from the double cover's matching: then the outside
+    # point's scan builds the table and counts nothing.  A session that
+    # reads the worth from the table before the labels fills the whole
+    # game's state once and counts once.
     inside = dual_imputation(g)
     outside = shifted_imputation(g, inside)
     work = count_work(monkeypatch, g)
@@ -384,7 +395,10 @@ def test_every_session_builds_one_table_and_counts_once(monkeypatch, g, ask):
         a.labels
         a.worth
     done = work()
-    grand = [] if ask == "membership" and rounds(g) else ONE
+    if rounds(g):
+        grand = [] if ask == "membership" else ONE
+    else:
+        grand = ONE + ONE if ask == "system" else ONE
     assert (done.grand, done.tables, done.listed) == (grand, ONE, [])
     assert len(set(done.looked_up)) == len(done.looked_up)
 

@@ -156,7 +156,7 @@ def test_the_session_runs_no_search_of_its_own():
 def test_the_session_builds_one_table_class():
     # Every game's worth, count and coalition worths come from one table
     # class, built in _table with no predicate on the bounds; a test there,
-    # or a ``.variant`` read in _table, _optima or _coalition_worth, would
+    # or a ``.variant`` read in _table, _count or _coalition_worth, would
     # let a game pick a second table for the same facts.
     classes = {
         top.name: {f.name for f in top.body if isinstance(f, ast.FunctionDef)}
@@ -172,9 +172,9 @@ def test_the_session_builds_one_table_class():
     methods = {
         node.name: node for node in session.body
         if isinstance(node, ast.FunctionDef)
-        and node.name in ("_table", "_optima", "_coalition_worth")
+        and node.name in ("_table", "_count", "_coalition_worth")
     }
-    assert sorted(methods) == ["_coalition_worth", "_optima", "_table"]
+    assert sorted(methods) == ["_coalition_worth", "_count", "_table"]
     built = [
         node.func.id for node in ast.walk(methods["_table"])
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
