@@ -8,8 +8,10 @@ one optimal matching turns every core row of a concurrent game into a
 bound on at most two profits with coefficients ±1, so the core is an
 octagon: every payment answer, the profit bounds and an assignment
 game's antipodal points are read from its certified strong closure,
-with no LP (see :func:`~matchcore.matchings.core_octagon` and
-:attr:`GameAnalysis.payments`).
+with no LP (see :func:`~matchcore.matchings.core_octagon`): each
+vertex's most profit and each edge's most overpay in
+:attr:`GameAnalysis.payments`, a vertex's least and most profit in
+:meth:`GameAnalysis.profit_bounds`.
 
 A :class:`GameAnalysis` session computes each fact of one game at most
 once, and reads the combinatorial ones from one residual-capacity
@@ -60,20 +62,20 @@ from .games import (
     Coalition,
     Edge,
     GameInstance,
+    InfeasibleGameError,
+    SolverInvariantError,
     _connected_masks,
     _members,
     check_budget_cap,
     check_coalition_cap,
     induce_subgame,
 )
-from .gamelp import DualColumn, dual_columns, dual_numerators, edge_name, priced, solve_dual
+from .gamelp import DualColumn, dual_columns, dual_numerators, priced, solve_dual
 from .matchings import (
     DoubleCover,
     IntegerGame,
-    InfeasibleGameError,
     OptimaCount,
     ResidualTable,
-    SolverInvariantError,
     brute_force_optima,
     core_octagon,
     double_cover_optimum,
@@ -295,10 +297,6 @@ class GameAnalysis:
         return _mask_sum([start[q] for q in self.ids])
 
     @cached_property
-    def _weights(self) -> dict[Edge, Fraction]:
-        return {(i, j): w for i, j, w in self.g.edges}
-
-    @cached_property
     def _integer_game(self) -> IntegerGame:
         return integer_game(self.g)
 
@@ -486,24 +484,6 @@ class GameAnalysis:
             },
             {k: Fraction(x, unit) for k, x in zip(self.g.edge_keys, overpay)},
         )
-
-    def vertex_payment(self, q: str) -> Fraction | None:
-        """The most any core imputation pays ``q``; None if the core is
-        empty.  ``q`` is ever paid exactly when it is above 0."""
-        bounds = self.profit_bounds(q)
-        return None if bounds is None else bounds[1]
-
-    def edge_payment(self, key: Edge) -> Fraction | None:
-        """The most the pair's profit sum exceeds its own weight over the
-        core; None if the core is empty.
-
-        It is zero exactly when the pair is fairly paid in every imputation.
-        """
-        _require_payment_variant(self.g)
-        if key not in self._weights:
-            raise ValueError(f"unknown edge {edge_name(key)}")
-        rep = self.payments
-        return None if rep is None else rep.edges[key]
 
     def profit_bounds(self, q: str) -> tuple[Fraction, Fraction] | None:
         """Exact min and max profit of ``q`` over the whole core; None if the

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import bundled
@@ -24,9 +23,9 @@ from .games import (
     DEFAULT_COALITION_CAP,
     CapExceeded,
     GameInstance,
+    InfeasibleGameError,
 )
 from .gamefile import GameFileError, parse_game
-from .matchings import InfeasibleGameError
 from .rationals import parse_rational
 from .reports import (
     Report,

@@ -1,19 +1,20 @@
-"""Primal/dual linear programs of the matching-game variants.
+"""The dual linear programs of the matching-game variants.
 
 The primal maximizes total matched weight subject to the variant's
 multiplicity bounds; the dual prices vertices (and, where edges carry
 their own caps or floors, edges).  Every variant is a b-general game
 with particular bounds: :func:`priced` declares which bound families a
 variant's LPs carry.  :func:`dual_columns` lists the dual's columns
-once, each with the vertices it credits; :func:`build_primal_lp` (one
-row per column), :func:`build_dual_lp`, the optimality test
-(:func:`dual_numerators`, which certifies a session's dual against its
-fractional optimum), the dual-image LP of :mod:`matchcore.bmatching` and
-its map from duals to profits are all built from that list.  A dual is
-what the solver returns for the dual LP: a dict from column name to
-price, a column it leaves out priced 0.
-Builders emit rows in a fixed order (left vertices, right vertices, edge
-rows) so solver output and reports are deterministic.
+once, each with the vertices it credits; :func:`build_dual_lp`, the
+optimality test (:func:`dual_numerators`, which certifies a session's
+dual against its fractional optimum), the dual-image LP of
+:mod:`matchcore.bmatching` and its map from duals to profits are all
+built from that list.  The session reads the fractional optimum with no
+LP, so the primal LP, one row per column, is built only by the tests'
+oracles (``tests/lp_oracles.py``).  A dual is what the solver returns
+for the dual LP: a dict from column name to price, a column it leaves
+out priced 0.  Builders emit rows in a fixed order so solver output and
+reports are deterministic.
 
 Variable naming: ``x[i~j]`` primal multiplicities, ``y[q]`` vertex cap
 prices, ``y_lo[q]`` vertex floor credits, ``z[i~j]`` edge cap prices,
@@ -26,11 +27,10 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .games import VARIANTS, Edge, GameInstance, InfeasibleGameError
+from .games import VARIANTS, Edge, GameInstance, InfeasibleGameError, SolverInvariantError
 from .simplex import LinearProgram, LPSolution, solve_lp
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def edge_name(key: Edge) -> str:
@@ -49,36 +49,6 @@ def priced(g: GameInstance) -> tuple[bool, bool]:
     if g.variant not in VARIANTS:
         raise ValueError(f"unknown variant {g.variant!r}")
     return g.variant == "b-general", g.variant in ("b-constrained", "b-general")
-
-
-def build_primal_lp(g: GameInstance) -> LinearProgram:
-    """Maximum-weight (fractional) matching LP for the variant of ``g``.
-
-    One row per column of :func:`dual_columns`, the primal's matrix being
-    the dual's transposed: a cap gives a ``<=`` row, a floor a ``>=`` row
-    suffixed ``:lo``.  The vertices' rows come first, then the edges';
-    each owner's floor row precedes its cap row, and a cap row carries
-    the suffix ``:hi`` where the game has floors.
-    """
-    floors, _ = priced(g)
-    keys = g.edge_keys
-    at = [((i,), (j,), (i, j)) for i, j, _ in g.edges]
-    order = {o: p for p, o in enumerate([*[(q,) for q in g.vertices], *keys])}
-    rows = []
-    for c in sorted(dual_columns(g), key=lambda c: (order[c.owners], c.sign)):
-        coeffs = tuple([ONE if c.owners in ends else ZERO for ends in at])
-        owner = c.owners[0] if len(c.owners) == 1 else edge_name(c.owners)
-        suffix = ":lo" if c.sign < 0 else ":hi" if floors else ""
-        rel = ">=" if c.sign < 0 else "<="
-        rows.append((coeffs, rel, Fraction(c.bound), owner + suffix))
-    return LinearProgram(
-        variables=tuple([f"x[{edge_name(k)}]" for k in keys]),
-        objective=tuple([w for _, _, w in g.edges]),
-        maximize=True,
-        constraints=tuple([(c, r, b) for c, r, b, _ in rows]),
-        nonnegative=(True,) * len(keys),
-        row_labels=tuple([lbl for _, _, _, lbl in rows]),
-    )
 
 
 class DualColumn(NamedTuple):
@@ -119,7 +89,7 @@ def dual_columns(g: GameInstance) -> list[DualColumn]:
 
 
 def build_dual_lp(g: GameInstance) -> LinearProgram:
-    """Dual of :func:`build_primal_lp`: minimum-cost covering prices.
+    """The dual LP: minimum-cost covering prices.
 
     The columns are :func:`dual_columns`.  The row of edge e = ij reads
     ``y_i + y_j - y_lo_i - y_lo_j + z_e - z_lo_e >= w_e`` over the columns
@@ -147,12 +117,14 @@ def solve_dual(g: GameInstance) -> tuple[LPSolution, dict[str, Fraction]]:
 
     Raising the vertex prices covers every edge, so the dual is always
     feasible: an unbounded dual means that no matching meets the floors.
+    Any other answer that is not an optimum breaks the solver's contract
+    and raises :class:`SolverInvariantError`.
     """
     sol = solve_lp(build_dual_lp(g))
     if sol.status == "unbounded":
         raise InfeasibleGameError("the grand coalition admits no feasible matching")
     if sol.status != "optimal":
-        raise ValueError(f"dual LP did not produce an optimum: {sol.status}")
+        raise SolverInvariantError(f"dual LP did not produce an optimum: {sol.status}")
     return sol, sol.values
 
 
@@ -196,10 +168,3 @@ def dual_numerators(
         if row * wd < wn * den:
             return None
     return nonzero, den
-
-
-def dual_is_optimal(
-    g: GameInstance, y: dict[str, Fraction], optimum: Fraction
-) -> bool:
-    """Is ``y`` an optimal point of :func:`build_dual_lp` with value ``optimum``?"""
-    return dual_numerators(g, dual_columns(g), y, optimum) is not None

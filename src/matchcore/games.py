@@ -1,4 +1,4 @@
-"""Game instances for the five matching-game variants.
+"""Game instances for the six matching-game variants.
 
 A game is an edge-weighted graph plus multiplicity bounds.  Bipartite
 variants carry an explicit left/right split; sides are never inferred
@@ -19,7 +19,7 @@ Variants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 Coalition = frozenset[str]
@@ -48,6 +48,10 @@ class InfeasibleGameError(Exception):
     """The instance admits no matching within its bounds."""
 
 
+class SolverInvariantError(Exception):
+    """A solver output violated a structural guarantee of its polytope."""
+
+
 @dataclass(frozen=True)
 class GameInstance:
     variant: str
@@ -68,12 +72,6 @@ class GameInstance:
     @property
     def edge_keys(self) -> tuple[Edge, ...]:
         return tuple([(i, j) for i, j, _ in self.edges])
-
-    def weight(self, key: Edge) -> Fraction:
-        for i, j, w in self.edges:
-            if (i, j) == key:
-                return w
-        raise KeyError(key)
 
     def adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {q: set() for q in self.vertices}
@@ -269,19 +267,6 @@ def check_budget_cap(g: GameInstance, budget_cap: int) -> None:
     budget = sum(g.vertex_upper.values())
     if budget > budget_cap:
         raise CapExceeded(f"total multiplicity budget {budget} exceeds cap {budget_cap}")
-
-
-def connected_coalitions(
-    g: GameInstance, cap: int = DEFAULT_COALITION_CAP
-) -> list[Coalition]:
-    """All nonempty vertex subsets whose induced subgraph is connected.
-
-    Singletons are included.  The result is ordered lexicographically on
-    the sorted member ids, so reports and witnesses are reproducible.
-    """
-    check_coalition_cap(g, cap)
-    ids = sorted(g.vertices, reverse=True)
-    return [_members(ids, m) for m in _connected_masks(g)]
 
 
 def _members(ids: list[str], mask: int) -> Coalition:

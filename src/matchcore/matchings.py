@@ -17,9 +17,10 @@ single-use game one optimal matching, that one or one traced through the
 table (:meth:`ResidualTable.matching`), fixes the core as an octagon,
 and :func:`core_octagon` answers every payment question from its
 certified strong closure, with no LP.  The same double cover gives a
-general game's fractional optimum; :func:`fractional_optimum` solves the
-primal LP instead and is kept as the oracle, asserting the vertex
-structure of its answer (:func:`check_half_integral` on a general graph).
+general game's fractional optimum; no LP is solved here.  The tests'
+oracle of that optimum solves the primal LP (``tests/lp_oracles.py``)
+and asserts the vertex structure of its answer with
+:func:`check_half_integral`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from .games import (
     DEFAULT_BUDGET_CAP,
     Edge,
     GameInstance,
-    InfeasibleGameError,
+    SolverInvariantError,
     check_budget_cap,
 )
+# solve_lp is not used here: bench/selftest.py checks that this module binds it.
 from .simplex import solve_lp
-from .gamelp import build_primal_lp, edge_name
+from .gamelp import edge_name
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -46,10 +48,6 @@ ONE = Fraction(1)
 ESSENTIAL = "essential"
 VIABLE = "viable"
 SUBPAR = "subpar"
-
-
-class SolverInvariantError(Exception):
-    """A solver output violated a structural guarantee of its polytope."""
 
 
 @dataclass(frozen=True)
@@ -70,9 +68,6 @@ class MatchingVector:
         return sum(
             (m for (i, j), m in self.multiplicities if q in (i, j)), start=ZERO
         )
-
-    def multiplicity(self, key: Edge) -> Fraction:
-        return self.as_dict().get(key, ZERO)
 
 
 def make_matching_vector(g: GameInstance, mult: dict[Edge, Fraction]) -> MatchingVector:
@@ -474,29 +469,6 @@ class ResidualTable:
                 ways += more
         got = self._choices[key] = [(s, w, used) for s, w, n, used in ways if n >= least]
         return got
-
-
-def fractional_optimum(g: GameInstance) -> MatchingVector:
-    """Exact vertex-optimal fractional matching from the primal LP.
-
-    Asserts the structural guarantee of the variant's polytope on every
-    solve: the vertex is integral on a bipartite variant, and on a general
-    graph it passes :func:`check_half_integral`.
-    """
-    lp = build_primal_lp(g)
-    sol = solve_lp(lp)
-    if sol.status == "infeasible":
-        raise InfeasibleGameError("no matching satisfies the bounds")
-    if sol.status != "optimal":
-        raise SolverInvariantError(f"primal LP came back {sol.status}")
-    mult = {k: sol.values[f"x[{edge_name(k)}]"] for k in g.edge_keys}
-    vec = make_matching_vector(g, mult)
-    if g.variant != "general-matching":
-        if any([m.denominator != 1 for _, m in vec.multiplicities]):
-            raise SolverInvariantError("bipartite vertex solution is not integral")
-    elif not check_half_integral(vec).is_half_integral:
-        raise SolverInvariantError("general-graph vertex is not half-integral")
-    return vec
 
 
 class DoubleCover(NamedTuple):

@@ -45,11 +45,3 @@ def format_rational(value: Fraction) -> str:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
-
-def compare(a: Fraction, b: Fraction) -> int:
-    """Exact three-way comparison: -1 if a < b, 0 if equal, +1 if a > b."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0

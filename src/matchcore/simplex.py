@@ -31,7 +31,11 @@ integers too; only the answer's values and objective are fractions.
 Phase 2 and the read-out run in one place, :class:`Tableau`, a feasible
 basis.  Every optimal answer carries the tableau of its final basis,
 from which :meth:`Tableau.optimize` runs phase 2 for another objective
-over the same LP.
+over the same LP.  No command re-enters a tableau; the tests' warm
+oracle of the core's payment answers does (``test_core_octagon.py``).
+A point given from outside is checked by the reference kernel's
+``assert_feasible`` (``tests/fraction_simplex.py``), with the same
+integer self-check.
 
 The solver is meant for desk-scale programs (tens of variables).  Every
 ``optimal`` answer is an exact basic solution: downstream code relies on
@@ -262,22 +266,6 @@ def _check_point(lp: LinearProgram, checks, nums: list[int], den: int) -> None:
         # Below the rhs breaks ">=" and "==", above it "<=" and "==".
         if (lhs < rhs and rel != "<=") or (lhs > rhs and rel != ">="):
             raise AssertionError("solver produced an infeasible point")
-
-
-def _check_rows(constraints) -> list[tuple[list[tuple[int, int]], str, int]]:
-    rows = []
-    for coeffs, rel, rhs in constraints:
-        a, _ = _integer_row((*coeffs, rhs))
-        rows.append((_sparse(a), rel, a[-1]))
-    return rows
-
-
-def _assert_feasible(lp: LinearProgram, values: dict[str, Fraction]) -> None:
-    """Raise ``AssertionError`` unless ``values`` is feasible for ``lp``."""
-    ratios = [values[v].as_integer_ratio() for v in lp.variables]
-    den = lcm(*[d for _, d in ratios])
-    nums = [n * (den // d) for n, d in ratios]
-    _check_point(lp, _check_rows(lp.constraints), nums, den)
 
 
 class Tableau:

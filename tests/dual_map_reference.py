@@ -119,7 +119,7 @@ def dual_cover_slack(g: GameInstance, y: Prices, key: Edge) -> Fraction:
         lhs += y.edge_upper.get(key, ZERO)
     if y.edge_lower:
         lhs -= y.edge_lower.get(key, ZERO)
-    return lhs - g.weight(key)
+    return lhs - next(w for i, j, w in g.edges if (i, j) == key)
 
 
 def dual_is_feasible(g: GameInstance, y: Prices) -> bool:

@@ -4,17 +4,31 @@ This is the solver `matchcore.simplex` used before its integer-row
 kernel: the same two-phase method with Bland's rule, but every tableau
 row is normalized so that its basic entry is 1.  It is kept only as a
 test oracle; `test_simplex_kernels.py` requires both kernels to return
-identical `LPSolution`s.
+identical `LPSolution`s.  :func:`assert_feasible` checks a given point
+of an LP with the kernel's own integer self-check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from matchcore.simplex import LinearProgram, LPSolution, _assert_feasible
+from matchcore.simplex import LinearProgram, LPSolution, _check_point, _integer_row, _sparse
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def assert_feasible(lp: LinearProgram, values: dict[str, Fraction]) -> None:
+    """Raise ``AssertionError`` unless ``values`` is feasible for ``lp``."""
+    ratios = [values[v].as_integer_ratio() for v in lp.variables]
+    den = lcm(*[d for _, d in ratios])
+    nums = [n * (den // d) for n, d in ratios]
+    checks = []
+    for coeffs, rel, rhs in lp.constraints:
+        a, _ = _integer_row((*coeffs, rhs))
+        checks.append((_sparse(a), rel, a[-1]))
+    _check_point(lp, checks, nums, den)
 
 
 def _pivot(tableau, cost, basis, row, col) -> None:
@@ -180,5 +194,5 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     objective = sum(
         (c * values[v] for c, v in zip(lp.objective, lp.variables)), start=ZERO
     )
-    _assert_feasible(lp, values)
+    assert_feasible(lp, values)
     return LPSolution("optimal", values, objective, all(nn))

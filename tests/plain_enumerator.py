@@ -31,7 +31,7 @@ def plain_optima(
             f"total multiplicity budget {budget} exceeds cap {budget_cap}"
         )
     keys = g.edge_keys
-    weights = {k: g.weight(k) for k in keys}
+    weights = {(i, j): w for i, j, w in g.edges}
     caps = {
         k: min(g.edge_upper[k], g.vertex_upper[k[0]], g.vertex_upper[k[1]])
         for k in keys

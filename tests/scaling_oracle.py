@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from matchcore.analysis import Imputation, worth
-from matchcore.gamelp import dual_is_optimal
 from matchcore.games import GameInstance
+
+from lp_oracles import dual_is_optimal
 
 
 def scaled_dual(g: GameInstance, imp: Imputation) -> dict[str, Fraction]:

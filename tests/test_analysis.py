@@ -6,10 +6,11 @@ import pytest
 from matchcore.analysis import PAYMENT_VARIANTS, GameAnalysis, meet_join, worth
 from matchcore.bmatching import imputation_from_dual
 from matchcore.bundled import INSTANCE_NAMES, load_instance
-from matchcore.gamelp import dual_is_optimal, solve_dual
+from matchcore.gamelp import solve_dual
 from matchcore.games import make_game
 
 from gamegen import named_dual, random_assignment, random_general
+from lp_oracles import dual_is_optimal
 
 
 def imp(g, *values):
@@ -92,49 +93,46 @@ def test_concurrency_reports():
 
 def test_paid_sometimes_cases():
     r7 = GameAnalysis(load_instance("ring7"))
-    got = r7.vertex_payment("v7")
+    got = r7.payments.vertices["v7"]
     assert (got > 0, got) == (True, F(1))
     t4 = GameAnalysis(load_instance("tritail4"))
-    got = t4.vertex_payment("v4")
+    got = t4.payments.vertices["v4"]
     assert (got > 0, got) == (False, F(0))
     p5 = GameAnalysis(load_instance("path5"))
-    assert not p5.vertex_payment("v1") > 0
+    assert not p5.payments.vertices["v1"] > 0
     f3 = GameAnalysis(load_instance("fork3"))
-    assert f3.vertex_payment("u") == F(11, 10)
+    assert f3.payments.vertices["u"] == F(11, 10)
 
 
 def test_payment_queries_report_empty_core():
     k3 = GameAnalysis(load_instance("k3"))
-    assert k3.vertex_payment("v1") is None
-    assert k3.edge_payment(("v1", "v2")) is None
+    assert k3.profit_bounds("v1") is None
     assert k3.payments is None
 
 
 def test_always_fairly_paid_cases():
     r7 = GameAnalysis(load_instance("ring7"))
-    got = r7.edge_payment(("v1", "v2"))
+    got = r7.payments.edges[("v1", "v2")]
     assert (got == 0, got) == (True, F(0))
-    got = r7.edge_payment(("v4", "v7"))
+    got = r7.payments.edges[("v4", "v7")]
     assert (got == 0, got) == (False, F(1))
     single = make_game("assignment", ["u"], ["v"], [("u", "v", F(7))])
-    got = GameAnalysis(single).edge_payment(("u", "v"))
+    got = GameAnalysis(single).payments.edges[("u", "v")]
     assert (got == 0, got) == (True, F(0))
 
 
 def test_payment_report_matches_pointwise():
-    # Each point query on a fresh session agrees with the report: both
-    # read the one octagon of their session.
+    # Each vertex's profit bounds on a fresh session agree with the report:
+    # both read the one octagon of their session.
     names = [n for n in INSTANCE_NAMES if load_instance(n).variant in PAYMENT_VARIANTS]
     assert len(names) == 7
     for name in names:
         g = load_instance(name)
         rep = GameAnalysis(g).payments  # None where the core is empty, as each query
-        vertices = dict.fromkeys(g.vertices) if rep is None else rep.vertices
-        edges = dict.fromkeys(g.edge_keys) if rep is None else rep.edges
         for q in g.vertices:
-            assert vertices[q] == GameAnalysis(g).vertex_payment(q), (name, q)
-        for k in g.edge_keys:
-            assert edges[k] == GameAnalysis(g).edge_payment(k), (name, k)
+            bounds = GameAnalysis(g).profit_bounds(q)
+            assert (rep is None) == (bounds is None), (name, q)
+            assert rep is None or rep.vertices[q] == bounds[1], (name, q)
 
 
 def test_profit_bounds_unique_point():
@@ -145,11 +143,10 @@ def test_profit_bounds_unique_point():
         assert a.profit_bounds(q) == (expected[q], expected[q])
 
 
-@pytest.mark.parametrize("query", ["vertex_payment", "profit_bounds"])
-def test_vertex_queries_reject_an_unknown_vertex(query):
+def test_vertex_queries_reject_an_unknown_vertex():
     a = GameAnalysis(load_instance("web5"))
     with pytest.raises(ValueError, match="unknown vertex 'nope'"):
-        getattr(a, query)("nope")
+        a.profit_bounds("nope")
 
 
 def test_antipodal_web5():

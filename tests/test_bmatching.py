@@ -18,7 +18,7 @@ from matchcore.bmatching import (
     sample_core_imputations,
 )
 from matchcore.bundled import load_instance
-from matchcore.gamelp import dual_is_optimal, solve_dual
+from matchcore.gamelp import solve_dual
 from matchcore.games import make_game
 
 from gamegen import (
@@ -28,6 +28,7 @@ from gamegen import (
     random_general,
     vertex_prices,
 )
+from lp_oracles import dual_is_optimal
 from scaling_oracle import in_scaled_image, scaled_dual
 
 Z = F(0)

@@ -27,12 +27,14 @@ import pytest
 
 from matchcore import analysis
 from matchcore.analysis import GameAnalysis
-from matchcore.games import connected_coalitions, induce_subgame, make_game
-from matchcore.matchings import (
+from matchcore.games import (
     InfeasibleGameError,
-    ResidualTable,
-    integer_game,
+    _connected_masks,
+    _members,
+    induce_subgame,
+    make_game,
 )
+from matchcore.matchings import ResidualTable, integer_game
 
 from gamegen import (
     rand_weight,
@@ -93,7 +95,8 @@ def test_every_coalition_worth_equals_the_enumerator():
 def masks(g):
     """Each connected coalition of ``g`` and the grand coalition, as bitmasks."""
     pos = {q: p for p, q in enumerate(g.vertices)}
-    coalitions = connected_coalitions(g) + [frozenset(g.vertices)]
+    ids = sorted(g.vertices, reverse=True)
+    coalitions = [_members(ids, m) for m in _connected_masks(g)] + [frozenset(g.vertices)]
     return [sum([1 << pos[q] for q in s]) for s in coalitions]
 
 

@@ -5,7 +5,8 @@ scans the connected coalitions only when the certificate fails.  The
 oracles here share neither path: the verdict of the system over every
 proper coalition, each worth from its own enumeration
 (``all_coalition_system``), and, for the witness, the first connected
-coalition that a plain loop over ``connected_coalitions`` finds violated.
+coalition that a plain loop over the connected-set enumerator
+(``games._connected_masks``) finds violated.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from matchcore.bmatching import (
     in_dual_image,
 )
 from matchcore import analysis, bmatching
-from matchcore.games import connected_coalitions
+from matchcore.games import _connected_masks, _members
 from matchcore.matchings import integer_game
 
 from gamegen import (
@@ -67,7 +68,8 @@ def first_violated(g, imp):
             return frozenset((q,))
     if sum(imp.values()) != worth(g):
         return grand
-    for s in connected_coalitions(g):
+    ids = sorted(g.vertices, reverse=True)
+    for s in [_members(ids, m) for m in _connected_masks(g)]:
         ws = worth(g, s)
         if s != grand and ws is not None and sum(imp[q] for q in s) < ws:
             return s

@@ -99,14 +99,15 @@ def check_against_the_face(g):
         assert not a.concurrent and a.profit_bounds(g.vertices[0]) is None
         return False
     face = ColdFace(g, a.worth)
+    weight = {(i, j): w for i, j, w in g.edges}
     for q in g.vertices:
         lo = face.best(prices(q), False).objective_value
         hi = face.best(prices(q)).objective_value
         assert a.profit_bounds(q) == (lo, hi)
-        assert rep.vertices[q] == a.vertex_payment(q) == hi
+        assert rep.vertices[q] == hi
     for k in g.edge_keys:
-        over = face.best(prices(*k)).objective_value - g.weight(k)
-        assert rep.edges[k] == a.edge_payment(k) == over
+        over = face.best(prices(*k)).objective_value - weight[k]
+        assert rep.edges[k] == over
     if g.variant == "assignment":
         # Each side's best point is the unique maximizer of its side's total.
         for best, side in zip(a.antipodal, (g.left, g.right)):

@@ -7,7 +7,8 @@ fractional optimum is the worth.  A general game's is half the best
 weight of its bipartite double cover, found by the Hungarian method
 (``matchings.double_cover_optimum``) and certified in the game's own
 terms.  Both are compared here with the cold primal LP
-(``fractional_optimum``, a fresh phase 1 on ``build_primal_lp``), the
+(``fractional_optimum``, a fresh phase 1 on ``build_primal_lp``, both in
+``tests/lp_oracles.py``), the
 double cover also with scipy's HiGHS (floats, test-only) and closed
 forms.  Tampered potentials and assignments, each breaking one check of
 the certificate, must be refused.
@@ -32,11 +33,11 @@ from matchcore.matchings import (
     ResidualTable,
     SolverInvariantError,
     double_cover_optimum,
-    fractional_optimum,
     integer_game,
 )
 
 from gamegen import random_assignment, random_b_game, random_general, with_vertex_floors
+from lp_oracles import fractional_optimum
 
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
 

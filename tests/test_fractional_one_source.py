@@ -8,9 +8,10 @@ prices against that value: they must cover every edge and pay it out
 exactly, which makes them optimal by weak duality.  Here the session's
 value, in both read orders, is compared with the dual's objective, with
 the cold primal solve ``fractional_optimum`` (a fresh phase 1 on
-``build_primal_lp``) and with scipy's HiGHS (floats, test-only).  Duals
-that are feasible but not optimal, or of the right objective but leaving
-an edge uncovered, must be refused in both read orders.
+``build_primal_lp``, both in ``tests/lp_oracles.py``) and with scipy's
+HiGHS (floats, test-only).  Duals that are feasible but not optimal, or
+of the right objective but leaving an edge uncovered, must be refused in
+both read orders.
 """
 
 from fractions import Fraction as F
@@ -22,12 +23,13 @@ from matchcore import analysis
 from matchcore.analysis import GameAnalysis
 from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore.gamefile import parse_game
-from matchcore.gamelp import build_dual_lp, build_primal_lp, solve_dual
+from matchcore.gamelp import build_dual_lp, solve_dual
 from matchcore.games import InfeasibleGameError, make_game
-from matchcore.matchings import SolverInvariantError, fractional_optimum
+from matchcore.matchings import SolverInvariantError
 from matchcore.reports import full_report
 
 from gamegen import random_assignment, random_b_game, random_general, with_vertex_floors
+from lp_oracles import build_primal_lp, fractional_optimum
 
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
 

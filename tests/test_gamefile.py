@@ -38,7 +38,7 @@ def test_defaults_applied():
     )
     assert g.vertex_upper == {"u": 1, "v": 1}
     assert g.edge_upper == {("u", "v"): 1}
-    assert g.weight(("u", "v")) == F(3, 2)
+    assert g.edges == (("u", "v", F(3, 2)),)
 
 
 def test_a_parsed_weight_is_built_once():
@@ -82,7 +82,7 @@ def test_parse_errors(text, fragment):
 def test_zero_weight_accepted():
     # A weight of 0 is as valid in a file as in make_game and the session.
     g = parse_game("variant: assignment\nleft: u\nright: v\nedge: u v 0\n")
-    assert g.weight(("u", "v")) == 0
+    assert g.edges == (("u", "v", 0),)
 
 
 def test_tied_payment_games_round_trip():
@@ -98,7 +98,7 @@ def test_comments_and_blanks_ignored():
         "# a comment\n\nvariant: assignment\nleft: u\nright: v\n"
         "edge: u v 1 # trailing\n"
     )
-    assert g.weight(("u", "v")) == 1
+    assert g.edges == (("u", "v", 1),)
 
 
 def test_general_matching_uses_vertices():

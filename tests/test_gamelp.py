@@ -5,15 +5,14 @@ from matchcore.bundled import load_instance
 from matchcore.games import make_game
 from matchcore.gamelp import (
     build_dual_lp,
-    build_primal_lp,
     dual_columns,
-    dual_is_optimal,
     solve_dual,
 )
-from matchcore.matchings import brute_force_optima, fractional_optimum
+from matchcore.matchings import brute_force_optima
 from matchcore.simplex import solve_lp
 
 from gamegen import random_assignment, random_b_game, random_general
+from lp_oracles import build_primal_lp, dual_is_optimal, fractional_optimum
 
 
 def test_primal_shape_path5():

@@ -12,7 +12,7 @@ from matchcore.games import (
     VARIANTS,
     CapExceeded,
     _connected_masks,
-    connected_coalitions,
+    _members,
     induce_subgame,
     make_game,
     validate_game,
@@ -20,6 +20,13 @@ from matchcore.games import (
 
 from flood_fill import as_mask, flood_fill_coalitions
 from gamegen import random_assignment, random_b_game, random_general
+
+
+def connected_coalitions(g):
+    """Every connected vertex set of ``g``, as the session reads them: the
+    enumerator's masks, bit p standing for the p-th id in descending order."""
+    ids = sorted(g.vertices, reverse=True)
+    return [_members(ids, m) for m in _connected_masks(g)]
 
 
 def test_path5_is_valid():
@@ -139,9 +146,9 @@ def test_connected_coalitions_match_networkx():
 
 
 def test_connected_coalitions_cap():
-    g = load_instance("path5")
+    a = GameAnalysis(load_instance("path5"), cap=4)
     with pytest.raises(CapExceeded):
-        connected_coalitions(g, cap=4)
+        a.system
 
 
 def structure_game(rng, variant, n, density):
@@ -217,21 +224,18 @@ def test_a_long_path_is_enumerated_in_its_output():
     # A path's connected sets are its 40·41/2 = 820 intervals, among 2^40
     # subsets: only an enumerator whose work follows its output finishes.
     ids, g = long_path(40)
-    got = connected_coalitions(g, cap=40)
+    got = connected_coalitions(g)
     want = sorted([tuple(ids[i:j]) for i in range(40) for j in range(i + 1, 41)])
     assert len(got) == 820
     assert got == [frozenset(t) for t in want]
 
 
 def test_the_cap_is_checked_before_any_set_is_produced(monkeypatch):
-    # Over the cap, neither connected_coalitions nor a session's scan
-    # starts the enumerator.
+    # Over the cap, a session's scan does not start the enumerator.
     _, g = long_path(40)
     produced = []
     for module in (games, analysis):
         monkeypatch.setattr(module, "_connected_masks", lambda g: produced.append(g) or [])
-    with pytest.raises(CapExceeded):
-        connected_coalitions(g, cap=39)
     a = GameAnalysis(g, budget_cap=40)
     with pytest.raises(CapExceeded):
         a.system

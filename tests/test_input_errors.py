@@ -6,7 +6,8 @@ error, and the command line's option errors, asserted by message.  A
 game whose fault ``make_game`` cannot produce (a bound map that misses a
 vertex or an edge, say) is built with ``dataclasses.replace`` on a
 well-formed instance.  The file and command-line errors exit with code
-2 and print the message on stderr, never a traceback.
+2 and print the message on stderr, never a traceback; a broken invariant
+of the solver is not an input error, and raises.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from fractions import Fraction
 
 import pytest
 
+from matchcore import gamelp
 from matchcore.bundled import load_instance
 from matchcore.cli import main
 from matchcore.gamefile import GameFileError, parse_game, render_game
-from matchcore.games import GameInstance, make_game, validate_game
-from matchcore.simplex import LinearProgram, solve_lp
+from matchcore.games import GameInstance, SolverInvariantError, make_game, validate_game
+from matchcore.simplex import LinearProgram, LPSolution, solve_lp
 
 # u1 - v1 - u2 - v2, every bound free to move: caps 2 at u1 and v1.
 BASE = make_game(
@@ -203,3 +205,15 @@ def test_a_bad_rational_in_the_imputation_exits_2(capsys, tmp_path, command, ent
     path.write_text(GOOD_FILE)
     got = run(capsys, command, "--game", str(path), f"--imputation=1,0,0,{entry}")
     assert got == (2, "", f"error: {message}\n")
+
+
+def test_a_dual_that_is_not_an_optimum_is_no_input_error(monkeypatch, capsys, tmp_path):
+    # The dual LP is always feasible, and an unbounded one means the floors
+    # admit no matching: any other answer breaks the solver's contract.
+    # That raises SolverInvariantError instead of exiting 2 as bad input.
+    monkeypatch.setattr(gamelp, "solve_lp", lambda lp: LPSolution("infeasible", {}, None))
+    path = tmp_path / "game.txt"
+    path.write_text(GOOD_FILE)
+    with pytest.raises(SolverInvariantError, match="dual LP did not produce an optimum"):
+        main(["dual", "--game", str(path)])
+    assert capsys.readouterr().err == ""

@@ -8,7 +8,8 @@ general bounds with and without edge floors), and one hand-made
 b-general game with vertex and edge floors.  The digests were recorded
 before the builders were rewritten to emit rows from the bound families
 each variant prices; any change to the LP builders must reproduce every
-entry exactly.
+entry exactly.  The primal builder is the tests' oracle in
+``tests/lp_oracles.py``; no command builds the primal LP.
 """
 
 import hashlib
@@ -17,10 +18,11 @@ from random import Random
 import pytest
 
 from matchcore.bundled import INSTANCE_NAMES, load_instance
-from matchcore.gamelp import build_dual_lp, build_primal_lp
+from matchcore.gamelp import build_dual_lp
 from matchcore.games import make_game
 
 from gamegen import random_assignment, random_b_game, random_general
+from lp_oracles import build_primal_lp
 
 SEEDS = (0, 1, 2, 3, 4)
 # Seeds whose b-general game draws at least one positive edge floor.

@@ -21,13 +21,8 @@ import pytest
 from matchcore import cli
 from matchcore.analysis import GameAnalysis
 from matchcore.gamefile import render_game
-from matchcore.games import make_game
-from matchcore.matchings import (
-    InfeasibleGameError,
-    ResidualTable,
-    brute_force_optima,
-    integer_game,
-)
+from matchcore.games import InfeasibleGameError, make_game
+from matchcore.matchings import ResidualTable, brute_force_optima, integer_game
 
 from gamegen import random_assignment, random_b_game, random_general, with_vertex_floors
 from plain_enumerator import plain_labels, plain_optima

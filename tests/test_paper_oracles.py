@@ -26,7 +26,7 @@ def test_assignment_max_profit_is_the_marginal_worth():
         grand = frozenset(g.vertices)
         for q in g.vertices:
             marginal = a.worth - worth(g, grand - {q})
-            assert a.vertex_payment(q) == marginal
+            assert a.payments.vertices[q] == marginal
             checked += 1
     assert checked > 200
 
@@ -43,7 +43,7 @@ def test_concurrent_general_gap():
     assert a.concurrent and a.worth == 12  # the core is nonempty
     marginal = a.worth - worth(g, frozenset({"v1", "v2", "v4"}))
     assert marginal == 8
-    top = a.vertex_payment("v3")
+    top = a.payments.vertices["v3"]
     assert top == F(31, 4) < marginal
     # Certificate, lower bound: a core point that pays v3 exactly 31/4.
     point = {"v1": F(5, 4), "v2": F(11, 4), "v3": F(31, 4), "v4": F(1, 4)}

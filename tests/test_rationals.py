@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matchcore.rationals import compare, format_rational, parse_rational
+from matchcore.rationals import format_rational, parse_rational
 
 fractions = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -35,12 +35,6 @@ def test_format():
     assert format_rational(Fraction(2)) == "2"
     assert format_rational(Fraction(3, 2)) == "3/2"
     assert format_rational(Fraction(-1, 3)) == "-1/3"
-
-
-def test_compare():
-    assert compare(Fraction(3, 2), Fraction(1)) == 1
-    assert compare(Fraction(21, 10), Fraction(21, 10)) == 0
-    assert compare(Fraction(1), Fraction(3, 2)) == -1
 
 
 @given(fractions)

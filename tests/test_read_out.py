@@ -15,10 +15,11 @@ from random import Random
 
 from matchcore.analysis import GameAnalysis
 from matchcore.bundled import INSTANCE_NAMES, load_instance
-from matchcore.gamelp import build_dual_lp, build_primal_lp
+from matchcore.gamelp import build_dual_lp
 from matchcore.simplex import solve_lp, solve_over_optimal_face
 
 from gamegen import payment_games, random_assignment, random_b_game, random_general
+from lp_oracles import build_primal_lp
 
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
 
@@ -79,13 +80,13 @@ def test_every_vertex_and_edge_face_query_reads_out():
             y = f"y[{q}]"
             top = query({y: F(1)})
             low = query({y: F(1)}, False)
-            assert a.vertex_payment(q) == top.values[y]
+            assert a.payments.vertices[q] == top.values[y]
             assert a.profit_bounds(q) == (low.values[y], top.values[y])
             queries += 2
         for i, j, w in g.edges:
             yi, yj = f"y[{i}]", f"y[{j}]"
             top = query({yi: F(1), yj: F(1)})
             slack = top.values[yi] + top.values[yj] - w
-            assert a.edge_payment((i, j)) == slack
+            assert a.payments.edges[i, j] == slack
             queries += 1
     assert queries >= 500

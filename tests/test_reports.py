@@ -38,14 +38,12 @@ from matchcore.gamefile import render_game
 from matchcore.games import (
     DEFAULT_BUDGET_CAP,
     DEFAULT_COALITION_CAP,
-    connected_coalitions,
     make_game,
 )
 from matchcore.matchings import (
     ResidualTable,
     brute_force_optima,
     double_cover_optimum,
-    fractional_optimum,
     integer_game,
     integer_search,
 )
@@ -209,7 +207,6 @@ def test_full_report_enumerates_once_and_solves_one_lp(monkeypatch, g):
     # neither searched nor listed.
     work = count_work(monkeypatch, g)
     solves = count_calls(monkeypatch, simplex.solve_lp)
-    primal = count_calls(monkeypatch, fractional_optimum)
     hungarian = count_calls(monkeypatch, matchings._hungarian)
     runs = []
     run = simplex._run
@@ -220,7 +217,7 @@ def test_full_report_enumerates_once_and_solves_one_lp(monkeypatch, g):
     # or an assignment game's own matrix, which also gives the matching
     # that anchors the core's octagon.
     assert len(hungarian) == (g.variant in PAYMENT_VARIANTS)
-    assert primal == []
+    assert [lp for lp, *_ in solves if lp.variables[0].startswith("x[")] == []
     if g.variant not in PAYMENT_VARIANTS:
         # The core system looks up every coalition, and the dual-image
         # test may solve its own LP after the dual's.
@@ -318,8 +315,7 @@ def test_degeneracy_report_reuses_the_payment_report(monkeypatch, name):
     degeneracy_section(a)
     a.payments
     degeneracy_section(a)
-    [a.vertex_payment(q) for q in g.vertices]
-    [a.edge_payment(k) for k in g.edge_keys]
+    [a.profit_bounds(q) for q in g.vertices]
     assert len(octagons) == (1 if a.concurrent else 0)
     assert work() == Work(ONE, ONE, [], [])
 
@@ -481,7 +477,9 @@ def test_no_answer_enumerates_nothing_after_its_witness(
     code, witness, work = cli_check(monkeypatch, capsys, tmp_path, g, imp)
     assert code == 1
     grand = frozenset(g.vertices)
-    proper = [s for s in connected_coalitions(g) if s != grand]
+    ids = sorted(g.vertices, reverse=True)
+    proper = [games._members(ids, m) for m in games._connected_masks(g)]
+    proper = [s for s in proper if s != grand]
     # A negative entry is answered before the grand worth, a wrong total
     # before any coalition.  Where the double cover's matching gives the
     # worth, nothing is counted, and a wrong total builds no table.
@@ -507,7 +505,7 @@ def floored_games(count):
         g = with_vertex_floors(rng, random_b_game(rng, "b-general", with_floors=True))
         try:
             GameAnalysis(g).worth
-        except matchings.InfeasibleGameError:
+        except games.InfeasibleGameError:
             continue
         if g.edges:
             out.append(g)

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from matchcore.bundled import INSTANCE_NAMES, load_instance
 from matchcore import simplex
-from matchcore.gamelp import build_dual_lp, build_primal_lp
+from matchcore.gamelp import build_dual_lp
 from matchcore.simplex import (
     LinearProgram,
-    _assert_feasible,
     solve_lp,
     solve_over_optimal_face,
 )
+
+from fraction_simplex import assert_feasible
+from lp_oracles import build_primal_lp
 
 Z, O = F(0), F(1)
 
@@ -159,18 +161,18 @@ def test_self_check_rejects_a_point_moved_by_one_over_n():
         g = load_instance(name)
         for program in (build_primal_lp(g), build_dual_lp(g)):
             sol = solve_lp(program)
-            _assert_feasible(program, sol.values)
+            assert_feasible(program, sol.values)
             for v in program.variables:
                 for step in (F(1, n_big), F(-1, n_big)):
                     moved = dict(sol.values)
                     moved[v] += step
                     ok, why = _feasible(program, moved)
                     if ok:
-                        _assert_feasible(program, moved)
+                        assert_feasible(program, moved)
                         accepted += 1
                     else:
                         with pytest.raises(AssertionError):
-                            _assert_feasible(program, moved)
+                            assert_feasible(program, moved)
                         rejected[why] += 1
     assert rejected["row"] >= 50 and rejected["sign"] >= 50 and accepted >= 50
 
@@ -183,7 +185,7 @@ def test_self_check_rejects_each_relation():
         [([1, 1], "<=", 1), ([1, -1], "==", 0), ([3, 0], ">=", 1)],
     )
     point = {"x": F(1, 2), "y": F(1, 2)}
-    _assert_feasible(program, point)
+    assert_feasible(program, point)
     tiny = F(1, 10**15)
     for moved in (
         {"x": F(1, 2) + tiny, "y": F(1, 2)},  # breaks <= and ==
@@ -191,7 +193,7 @@ def test_self_check_rejects_each_relation():
         {"x": F(1, 3) - tiny, "y": F(1, 3) - tiny},  # breaks >= only
     ):
         with pytest.raises(AssertionError):
-            _assert_feasible(program, moved)
+            assert_feasible(program, moved)
 
 
 def _first_basic_structural(rows, basis, cols):

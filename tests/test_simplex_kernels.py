@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import fraction_simplex
 from matchcore.bundled import INSTANCE_NAMES, load_instance
-from matchcore.gamelp import build_dual_lp, build_primal_lp
+from matchcore.gamelp import build_dual_lp
 from matchcore.simplex import LinearProgram, solve_lp
 
 from gamegen import random_assignment, random_b_game, random_general
+from lp_oracles import build_primal_lp
 
 B_VARIANTS = ("b-uniform", "b-unconstrained", "b-constrained", "b-general")
 

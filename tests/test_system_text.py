@@ -19,8 +19,7 @@ import pytest
 
 from matchcore.analysis import GameAnalysis
 from matchcore.bundled import INSTANCE_NAMES, load_instance
-from matchcore.games import VARIANTS, make_game
-from matchcore.matchings import InfeasibleGameError
+from matchcore.games import VARIANTS, InfeasibleGameError, make_game
 from matchcore.reports import system_section
 
 from gamegen import random_assignment, random_b_game, random_general, with_vertex_floors
